@@ -48,6 +48,6 @@ def weighted_norm_sq(coeffs, weights, order):
 
 def weighted_diff_norm_sq(a, b, weights, order):
     """sum_n weights[n] |a[n]-b[n]|^2, accumulated in ``order``."""
-    d = a[order] - b[order]
+    d = (a - b)[order]
     mag2 = d.real * d.real + d.imag * d.imag
     return float(np.sum(weights[order] * mag2))

@@ -7,13 +7,14 @@ Duhamel integral over one step (exponential-trapezoid quadrature); an
 integrating-factor RK4 scheme serves as an independent cross-check.
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
 from . import kernels
-from .spectral import GridSpec, SpectralField, sobolev_distance, sobolev_norm
+from .spectral import SQRT_2PI, GridSpec, SpectralField, sobolev_norm
 
 
 class NonConvergence(RuntimeError):
@@ -156,6 +157,40 @@ def truncate_coeffs(coeffs, m, n):
     return out
 
 
+@lru_cache(maxsize=64)
+def _padded_derivative_ops(num_modes, pad):
+    """Rows (i·n, -n²) over the modes of the pad·N grid, as complex128.
+
+    Stored complex so that multiplying a coefficient array by a row runs
+    the same complex product numpy runs when it casts the real -n² itself.
+    """
+    m = pad * num_modes
+    modes = np.fft.fftfreq(m, 1.0 / m)
+    ops = np.array([1j * modes, -(modes**2)], dtype=np.complex128)
+    ops.setflags(write=False)
+    return ops
+
+
+def _nonlinearity(c, lambdas, pad):
+    """Raw-array core of ``eval_nonlinearity`` for N coefficients ``c``.
+
+    Pads once into a (3, pad·N) stack (ψ, ∂ψ, ∂²ψ), takes one batched
+    inverse FFT, combines pointwise, transforms back, truncates to the
+    band and zeroes the Nyquist mode. Returns a new writable array.
+    """
+    n = c.shape[0]
+    m = pad * n
+    stack = np.empty((3, m), dtype=np.complex128)
+    stack[0] = pad_coeffs(c, n, m) if pad > 1 else c
+    np.multiply(_padded_derivative_ops(n, pad), stack[0], out=stack[1:])
+    u, du, d2u = np.fft.ifft(stack, axis=-1) * (m / SQRT_2PI)
+    combined = kernels.nonlinear_combine(u, du, d2u, lambdas)
+    chat = np.fft.fft(combined) * (SQRT_2PI / m)
+    out = truncate_coeffs(chat, m, n) if pad > 1 else chat
+    out[n // 2] = 0.0
+    return out
+
+
 def eval_nonlinearity(psi, coeffs, pad):
     """Dealiased pseudospectral evaluation of the six-term nonlinearity.
 
@@ -167,21 +202,7 @@ def eval_nonlinearity(psi, coeffs, pad):
         raise ValueError("pad must be >= 1")
     if coeffs.is_linear:
         return SpectralField(psi.grid, np.zeros_like(psi.coeffs))
-    grid = psi.grid
-    n = grid.num_modes
-    m = pad * n
-    fine = GridSpec(m) if pad > 1 else grid
-    modes_fine = fine.modes
-    c = pad_coeffs(psi.coeffs, n, m) if pad > 1 else np.array(psi.coeffs)
-    scale = m / np.sqrt(2.0 * np.pi)
-    u = np.fft.ifft(c) * scale
-    du = np.fft.ifft(1j * modes_fine * c) * scale
-    d2u = np.fft.ifft(-(modes_fine**2) * c) * scale
-    combined = kernels.nonlinear_combine(u, du, d2u, coeffs.lambdas)
-    chat = np.fft.fft(combined) * (np.sqrt(2.0 * np.pi) / m)
-    out = truncate_coeffs(chat, m, n) if pad > 1 else chat
-    out[grid.nyquist_index] = 0.0
-    return SpectralField(grid, out)
+    return SpectralField(psi.grid, _nonlinearity(psi.coeffs, coeffs.lambdas, pad))
 
 
 @lru_cache(maxsize=256)
@@ -217,24 +238,41 @@ def duhamel_step(psi, cfg, coeffs):
 
     Fixed point of ψ ↦ W_ε(dt)ψ₀ - i (dt/2) [W_ε(dt) N(ψ₀) + N(ψ)],
     converged when successive iterates differ by < picard_tol in H^m.
-    Returns (state, iterations); raises NonConvergence past the budget.
+    Returns (state, iterations); raises NonFinite as soon as that distance
+    is not finite and NonConvergence past the budget.
     """
     dt = cfg.dt
-    eps = cfg.epsilon
-    nu = coeffs.nu
-    m = cfg.sobolev_index_m
-    pad = cfg.pad_for(coeffs)
-    w_psi = semigroup_apply(psi, dt, eps, nu)
+    grid = psi.grid
+    factors = _semigroup_factors_cached(
+        grid.num_modes, float(dt), float(cfg.epsilon), float(coeffs.nu)
+    )
+    w_psi = kernels.apply_multiplier(psi.coeffs, factors)
     if coeffs.is_linear:
-        return w_psi, 1
-    n0 = eval_nonlinearity(psi, coeffs, pad)
-    fixed = w_psi - (0.5j * dt) * semigroup_apply(n0, dt, eps, nu)
-    current = w_psi
-    for iteration in range(1, cfg.picard_max_iters + 1):
-        nxt = fixed - (0.5j * dt) * eval_nonlinearity(current, coeffs, pad)
-        if sobolev_distance(nxt, current, m) < cfg.picard_tol:
-            return nxt, iteration
-        current = nxt
+        return SpectralField(grid, w_psi), 1
+    lambdas = coeffs.lambdas
+    pad = cfg.pad_for(coeffs)
+    weights = grid.sobolev_weights(cfg.sobolev_index_m)
+    order = grid.mode_order
+    # the scalar stays on the right, where SpectralField.__rmul__ put it:
+    # swapping complex operands can change the last bit under FMA
+    half_dt = 0.5j * dt
+    with np.errstate(over="ignore", invalid="ignore"):
+        n0 = _nonlinearity(psi.coeffs, lambdas, pad)
+        fixed = w_psi - kernels.apply_multiplier(n0, factors) * half_dt
+        current = w_psi
+        for iteration in range(1, cfg.picard_max_iters + 1):
+            nxt = fixed - _nonlinearity(current, lambdas, pad) * half_dt
+            dist = math.sqrt(
+                kernels.weighted_diff_norm_sq(nxt, current, weights, order)
+            )
+            if dist < cfg.picard_tol:
+                return SpectralField(grid, nxt), iteration
+            if not math.isfinite(dist):
+                raise NonFinite(
+                    f"Picard iterates diverged to a non-finite H^m distance at "
+                    f"iteration {iteration} (dt={dt}); reduce dt"
+                )
+            current = nxt
     raise NonConvergence(
         f"Picard iteration did not contract within {cfg.picard_max_iters} "
         f"iterations (dt={dt}); reduce dt or check for loss of regularity",
@@ -261,7 +299,8 @@ def integrate(psi0, t_end, cfg, coeffs, observers=(), blowup_factor=1e6):
 
     Observers are called with each TrajectorySample as it is produced. The
     run halts early, marking the trajectory, if the H^m norm exceeds
-    ``blowup_factor`` times its initial value.
+    ``blowup_factor`` times its initial value; a non-finite norm or a
+    diverging step raises NonFinite carrying the time.
     """
     m = cfg.sobolev_index_m
     sample = TrajectorySample(0.0, psi0)
@@ -273,7 +312,7 @@ def integrate(psi0, t_end, cfg, coeffs, observers=(), blowup_factor=1e6):
     state = psi0
     prev_t = 0.0
     for t in _step_times(t_end, cfg.dt):
-        step_cfg = cfg if abs((t - prev_t) - cfg.dt) < 1e-15 else _with_dt(cfg, t - prev_t)
+        step_cfg = cfg if abs((t - prev_t) - cfg.dt) < 1e-15 else replace(cfg, dt=t - prev_t)
         try:
             state, _ = duhamel_step(state, step_cfg, coeffs)
         except NonConvergence as exc:
@@ -282,26 +321,20 @@ def integrate(psi0, t_end, cfg, coeffs, observers=(), blowup_factor=1e6):
                 time=prev_t,
                 iterations=exc.iterations,
             ) from exc
+        except NonFinite as exc:
+            raise NonFinite(f"at t={prev_t:.6g}: {exc}", time=prev_t) from exc
+        norm = sobolev_norm(state, m)
+        if not math.isfinite(norm):
+            raise NonFinite(f"non-finite H^m norm at t={t:.6g}", time=t)
         sample = TrajectorySample(t, state)
         samples.append(sample)
         for obs in observers:
             obs(sample)
-        if sobolev_norm(state, m) > ceiling:
+        if norm > ceiling:
             trajectory.blowup_time = t
             break
         prev_t = t
     return trajectory
-
-
-def _with_dt(cfg, dt):
-    return SolverConfig(
-        dt=dt,
-        epsilon=cfg.epsilon,
-        picard_tol=cfg.picard_tol,
-        picard_max_iters=cfg.picard_max_iters,
-        dealias_pad_factor=cfg.dealias_pad_factor,
-        sobolev_index_m=cfg.sobolev_index_m,
-    )
 
 
 def reference_integrate(psi0, t_end, cfg, coeffs):

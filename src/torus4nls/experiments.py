@@ -402,7 +402,7 @@ def riccati_study(family, m, coeffs, cfg, t_end, c_m,
     q_raw = []
     freq_span = []
     for member in family:
-        rec = EnergyRecorder(m, coeffs, c_m)
+        rec = EnergyRecorder(m, coeffs, c_m, invariants=False)
         integrate(member, t_end, cfg, coeffs, observers=[rec])
         rep = rec.report.validate()
         q_mod.append(_max_quotient(rep.times, rep.modified_energy))

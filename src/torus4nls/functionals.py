@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import CoefficientSet
+from .dynamics import CoefficientSet, pad_coeffs
 from .sampling import random_field, rng_for
 from .spectral import GridSpec, SpectralField, seminorm_sq, sobolev_norm_sq
 
@@ -28,11 +28,7 @@ def fine_samples(psi, pad, deriv=0):
     m = pad * n
     c = psi.coeffs if deriv == 0 else psi.coeffs * (1j * grid.modes) ** deriv
     if pad > 1:
-        out = np.zeros(m, dtype=np.complex128)
-        half = n // 2
-        out[:half] = c[:half]
-        out[m - half :] = c[half:]
-        c = out
+        c = pad_coeffs(c, n, m)
     return np.fft.ifft(c) * (m / np.sqrt(2.0 * np.pi))
 
 
@@ -278,19 +274,28 @@ class EnergyReport:
     i2: list = dataclass_field(default_factory=list)
 
     def validate(self):
+        """Every column matches ``times``; the invariant columns may instead
+        all be empty (a recorder run with ``invariants=False``)."""
         n = len(self.times)
         for name in ("h_m_norm_sq", "deriv_m_norm_sq", "l2_norm_sq",
-                     "modified_energy", "i0", "i1", "i2"):
+                     "modified_energy"):
             if len(getattr(self, name)) != n:
                 raise ValueError(f"column {name} length differs from times")
+        if {len(self.i0), len(self.i1), len(self.i2)} not in ({n}, {0}):
+            raise ValueError("invariant columns must all be empty or match times")
         return self
 
 
 class EnergyRecorder:
-    """Trajectory observer appending one EnergyReport row per sample."""
+    """Trajectory observer appending one EnergyReport row per sample.
 
-    def __init__(self, m, coeffs, c_m=0.0):
+    ``invariants=False`` leaves the I₀–I₂ columns empty, for callers that
+    read only the norms and the modified energy.
+    """
+
+    def __init__(self, m, coeffs, c_m=0.0, invariants=True):
         self.coeffs = coeffs
+        self.invariants = invariants
         self.report = EnergyReport(m=m, c_m_used=c_m)
 
     def __call__(self, sample):
@@ -303,6 +308,8 @@ class EnergyRecorder:
         rep.modified_energy.append(
             modified_energy(psi, rep.m, self.coeffs, rep.c_m_used)
         )
+        if not self.invariants:
+            return
         inv = conserved_quantities(psi)
         rep.i0.append(inv.i0)
         rep.i1.append(inv.i1)

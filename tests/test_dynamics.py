@@ -5,6 +5,7 @@ import pytest
 
 from conftest import oracle_samples
 
+from torus4nls import kernels
 from torus4nls.dynamics import (
     CoefficientSet,
     NonConvergence,
@@ -246,13 +247,13 @@ class TestDuhamelStep:
         expect = semigroup_apply(psi, 1e-3, 0.1, 1.0)
         assert np.allclose(out.coeffs, expect.coeffs, atol=1e-15)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonconvergence_raised(self, grid64):
         # second-derivative quintic forcing at order-one amplitude with a
-        # huge step leaves the contraction regime
+        # huge step leaves the contraction regime; the first three iterates
+        # are still finite (H^m gaps ~1e11, 1e32, 1e136), the fourth is not
         rng = rng_for(4)
         psi = random_field(grid64, rng, decay=0.5, l2_mass=20.0)
-        cfg = SolverConfig(dt=0.5, picard_max_iters=8, sobolev_index_m=4)
+        cfg = SolverConfig(dt=0.5, picard_max_iters=3, sobolev_index_m=4)
         with pytest.raises(NonConvergence):
             duhamel_step(psi, cfg, integrable_coefficients(1.0))
 
@@ -300,14 +301,22 @@ class TestIntegrate:
         assert traj.blowup_time == pytest.approx(1e-3)
         assert len(traj) == 2
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonconvergence_carries_time(self, grid64):
         rng = rng_for(4)
         psi = random_field(grid64, rng, decay=0.5, l2_mass=20.0)
-        cfg = SolverConfig(dt=0.5, picard_max_iters=8, sobolev_index_m=4)
+        cfg = SolverConfig(dt=0.5, picard_max_iters=3, sobolev_index_m=4)
         with pytest.raises(NonConvergence) as err:
             integrate(psi, 2.0, cfg, integrable_coefficients(1.0))
         assert err.value.time is not None
+
+    def test_divergence_is_nonfinite(self, grid64):
+        # the CLI's solver-error setup: Picard overflows at its fourth
+        # iterate and must stop there, not after the whole budget
+        psi = random_field(grid64, rng_for(1), decay=0.5, l2_mass=20.0)
+        cfg = SolverConfig(dt=0.5, sobolev_index_m=4)
+        with pytest.raises(NonFinite) as err:
+            integrate(psi, 1.0, cfg, integrable_coefficients(1.0))
+        assert err.value.time == 0.0
 
 
 class TestReferenceIntegrate:
@@ -375,3 +384,78 @@ class TestCrossIntegrator:
         traj = integrate(psi, 0.02, cfg, CoefficientSet(nu=1.0))
         masses = [l2_norm(s.state) for s in traj]
         assert all(a > b for a, b in zip(masses, masses[1:]))
+
+
+def _field_eval_nonlinearity(psi, coeffs, pad):
+    """The field-level nonlinearity the raw-array path replaced: padded
+    operators rebuilt per call and three separate inverse FFTs."""
+    grid = psi.grid
+    n = grid.num_modes
+    m = pad * n
+    modes_fine = GridSpec(m).modes if pad > 1 else grid.modes
+    half = n // 2
+    c = np.zeros(m, dtype=np.complex128)
+    c[:half] = psi.coeffs[:half]
+    c[m - half :] = psi.coeffs[half:]
+    scale = m / np.sqrt(2.0 * np.pi)
+    u = np.fft.ifft(c) * scale
+    du = np.fft.ifft(1j * modes_fine * c) * scale
+    d2u = np.fft.ifft(-(modes_fine**2) * c) * scale
+    combined = kernels.nonlinear_combine(u, du, d2u, coeffs.lambdas)
+    chat = np.fft.fft(combined) * (np.sqrt(2.0 * np.pi) / m)
+    out = np.concatenate([chat[:half], chat[m - half :]])
+    out[grid.nyquist_index] = 0.0
+    return SpectralField(grid, out)
+
+
+def _field_duhamel_step(psi, cfg, coeffs):
+    """The field-level Picard step the raw-array path replaced."""
+    dt = cfg.dt
+    eps = cfg.epsilon
+    nu = coeffs.nu
+    pad = cfg.pad_for(coeffs)
+    w_psi = semigroup_apply(psi, dt, eps, nu)
+    n0 = _field_eval_nonlinearity(psi, coeffs, pad)
+    fixed = w_psi - (0.5j * dt) * semigroup_apply(n0, dt, eps, nu)
+    current = w_psi
+    for iteration in range(1, cfg.picard_max_iters + 1):
+        nxt = fixed - (0.5j * dt) * _field_eval_nonlinearity(current, coeffs, pad)
+        if sobolev_distance(nxt, current, cfg.sobolev_index_m) < cfg.picard_tol:
+            return nxt, iteration
+        current = nxt
+    raise NonConvergence("reference step did not converge")
+
+
+CUBIC = CoefficientSet(nu=1.0, lambda1=0.7, lambda3=0.2, lambda4=-0.5,
+                       lambda5=0.4, lambda6=0.1)
+
+
+class TestRawPathMatchesFieldReference:
+    """The raw-array Picard path keeps every arithmetic expression of the
+    field-level one, so coefficients and iteration counts match exactly."""
+
+    @pytest.mark.parametrize("num_modes", [64, 256])
+    @pytest.mark.parametrize("epsilon", [0.0, 0.05])
+    @pytest.mark.parametrize(
+        "coeffs,pad_factor,pad",
+        [(integrable_coefficients(1.0), None, 3), (CUBIC, None, 2), (CUBIC, 1, 1)],
+        ids=["integrable-pad3", "cubic-pad2", "cubic-pad1"],
+    )
+    def test_steps_bitwise_equal(self, num_modes, epsilon, coeffs, pad_factor, pad):
+        grid = GridSpec(num_modes)
+        psi = random_field(grid, rng_for(num_modes), decay=2.0, hm_norm=0.4,
+                           m=4, max_mode=6)
+        cfg = SolverConfig(dt=2e-4, epsilon=epsilon, dealias_pad_factor=pad_factor,
+                           sobolev_index_m=4)
+        assert cfg.pad_for(coeffs) == pad
+        assert np.array_equal(
+            eval_nonlinearity(psi, coeffs, pad).coeffs,
+            _field_eval_nonlinearity(psi, coeffs, pad).coeffs,
+        )
+        new = ref = psi
+        for _ in range(4):
+            new, new_iters = duhamel_step(new, cfg, coeffs)
+            ref, ref_iters = _field_duhamel_step(ref, cfg, coeffs)
+            assert new_iters == ref_iters
+            assert np.array_equal(new.coeffs, ref.coeffs)
+        assert new_iters > 1

@@ -258,3 +258,17 @@ class TestEnergyRecorder:
         rec.report.times.append(0.0)
         with pytest.raises(ValueError):
             rec.report.validate()
+
+    def test_invariants_off_leaves_columns_empty(self):
+        coeffs = integrable_coefficients(1.0)
+        full = EnergyRecorder(4, coeffs)
+        lean = EnergyRecorder(4, coeffs, invariants=False)
+        cfg = SolverConfig(dt=1e-3, sobolev_index_m=4)
+        integrate(plane_wave(GridSpec(32), 0.3, 1), 0.005, cfg, coeffs,
+                  observers=[full, lean])
+        rep = lean.report.validate()
+        assert rep.i0 == rep.i1 == rep.i2 == []
+        assert rep.modified_energy == full.report.modified_energy
+        rep.i0.append(0.0)
+        with pytest.raises(ValueError):
+            rep.validate()

@@ -3,9 +3,10 @@
 Configuration precedence: command-line flags override config-file keys,
 which override built-in defaults. The config file is a flat ``key = value``
 text format (``#`` comments allowed) whose keys are the long option names
-with dashes replaced by underscores. The output directory may additionally
-be forced through the ``TORUS4NLS_OUTDIR`` environment variable, which
-takes precedence over every other source (and is the only env override).
+of the subcommand with dashes replaced by underscores; any other key is a
+usage error. The output directory may additionally be forced through the
+``TORUS4NLS_OUTDIR`` environment variable, which takes precedence over
+every other source (and is the only env override).
 
 Exit codes: 0 pass/complete, 1 study failure, 2 usage error, 3 solver
 error (Picard non-convergence or non-finite state).
@@ -48,7 +49,8 @@ from .spectral import GridSpec, SpectralField, zero_field
 
 CONFIG_HELP = """\
 config file: flat `key = value` lines, `#` starts a comment; keys are the
-long option names with `-` replaced by `_` (example: `num_modes = 128`).
+long option names of the subcommand with `-` replaced by `_` (example:
+`num_modes = 128`); other keys are rejected.
 
 data specs:
   modes:n=1:amp=0.5:phase=0.0,n=-2:amp=0.1   explicit mode list
@@ -170,6 +172,9 @@ class Options:
         self.args = vars(args)
         self.defaults = defaults
         self.config = read_config(args.config) if args.config else {}
+        unknown = sorted(set(self.config) - set(self.args) - {"command", "func"})
+        if unknown:
+            raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
 
     def get(self, key, cast=None):
         flag = self.args.get(key)
@@ -179,9 +184,6 @@ class Options:
             raw = self.config[key]
             return cast(raw) if cast else raw
         return self.defaults.get(key)
-
-    def snapshot(self, keys):
-        return {k: self.get(k[0] if isinstance(k, tuple) else k) for k in keys}
 
 
 def resolve_outdir(opts):
@@ -194,6 +196,9 @@ def resolve_outdir(opts):
 def build_coeffs(opts):
     nu = float(opts.get("nu", cast=float))
     if opts.get("integrable", cast=lambda s: s.lower() in ("1", "true", "yes")):
+        given = [k for k in LAMBDA_KEYS if opts.get(k) is not None]
+        if given:
+            raise ValueError(f"--integrable fixes the lambdas; drop {', '.join(given)}")
         return integrable_coefficients(nu)
     lams = {k: float(opts.get(k, cast=float) or 0.0) for k in LAMBDA_KEYS}
     return CoefficientSet(nu=nu, **lams)
@@ -474,7 +479,6 @@ def build_parser():
     p.add_argument("--num-modes", type=int)
     p.add_argument("--seps", help="comma list of mode separations")
     p.add_argument("--hm-size", type=float, help="family H^m norm")
-    p.add_argument("--n-low", type=int, help="low mode index")
     p.add_argument("--cm-trials", type=int, help="certification trials")
     p.add_argument("--ceiling", type=float, help="certification L2 ceiling")
     p.set_defaults(func=cmd_riccati)

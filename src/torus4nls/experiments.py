@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .dynamics import integrate
+from .dynamics import integrate, integrate_many
 from .exact import integrable_coefficients
 from .functionals import (
     EnergyRecorder,
@@ -308,13 +308,16 @@ def eps_convergence_study(data, m, coeffs, t_end, eps_ladder, cfg,
         raise ValueError("the convergence regime needs m >= 4")
     ladder = sorted(eps_ladder, reverse=True)
     eps_ref = min(ladder) / ref_divisor
-    ref_cfg = replace(cfg, epsilon=eps_ref, sobolev_index_m=m)
-    ref = integrate(mollify(data, eps_ref), t_end, ref_cfg, coeffs).final.state
+    epsilons = [eps_ref] + ladder
+    runs = integrate_many(
+        [mollify(data, e) for e in epsilons], t_end,
+        [replace(cfg, epsilon=e, sobolev_index_m=m) for e in epsilons], coeffs,
+    )
+    ref = runs[0].final.state
     h1_diffs = []
     hm_diffs = []
-    for e in ladder:
-        run_cfg = replace(cfg, epsilon=e, sobolev_index_m=m)
-        state = integrate(mollify(data, e), t_end, run_cfg, coeffs).final.state
+    for run in runs[1:]:
+        state = run.final.state
         h1_diffs.append(sobolev_distance(state, ref, 1))
         hm_diffs.append(sobolev_distance(state, ref, m))
     tables = {
@@ -367,14 +370,13 @@ def _max_quotient(times, values):
     return float(np.max(dv / v[:-1] ** 2))
 
 
-def _stepper_order(data, t_end, cfg, coeffs, m):
-    """Observed self-convergence order of the stepper on this data."""
-    finals = []
-    for factor in (1.0, 0.5, 0.125):
-        run = integrate(data, t_end, replace(cfg, dt=cfg.dt * factor), coeffs)
-        finals.append(run.final.state)
-    e_coarse = sobolev_distance(finals[0], finals[2], m)
-    e_fine = sobolev_distance(finals[1], finals[2], m)
+def _stepper_order(data, coarse, t_end, cfg, coeffs, m):
+    """Observed self-convergence order of the stepper on this data, given
+    ``coarse``, the final state of its run at cfg.dt."""
+    fine = integrate(data, t_end, replace(cfg, dt=cfg.dt * 0.5), coeffs).final.state
+    finest = integrate(data, t_end, replace(cfg, dt=cfg.dt * 0.125), coeffs).final.state
+    e_coarse = sobolev_distance(coarse, finest, m)
+    e_fine = sobolev_distance(fine, finest, m)
     if e_fine <= 0.0:
         return float("inf")
     return float(np.log2(e_coarse / e_fine))
@@ -397,13 +399,16 @@ def riccati_study(family, m, coeffs, cfg, t_end, c_m,
     grid = family[0].grid
     if any(f.grid != grid for f in family):
         raise ValueError("family must share one grid")
-    order = _stepper_order(family[0], t_end, cfg, coeffs, m)
+    recorders = [EnergyRecorder(m, coeffs, c_m, invariants=False) for _ in family]
+    runs = integrate_many(family, t_end, [cfg] * len(family), coeffs,
+                          observers=[[rec] for rec in recorders])
+    coarse = runs[0].final.state
+    del runs  # the family's samples are not kept through the order runs
+    order = _stepper_order(family[0], coarse, t_end, cfg, coeffs, m)
     q_mod = []
     q_raw = []
     freq_span = []
-    for member in family:
-        rec = EnergyRecorder(m, coeffs, c_m, invariants=False)
-        integrate(member, t_end, cfg, coeffs, observers=[rec])
+    for member, rec in zip(family, recorders):
         rep = rec.report.validate()
         q_mod.append(_max_quotient(rep.times, rep.modified_energy))
         raw = np.asarray(rep.deriv_m_norm_sq) + np.asarray(rep.l2_norm_sq)
@@ -459,13 +464,17 @@ def continuity_study(phi, delta_ladder, m, coeffs, t_end, cfg, rng_seed,
     ``quotient_spread_max``.
     """
     deltas = sorted(delta_ladder, reverse=True)
-    base = integrate(phi, t_end, replace(cfg, sobolev_index_m=m), coeffs)
-    runs = []
-    for i, delta in enumerate(deltas):
-        pert = random_field(
+    perturbed = [
+        phi + random_field(
             phi.grid, rng_for(rng_seed, i), decay=float(m), hm_norm=delta, m=m
         )
-        other = integrate(phi + pert, t_end, replace(cfg, sobolev_index_m=m), coeffs)
+        for i, delta in enumerate(deltas)
+    ]
+    run_cfg = replace(cfg, sobolev_index_m=m)
+    base, *others = integrate_many([phi] + perturbed, t_end,
+                                   [run_cfg] * (len(deltas) + 1), coeffs)
+    runs = []
+    for delta, other in zip(deltas, others):
         diffs = [b.state - o.state for b, o in zip(base, other)]
         runs.append((delta, [b.time for b in base], diffs))
     # measured positivity constant for the difference energy

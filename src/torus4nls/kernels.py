@@ -1,77 +1,54 @@
-"""Kernel backend selection.
+"""The per-mode hot kernels, in numpy.
 
-The compiled extension is preferred when importable; otherwise the numpy
-fallback is used. ``TORUS4NLS_BACKEND=numpy|cython`` forces a choice
-(forcing ``cython`` raises if the extension was never built). Both backends
-implement the same five functions and agree to round-off; parity is covered
-by the test suite and timed by ``benchmarks/bench_backends.py``.
+All norm reductions run in ascending-|n| order (the ``order`` permutation)
+so results are reproducible independent of the FFT mode layout; they call
+``np.add.reduce``, the pairwise sum ``np.sum`` runs, without its Python
+wrapper. The pointwise kernels act elementwise, so they take any array
+shape, such as the (B, M) blocks of an ensemble step.
 """
 
-import os
+import numpy as np
 
-from . import _kernels_np
-
-_FORCED = os.environ.get("TORUS4NLS_BACKEND", "").strip().lower()
-
-if _FORCED == "numpy":
-    _impl = _kernels_np
-elif _FORCED == "cython":
-    from . import _kernels_cy as _impl  # noqa: F401  (ImportError is the contract)
-else:
-    try:
-        from . import _kernels_cy as _impl
-    except ImportError:
-        _impl = _kernels_np
-
-BACKEND = _impl.BACKEND_NAME
-
-semigroup_factors = _impl.semigroup_factors
-apply_multiplier = _impl.apply_multiplier
-nonlinear_combine = _impl.nonlinear_combine
-weighted_norm_sq = _impl.weighted_norm_sq
-weighted_diff_norm_sq = _impl.weighted_diff_norm_sq
+BACKEND = "numpy"
 
 
-def available_backends():
-    names = ["numpy"]
-    try:
-        from . import _kernels_cy  # noqa: F401
-    except ImportError:
-        pass
-    else:
-        names.append("cython")
-    return names
+def semigroup_factors(modes, t, eps, nu):
+    """Multiplier exp((-i n^2 + i nu n^4 - eps n^4) t) per mode."""
+    n2 = modes * modes
+    n4 = n2 * n2
+    return np.exp((-1j * n2 + (1j * nu - eps) * n4) * t)
 
 
-def get_backend(name):
-    """Return the raw kernel module for ``name`` ('numpy' or 'cython')."""
-    if name == "numpy":
-        return _kernels_np
-    if name == "cython":
-        from . import _kernels_cy
-
-        return _kernels_cy
-    raise ValueError(f"unknown kernel backend {name!r}")
+def apply_multiplier(coeffs, factors):
+    return coeffs * factors
 
 
-_KERNEL_NAMES = (
-    "semigroup_factors",
-    "apply_multiplier",
-    "nonlinear_combine",
-    "weighted_norm_sq",
-    "weighted_diff_norm_sq",
-)
+def nonlinear_combine(u, du, d2u, lam):
+    """Pointwise six-term derivative nonlinearity on a physical grid.
 
-
-def use_backend(name):
-    """Rebind the module-level kernels to ``name`` (benchmarking hook).
-
-    Callers holding cached results derived from kernel output (e.g. the
-    semigroup-factor cache in ``dynamics``) must invalidate them after a
-    switch.
+    lam1 |u|^2 u + lam2 |u|^4 u + lam3 (du)^2 conj(u) + lam4 |du|^2 u
+    + lam5 u^2 conj(d2u) + lam6 |u|^2 d2u
     """
-    impl = get_backend(name)
-    for fn in _KERNEL_NAMES:
-        globals()[fn] = getattr(impl, fn)
-    global BACKEND
-    BACKEND = impl.BACKEND_NAME
+    l1, l2, l3, l4, l5, l6 = lam
+    au2 = u.real * u.real + u.imag * u.imag
+    adu2 = du.real * du.real + du.imag * du.imag
+    return (
+        (l1 * au2 + l2 * au2 * au2 + l4 * adu2) * u
+        + l3 * du * du * np.conj(u)
+        + l5 * u * u * np.conj(d2u)
+        + l6 * au2 * d2u
+    )
+
+
+def weighted_norm_sq(coeffs, weights, order):
+    """sum_n weights[n] |coeffs[n]|^2, accumulated in ``order``."""
+    c = coeffs[order]
+    mag2 = c.real * c.real + c.imag * c.imag
+    return float(np.add.reduce(weights[order] * mag2))
+
+
+def weighted_diff_norm_sq(a, b, weights, order):
+    """sum_n weights[n] |a[n]-b[n]|^2, accumulated in ``order``."""
+    d = (a - b)[order]
+    mag2 = d.real * d.real + d.imag * d.imag
+    return float(np.add.reduce(weights[order] * mag2))

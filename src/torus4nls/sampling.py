@@ -8,7 +8,7 @@ trial count never changes earlier samples.
 
 import numpy as np
 
-from .spectral import SpectralField, l2_norm, sobolev_norm, zero_field
+from .spectral import SpectralField, l2_norm, sobolev_norm
 
 
 def rng_for(seed, index=None):
@@ -59,27 +59,6 @@ def random_field(grid, rng, decay=2.0, l2_mass=None, hm_norm=None, m=None, max_m
             raise ValueError("cannot rescale a zero draw")
         f = (hm_norm / cur) * f
     return f
-
-
-def two_mode_field(grid, n_low, n_high, hm_norm, m, phase_high=0.5):
-    """Two plane waves with equal H^m mass split and total H^m norm as given.
-
-    Raising ``n_high`` at fixed H^m norm pushes frequency content upward
-    while keeping the energy scale constant. A pure pair leaves the
-    derivative-loss integrands frequency-balanced (hence zero); see
-    ``mode_pair_field`` for the minimal family that activates them.
-    """
-    half = grid.num_modes // 2
-    if not (-half <= n_low < half and -half <= n_high < half):
-        raise ValueError("modes outside resolved band")
-    target_sq = hm_norm**2 / 2.0
-    a = np.sqrt(target_sq / (1.0 + n_low**2) ** m)
-    b = np.sqrt(target_sq / (1.0 + n_high**2) ** m)
-    f = zero_field(grid)
-    c = np.array(f.coeffs)
-    c[n_low % grid.num_modes] = a
-    c[n_high % grid.num_modes] = b * np.exp(1j * phase_high)
-    return SpectralField(grid, c)
 
 
 def mode_pair_field(grid, separation, hm_norm, m,

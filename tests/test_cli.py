@@ -188,3 +188,31 @@ class TestUsageErrors:
         code = run_in(tmp_path, monkeypatch,
                       ["conserve", "--nu", "1", "--eps", "0.1", "--t-end", "0.01"])
         assert code == 2
+
+    def test_unknown_config_key_is_2(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("kappa = 0.5\nkapa = 0.7\n")
+        code = run_in(tmp_path, monkeypatch,
+                      ["standing-wave", "--config", str(cfg), "--nu", "1"])
+        assert code == 2
+        assert not (tmp_path / "standing_wave__manifest.json").exists()
+
+    def test_riccati_has_no_n_low(self, tmp_path, monkeypatch):
+        with pytest.raises(SystemExit) as err:
+            run_in(tmp_path, monkeypatch, [
+                "riccati", "--nu", "1", "--integrable", "--n-low", "1",
+                "--cm-trials", "2", "--t-end", "4e-6",
+            ])
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_lambdas_with_integrable_is_2(self, tmp_path, monkeypatch, source):
+        argv = ["standing-wave", "--nu", "1", "--integrable"]
+        if source == "flag":
+            argv += ["--lambda3", "0.2"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("lambda3 = 0.2\n")
+            argv += ["--config", str(cfg)]
+        assert run_in(tmp_path, monkeypatch, argv) == 2
+        assert not (tmp_path / "standing_wave__manifest.json").exists()

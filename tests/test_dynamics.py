@@ -1,5 +1,7 @@
 """Nonlinearity evaluation, semigroup, and both time integrators."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,12 +16,13 @@ from torus4nls.dynamics import (
     duhamel_step,
     eval_nonlinearity,
     integrate,
+    integrate_many,
     reference_integrate,
     semigroup_apply,
     smoothing_multiplier_sup,
 )
 from torus4nls.exact import integrable_coefficients, plane_wave
-from torus4nls.sampling import random_field, rng_for
+from torus4nls.sampling import mode_pair_field, random_field, rng_for
 from torus4nls.spectral import (
     GridSpec,
     SpectralField,
@@ -342,7 +345,6 @@ class TestReferenceIntegrate:
         e_fine = sobolev_distance(finals[1e-3], finals[2.5e-4], 4)
         assert 10.0 <= e_coarse / e_fine <= 24.0
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_raised(self, grid64):
         rng = rng_for(4)
         psi = random_field(grid64, rng, decay=0.5, l2_mass=50.0)
@@ -459,3 +461,145 @@ class TestRawPathMatchesFieldReference:
             assert new_iters == ref_iters
             assert np.array_equal(new.coeffs, ref.coeffs)
         assert new_iters > 1
+
+
+def _assert_matches_serial(run, psi0, cfg, coeffs):
+    """Replay one member's run with the field-level reference step, one
+    step at a time, as a run of its own: every state and every Picard
+    count must be equal."""
+    assert np.array_equal(run[0].state.coeffs, psi0.coeffs)
+    assert len(run.picard_iterations) == len(run) - 1
+    state = psi0
+    for prev, sample, iters in zip(run, run.samples[1:], run.picard_iterations):
+        h = sample.time - prev.time
+        step_cfg = cfg if abs(h - cfg.dt) < 1e-15 else replace(cfg, dt=h)
+        state, ref_iters = _field_duhamel_step(state, step_cfg, coeffs)
+        assert iters == ref_iters
+        assert np.array_equal(sample.state.coeffs, state.coeffs)
+
+
+def _benign(grid):
+    return random_field(grid, rng_for(64), decay=2.0, hm_norm=0.4, m=4, max_mode=6)
+
+
+class TestIntegrateMany:
+    """Each member of an ensemble run matches a serial run of its own."""
+
+    def test_family_n256_pad3(self):
+        # the riccati family: the widest pair takes one Picard iteration
+        # more per step than the others, so rows freeze at different times
+        grid = GridSpec(256)
+        family = [mode_pair_field(grid, k, 2.0, 4) for k in (4, 8, 16, 32)]
+        coeffs = integrable_coefficients(1.0)
+        cfg = SolverConfig(dt=1e-6, sobolev_index_m=4)
+        assert cfg.pad_for(coeffs) == 3
+        runs = integrate_many(family, 1.25e-5, [cfg] * 4, coeffs)
+        assert len({tuple(r.picard_iterations) for r in runs}) > 1
+        for run, psi0 in zip(runs, family):
+            assert run.final.time == 1.25e-5  # the last step is a partial one
+            _assert_matches_serial(run, psi0, cfg, coeffs)
+
+    def test_epsilon_ladder_n64(self, grid64):
+        psi = _benign(grid64)
+        coeffs = integrable_coefficients(1.0)
+        cfgs = [SolverConfig(dt=2e-3, epsilon=e, sobolev_index_m=4)
+                for e in (0.0, 2.0**-7, 2.0**-5, 2.0**-3)]
+        runs = integrate_many([psi] * 4, 0.0102, cfgs, coeffs)
+        assert len({tuple(r.picard_iterations) for r in runs}) > 1
+        for run, cfg in zip(runs, cfgs):
+            assert run.final.time == 0.0102
+            _assert_matches_serial(run, psi, cfg, coeffs)
+
+    def test_single_member_is_integrate(self, grid64, generic_coeffs):
+        psi = _benign(grid64)
+        cfg = SolverConfig(dt=1e-3, sobolev_index_m=4)
+        (run,) = integrate_many([psi], 0.01, [cfg], generic_coeffs)
+        _assert_matches_serial(run, psi, cfg, generic_coeffs)
+        alone = integrate(psi, 0.01, cfg, generic_coeffs)
+        assert alone.picard_iterations == run.picard_iterations
+        assert np.array_equal(alone.final.state.coeffs, run.final.state.coeffs)
+
+    def test_blowup_member_halts_others_continue(self, grid64):
+        # a ceiling below the initial norm trips the undamped member at its
+        # first step; the damped ones drop below it before that and go on
+        coeffs = integrable_coefficients(1.0)
+        members = [plane_wave(grid64, 0.3, 4), _benign(grid64),
+                   plane_wave(grid64, 0.2, 5)]
+        cfgs = [SolverConfig(dt=2e-3, epsilon=e, sobolev_index_m=4)
+                for e in (1.0, 0.0, 1.0)]
+        seen = [[], [], []]
+        runs = integrate_many(members, 0.01, cfgs, coeffs, blowup_factor=0.9,
+                              observers=[[lst.append] for lst in seen])
+        assert runs[1].blowup_time == 2e-3
+        assert len(runs[1]) == 2
+        alone = integrate(members[1], 0.01, cfgs[1], coeffs, blowup_factor=0.9)
+        assert alone.blowup_time == 2e-3
+        for run, psi0, cfg, obs in zip(runs, members, cfgs, seen):
+            assert len(obs) == len(run)
+            assert all(a is b for a, b in zip(obs, run.samples))
+            _assert_matches_serial(run, psi0, cfg, coeffs)
+        assert not runs[0].blow_up_suspected and runs[0].final.time == 0.01
+        assert not runs[2].blow_up_suspected and runs[2].final.time == 0.01
+
+    def test_nonfinite_earliest_step_lowest_member(self, grid64):
+        # member 0 fails only at t=0.041; members 2 and 3 overflow in the
+        # first step, so the batch reports member 2 at t=0
+        coeffs = integrable_coefficients(1.0)
+        cfg = SolverConfig(dt=1e-3, sobolev_index_m=4)
+        late = random_field(grid64, rng_for(2), decay=1.5, l2_mass=1.0)
+        first = random_field(grid64, rng_for(1), decay=1.5, l2_mass=1.5)
+        second = random_field(grid64, rng_for(1), decay=1.5, l2_mass=3.0)
+        members = [late, _benign(grid64), first, second]
+        with pytest.raises(NonFinite) as err:
+            integrate_many(members, 0.05, [cfg] * 4, coeffs)
+        assert (err.value.member, err.value.time) == (2, 0.0)
+        with pytest.raises(NonFinite) as alone:
+            integrate(first, 0.05, cfg, coeffs)
+        assert alone.value.time == 0.0
+        with pytest.raises(NonConvergence) as alone:
+            integrate(late, 0.05, cfg, coeffs)
+        assert alone.value.time == pytest.approx(0.041)
+        with pytest.raises(NonConvergence) as err:
+            integrate_many(members[:2], 0.05, [cfg] * 2, coeffs)
+        assert (err.value.member, err.value.time) == (0, alone.value.time)
+
+    def test_lowest_member_first_within_a_step(self, grid64):
+        # member 2 overflows within a few iterations, member 1 spends the
+        # whole budget first; both fail in the first step, member 1 is lower
+        coeffs = integrable_coefficients(1.0)
+        cfg = SolverConfig(dt=1e-3, sobolev_index_m=4)
+        stalls = random_field(grid64, rng_for(1), decay=1.5, l2_mass=1.0)
+        overflows = random_field(grid64, rng_for(1), decay=1.5, l2_mass=3.0)
+        with pytest.raises(NonConvergence) as err:
+            integrate_many([_benign(grid64), stalls, overflows], 0.01, [cfg] * 3,
+                           coeffs)
+        assert (err.value.member, err.value.time) == (1, 0.0)
+
+    @pytest.mark.parametrize("change", [
+        {"dt": 2e-3}, {"picard_tol": 1e-10}, {"picard_max_iters": 20},
+        {"dealias_pad_factor": 4}, {"sobolev_index_m": 3},
+    ])
+    def test_configs_may_differ_only_in_epsilon(self, grid64, change):
+        cfg = SolverConfig(dt=1e-3, sobolev_index_m=4)
+        psi = _benign(grid64)
+        with pytest.raises(ValueError):
+            integrate_many([psi, psi], 0.01, [cfg, replace(cfg, **change)],
+                           integrable_coefficients(1.0))
+
+    def test_members_share_one_grid(self, grid64):
+        cfg = SolverConfig(dt=1e-3, sobolev_index_m=4)
+        other = _benign(GridSpec(128))
+        with pytest.raises(ValueError):
+            integrate_many([_benign(grid64), other], 0.01, [cfg] * 2,
+                           integrable_coefficients(1.0))
+
+    def test_one_entry_per_member(self, grid64):
+        cfg = SolverConfig(dt=1e-3, sobolev_index_m=4)
+        psi = _benign(grid64)
+        coeffs = integrable_coefficients(1.0)
+        with pytest.raises(ValueError):
+            integrate_many([], 0.01, [], coeffs)
+        with pytest.raises(ValueError):
+            integrate_many([psi, psi], 0.01, [cfg], coeffs)
+        with pytest.raises(ValueError):
+            integrate_many([psi, psi], 0.01, [cfg] * 2, coeffs, observers=[[]])

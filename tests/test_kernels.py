@@ -1,14 +1,10 @@
-"""Backend parity: the compiled kernels must agree with the numpy fallback."""
+"""The numpy kernels against their defining formulas."""
 
 import numpy as np
 import pytest
 
 from torus4nls import kernels
 from torus4nls.spectral import GridSpec
-
-HAVE_CYTHON = "cython" in kernels.available_backends()
-
-needs_cython = pytest.mark.skipif(not HAVE_CYTHON, reason="extension not built")
 
 
 def random_arrays(n, seed):
@@ -18,76 +14,49 @@ def random_arrays(n, seed):
 
 
 def test_backend_registered():
-    assert kernels.BACKEND in ("numpy", "cython")
-    assert "numpy" in kernels.available_backends()
+    assert kernels.BACKEND == "numpy"
 
 
-def test_get_backend_rejects_unknown():
-    with pytest.raises(ValueError):
-        kernels.get_backend("fortran")
+def test_semigroup_factors_formula():
+    modes = GridSpec(16).modes
+    t, eps, nu = 0.5, 0.3, -2.0
+    phase = (-(modes**2) + nu * modes**4) * t
+    expect = np.exp(-eps * modes**4 * t) * np.exp(1j * phase)
+    assert np.allclose(kernels.semigroup_factors(modes, t, eps, nu), expect,
+                       rtol=1e-13, atol=1e-300)
 
 
-@needs_cython
-@pytest.mark.parametrize("n", [16, 64, 256])
-def test_semigroup_factors_parity(n):
-    np_mod = kernels.get_backend("numpy")
-    cy_mod = kernels.get_backend("cython")
-    modes = GridSpec(n).modes
-    for t, eps, nu in [(1e-3, 0.0, 1.0), (0.5, 0.3, -2.0), (2.0, 1.0, 0.7)]:
-        a = np_mod.semigroup_factors(modes, t, eps, nu)
-        b = cy_mod.semigroup_factors(modes, t, eps, nu)
-        assert np.allclose(a, b, rtol=1e-13, atol=1e-300)
-
-
-@needs_cython
-def test_nonlinear_combine_parity():
-    np_mod = kernels.get_backend("numpy")
-    cy_mod = kernels.get_backend("cython")
+def test_nonlinear_combine_formula_and_rows():
     u, du, d2u = random_arrays(128, 3)
     lam = (0.7, -0.3, 0.2, -0.5, 0.4, 0.1)
-    a = np_mod.nonlinear_combine(u, du, d2u, lam)
-    b = cy_mod.nonlinear_combine(u, du, d2u, lam)
-    assert np.allclose(a, b, rtol=1e-13, atol=1e-15)
+    expect = (
+        lam[0] * np.abs(u) ** 2 * u
+        + lam[1] * np.abs(u) ** 4 * u
+        + lam[2] * du**2 * np.conj(u)
+        + lam[3] * np.abs(du) ** 2 * u
+        + lam[4] * u**2 * np.conj(d2u)
+        + lam[5] * np.abs(u) ** 2 * d2u
+    )
+    out = kernels.nonlinear_combine(u, du, d2u, lam)
+    assert np.allclose(out, expect, rtol=1e-13, atol=1e-15)
+    # a (B, M) block combines each row exactly as it would alone
+    other = random_arrays(128, 4)
+    block = kernels.nonlinear_combine(
+        *(np.stack(pair) for pair in zip((u, du, d2u), other)), lam
+    )
+    assert np.array_equal(block[0], out)
+    assert np.array_equal(block[1], kernels.nonlinear_combine(*other, lam))
 
 
-@needs_cython
 @pytest.mark.parametrize("m", [0, 1, 4])
-def test_weighted_norms_parity(m):
-    np_mod = kernels.get_backend("numpy")
-    cy_mod = kernels.get_backend("cython")
+def test_weighted_norms(m):
     grid = GridSpec(128)
     a, b, _ = random_arrays(128, m + 10)
     w = grid.sobolev_weights(m)
     order = grid.mode_order
-    assert np_mod.weighted_norm_sq(a, w, order) == pytest.approx(
-        cy_mod.weighted_norm_sq(a, w, order), rel=1e-14
+    assert kernels.weighted_norm_sq(a, w, order) == pytest.approx(
+        np.sum(w * np.abs(a) ** 2), rel=1e-13
     )
-    assert np_mod.weighted_diff_norm_sq(a, b, w, order) == pytest.approx(
-        cy_mod.weighted_diff_norm_sq(a, b, w, order), rel=1e-14
+    assert kernels.weighted_diff_norm_sq(a, b, w, order) == pytest.approx(
+        np.sum(w * np.abs(a - b) ** 2), rel=1e-13
     )
-
-
-@needs_cython
-def test_compiled_norm_matches_sequential_order():
-    # the compiled reduction is exactly the ascending-|n| sequential sum
-    cy_mod = kernels.get_backend("cython")
-    grid = GridSpec(64)
-    a, _, _ = random_arrays(64, 77)
-    w = grid.sobolev_weights(2)
-    acc = 0.0
-    for idx in grid.mode_order:
-        acc += w[idx] * (a[idx].real ** 2 + a[idx].imag ** 2)
-    assert cy_mod.weighted_norm_sq(a, w, grid.mode_order) == acc
-
-
-@needs_cython
-def test_use_backend_roundtrip():
-    original = kernels.BACKEND
-    try:
-        kernels.use_backend("numpy")
-        assert kernels.BACKEND == "numpy"
-        assert kernels.weighted_norm_sq is kernels.get_backend("numpy").weighted_norm_sq
-        kernels.use_backend("cython")
-        assert kernels.BACKEND == "cython"
-    finally:
-        kernels.use_backend(original)

@@ -13,7 +13,6 @@ error (Picard non-convergence or non-finite state).
 """
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -41,7 +40,9 @@ from .experiments import (
     eps_convergence_study,
     inequality_sweeps,
     riccati_study,
+    write_manifest,
     write_study,
+    write_table,
 )
 from .functionals import EnergyRecorder, certify_cm
 from .sampling import decay_field, mode_pair_field, random_field, rng_for
@@ -213,23 +214,16 @@ def build_solver_config(opts):
     )
 
 
+def _report(path):
+    print(f"  wrote {path}")
+
+
 def finish_study(result, outdir):
     paths = write_study(result, outdir)
     print(f"{result.name}: verdict={result.verdict}")
     for p in paths:
-        print(f"  wrote {p}")
+        _report(p)
     return 0 if result.verdict == "pass" else 1
-
-
-def write_manifest(outdir, name, payload):
-    outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / f"{name}__manifest.json"
-    payload = dict(payload)
-    payload["code_version"] = __version__
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
-                    encoding="ascii")
-    print(f"  wrote {path}")
-    return path
 
 
 def cmd_simulate(args):
@@ -244,27 +238,14 @@ def cmd_simulate(args):
     t_end = float(opts.get("t_end", cast=float))
     rec = EnergyRecorder(cfg.sobolev_index_m, coeffs)
     traj = integrate(data, t_end, cfg, coeffs, observers=[rec])
-    outdir.mkdir(parents=True, exist_ok=True)
-
     order = np.argsort(grid.modes)
-    header = ["time"]
-    for n in grid.modes[order]:
-        header.append(f"re_n{int(n)}")
-        header.append(f"im_n{int(n)}")
-    lines = [",".join(header)]
-    for s in traj:
-        row = [repr(float(s.time))]
-        c = s.state.coeffs[order]
-        for z in c:
-            row.append(repr(float(z.real)))
-            row.append(repr(float(z.imag)))
-        lines.append(",".join(row))
-    traj_path = outdir / "simulate__trajectory.csv"
-    traj_path.write_text("\n".join(lines) + "\n", encoding="ascii")
-    print(f"  wrote {traj_path}")
-
+    states = np.array([s.state.coeffs[order] for s in traj])
+    trajectory = {"time": [s.time for s in traj]}
+    for n, column in zip(grid.modes[order], states.T):
+        trajectory[f"re_n{int(n)}"] = column.real
+        trajectory[f"im_n{int(n)}"] = column.imag
     rep = rec.report.validate()
-    cols = {
+    energy = {
         "time": rep.times,
         "h_m_norm_sq": rep.h_m_norm_sq,
         "deriv_m_norm_sq": rep.deriv_m_norm_sq,
@@ -274,25 +255,19 @@ def cmd_simulate(args):
         "i1": rep.i1,
         "i2": rep.i2,
     }
-    elines = [",".join(cols.keys())]
-    for row in zip(*cols.values()):
-        elines.append(",".join(repr(float(v)) for v in row))
-    energy_path = outdir / "simulate__energy.csv"
-    energy_path.write_text("\n".join(elines) + "\n", encoding="ascii")
-    print(f"  wrote {energy_path}")
-
-    write_manifest(outdir, "simulate", {
-        "name": "simulate",
+    _report(write_table(outdir, "simulate__trajectory.csv", trajectory))
+    _report(write_table(outdir, "simulate__energy.csv", energy))
+    _report(write_manifest(outdir, "simulate", {
         "parameters": {
             "data": opts.get("data"), "num_modes": grid.num_modes,
             "dt": cfg.dt, "t_end": t_end, "epsilon": cfg.epsilon,
             "m": cfg.sobolev_index_m, "nu": coeffs.nu,
-            "lambdas": list(coeffs.lambdas),
+            "lambdas": coeffs.lambdas,
         },
         "thresholds": {},
         "blow_up_suspected": traj.blow_up_suspected,
         "final_time": traj.final.time,
-    })
+    }))
     return 0
 
 
@@ -403,15 +378,13 @@ def cmd_standing_wave(args):
     residual = pde_residual(psi0, omega, coeffs)
     print(f"omega = {omega!r}")
     print(f"residual_l2 = {residual!r}")
-    write_manifest(resolve_outdir(opts), "standing_wave", {
-        "name": "standing_wave",
+    _report(write_manifest(resolve_outdir(opts), "standing_wave", {
         "parameters": {"kappa": kappa, "tau": tau, "nu": coeffs.nu,
-                       "lambdas": list(coeffs.lambdas),
-                       "num_modes": grid.num_modes},
+                       "lambdas": coeffs.lambdas, "num_modes": grid.num_modes},
         "thresholds": {},
         "omega": omega,
         "residual_l2": residual,
-    })
+    }))
     return 0
 
 
@@ -428,17 +401,15 @@ def cmd_certify_cm(args):
         target=str(opts.get("target")),
     )
     print(f"c_m = {cert.c_m!r} (worst margin {cert.worst_margin!r})")
-    write_manifest(resolve_outdir(opts), "certify_cm", {
-        "name": "certify_cm",
-        "parameters": {"m": cert.m, "nu": coeffs.nu,
-                       "lambdas": list(coeffs.lambdas),
+    _report(write_manifest(resolve_outdir(opts), "certify_cm", {
+        "parameters": {"m": cert.m, "nu": coeffs.nu, "lambdas": coeffs.lambdas,
                        "l2_ceiling": cert.l2_ceiling, "trials": cert.trials,
                        "rng_seed": cert.rng_seed, "target": cert.target,
-                       "resolutions": list(cert.resolutions)},
+                       "resolutions": cert.resolutions},
         "thresholds": {"worst_margin_min": 0.0},
         "c_m": cert.c_m,
         "worst_margin": cert.worst_margin,
-    })
+    }))
     return 0
 
 

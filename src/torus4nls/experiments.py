@@ -3,17 +3,20 @@
 Every study returns a StudyResult: named parameter map, named columnar
 tables, declared thresholds, and a pass/fail/inconclusive verdict judged
 against those thresholds only. Studies are deterministic functions of
-(seed, config); ``write_study`` serialises the manifest as JSON and each
-table as a CSV (header row, `time` or `param` first column, LF endings).
+(seed, config). This module also owns the output format of every run:
+``write_table`` writes a CSV (header row, `time` or `param` first column,
+LF endings), ``write_manifest`` a JSON manifest, and ``write_study`` a
+study's tables and manifest.
 """
 
 import json
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .dynamics import integrate, integrate_many
+from .dynamics import integrate, integrate_many, smoothing_multiplier_sup
 from .exact import integrable_coefficients
 from .functionals import (
     EnergyRecorder,
@@ -94,47 +97,62 @@ def _fmt(value):
     return str(value)
 
 
-def write_study(result, outdir):
-    """Write the JSON manifest plus one CSV per table; returns the paths.
+def write_table(outdir, fname, columns):
+    """Write one CSV table, ``columns`` mapping header names to equal-length
+    columns whose first name is ``time`` or ``param``; returns the path.
 
-    Output is byte-deterministic for identical results: keys are sorted,
-    floats use shortest round-trip repr, rows end in LF.
+    Cells are the shortest round-trip repr of each value as a float, and
+    rows end in LF. Rows go to the file one at a time.
     """
-    from pathlib import Path
+    names = list(columns)
+    if names and names[0] not in ("time", "param"):
+        raise ValueError(f"{fname}: first column must be time or param")
+    if len({len(v) for v in columns.values()}) > 1:
+        raise ValueError(f"{fname}: ragged columns")
+    path = _output_path(outdir, fname)
+    with open(path, "w", encoding="ascii", newline="\n") as out:
+        out.write(",".join(names) + "\n")
+        for row in zip(*columns.values()):
+            out.write(",".join(repr(float(v)) for v in row) + "\n")
+    return path
 
+
+def write_manifest(outdir, name, fields):
+    """Write ``<name>__manifest.json``: the fields (made JSON-ready by
+    ``_fmt``) plus ``name`` and ``code_version``, keys sorted; returns the
+    path."""
+    manifest = _fmt(fields)
+    manifest["name"] = name
+    manifest["code_version"] = __version__
+    path = _output_path(outdir, f"{name}__manifest.json")
+    path.write_text(
+        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="ascii"
+    )
+    return path
+
+
+def _output_path(outdir, fname):
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
+    return outdir / fname
+
+
+def write_study(result, outdir):
+    """Write one CSV per table plus the manifest; returns the paths.
+
+    Output is byte-deterministic for identical results.
+    """
     paths = []
     table_files = {}
     for tname, columns in result.tables.items():
-        fname = f"{result.name}__{tname}.csv"
-        cols = list(columns.keys())
-        if cols and cols[0] not in ("time", "param"):
-            raise ValueError(f"table {tname}: first column must be time or param")
-        lengths = {len(v) for v in columns.values()}
-        if len(lengths) > 1:
-            raise ValueError(f"table {tname}: ragged columns")
-        rows = zip(*columns.values()) if columns else []
-        lines = [",".join(cols)]
-        for row in rows:
-            lines.append(",".join(repr(float(v)) for v in row))
-        path = outdir / fname
-        path.write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
-        table_files[tname] = fname
-        paths.append(path)
-    manifest = {
-        "name": result.name,
-        "code_version": __version__,
-        "parameters": _fmt(result.parameters),
-        "thresholds": _fmt(result.thresholds),
+        table_files[tname] = f"{result.name}__{tname}.csv"
+        paths.append(write_table(outdir, table_files[tname], columns))
+    paths.append(write_manifest(outdir, result.name, {
+        "parameters": result.parameters,
+        "thresholds": result.thresholds,
         "verdict": result.verdict,
         "tables": table_files,
-    }
-    mpath = outdir / f"{result.name}__manifest.json"
-    mpath.write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="ascii"
-    )
-    paths.append(mpath)
+    }))
     return paths
 
 
@@ -594,13 +612,11 @@ def inequality_sweeps(seed, trials, m=4, nu=1.0, certificate=None,
     sm_grid = GridSpec(1024)
     eps_vals = np.logspace(-3, 0, 13)
     s_vals = np.logspace(-3, 0, 13)
-    n2 = sm_grid.modes**2
-    n4 = n2 * n2
     worst_margin = np.inf
     violations = 0
     for e in eps_vals:
         for s in s_vals:
-            sup = float(np.max((1.0 + n2) * np.exp(-e * n4 * s)))
+            sup = smoothing_multiplier_sup(e, s, sm_grid)
             bound = 1.0 + e**-0.5 * s**-0.5
             worst_margin = min(worst_margin, bound - sup)
             if sup > bound:

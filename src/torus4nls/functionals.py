@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import CoefficientSet, pad_coeffs
+from .dynamics import CoefficientSet, _padded_ops
 from .sampling import random_field, rng_for
 from .spectral import GridSpec, SpectralField, seminorm_sq, sobolev_norm_sq
 
@@ -24,12 +24,12 @@ PAD_SEXTIC = 4
 def fine_samples(psi, pad, deriv=0):
     """Physical samples of ∂^deriv ψ on a grid zero-padded by ``pad``."""
     grid = psi.grid
-    n = grid.num_modes
-    m = pad * n
+    m = pad * grid.num_modes
     c = psi.coeffs if deriv == 0 else psi.coeffs * (1j * grid.modes) ** deriv
-    if pad > 1:
-        c = pad_coeffs(c, n, m)
-    return np.fft.ifft(c) * (m / np.sqrt(2.0 * np.pi))
+    _, band = _padded_ops(grid.num_modes, pad)
+    padded = np.zeros(m, dtype=np.complex128)
+    padded[band] = c
+    return np.fft.ifft(padded) * (m / np.sqrt(2.0 * np.pi))
 
 
 def quadrature_mean(values):

@@ -156,9 +156,18 @@ class TestConfigPrecedence:
 
 
 class TestReproducibility:
-    def test_identical_argv_byte_identical_outputs(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("argv", [
+        ["sweep-inequalities", "--trials", "40", "--seed", "9"],
+        ["simulate", "--data", "random:seed=5:decay=2.0:l2=0.3", "--nu", "1",
+         "--integrable", "--num-modes", "32", "--dt", "1e-3", "--t-end", "0.01"],
+        ["standing-wave", "--kappa", "0.4", "--tau", "2", "--nu", "1",
+         "--lambda3", "0.2"],
+        ["certify-cm", "--nu", "1", "--integrable", "--trials", "20",
+         "--seed", "3"],
+    ], ids=lambda argv: argv[0])
+    def test_identical_argv_byte_identical_outputs(self, tmp_path, monkeypatch,
+                                                   argv):
         monkeypatch.delenv("TORUS4NLS_OUTDIR", raising=False)
-        argv = ["sweep-inequalities", "--trials", "40", "--seed", "9"]
         a = tmp_path / "a"
         b = tmp_path / "b"
         assert run_command(argv + ["--outdir", str(a)]) in (0, 1)

@@ -1,5 +1,7 @@
 """Study harness: rate fits, serialization, study verdicts and determinism."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from torus4nls.experiments import (
     eps_convergence_study,
     inequality_sweeps,
     riccati_study,
+    write_manifest,
     write_study,
 )
 from torus4nls.functionals import certify_cm
@@ -87,6 +90,20 @@ class TestWriteStudy:
         res.tables = {"bad": {"param": [1.0, 2.0], "value": [1.0]}}
         with pytest.raises(ValueError):
             write_study(res, tmp_path)
+
+    def test_manifest_fields_made_json_ready(self, tmp_path):
+        path = write_manifest(tmp_path, "demo", {
+            "pair": (1, 2.5), "count": np.int64(3), "value": np.float32(0.25),
+        })
+        assert path == tmp_path / "demo__manifest.json"
+        text = path.read_text()
+        assert text.endswith("}\n")
+        manifest = json.loads(text)
+        assert manifest["pair"] == [1, 2.5]
+        assert manifest["count"] == 3
+        assert manifest["value"] == 0.25
+        assert manifest["name"] == "demo"
+        assert manifest["code_version"]
 
 
 class TestConservationStudy:

@@ -51,7 +51,7 @@ from .spectral import GridSpec, SpectralField, zero_field
 CONFIG_HELP = """\
 config file: flat `key = value` lines, `#` starts a comment; keys are the
 long option names of the subcommand with `-` replaced by `_` (example:
-`num_modes = 128`); other keys are rejected.
+`num_modes = 128`); other keys, `config` and repeated keys are rejected.
 
 data specs:
   modes:n=1:amp=0.5:phase=0.0,n=-2:amp=0.1   explicit mode list
@@ -78,13 +78,15 @@ def parse_ladder(text):
     return vals
 
 
-def _parse_kv(chunks, what):
+def _parse_kv(chunks, what, allowed):
     out = {}
     for chunk in chunks:
-        if "=" not in chunk:
+        k, eq, v = (part.strip() for part in chunk.partition("="))
+        if not eq:
             raise ValueError(f"malformed {what} entry {chunk!r} (expected key=value)")
-        k, v = chunk.split("=", 1)
-        out[k.strip()] = v.strip()
+        if k not in allowed or k in out:
+            raise ValueError(f"{what} spec: unknown or repeated key {k!r}")
+        out[k] = v
     return out
 
 
@@ -96,7 +98,7 @@ def parse_data_spec(spec, grid):
         f = zero_field(grid)
         coeffs = np.array(f.coeffs)
         for entry in rest.split(","):
-            kv = _parse_kv(entry.split(":"), "modes")
+            kv = _parse_kv(entry.split(":"), "modes", ("n", "amp", "phase"))
             n = int(kv["n"])
             amp = float(kv.get("amp", "1.0"))
             phase = float(kv.get("phase", "0.0"))
@@ -106,19 +108,21 @@ def parse_data_spec(spec, grid):
             coeffs[n % grid.num_modes] = amp * np.exp(1j * phase)
         return SpectralField(grid, coeffs)
     if kind == "standing":
-        kv = _parse_kv([c for c in rest.split(":") if c], "standing")
+        kv = _parse_kv([c for c in rest.split(":") if c], "standing", ("kappa", "tau"))
         return plane_wave(grid, float(kv.get("kappa", "0.3")), int(kv.get("tau", "1")))
     if kind == "decay":
-        kv = _parse_kv([c for c in rest.split(":") if c], "decay")
+        kv = _parse_kv([c for c in rest.split(":") if c], "decay", ("s", "amp"))
         return decay_field(grid, float(kv["s"]), amp=float(kv.get("amp", "1.0")))
     if kind == "random":
-        kv = _parse_kv([c for c in rest.split(":") if c], "random")
+        kv = _parse_kv([c for c in rest.split(":") if c], "random",
+                       ("seed", "decay", "l2", "hm", "m", "maxmode"))
         rng = rng_for(int(kv.get("seed", "0")))
         kwargs = {"decay": float(kv.get("decay", "2.0"))}
         if "l2" in kv:
             kwargs["l2_mass"] = float(kv["l2"])
         if "hm" in kv:
             kwargs["hm_norm"] = float(kv["hm"])
+        if "hm" in kv or "m" in kv:
             kwargs["m"] = int(kv.get("m", "4"))
         if "maxmode" in kv:
             kwargs["max_mode"] = int(kv["maxmode"])
@@ -134,8 +138,10 @@ def read_config(path):
             continue
         if "=" not in line:
             raise ValueError(f"malformed config line: {raw!r}")
-        k, v = line.split("=", 1)
-        cfg[k.strip()] = v.strip()
+        k, v = (part.strip() for part in line.split("=", 1))
+        if k in cfg:
+            raise ValueError(f"config key {k!r} given twice")
+        cfg[k] = v
     return cfg
 
 
@@ -173,7 +179,8 @@ class Options:
         self.args = vars(args)
         self.defaults = defaults
         self.config = read_config(args.config) if args.config else {}
-        unknown = sorted(set(self.config) - set(self.args) - {"command", "func"})
+        known = set(self.args) - {"config", "command", "func"}  # not options
+        unknown = sorted(set(self.config) - known)
         if unknown:
             raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
 

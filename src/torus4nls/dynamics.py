@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import kernels
-from .spectral import SQRT_2PI, GridSpec, SpectralField, sobolev_norm
+from .spectral import GridSpec, SpectralField, band_coeffs, padded_samples, sobolev_norm
 
 
 class NonConvergence(RuntimeError):
@@ -146,55 +146,15 @@ class Trajectory:
         return self.samples[i]
 
 
-@lru_cache(maxsize=64)
-def _padded_ops(num_modes, pad):
-    """Operators of the pad·N grid: the rows (i·n, -n²) over its modes, as a
-    complex128 (2, 1, pad·N) array that broadcasts over a (B, pad·N) block,
-    and the positions of the N-mode band within its FFT layout, which
-    truncates ``_nonlinearity``'s output and pads ``functionals.fine_samples``.
-
-    The rows are stored complex so that multiplying a coefficient array by
-    one runs the same complex product numpy runs when it casts the real
-    -n² itself.
-    """
-    m = pad * num_modes
-    modes = np.fft.fftfreq(m, 1.0 / m)
-    ops = np.array([[1j * modes], [-(modes**2)]], dtype=np.complex128)
-    half = num_modes // 2
-    band = np.r_[:half, m - half : m]
-    ops.setflags(write=False)
-    band.setflags(write=False)
-    return ops, band
-
-
 def _nonlinearity(c, lambdas, pad):
-    """Raw-array core of ``eval_nonlinearity`` for (B, N) coefficients ``c``.
-
-    Pads once into a (3, B, pad·N) stack (ψ, ∂ψ, ∂²ψ), takes one inverse
-    FFT along the last axis, combines pointwise, transforms back, truncates
-    to the band and zeroes the Nyquist mode. Each row comes out exactly as
-    it would alone. Returns a new writable (B, N) array.
-    """
+    """Raw-array core of ``eval_nonlinearity`` for (B, N) coefficients ``c``:
+    a new writable (B, N) array, each row exactly as it would come out alone."""
     rows, n = c.shape
-    m = pad * n
-    half = n // 2
-    ops, band = _padded_ops(n, pad)
-    stack = np.zeros((3, rows, m), dtype=np.complex128)
-    psi = stack[0]
-    # the two band blocks as slices, not ``psi[:, band] = c``: an index
-    # assignment over a (B, M) block costs about 3% of riccati's wall time
-    psi[:, :half] = c[:, :half]
-    psi[:, m - half :] = c[:, half:]
-    np.multiply(ops, psi, out=stack[1:])
     # the pointwise kernel runs on flat (B·M,) views: elementwise, so
     # the same values, without numpy's per-row iteration over (B, M)
-    u, du, d2u = (np.fft.ifft(stack, axis=-1) * (m / SQRT_2PI)).reshape(3, -1)
-    combined = kernels.nonlinear_combine(u, du, d2u, lambdas).reshape(rows, m)
-    chat = np.fft.fft(combined) * (SQRT_2PI / m)
-    if pad > 1:
-        chat = chat.take(band, axis=1)
-    chat[:, half] = 0.0
-    return chat
+    u, du, d2u = padded_samples(c, pad, (0, 1, 2)).reshape(3, -1)
+    combined = kernels.nonlinear_combine(u, du, d2u, lambdas).reshape(rows, pad * n)
+    return band_coeffs(combined, n, pad)
 
 
 def eval_nonlinearity(psi, coeffs, pad):

@@ -3,9 +3,9 @@ certificate, the first three conserved quantities of the integrable case,
 and the difference energies used for uniqueness/continuity measurements.
 
 All spatial integrals of products are evaluated by dealiased quadrature:
-factors are synthesised on a zero-padded grid large enough that the node
-average of the product equals its exact mean (pad 3 for quartic, pad 4 for
-sextic integrands).
+``spectral.padded_samples`` synthesises the factors on a zero-padded grid
+large enough that the node average of the product equals its exact mean
+(pad 3 for quartic, pad 4 for sextic integrands).
 """
 
 from dataclasses import dataclass, field as dataclass_field
@@ -13,28 +13,23 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import CoefficientSet, _padded_ops
+from .dynamics import CoefficientSet
 from .sampling import random_field, rng_for
-from .spectral import GridSpec, SpectralField, seminorm_sq, sobolev_norm_sq
+from .spectral import GridSpec, SpectralField, padded_samples, seminorm_sq, sobolev_norm_sq
 
 PAD_QUARTIC = 3
 PAD_SEXTIC = 4
 
 
-def fine_samples(psi, pad, deriv=0):
-    """Physical samples of ∂^deriv ψ on a grid zero-padded by ``pad``."""
-    grid = psi.grid
-    m = pad * grid.num_modes
-    c = psi.coeffs if deriv == 0 else psi.coeffs * (1j * grid.modes) ** deriv
-    _, band = _padded_ops(grid.num_modes, pad)
-    padded = np.zeros(m, dtype=np.complex128)
-    padded[band] = c
-    return np.fft.ifft(padded) * (m / np.sqrt(2.0 * np.pi))
-
-
 def quadrature_mean(values):
     """∫₀^{2π} f dx by the periodic trapezoid rule (node average × 2π)."""
     return 2.0 * np.pi * complex(np.mean(values))
+
+
+def _quartic_weights(m, lam):
+    """(2λ3+λ4+2(m-1)λ6)/(4ν) and λ5/ν, the weights of the quartic integrals."""
+    w = (2.0 * lam.lambda3 + lam.lambda4 + 2.0 * (m - 1) * lam.lambda6) / (4.0 * lam.nu)
+    return w, lam.lambda5 / lam.nu
 
 
 def correction_terms(psi, m, coeffs):
@@ -45,13 +40,10 @@ def correction_terms(psi, m, coeffs):
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    u = fine_samples(psi, PAD_QUARTIC, 0)
-    d = fine_samples(psi, PAD_QUARTIC, m - 1)
-    first = coeffs.lambda5 / coeffs.nu * quadrature_mean(d * d * np.conj(u) ** 2).real
-    weight = (
-        2.0 * coeffs.lambda3 + coeffs.lambda4 + 2.0 * (m - 1) * coeffs.lambda6
-    ) / (4.0 * coeffs.nu)
-    second = weight * quadrature_mean(np.abs(d) ** 2 * np.abs(u) ** 2).real
+    u, d = padded_samples(psi.coeffs, PAD_QUARTIC, (0, m - 1))
+    modulus_weight, phase_weight = _quartic_weights(m, coeffs)
+    first = phase_weight * quadrature_mean(d * d * np.conj(u) ** 2).real
+    second = modulus_weight * quadrature_mean(np.abs(d) ** 2 * np.abs(u) ** 2).real
     return first, second
 
 
@@ -73,9 +65,7 @@ class ConservedQuantities(NamedTuple):
 
 
 def _conserved(psi):
-    u = fine_samples(psi, PAD_SEXTIC, 0)
-    du = fine_samples(psi, PAD_SEXTIC, 1)
-    d2u = fine_samples(psi, PAD_SEXTIC, 2)
+    u, du, d2u = padded_samples(psi.coeffs, PAD_SEXTIC, (0, 1, 2))
     au2 = np.abs(u) ** 2
     i0 = 0.5 * quadrature_mean(au2).real
     i1 = (
@@ -120,16 +110,14 @@ def difference_energy(psi, ref, m, coeffs, c_tilde, weights="lambda"):
     if psi.grid != ref.grid:
         raise ValueError("fields live on different grids")
     if weights == "lambda":
-        w1 = (
-            2.0 * coeffs.lambda3 + coeffs.lambda4 + 2.0 * (m - 1) * coeffs.lambda6
-        ) / (4.0 * coeffs.nu)
-        w2 = coeffs.lambda5 / coeffs.nu
+        w1, w2 = _quartic_weights(m, coeffs)
     elif weights == "unit":
         w1 = w2 = 1.0
     else:
         raise ValueError(f"weights must be 'lambda' or 'unit', got {weights!r}")
-    r = fine_samples(ref, PAD_QUARTIC, 0)
-    d = fine_samples(psi, PAD_QUARTIC, m - 1)
+    # orders (0, m-1) × fields (ref, ψ): the diagonal is ref and ∂^{m-1}ψ
+    s = padded_samples(np.stack([ref.coeffs, psi.coeffs]), PAD_QUARTIC, (0, m - 1))
+    r, d = s[0, 0], s[1, 1]
     quartic = (
         w1 * quadrature_mean(np.abs(r) ** 2 * np.abs(d) ** 2).real
         + w2 * quadrature_mean(r * r * np.conj(d) ** 2).real

@@ -34,9 +34,11 @@ def random_field(grid, rng, decay=2.0, l2_mass=None, hm_norm=None, m=None, max_m
     """Random field with ⟨n⟩^{-decay} envelope and Gaussian complex weights.
 
     Modes beyond ``max_mode`` (default: the full Nyquist-free band) are left
-    empty. Exactly one of ``l2_mass`` / (``hm_norm``, ``m``) may be given to
+    empty. At most one of ``l2_mass`` / (``hm_norm``, ``m``) may be given to
     rescale the draw to a prescribed norm.
     """
+    if (l2_mass is not None and hm_norm is not None) or (m is None) != (hm_norm is None):
+        raise ValueError("give l2_mass, or hm_norm with m, or neither")
     n = grid.num_modes
     modes = grid.modes
     g = rng.standard_normal(2 * n)
@@ -52,8 +54,6 @@ def random_field(grid, rng, decay=2.0, l2_mass=None, hm_norm=None, m=None, max_m
             raise ValueError("cannot rescale a zero draw")
         f = (l2_mass / cur) * f
     elif hm_norm is not None:
-        if m is None:
-            raise ValueError("hm_norm rescaling needs the Sobolev index m")
         cur = sobolev_norm(f, m)
         if cur == 0.0:
             raise ValueError("cannot rescale a zero draw")

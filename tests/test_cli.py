@@ -41,7 +41,17 @@ class TestDataSpecs:
         assert np.array_equal(a.coeffs, b.coeffs)
         assert sobolev_norm(a, 0) == pytest.approx(0.5)
 
-    @pytest.mark.parametrize("bad", ["nope:1", "modes:amp=1", "modes:n=99:amp=1"])
+    @pytest.mark.parametrize("bad", [
+        "nope:1", "modes:amp=1", "modes:n=99:amp=1",
+        # input the parser would otherwise drop without a word
+        "random:seed=7:l2=0.5:hm=0.4",  # two rescalings
+        "random:seed=7:decya=9.0",  # a key random does not read
+        "random:seed=7:m=2",  # m without hm
+        "random:seed=7:seed=8",
+        "decay:s=3.0:amp=1.0:tau=2",
+        "standing:kappa=0.3:s=2",
+        "modes:n=1:amp=0.5:decay=2",
+    ])
     def test_malformed_specs(self, bad):
         with pytest.raises((ValueError, KeyError)):
             parse_data_spec(bad, GridSpec(32))
@@ -201,6 +211,20 @@ class TestUsageErrors:
     def test_unknown_config_key_is_2(self, tmp_path, monkeypatch):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("kappa = 0.5\nkapa = 0.7\n")
+        code = run_in(tmp_path, monkeypatch,
+                      ["standing-wave", "--config", str(cfg), "--nu", "1"])
+        assert code == 2
+        assert not (tmp_path / "standing_wave__manifest.json").exists()
+
+    @pytest.mark.parametrize("text", [
+        "kappa = 0.5\nkappa = 0.7\n",
+        "config = other.cfg\n",
+        "command = simulate\n",
+        "func = x\n",
+    ], ids=["repeated", "config", "command", "func"])
+    def test_ignored_config_key_is_2(self, tmp_path, monkeypatch, text):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
         code = run_in(tmp_path, monkeypatch,
                       ["standing-wave", "--config", str(cfg), "--nu", "1"])
         assert code == 2

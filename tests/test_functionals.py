@@ -16,11 +16,13 @@ from torus4nls.functionals import (
     difference_energy,
     i2_imaginary_residual,
     modified_energy,
+    quadrature_mean,
 )
 from torus4nls.sampling import random_field, rng_for
 from torus4nls.spectral import (
     GridSpec,
     SpectralField,
+    seminorm_sq,
     sobolev_norm_sq,
     zero_field,
 )
@@ -193,8 +195,6 @@ class TestDifferenceEnergy:
         psi = random_field(grid64, rng_for(32), decay=2.0, l2_mass=0.5)
         c_tilde = 2.0
         val = difference_energy(psi, zero_field(grid64), 1, generic_coeffs, c_tilde)
-        from torus4nls.spectral import seminorm_sq
-
         expect = seminorm_sq(psi, 1) + c_tilde * sobolev_norm_sq(psi, 0)
         assert val == pytest.approx(expect, rel=1e-12)
 
@@ -209,8 +209,6 @@ class TestDifferenceEnergy:
         lam = generic_coeffs
         w1 = (2 * lam.lambda3 + lam.lambda4 + 2 * (m - 1) * lam.lambda6) / (4 * lam.nu)
         w2 = lam.lambda5 / lam.nu
-        from torus4nls.spectral import seminorm_sq
-
         expect = (
             seminorm_sq(psi, m)
             + c_tilde * sobolev_norm_sq(psi, 0)
@@ -272,3 +270,104 @@ class TestEnergyRecorder:
         rep.i0.append(0.0)
         with pytest.raises(ValueError):
             rep.validate()
+
+
+def _fine_samples(psi, pad, deriv=0):
+    """The per-factor synthesis the functionals used before
+    ``spectral.padded_samples``: the derivative taken on the N-mode band,
+    then padded, one inverse FFT per factor."""
+    grid = psi.grid
+    m = pad * grid.num_modes
+    half = grid.num_modes // 2
+    c = psi.coeffs if deriv == 0 else psi.coeffs * (1j * grid.modes) ** deriv
+    padded = np.zeros(m, dtype=np.complex128)
+    padded[np.r_[:half, m - half : m]] = c
+    return np.fft.ifft(padded) * (m / np.sqrt(2.0 * np.pi))
+
+
+def _reference_correction_terms(psi, m, coeffs):
+    u = _fine_samples(psi, 3, 0)
+    d = _fine_samples(psi, 3, m - 1)
+    first = coeffs.lambda5 / coeffs.nu * quadrature_mean(d * d * np.conj(u) ** 2).real
+    weight = (
+        2.0 * coeffs.lambda3 + coeffs.lambda4 + 2.0 * (m - 1) * coeffs.lambda6
+    ) / (4.0 * coeffs.nu)
+    second = weight * quadrature_mean(np.abs(d) ** 2 * np.abs(u) ** 2).real
+    return first, second
+
+
+def _reference_conserved(psi):
+    u = _fine_samples(psi, 4, 0)
+    du = _fine_samples(psi, 4, 1)
+    d2u = _fine_samples(psi, 4, 2)
+    au2 = np.abs(u) ** 2
+    i0 = 0.5 * quadrature_mean(au2).real
+    i1 = (
+        0.5 * quadrature_mean(np.abs(du) ** 2).real
+        - 0.125 * quadrature_mean(au2**2).real
+    )
+    i2_raw = (
+        0.5 * quadrature_mean(np.abs(d2u) ** 2)
+        + 0.75 * quadrature_mean(au2 * np.conj(u) * d2u)
+        + 0.125 * quadrature_mean(au2 * u * np.conj(d2u))
+        + 0.625 * quadrature_mean(du * du * np.conj(u) ** 2)
+        + 0.75 * quadrature_mean(np.abs(du) ** 2 * au2)
+        + 0.0625 * quadrature_mean(au2**3)
+    )
+    return i0, i1, i2_raw.real
+
+
+def _reference_difference_energy(psi, ref, m, coeffs, c_tilde):
+    w1 = (
+        2.0 * coeffs.lambda3 + coeffs.lambda4 + 2.0 * (m - 1) * coeffs.lambda6
+    ) / (4.0 * coeffs.nu)
+    w2 = coeffs.lambda5 / coeffs.nu
+    r = _fine_samples(ref, 3, 0)
+    d = _fine_samples(psi, 3, m - 1)
+    quartic = (
+        w1 * quadrature_mean(np.abs(r) ** 2 * np.abs(d) ** 2).real
+        + w2 * quadrature_mean(r * r * np.conj(d) ** 2).real
+    )
+    return seminorm_sq(psi, m) + c_tilde * sobolev_norm_sq(psi, 0) + quartic
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+def _bitwise_fields():
+    grid = GridSpec(64)
+    single = np.zeros(64, dtype=np.complex128)
+    single[3] = 0.4
+    return [
+        random_field(grid, rng_for(41), decay=2.5, l2_mass=0.8),
+        random_field(GridSpec(32), rng_for(42), decay=1.0, l2_mass=1.3),
+        plane_wave(grid, 0.6, -2),
+        plane_wave(grid, 0.7, 0),
+        SpectralField(grid, single),
+        zero_field(grid),
+    ]
+
+
+class TestPaddedPathMatchesFineSamples:
+    """The functionals synthesise their factors with one batched
+    ``padded_samples`` call; each value keeps every bit of the per-factor
+    synthesis it replaced, signed zeros included."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_correction_terms_and_difference_energy(self, generic_coeffs, m):
+        fields = _bitwise_fields()
+        for i, psi in enumerate(fields):
+            assert _hex(correction_terms(psi, m, generic_coeffs)) == _hex(
+                _reference_correction_terms(psi, m, generic_coeffs))
+            for ref in fields[i:]:
+                if ref.grid != psi.grid:
+                    continue
+                for a, b in ((psi, ref), (ref, psi)):
+                    assert _hex([difference_energy(a, b, m, generic_coeffs, 1.5)]) \
+                        == _hex([_reference_difference_energy(a, b, m,
+                                                              generic_coeffs, 1.5)])
+
+    def test_conserved_quantities(self):
+        for psi in _bitwise_fields():
+            assert _hex(conserved_quantities(psi)) == _hex(_reference_conserved(psi))

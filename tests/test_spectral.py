@@ -3,14 +3,18 @@
 import numpy as np
 import pytest
 
+from conftest import oracle_samples
+
 from torus4nls.spectral import (
     GridSpec,
     PhysicalField,
     SpectralField,
+    band_coeffs,
     derivative,
     gn_ratio,
     l2_norm,
     lp_norm,
+    padded_samples,
     sobolev_norm,
     to_physical,
     to_spectral,
@@ -120,6 +124,51 @@ class TestDerivative:
     def test_negative_order_rejected(self, grid64):
         with pytest.raises(ValueError):
             derivative(single_mode(grid64, 1), -1)
+
+
+def _bits(a):
+    """The raw bits of a complex array (signed zeros told apart)."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestPaddedSamples:
+    @pytest.mark.parametrize("pad", [1, 2, 3, 4])
+    def test_matches_direct_synthesis(self, pad):
+        # every mode filled, the Nyquist mode -N/2 too; row 0 of the stack
+        # carries a derivative and order 0 repeats
+        grid = GridSpec(16)
+        rng = np.random.default_rng(pad)
+        c = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+        psi = SpectralField(grid, c)
+        orders = (3, 0, 2, 1, 0)
+        samples = padded_samples(psi.coeffs, pad, orders)
+        assert samples.shape == (len(orders), pad * 16)
+        for row, k in zip(samples, orders):
+            expect = oracle_samples(psi, pad, k)
+            np.testing.assert_allclose(row, expect, rtol=0,
+                                       atol=1e-12 * np.max(np.abs(expect)))
+
+    @pytest.mark.parametrize("pad", [1, 3])
+    def test_block_rows_bitwise_equal_single_rows(self, pad):
+        rng = np.random.default_rng(11)
+        block = rng.standard_normal((4, 64)) + 1j * rng.standard_normal((4, 64))
+        block[1] = 0.0  # an all-zero row keeps its zeros' signs too
+        block[2, 5:] = 0.0
+        samples = padded_samples(block, pad, (0, 1, 2))
+        assert samples.shape == (3, 4, pad * 64)
+        for b in range(4):
+            alone = padded_samples(block[b], pad, (0, 1, 2))
+            assert np.array_equal(_bits(samples[:, b]), _bits(alone))
+
+    @pytest.mark.parametrize("pad", [1, 2, 3])
+    def test_band_coeffs_inverts_synthesis(self, pad):
+        grid = GridSpec(32)
+        rng = np.random.default_rng(3)
+        c = rng.standard_normal(32) + 1j * rng.standard_normal(32)
+        back = band_coeffs(padded_samples(c, pad, (0,))[0], 32, pad)
+        c[grid.nyquist_index] = 0.0
+        np.testing.assert_allclose(back, c, rtol=0, atol=1e-13)
+        assert back[grid.nyquist_index] == 0.0
 
 
 class TestNorms:

@@ -2,6 +2,9 @@
 
 The tracer rebinds package attributes by name, so deleting or renaming one
 of them breaks ``perfbench/run.py --trace 1`` without failing any other test.
+It wraps ``np.fft.fft`` and ``np.fft.ifft`` on the numpy module, so an FFT
+reached through a by-name import (``from numpy.fft import ifft``) goes
+untraced; the stepping run below accounts for every transform.
 """
 
 import os
@@ -20,6 +23,24 @@ import spans
 tracer = spans.install()
 assert cli.run_command(["standing-wave", "--nu", "1", "--outdir", sys.argv[3]]) == 0
 assert tracer.calls["cli.write_manifest"] == 1, dict(tracer.calls)
+
+# integrable run at N=32: pad 3 in the stepper and the quartic corrections
+# (96-point grid), pad 4 for the invariants (128-point grid)
+calls0, counts0 = tracer.calls.copy(), tracer.counts.copy()
+assert cli.run_command(["simulate", "--nu", "1", "--integrable", "--num-modes",
+                        "32", "--t-end", "0.002", "--outdir", sys.argv[3]]) == 0
+calls, counts = tracer.calls - calls0, tracer.counts - counts0
+rows = calls["functionals.recorder"]
+combines = calls["kernels.nonlinear_combine"]
+assert rows == 3 and combines > 0, dict(calls)
+assert calls["functionals.modified_energy"] == rows, dict(calls)
+# one inverse FFT per recorder row for each of modified_energy and the
+# invariants; an inverse and a forward FFT per nonlinearity evaluation
+assert counts["fft.calls_n128"] == rows, dict(counts)
+assert counts["fft.calls_n96"] == rows + 2 * combines, dict(counts)
+assert calls["fft"] == 2 * rows + 2 * combines, dict(calls)
+assert counts["fft.points"] == 128 * 3 * rows + 96 * (2 * rows + 4 * combines), \
+    dict(counts)
 """
 
 

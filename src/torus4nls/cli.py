@@ -97,9 +97,13 @@ def parse_data_spec(spec, grid):
     if kind == "modes":
         f = zero_field(grid)
         coeffs = np.array(f.coeffs)
+        seen = set()
         for entry in rest.split(","):
             kv = _parse_kv(entry.split(":"), "modes", ("n", "amp", "phase"))
             n = int(kv["n"])
+            if n in seen:
+                raise ValueError(f"modes spec: mode {n} given twice")
+            seen.add(n)
             amp = float(kv.get("amp", "1.0"))
             phase = float(kv.get("phase", "0.0"))
             half = grid.num_modes // 2
@@ -201,9 +205,19 @@ def resolve_outdir(opts):
     return Path(opts.get("outdir") or "runs")
 
 
+def _parse_bool(text):
+    """Config-file switch: 1/true/yes or 0/false/no, in any case."""
+    value = text.lower()
+    if value in ("1", "true", "yes"):
+        return True
+    if value in ("0", "false", "no"):
+        return False
+    raise ValueError(f"expected 1/true/yes or 0/false/no, got {text!r}")
+
+
 def build_coeffs(opts):
     nu = float(opts.get("nu", cast=float))
-    if opts.get("integrable", cast=lambda s: s.lower() in ("1", "true", "yes")):
+    if opts.get("integrable", cast=_parse_bool):
         given = [k for k in LAMBDA_KEYS if opts.get(k) is not None]
         if given:
             raise ValueError(f"--integrable fixes the lambdas; drop {', '.join(given)}")
@@ -244,10 +258,11 @@ def cmd_simulate(args):
     cfg = build_solver_config(opts)
     t_end = float(opts.get("t_end", cast=float))
     rec = EnergyRecorder(cfg.sobolev_index_m, coeffs)
-    traj = integrate(data, t_end, cfg, coeffs, observers=[rec])
+    samples = []
+    run = integrate(data, t_end, cfg, coeffs, observers=[rec, samples.append])
     order = np.argsort(grid.modes)
-    states = np.array([s.state.coeffs[order] for s in traj])
-    trajectory = {"time": [s.time for s in traj]}
+    states = np.array([s.state.coeffs[order] for s in samples])
+    trajectory = {"time": [s.time for s in samples]}
     for n, column in zip(grid.modes[order], states.T):
         trajectory[f"re_n{int(n)}"] = column.real
         trajectory[f"im_n{int(n)}"] = column.imag
@@ -272,8 +287,8 @@ def cmd_simulate(args):
             "lambdas": coeffs.lambdas,
         },
         "thresholds": {},
-        "blow_up_suspected": traj.blow_up_suspected,
-        "final_time": traj.final.time,
+        "blow_up_suspected": run.blowup_time is not None,
+        "final_time": run.final.time,
     }))
     return 0
 

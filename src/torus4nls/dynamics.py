@@ -120,30 +120,13 @@ class TrajectorySample:
 
 @dataclass
 class Trajectory:
-    """Sequence of samples; ``blowup_time`` is set when the run halted early
-    because the H^m norm crossed the configured ceiling. The Duhamel stepper
-    records each step's Picard iteration count in ``picard_iterations``."""
+    """Record of one run: its last sample, the time it halted because the
+    H^m norm crossed the ceiling (None if it did not) and each step's Picard
+    count (Duhamel only). The run's observers see every sample."""
 
-    samples: list
+    final: TrajectorySample
     blowup_time: float | None = None
     picard_iterations: list = field(default_factory=list)
-
-    @property
-    def blow_up_suspected(self):
-        return self.blowup_time is not None
-
-    @property
-    def final(self):
-        return self.samples[-1]
-
-    def __iter__(self):
-        return iter(self.samples)
-
-    def __len__(self):
-        return len(self.samples)
-
-    def __getitem__(self, i):
-        return self.samples[i]
 
 
 def _nonlinearity(c, lambdas, pad):
@@ -320,12 +303,13 @@ def integrate_many(psi0s, t_end, cfgs, coeffs, observers=None, blowup_factor=1e6
     else is a ValueError. The members advance together as the rows of one
     (B, N) array, and each gets exactly the states and Picard counts a run
     of its own would get. ``observers[i]``, a sequence of callables, sees
-    each of member i's TrajectorySamples as it is produced. A member whose
-    H^m norm exceeds ``blowup_factor`` times its initial value is marked
-    and halts; the others go on. A diverging step or a non-finite norm
-    raises NonFinite (NonConvergence past the Picard budget) at the
-    earliest failing step, for the lowest failing member, carrying the
-    time and the member index. Returns one Trajectory per member.
+    each of member i's TrajectorySamples as it is produced: the only way to
+    keep them. A member whose H^m norm exceeds ``blowup_factor`` times its
+    initial value is marked and halts; the others go on. A diverging step
+    or a non-finite norm raises NonFinite (NonConvergence past the Picard
+    budget) at the earliest failing step, for the lowest failing member,
+    carrying the time and the member index. Returns one Trajectory record
+    per member.
     """
     psi0s = list(psi0s)
     cfgs = list(cfgs)
@@ -351,7 +335,7 @@ def integrate_many(psi0s, t_end, cfgs, coeffs, observers=None, blowup_factor=1e6
         sample = TrajectorySample(0.0, psi0)
         for obs in member_observers:
             obs(sample)
-        runs.append(Trajectory([sample]))
+        runs.append(Trajectory(sample))
         ceilings.append(blowup_factor * max(sobolev_norm(psi0, m), 1e-300))
     active = list(range(count))
     state = np.array([psi.coeffs for psi in psi0s])
@@ -389,7 +373,7 @@ def integrate_many(psi0s, t_end, cfgs, coeffs, observers=None, blowup_factor=1e6
         for i, member in enumerate(active):
             run = runs[member]
             sample = TrajectorySample(t, SpectralField(grid, state[i]))
-            run.samples.append(sample)
+            run.final = sample
             run.picard_iterations.append(iterations[i])
             for obs in observers[member]:
                 obs(sample)
@@ -411,27 +395,30 @@ def integrate(psi0, t_end, cfg, coeffs, observers=(), blowup_factor=1e6):
     """Repeated Duhamel stepping up to t_end with observer callbacks.
 
     Observers are called with each TrajectorySample as it is produced. The
-    run halts early, marking the trajectory, if the H^m norm exceeds
+    run halts early, marking the record, if the H^m norm exceeds
     ``blowup_factor`` times its initial value; a non-finite norm or a
     diverging step raises NonFinite carrying the time. A one-member
-    ``integrate_many``.
+    ``integrate_many``: returns the run's Trajectory record.
     """
     return integrate_many([psi0], t_end, [cfg], coeffs, [observers],
                           blowup_factor)[0]
 
 
-def reference_integrate(psi0, t_end, cfg, coeffs):
+def reference_integrate(psi0, t_end, cfg, coeffs, observers=()):
     """Integrating-factor classical RK4, the independent cross-check scheme.
 
     The semigroup is applied only over forward substeps (dt/2, dt), so the
-    scheme is valid for ε > 0 as well. Raises NonFinite at the first step
-    that ends with a NaN/Inf coefficient.
+    scheme is valid for ε > 0 as well. Observers are called with each
+    TrajectorySample as it is produced; returns the run's Trajectory record.
+    Raises NonFinite at the first step that ends with a NaN/Inf coefficient.
     """
     dt = cfg.dt
     eps = cfg.epsilon
     nu = coeffs.nu
     pad = cfg.pad_for(coeffs)
-    samples = [TrajectorySample(0.0, psi0)]
+    run = Trajectory(TrajectorySample(0.0, psi0))
+    for obs in observers:
+        obs(run.final)
     state = psi0
     prev_t = 0.0
 
@@ -456,6 +443,8 @@ def reference_integrate(psi0, t_end, cfg, coeffs):
             state = full + (h / 6.0) * incr
             if not np.all(np.isfinite(state.coeffs)):
                 raise NonFinite(f"non-finite coefficients at t={t:.6g}", time=t)
-            samples.append(TrajectorySample(t, state))
+            run.final = TrajectorySample(t, state)
+            for obs in observers:
+                obs(run.final)
             prev_t = t
-    return Trajectory(samples)
+    return run

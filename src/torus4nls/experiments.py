@@ -421,7 +421,6 @@ def riccati_study(family, m, coeffs, cfg, t_end, c_m,
     runs = integrate_many(family, t_end, [cfg] * len(family), coeffs,
                           observers=[[rec] for rec in recorders])
     coarse = runs[0].final.state
-    del runs  # the family's samples are not kept through the order runs
     order = _stepper_order(family[0], coarse, t_end, cfg, coeffs, m)
     q_mod = []
     q_raw = []
@@ -489,8 +488,10 @@ def continuity_study(phi, delta_ladder, m, coeffs, t_end, cfg, rng_seed,
         for i, delta in enumerate(deltas)
     ]
     run_cfg = replace(cfg, sobolev_index_m=m)
-    base, *others = integrate_many([phi] + perturbed, t_end,
-                                   [run_cfg] * (len(deltas) + 1), coeffs)
+    samples = [[] for _ in range(len(deltas) + 1)]  # base run first
+    integrate_many([phi] + perturbed, t_end, [run_cfg] * len(samples), coeffs,
+                   observers=[[kept.append] for kept in samples])
+    base, *others = samples
     runs = []
     for delta, other in zip(deltas, others):
         diffs = [b.state - o.state for b, o in zip(base, other)]

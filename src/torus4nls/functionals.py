@@ -96,25 +96,19 @@ def i2_imaginary_residual(psi):
     return abs(_conserved(psi)[2].imag)
 
 
-def difference_energy(psi, ref, m, coeffs, c_tilde, weights="lambda"):
+def difference_energy(psi, ref, m, coeffs, c_tilde):
     """Difference-energy functional around a reference trajectory state.
 
     ‖∂^m ψ‖² + c̃ ‖ψ‖² + w₁ ∫|ref|²|∂^{m-1}ψ|² + w₂ Re ∫ ref² (∂^{m-1}ψ̄)²
 
-    ``weights="lambda"`` uses w₁ = (2λ3+λ4+2(m-1)λ6)/(4ν), w₂ = λ5/ν (for
-    m = 1 this is exactly the uniqueness-proof functional); ``weights="unit"``
-    uses w₁ = w₂ = 1, the plain form some derivations display for m ≥ 2.
+    with w₁ = (2λ3+λ4+2(m-1)λ6)/(4ν) and w₂ = λ5/ν; for m = 1 this is
+    exactly the uniqueness-proof functional.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if psi.grid != ref.grid:
         raise ValueError("fields live on different grids")
-    if weights == "lambda":
-        w1, w2 = _quartic_weights(m, coeffs)
-    elif weights == "unit":
-        w1 = w2 = 1.0
-    else:
-        raise ValueError(f"weights must be 'lambda' or 'unit', got {weights!r}")
+    w1, w2 = _quartic_weights(m, coeffs)
     # orders (0, m-1) × fields (ref, ψ): the diagonal is ref and ∂^{m-1}ψ
     s = padded_samples(np.stack([ref.coeffs, psi.coeffs]), PAD_QUARTIC, (0, m - 1))
     r, d = s[0, 0], s[1, 1]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from torus4nls.cli import parse_data_spec, parse_ladder, run_command
-from torus4nls.exact import linear_solution
+from torus4nls.exact import integrable_coefficients, linear_solution
 from torus4nls.spectral import GridSpec, SpectralField, sobolev_distance, sobolev_norm
 
 
@@ -51,6 +51,7 @@ class TestDataSpecs:
         "decay:s=3.0:amp=1.0:tau=2",
         "standing:kappa=0.3:s=2",
         "modes:n=1:amp=0.5:decay=2",
+        "modes:n=1:amp=0.5,n=1:amp=0.2",  # the later entry would win
     ])
     def test_malformed_specs(self, bad):
         with pytest.raises((ValueError, KeyError)):
@@ -229,6 +230,30 @@ class TestUsageErrors:
                       ["standing-wave", "--config", str(cfg), "--nu", "1"])
         assert code == 2
         assert not (tmp_path / "standing_wave__manifest.json").exists()
+
+    @pytest.mark.parametrize("value", ["ture", "2", "on", ""])
+    def test_unrecognised_integrable_is_2(self, tmp_path, monkeypatch, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"integrable = {value}\n")
+        code = run_in(tmp_path, monkeypatch,
+                      ["standing-wave", "--config", str(cfg), "--nu", "1"])
+        assert code == 2
+        assert not (tmp_path / "standing_wave__manifest.json").exists()
+
+    @pytest.mark.parametrize("value,integrable", [
+        ("1", True), ("True", True), ("YES", True),
+        ("0", False), ("false", False), ("No", False),
+    ])
+    def test_integrable_config_spellings(self, tmp_path, monkeypatch, value,
+                                         integrable):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"integrable = {value}\n")
+        code = run_in(tmp_path, monkeypatch,
+                      ["standing-wave", "--config", str(cfg), "--nu", "1"])
+        assert code == 0
+        manifest = json.loads((tmp_path / "standing_wave__manifest.json").read_text())
+        expect = integrable_coefficients(1.0).lambdas if integrable else (0.0,) * 6
+        assert manifest["parameters"]["lambdas"] == list(expect)
 
     def test_riccati_has_no_n_low(self, tmp_path, monkeypatch):
         with pytest.raises(SystemExit) as err:

@@ -1,5 +1,6 @@
 """Nonlinearity evaluation, semigroup, and both time integrators."""
 
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -265,8 +266,9 @@ class TestIntegrate:
     def test_zero_time(self, grid64, generic_coeffs):
         psi = plane_wave(grid64, 0.2, 1)
         cfg = SolverConfig(dt=1e-3, sobolev_index_m=4)
-        traj = integrate(psi, 0.0, cfg, generic_coeffs)
-        assert len(traj) == 1
+        seen = []
+        traj = integrate(psi, 0.0, cfg, generic_coeffs, observers=[seen.append])
+        assert len(seen) == 1 and seen[0] is traj.final
         assert traj.final.time == 0.0
         assert np.array_equal(traj.final.state.coeffs, psi.coeffs)
 
@@ -282,27 +284,30 @@ class TestIntegrate:
     def test_final_partial_step_lands_exactly(self, grid64, generic_coeffs):
         psi = plane_wave(grid64, 0.1, 1)
         cfg = SolverConfig(dt=3e-3, sobolev_index_m=4)
-        traj = integrate(psi, 0.01, cfg, generic_coeffs)
+        seen = []
+        traj = integrate(psi, 0.01, cfg, generic_coeffs, observers=[seen.append])
         assert traj.final.time == 0.01
-        assert len(traj) == 5  # 0, 3e-3, 6e-3, 9e-3, 1e-2
+        assert len(seen) == 5  # 0, 3e-3, 6e-3, 9e-3, 1e-2
 
     def test_observers_see_every_sample(self, grid64, generic_coeffs):
         seen = []
         cfg = SolverConfig(dt=2e-3, sobolev_index_m=4)
         traj = integrate(
             plane_wave(grid64, 0.1, 1), 0.01, cfg, generic_coeffs,
-            observers=[lambda s: seen.append(s.time)],
+            observers=[seen.append],
         )
-        assert seen == [s.time for s in traj]
+        assert [s.time for s in seen] == [k * 2e-3 for k in range(5)] + [0.01]
+        assert seen[-1] is traj.final
 
     def test_blowup_marker(self, grid64):
         # ceiling below the conserved norm trips immediately
         psi = plane_wave(grid64, 0.5, 2)
         cfg = SolverConfig(dt=1e-3, sobolev_index_m=4)
-        traj = integrate(psi, 0.01, cfg, CoefficientSet(nu=1.0), blowup_factor=0.99)
-        assert traj.blow_up_suspected
+        seen = []
+        traj = integrate(psi, 0.01, cfg, CoefficientSet(nu=1.0), blowup_factor=0.99,
+                         observers=[seen.append])
         assert traj.blowup_time == pytest.approx(1e-3)
-        assert len(traj) == 2
+        assert len(seen) == 2
 
     def test_nonconvergence_carries_time(self, grid64):
         rng = rng_for(4)
@@ -320,6 +325,29 @@ class TestIntegrate:
         with pytest.raises(NonFinite) as err:
             integrate(psi, 1.0, cfg, integrable_coefficients(1.0))
         assert err.value.time == 0.0
+
+    def test_run_keeps_only_the_final_state(self, grid64, generic_coeffs):
+        refs = [[], []]
+        runs = integrate_many(
+            [_benign(grid64), plane_wave(grid64, 0.2, 1)], 0.01,
+            [SolverConfig(dt=2e-3, sobolev_index_m=4)] * 2, generic_coeffs,
+            observers=[[_weak_state_observer(kept)] for kept in refs],
+        )
+        for run, kept in zip(runs, refs):
+            _assert_only_final_alive(run, kept, 6)
+
+
+def _weak_state_observer(refs):
+    """An observer that holds each sample's state by a weak reference only."""
+    return lambda sample: refs.append(weakref.ref(sample.state))
+
+
+def _assert_only_final_alive(run, refs, count):
+    """Once the run has returned, the record's final state is the only one
+    of the ``count`` observed states still in memory."""
+    assert len(refs) == count
+    alive = [state for state in (ref() for ref in refs) if state is not None]
+    assert len(alive) == 1 and alive[0] is run.final.state
 
 
 class TestReferenceIntegrate:
@@ -352,6 +380,14 @@ class TestReferenceIntegrate:
         with pytest.raises(NonFinite):
             reference_integrate(psi, 5.0, cfg, integrable_coefficients(1.0))
 
+    def test_run_keeps_only_the_final_state(self, grid64, generic_coeffs):
+        refs = []
+        run = reference_integrate(
+            _benign(grid64), 0.01, SolverConfig(dt=2e-3, sobolev_index_m=4),
+            generic_coeffs, observers=[_weak_state_observer(refs)],
+        )
+        _assert_only_final_alive(run, refs, 6)
+
 
 class TestCrossIntegrator:
     def test_plane_wave_agreement(self, grid64, generic_coeffs):
@@ -383,8 +419,9 @@ class TestCrossIntegrator:
         # eps > 0, no nonlinearity: mass strictly decreases off the DC mode
         psi = plane_wave(grid64, 0.5, 2)
         cfg = SolverConfig(dt=1e-3, epsilon=0.5, sobolev_index_m=4)
-        traj = integrate(psi, 0.02, cfg, CoefficientSet(nu=1.0))
-        masses = [l2_norm(s.state) for s in traj]
+        seen = []
+        integrate(psi, 0.02, cfg, CoefficientSet(nu=1.0), observers=[seen.append])
+        masses = [l2_norm(s.state) for s in seen]
         assert all(a > b for a, b in zip(masses, masses[1:]))
 
 
@@ -463,14 +500,21 @@ class TestRawPathMatchesFieldReference:
         assert new_iters > 1
 
 
-def _assert_matches_serial(run, psi0, cfg, coeffs):
-    """Replay one member's run with the field-level reference step, one
-    step at a time, as a run of its own: every state and every Picard
-    count must be equal."""
-    assert np.array_equal(run[0].state.coeffs, psi0.coeffs)
-    assert len(run.picard_iterations) == len(run) - 1
+def _observed(count):
+    """One sample list per member, and the observers that fill them."""
+    seen = [[] for _ in range(count)]
+    return seen, [[kept.append] for kept in seen]
+
+
+def _assert_matches_serial(run, samples, psi0, cfg, coeffs):
+    """Replay one member's observed ``samples`` with the field-level
+    reference step, one step at a time, as a run of its own: every state
+    and every Picard count must be equal."""
+    assert np.array_equal(samples[0].state.coeffs, psi0.coeffs)
+    assert samples[-1] is run.final
+    assert len(run.picard_iterations) == len(samples) - 1
     state = psi0
-    for prev, sample, iters in zip(run, run.samples[1:], run.picard_iterations):
+    for prev, sample, iters in zip(samples, samples[1:], run.picard_iterations):
         h = sample.time - prev.time
         step_cfg = cfg if abs(h - cfg.dt) < 1e-15 else replace(cfg, dt=h)
         state, ref_iters = _field_duhamel_step(state, step_cfg, coeffs)
@@ -493,28 +537,31 @@ class TestIntegrateMany:
         coeffs = integrable_coefficients(1.0)
         cfg = SolverConfig(dt=1e-6, sobolev_index_m=4)
         assert cfg.pad_for(coeffs) == 3
-        runs = integrate_many(family, 1.25e-5, [cfg] * 4, coeffs)
+        seen, observers = _observed(4)
+        runs = integrate_many(family, 1.25e-5, [cfg] * 4, coeffs, observers=observers)
         assert len({tuple(r.picard_iterations) for r in runs}) > 1
-        for run, psi0 in zip(runs, family):
+        for run, samples, psi0 in zip(runs, seen, family):
             assert run.final.time == 1.25e-5  # the last step is a partial one
-            _assert_matches_serial(run, psi0, cfg, coeffs)
+            _assert_matches_serial(run, samples, psi0, cfg, coeffs)
 
     def test_epsilon_ladder_n64(self, grid64):
         psi = _benign(grid64)
         coeffs = integrable_coefficients(1.0)
         cfgs = [SolverConfig(dt=2e-3, epsilon=e, sobolev_index_m=4)
                 for e in (0.0, 2.0**-7, 2.0**-5, 2.0**-3)]
-        runs = integrate_many([psi] * 4, 0.0102, cfgs, coeffs)
+        seen, observers = _observed(4)
+        runs = integrate_many([psi] * 4, 0.0102, cfgs, coeffs, observers=observers)
         assert len({tuple(r.picard_iterations) for r in runs}) > 1
-        for run, cfg in zip(runs, cfgs):
+        for run, samples, cfg in zip(runs, seen, cfgs):
             assert run.final.time == 0.0102
-            _assert_matches_serial(run, psi, cfg, coeffs)
+            _assert_matches_serial(run, samples, psi, cfg, coeffs)
 
     def test_single_member_is_integrate(self, grid64, generic_coeffs):
         psi = _benign(grid64)
         cfg = SolverConfig(dt=1e-3, sobolev_index_m=4)
-        (run,) = integrate_many([psi], 0.01, [cfg], generic_coeffs)
-        _assert_matches_serial(run, psi, cfg, generic_coeffs)
+        (samples,), observers = _observed(1)
+        (run,) = integrate_many([psi], 0.01, [cfg], generic_coeffs, observers=observers)
+        _assert_matches_serial(run, samples, psi, cfg, generic_coeffs)
         alone = integrate(psi, 0.01, cfg, generic_coeffs)
         assert alone.picard_iterations == run.picard_iterations
         assert np.array_equal(alone.final.state.coeffs, run.final.state.coeffs)
@@ -527,19 +574,17 @@ class TestIntegrateMany:
                    plane_wave(grid64, 0.2, 5)]
         cfgs = [SolverConfig(dt=2e-3, epsilon=e, sobolev_index_m=4)
                 for e in (1.0, 0.0, 1.0)]
-        seen = [[], [], []]
+        seen, observers = _observed(3)
         runs = integrate_many(members, 0.01, cfgs, coeffs, blowup_factor=0.9,
-                              observers=[[lst.append] for lst in seen])
+                              observers=observers)
         assert runs[1].blowup_time == 2e-3
-        assert len(runs[1]) == 2
+        assert len(seen[1]) == 2
         alone = integrate(members[1], 0.01, cfgs[1], coeffs, blowup_factor=0.9)
         assert alone.blowup_time == 2e-3
-        for run, psi0, cfg, obs in zip(runs, members, cfgs, seen):
-            assert len(obs) == len(run)
-            assert all(a is b for a, b in zip(obs, run.samples))
-            _assert_matches_serial(run, psi0, cfg, coeffs)
-        assert not runs[0].blow_up_suspected and runs[0].final.time == 0.01
-        assert not runs[2].blow_up_suspected and runs[2].final.time == 0.01
+        for run, obs, psi0, cfg in zip(runs, seen, members, cfgs):
+            _assert_matches_serial(run, obs, psi0, cfg, coeffs)
+        assert runs[0].blowup_time is None and runs[0].final.time == 0.01
+        assert runs[2].blowup_time is None and runs[2].final.time == 0.01
 
     def test_nonfinite_earliest_step_lowest_member(self, grid64):
         # member 0 fails only at t=0.041; members 2 and 3 overflow in the

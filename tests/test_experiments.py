@@ -250,8 +250,10 @@ class TestContinuityStudy:
         data = decay_field(grid, 5.0, amp=0.2)
         coeffs = integrable_coefficients(1.0)
         cfg = SolverConfig(dt=1e-3, sobolev_index_m=4)
-        a = integrate(data, 0.02, cfg, coeffs)
-        b = integrate(data, 0.02, cfg, coeffs)
+        a, b = [], []
+        integrate(data, 0.02, cfg, coeffs, observers=[a.append])
+        integrate(data, 0.02, cfg, coeffs, observers=[b.append])
+        assert len(a) == len(b) == 21
         for sa, sb in zip(a, b):
             assert np.array_equal(sa.state.coeffs, sb.state.coeffs)
 
@@ -260,8 +262,11 @@ class TestContinuityStudy:
         data = decay_field(grid, 5.0, amp=0.2)
         cfg = SolverConfig(dt=1e-3, sobolev_index_m=4)
         theta = 1.234
-        a = integrate(np.exp(1j * theta) * data, 0.02, cfg, generic_coeffs)
-        b = integrate(data, 0.02, cfg, generic_coeffs)
+        a, b = [], []
+        integrate(np.exp(1j * theta) * data, 0.02, cfg, generic_coeffs,
+                  observers=[a.append])
+        integrate(data, 0.02, cfg, generic_coeffs, observers=[b.append])
+        assert len(a) == len(b) == 21
         for sa, sb in zip(a, b):
             assert np.allclose(
                 sa.state.coeffs, np.exp(1j * theta) * sb.state.coeffs, atol=1e-13

@@ -217,15 +217,6 @@ class TestDifferenceEnergy:
         )
         assert val == pytest.approx(expect, rel=1e-11)
 
-    def test_unit_weight_switch(self, grid64, generic_coeffs):
-        psi = random_field(grid64, rng_for(35), decay=2.5, l2_mass=0.5)
-        ref = random_field(grid64, rng_for(36), decay=2.5, l2_mass=0.7)
-        lam_val = difference_energy(psi, ref, 2, generic_coeffs, 1.0, weights="lambda")
-        unit_val = difference_energy(psi, ref, 2, generic_coeffs, 1.0, weights="unit")
-        assert lam_val != pytest.approx(unit_val)
-        with pytest.raises(ValueError):
-            difference_energy(psi, ref, 2, generic_coeffs, 1.0, weights="bogus")
-
     def test_grid_mismatch(self, generic_coeffs):
         a = zero_field(GridSpec(32))
         b = zero_field(GridSpec(64))

@@ -4,8 +4,12 @@ Configuration precedence: command-line flags override config-file keys,
 which override built-in defaults. The config file is a flat ``key = value``
 text format (``#`` comments allowed) whose keys are the long option names
 of the subcommand with dashes replaced by underscores; any other key is a
-usage error. The output directory may additionally be forced through the
-``TORUS4NLS_OUTDIR`` environment variable, which takes precedence over
+usage error. Its values become the subcommand parser's defaults, so each is
+read with its flag's own type (``integrable`` takes 1/true/yes or
+0/false/no). Flags must be spelled in full, and a config file that cannot
+be read is a usage error. ``eps-converge`` takes ε only from
+``--eps-ladder``. The output directory may additionally be forced through
+the ``TORUS4NLS_OUTDIR`` environment variable, which takes precedence over
 every other source (and is the only env override).
 
 Exit codes: 0 pass/complete, 1 study failure, 2 usage error, 3 solver
@@ -52,6 +56,9 @@ CONFIG_HELP = """\
 config file: flat `key = value` lines, `#` starts a comment; keys are the
 long option names of the subcommand with `-` replaced by `_` (example:
 `num_modes = 128`); other keys, `config` and repeated keys are rejected.
+Each value is read with its flag's type (`integrable` takes 1/true/yes or
+0/false/no) and a flag beats it; a file that cannot be read is rejected.
+Flags must be spelled in full.
 
 data specs:
   modes:n=1:amp=0.5:phase=0.0,n=-2:amp=0.1   explicit mode list
@@ -134,9 +141,14 @@ def parse_data_spec(spec, grid):
     raise ValueError(f"unknown data spec kind {kind!r}")
 
 
-def read_config(path):
+def read_config(path, args):
+    """Config file ``path`` as string defaults for the subcommand in ``args``."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ValueError(f"cannot read config file: {exc}") from None
     cfg = {}
-    for raw in Path(path).read_text().splitlines():
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -146,13 +158,20 @@ def read_config(path):
         if k in cfg:
             raise ValueError(f"config key {k!r} given twice")
         cfg[k] = v
+    known = set(vars(args)) - {"config", "command", "func"}  # not options
+    unknown = sorted(set(cfg) - known)
+    if unknown:
+        raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
+    if "integrable" in cfg:  # a switch: argparse has no type to convert it with
+        cfg["integrable"] = _parse_bool(cfg["integrable"])
     return cfg
 
 
 LAMBDA_KEYS = ("lambda1", "lambda2", "lambda3", "lambda4", "lambda5", "lambda6")
 
 
-def add_common(parser, *, data=False, solver=False, coeffs=False, seed=False):
+def add_common(parser, *, data=False, solver=False, eps=True, coeffs=False,
+               seed=False):
     parser.add_argument("--outdir", help="output directory (default ./runs)")
     parser.add_argument("--config", help="flat key=value config file")
     if data:
@@ -161,13 +180,14 @@ def add_common(parser, *, data=False, solver=False, coeffs=False, seed=False):
     if solver:
         parser.add_argument("--dt", type=float, help="time step")
         parser.add_argument("--t-end", type=float, help="final time")
-        parser.add_argument("--eps", type=float, help="regularization strength")
+        if eps:
+            parser.add_argument("--eps", type=float, help="regularization strength")
         parser.add_argument("--m", type=int, help="Sobolev index")
         parser.add_argument("--pad", type=int, help="dealias pad factor override")
     if coeffs:
         parser.add_argument("--nu", type=float, help="fourth-order dispersion")
         parser.add_argument(
-            "--integrable", action="store_true", default=None,
+            "--integrable", action="store_true",
             help="use the completely integrable coefficient set for nu",
         )
         for key in LAMBDA_KEYS:
@@ -176,33 +196,11 @@ def add_common(parser, *, data=False, solver=False, coeffs=False, seed=False):
         parser.add_argument("--seed", type=int, help="random seed")
 
 
-class Options:
-    """Flag > config-file > default resolution for one subcommand."""
-
-    def __init__(self, args, defaults):
-        self.args = vars(args)
-        self.defaults = defaults
-        self.config = read_config(args.config) if args.config else {}
-        known = set(self.args) - {"config", "command", "func"}  # not options
-        unknown = sorted(set(self.config) - known)
-        if unknown:
-            raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
-
-    def get(self, key, cast=None):
-        flag = self.args.get(key)
-        if flag is not None:
-            return flag
-        if key in self.config:
-            raw = self.config[key]
-            return cast(raw) if cast else raw
-        return self.defaults.get(key)
-
-
-def resolve_outdir(opts):
+def resolve_outdir(args):
     env = os.environ.get("TORUS4NLS_OUTDIR")
     if env:
         return Path(env)
-    return Path(opts.get("outdir") or "runs")
+    return Path(args.outdir or "runs")
 
 
 def _parse_bool(text):
@@ -215,23 +213,22 @@ def _parse_bool(text):
     raise ValueError(f"expected 1/true/yes or 0/false/no, got {text!r}")
 
 
-def build_coeffs(opts):
-    nu = float(opts.get("nu", cast=float))
-    if opts.get("integrable", cast=_parse_bool):
-        given = [k for k in LAMBDA_KEYS if opts.get(k) is not None]
+def build_coeffs(args):
+    if args.integrable:
+        given = [k for k in LAMBDA_KEYS if getattr(args, k) is not None]
         if given:
             raise ValueError(f"--integrable fixes the lambdas; drop {', '.join(given)}")
-        return integrable_coefficients(nu)
-    lams = {k: float(opts.get(k, cast=float) or 0.0) for k in LAMBDA_KEYS}
-    return CoefficientSet(nu=nu, **lams)
+        return integrable_coefficients(args.nu)
+    lams = {k: getattr(args, k) or 0.0 for k in LAMBDA_KEYS}
+    return CoefficientSet(nu=args.nu, **lams)
 
 
-def build_solver_config(opts):
+def build_solver_config(args):
     return SolverConfig(
-        dt=float(opts.get("dt", cast=float)),
-        epsilon=float(opts.get("eps", cast=float) or 0.0),
-        dealias_pad_factor=opts.get("pad", cast=int),
-        sobolev_index_m=int(opts.get("m", cast=int)),
+        dt=args.dt,
+        epsilon=getattr(args, "eps", 0.0),  # eps-converge has no --eps
+        dealias_pad_factor=args.pad,
+        sobolev_index_m=args.m,
     )
 
 
@@ -248,18 +245,14 @@ def finish_study(result, outdir):
 
 
 def cmd_simulate(args):
-    defaults = {"num_modes": 64, "dt": 1e-3, "t_end": 0.1, "eps": 0.0, "m": 4,
-                "nu": 1.0, "data": "decay:s=5.0:amp=0.05"}
-    opts = Options(args, defaults)
-    outdir = resolve_outdir(opts)
-    grid = GridSpec(int(opts.get("num_modes", cast=int)))
-    data = parse_data_spec(opts.get("data"), grid)
-    coeffs = build_coeffs(opts)
-    cfg = build_solver_config(opts)
-    t_end = float(opts.get("t_end", cast=float))
+    outdir = resolve_outdir(args)
+    grid = GridSpec(args.num_modes)
+    data = parse_data_spec(args.data, grid)
+    coeffs = build_coeffs(args)
+    cfg = build_solver_config(args)
     rec = EnergyRecorder(cfg.sobolev_index_m, coeffs)
     samples = []
-    run = integrate(data, t_end, cfg, coeffs, observers=[rec, samples.append])
+    run = integrate(data, args.t_end, cfg, coeffs, observers=[rec, samples.append])
     order = np.argsort(grid.modes)
     states = np.array([s.state.coeffs[order] for s in samples])
     trajectory = {"time": [s.time for s in samples]}
@@ -281,8 +274,8 @@ def cmd_simulate(args):
     _report(write_table(outdir, "simulate__energy.csv", energy))
     _report(write_manifest(outdir, "simulate", {
         "parameters": {
-            "data": opts.get("data"), "num_modes": grid.num_modes,
-            "dt": cfg.dt, "t_end": t_end, "epsilon": cfg.epsilon,
+            "data": args.data, "num_modes": grid.num_modes,
+            "dt": cfg.dt, "t_end": args.t_end, "epsilon": cfg.epsilon,
             "m": cfg.sobolev_index_m, "nu": coeffs.nu,
             "lambdas": coeffs.lambdas,
         },
@@ -294,114 +287,73 @@ def cmd_simulate(args):
 
 
 def cmd_conserve(args):
-    defaults = {"num_modes": 64, "dt": 2e-3, "t_end": 0.1, "eps": 0.0, "m": 4,
-                "nu": 1.0, "data": "random:seed=42:decay=2.0:hm=0.4:m=4:maxmode=4"}
-    opts = Options(args, defaults)
-    grid = GridSpec(int(opts.get("num_modes", cast=int)))
-    data = parse_data_spec(opts.get("data"), grid)
-    cfg = build_solver_config(opts)
-    result = conservation_study(
-        data, float(opts.get("nu", cast=float)),
-        float(opts.get("t_end", cast=float)), cfg,
-    )
-    return finish_study(result, resolve_outdir(opts))
+    grid = GridSpec(args.num_modes)
+    data = parse_data_spec(args.data, grid)
+    cfg = build_solver_config(args)
+    result = conservation_study(data, args.nu, args.t_end, cfg)
+    return finish_study(result, resolve_outdir(args))
 
 
 def cmd_bona_smith(args):
-    defaults = {"m": 4, "num_modes": 1024, "l_values": "0,1,2"}
-    opts = Options(args, defaults)
-    l_values = [int(v) for v in str(opts.get("l_values")).split(",")]
-    result = bona_smith_rate_study(
-        int(opts.get("m", cast=int)), l_values,
-        num_modes=int(opts.get("num_modes", cast=int)),
-    )
-    return finish_study(result, resolve_outdir(opts))
+    l_values = [int(v) for v in args.l_values.split(",")]
+    result = bona_smith_rate_study(args.m, l_values, num_modes=args.num_modes)
+    return finish_study(result, resolve_outdir(args))
 
 
 def cmd_eps_converge(args):
-    defaults = {"num_modes": 64, "dt": 5e-4, "t_end": 0.02, "m": 4, "nu": 1.0,
-                "eps": 0.0, "eps_ladder": "2^-3,2^-4,2^-5,2^-6,2^-7",
-                "data": "random:seed=7:decay=8.0:hm=0.4:m=4"}
-    opts = Options(args, defaults)
-    grid = GridSpec(int(opts.get("num_modes", cast=int)))
-    data = parse_data_spec(opts.get("data"), grid)
-    coeffs = build_coeffs(opts)
-    cfg = build_solver_config(opts)
+    grid = GridSpec(args.num_modes)
+    data = parse_data_spec(args.data, grid)
+    coeffs = build_coeffs(args)
+    cfg = build_solver_config(args)
     result = eps_convergence_study(
-        data, int(opts.get("m", cast=int)), coeffs,
-        float(opts.get("t_end", cast=float)),
-        parse_ladder(str(opts.get("eps_ladder"))), cfg,
+        data, args.m, coeffs, args.t_end, parse_ladder(args.eps_ladder), cfg,
     )
-    return finish_study(result, resolve_outdir(opts))
+    return finish_study(result, resolve_outdir(args))
 
 
 def cmd_riccati(args):
-    defaults = {"num_modes": 256, "dt": 1e-6, "t_end": 2e-4, "m": 4, "nu": 1.0,
-                "seps": "4,8,16,32", "hm_size": 2.0,
-                "cm_trials": 60, "seed": 2024, "ceiling": 1.0}
-    opts = Options(args, defaults)
-    grid = GridSpec(int(opts.get("num_modes", cast=int)))
-    coeffs = build_coeffs(opts)
-    m = int(opts.get("m", cast=int))
+    grid = GridSpec(args.num_modes)
+    coeffs = build_coeffs(args)
     cert = certify_cm(
-        m, coeffs, float(opts.get("ceiling", cast=float)),
-        trials=int(opts.get("cm_trials", cast=int)),
-        rng_seed=int(opts.get("seed", cast=int)), target="sobolev",
+        args.m, coeffs, args.ceiling, trials=args.cm_trials,
+        rng_seed=args.seed, target="sobolev",
     )
-    seps = [int(v) for v in str(opts.get("seps")).split(",")]
-    hm = float(opts.get("hm_size", cast=float))
-    family = [mode_pair_field(grid, k, hm, m) for k in seps]
-    cfg = build_solver_config(opts)
-    result = riccati_study(
-        family, m, coeffs, cfg, float(opts.get("t_end", cast=float)), cert.c_m,
-    )
+    seps = [int(v) for v in args.seps.split(",")]
+    family = [mode_pair_field(grid, k, args.hm_size, args.m) for k in seps]
+    cfg = build_solver_config(args)
+    result = riccati_study(family, args.m, coeffs, cfg, args.t_end, cert.c_m)
     result.parameters["separations"] = seps
-    return finish_study(result, resolve_outdir(opts))
+    return finish_study(result, resolve_outdir(args))
 
 
 def cmd_continuity(args):
-    defaults = {"num_modes": 64, "dt": 1e-3, "t_end": 0.05, "m": 4, "nu": 1.0,
-                "eps": 0.0, "deltas": "1e-2,1e-3,1e-4,1e-5", "seed": 7,
-                "data": "random:seed=11:decay=6.0:hm=0.4:m=4"}
-    opts = Options(args, defaults)
-    grid = GridSpec(int(opts.get("num_modes", cast=int)))
-    data = parse_data_spec(opts.get("data"), grid)
-    coeffs = build_coeffs(opts)
-    cfg = build_solver_config(opts)
+    grid = GridSpec(args.num_modes)
+    data = parse_data_spec(args.data, grid)
+    coeffs = build_coeffs(args)
+    cfg = build_solver_config(args)
     result = continuity_study(
-        data, parse_ladder(str(opts.get("deltas"))),
-        int(opts.get("m", cast=int)), coeffs,
-        float(opts.get("t_end", cast=float)), cfg,
-        int(opts.get("seed", cast=int)),
+        data, parse_ladder(args.deltas), args.m, coeffs, args.t_end, cfg, args.seed,
     )
-    return finish_study(result, resolve_outdir(opts))
+    return finish_study(result, resolve_outdir(args))
 
 
 def cmd_sweep_inequalities(args):
-    defaults = {"trials": 200, "seed": 123, "m": 4, "nu": 1.0, "ceiling": 1.0}
-    opts = Options(args, defaults)
     result = inequality_sweeps(
-        int(opts.get("seed", cast=int)), int(opts.get("trials", cast=int)),
-        m=int(opts.get("m", cast=int)), nu=float(opts.get("nu", cast=float)),
-        l2_ceiling=float(opts.get("ceiling", cast=float)),
+        args.seed, args.trials, m=args.m, nu=args.nu, l2_ceiling=args.ceiling,
     )
-    return finish_study(result, resolve_outdir(opts))
+    return finish_study(result, resolve_outdir(args))
 
 
 def cmd_standing_wave(args):
-    defaults = {"kappa": 0.3, "tau": 1, "nu": 1.0, "num_modes": 64}
-    opts = Options(args, defaults)
-    coeffs = build_coeffs(opts)
-    kappa = float(opts.get("kappa", cast=float))
-    tau = int(opts.get("tau", cast=int))
-    grid = GridSpec(int(opts.get("num_modes", cast=int)))
-    psi0 = plane_wave(grid, kappa, tau)
-    omega = standing_wave_frequency(kappa, tau, coeffs)
+    coeffs = build_coeffs(args)
+    grid = GridSpec(args.num_modes)
+    psi0 = plane_wave(grid, args.kappa, args.tau)
+    omega = standing_wave_frequency(args.kappa, args.tau, coeffs)
     residual = pde_residual(psi0, omega, coeffs)
     print(f"omega = {omega!r}")
     print(f"residual_l2 = {residual!r}")
-    _report(write_manifest(resolve_outdir(opts), "standing_wave", {
-        "parameters": {"kappa": kappa, "tau": tau, "nu": coeffs.nu,
+    _report(write_manifest(resolve_outdir(args), "standing_wave", {
+        "parameters": {"kappa": args.kappa, "tau": args.tau, "nu": coeffs.nu,
                        "lambdas": coeffs.lambdas, "num_modes": grid.num_modes},
         "thresholds": {},
         "omega": omega,
@@ -411,19 +363,13 @@ def cmd_standing_wave(args):
 
 
 def cmd_certify_cm(args):
-    defaults = {"m": 4, "nu": 1.0, "ceiling": 1.0, "trials": 200, "seed": 31,
-                "target": "classic"}
-    opts = Options(args, defaults)
-    coeffs = build_coeffs(opts)
+    coeffs = build_coeffs(args)
     cert = certify_cm(
-        int(opts.get("m", cast=int)), coeffs,
-        float(opts.get("ceiling", cast=float)),
-        trials=int(opts.get("trials", cast=int)),
-        rng_seed=int(opts.get("seed", cast=int)),
-        target=str(opts.get("target")),
+        args.m, coeffs, args.ceiling, trials=args.trials, rng_seed=args.seed,
+        target=args.target,
     )
     print(f"c_m = {cert.c_m!r} (worst margin {cert.worst_margin!r})")
-    _report(write_manifest(resolve_outdir(opts), "certify_cm", {
+    _report(write_manifest(resolve_outdir(args), "certify_cm", {
         "parameters": {"m": cert.m, "nu": coeffs.nu, "lambdas": coeffs.lambdas,
                        "l2_ceiling": cert.l2_ceiling, "trials": cert.trials,
                        "rng_seed": cert.rng_seed, "target": cert.target,
@@ -436,81 +382,104 @@ def cmd_certify_cm(args):
 
 
 def build_parser():
+    """The top-level parser, and each subcommand's parser by name."""
     parser = argparse.ArgumentParser(
         prog="torus4nls",
         description="Pseudospectral studies for a fourth-order NLS-type "
                     "equation on the torus.",
         epilog=CONFIG_HELP,
         formatter_class=argparse.RawDescriptionHelpFormatter,
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
-    p = sub.add_parser("simulate", help="integrate and persist a trajectory")
+    def add_command(name, help):
+        commands[name] = sub.add_parser(name, help=help, allow_abbrev=False)
+        return commands[name]
+
+    p = add_command("simulate", "integrate and persist a trajectory")
     add_common(p, data=True, solver=True, coeffs=True)
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, num_modes=64, dt=1e-3, t_end=0.1, eps=0.0,
+                   m=4, nu=1.0, data="decay:s=5.0:amp=0.05")
 
-    p = sub.add_parser("conserve", help="invariant-drift study (integrable case)")
+    p = add_command("conserve", "invariant-drift study (integrable case)")
     add_common(p, data=True, solver=True)
     p.add_argument("--nu", type=float, help="fourth-order dispersion")
-    p.set_defaults(func=cmd_conserve)
+    p.set_defaults(func=cmd_conserve, num_modes=64, dt=2e-3, t_end=0.1, eps=0.0,
+                   m=4, nu=1.0, data="random:seed=42:decay=2.0:hm=0.4:m=4:maxmode=4")
 
-    p = sub.add_parser("bona-smith", help="mollification rate study")
+    p = add_command("bona-smith", "mollification rate study")
     add_common(p)
     p.add_argument("--m", type=int, help="Sobolev index")
     p.add_argument("--num-modes", type=int)
     p.add_argument("--l-values", help="comma list of l offsets")
-    p.set_defaults(func=cmd_bona_smith)
+    p.set_defaults(func=cmd_bona_smith, m=4, num_modes=1024, l_values="0,1,2")
 
-    p = sub.add_parser("eps-converge", help="vanishing-regularization study")
-    add_common(p, data=True, solver=True, coeffs=True)
-    p.add_argument("--eps-ladder", help="comma list (2^-k allowed)")
-    p.set_defaults(func=cmd_eps_converge)
+    p = add_command("eps-converge", "vanishing-regularization study")
+    add_common(p, data=True, solver=True, eps=False, coeffs=True)
+    p.add_argument("--eps-ladder",
+                   help="comma list (2^-k allowed); the study's only eps")
+    p.set_defaults(func=cmd_eps_converge, num_modes=64, dt=5e-4, t_end=0.02, m=4,
+                   nu=1.0, eps_ladder="2^-3,2^-4,2^-5,2^-6,2^-7",
+                   data="random:seed=7:decay=8.0:hm=0.4:m=4")
 
-    p = sub.add_parser("riccati", help="energy growth-quotient contrast study")
+    p = add_command("riccati", "energy growth-quotient contrast study")
     add_common(p, solver=True, coeffs=True, seed=True)
     p.add_argument("--num-modes", type=int)
     p.add_argument("--seps", help="comma list of mode separations")
     p.add_argument("--hm-size", type=float, help="family H^m norm")
     p.add_argument("--cm-trials", type=int, help="certification trials")
     p.add_argument("--ceiling", type=float, help="certification L2 ceiling")
-    p.set_defaults(func=cmd_riccati)
+    p.set_defaults(func=cmd_riccati, num_modes=256, dt=1e-6, t_end=2e-4, eps=0.0,
+                   m=4, nu=1.0, seps="4,8,16,32", hm_size=2.0, cm_trials=60,
+                   seed=2024, ceiling=1.0)
 
-    p = sub.add_parser("continuity", help="data-to-solution continuity study")
+    p = add_command("continuity", "data-to-solution continuity study")
     add_common(p, data=True, solver=True, coeffs=True, seed=True)
     p.add_argument("--deltas", help="comma list of perturbation sizes")
-    p.set_defaults(func=cmd_continuity)
+    p.set_defaults(func=cmd_continuity, num_modes=64, dt=1e-3, t_end=0.05, m=4,
+                   nu=1.0, eps=0.0, deltas="1e-2,1e-3,1e-4,1e-5", seed=7,
+                   data="random:seed=11:decay=6.0:hm=0.4:m=4")
 
-    p = sub.add_parser("sweep-inequalities", help="bundled inequality sweeps")
+    p = add_command("sweep-inequalities", "bundled inequality sweeps")
     add_common(p, seed=True)
     p.add_argument("--trials", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--nu", type=float)
     p.add_argument("--ceiling", type=float)
-    p.set_defaults(func=cmd_sweep_inequalities)
+    p.set_defaults(func=cmd_sweep_inequalities, trials=200, seed=123, m=4, nu=1.0,
+                   ceiling=1.0)
 
-    p = sub.add_parser("standing-wave", help="emit the rotation rate and residual")
+    p = add_command("standing-wave", "emit the rotation rate and residual")
     add_common(p, coeffs=True)
     p.add_argument("--kappa", type=float)
     p.add_argument("--tau", type=int)
     p.add_argument("--num-modes", type=int)
-    p.set_defaults(func=cmd_standing_wave)
+    p.set_defaults(func=cmd_standing_wave, kappa=0.3, tau=1, nu=1.0, num_modes=64)
 
-    p = sub.add_parser("certify-cm", help="randomized energy-positivity search")
+    p = add_command("certify-cm", "randomized energy-positivity search")
     add_common(p, coeffs=True, seed=True)
     p.add_argument("--m", type=int)
     p.add_argument("--ceiling", type=float)
     p.add_argument("--trials", type=int)
     p.add_argument("--target", choices=["classic", "sobolev"])
-    p.set_defaults(func=cmd_certify_cm)
+    p.set_defaults(func=cmd_certify_cm, m=4, nu=1.0, ceiling=1.0, trials=200,
+                   seed=31, target="classic")
 
-    return parser
+    return parser, commands
 
 
 def run_command(argv):
-    parser = build_parser()
+    parser, commands = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.config:
+            # The file's values become the subcommand's defaults; parsing again
+            # converts each with its flag's type and lets the flags win.
+            commands[args.command].set_defaults(**read_config(args.config, args))
+            args = parser.parse_args(argv)
         return args.func(args)
     except (NonConvergence, NonFinite) as exc:
         print(f"solver error: {exc}", file=sys.stderr)

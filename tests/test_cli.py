@@ -5,14 +5,30 @@ import json
 import numpy as np
 import pytest
 
+from torus4nls import __version__
 from torus4nls.cli import parse_data_spec, parse_ladder, run_command
 from torus4nls.exact import integrable_coefficients, linear_solution
 from torus4nls.spectral import GridSpec, SpectralField, sobolev_distance, sobolev_norm
+
+COMMANDS = ["simulate", "conserve", "bona-smith", "eps-converge", "riccati",
+            "continuity", "sweep-inequalities", "standing-wave", "certify-cm"]
 
 
 def run_in(tmp_path, monkeypatch, argv):
     monkeypatch.delenv("TORUS4NLS_OUTDIR", raising=False)
     return run_command(argv + ["--outdir", str(tmp_path)])
+
+
+def exit_code(tmp_path, monkeypatch, argv):
+    """The process exit code of ``argv``: argparse's errors raise SystemExit."""
+    try:
+        return run_in(tmp_path, monkeypatch, argv)
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else 2
+
+
+def output_bytes(outdir):
+    return {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
 
 
 class TestDataSpecs:
@@ -166,6 +182,50 @@ class TestConfigPrecedence:
         assert not (tmp_path / "flag_dir").exists()
 
 
+    @pytest.mark.parametrize("command,settings", [
+        ("simulate", [("data", "random:seed=5:decay=2.0:l2=0.3"), ("num_modes", "32"),
+                      ("dt", "1e-3"), ("t_end", "0.01"), ("eps", "0.01"), ("m", "3"),
+                      ("pad", "3"), ("nu", "1.5"), ("lambda1", "0.1"),
+                      ("lambda2", "-0.2"), ("lambda3", "0.3"), ("lambda4", "0.05"),
+                      ("lambda5", "-0.1"), ("lambda6", "0.2")]),
+        ("certify-cm", [("m", "3"), ("nu", "1.2"), ("integrable", None),
+                        ("ceiling", "0.8"), ("trials", "20"), ("seed", "5"),
+                        ("target", "sobolev")]),
+    ], ids=["simulate", "certify-cm"])
+    def test_config_equals_flags(self, tmp_path, monkeypatch, command, settings):
+        flags = [command]
+        lines = []
+        for key, value in settings:
+            flags.append("--" + key.replace("_", "-"))
+            if value is None:  # a switch
+                lines.append(f"{key} = yes")
+            else:
+                flags.append(value)
+                lines.append(f"{key} = {value}")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("\n".join(lines) + "\n")
+        assert run_in(tmp_path / "flags", monkeypatch, flags) == 0
+        assert run_in(tmp_path / "config", monkeypatch,
+                      [command, "--config", str(cfg)]) == 0
+        from_flags = output_bytes(tmp_path / "flags")
+        assert from_flags and output_bytes(tmp_path / "config") == from_flags
+
+
+class TestParser:
+    @pytest.mark.parametrize("command", [None] + COMMANDS)
+    def test_help_exits_0(self, command, capsys):
+        with pytest.raises(SystemExit) as err:
+            run_command(([command] if command else []) + ["--help"])
+        assert err.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: torus4nls")
+
+    def test_version(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            run_command(["--version"])
+        assert err.value.code == 0
+        assert capsys.readouterr().out.strip() == __version__
+
+
 class TestReproducibility:
     @pytest.mark.parametrize("argv", [
         ["sweep-inequalities", "--trials", "40", "--seed", "9"],
@@ -274,3 +334,48 @@ class TestUsageErrors:
             argv += ["--config", str(cfg)]
         assert run_in(tmp_path, monkeypatch, argv) == 2
         assert not (tmp_path / "standing_wave__manifest.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        # eps-converge sets eps per ladder rung: a given --eps would be ignored
+        ["eps-converge", "--nu", "1", "--integrable", "--eps", "0.3",
+         "--t-end", "0.005", "--dt", "1e-3"],
+        ["standing-wave", "--nu", "1", "--kap", "0.4", "--ta", "2"],
+        ["--vers"],
+    ], ids=["eps-converge-eps", "abbreviated", "abbreviated-top-level"])
+    def test_unknown_flag_is_2(self, tmp_path, monkeypatch, argv):
+        assert exit_code(tmp_path, monkeypatch, argv) == 2
+        assert not list(tmp_path.iterdir())
+
+    def test_eps_converge_config_eps_is_2(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("eps = 0.3\nt_end = 0.005\ndt = 1e-3\n")
+        out = tmp_path / "out"
+        code = run_in(out, monkeypatch,
+                      ["eps-converge", "--nu", "1", "--integrable", "--config", str(cfg)])
+        assert code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_config_is_2(self, tmp_path, monkeypatch, capsys, kind):
+        path = tmp_path / "absent.cfg" if kind == "missing" else tmp_path
+        code = run_in(tmp_path, monkeypatch,
+                      ["standing-wave", "--nu", "1", "--config", str(path)])
+        assert code == 2
+        assert str(path) in capsys.readouterr().err
+        assert not (tmp_path / "standing_wave__manifest.json").exists()
+
+    @pytest.mark.parametrize("command,text,flag", [
+        ("standing-wave", "tau = 1.5", "--tau"),
+        ("standing-wave", "kappa = abc", "--kappa"),
+        ("simulate", "eps =", "--eps"),
+    ], ids=["int", "float", "empty"])
+    def test_bad_typed_config_value_is_2(self, tmp_path, monkeypatch, capsys,
+                                         command, text, flag):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text + "\n")
+        out = tmp_path / "out"
+        code = exit_code(out, monkeypatch,
+                         [command, "--num-modes", "32", "--config", str(cfg)])
+        assert code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
+        assert not out.exists()

@@ -10,7 +10,8 @@ read with its flag's own type (``integrable`` takes 1/true/yes or
 be read is a usage error. ``eps-converge`` takes ε only from
 ``--eps-ladder``. The output directory may additionally be forced through
 the ``TORUS4NLS_OUTDIR`` environment variable, which takes precedence over
-every other source (and is the only env override).
+every other source (and is the only env override); an empty
+``--outdir`` is a usage error.
 
 Exit codes: 0 pass/complete, 1 study failure, 2 usage error, 3 solver
 error (Picard non-convergence or non-finite state).
@@ -44,6 +45,7 @@ from .experiments import (
     eps_convergence_study,
     inequality_sweeps,
     riccati_study,
+    table_rows,
     write_manifest,
     write_study,
     write_table,
@@ -197,10 +199,11 @@ def add_common(parser, *, data=False, solver=False, eps=True, coeffs=False,
 
 
 def resolve_outdir(args):
-    env = os.environ.get("TORUS4NLS_OUTDIR")
-    if env:
-        return Path(env)
-    return Path(args.outdir or "runs")
+    """``TORUS4NLS_OUTDIR`` if set and not empty, else ``--outdir``, else
+    ./runs. An empty ``--outdir`` (or config ``outdir``) is a ValueError."""
+    if args.outdir == "":
+        raise ValueError("--outdir must not be empty")
+    return Path(os.environ.get("TORUS4NLS_OUTDIR") or args.outdir or "runs")
 
 
 def _parse_bool(text):
@@ -245,20 +248,22 @@ def finish_study(result, outdir):
 
 
 def cmd_simulate(args):
-    outdir = resolve_outdir(args)
     grid = GridSpec(args.num_modes)
     data = parse_data_spec(args.data, grid)
     coeffs = build_coeffs(args)
     cfg = build_solver_config(args)
     rec = EnergyRecorder(cfg.sobolev_index_m, coeffs)
-    samples = []
-    run = integrate(data, args.t_end, cfg, coeffs, observers=[rec, samples.append])
     order = np.argsort(grid.modes)
-    states = np.array([s.state.coeffs[order] for s in samples])
-    trajectory = {"time": [s.time for s in samples]}
-    for n, column in zip(grid.modes[order], states.T):
-        trajectory[f"re_n{int(n)}"] = column.real
-        trajectory[f"im_n{int(n)}"] = column.imag
+    names = ["time"]
+    for n in grid.modes[order]:
+        names += [f"re_n{int(n)}", f"im_n{int(n)}"]
+    fname = "simulate__trajectory.csv"
+    with table_rows(args.outdir, fname, names) as write_row:
+        # the complex view interleaves re and im of each mode
+        def write_sample(s):
+            write_row([s.time] + s.state.coeffs[order].view(np.float64).tolist())
+
+        run = integrate(data, args.t_end, cfg, coeffs, observers=[rec, write_sample])
     rep = rec.report.validate()
     energy = {
         "time": rep.times,
@@ -270,9 +275,9 @@ def cmd_simulate(args):
         "i1": rep.i1,
         "i2": rep.i2,
     }
-    _report(write_table(outdir, "simulate__trajectory.csv", trajectory))
-    _report(write_table(outdir, "simulate__energy.csv", energy))
-    _report(write_manifest(outdir, "simulate", {
+    _report(args.outdir / fname)
+    _report(write_table(args.outdir, "simulate__energy.csv", energy))
+    _report(write_manifest(args.outdir, "simulate", {
         "parameters": {
             "data": args.data, "num_modes": grid.num_modes,
             "dt": cfg.dt, "t_end": args.t_end, "epsilon": cfg.epsilon,
@@ -291,13 +296,13 @@ def cmd_conserve(args):
     data = parse_data_spec(args.data, grid)
     cfg = build_solver_config(args)
     result = conservation_study(data, args.nu, args.t_end, cfg)
-    return finish_study(result, resolve_outdir(args))
+    return finish_study(result, args.outdir)
 
 
 def cmd_bona_smith(args):
     l_values = [int(v) for v in args.l_values.split(",")]
     result = bona_smith_rate_study(args.m, l_values, num_modes=args.num_modes)
-    return finish_study(result, resolve_outdir(args))
+    return finish_study(result, args.outdir)
 
 
 def cmd_eps_converge(args):
@@ -308,7 +313,7 @@ def cmd_eps_converge(args):
     result = eps_convergence_study(
         data, args.m, coeffs, args.t_end, parse_ladder(args.eps_ladder), cfg,
     )
-    return finish_study(result, resolve_outdir(args))
+    return finish_study(result, args.outdir)
 
 
 def cmd_riccati(args):
@@ -323,7 +328,7 @@ def cmd_riccati(args):
     cfg = build_solver_config(args)
     result = riccati_study(family, args.m, coeffs, cfg, args.t_end, cert.c_m)
     result.parameters["separations"] = seps
-    return finish_study(result, resolve_outdir(args))
+    return finish_study(result, args.outdir)
 
 
 def cmd_continuity(args):
@@ -334,14 +339,14 @@ def cmd_continuity(args):
     result = continuity_study(
         data, parse_ladder(args.deltas), args.m, coeffs, args.t_end, cfg, args.seed,
     )
-    return finish_study(result, resolve_outdir(args))
+    return finish_study(result, args.outdir)
 
 
 def cmd_sweep_inequalities(args):
     result = inequality_sweeps(
         args.seed, args.trials, m=args.m, nu=args.nu, l2_ceiling=args.ceiling,
     )
-    return finish_study(result, resolve_outdir(args))
+    return finish_study(result, args.outdir)
 
 
 def cmd_standing_wave(args):
@@ -352,7 +357,7 @@ def cmd_standing_wave(args):
     residual = pde_residual(psi0, omega, coeffs)
     print(f"omega = {omega!r}")
     print(f"residual_l2 = {residual!r}")
-    _report(write_manifest(resolve_outdir(args), "standing_wave", {
+    _report(write_manifest(args.outdir, "standing_wave", {
         "parameters": {"kappa": args.kappa, "tau": args.tau, "nu": coeffs.nu,
                        "lambdas": coeffs.lambdas, "num_modes": grid.num_modes},
         "thresholds": {},
@@ -369,7 +374,7 @@ def cmd_certify_cm(args):
         target=args.target,
     )
     print(f"c_m = {cert.c_m!r} (worst margin {cert.worst_margin!r})")
-    _report(write_manifest(resolve_outdir(args), "certify_cm", {
+    _report(write_manifest(args.outdir, "certify_cm", {
         "parameters": {"m": cert.m, "nu": coeffs.nu, "lambdas": coeffs.lambdas,
                        "l2_ceiling": cert.l2_ceiling, "trials": cert.trials,
                        "rng_seed": cert.rng_seed, "target": cert.target,
@@ -480,6 +485,7 @@ def run_command(argv):
             # converts each with its flag's type and lets the flags win.
             commands[args.command].set_defaults(**read_config(args.config, args))
             args = parser.parse_args(argv)
+        args.outdir = resolve_outdir(args)  # before any study runs
         return args.func(args)
     except (NonConvergence, NonFinite) as exc:
         print(f"solver error: {exc}", file=sys.stderr)

@@ -4,13 +4,16 @@ Every study returns a StudyResult: named parameter map, named columnar
 tables, declared thresholds, and a pass/fail/inconclusive verdict judged
 against those thresholds only. Studies are deterministic functions of
 (seed, config). This module also owns the output format of every run:
-``write_table`` writes a CSV (header row, `time` or `param` first column,
-LF endings), ``write_manifest`` a JSON manifest, and ``write_study`` a
-study's tables and manifest.
+``table_rows`` is the one CSV writer (header row, `time` or `param` first
+column, LF endings), fed one row at a time; ``write_table`` feeds it a
+table's columns, ``write_manifest`` writes a JSON manifest, and
+``write_study`` a study's tables and manifest.
 """
 
 import json
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, replace
+from itertools import takewhile
 from pathlib import Path
 
 import numpy as np
@@ -97,24 +100,52 @@ def _fmt(value):
     return str(value)
 
 
-def write_table(outdir, fname, columns):
-    """Write one CSV table, ``columns`` mapping header names to equal-length
-    columns whose first name is ``time`` or ``param``; returns the path.
+@contextmanager
+def table_rows(outdir, fname, names):
+    """Write one CSV table as it goes: writes the header ``names``, whose
+    first name is ``time`` or ``param``, and yields ``write_row(values)``.
 
     Cells are the shortest round-trip repr of each value as a float, and
-    rows end in LF. Rows go to the file one at a time.
+    rows end in LF; a row of another length is a ValueError. Rows go to
+    ``<fname>.part``, which becomes ``fname`` when the block ends. If the
+    block raises, the partial file is removed, and so is every directory
+    this call made for it; a file left by an earlier run stays as it was.
     """
-    names = list(columns)
+    names = list(names)
     if names and names[0] not in ("time", "param"):
         raise ValueError(f"{fname}: first column must be time or param")
+    outdir = Path(outdir)
+    made = list(takewhile(lambda d: not d.exists(), (outdir, *outdir.parents)))
+    part = _output_path(outdir, fname + ".part")
+    try:
+        with open(part, "w", encoding="ascii", newline="\n") as out:
+            out.write(",".join(names) + "\n")
+
+            def write_row(values):
+                if len(values) != len(names):
+                    raise ValueError(f"{fname}: row of {len(values)} cells "
+                                     f"under {len(names)} columns")
+                out.write(",".join(repr(float(v)) for v in values) + "\n")
+
+            yield write_row
+        part.replace(outdir / fname)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        for d in made:  # deepest first
+            with suppress(OSError):
+                d.rmdir()
+        raise
+
+
+def write_table(outdir, fname, columns):
+    """Write one CSV table, ``columns`` mapping header names to equal-length
+    columns, through ``table_rows``; returns the path."""
     if len({len(v) for v in columns.values()}) > 1:
         raise ValueError(f"{fname}: ragged columns")
-    path = _output_path(outdir, fname)
-    with open(path, "w", encoding="ascii", newline="\n") as out:
-        out.write(",".join(names) + "\n")
+    with table_rows(outdir, fname, columns) as write_row:
         for row in zip(*columns.values()):
-            out.write(",".join(repr(float(v)) for v in row) + "\n")
-    return path
+            write_row(row)
+    return Path(outdir) / fname
 
 
 def write_manifest(outdir, name, fields):

@@ -1,12 +1,23 @@
 """Command-line surface: exit codes, manifests, precedence, reproducibility."""
 
+import functools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import torus4nls.cli as cli
 from torus4nls import __version__
-from torus4nls.cli import parse_data_spec, parse_ladder, run_command
+from torus4nls.cli import (
+    build_coeffs,
+    build_parser,
+    build_solver_config,
+    parse_data_spec,
+    parse_ladder,
+    run_command,
+)
+from torus4nls.dynamics import integrate
 from torus4nls.exact import integrable_coefficients, linear_solution
 from torus4nls.spectral import GridSpec, SpectralField, sobolev_distance, sobolev_norm
 
@@ -29,6 +40,36 @@ def exit_code(tmp_path, monkeypatch, argv):
 
 def output_bytes(outdir):
     return {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
+
+
+def columns_trajectory_csv(argv):
+    """simulate's trajectory CSV as the column-building ``cmd_simulate``
+    wrote it: every sample kept, stacked into an (S, N) array, split into a
+    column dict and zipped back into rows by the old ``write_table``."""
+    parser, _ = build_parser()
+    args = parser.parse_args(argv)
+    grid = GridSpec(args.num_modes)
+    data = parse_data_spec(args.data, grid)
+    samples = []
+    cli.integrate(data, args.t_end, build_solver_config(args), build_coeffs(args),
+                  observers=[samples.append])
+    order = np.argsort(grid.modes)
+    states = np.array([s.state.coeffs[order] for s in samples])
+    trajectory = {"time": [s.time for s in samples]}
+    for n, column in zip(grid.modes[order], states.T):
+        trajectory[f"re_n{int(n)}"] = column.real
+        trajectory[f"im_n{int(n)}"] = column.imag
+    lines = [",".join(trajectory)]
+    for row in zip(*trajectory.values()):
+        lines.append(",".join(repr(float(v)) for v in row))
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+# Picard loses contraction at t=0.09, after ten samples
+MIDRUN_FAILURE = [
+    "simulate", "--num-modes", "32", "--data", "random:seed=3:decay=1.0:l2=2:maxmode=8",
+    "--lambda1", "1", "--lambda3", "2", "--dt", "1e-2", "--t-end", "0.5",
+]
 
 
 class TestDataSpecs:
@@ -95,11 +136,33 @@ class TestExitCodes:
         assert manifest["code_version"]
 
     def test_solver_error_is_3(self, tmp_path, monkeypatch):
-        code = run_in(tmp_path, monkeypatch, [
+        # fails at the first step, after the t=0 row has been written
+        out = tmp_path / "out"
+        code = run_in(out, monkeypatch, [
             "simulate", "--data", "random:seed=1:decay=0.5:l2=20",
             "--nu", "1", "--integrable", "--dt", "0.5", "--t-end", "1.0",
         ])
         assert code == 3
+        assert not out.exists()
+
+    def test_midrun_solver_error_leaves_nothing(self, tmp_path, monkeypatch, capsys):
+        seen = []
+
+        def integrate_seen(psi0, t_end, cfg, coeffs, observers):
+            return integrate(psi0, t_end, cfg, coeffs, [*observers, seen.append])
+
+        monkeypatch.setattr(cli, "integrate", integrate_seen)
+        out = tmp_path / "a" / "b"
+        assert run_in(out, monkeypatch, MIDRUN_FAILURE) == 3
+        assert len(seen) == 10  # rows streamed before the failure
+        assert "at t=0.09" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()
+
+    def test_solver_error_keeps_earlier_run(self, tmp_path, monkeypatch):
+        assert run_in(tmp_path, monkeypatch, MIDRUN_FAILURE[:-1] + ["0.05"]) == 0
+        earlier = output_bytes(tmp_path)
+        assert run_in(tmp_path, monkeypatch, MIDRUN_FAILURE) == 3
+        assert output_bytes(tmp_path) == earlier
 
     def test_study_failure_is_1(self, tmp_path, monkeypatch):
         # a ladder too short to fit makes the eps study inconclusive -> 1
@@ -144,6 +207,56 @@ class TestSimulate:
         energy = (tmp_path / "simulate__energy.csv").read_text().splitlines()
         assert energy[0].startswith("time,")
         assert len(energy) == 12
+
+
+class TestStreamedTrajectory:
+    """simulate writes its trajectory one row per sample, with the bytes of
+    the column-building writer it replaced, and holds no (S, N) history."""
+
+    @pytest.mark.parametrize("argv,blowup_factor", [
+        (["simulate", "--num-modes", "32", "--data",
+          "modes:n=1:amp=0.5:phase=0.3,n=-2:amp=0.1,n=5:amp=0.02",
+          "--nu", "1", "--integrable", "--dt", "1e-3", "--t-end", "0.02"], None),
+        (["simulate", "--data", "random:seed=5:decay=2.0:l2=0.3", "--nu", "1",
+          "--lambda1", "0.3", "--lambda2", "-0.2", "--lambda5", "0.1",
+          "--t-end", "0.05"], None),
+        # the H^m norm doubles near t=0.03, well before t_end
+        (["simulate", "--data", "random:seed=3:decay=1.0:l2=2:maxmode=8",
+          "--lambda1", "1", "--lambda3", "2", "--dt", "1e-3", "--t-end", "0.05"],
+         2.0),
+    ], ids=["n32-modes", "n64-random", "blowup-halted"])
+    def test_bytes_match_column_writer(self, tmp_path, monkeypatch, argv,
+                                       blowup_factor):
+        if blowup_factor is not None:
+            halting = functools.partial(integrate, blowup_factor=blowup_factor)
+            monkeypatch.setattr(cli, "integrate", halting)
+        assert run_in(tmp_path, monkeypatch, argv) == 0
+        streamed = (tmp_path / "simulate__trajectory.csv").read_bytes()
+        assert streamed == columns_trajectory_csv(argv)
+        manifest = json.loads((tmp_path / "simulate__manifest.json").read_text())
+        halted = blowup_factor is not None
+        assert manifest["blow_up_suspected"] is halted
+        assert (manifest["final_time"] < manifest["parameters"]["t_end"]) is halted
+
+    def test_trajectory_not_held(self, tmp_path, monkeypatch):
+        # a 51-sample N=1024 run may not peak higher than a 3-sample one by
+        # as much as one (S, N) complex128 array; the stepper's own arrays
+        # and lazily built caches are common to both
+        argv = ["simulate", "--nu", "1", "--integrable", "--num-modes", "1024",
+                "--data", "random:seed=42:decay=2.0:hm=0.4:m=4:maxmode=4",
+                "--dt", "1e-4", "--t-end"]
+
+        def traced_peak(t_end):
+            tracemalloc.start()
+            try:
+                assert run_in(tmp_path / t_end, monkeypatch, argv + [t_end]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert run_in(tmp_path / "warm", monkeypatch, argv + ["2e-4"]) == 0
+        growth = traced_peak("0.005") - traced_peak("2e-4")
+        assert growth < 51 * 1024 * 16
 
 
 class TestConfigPrecedence:
@@ -345,6 +458,28 @@ class TestUsageErrors:
     def test_unknown_flag_is_2(self, tmp_path, monkeypatch, argv):
         assert exit_code(tmp_path, monkeypatch, argv) == 2
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_empty_outdir_is_2(self, tmp_path, monkeypatch, capsys, source):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("TORUS4NLS_OUTDIR", raising=False)
+        argv = ["standing-wave", "--nu", "1"]
+        if source == "flag":
+            argv += ["--outdir", ""]
+        else:
+            (tmp_path / "run.cfg").write_text("outdir =\n")
+            argv += ["--config", "run.cfg"]
+        assert run_command(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""  # refused before the study ran
+        assert "--outdir must not be empty" in err
+        assert not (tmp_path / "runs").exists()
+
+    def test_empty_env_outdir_is_unset(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("TORUS4NLS_OUTDIR", "")
+        argv = ["standing-wave", "--nu", "1", "--outdir", str(tmp_path)]
+        assert run_command(argv) == 0
+        assert (tmp_path / "standing_wave__manifest.json").exists()
 
     def test_eps_converge_config_eps_is_2(self, tmp_path, monkeypatch):
         cfg = tmp_path / "run.cfg"

@@ -16,8 +16,10 @@ from torus4nls.experiments import (
     eps_convergence_study,
     inequality_sweeps,
     riccati_study,
+    table_rows,
     write_manifest,
     write_study,
+    write_table,
 )
 from torus4nls.functionals import certify_cm
 from torus4nls.mollifier import mollify
@@ -104,6 +106,48 @@ class TestWriteStudy:
         assert manifest["value"] == 0.25
         assert manifest["name"] == "demo"
         assert manifest["code_version"]
+
+
+class TestTableRows:
+    def test_rows_as_written(self, tmp_path):
+        with table_rows(tmp_path, "t.csv", ["time", "x"]) as write_row:
+            write_row([0.0, np.float64(0.1)])
+            write_row((1, -0.0))
+        assert (tmp_path / "t.csv").read_bytes() == b"time,x\n0.0,0.1\n1.0,-0.0\n"
+
+    def test_ragged_row_removes_file_and_made_dirs(self, tmp_path):
+        out = tmp_path / "a" / "b"
+        with pytest.raises(ValueError, match="t.csv"):
+            with table_rows(out, "t.csv", ["time", "x"]) as write_row:
+                write_row([0.0, 1.0])
+                write_row([1.0])
+        assert not (tmp_path / "a").exists()
+
+    def test_failure_keeps_existing_dir_and_file(self, tmp_path):
+        (tmp_path / "t.csv").write_text("param\n0.5\n")  # an earlier run's
+        with pytest.raises(RuntimeError):
+            with table_rows(tmp_path, "t.csv", ["param"]) as write_row:
+                write_row([1.0])
+                raise RuntimeError("stop")
+        assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+        assert (tmp_path / "t.csv").read_text() == "param\n0.5\n"
+
+    def test_bad_first_name_raises_before_any_file(self, tmp_path):
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="first column"):
+            with table_rows(out, "t.csv", ["value", "time"]):
+                pass
+        assert not out.exists()
+
+    def test_write_table_bytes(self, tmp_path):
+        path = write_table(tmp_path, "demo__main.csv", {
+            "param": [1, 2.5, np.float64(1e-300)],
+            "value": [np.float32(0.1), -0.0, np.int64(3)],
+        })
+        assert path == tmp_path / "demo__main.csv"
+        assert path.read_bytes() == (
+            b"param,value\n1.0,0.10000000149011612\n2.5,-0.0\n1e-300,3.0\n"
+        )
 
 
 class TestConservationStudy:

@@ -264,19 +264,8 @@ def cmd_simulate(args):
             write_row([s.time] + s.state.coeffs[order].view(np.float64).tolist())
 
         run = integrate(data, args.t_end, cfg, coeffs, observers=[rec, write_sample])
-    rep = rec.report.validate()
-    energy = {
-        "time": rep.times,
-        "h_m_norm_sq": rep.h_m_norm_sq,
-        "deriv_m_norm_sq": rep.deriv_m_norm_sq,
-        "l2_norm_sq": rep.l2_norm_sq,
-        "modified_energy": rep.modified_energy,
-        "i0": rep.i0,
-        "i1": rep.i1,
-        "i2": rep.i2,
-    }
     _report(args.outdir / fname)
-    _report(write_table(args.outdir, "simulate__energy.csv", energy))
+    _report(write_table(args.outdir, "simulate__energy.csv", rec.columns))
     _report(write_manifest(args.outdir, "simulate", {
         "parameters": {
             "data": args.data, "num_modes": grid.num_modes,
@@ -319,12 +308,12 @@ def cmd_eps_converge(args):
 def cmd_riccati(args):
     grid = GridSpec(args.num_modes)
     coeffs = build_coeffs(args)
+    seps = [int(v) for v in args.seps.split(",")]
+    family = [mode_pair_field(grid, k, args.hm_size, args.m) for k in seps]
     cert = certify_cm(
         args.m, coeffs, args.ceiling, trials=args.cm_trials,
         rng_seed=args.seed, target="sobolev",
     )
-    seps = [int(v) for v in args.seps.split(",")]
-    family = [mode_pair_field(grid, k, args.hm_size, args.m) for k in seps]
     cfg = build_solver_config(args)
     result = riccati_study(family, args.m, coeffs, cfg, args.t_end, cert.c_m)
     result.parameters["separations"] = seps

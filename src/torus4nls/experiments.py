@@ -45,8 +45,6 @@ DRIFT_FLOOR = 1e-12  # relative drifts below this are round-off, not signal
 class RateFit:
     """Least-squares fit of log ys against log xs."""
 
-    xs: tuple
-    ys: tuple
     slope: float
     intercept: float
     r_squared: float
@@ -71,7 +69,7 @@ class RateFit:
             r2 = 1.0 if ss_res <= 1e-30 else 0.0
         else:
             r2 = 1.0 - ss_res / ss_tot
-        return cls(xs, ys, float(slope), float(intercept), r2)
+        return cls(float(slope), float(intercept), r2)
 
 
 @dataclass
@@ -81,9 +79,6 @@ class StudyResult:
     thresholds: dict
     tables: dict = field(default_factory=dict)
     verdict: str = "inconclusive"
-
-    def passed(self):
-        return self.verdict == "pass"
 
 
 def _fmt(value):
@@ -187,10 +182,10 @@ def write_study(result, outdir):
     return paths
 
 
-def _relative_drifts(report):
+def _relative_drifts(columns):
     out = []
-    for series in (report.i0, report.i1, report.i2):
-        arr = np.asarray(series)
+    for name in ("i0", "i1", "i2"):
+        arr = np.asarray(columns[name])
         scale = max(abs(arr[0]), DRIFT_FLOOR)
         out.append(float(np.max(np.abs(arr - arr[0])) / scale))
     return out
@@ -213,16 +208,11 @@ def conservation_study(data, nu, t_end, cfg, drift_tol=1e-6, min_gain=4.0):
         run_cfg = replace(cfg, dt=cfg.dt * factor)
         rec = EnergyRecorder(cfg.sobolev_index_m, coeffs)
         integrate(data, t_end, run_cfg, coeffs, observers=[rec])
-        rep = rec.report.validate()
         tables[f"series_{label}"] = {
-            "time": list(rep.times),
-            "i0": list(rep.i0),
-            "i1": list(rep.i1),
-            "i2": list(rep.i2),
-            "l2_norm_sq": list(rep.l2_norm_sq),
-            "h_m_norm_sq": list(rep.h_m_norm_sq),
+            name: rec.columns[name]
+            for name in ("time", "i0", "i1", "i2", "l2_norm_sq", "h_m_norm_sq")
         }
-        drifts[label] = _relative_drifts(rep)
+        drifts[label] = _relative_drifts(rec.columns)
     gains = [
         c / f if f > 0 else float("inf")
         for c, f in zip(drifts["coarse"], drifts["fine"])
@@ -278,6 +268,8 @@ def bona_smith_rate_study(m, l_values, num_modes=1024,
     """
     if any(l < 0 or l > m for l in l_values):
         raise ValueError("need 0 <= l <= m")
+    if len(set(l_values)) != len(l_values):
+        raise ValueError(f"l_values repeats an entry: {list(l_values)}")
     if data is None:
         grid = GridSpec(num_modes)
         data = decay_field(grid, m + 0.6)
@@ -457,10 +449,10 @@ def riccati_study(family, m, coeffs, cfg, t_end, c_m,
     q_raw = []
     freq_span = []
     for member, rec in zip(family, recorders):
-        rep = rec.report.validate()
-        q_mod.append(_max_quotient(rep.times, rep.modified_energy))
-        raw = np.asarray(rep.deriv_m_norm_sq) + np.asarray(rep.l2_norm_sq)
-        q_raw.append(_max_quotient(rep.times, raw))
+        cols = rec.columns
+        q_mod.append(_max_quotient(cols["time"], cols["modified_energy"]))
+        raw = np.asarray(cols["deriv_m_norm_sq"]) + np.asarray(cols["l2_norm_sq"])
+        q_raw.append(_max_quotient(cols["time"], raw))
         populated = np.abs(member.coeffs) > 1e-14
         freq_span.append(float(np.max(np.abs(grid.modes[populated]))))
     spread = max(q_mod) / min(q_mod)
@@ -607,6 +599,8 @@ def inequality_sweeps(seed, trials, m=4, nu=1.0, certificate=None,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not l2_ceiling > 0:
+        raise ValueError(f"l2_ceiling must be > 0, got {l2_ceiling}")
     coeffs = integrable_coefficients(nu)
     if certificate is None:
         certificate = certify_cm(

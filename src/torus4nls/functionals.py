@@ -1,6 +1,7 @@
 """Energy-type functionals: the corrected H^m energy and its positivity
 certificate, the first three conserved quantities of the integrable case,
-and the difference energies used for uniqueness/continuity measurements.
+the difference energies used for uniqueness/continuity measurements, and
+``EnergyRecorder``, which tabulates the energies along a run.
 
 All spatial integrals of products are evaluated by dealiased quadrature:
 ``spectral.padded_samples`` synthesises the factors on a zero-padded grid
@@ -8,7 +9,7 @@ large enough that the node average of the product equals its exact mean
 (pad 3 for quartic, pad 4 for sextic integrands).
 """
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -208,6 +209,8 @@ def certify_cm(m, coeffs, l2_ceiling, trials, rng_seed, target="classic",
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not l2_ceiling > 0:
+        raise ValueError(f"l2_ceiling must be > 0, got {l2_ceiling}")
     samples = list(corner_probes(GridSpec(min(resolutions)), l2_ceiling))
     for i in range(trials):
         rng = rng_for(rng_seed, i)
@@ -240,59 +243,38 @@ def certify_cm(m, coeffs, l2_ceiling, trials, rng_seed, target="classic",
     )
 
 
-@dataclass
-class EnergyReport:
-    """Parallel time series of norms, modified energy and invariants."""
-
-    m: int
-    c_m_used: float
-    times: list = dataclass_field(default_factory=list)
-    h_m_norm_sq: list = dataclass_field(default_factory=list)
-    deriv_m_norm_sq: list = dataclass_field(default_factory=list)
-    l2_norm_sq: list = dataclass_field(default_factory=list)
-    modified_energy: list = dataclass_field(default_factory=list)
-    i0: list = dataclass_field(default_factory=list)
-    i1: list = dataclass_field(default_factory=list)
-    i2: list = dataclass_field(default_factory=list)
-
-    def validate(self):
-        """Every column matches ``times``; the invariant columns may instead
-        all be empty (a recorder run with ``invariants=False``)."""
-        n = len(self.times)
-        for name in ("h_m_norm_sq", "deriv_m_norm_sq", "l2_norm_sq",
-                     "modified_energy"):
-            if len(getattr(self, name)) != n:
-                raise ValueError(f"column {name} length differs from times")
-        if {len(self.i0), len(self.i1), len(self.i2)} not in ({n}, {0}):
-            raise ValueError("invariant columns must all be empty or match times")
-        return self
-
-
 class EnergyRecorder:
-    """Trajectory observer appending one EnergyReport row per sample.
+    """Trajectory observer tabulating the norms, the modified energy and the
+    invariants of each sample.
 
-    ``invariants=False`` leaves the I₀–I₂ columns empty, for callers that
-    read only the norms and the modified energy.
+    ``columns`` maps the header names of ``simulate__energy.csv`` (time,
+    h_m_norm_sq, deriv_m_norm_sq, l2_norm_sq, modified_energy, i0, i1, i2)
+    to equal-length lists, one entry per sample. ``invariants=False`` leaves
+    out the i0–i2 columns, for callers that read only the norms and the
+    modified energy. A sample whose row fails to compute adds to no column.
     """
 
     def __init__(self, m, coeffs, c_m=0.0, invariants=True):
+        self.m = m
         self.coeffs = coeffs
+        self.c_m = c_m
         self.invariants = invariants
-        self.report = EnergyReport(m=m, c_m_used=c_m)
+        names = ["time", "h_m_norm_sq", "deriv_m_norm_sq", "l2_norm_sq",
+                 "modified_energy"]
+        if invariants:
+            names += ["i0", "i1", "i2"]
+        self.columns = {name: [] for name in names}
 
     def __call__(self, sample):
         psi = sample.state
-        rep = self.report
-        rep.times.append(sample.time)
-        rep.h_m_norm_sq.append(sobolev_norm_sq(psi, rep.m))
-        rep.deriv_m_norm_sq.append(seminorm_sq(psi, rep.m))
-        rep.l2_norm_sq.append(sobolev_norm_sq(psi, 0))
-        rep.modified_energy.append(
-            modified_energy(psi, rep.m, self.coeffs, rep.c_m_used)
-        )
-        if not self.invariants:
-            return
-        inv = conserved_quantities(psi)
-        rep.i0.append(inv.i0)
-        rep.i1.append(inv.i1)
-        rep.i2.append(inv.i2)
+        row = [
+            sample.time,
+            sobolev_norm_sq(psi, self.m),
+            seminorm_sq(psi, self.m),
+            sobolev_norm_sq(psi, 0),
+            modified_energy(psi, self.m, self.coeffs, self.c_m),
+        ]
+        if self.invariants:
+            row += conserved_quantities(psi)
+        for column, value in zip(self.columns.values(), row):
+            column.append(value)

@@ -5,8 +5,11 @@ discretely as ψ̂(n) = (√(2π)/N) Σ_j ψ(x_j) e^{-i n x_j} on the nodes
 x_j = 2πj/N. With this scaling Parseval reads ∫|ψ|² dx = Σ_n |ψ̂(n)|².
 
 Coefficients are stored in FFT order for the signed mode set
-{-N/2, …, N/2-1}; N must be even and ≥ 4. All field values are immutable
-after construction and every operation is pure.
+{-N/2, …, N/2-1}; N must be even and ≥ 4. A field is a SpectralField, whose
+coefficients are immutable after construction; every operation is pure.
+Physical samples are plain arrays: ``padded_samples`` synthesises them on
+the pad·N grid (pad 1 is the field's own grid) and ``band_coeffs`` takes
+them back, and these two hold every FFT of the package.
 """
 
 from dataclasses import dataclass
@@ -76,15 +79,6 @@ class GridSpec:
         return _sobolev_weights(self.num_modes, m)
 
 
-def _frozen_complex(values, n, what):
-    arr = np.asarray(values, dtype=np.complex128)
-    if arr.shape != (n,):
-        raise ValueError(f"{what} must have shape ({n},), got {arr.shape}")
-    arr = arr.copy()
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True)
 class SpectralField:
     """Fourier coefficients ψ̂(n) of a periodic field, in FFT order."""
@@ -93,11 +87,12 @@ class SpectralField:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "coeffs",
-            _frozen_complex(self.coeffs, self.grid.num_modes, "coeffs"),
-        )
+        n = self.grid.num_modes
+        coeffs = np.array(self.coeffs, dtype=np.complex128)
+        if coeffs.shape != (n,):
+            raise ValueError(f"coeffs must have shape ({n},), got {coeffs.shape}")
+        coeffs.setflags(write=False)
+        object.__setattr__(self, "coeffs", coeffs)
 
     def coeff(self, n):
         """Coefficient at signed mode n."""
@@ -120,21 +115,6 @@ class SpectralField:
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True)
-class PhysicalField:
-    """Complex samples at the grid nodes x_j."""
-
-    grid: GridSpec
-    samples: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "samples",
-            _frozen_complex(self.samples, self.grid.num_modes, "samples"),
-        )
-
-
 def _require_same_grid(a, b):
     if a.grid != b.grid:
         raise ValueError("fields live on different grids")
@@ -142,18 +122,6 @@ def _require_same_grid(a, b):
 
 def zero_field(grid):
     return SpectralField(grid, np.zeros(grid.num_modes, dtype=np.complex128))
-
-
-def to_spectral(f):
-    """Forward transform: ψ̂(n) = (√(2π)/N) Σ_j ψ(x_j) e^{-i n x_j}."""
-    n = f.grid.num_modes
-    return SpectralField(f.grid, np.fft.fft(f.samples) * (SQRT_2PI / n))
-
-
-def to_physical(psi):
-    """Inverse transform: ψ(x_j) = (1/√(2π)) Σ_n ψ̂(n) e^{i n x_j}."""
-    n = psi.grid.num_modes
-    return PhysicalField(psi.grid, np.fft.ifft(psi.coeffs) * (n / SQRT_2PI))
 
 
 @lru_cache(maxsize=64)
@@ -262,19 +230,20 @@ def seminorm_sq(psi, m):
     )
 
 
-def lp_norm(f, p):
-    """Trapezoid-rule L^p norm of a physical field; p=inf is the sup norm.
+def lp_norm(samples, p):
+    """Trapezoid-rule L^p norm of samples at the nodes of a uniform grid on
+    [0, 2π), the grid size being ``samples.shape[-1]``; p=inf is the sup
+    norm.
 
     The trapezoid rule on a uniform periodic grid is the plain node average,
     spectrally accurate for smooth integrands.
     """
     if p < 2:
         raise ValueError(f"lp_norm requires p >= 2, got {p}")
-    mag = np.abs(f.samples)
+    mag = np.abs(samples)
     if np.isinf(p):
         return float(np.max(mag))
-    n = f.grid.num_modes
-    return float((2.0 * np.pi / n * np.sum(mag**p)) ** (1.0 / p))
+    return float((2.0 * np.pi / samples.shape[-1] * np.sum(mag**p)) ** (1.0 / p))
 
 
 def gn_ratio(psi, l, m, p):
@@ -294,7 +263,7 @@ def gn_ratio(psi, l, m, p):
     if l2 == 0.0:
         raise ValueError("gn_ratio is undefined for the zero field")
     dm = float(np.sqrt(seminorm_sq(psi, m)))
-    numer = lp_norm(to_physical(derivative(psi, l)), p)
+    numer = lp_norm(padded_samples(derivative(psi, l).coeffs, 1, (0,))[0], p)
     denom = l2 ** (1.0 - alpha) * dm**alpha
     if l == 0:
         denom += l2

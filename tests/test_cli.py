@@ -514,3 +514,29 @@ class TestUsageErrors:
         assert code == 2
         assert f"argument {flag}:" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan"])
+    @pytest.mark.parametrize("command", ["certify-cm", "sweep-inequalities", "riccati"])
+    def test_nonpositive_ceiling_is_2(self, tmp_path, monkeypatch, capsys,
+                                      command, value):
+        # every sample is drawn at the ceiling's L2 mass
+        out = tmp_path / "out"
+        assert exit_code(out, monkeypatch, [command, f"--ceiling={value}"]) == 2
+        assert "l2_ceiling must be > 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-2", "nan"])
+    def test_nonpositive_hm_size_is_2(self, tmp_path, monkeypatch, capsys, value):
+        # the family's amplitudes come from hm_size squared
+        out = tmp_path / "out"
+        code = exit_code(out, monkeypatch, ["riccati", f"--hm-size={value}"])
+        assert code == 2
+        assert "hm_norm must be > 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_l_value_is_2(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "out"
+        code = exit_code(out, monkeypatch, ["bona-smith", "--l-values", "0,1,0"])
+        assert code == 2
+        assert "l_values repeats an entry" in capsys.readouterr().err
+        assert not out.exists()

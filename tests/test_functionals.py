@@ -5,7 +5,7 @@ import pytest
 
 from conftest import oracle_integral, oracle_samples
 
-from torus4nls.dynamics import CoefficientSet, SolverConfig, integrate
+from torus4nls.dynamics import CoefficientSet, SolverConfig, TrajectorySample, integrate
 from torus4nls.exact import integrable_coefficients, plane_wave
 from torus4nls.functionals import (
     CmCertificate,
@@ -237,16 +237,22 @@ class TestEnergyRecorder:
         rec = EnergyRecorder(4, coeffs, cert.c_m)
         cfg = SolverConfig(dt=1e-3, sobolev_index_m=4)
         integrate(data, 0.02, cfg, coeffs, observers=[rec])
-        rep = rec.report.validate()
-        assert len(rep.times) == 21
-        for e, h, l2 in zip(rep.modified_energy, rep.h_m_norm_sq, rep.l2_norm_sq):
+        cols = rec.columns
+        assert list(cols) == ["time", "h_m_norm_sq", "deriv_m_norm_sq",
+                              "l2_norm_sq", "modified_energy", "i0", "i1", "i2"]
+        assert {len(v) for v in cols.values()} == {21}
+        for e, h, l2 in zip(cols["modified_energy"], cols["h_m_norm_sq"],
+                            cols["l2_norm_sq"]):
             assert e >= 0.5 * (h + l2)
 
-    def test_validate_catches_ragged(self):
-        rec = EnergyRecorder(4, integrable_coefficients(1.0))
-        rec.report.times.append(0.0)
-        with pytest.raises(ValueError):
-            rec.report.validate()
+    def test_failing_row_adds_to_no_column(self):
+        # modified_energy rejects c_m < 0 after the time and the norms of
+        # the row are known; none of them may be kept
+        rec = EnergyRecorder(4, integrable_coefficients(1.0), c_m=-1.0)
+        sample = TrajectorySample(0.0, plane_wave(GridSpec(32), 0.3, 1))
+        with pytest.raises(ValueError, match="c_m"):
+            rec(sample)
+        assert {len(v) for v in rec.columns.values()} == {0}
 
     def test_invariants_off_leaves_columns_empty(self):
         coeffs = integrable_coefficients(1.0)
@@ -255,12 +261,9 @@ class TestEnergyRecorder:
         cfg = SolverConfig(dt=1e-3, sobolev_index_m=4)
         integrate(plane_wave(GridSpec(32), 0.3, 1), 0.005, cfg, coeffs,
                   observers=[full, lean])
-        rep = lean.report.validate()
-        assert rep.i0 == rep.i1 == rep.i2 == []
-        assert rep.modified_energy == full.report.modified_energy
-        rep.i0.append(0.0)
-        with pytest.raises(ValueError):
-            rep.validate()
+        assert list(lean.columns) == list(full.columns)[:5]
+        for name, column in lean.columns.items():
+            assert column == full.columns[name]
 
 
 def _fine_samples(psi, pad, deriv=0):

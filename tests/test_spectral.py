@@ -7,7 +7,6 @@ from conftest import oracle_samples
 
 from torus4nls.spectral import (
     GridSpec,
-    PhysicalField,
     SpectralField,
     band_coeffs,
     derivative,
@@ -16,8 +15,6 @@ from torus4nls.spectral import (
     lp_norm,
     padded_samples,
     sobolev_norm,
-    to_physical,
-    to_spectral,
     zero_field,
 )
 
@@ -28,6 +25,18 @@ def single_mode(grid, n, amp=1.0):
     c = np.zeros(grid.num_modes, dtype=complex)
     c[n % grid.num_modes] = amp
     return SpectralField(grid, c)
+
+
+def synthesise(coeffs):
+    """Samples at the N nodes of the field's own grid (pad 1)."""
+    return padded_samples(coeffs, 1, (0,))[0]
+
+
+def nyquist_free_coeffs(n_modes, seed):
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)
+    c[n_modes // 2] = 0.0
+    return c
 
 
 class TestGridSpec:
@@ -50,54 +59,52 @@ class TestGridSpec:
 
 
 class TestTransforms:
-    def test_constant_forward(self, grid64):
-        f = PhysicalField(grid64, np.full(64, 2.5 + 0.5j))
-        psi = to_spectral(f)
-        assert psi.coeff(0) == pytest.approx((2.5 + 0.5j) * SQ2PI)
-        rest = np.abs(np.delete(psi.coeffs, 0))
+    """The Fourier convention at pad 1: ``band_coeffs`` is the forward and
+    ``padded_samples`` the inverse transform on the field's own grid."""
+
+    def test_constant_forward(self):
+        chat = band_coeffs(np.full(64, 2.5 + 0.5j), 64, 1)
+        assert chat[0] == pytest.approx((2.5 + 0.5j) * SQ2PI)
+        rest = np.abs(np.delete(chat, 0))
         assert np.max(rest) < 1e-14
 
     def test_single_wave_forward(self, grid64):
-        f = PhysicalField(grid64, np.exp(1j * grid64.nodes))
-        psi = to_spectral(f)
-        assert psi.coeff(1) == pytest.approx(SQ2PI)
-        assert np.max(np.abs(np.delete(psi.coeffs, 1))) < 1e-13
+        chat = band_coeffs(np.exp(1j * grid64.nodes), 64, 1)
+        assert chat[1] == pytest.approx(SQ2PI)
+        assert np.max(np.abs(np.delete(chat, 1))) < 1e-13
 
     @pytest.mark.parametrize("n_modes", [16, 64, 256])
     def test_round_trip(self, n_modes):
-        grid = GridSpec(n_modes)
-        rng = np.random.default_rng(n_modes)
-        samples = rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)
-        f = PhysicalField(grid, samples)
-        back = to_physical(to_spectral(f))
-        rel = np.max(np.abs(back.samples - samples)) / np.max(np.abs(samples))
+        # Nyquist-free samples: band_coeffs zeroes the mode -N/2
+        samples = synthesise(nyquist_free_coeffs(n_modes, n_modes))
+        back = synthesise(band_coeffs(samples, n_modes, 1))
+        rel = np.max(np.abs(back - samples)) / np.max(np.abs(samples))
         assert rel < 1e-12
 
     def test_inverse_constant(self, grid64):
         psi = single_mode(grid64, 0, SQ2PI)
-        assert np.allclose(to_physical(psi).samples, 1.0)
+        assert np.allclose(synthesise(psi.coeffs), 1.0)
 
     def test_inverse_mode_two(self, grid64):
         psi = single_mode(grid64, 2, SQ2PI)
-        assert np.allclose(to_physical(psi).samples, np.exp(2j * grid64.nodes))
+        assert np.allclose(synthesise(psi.coeffs), np.exp(2j * grid64.nodes))
 
     def test_inverse_linearity(self, grid64):
         rng = np.random.default_rng(3)
         a, b = 1.3 - 0.2j, -0.7 + 2.1j
         psi = SpectralField(grid64, rng.standard_normal(64) + 1j * rng.standard_normal(64))
         chi = SpectralField(grid64, rng.standard_normal(64) + 1j * rng.standard_normal(64))
-        lhs = to_physical(a * psi + b * chi).samples
-        rhs = a * to_physical(psi).samples + b * to_physical(chi).samples
+        lhs = synthesise((a * psi + b * chi).coeffs)
+        rhs = a * synthesise(psi.coeffs) + b * synthesise(chi.coeffs)
         assert np.allclose(lhs, rhs, atol=1e-13)
 
     @pytest.mark.parametrize("n_modes", [16, 64, 256])
     def test_parseval(self, n_modes):
-        grid = GridSpec(n_modes)
-        rng = np.random.default_rng(n_modes + 1)
-        samples = rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)
-        f = PhysicalField(grid, samples)
+        c = nyquist_free_coeffs(n_modes, n_modes + 1)
+        samples = synthesise(c)
         integral = 2 * np.pi / n_modes * np.sum(np.abs(samples) ** 2)
-        coeff_sum = np.sum(np.abs(to_spectral(f).coeffs) ** 2)
+        assert integral == pytest.approx(np.sum(np.abs(c) ** 2), rel=1e-10)
+        coeff_sum = np.sum(np.abs(band_coeffs(samples, n_modes, 1)) ** 2)
         assert integral == pytest.approx(coeff_sum, rel=1e-10)
 
 
@@ -148,6 +155,14 @@ class TestPaddedSamples:
             np.testing.assert_allclose(row, expect, rtol=0,
                                        atol=1e-12 * np.max(np.abs(expect)))
 
+    @pytest.mark.parametrize("n_modes", [4, 64, 1024])
+    def test_pad_one_is_the_plain_inverse_fft(self, n_modes):
+        # gn_ratio's samples: bit for bit the unpadded inverse transform
+        rng = np.random.default_rng(n_modes)
+        c = rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)
+        plain = np.fft.ifft(c) * (n_modes / SQ2PI)
+        assert np.array_equal(_bits(synthesise(c)), _bits(plain))
+
     @pytest.mark.parametrize("pad", [1, 3])
     def test_block_rows_bitwise_equal_single_rows(self, pad):
         rng = np.random.default_rng(11)
@@ -189,20 +204,22 @@ class TestNorms:
         norms = [sobolev_norm(psi, m) for m in range(7)]
         assert all(a <= b for a, b in zip(norms, norms[1:]))
 
-    def test_lp_constant(self, grid64):
-        f = PhysicalField(grid64, np.ones(64))
-        assert lp_norm(f, 2) == pytest.approx(np.sqrt(2 * np.pi))
-        assert lp_norm(f, np.inf) == pytest.approx(1.0)
+    def test_lp_constant(self):
+        # the quadrature weight 2π/N comes from the sample count
+        for n_modes in (16, 64):
+            f = np.ones(n_modes)
+            assert lp_norm(f, 2) == pytest.approx(np.sqrt(2 * np.pi))
+            assert lp_norm(f, np.inf) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("p", [2, 3, 4, 6, np.inf])
     def test_lp_modulus_one_wave(self, grid64, p):
-        wave = PhysicalField(grid64, np.exp(1j * grid64.nodes))
-        flat = PhysicalField(grid64, np.ones(64))
+        wave = np.exp(1j * grid64.nodes)
+        flat = np.ones(64)
         assert lp_norm(wave, p) == pytest.approx(lp_norm(flat, p))
 
-    def test_lp_rejects_small_p(self, grid64):
+    def test_lp_rejects_small_p(self):
         with pytest.raises(ValueError):
-            lp_norm(PhysicalField(grid64, np.ones(64)), 1.5)
+            lp_norm(np.ones(64), 1.5)
 
 
 class TestGnRatio:
@@ -258,6 +275,7 @@ class TestImmutability:
         psi = single_mode(grid64, 1)
         before = np.array(psi.coeffs)
         derivative(psi, 3)
-        to_physical(psi)
+        synthesise(psi.coeffs)
+        gn_ratio(psi, 1, 2, np.inf)
         l2_norm(psi)
         assert np.array_equal(psi.coeffs, before)

@@ -8,10 +8,12 @@ usage error. Its values become the subcommand parser's defaults, so each is
 read with its flag's own type (``integrable`` takes 1/true/yes or
 0/false/no). Flags must be spelled in full, and a config file that cannot
 be read is a usage error. ``eps-converge`` takes ε only from
-``--eps-ladder``. The output directory may additionally be forced through
-the ``TORUS4NLS_OUTDIR`` environment variable, which takes precedence over
-every other source (and is the only env override); an empty
-``--outdir`` is a usage error.
+``--eps-ladder``, and ``conserve`` has no ε: it runs the unregularized
+flow. The dealiasing pad has no flag either; the coefficients fix it
+(``CoefficientSet.dealias_pad``). The output directory may additionally
+be forced through the ``TORUS4NLS_OUTDIR`` environment variable, which
+takes precedence over every other source (and is the only env override);
+an empty ``--outdir`` is a usage error.
 
 Exit codes: 0 pass/complete, 1 study failure, 2 usage error, 3 solver
 error (Picard non-convergence or non-finite state).
@@ -185,7 +187,6 @@ def add_common(parser, *, data=False, solver=False, eps=True, coeffs=False,
         if eps:
             parser.add_argument("--eps", type=float, help="regularization strength")
         parser.add_argument("--m", type=int, help="Sobolev index")
-        parser.add_argument("--pad", type=int, help="dealias pad factor override")
     if coeffs:
         parser.add_argument("--nu", type=float, help="fourth-order dispersion")
         parser.add_argument(
@@ -229,8 +230,7 @@ def build_coeffs(args):
 def build_solver_config(args):
     return SolverConfig(
         dt=args.dt,
-        epsilon=getattr(args, "eps", 0.0),  # eps-converge has no --eps
-        dealias_pad_factor=args.pad,
+        epsilon=getattr(args, "eps", 0.0),  # eps-converge, conserve: no --eps
         sobolev_index_m=args.m,
     )
 
@@ -300,7 +300,7 @@ def cmd_eps_converge(args):
     coeffs = build_coeffs(args)
     cfg = build_solver_config(args)
     result = eps_convergence_study(
-        data, args.m, coeffs, args.t_end, parse_ladder(args.eps_ladder), cfg,
+        data, coeffs, args.t_end, parse_ladder(args.eps_ladder), cfg,
     )
     return finish_study(result, args.outdir)
 
@@ -308,14 +308,16 @@ def cmd_eps_converge(args):
 def cmd_riccati(args):
     grid = GridSpec(args.num_modes)
     coeffs = build_coeffs(args)
+    cfg = build_solver_config(args)
     seps = [int(v) for v in args.seps.split(",")]
+    if len(set(seps)) != len(seps):
+        raise ValueError(f"seps repeats an entry: {seps}")
     family = [mode_pair_field(grid, k, args.hm_size, args.m) for k in seps]
     cert = certify_cm(
         args.m, coeffs, args.ceiling, trials=args.cm_trials,
         rng_seed=args.seed, target="sobolev",
     )
-    cfg = build_solver_config(args)
-    result = riccati_study(family, args.m, coeffs, cfg, args.t_end, cert.c_m)
+    result = riccati_study(family, coeffs, cfg, args.t_end, cert.c_m)
     result.parameters["separations"] = seps
     return finish_study(result, args.outdir)
 
@@ -326,7 +328,7 @@ def cmd_continuity(args):
     coeffs = build_coeffs(args)
     cfg = build_solver_config(args)
     result = continuity_study(
-        data, parse_ladder(args.deltas), args.m, coeffs, args.t_end, cfg, args.seed,
+        data, parse_ladder(args.deltas), coeffs, args.t_end, cfg, args.seed,
     )
     return finish_study(result, args.outdir)
 
@@ -399,10 +401,10 @@ def build_parser():
                    m=4, nu=1.0, data="decay:s=5.0:amp=0.05")
 
     p = add_command("conserve", "invariant-drift study (integrable case)")
-    add_common(p, data=True, solver=True)
+    add_common(p, data=True, solver=True, eps=False)
     p.add_argument("--nu", type=float, help="fourth-order dispersion")
-    p.set_defaults(func=cmd_conserve, num_modes=64, dt=2e-3, t_end=0.1, eps=0.0,
-                   m=4, nu=1.0, data="random:seed=42:decay=2.0:hm=0.4:m=4:maxmode=4")
+    p.set_defaults(func=cmd_conserve, num_modes=64, dt=2e-3, t_end=0.1, m=4,
+                   nu=1.0, data="random:seed=42:decay=2.0:hm=0.4:m=4:maxmode=4")
 
     p = add_command("bona-smith", "mollification rate study")
     add_common(p)

@@ -70,42 +70,34 @@ class CoefficientSet:
     def is_linear(self):
         return all(l == 0.0 for l in self.lambdas)
 
+    @property
+    def dealias_pad(self):
+        """Zero-padding factor that removes aliasing from the nonlinearity:
+        3 for its quintic term (λ2 ≠ 0), 2 for cubic products."""
+        return 3 if self.lambda2 != 0.0 else 2
+
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Stepper parameters; ``dealias_pad_factor=None`` selects 3 for quintic
-    runs (λ2 ≠ 0) and 2 otherwise."""
+    """Stepper parameters (the coefficients fix the dealiasing pad)."""
 
     dt: float
     epsilon: float = 0.0
     picard_tol: float = 1e-12
     picard_max_iters: int = 50
-    dealias_pad_factor: int | None = None
     sobolev_index_m: int = 4
 
     def __post_init__(self):
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon}")
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if self.picard_tol <= 0.0:
             raise ValueError("picard_tol must be positive")
         if self.picard_max_iters < 1:
             raise ValueError("picard_max_iters must be >= 1")
-        if self.dealias_pad_factor is not None and self.dealias_pad_factor < 1:
-            raise ValueError("dealias_pad_factor must be >= 1")
         if self.sobolev_index_m < 1:
             raise ValueError("sobolev_index_m must be >= 1")
-
-    def pad_for(self, coeffs):
-        """Zero-padding factor removing aliasing for the active nonlinearity."""
-        if self.dealias_pad_factor is not None:
-            if coeffs.lambda2 != 0.0 and self.dealias_pad_factor < 3:
-                raise ValueError(
-                    "dealias_pad_factor must be >= 3 when the quintic term is active"
-                )
-            return self.dealias_pad_factor
-        return 3 if coeffs.lambda2 != 0.0 else 2
 
 
 @dataclass(frozen=True)
@@ -140,19 +132,18 @@ def _nonlinearity(c, lambdas, pad):
     return band_coeffs(combined, n, pad)
 
 
-def eval_nonlinearity(psi, coeffs, pad):
+def eval_nonlinearity(psi, coeffs):
     """Dealiased pseudospectral evaluation of the six-term nonlinearity.
 
     Derivatives are taken in spectral space, products on a grid zero-padded
-    by ``pad``, and the result truncated back to the original band with the
-    Nyquist mode forced to zero.
+    by ``coeffs.dealias_pad``, and the result truncated back to the original
+    band with the Nyquist mode forced to zero.
     """
-    if pad < 1:
-        raise ValueError("pad must be >= 1")
     if coeffs.is_linear:
         return SpectralField(psi.grid, np.zeros_like(psi.coeffs))
     return SpectralField(
-        psi.grid, _nonlinearity(psi.coeffs[None], coeffs.lambdas, pad)[0]
+        psi.grid,
+        _nonlinearity(psi.coeffs[None], coeffs.lambdas, coeffs.dealias_pad)[0],
     )
 
 
@@ -213,7 +204,7 @@ def _picard_step(c, factors, dt, cfg, coeffs, weights, order):
     if coeffs.is_linear:
         return w_psi, [1] * len(c)
     lambdas = coeffs.lambdas
-    pad = cfg.pad_for(coeffs)
+    pad = coeffs.dealias_pad
     tol = cfg.picard_tol
     # the scalar stays on the right, where SpectralField.__rmul__ put it:
     # swapping complex operands can change the last bit under FMA
@@ -283,8 +274,8 @@ def duhamel_step(psi, cfg, coeffs):
 
 def _step_times(t_end, dt):
     """Step endpoints 0 < t_1 < … < t_k = t_end with steps of at most dt."""
-    if t_end < 0.0:
-        raise ValueError("t_end must be nonnegative")
+    if not 0.0 <= t_end < math.inf:
+        raise ValueError(f"t_end must be nonnegative and finite, got {t_end}")
     steps = []
     k = 1
     while k * dt < t_end - 1e-12 * max(1.0, t_end):
@@ -308,8 +299,9 @@ def integrate_many(psi0s, t_end, cfgs, coeffs, observers=None, blowup_factor=1e6
     initial value is marked and halts; the others go on. A diverging step
     or a non-finite norm raises NonFinite (NonConvergence past the Picard
     budget) at the earliest failing step, for the lowest failing member,
-    carrying the time and the member index. Returns one Trajectory record
-    per member.
+    carrying the time and the member index. A t_end that is negative or not
+    finite is a ValueError before any observer sees a sample. Returns one
+    Trajectory record per member.
     """
     psi0s = list(psi0s)
     cfgs = list(cfgs)
@@ -326,6 +318,7 @@ def integrate_many(psi0s, t_end, cfgs, coeffs, observers=None, blowup_factor=1e6
     cfg = cfgs[0]
     if any(replace(c, epsilon=cfg.epsilon) != cfg for c in cfgs):
         raise ValueError("member configs may differ only in epsilon")
+    times = _step_times(t_end, cfg.dt)  # checks t_end before any sample
     m = cfg.sobolev_index_m
     weights = grid.sobolev_weights(m)
     order = grid.mode_order
@@ -341,7 +334,7 @@ def integrate_many(psi0s, t_end, cfgs, coeffs, observers=None, blowup_factor=1e6
     state = np.array([psi.coeffs for psi in psi0s])
     factors_dt = None  # the step the current factors are for
     prev_t = 0.0
-    for t in _step_times(t_end, cfg.dt):
+    for t in times:
         dt = cfg.dt if abs((t - prev_t) - cfg.dt) < 1e-15 else t - prev_t
         if dt != factors_dt:
             factors_dt = dt
@@ -412,10 +405,9 @@ def reference_integrate(psi0, t_end, cfg, coeffs, observers=()):
     TrajectorySample as it is produced; returns the run's Trajectory record.
     Raises NonFinite at the first step that ends with a NaN/Inf coefficient.
     """
-    dt = cfg.dt
     eps = cfg.epsilon
     nu = coeffs.nu
-    pad = cfg.pad_for(coeffs)
+    times = _step_times(t_end, cfg.dt)  # checks t_end before any sample
     run = Trajectory(TrajectorySample(0.0, psi0))
     for obs in observers:
         obs(run.final)
@@ -423,11 +415,11 @@ def reference_integrate(psi0, t_end, cfg, coeffs, observers=()):
     prev_t = 0.0
 
     def rhs(f):
-        return (-1j) * eval_nonlinearity(f, coeffs, pad)
+        return (-1j) * eval_nonlinearity(f, coeffs)
 
     # overflow on the way to a non-finite state is reported by the check
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in _step_times(t_end, dt):
+        for t in times:
             h = t - prev_t
             k1 = rhs(state)
             half = semigroup_apply(state, 0.5 * h, eps, nu)

@@ -42,6 +42,8 @@ def standing_wave_frequency(kappa, tau, coeffs):
 def plane_wave(grid, kappa, tau):
     """κ e^{iτx} as a spectral field (single coefficient κ√(2π) at mode τ)."""
     half = grid.num_modes // 2
+    if not np.isfinite(kappa):
+        raise ValueError(f"kappa must be finite, got {kappa}")
     if not isinstance(tau, (int, np.integer)):
         raise ValueError("tau must be an integer for periodicity")
     if not -half <= tau < half:
@@ -52,12 +54,12 @@ def plane_wave(grid, kappa, tau):
     return SpectralField(grid, c)
 
 
-def pde_residual(psi0, omega, coeffs, pad=3):
+def pde_residual(psi0, omega, coeffs):
     """L² residual of i∂tψ + ∂²ψ + ν∂⁴ψ - N(ψ) at t = 0 with ∂tψ = iωψ."""
     grid = psi0.grid
     n2 = grid.modes**2
     linear = (-omega - n2 + coeffs.nu * n2**2) * psi0.coeffs
-    nonlin = eval_nonlinearity(psi0, coeffs, pad)
+    nonlin = eval_nonlinearity(psi0, coeffs)
     return l2_norm(SpectralField(grid, linear - nonlin.coeffs))
 
 

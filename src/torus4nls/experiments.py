@@ -336,23 +336,27 @@ def bona_smith_rate_study(m, l_values, num_modes=1024,
     )
 
 
-def eps_convergence_study(data, m, coeffs, t_end, eps_ladder, cfg,
+def eps_convergence_study(data, coeffs, t_end, eps_ladder, cfg,
                           min_h1_order=1.0, ref_divisor=4.0):
     """Vanishing-regularization convergence of the damped runs.
 
     Each ladder point solves the regularized problem with strength ε and
     data mollified at the same ε; the reference uses ε_min/``ref_divisor``.
-    Passes when the H^m differences decrease monotonically along the ladder
-    and the fitted H^1 order is at least ``min_h1_order``.
+    Passes when the H^m differences (m = cfg.sobolev_index_m) decrease
+    monotonically along the ladder and the fitted H^1 order is at least
+    ``min_h1_order``.
     """
+    m = cfg.sobolev_index_m
     if m < 4:
         raise ValueError("the convergence regime needs m >= 4")
+    if len(set(eps_ladder)) != len(eps_ladder):
+        raise ValueError(f"eps_ladder repeats an entry: {list(eps_ladder)}")
     ladder = sorted(eps_ladder, reverse=True)
     eps_ref = min(ladder) / ref_divisor
     epsilons = [eps_ref] + ladder
     runs = integrate_many(
         [mollify(data, e) for e in epsilons], t_end,
-        [replace(cfg, epsilon=e, sobolev_index_m=m) for e in epsilons], coeffs,
+        [replace(cfg, epsilon=e) for e in epsilons], coeffs,
     )
     ref = runs[0].final.state
     h1_diffs = []
@@ -411,11 +415,12 @@ def _max_quotient(times, values):
     return float(np.max(dv / v[:-1] ** 2))
 
 
-def _stepper_order(data, coarse, t_end, cfg, coeffs, m):
+def _stepper_order(data, coarse, t_end, cfg, coeffs):
     """Observed self-convergence order of the stepper on this data, given
     ``coarse``, the final state of its run at cfg.dt."""
     fine = integrate(data, t_end, replace(cfg, dt=cfg.dt * 0.5), coeffs).final.state
     finest = integrate(data, t_end, replace(cfg, dt=cfg.dt * 0.125), coeffs).final.state
+    m = cfg.sobolev_index_m
     e_coarse = sobolev_distance(coarse, finest, m)
     e_fine = sobolev_distance(fine, finest, m)
     if e_fine <= 0.0:
@@ -423,28 +428,33 @@ def _stepper_order(data, coarse, t_end, cfg, coeffs, m):
     return float(np.log2(e_coarse / e_fine))
 
 
-def riccati_study(family, m, coeffs, cfg, t_end, c_m,
+def riccati_study(family, coeffs, cfg, t_end, c_m,
                   spread_max=2.0, raw_growth_min=4.0, min_order=1.8):
     """Growth-quotient contrast between the corrected and plain energies.
 
     For each family member (same H^m size, rising frequency content) the
     run records Q = max |ΔE/Δt|/E² for the corrected energy and for the
-    plain ‖∂^m ψ‖² + ‖ψ‖² energy. Passes when the corrected quotient stays
-    within a ``spread_max`` band across the family while the plain quotient
-    grows by ``raw_growth_min`` from first to last member. The verdict is
-    only trusted (not inconclusive) if the stepper shows order
-    ≥ ``min_order`` on the first member.
+    plain ‖∂^m ψ‖² + ‖ψ‖² energy, m = cfg.sobolev_index_m. Passes when the
+    corrected quotient stays within a ``spread_max`` band across the family
+    while the plain quotient grows by ``raw_growth_min`` from first to last
+    member. The verdict is only trusted (not inconclusive) if the stepper
+    shows order ≥ ``min_order`` on the first member. A linear coefficient
+    set is a ValueError: its energies are constant, so every quotient is 0.
     """
     if not family:
         raise ValueError("family must be nonempty")
+    if coeffs.is_linear:
+        raise ValueError("the riccati contrast needs a nonlinearity, but every "
+                         "lambda is 0: use --integrable or a --lambdaK flag")
     grid = family[0].grid
     if any(f.grid != grid for f in family):
         raise ValueError("family must share one grid")
+    m = cfg.sobolev_index_m
     recorders = [EnergyRecorder(m, coeffs, c_m, invariants=False) for _ in family]
     runs = integrate_many(family, t_end, [cfg] * len(family), coeffs,
                           observers=[[rec] for rec in recorders])
     coarse = runs[0].final.state
-    order = _stepper_order(family[0], coarse, t_end, cfg, coeffs, m)
+    order = _stepper_order(family[0], coarse, t_end, cfg, coeffs)
     q_mod = []
     q_raw = []
     freq_span = []
@@ -490,19 +500,23 @@ def riccati_study(family, m, coeffs, cfg, t_end, c_m,
     )
 
 
-def continuity_study(phi, delta_ladder, m, coeffs, t_end, cfg, rng_seed,
+def continuity_study(phi, delta_ladder, coeffs, t_end, cfg, rng_seed,
                      slope_band=0.15, quotient_spread_max=2.0):
     """Data-to-solution continuity: perturbation growth and Gronwall quotient.
 
-    Perturbs phi by seeded random fields of H^m size δ, integrates both,
-    and records sup_t of the H^1 difference plus the quotient
-    Ẽ₁(t)/Ẽ₁(0) of the difference energy around the base trajectory. The
+    Perturbs phi by seeded random fields of H^m size δ (m =
+    cfg.sobolev_index_m), integrates both, and records sup_t of the H^1
+    difference plus the quotient Ẽ₁(t)/Ẽ₁(0) of the difference energy
+    around the base trajectory. The
     positivity constant of Ẽ₁ is measured from the recorded series (twice
     the smallest value keeping Ẽ₁ ≥ ½‖·‖²_{H^1}, floored at 1), never
     assumed. Passes when sup-differences scale like δ within ``slope_band``
     and the quotient band across the ladder stays within
     ``quotient_spread_max``.
     """
+    if len(set(delta_ladder)) != len(delta_ladder):
+        raise ValueError(f"delta_ladder repeats an entry: {list(delta_ladder)}")
+    m = cfg.sobolev_index_m
     deltas = sorted(delta_ladder, reverse=True)
     perturbed = [
         phi + random_field(
@@ -510,9 +524,8 @@ def continuity_study(phi, delta_ladder, m, coeffs, t_end, cfg, rng_seed,
         )
         for i, delta in enumerate(deltas)
     ]
-    run_cfg = replace(cfg, sobolev_index_m=m)
     samples = [[] for _ in range(len(deltas) + 1)]  # base run first
-    integrate_many([phi] + perturbed, t_end, [run_cfg] * len(samples), coeffs,
+    integrate_many([phi] + perturbed, t_end, [cfg] * len(samples), coeffs,
                    observers=[[kept.append] for kept in samples])
     base, *others = samples
     runs = []

@@ -192,7 +192,7 @@ def test_criterion_08_riccati_contrast():
     grid = GridSpec(256)
     family = [mode_pair_field(grid, k, 2.0, m) for k in (4, 8, 16, 32)]
     cfg = SolverConfig(dt=1e-6, sobolev_index_m=m)
-    res = riccati_study(family, m, coeffs, cfg, 2e-4, cert.c_m,
+    res = riccati_study(family, coeffs, cfg, 2e-4, cert.c_m,
                         spread_max=2.0, raw_growth_min=4.0)
     q = res.tables["quotients"]
     spread = max(q["q_modified"]) / min(q["q_modified"])
@@ -210,7 +210,7 @@ def test_criterion_09_eps_convergence():
     coeffs = integrable_coefficients(1.0)
     cfg = SolverConfig(dt=5e-4, sobolev_index_m=4)
     ladder = [2.0**-k for k in range(3, 8)]
-    res = eps_convergence_study(data, 4, coeffs, 0.02, ladder, cfg,
+    res = eps_convergence_study(data, coeffs, 0.02, ladder, cfg,
                                 min_h1_order=1.0)
     hm = res.tables["differences"]["hm_diff"]
     monotone = all(a > b for a, b in zip(hm, hm[1:]))
@@ -226,7 +226,7 @@ def test_criterion_10_continuity():
     data = random_field(grid, rng_for(11), decay=6.0, hm_norm=0.4, m=4)
     coeffs = integrable_coefficients(1.0)
     cfg = SolverConfig(dt=1e-3, sobolev_index_m=4)
-    res = continuity_study(data, [1e-2, 1e-3, 1e-4, 1e-5], 4, coeffs, 0.05,
+    res = continuity_study(data, [1e-2, 1e-3, 1e-4, 1e-5], coeffs, 0.05,
                            cfg, rng_seed=7, slope_band=0.15,
                            quotient_spread_max=2.0)
     slope = res.tables["fits"]["slope"][0]

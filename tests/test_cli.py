@@ -23,6 +23,7 @@ from torus4nls.spectral import GridSpec, SpectralField, sobolev_distance, sobole
 
 COMMANDS = ["simulate", "conserve", "bona-smith", "eps-converge", "riccati",
             "continuity", "sweep-inequalities", "standing-wave", "certify-cm"]
+STEPPING = ["simulate", "conserve", "eps-converge", "riccati", "continuity"]
 
 
 def run_in(tmp_path, monkeypatch, argv):
@@ -298,7 +299,7 @@ class TestConfigPrecedence:
     @pytest.mark.parametrize("command,settings", [
         ("simulate", [("data", "random:seed=5:decay=2.0:l2=0.3"), ("num_modes", "32"),
                       ("dt", "1e-3"), ("t_end", "0.01"), ("eps", "0.01"), ("m", "3"),
-                      ("pad", "3"), ("nu", "1.5"), ("lambda1", "0.1"),
+                      ("nu", "1.5"), ("lambda1", "0.1"),
                       ("lambda2", "-0.2"), ("lambda3", "0.3"), ("lambda4", "0.05"),
                       ("lambda5", "-0.1"), ("lambda6", "0.2")]),
         ("certify-cm", [("m", "3"), ("nu", "1.2"), ("integrable", None),
@@ -377,9 +378,9 @@ class TestCertifyCmCommand:
 
 class TestUsageErrors:
     def test_bad_parameter_value_is_2(self, tmp_path, monkeypatch):
-        # conservation runs require the unregularized flow
+        # epsilon must lie in [0, 1]
         code = run_in(tmp_path, monkeypatch,
-                      ["conserve", "--nu", "1", "--eps", "0.1", "--t-end", "0.01"])
+                      ["simulate", "--nu", "1", "--eps", "1.5", "--t-end", "0.01"])
         assert code == 2
 
     def test_unknown_config_key_is_2(self, tmp_path, monkeypatch):
@@ -454,10 +455,51 @@ class TestUsageErrors:
          "--t-end", "0.005", "--dt", "1e-3"],
         ["standing-wave", "--nu", "1", "--kap", "0.4", "--ta", "2"],
         ["--vers"],
-    ], ids=["eps-converge-eps", "abbreviated", "abbreviated-top-level"])
+        # the coefficients fix the dealiasing pad
+        *([command, "--pad", "3", "--t-end", "0.005"] for command in STEPPING),
+        # conservation runs the unregularized flow
+        ["conserve", "--eps", "0", "--t-end", "0.005"],
+    ], ids=["eps-converge-eps", "abbreviated", "abbreviated-top-level",
+            *(f"{command}-pad" for command in STEPPING), "conserve-eps"])
     def test_unknown_flag_is_2(self, tmp_path, monkeypatch, argv):
         assert exit_code(tmp_path, monkeypatch, argv) == 2
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command,text", [
+        *((command, "pad = 3") for command in STEPPING),
+        ("conserve", "eps = 0"),
+    ], ids=[*(f"{command}-pad" for command in STEPPING), "conserve-eps"])
+    def test_config_key_without_flag_is_2(self, tmp_path, monkeypatch, capsys,
+                                          command, text):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text + "\nt_end = 0.005\n")
+        out = tmp_path / "out"
+        assert run_in(out, monkeypatch, [command, "--config", str(cfg)]) == 2
+        assert "unknown config key(s): " + text.split()[0] in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,name", [
+        (["simulate", "--dt", "nan", "--t-end", "0.01"], "dt"),
+        (["simulate", "--dt", "inf", "--t-end", "0.01"], "dt"),
+        (["simulate", "--t-end", "nan"], "t_end"),
+        (["simulate", "--t-end", "inf"], "t_end"),
+        (["conserve", "--t-end", "nan"], "t_end"),
+        (["standing-wave", "--kappa", "nan"], "kappa"),
+        (["standing-wave", "--kappa", "inf"], "kappa"),
+    ], ids=["dt-nan", "dt-inf", "t-end-nan", "t-end-inf", "conserve-t-end-nan",
+            "kappa-nan", "kappa-inf"])
+    def test_nonfinite_value_is_2(self, tmp_path, monkeypatch, capsys, argv, name):
+        out = tmp_path / "out"
+        assert run_in(out, monkeypatch, argv) == 2
+        assert f"usage error: {name} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_riccati_linear_flow_is_2(self, tmp_path, monkeypatch, capsys):
+        # every lambda 0 at the defaults: each growth quotient would be 0
+        out = tmp_path / "out"
+        assert run_in(out, monkeypatch, ["riccati", "--cm-trials", "2"]) == 2
+        assert "needs a nonlinearity" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_empty_outdir_is_2(self, tmp_path, monkeypatch, capsys, source):
@@ -534,9 +576,17 @@ class TestUsageErrors:
         assert "hm_norm must be > 0" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_repeated_l_value_is_2(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("argv,name", [
+        (["bona-smith", "--l-values", "0,1,0"], "l_values"),
+        (["eps-converge", "--nu", "1", "--integrable", "--t-end", "0.005",
+          "--eps-ladder", "2^-3,2^-3,2^-4"], "eps_ladder"),
+        (["continuity", "--nu", "1", "--integrable", "--t-end", "0.005",
+          "--deltas", "1e-2,1e-2,1e-3"], "delta_ladder"),
+        (["riccati", "--nu", "1", "--integrable", "--seps", "4,4"], "seps"),
+    ], ids=["bona-smith", "eps-converge", "continuity", "riccati"])
+    def test_repeated_entry_is_2(self, tmp_path, monkeypatch, capsys, argv, name):
+        # a repeated ladder entry would only repeat a run
         out = tmp_path / "out"
-        code = exit_code(out, monkeypatch, ["bona-smith", "--l-values", "0,1,0"])
-        assert code == 2
-        assert "l_values repeats an entry" in capsys.readouterr().err
+        assert exit_code(out, monkeypatch, argv) == 2
+        assert f"{name} repeats an entry" in capsys.readouterr().err
         assert not out.exists()

@@ -45,18 +45,14 @@ class TestCoefficientSet:
 
 
 class TestSolverConfig:
+    # the pad is not a config field: the coefficients fix it
     def test_pad_default_cubic(self):
-        cfg = SolverConfig(dt=1e-3)
-        assert cfg.pad_for(CoefficientSet(nu=1.0, lambda1=-0.5)) == 2
+        assert CoefficientSet(nu=1.0).dealias_pad == 2
+        assert CoefficientSet(nu=1.0, lambda1=-0.5, lambda6=0.3).dealias_pad == 2
 
     def test_pad_default_quintic(self):
-        cfg = SolverConfig(dt=1e-3)
-        assert cfg.pad_for(integrable_coefficients(1.0)) == 3
-
-    def test_pad_too_small_for_quintic(self):
-        cfg = SolverConfig(dt=1e-3, dealias_pad_factor=2)
-        with pytest.raises(ValueError):
-            cfg.pad_for(integrable_coefficients(1.0))
+        assert CoefficientSet(nu=1.0, lambda2=0.1).dealias_pad == 3
+        assert integrable_coefficients(1.0).dealias_pad == 3
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -67,6 +63,8 @@ class TestSolverConfig:
             {"dt": 1e-3, "picard_tol": 0.0},
             {"dt": 1e-3, "picard_max_iters": 0},
             {"dt": 1e-3, "sobolev_index_m": 0},
+            {"dt": float("nan")},
+            {"dt": float("inf")},
         ],
     )
     def test_validation(self, kwargs):
@@ -76,13 +74,13 @@ class TestSolverConfig:
 
 class TestNonlinearity:
     def test_zero_field(self, grid64, generic_coeffs):
-        out = eval_nonlinearity(zero_field(grid64), generic_coeffs, 3)
+        out = eval_nonlinearity(zero_field(grid64), generic_coeffs)
         assert np.all(out.coeffs == 0.0)
 
     def test_constant_field(self, grid64, generic_coeffs):
         c = 0.8 - 0.3j
         psi = SpectralField(grid64, np.eye(1, 64, 0)[0] * c * np.sqrt(2 * np.pi))
-        out = eval_nonlinearity(psi, generic_coeffs, 3)
+        out = eval_nonlinearity(psi, generic_coeffs)
         lam = generic_coeffs
         expect = (lam.lambda1 * abs(c) ** 2 + lam.lambda2 * abs(c) ** 4) * c
         assert out.coeff(0) == pytest.approx(expect * np.sqrt(2 * np.pi))
@@ -92,7 +90,7 @@ class TestNonlinearity:
     def test_plane_wave_formula(self, grid64, generic_coeffs, kappa, tau):
         # hand substitution: each term maps kappa e^{i tau x} to a multiple
         psi = plane_wave(grid64, kappa, tau)
-        out = eval_nonlinearity(psi, generic_coeffs, 3)
+        out = eval_nonlinearity(psi, generic_coeffs)
         lam = generic_coeffs
         mult = (
             lam.lambda1 * kappa**2
@@ -109,7 +107,7 @@ class TestNonlinearity:
     def test_plane_wave_against_quadrature_oracle(self, grid64, generic_coeffs):
         # direct synthesis on a fine grid with analytic derivatives
         psi = plane_wave(grid64, 0.5, 2)
-        out = eval_nonlinearity(psi, generic_coeffs, 3)
+        out = eval_nonlinearity(psi, generic_coeffs)
         u = oracle_samples(psi, 4, 0)
         du = oracle_samples(psi, 4, 1)
         d2u = oracle_samples(psi, 4, 2)
@@ -132,8 +130,8 @@ class TestNonlinearity:
         psi = random_field(grid64, rng, decay=2.0, l2_mass=0.5)
         theta = 0.7321
         rotated = np.exp(1j * theta) * psi
-        lhs = eval_nonlinearity(rotated, generic_coeffs, 3)
-        rhs = np.exp(1j * theta) * eval_nonlinearity(psi, generic_coeffs, 3)
+        lhs = eval_nonlinearity(rotated, generic_coeffs)
+        rhs = np.exp(1j * theta) * eval_nonlinearity(psi, generic_coeffs)
         assert np.allclose(lhs.coeffs, rhs.coeffs, atol=1e-14)
 
     def test_dealiasing_matches_fine_resolution(self, generic_coeffs):
@@ -141,24 +139,20 @@ class TestNonlinearity:
         grid = GridSpec(64)
         rng = rng_for(8)
         psi = random_field(grid, rng, decay=1.0, l2_mass=1.0, max_mode=8)
-        out = eval_nonlinearity(psi, generic_coeffs, 3)
+        out = eval_nonlinearity(psi, generic_coeffs)
         fine = GridSpec(256)
         fine_coeffs = np.zeros(256, dtype=complex)
         fine_coeffs[:32] = psi.coeffs[:32]
         fine_coeffs[256 - 32 :] = psi.coeffs[32:]
-        out_fine = eval_nonlinearity(SpectralField(fine, fine_coeffs), generic_coeffs, 3)
+        out_fine = eval_nonlinearity(SpectralField(fine, fine_coeffs), generic_coeffs)
         for n in range(-31, 32):
             assert abs(out.coeff(n) - out_fine.coeff(n)) < 1e-11
 
     def test_nyquist_zeroed(self, grid64, generic_coeffs):
         rng = rng_for(13)
         psi = random_field(grid64, rng, decay=0.5, l2_mass=1.0)
-        out = eval_nonlinearity(psi, generic_coeffs, 3)
+        out = eval_nonlinearity(psi, generic_coeffs)
         assert out.coeffs[32] == 0.0
-
-    def test_rejects_bad_pad(self, grid64, generic_coeffs):
-        with pytest.raises(ValueError):
-            eval_nonlinearity(zero_field(grid64), generic_coeffs, 0)
 
 
 class TestSemigroup:
@@ -334,6 +328,18 @@ class TestIntegrate:
             _assert_only_final_alive(run, kept, 6)
 
 
+@pytest.mark.parametrize("t_end", [float("nan"), float("inf"), -1.0])
+@pytest.mark.parametrize("stepper", [integrate, reference_integrate],
+                         ids=["duhamel", "rk4"])
+def test_bad_t_end_rejected_before_any_sample(grid64, generic_coeffs, stepper,
+                                              t_end):
+    seen = []
+    with pytest.raises(ValueError, match="t_end"):
+        stepper(plane_wave(grid64, 0.2, 1), t_end, SolverConfig(dt=1e-3),
+                generic_coeffs, observers=[seen.append])
+    assert seen == []
+
+
 def _weak_state_observer(refs):
     """An observer that holds each sample's state by a weak reference only."""
     return lambda sample: refs.append(weakref.ref(sample.state))
@@ -449,7 +455,7 @@ def _field_duhamel_step(psi, cfg, coeffs):
     dt = cfg.dt
     eps = cfg.epsilon
     nu = coeffs.nu
-    pad = cfg.pad_for(coeffs)
+    pad = coeffs.dealias_pad
     w_psi = semigroup_apply(psi, dt, eps, nu)
     n0 = _field_eval_nonlinearity(psi, coeffs, pad)
     fixed = w_psi - (0.5j * dt) * semigroup_apply(n0, dt, eps, nu)
@@ -473,19 +479,18 @@ class TestRawPathMatchesFieldReference:
     @pytest.mark.parametrize("num_modes", [64, 256])
     @pytest.mark.parametrize("epsilon", [0.0, 0.05])
     @pytest.mark.parametrize(
-        "coeffs,pad_factor,pad",
-        [(integrable_coefficients(1.0), None, 3), (CUBIC, None, 2), (CUBIC, 1, 1)],
-        ids=["integrable-pad3", "cubic-pad2", "cubic-pad1"],
+        "coeffs,pad",
+        [(integrable_coefficients(1.0), 3), (CUBIC, 2)],
+        ids=["integrable-pad3", "cubic-pad2"],
     )
-    def test_steps_bitwise_equal(self, num_modes, epsilon, coeffs, pad_factor, pad):
+    def test_steps_bitwise_equal(self, num_modes, epsilon, coeffs, pad):
         grid = GridSpec(num_modes)
         psi = random_field(grid, rng_for(num_modes), decay=2.0, hm_norm=0.4,
                            m=4, max_mode=6)
-        cfg = SolverConfig(dt=2e-4, epsilon=epsilon, dealias_pad_factor=pad_factor,
-                           sobolev_index_m=4)
-        assert cfg.pad_for(coeffs) == pad
+        cfg = SolverConfig(dt=2e-4, epsilon=epsilon, sobolev_index_m=4)
+        assert coeffs.dealias_pad == pad
         assert np.array_equal(
-            eval_nonlinearity(psi, coeffs, pad).coeffs,
+            eval_nonlinearity(psi, coeffs).coeffs,
             _field_eval_nonlinearity(psi, coeffs, pad).coeffs,
         )
         new = ref = psi
@@ -533,7 +538,7 @@ class TestIntegrateMany:
         family = [mode_pair_field(grid, k, 2.0, 4) for k in (4, 8, 16, 32)]
         coeffs = integrable_coefficients(1.0)
         cfg = SolverConfig(dt=1e-6, sobolev_index_m=4)
-        assert cfg.pad_for(coeffs) == 3
+        assert coeffs.dealias_pad == 3
         seen, observers = _observed(4)
         runs = integrate_many(family, 1.25e-5, [cfg] * 4, coeffs, observers=observers)
         assert len({tuple(r.picard_iterations) for r in runs}) > 1
@@ -619,7 +624,7 @@ class TestIntegrateMany:
 
     @pytest.mark.parametrize("change", [
         {"dt": 2e-3}, {"picard_tol": 1e-10}, {"picard_max_iters": 20},
-        {"dealias_pad_factor": 4}, {"sobolev_index_m": 3},
+        {"sobolev_index_m": 3},
     ])
     def test_configs_may_differ_only_in_epsilon(self, grid64, change):
         cfg = SolverConfig(dt=1e-3, sobolev_index_m=4)

@@ -215,7 +215,7 @@ class TestEpsConvergenceStudy:
         grid = GridSpec(32)
         data = decay_field(grid, 5.0, amp=0.05)
         cfg = SolverConfig(dt=1e-3, sobolev_index_m=4)
-        res = eps_convergence_study(data, 4, integrable_coefficients(1.0), 0.01,
+        res = eps_convergence_study(data, integrable_coefficients(1.0), 0.01,
                                     [0.125], cfg)
         assert res.verdict == "inconclusive"
 
@@ -227,7 +227,7 @@ class TestEpsConvergenceStudy:
         cfg = SolverConfig(dt=1e-3, sobolev_index_m=4)
         ladder = [2.0**-k for k in range(3, 7)]
         t_end = 0.02
-        res = eps_convergence_study(data, 4, coeffs, t_end, ladder, cfg)
+        res = eps_convergence_study(data, coeffs, t_end, ladder, cfg)
         eps_ref = min(ladder) / 4.0
         from torus4nls.dynamics import semigroup_apply
 
@@ -243,7 +243,7 @@ class TestEpsConvergenceStudy:
         grid = GridSpec(32)
         cfg = SolverConfig(dt=1e-3, sobolev_index_m=3)
         with pytest.raises(ValueError):
-            eps_convergence_study(zero_field(grid), 3, integrable_coefficients(1.0),
+            eps_convergence_study(zero_field(grid), integrable_coefficients(1.0),
                                   0.01, [0.1, 0.05], cfg)
 
 
@@ -257,7 +257,7 @@ class TestRiccatiStudy:
 
         family = [plane_wave(grid, 0.3 / (1 + n**2) ** 2, n) for n in (2, 4, 8)]
         cfg = SolverConfig(dt=1e-4, sobolev_index_m=4)
-        res = riccati_study(family, 4, coeffs, cfg, 2e-3, c_m=10.0)
+        res = riccati_study(family, coeffs, cfg, 2e-3, c_m=10.0)
         assert max(res.tables["quotients"]["q_modified"]) < 1e-3
         assert max(res.tables["quotients"]["q_raw"]) < 1e-3
 
@@ -268,7 +268,7 @@ class TestRiccatiStudy:
         coeffs = CoefficientSet(nu=1.0, lambda1=-0.5, lambda2=-0.375)
         family = [mode_pair_field(grid, k, 1.0, 4) for k in (4, 8)]
         cfg = SolverConfig(dt=1e-5, sobolev_index_m=4)
-        res = riccati_study(family, 4, coeffs, cfg, 2e-4, c_m=0.0,
+        res = riccati_study(family, coeffs, cfg, 2e-4, c_m=0.0,
                             raw_growth_min=0.0, spread_max=np.inf)
         q = res.tables["quotients"]
         assert np.allclose(q["q_modified"], q["q_raw"], rtol=1e-10)
@@ -279,7 +279,7 @@ class TestRiccatiStudy:
         cert = certify_cm(4, coeffs, 1.0, trials=40, rng_seed=2024, target="sobolev")
         family = [mode_pair_field(grid, k, 2.0, 4) for k in (4, 8, 16, 32)]
         cfg = SolverConfig(dt=1e-6, sobolev_index_m=4)
-        res = riccati_study(family, 4, coeffs, cfg, 2e-4, cert.c_m)
+        res = riccati_study(family, coeffs, cfg, 2e-4, cert.c_m)
         assert res.verdict == "pass"
         q = res.tables["quotients"]
         assert max(q["q_modified"]) / min(q["q_modified"]) <= 2.0
@@ -321,7 +321,7 @@ class TestContinuityStudy:
         data = random_field(grid, rng_for(11), decay=6.0, hm_norm=0.4, m=4)
         coeffs = integrable_coefficients(1.0)
         cfg = SolverConfig(dt=1e-3, sobolev_index_m=4)
-        res = continuity_study(data, [1e-2, 1e-3, 1e-4, 1e-5], 4, coeffs, 0.05,
+        res = continuity_study(data, [1e-2, 1e-3, 1e-4, 1e-5], coeffs, 0.05,
                                cfg, rng_seed=7)
         assert res.verdict == "pass"
         assert 0.85 <= res.tables["fits"]["slope"][0] <= 1.15

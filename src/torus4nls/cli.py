@@ -52,7 +52,7 @@ from .experiments import (
     write_study,
     write_table,
 )
-from .functionals import EnergyRecorder, certify_cm
+from .functionals import CM_RESOLUTIONS, EnergyRecorder, certify_cm
 from .sampling import decay_field, mode_pair_field, random_field, rng_for
 from .spectral import GridSpec, SpectralField, zero_field
 
@@ -290,7 +290,8 @@ def cmd_conserve(args):
 
 def cmd_bona_smith(args):
     l_values = [int(v) for v in args.l_values.split(",")]
-    result = bona_smith_rate_study(args.m, l_values, num_modes=args.num_modes)
+    data = decay_field(GridSpec(args.num_modes), args.m + 0.6)
+    result = bona_smith_rate_study(args.m, l_values, data)
     return finish_study(result, args.outdir)
 
 
@@ -366,10 +367,10 @@ def cmd_certify_cm(args):
     )
     print(f"c_m = {cert.c_m!r} (worst margin {cert.worst_margin!r})")
     _report(write_manifest(args.outdir, "certify_cm", {
-        "parameters": {"m": cert.m, "nu": coeffs.nu, "lambdas": coeffs.lambdas,
-                       "l2_ceiling": cert.l2_ceiling, "trials": cert.trials,
-                       "rng_seed": cert.rng_seed, "target": cert.target,
-                       "resolutions": cert.resolutions},
+        "parameters": {"m": args.m, "nu": coeffs.nu, "lambdas": coeffs.lambdas,
+                       "l2_ceiling": args.ceiling, "trials": args.trials,
+                       "rng_seed": args.seed, "target": args.target,
+                       "resolutions": CM_RESOLUTIONS},
         "thresholds": {"worst_margin_min": 0.0},
         "c_m": cert.c_m,
         "worst_margin": cert.worst_margin,

@@ -41,7 +41,8 @@ class NonFinite(RuntimeError):
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """Dispersion strength ν ≠ 0 and the six real nonlinearity weights."""
+    """Dispersion strength ν ≠ 0 and the six real nonlinearity weights, all
+    finite."""
 
     nu: float
     lambda1: float = 0.0
@@ -52,8 +53,11 @@ class CoefficientSet:
     lambda6: float = 0.0
 
     def __post_init__(self):
-        if self.nu == 0.0:
-            raise ValueError("nu must be nonzero")
+        if not (math.isfinite(self.nu) and self.nu != 0.0):
+            raise ValueError(f"nu must be finite and nonzero, got {self.nu}")
+        for k, value in enumerate(self.lambdas, start=1):
+            if not math.isfinite(value):
+                raise ValueError(f"lambda{k} must be finite, got {value}")
 
     @property
     def lambdas(self):

@@ -10,8 +10,6 @@ from .spectral import SpectralField, l2_norm, zero_field
 def integrable_coefficients(nu):
     """The unique coefficient set with infinitely many conserved quantities:
     λ1 = -1/2, λ2 = -3ν/8, λ3 = -3ν/2, λ4 = -ν, λ5 = -ν/2, λ6 = -2ν."""
-    if nu == 0.0:
-        raise ValueError("nu must be nonzero")
     return CoefficientSet(
         nu=nu,
         lambda1=-0.5,

@@ -8,9 +8,15 @@ against those thresholds only. Studies are deterministic functions of
 column, LF endings), fed one row at a time; ``write_table`` feeds it a
 table's columns, ``write_manifest`` writes a JSON manifest, and
 ``write_study`` a study's tables and manifest.
+
+Each study's thresholds are one module-level constant
+(``CONSERVATION_THRESHOLDS`` and its five siblings). The verdict reads it
+and the result records a copy of it, so the manifest shows exactly the
+values compared against; no tolerance is an argument.
 """
 
 import json
+import math
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, replace
 from itertools import takewhile
@@ -29,7 +35,7 @@ from .functionals import (
     modified_energy,
 )
 from .mollifier import mollify
-from .sampling import decay_field, random_field, rng_for
+from .sampling import random_field, rng_for
 from .spectral import (
     GridSpec,
     gn_ratio,
@@ -39,6 +45,18 @@ from .spectral import (
 )
 
 DRIFT_FLOOR = 1e-12  # relative drifts below this are round-off, not signal
+
+CONSERVATION_THRESHOLDS = {"drift_tol": 1e-6, "min_gain": 4.0,
+                           "drift_floor": DRIFT_FLOOR}
+BONA_SMITH_THRESHOLDS = {"slope_band": 0.15, "r2_min": 0.98, "bound_const": 1.0}
+EPS_CONVERGENCE_THRESHOLDS = {"min_h1_order": 1.0}
+RICCATI_THRESHOLDS = {"spread_max": 2.0, "raw_growth_min": 4.0, "min_order": 1.8}
+CONTINUITY_THRESHOLDS = {"slope_band": 0.15, "quotient_spread_max": 2.0}
+INEQUALITY_THRESHOLDS = {"gn_growth_max": 1.05, "upper_spread_max": 2.0,
+                         "smoothing_bound": "1 + eps^-1/2 s^-1/2"}
+
+BONA_SMITH_EPS_LADDER = tuple(2.0**-k for k in range(1, 9))  # descending
+EPS_REF_DIVISOR = 4.0  # the ε-convergence reference runs at ε_min / 4
 
 
 @dataclass(frozen=True)
@@ -191,13 +209,14 @@ def _relative_drifts(columns):
     return out
 
 
-def conservation_study(data, nu, t_end, cfg, drift_tol=1e-6, min_gain=4.0):
+def conservation_study(data, nu, t_end, cfg):
     """Drift of I₀, I₁, I₂ along an unregularized integrable-case run.
 
     Integrates at cfg.dt and at dt/2; passes when every relative drift at
     the coarse step is within ``drift_tol`` and shrinks by ``min_gain``
-    under halving (drifts already at the round-off floor are exempt from
-    the gain requirement, since they carry no convergence signal).
+    under halving (``CONSERVATION_THRESHOLDS``; drifts already at the
+    round-off floor are exempt from the gain requirement, since they carry
+    no convergence signal).
     """
     if cfg.epsilon != 0.0:
         raise ValueError("conservation study runs the unregularized flow")
@@ -223,9 +242,11 @@ def conservation_study(data, nu, t_end, cfg, drift_tol=1e-6, min_gain=4.0):
         "drift_fine": drifts["fine"],
         "gain": gains,
     }
-    within_tol = all(d <= drift_tol for d in drifts["coarse"])
+    th = CONSERVATION_THRESHOLDS
+    within_tol = all(d <= th["drift_tol"] for d in drifts["coarse"])
     order_shown = all(
-        d <= DRIFT_FLOOR or g >= min_gain for d, g in zip(drifts["coarse"], gains)
+        d <= th["drift_floor"] or g >= th["min_gain"]
+        for d, g in zip(drifts["coarse"], gains)
     )
     if not within_tol:
         verdict = "fail"
@@ -243,40 +264,30 @@ def conservation_study(data, nu, t_end, cfg, drift_tol=1e-6, min_gain=4.0):
             "num_modes": data.grid.num_modes,
             "m": cfg.sobolev_index_m,
         },
-        thresholds={
-            "drift_tol": drift_tol,
-            "min_gain": min_gain,
-            "drift_floor": DRIFT_FLOOR,
-        },
+        thresholds=dict(th),
         tables=tables,
         verdict=verdict,
     )
 
 
-def bona_smith_rate_study(m, l_values, num_modes=1024,
-                          eps_ladder=tuple(2.0**-k for k in range(1, 9)),
-                          slope_band=0.15, r2_min=0.98, bound_const=1.0,
-                          data=None):
-    """Mollification error rates on critical-decay data.
+def bona_smith_rate_study(m, l_values, data):
+    """Mollification error rates of ``data`` along ``BONA_SMITH_EPS_LADDER``.
 
     Fits ‖f - f_ε‖_{H^{m-l}} against ε. For l ≥ 1 the fitted slope must lie
     within ``slope_band`` of l with r² ≥ ``r2_min``; for l = 0 the error is
-    only required to stay below ``bound_const``·‖f‖_{H^m}. Errors at machine
-    zero (band-limited data mollified to nothing) make the case
-    inconclusive rather than failed. ``data`` defaults to the critical
-    spectrum ⟨n⟩^{-(m+0.6)} where the rates are attained.
+    only required to stay below ``bound_const``·‖f‖_{H^m}
+    (``BONA_SMITH_THRESHOLDS``). Errors at machine zero (band-limited data
+    mollified to nothing) make the case inconclusive rather than failed.
+    The rates are attained on the critical spectrum ⟨n⟩^{-(m+0.6)}
+    (``decay_field(grid, m + 0.6)``), which the CLI passes.
     """
     if any(l < 0 or l > m for l in l_values):
         raise ValueError("need 0 <= l <= m")
     if len(set(l_values)) != len(l_values):
         raise ValueError(f"l_values repeats an entry: {list(l_values)}")
-    if data is None:
-        grid = GridSpec(num_modes)
-        data = decay_field(grid, m + 0.6)
-    else:
-        num_modes = data.grid.num_modes
+    th = BONA_SMITH_THRESHOLDS
     hm = sobolev_norm(data, m)
-    eps_ladder = sorted(eps_ladder, reverse=True)
+    eps_ladder = list(BONA_SMITH_EPS_LADDER)
     errors = {}
     for l in l_values:
         errors[l] = [
@@ -303,11 +314,12 @@ def bona_smith_rate_study(m, l_values, num_modes=1024,
         fits["intercept"].append(f.intercept)
         fits["r_squared"].append(f.r_squared)
         if l == 0:
-            ok = max(errs) <= bound_const * hm
+            ok = max(errs) <= th["bound_const"] * hm
         else:
+            band = th["slope_band"]
             ok = (
-                (1.0 - slope_band) * l <= f.slope <= (1.0 + slope_band) * l
-                and f.r_squared >= r2_min
+                (1.0 - band) * l <= f.slope <= (1.0 + band) * l
+                and f.r_squared >= th["r2_min"]
             )
         fits["passed"].append(1.0 if ok else 0.0)
         case_verdicts.append("pass" if ok else "fail")
@@ -322,29 +334,25 @@ def bona_smith_rate_study(m, l_values, num_modes=1024,
         parameters={
             "m": m,
             "l_values": list(l_values),
-            "num_modes": num_modes,
-            "eps_ladder": list(eps_ladder),
+            "num_modes": data.grid.num_modes,
+            "eps_ladder": eps_ladder,
             "data_hm_norm": hm,
         },
-        thresholds={
-            "slope_band": slope_band,
-            "r2_min": r2_min,
-            "bound_const": bound_const,
-        },
+        thresholds=dict(th),
         tables={"errors": table, "fits": fits},
         verdict=verdict,
     )
 
 
-def eps_convergence_study(data, coeffs, t_end, eps_ladder, cfg,
-                          min_h1_order=1.0, ref_divisor=4.0):
+def eps_convergence_study(data, coeffs, t_end, eps_ladder, cfg):
     """Vanishing-regularization convergence of the damped runs.
 
     Each ladder point solves the regularized problem with strength ε and
-    data mollified at the same ε; the reference uses ε_min/``ref_divisor``.
-    Passes when the H^m differences (m = cfg.sobolev_index_m) decrease
-    monotonically along the ladder and the fitted H^1 order is at least
-    ``min_h1_order``.
+    data mollified at the same ε; the reference uses
+    ε_min/``EPS_REF_DIVISOR``. Passes when the H^m differences (m =
+    cfg.sobolev_index_m) decrease monotonically along the ladder and the
+    fitted H^1 order is at least ``min_h1_order``
+    (``EPS_CONVERGENCE_THRESHOLDS``).
     """
     m = cfg.sobolev_index_m
     if m < 4:
@@ -352,7 +360,7 @@ def eps_convergence_study(data, coeffs, t_end, eps_ladder, cfg,
     if len(set(eps_ladder)) != len(eps_ladder):
         raise ValueError(f"eps_ladder repeats an entry: {list(eps_ladder)}")
     ladder = sorted(eps_ladder, reverse=True)
-    eps_ref = min(ladder) / ref_divisor
+    eps_ref = min(ladder) / EPS_REF_DIVISOR
     epsilons = [eps_ref] + ladder
     runs = integrate_many(
         [mollify(data, e) for e in epsilons], t_end,
@@ -380,12 +388,12 @@ def eps_convergence_study(data, coeffs, t_end, eps_ladder, cfg,
         "eps_ref": eps_ref,
         "num_modes": data.grid.num_modes,
     }
-    thresholds = {"min_h1_order": min_h1_order}
+    th = EPS_CONVERGENCE_THRESHOLDS
     if len(ladder) < 2:
         return StudyResult(
             name="eps_convergence",
             parameters=parameters,
-            thresholds=thresholds,
+            thresholds=dict(th),
             tables=tables,
             verdict="inconclusive",
         )
@@ -397,11 +405,11 @@ def eps_convergence_study(data, coeffs, t_end, eps_ladder, cfg,
         "r_squared": [fit.r_squared],
     }
     monotone = all(hm_diffs[i] > hm_diffs[i + 1] for i in range(len(hm_diffs) - 1))
-    verdict = "pass" if (monotone and fit.slope >= min_h1_order) else "fail"
+    verdict = "pass" if (monotone and fit.slope >= th["min_h1_order"]) else "fail"
     return StudyResult(
         name="eps_convergence",
         parameters=parameters,
-        thresholds=thresholds,
+        thresholds=dict(th),
         tables=tables,
         verdict=verdict,
     )
@@ -428,8 +436,7 @@ def _stepper_order(data, coarse, t_end, cfg, coeffs):
     return float(np.log2(e_coarse / e_fine))
 
 
-def riccati_study(family, coeffs, cfg, t_end, c_m,
-                  spread_max=2.0, raw_growth_min=4.0, min_order=1.8):
+def riccati_study(family, coeffs, cfg, t_end, c_m):
     """Growth-quotient contrast between the corrected and plain energies.
 
     For each family member (same H^m size, rising frequency content) the
@@ -438,8 +445,9 @@ def riccati_study(family, coeffs, cfg, t_end, c_m,
     corrected quotient stays within a ``spread_max`` band across the family
     while the plain quotient grows by ``raw_growth_min`` from first to last
     member. The verdict is only trusted (not inconclusive) if the stepper
-    shows order ≥ ``min_order`` on the first member. A linear coefficient
-    set is a ValueError: its energies are constant, so every quotient is 0.
+    shows order ≥ ``min_order`` on the first member (all three in
+    ``RICCATI_THRESHOLDS``). A linear coefficient set is a ValueError: its
+    energies are constant, so every quotient is 0.
     """
     if not family:
         raise ValueError("family must be nonempty")
@@ -467,8 +475,9 @@ def riccati_study(family, coeffs, cfg, t_end, c_m,
         freq_span.append(float(np.max(np.abs(grid.modes[populated]))))
     spread = max(q_mod) / min(q_mod)
     growth = q_raw[-1] / q_raw[0]
-    contrast_ok = spread <= spread_max and growth >= raw_growth_min
-    if order < min_order:
+    th = RICCATI_THRESHOLDS
+    contrast_ok = spread <= th["spread_max"] and growth >= th["raw_growth_min"]
+    if order < th["min_order"]:
         verdict = "inconclusive"
     else:
         verdict = "pass" if contrast_ok else "fail"
@@ -483,11 +492,7 @@ def riccati_study(family, coeffs, cfg, t_end, c_m,
             "family_size": len(family),
             "stepper_order": order,
         },
-        thresholds={
-            "spread_max": spread_max,
-            "raw_growth_min": raw_growth_min,
-            "min_order": min_order,
-        },
+        thresholds=dict(th),
         tables={
             "quotients": {
                 "param": [float(i) for i in range(len(family))],
@@ -500,8 +505,7 @@ def riccati_study(family, coeffs, cfg, t_end, c_m,
     )
 
 
-def continuity_study(phi, delta_ladder, coeffs, t_end, cfg, rng_seed,
-                     slope_band=0.15, quotient_spread_max=2.0):
+def continuity_study(phi, delta_ladder, coeffs, t_end, cfg, rng_seed):
     """Data-to-solution continuity: perturbation growth and Gronwall quotient.
 
     Perturbs phi by seeded random fields of H^m size δ (m =
@@ -512,10 +516,14 @@ def continuity_study(phi, delta_ladder, coeffs, t_end, cfg, rng_seed,
     the smallest value keeping Ẽ₁ ≥ ½‖·‖²_{H^1}, floored at 1), never
     assumed. Passes when sup-differences scale like δ within ``slope_band``
     and the quotient band across the ladder stays within
-    ``quotient_spread_max``.
+    ``quotient_spread_max`` (``CONTINUITY_THRESHOLDS``). Every δ must be
+    positive and finite.
     """
     if len(set(delta_ladder)) != len(delta_ladder):
         raise ValueError(f"delta_ladder repeats an entry: {list(delta_ladder)}")
+    if not all(0.0 < d < math.inf for d in delta_ladder):
+        raise ValueError(f"delta_ladder entries must be positive and finite: "
+                         f"{list(delta_ladder)}")
     m = cfg.sobolev_index_m
     deltas = sorted(delta_ladder, reverse=True)
     perturbed = [
@@ -558,9 +566,10 @@ def continuity_study(phi, delta_ladder, coeffs, t_end, cfg, rng_seed,
         growth_rates.append(float(np.log(max(q, 1e-300)) / t_end))
     fit = RateFit.fit(deltas, sup_h1)
     spread = max(quotients) / min(quotients)
+    th = CONTINUITY_THRESHOLDS
     ok = (
-        (1.0 - slope_band) <= fit.slope <= (1.0 + slope_band)
-        and spread <= quotient_spread_max
+        (1.0 - th["slope_band"]) <= fit.slope <= (1.0 + th["slope_band"])
+        and spread <= th["quotient_spread_max"]
     )
     return StudyResult(
         name="continuity",
@@ -572,10 +581,7 @@ def continuity_study(phi, delta_ladder, coeffs, t_end, cfg, rng_seed,
             "num_modes": phi.grid.num_modes,
             "c_tilde": c_tilde,
         },
-        thresholds={
-            "slope_band": slope_band,
-            "quotient_spread_max": quotient_spread_max,
-        },
+        thresholds=dict(th),
         tables={
             "scaling": {
                 "param": list(deltas),
@@ -595,37 +601,38 @@ def continuity_study(phi, delta_ladder, coeffs, t_end, cfg, rng_seed,
 
 
 GN_CASES = ((1, 2, 2.0), (1, 2, float("inf")), (0, 1, float("inf")), (3, 4, 2.0))
+SWEEP_RESOLUTIONS = (64, 128)
 
 
-def inequality_sweeps(seed, trials, m=4, nu=1.0, certificate=None,
-                      gn_cases=GN_CASES, resolutions=(64, 128),
-                      gn_growth_max=1.05, upper_spread_max=2.0,
-                      l2_ceiling=1.0):
+def inequality_sweeps(seed, trials, m=4, nu=1.0, l2_ceiling=1.0):
     """Bundled randomized checks of the interpolation inequality, the
-    smoothing-multiplier bound, and the two-sided energy equivalence.
+    smoothing-multiplier bound, and the two-sided energy equivalence, on
+    the ``GN_CASES`` at ``SWEEP_RESOLUTIONS``.
 
+    Certifies its own c_m (``max(trials // 2, 50)`` trials, seed + 1).
     Passes only with zero violations: every interpolation ratio finite with
     the empirical constant growing at most ``gn_growth_max`` under
     resolution doubling; every smoothing multiplier below its closed-form
     bound; every sampled field satisfying the certified lower energy bound,
-    with the upper equivalence constant stable under resolution doubling.
+    with the upper equivalence constant within ``upper_spread_max`` under
+    resolution doubling (``INEQUALITY_THRESHOLDS``).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if not l2_ceiling > 0:
-        raise ValueError(f"l2_ceiling must be > 0, got {l2_ceiling}")
+    if not 0 < l2_ceiling < math.inf:
+        raise ValueError(f"l2_ceiling must be > 0 and finite, got {l2_ceiling}")
     coeffs = integrable_coefficients(nu)
-    if certificate is None:
-        certificate = certify_cm(
-            m, coeffs, l2_ceiling, trials=max(trials // 2, 50),
-            rng_seed=seed + 1, target="sobolev",
-        )
+    cert_trials = max(trials // 2, 50)
+    c_m = certify_cm(m, coeffs, l2_ceiling, trials=cert_trials,
+                     rng_seed=seed + 1, target="sobolev").c_m
+    th = INEQUALITY_THRESHOLDS
+    resolutions = SWEEP_RESOLUTIONS
     tables = {}
     failures = []
 
     # interpolation-ratio sweep
     gn_rows = {"param": [], "l": [], "m": [], "inv_p": [], "max_ratio": [], "growth": []}
-    for case_idx, (l, mm, p) in enumerate(gn_cases):
+    for case_idx, (l, mm, p) in enumerate(GN_CASES):
         max_ratio = {}
         for n in resolutions:
             grid = GridSpec(n)
@@ -643,7 +650,7 @@ def inequality_sweeps(seed, trials, m=4, nu=1.0, certificate=None,
         gn_rows["inv_p"].append(0.0 if np.isinf(p) else 1.0 / p)
         gn_rows["max_ratio"].append(max_ratio[resolutions[-1]])
         gn_rows["growth"].append(growth)
-        if not np.isfinite(max_ratio[resolutions[-1]]) or growth > gn_growth_max:
+        if not np.isfinite(max_ratio[resolutions[-1]]) or growth > th["gn_growth_max"]:
             failures.append(f"gn case {(l, mm, p)}")
     tables["gn_sweep"] = gn_rows
 
@@ -679,7 +686,7 @@ def inequality_sweeps(seed, trials, m=4, nu=1.0, certificate=None,
         for i in range(trials):
             rng = rng_for(seed + 2, n * 1_000_000 + i)
             psi = certificate_sample(grid, rng, l2_ceiling)
-            e_val = modified_energy(psi, m, coeffs, certificate.c_m)
+            e_val = modified_energy(psi, m, coeffs, c_m)
             hm_sq = sobolev_norm_sq(psi, m)
             l2_sq = sobolev_norm_sq(psi, 0)
             margin = e_val - 0.5 * hm_sq
@@ -697,7 +704,7 @@ def inequality_sweeps(seed, trials, m=4, nu=1.0, certificate=None,
     }
     if lower_viol:
         failures.append("energy lower bound")
-    if not (1.0 / upper_spread_max <= upper_ratio <= upper_spread_max):
+    if not 1.0 / th["upper_spread_max"] <= upper_ratio <= th["upper_spread_max"]:
         failures.append("energy upper constant stability")
 
     return StudyResult(
@@ -708,16 +715,12 @@ def inequality_sweeps(seed, trials, m=4, nu=1.0, certificate=None,
             "m": m,
             "nu": nu,
             "resolutions": list(resolutions),
-            "c_m": certificate.c_m,
-            "certificate_trials": certificate.trials,
+            "c_m": c_m,
+            "certificate_trials": cert_trials,
             "l2_ceiling": l2_ceiling,
             "failures": failures,
         },
-        thresholds={
-            "gn_growth_max": gn_growth_max,
-            "upper_spread_max": upper_spread_max,
-            "smoothing_bound": "1 + eps^-1/2 s^-1/2",
-        },
+        thresholds=dict(th),
         tables=tables,
         verdict="pass" if not failures else "fail",
     )

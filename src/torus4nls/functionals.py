@@ -9,17 +9,20 @@ large enough that the node average of the product equals its exact mean
 (pad 3 for quartic, pad 4 for sextic integrands).
 """
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import CoefficientSet
 from .sampling import random_field, rng_for
 from .spectral import GridSpec, SpectralField, padded_samples, seminorm_sq, sobolev_norm_sq
 
 PAD_QUARTIC = 3
 PAD_SEXTIC = 4
+
+CM_RESOLUTIONS = (32, 64, 128)  # grids the certification draws cycle through
+CM_SAFETY = 2.0  # factor on the smallest c_m that holds on every sample
 
 
 def quadrature_mean(values):
@@ -137,17 +140,11 @@ def positivity_target(psi, m, target):
 
 @dataclass(frozen=True)
 class CmCertificate:
-    """Evidence record for a randomized positivity search over sample fields."""
+    """What a randomized positivity search found: the constant and the
+    smallest margin E_m − target over its samples."""
 
-    m: int
-    coefficients: CoefficientSet
     c_m: float
-    trials: int
     worst_margin: float
-    target: str = "classic"
-    l2_ceiling: float = 1.0
-    rng_seed: int = 0
-    resolutions: tuple = (32, 64, 128)
 
     def __post_init__(self):
         if self.worst_margin < 0.0:
@@ -196,25 +193,24 @@ def corner_probes(grid, l2_ceiling):
     return probes
 
 
-def certify_cm(m, coeffs, l2_ceiling, trials, rng_seed, target="classic",
-               resolutions=(32, 64, 128), safety=2.0):
+def certify_cm(m, coeffs, l2_ceiling, trials, rng_seed, target="classic"):
     """Randomized adversarial search for the energy-positivity constant.
 
     The sample set combines a fixed suite of worst-corner probes with
-    ``trials`` seeded random fields across resolutions; the smallest c_m
-    keeping E_m above the requested target on every sample is scaled by
-    ``safety`` and returned with the worst observed margin. Sample i
+    ``trials`` seeded random fields across ``CM_RESOLUTIONS``; the smallest
+    c_m keeping E_m above the requested target on every sample is scaled
+    by ``CM_SAFETY`` and returned with the worst observed margin. Sample i
     depends only on (rng_seed, i), so doubling ``trials`` never decreases
     the result.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if not l2_ceiling > 0:
-        raise ValueError(f"l2_ceiling must be > 0, got {l2_ceiling}")
-    samples = list(corner_probes(GridSpec(min(resolutions)), l2_ceiling))
+    if not 0 < l2_ceiling < math.inf:
+        raise ValueError(f"l2_ceiling must be > 0 and finite, got {l2_ceiling}")
+    samples = list(corner_probes(GridSpec(min(CM_RESOLUTIONS)), l2_ceiling))
     for i in range(trials):
         rng = rng_for(rng_seed, i)
-        grid = GridSpec(resolutions[i % len(resolutions)])
+        grid = GridSpec(CM_RESOLUTIONS[i % len(CM_RESOLUTIONS)])
         samples.append(certificate_sample(grid, rng, l2_ceiling))
     required = 0.0
     targets = []
@@ -225,22 +221,12 @@ def certify_cm(m, coeffs, l2_ceiling, trials, rng_seed, target="classic",
         need = (t - e0) / mass_sq ** (2 * m + 1)
         required = max(required, need)
         targets.append(t)
-    c_m = safety * max(required, 0.0)
+    c_m = CM_SAFETY * max(required, 0.0)
     worst = min(
         modified_energy(psi, m, coeffs, c_m) - t
         for psi, t in zip(samples, targets)
     )
-    return CmCertificate(
-        m=m,
-        coefficients=coeffs,
-        c_m=c_m,
-        trials=trials,
-        worst_margin=worst,
-        target=target,
-        l2_ceiling=l2_ceiling,
-        rng_seed=rng_seed,
-        resolutions=tuple(resolutions),
-    )
+    return CmCertificate(c_m=c_m, worst_margin=worst)
 
 
 class EnergyRecorder:

@@ -73,8 +73,8 @@ def mode_pair_field(grid, separation, hm_norm, m,
     half = grid.num_modes // 2
     if not 2 <= separation < half - 1:
         raise ValueError("separation outside resolved band")
-    if not hm_norm > 0:
-        raise ValueError(f"hm_norm must be > 0, got {hm_norm}")
+    if not 0 < hm_norm < np.inf:
+        raise ValueError(f"hm_norm must be > 0 and finite, got {hm_norm}")
     target_sq = hm_norm**2 / 4.0
     c = np.zeros(grid.num_modes, dtype=np.complex128)
     for (n, phase) in zip((0, 1, separation, separation + 1), phases):

@@ -24,7 +24,7 @@ from torus4nls.experiments import (
     riccati_study,
 )
 from torus4nls.functionals import certificate_sample, certify_cm, modified_energy
-from torus4nls.sampling import mode_pair_field, random_field, rng_for
+from torus4nls.sampling import decay_field, mode_pair_field, random_field, rng_for
 from torus4nls.spectral import (
     GridSpec,
     SpectralField,
@@ -91,7 +91,8 @@ def test_criterion_03_integrable_conservation():
     data = random_field(grid, rng_for(42), decay=2.0, hm_norm=0.4, m=4, max_mode=4)
     assert sobolev_norm(data, 4) <= 0.5
     cfg = SolverConfig(dt=2e-3, epsilon=0.0, sobolev_index_m=4)
-    res = conservation_study(data, 1.0, 0.1, cfg, drift_tol=1e-6, min_gain=4.0)
+    res = conservation_study(data, 1.0, 0.1, cfg)
+    assert res.thresholds == {"drift_tol": 1e-6, "min_gain": 4.0, "drift_floor": 1e-12}
     drifts = res.tables["drifts"]["drift_coarse"]
     gains = res.tables["drifts"]["gain"]
     measurable = [g for d, g in zip(drifts, gains) if d > res.thresholds["drift_floor"]]
@@ -102,8 +103,8 @@ def test_criterion_03_integrable_conservation():
 
 
 def test_criterion_04_bona_smith_rates():
-    res = bona_smith_rate_study(4, [0, 1, 2], num_modes=1024,
-                                slope_band=0.15, r2_min=0.98)
+    res = bona_smith_rate_study(4, [0, 1, 2], decay_field(GridSpec(1024), 4.6))
+    assert res.thresholds == {"slope_band": 0.15, "r2_min": 0.98, "bound_const": 1.0}
     fits = res.tables["fits"]
     slopes = dict(zip(fits["param"], fits["slope"]))
     r2 = dict(zip(fits["param"], fits["r_squared"]))
@@ -192,8 +193,9 @@ def test_criterion_08_riccati_contrast():
     grid = GridSpec(256)
     family = [mode_pair_field(grid, k, 2.0, m) for k in (4, 8, 16, 32)]
     cfg = SolverConfig(dt=1e-6, sobolev_index_m=m)
-    res = riccati_study(family, coeffs, cfg, 2e-4, cert.c_m,
-                        spread_max=2.0, raw_growth_min=4.0)
+    res = riccati_study(family, coeffs, cfg, 2e-4, cert.c_m)
+    assert res.thresholds == {"spread_max": 2.0, "raw_growth_min": 4.0,
+                              "min_order": 1.8}
     q = res.tables["quotients"]
     spread = max(q["q_modified"]) / min(q["q_modified"])
     growth = q["q_raw"][-1] / q["q_raw"][0]
@@ -210,8 +212,8 @@ def test_criterion_09_eps_convergence():
     coeffs = integrable_coefficients(1.0)
     cfg = SolverConfig(dt=5e-4, sobolev_index_m=4)
     ladder = [2.0**-k for k in range(3, 8)]
-    res = eps_convergence_study(data, coeffs, 0.02, ladder, cfg,
-                                min_h1_order=1.0)
+    res = eps_convergence_study(data, coeffs, 0.02, ladder, cfg)
+    assert res.thresholds == {"min_h1_order": 1.0}
     hm = res.tables["differences"]["hm_diff"]
     monotone = all(a > b for a, b in zip(hm, hm[1:]))
     slope = res.tables["fits"]["slope"][0]
@@ -227,8 +229,8 @@ def test_criterion_10_continuity():
     coeffs = integrable_coefficients(1.0)
     cfg = SolverConfig(dt=1e-3, sobolev_index_m=4)
     res = continuity_study(data, [1e-2, 1e-3, 1e-4, 1e-5], coeffs, 0.05,
-                           cfg, rng_seed=7, slope_band=0.15,
-                           quotient_spread_max=2.0)
+                           cfg, rng_seed=7)
+    assert res.thresholds == {"slope_band": 0.15, "quotient_spread_max": 2.0}
     slope = res.tables["fits"]["slope"][0]
     quotients = res.tables["scaling"]["gronwall_quotient"]
     spread = max(quotients) / min(quotients)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import torus4nls.cli as cli
+import torus4nls.experiments as experiments
 from torus4nls import __version__
 from torus4nls.cli import (
     build_coeffs,
@@ -486,8 +487,16 @@ class TestUsageErrors:
         (["conserve", "--t-end", "nan"], "t_end"),
         (["standing-wave", "--kappa", "nan"], "kappa"),
         (["standing-wave", "--kappa", "inf"], "kappa"),
+        (["standing-wave", "--nu", "nan"], "nu"),
+        (["standing-wave", "--lambda1", "nan"], "lambda1"),
+        (["certify-cm", "--nu", "nan", "--trials", "5"], "nu"),
+        (["simulate", "--lambda1", "nan", "--t-end", "0.01"], "lambda1"),
+        (["conserve", "--nu", "nan"], "nu"),
+        (["sweep-inequalities", "--nu", "nan", "--trials", "3"], "nu"),
     ], ids=["dt-nan", "dt-inf", "t-end-nan", "t-end-inf", "conserve-t-end-nan",
-            "kappa-nan", "kappa-inf"])
+            "kappa-nan", "kappa-inf", "standing-wave-nu", "standing-wave-lambda1",
+            "certify-cm-nu", "simulate-lambda1", "conserve-nu",
+            "sweep-inequalities-nu"])
     def test_nonfinite_value_is_2(self, tmp_path, monkeypatch, capsys, argv, name):
         out = tmp_path / "out"
         assert run_in(out, monkeypatch, argv) == 2
@@ -557,7 +566,7 @@ class TestUsageErrors:
         assert f"argument {flag}:" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("value", ["0", "-1", "nan"])
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
     @pytest.mark.parametrize("command", ["certify-cm", "sweep-inequalities", "riccati"])
     def test_nonpositive_ceiling_is_2(self, tmp_path, monkeypatch, capsys,
                                       command, value):
@@ -567,7 +576,7 @@ class TestUsageErrors:
         assert "l2_ceiling must be > 0" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("value", ["0", "-2", "nan"])
+    @pytest.mark.parametrize("value", ["0", "-2", "nan", "inf"])
     def test_nonpositive_hm_size_is_2(self, tmp_path, monkeypatch, capsys, value):
         # the family's amplitudes come from hm_size squared
         out = tmp_path / "out"
@@ -589,4 +598,17 @@ class TestUsageErrors:
         out = tmp_path / "out"
         assert exit_code(out, monkeypatch, argv) == 2
         assert f"{name} repeats an entry" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("delta", ["0", "-1e-3", "inf"])
+    def test_bad_delta_is_2_before_any_run(self, tmp_path, monkeypatch, capsys, delta):
+        def no_run(*args, **kwargs):
+            raise AssertionError("continuity integrated before checking its deltas")
+
+        monkeypatch.setattr(experiments, "integrate_many", no_run)
+        out = tmp_path / "out"
+        argv = ["continuity", "--nu", "1", "--integrable", "--deltas", f"1e-2,{delta}"]
+        assert exit_code(out, monkeypatch, argv) == 2
+        err = capsys.readouterr().err
+        assert "delta_ladder entries must be positive and finite" in err
         assert not out.exists()

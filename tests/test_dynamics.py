@@ -39,6 +39,13 @@ class TestCoefficientSet:
         with pytest.raises(ValueError):
             CoefficientSet(nu=0.0)
 
+    @pytest.mark.parametrize("field", ["nu", "lambda1", "lambda6"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite(self, field, value):
+        kwargs = {"nu": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            CoefficientSet(**kwargs)
+
     def test_is_linear(self):
         assert CoefficientSet(nu=1.0).is_linear
         assert not CoefficientSet(nu=1.0, lambda3=0.1).is_linear

@@ -190,24 +190,23 @@ class TestConservationStudy:
 
 class TestBonaSmithStudy:
     def test_critical_data_passes(self):
-        res = bona_smith_rate_study(4, [0, 1, 2], num_modes=1024)
+        res = bona_smith_rate_study(4, [0, 1, 2], decay_field(GridSpec(1024), 4.6))
         assert res.verdict == "pass"
         slopes = dict(zip(res.tables["fits"]["param"], res.tables["fits"]["slope"]))
         assert 0.85 <= slopes[1.0] <= 1.15
         assert 1.7 <= slopes[2.0] <= 2.3
 
     def test_band_limited_superconvergence_inconclusive(self):
-        # mollifying far below the band leaves machine-zero errors
+        # at the ladder's fine end (eps n <= 1/64) mollifying leaves the
+        # band untouched: machine-zero errors
         grid = GridSpec(256)
         data = random_field(grid, rng_for(3), decay=1.0, l2_mass=1.0, max_mode=4)
-        res = bona_smith_rate_study(
-            4, [1], data=data, eps_ladder=[2.0**-k for k in range(6, 12)]
-        )
+        res = bona_smith_rate_study(4, [1], data)
         assert res.verdict == "inconclusive"
 
     def test_rejects_bad_l(self):
         with pytest.raises(ValueError):
-            bona_smith_rate_study(2, [3])
+            bona_smith_rate_study(2, [3], decay_field(GridSpec(32), 2.6))
 
 
 class TestEpsConvergenceStudy:
@@ -268,8 +267,7 @@ class TestRiccatiStudy:
         coeffs = CoefficientSet(nu=1.0, lambda1=-0.5, lambda2=-0.375)
         family = [mode_pair_field(grid, k, 1.0, 4) for k in (4, 8)]
         cfg = SolverConfig(dt=1e-5, sobolev_index_m=4)
-        res = riccati_study(family, coeffs, cfg, 2e-4, c_m=0.0,
-                            raw_growth_min=0.0, spread_max=np.inf)
+        res = riccati_study(family, coeffs, cfg, 2e-4, c_m=0.0)
         q = res.tables["quotients"]
         assert np.allclose(q["q_modified"], q["q_raw"], rtol=1e-10)
 

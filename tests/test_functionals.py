@@ -133,10 +133,7 @@ class TestCertifyCm:
 
     def test_certificate_rejects_negative_margin(self):
         with pytest.raises(ValueError):
-            CmCertificate(
-                m=4, coefficients=integrable_coefficients(1.0), c_m=1.0,
-                trials=10, worst_margin=-0.1,
-            )
+            CmCertificate(c_m=1.0, worst_margin=-0.1)
 
 
 class TestConservedQuantities:

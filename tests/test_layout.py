@@ -1,4 +1,5 @@
-"""Source layout: every FFT of the package goes through one transform path.
+"""Source layout: every FFT of the package goes through one transform path,
+and no study tolerance is an argument.
 
 ``spectral.padded_samples`` synthesises samples and ``spectral.band_coeffs``
 takes them back; no other function calls a numpy FFT. The benchmark tracer
@@ -7,9 +8,12 @@ module, so a module that imports from ``numpy.fft`` by name would escape it.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
+
+from torus4nls import experiments, functionals
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "torus4nls"
 MODULES = sorted(SRC.glob("*.py"))
@@ -77,3 +81,23 @@ def test_no_fft_imported_by_name(path):
             for alias in node.names:
                 assert not alias.name.startswith("numpy.fft"), \
                     f"{path.name}: import {alias.name}"
+
+
+STUDIES = ("conservation_study", "bona_smith_rate_study", "eps_convergence_study",
+           "riccati_study", "continuity_study", "inequality_sweeps")
+
+
+def test_no_tolerance_is_an_argument():
+    """Each study's thresholds are one ``*_THRESHOLDS`` constant: no study
+    and not ``certify_cm`` takes a parameter named after a threshold, nor
+    one of the certificate search's fixed settings."""
+    constants = {name: value for name, value in vars(experiments).items()
+                 if name.endswith("_THRESHOLDS")}
+    banned = {"safety", "resolutions", "certificate", "gn_cases"}
+    for value in constants.values():
+        banned |= set(value)
+    functions = [getattr(experiments, name) for name in STUDIES]
+    for fn in functions + [functionals.certify_cm]:
+        knobs = banned & set(inspect.signature(fn).parameters)
+        assert not knobs, f"{fn.__name__} takes {sorted(knobs)}"
+    assert len(constants) == len(STUDIES), sorted(constants)

@@ -1,5 +1,8 @@
 """Command-line surface: batch simulations and studies with persisted runs.
 
+Each option is declared once, in ``FLAGS``, so it means the same on every
+subcommand; ``COMMANDS`` gives each subcommand's options and defaults.
+
 Configuration precedence: command-line flags override config-file keys,
 which override built-in defaults. The config file is a flat ``key = value``
 text format (``#`` comments allowed) whose keys are the long option names
@@ -20,6 +23,7 @@ error (Picard non-convergence or non-finite state).
 """
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -42,6 +46,7 @@ from .exact import (
 )
 from .experiments import (
     bona_smith_rate_study,
+    check_t_end,
     conservation_study,
     continuity_study,
     eps_convergence_study,
@@ -74,6 +79,71 @@ ladders (eps/deltas): comma-separated floats; `2^-3` exponent form allowed.
 """
 
 
+LAMBDA_KEYS = ("lambda1", "lambda2", "lambda3", "lambda4", "lambda5", "lambda6")
+
+# Every option, by dest: its type and help. ``bool`` marks a switch and a
+# tuple lists the choices; a ``str`` option is taken as given.
+FLAGS = {
+    "outdir": (str, "output directory (default ./runs)"),
+    "config": (str, "flat key=value config file"),
+    "data": (str, "initial data spec (see --help)"),
+    "num_modes": (int, "grid size N"),
+    "dt": (float, "time step"),
+    "t_end": (float, "final time"),
+    "eps": (float, "regularization strength"),
+    "m": (int, "Sobolev index"),
+    "nu": (float, "fourth-order dispersion"),
+    "integrable": (bool, "use the completely integrable coefficient set for nu"),
+    **{key: (float, f"{key} weight") for key in LAMBDA_KEYS},
+    "seed": (int, "random seed"),
+    "l_values": (str, "comma list of l offsets"),
+    "eps_ladder": (str, "comma list (2^-k allowed); the study's only eps"),
+    "seps": (str, "comma list of mode separations"),
+    "hm_size": (float, "family H^m norm"),
+    "cm_trials": (int, "certification trials"),
+    "ceiling": (float, "certification L2 ceiling"),
+    "deltas": (str, "comma list of perturbation sizes"),
+    "trials": (int, "random samples per sweep or certificate"),
+    "kappa": (float, "plane-wave amplitude"),
+    "tau": (int, "plane-wave mode"),
+    "target": (("classic", "sobolev"), "energy lower bound to certify"),
+}
+
+COEFFS = {"nu": 1.0, "integrable": False, **dict.fromkeys(LAMBDA_KEYS)}
+
+# Each subcommand: its help and the defaults of its flags, in help order
+# (every one also takes --outdir and --config). Its handler is ``cmd_<name>``,
+# looked up when it runs, so a wrapper rebound over that name is the one called.
+COMMANDS = {
+    "simulate": ("integrate and persist a trajectory", {
+        "data": "decay:s=5.0:amp=0.05", "num_modes": 64, "dt": 1e-3, "t_end": 0.1,
+        "eps": 0.0, "m": 4, **COEFFS}),
+    "conserve": ("invariant-drift study (integrable case)", {
+        "data": "random:seed=42:decay=2.0:hm=0.4:m=4:maxmode=4", "num_modes": 64,
+        "dt": 2e-3, "t_end": 0.1, "m": 4, "nu": 1.0}),
+    "bona-smith": ("mollification rate study", {
+        "m": 4, "num_modes": 1024, "l_values": "0,1,2"}),
+    "eps-converge": ("vanishing-regularization study", {
+        "data": "random:seed=7:decay=8.0:hm=0.4:m=4", "num_modes": 64, "dt": 5e-4,
+        "t_end": 0.02, "m": 4, **COEFFS, "eps_ladder": "2^-3,2^-4,2^-5,2^-6,2^-7"}),
+    "riccati": ("energy growth-quotient contrast study", {
+        "dt": 1e-6, "t_end": 2e-4, "eps": 0.0, "m": 4, **COEFFS, "seed": 2024,
+        "num_modes": 256, "seps": "4,8,16,32", "hm_size": 2.0, "cm_trials": 60,
+        "ceiling": 1.0}),
+    "continuity": ("data-to-solution continuity study", {
+        "data": "random:seed=11:decay=6.0:hm=0.4:m=4", "num_modes": 64, "dt": 1e-3,
+        "t_end": 0.05, "eps": 0.0, "m": 4, **COEFFS, "seed": 7,
+        "deltas": "1e-2,1e-3,1e-4,1e-5"}),
+    "sweep-inequalities": ("bundled inequality sweeps", {
+        "seed": 123, "trials": 200, "m": 4, "nu": 1.0, "ceiling": 1.0}),
+    "standing-wave": ("emit the rotation rate and residual", {
+        **COEFFS, "kappa": 0.3, "tau": 1, "num_modes": 64}),
+    "certify-cm": ("randomized energy-positivity search", {
+        **COEFFS, "seed": 31, "m": 4, "ceiling": 1.0, "trials": 200,
+        "target": "classic"}),
+}
+
+
 def _parse_number(tok):
     tok = tok.strip()
     if "^" in tok:
@@ -97,6 +167,8 @@ def _parse_kv(chunks, what, allowed):
             raise ValueError(f"malformed {what} entry {chunk!r} (expected key=value)")
         if k not in allowed or k in out:
             raise ValueError(f"{what} spec: unknown or repeated key {k!r}")
+        if not math.isfinite(float(v)):  # every spec value is a number
+            raise ValueError(f"{what} spec: {k} must be finite, got {v}")
         out[k] = v
     return out
 
@@ -162,41 +234,14 @@ def read_config(path, args):
         if k in cfg:
             raise ValueError(f"config key {k!r} given twice")
         cfg[k] = v
-    known = set(vars(args)) - {"config", "command", "func"}  # not options
+    known = set(vars(args)) - {"config", "command"}  # not options
     unknown = sorted(set(cfg) - known)
     if unknown:
         raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
-    if "integrable" in cfg:  # a switch: argparse has no type to convert it with
-        cfg["integrable"] = _parse_bool(cfg["integrable"])
+    for k in cfg:
+        if FLAGS[k][0] is bool:  # a switch: argparse has no type to convert it with
+            cfg[k] = _parse_bool(cfg[k])
     return cfg
-
-
-LAMBDA_KEYS = ("lambda1", "lambda2", "lambda3", "lambda4", "lambda5", "lambda6")
-
-
-def add_common(parser, *, data=False, solver=False, eps=True, coeffs=False,
-               seed=False):
-    parser.add_argument("--outdir", help="output directory (default ./runs)")
-    parser.add_argument("--config", help="flat key=value config file")
-    if data:
-        parser.add_argument("--data", help="initial data spec (see --help)")
-        parser.add_argument("--num-modes", type=int, help="grid size N")
-    if solver:
-        parser.add_argument("--dt", type=float, help="time step")
-        parser.add_argument("--t-end", type=float, help="final time")
-        if eps:
-            parser.add_argument("--eps", type=float, help="regularization strength")
-        parser.add_argument("--m", type=int, help="Sobolev index")
-    if coeffs:
-        parser.add_argument("--nu", type=float, help="fourth-order dispersion")
-        parser.add_argument(
-            "--integrable", action="store_true",
-            help="use the completely integrable coefficient set for nu",
-        )
-        for key in LAMBDA_KEYS:
-            parser.add_argument(f"--{key}", type=float, help=f"{key} weight")
-    if seed:
-        parser.add_argument("--seed", type=int, help="random seed")
 
 
 def resolve_outdir(args):
@@ -314,6 +359,7 @@ def cmd_riccati(args):
     if len(set(seps)) != len(seps):
         raise ValueError(f"seps repeats an entry: {seps}")
     family = [mode_pair_field(grid, k, args.hm_size, args.m) for k in seps]
+    check_t_end(args.t_end)  # the study checks it too, but after certification
     cert = certify_cm(
         args.m, coeffs, args.ceiling, trials=args.cm_trials,
         rng_seed=args.seed, target="sobolev",
@@ -391,80 +437,16 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     commands = {}
-
-    def add_command(name, help):
-        commands[name] = sub.add_parser(name, help=help, allow_abbrev=False)
-        return commands[name]
-
-    p = add_command("simulate", "integrate and persist a trajectory")
-    add_common(p, data=True, solver=True, coeffs=True)
-    p.set_defaults(func=cmd_simulate, num_modes=64, dt=1e-3, t_end=0.1, eps=0.0,
-                   m=4, nu=1.0, data="decay:s=5.0:amp=0.05")
-
-    p = add_command("conserve", "invariant-drift study (integrable case)")
-    add_common(p, data=True, solver=True, eps=False)
-    p.add_argument("--nu", type=float, help="fourth-order dispersion")
-    p.set_defaults(func=cmd_conserve, num_modes=64, dt=2e-3, t_end=0.1, m=4,
-                   nu=1.0, data="random:seed=42:decay=2.0:hm=0.4:m=4:maxmode=4")
-
-    p = add_command("bona-smith", "mollification rate study")
-    add_common(p)
-    p.add_argument("--m", type=int, help="Sobolev index")
-    p.add_argument("--num-modes", type=int)
-    p.add_argument("--l-values", help="comma list of l offsets")
-    p.set_defaults(func=cmd_bona_smith, m=4, num_modes=1024, l_values="0,1,2")
-
-    p = add_command("eps-converge", "vanishing-regularization study")
-    add_common(p, data=True, solver=True, eps=False, coeffs=True)
-    p.add_argument("--eps-ladder",
-                   help="comma list (2^-k allowed); the study's only eps")
-    p.set_defaults(func=cmd_eps_converge, num_modes=64, dt=5e-4, t_end=0.02, m=4,
-                   nu=1.0, eps_ladder="2^-3,2^-4,2^-5,2^-6,2^-7",
-                   data="random:seed=7:decay=8.0:hm=0.4:m=4")
-
-    p = add_command("riccati", "energy growth-quotient contrast study")
-    add_common(p, solver=True, coeffs=True, seed=True)
-    p.add_argument("--num-modes", type=int)
-    p.add_argument("--seps", help="comma list of mode separations")
-    p.add_argument("--hm-size", type=float, help="family H^m norm")
-    p.add_argument("--cm-trials", type=int, help="certification trials")
-    p.add_argument("--ceiling", type=float, help="certification L2 ceiling")
-    p.set_defaults(func=cmd_riccati, num_modes=256, dt=1e-6, t_end=2e-4, eps=0.0,
-                   m=4, nu=1.0, seps="4,8,16,32", hm_size=2.0, cm_trials=60,
-                   seed=2024, ceiling=1.0)
-
-    p = add_command("continuity", "data-to-solution continuity study")
-    add_common(p, data=True, solver=True, coeffs=True, seed=True)
-    p.add_argument("--deltas", help="comma list of perturbation sizes")
-    p.set_defaults(func=cmd_continuity, num_modes=64, dt=1e-3, t_end=0.05, m=4,
-                   nu=1.0, eps=0.0, deltas="1e-2,1e-3,1e-4,1e-5", seed=7,
-                   data="random:seed=11:decay=6.0:hm=0.4:m=4")
-
-    p = add_command("sweep-inequalities", "bundled inequality sweeps")
-    add_common(p, seed=True)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--nu", type=float)
-    p.add_argument("--ceiling", type=float)
-    p.set_defaults(func=cmd_sweep_inequalities, trials=200, seed=123, m=4, nu=1.0,
-                   ceiling=1.0)
-
-    p = add_command("standing-wave", "emit the rotation rate and residual")
-    add_common(p, coeffs=True)
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--tau", type=int)
-    p.add_argument("--num-modes", type=int)
-    p.set_defaults(func=cmd_standing_wave, kappa=0.3, tau=1, nu=1.0, num_modes=64)
-
-    p = add_command("certify-cm", "randomized energy-positivity search")
-    add_common(p, coeffs=True, seed=True)
-    p.add_argument("--m", type=int)
-    p.add_argument("--ceiling", type=float)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--target", choices=["classic", "sobolev"])
-    p.set_defaults(func=cmd_certify_cm, m=4, nu=1.0, ceiling=1.0, trials=200,
-                   seed=31, target="classic")
-
+    for name, (help, defaults) in COMMANDS.items():
+        p = commands[name] = sub.add_parser(name, help=help, allow_abbrev=False)
+        defaults = {"outdir": None, "config": None, **defaults}
+        for dest in defaults:
+            kind, text = FLAGS[dest]
+            kwargs = ({"action": "store_true"} if kind is bool
+                      else {"choices": kind} if isinstance(kind, tuple)
+                      else {} if kind is str else {"type": kind})
+            p.add_argument("--" + dest.replace("_", "-"), help=text, **kwargs)
+        p.set_defaults(**defaults)
     return parser, commands
 
 
@@ -478,7 +460,7 @@ def run_command(argv):
             commands[args.command].set_defaults(**read_config(args.config, args))
             args = parser.parse_args(argv)
         args.outdir = resolve_outdir(args)  # before any study runs
-        return args.func(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (NonConvergence, NonFinite) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3

@@ -18,6 +18,10 @@ import numpy as np
 from . import kernels
 from .spectral import GridSpec, SpectralField, band_coeffs, padded_samples, sobolev_norm
 
+PICARD_TOL = 1e-12  # converged when successive iterates differ by less in H^m
+PICARD_MAX_ITERS = 50  # iterations per step before NonConvergence
+BLOWUP_FACTOR = 1e6  # a run halts once its H^m norm exceeds this times its initial one
+
 
 class NonConvergence(RuntimeError):
     """Picard iteration failed to contract within the iteration budget;
@@ -83,12 +87,11 @@ class CoefficientSet:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Stepper parameters (the coefficients fix the dealiasing pad)."""
+    """Stepper parameters. The coefficients fix the dealiasing pad, and the
+    Picard tolerance and budget are ``PICARD_TOL`` and ``PICARD_MAX_ITERS``."""
 
     dt: float
     epsilon: float = 0.0
-    picard_tol: float = 1e-12
-    picard_max_iters: int = 50
     sobolev_index_m: int = 4
 
     def __post_init__(self):
@@ -96,10 +99,6 @@ class SolverConfig:
             raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon}")
         if not 0.0 < self.dt < math.inf:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        if self.picard_tol <= 0.0:
-            raise ValueError("picard_tol must be positive")
-        if self.picard_max_iters < 1:
-            raise ValueError("picard_max_iters must be >= 1")
         if self.sobolev_index_m < 1:
             raise ValueError("sobolev_index_m must be >= 1")
 
@@ -193,11 +192,11 @@ def _member_factors(num_modes, dt, epsilons, nu):
     )
 
 
-def _picard_step(c, factors, dt, cfg, coeffs, weights, order):
+def _picard_step(c, factors, dt, coeffs, weights, order):
     """One step of length dt for every row of the (B, N) coefficients ``c``.
 
     Each row is the fixed point of ψ ↦ W_ε(dt)ψ₀ - i (dt/2) [W_ε(dt) N(ψ₀) +
-    N(ψ)], converged when successive iterates differ by < picard_tol in
+    N(ψ)], converged when successive iterates differ by < PICARD_TOL in
     H^m. A row freezes at its own convergence and leaves the batch, so it
     takes the iterations and gets the bits it would get alone. Returns
     (states, iterations per row). When rows fail, raises for the lowest
@@ -209,7 +208,6 @@ def _picard_step(c, factors, dt, cfg, coeffs, weights, order):
         return w_psi, [1] * len(c)
     lambdas = coeffs.lambdas
     pad = coeffs.dealias_pad
-    tol = cfg.picard_tol
     # the scalar stays on the right, where SpectralField.__rmul__ put it:
     # swapping complex operands can change the last bit under FMA
     half_dt = 0.5j * dt
@@ -221,14 +219,14 @@ def _picard_step(c, factors, dt, cfg, coeffs, weights, order):
         n0 = _nonlinearity(c, lambdas, pad)
         fixed = w_psi - kernels.apply_multiplier(n0, factors) * half_dt
         current = w_psi
-        for iteration in range(1, cfg.picard_max_iters + 1):
+        for iteration in range(1, PICARD_MAX_ITERS + 1):
             nxt = fixed - _nonlinearity(current, lambdas, pad) * half_dt
             keep = []
             for i, row in enumerate(live):
                 dist = math.sqrt(
                     kernels.weighted_diff_norm_sq(nxt[i], current[i], weights, order)
                 )
-                if dist < tol:
+                if dist < PICARD_TOL:
                     out[row] = nxt[i]
                     iterations[row] = iteration
                 elif math.isfinite(dist):
@@ -249,9 +247,9 @@ def _picard_step(c, factors, dt, cfg, coeffs, weights, order):
             current = nxt
     if keep:
         raise NonConvergence(
-            f"Picard iteration did not contract within {cfg.picard_max_iters} "
+            f"Picard iteration did not contract within {PICARD_MAX_ITERS} "
             f"iterations (dt={dt}); reduce dt or check for loss of regularity",
-            iterations=cfg.picard_max_iters,
+            iterations=PICARD_MAX_ITERS,
             member=live[0],
         )
     if failure is not None:
@@ -263,7 +261,7 @@ def duhamel_step(psi, cfg, coeffs):
     """One step of length dt via Picard iteration on the Duhamel map.
 
     Fixed point of ψ ↦ W_ε(dt)ψ₀ - i (dt/2) [W_ε(dt) N(ψ₀) + N(ψ)],
-    converged when successive iterates differ by < picard_tol in H^m.
+    converged when successive iterates differ by < PICARD_TOL in H^m.
     Returns (state, iterations); raises NonFinite as soon as that distance
     is not finite and NonConvergence past the budget.
     """
@@ -271,7 +269,7 @@ def duhamel_step(psi, cfg, coeffs):
     factors = _member_factors(grid.num_modes, cfg.dt, [cfg.epsilon], coeffs.nu)
     weights = grid.sobolev_weights(cfg.sobolev_index_m)
     states, iterations = _picard_step(
-        psi.coeffs[None], factors, cfg.dt, cfg, coeffs, weights, grid.mode_order
+        psi.coeffs[None], factors, cfg.dt, coeffs, weights, grid.mode_order
     )
     return SpectralField(grid, states[0]), iterations[0]
 
@@ -290,7 +288,7 @@ def _step_times(t_end, dt):
     return steps
 
 
-def integrate_many(psi0s, t_end, cfgs, coeffs, observers=None, blowup_factor=1e6):
+def integrate_many(psi0s, t_end, cfgs, coeffs, observers=None):
     """Repeated Duhamel stepping of an ensemble of runs up to t_end.
 
     Member i starts from ``psi0s[i]`` under ``cfgs[i]``. All members share
@@ -299,7 +297,7 @@ def integrate_many(psi0s, t_end, cfgs, coeffs, observers=None, blowup_factor=1e6
     (B, N) array, and each gets exactly the states and Picard counts a run
     of its own would get. ``observers[i]``, a sequence of callables, sees
     each of member i's TrajectorySamples as it is produced: the only way to
-    keep them. A member whose H^m norm exceeds ``blowup_factor`` times its
+    keep them. A member whose H^m norm exceeds ``BLOWUP_FACTOR`` times its
     initial value is marked and halts; the others go on. A diverging step
     or a non-finite norm raises NonFinite (NonConvergence past the Picard
     budget) at the earliest failing step, for the lowest failing member,
@@ -333,7 +331,7 @@ def integrate_many(psi0s, t_end, cfgs, coeffs, observers=None, blowup_factor=1e6
         for obs in member_observers:
             obs(sample)
         runs.append(Trajectory(sample))
-        ceilings.append(blowup_factor * max(sobolev_norm(psi0, m), 1e-300))
+        ceilings.append(BLOWUP_FACTOR * max(sobolev_norm(psi0, m), 1e-300))
     active = list(range(count))
     state = np.array([psi.coeffs for psi in psi0s])
     factors_dt = None  # the step the current factors are for
@@ -346,8 +344,8 @@ def integrate_many(psi0s, t_end, cfgs, coeffs, observers=None, blowup_factor=1e6
                 grid.num_modes, dt, [cfgs[i].epsilon for i in active], coeffs.nu
             )
         try:
-            state, iterations = _picard_step(state, factors, dt, cfg, coeffs,
-                                             weights, order)
+            state, iterations = _picard_step(state, factors, dt, coeffs, weights,
+                                             order)
         except (NonConvergence, NonFinite) as exc:
             member = active[exc.member]
             where = f"t={prev_t:.6g}" + (f", member {member}" if count > 1 else "")
@@ -388,17 +386,16 @@ def integrate_many(psi0s, t_end, cfgs, coeffs, observers=None, blowup_factor=1e6
     return runs
 
 
-def integrate(psi0, t_end, cfg, coeffs, observers=(), blowup_factor=1e6):
+def integrate(psi0, t_end, cfg, coeffs, observers=()):
     """Repeated Duhamel stepping up to t_end with observer callbacks.
 
     Observers are called with each TrajectorySample as it is produced. The
     run halts early, marking the record, if the H^m norm exceeds
-    ``blowup_factor`` times its initial value; a non-finite norm or a
+    ``BLOWUP_FACTOR`` times its initial value; a non-finite norm or a
     diverging step raises NonFinite carrying the time. A one-member
     ``integrate_many``: returns the run's Trajectory record.
     """
-    return integrate_many([psi0], t_end, [cfg], coeffs, [observers],
-                          blowup_factor)[0]
+    return integrate_many([psi0], t_end, [cfg], coeffs, [observers])[0]
 
 
 def reference_integrate(psi0, t_end, cfg, coeffs, observers=()):

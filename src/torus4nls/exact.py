@@ -6,6 +6,8 @@ import numpy as np
 from .dynamics import CoefficientSet, eval_nonlinearity, semigroup_apply
 from .spectral import SpectralField, l2_norm, zero_field
 
+RESIDUAL_TOL = 1e-9  # relative to max(‖ψ₀‖_L², 1)
+
 
 def integrable_coefficients(nu):
     """The unique coefficient set with infinitely many conserved quantities:
@@ -61,16 +63,16 @@ def pde_residual(psi0, omega, coeffs):
     return l2_norm(SpectralField(grid, linear - nonlin.coeffs))
 
 
-def standing_wave(grid, kappa, tau, coeffs, residual_tol=1e-9):
+def standing_wave(grid, kappa, tau, coeffs):
     """Exact standing-wave datum and its rotation rate, gated by a residual
     check of the derived ω rather than trusting the algebra."""
     psi0 = plane_wave(grid, kappa, tau)
     omega = standing_wave_frequency(kappa, tau, coeffs)
     res = pde_residual(psi0, omega, coeffs)
     scale = max(l2_norm(psi0), 1.0)
-    if res > residual_tol * scale:
+    if res > RESIDUAL_TOL * scale:
         raise AssertionError(
-            f"standing-wave residual {res:.3e} exceeds gate {residual_tol:.1e}"
+            f"standing-wave residual {res:.3e} exceeds gate {RESIDUAL_TOL:.1e}"
         )
     return psi0, omega
 

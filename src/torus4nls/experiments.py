@@ -200,6 +200,12 @@ def write_study(result, outdir):
     return paths
 
 
+def check_t_end(t_end):
+    """A ValueError unless ``t_end`` is > 0 and finite: no step, no measure."""
+    if not 0.0 < t_end < math.inf:
+        raise ValueError(f"t_end must be positive and finite, got {t_end}")
+
+
 def _relative_drifts(columns):
     out = []
     for name in ("i0", "i1", "i2"):
@@ -220,6 +226,7 @@ def conservation_study(data, nu, t_end, cfg):
     """
     if cfg.epsilon != 0.0:
         raise ValueError("conservation study runs the unregularized flow")
+    check_t_end(t_end)
     coeffs = integrable_coefficients(nu)
     tables = {}
     drifts = {}
@@ -352,13 +359,17 @@ def eps_convergence_study(data, coeffs, t_end, eps_ladder, cfg):
     ε_min/``EPS_REF_DIVISOR``. Passes when the H^m differences (m =
     cfg.sobolev_index_m) decrease monotonically along the ladder and the
     fitted H^1 order is at least ``min_h1_order``
-    (``EPS_CONVERGENCE_THRESHOLDS``).
+    (``EPS_CONVERGENCE_THRESHOLDS``). The ladder needs two or more distinct
+    entries and t_end must be > 0.
     """
     m = cfg.sobolev_index_m
     if m < 4:
         raise ValueError("the convergence regime needs m >= 4")
+    if len(eps_ladder) < 2:  # the fewest a rate can be fitted to
+        raise ValueError(f"eps_ladder needs at least two entries: {list(eps_ladder)}")
     if len(set(eps_ladder)) != len(eps_ladder):
         raise ValueError(f"eps_ladder repeats an entry: {list(eps_ladder)}")
+    check_t_end(t_end)
     ladder = sorted(eps_ladder, reverse=True)
     eps_ref = min(ladder) / EPS_REF_DIVISOR
     epsilons = [eps_ref] + ladder
@@ -380,23 +391,7 @@ def eps_convergence_study(data, coeffs, t_end, eps_ladder, cfg):
             "hm_diff": hm_diffs,
         }
     }
-    parameters = {
-        "m": m,
-        "t_end": t_end,
-        "dt": cfg.dt,
-        "eps_ladder": list(ladder),
-        "eps_ref": eps_ref,
-        "num_modes": data.grid.num_modes,
-    }
     th = EPS_CONVERGENCE_THRESHOLDS
-    if len(ladder) < 2:
-        return StudyResult(
-            name="eps_convergence",
-            parameters=parameters,
-            thresholds=dict(th),
-            tables=tables,
-            verdict="inconclusive",
-        )
     fit = RateFit.fit(ladder, h1_diffs)
     tables["fits"] = {
         "param": [1.0],
@@ -408,7 +403,14 @@ def eps_convergence_study(data, coeffs, t_end, eps_ladder, cfg):
     verdict = "pass" if (monotone and fit.slope >= th["min_h1_order"]) else "fail"
     return StudyResult(
         name="eps_convergence",
-        parameters=parameters,
+        parameters={
+            "m": m,
+            "t_end": t_end,
+            "dt": cfg.dt,
+            "eps_ladder": list(ladder),
+            "eps_ref": eps_ref,
+            "num_modes": data.grid.num_modes,
+        },
         thresholds=dict(th),
         tables=tables,
         verdict=verdict,
@@ -451,6 +453,7 @@ def riccati_study(family, coeffs, cfg, t_end, c_m):
     """
     if not family:
         raise ValueError("family must be nonempty")
+    check_t_end(t_end)
     if coeffs.is_linear:
         raise ValueError("the riccati contrast needs a nonlinearity, but every "
                          "lambda is 0: use --integrable or a --lambdaK flag")
@@ -516,11 +519,15 @@ def continuity_study(phi, delta_ladder, coeffs, t_end, cfg, rng_seed):
     the smallest value keeping Ẽ₁ ≥ ½‖·‖²_{H^1}, floored at 1), never
     assumed. Passes when sup-differences scale like δ within ``slope_band``
     and the quotient band across the ladder stays within
-    ``quotient_spread_max`` (``CONTINUITY_THRESHOLDS``). Every δ must be
-    positive and finite.
+    ``quotient_spread_max`` (``CONTINUITY_THRESHOLDS``). The ladder needs
+    two or more distinct δ, each positive and finite, and t_end must be > 0.
     """
+    if len(delta_ladder) < 2:  # the fewest a rate can be fitted to
+        raise ValueError(f"delta_ladder needs at least two entries: "
+                         f"{list(delta_ladder)}")
     if len(set(delta_ladder)) != len(delta_ladder):
         raise ValueError(f"delta_ladder repeats an entry: {list(delta_ladder)}")
+    check_t_end(t_end)
     if not all(0.0 < d < math.inf for d in delta_ladder):
         raise ValueError(f"delta_ladder entries must be positive and finite: "
                          f"{list(delta_ladder)}")

@@ -10,6 +10,8 @@ import numpy as np
 
 from .spectral import SpectralField, l2_norm, sobolev_norm
 
+MODE_PAIR_PHASES = (0.0, 1.0, 0.7, 2.1)  # of modes 0, 1, k, k+1: generic
+
 
 def rng_for(seed, index=None):
     if index is None:
@@ -35,10 +37,13 @@ def random_field(grid, rng, decay=2.0, l2_mass=None, hm_norm=None, m=None, max_m
 
     Modes beyond ``max_mode`` (default: the full Nyquist-free band) are left
     empty. At most one of ``l2_mass`` / (``hm_norm``, ``m``) may be given to
-    rescale the draw to a prescribed norm.
+    rescale the draw to a prescribed norm, which must be > 0 and finite.
     """
     if (l2_mass is not None and hm_norm is not None) or (m is None) != (hm_norm is None):
         raise ValueError("give l2_mass, or hm_norm with m, or neither")
+    for name, norm in (("l2_mass", l2_mass), ("hm_norm", hm_norm)):
+        if norm is not None and not 0 < norm < np.inf:
+            raise ValueError(f"{name} must be > 0 and finite, got {norm}")
     n = grid.num_modes
     modes = grid.modes
     g = rng.standard_normal(2 * n)
@@ -61,8 +66,7 @@ def random_field(grid, rng, decay=2.0, l2_mass=None, hm_norm=None, m=None, max_m
     return f
 
 
-def mode_pair_field(grid, separation, hm_norm, m,
-                    phases=(0.0, 1.0, 0.7, 2.1)):
+def mode_pair_field(grid, separation, hm_norm, m):
     """A low mode pair {0, 1} plus a high pair {k, k+1}, fixed H^m norm.
 
     Each of the four modes carries a quarter of the squared H^m norm. The
@@ -77,7 +81,7 @@ def mode_pair_field(grid, separation, hm_norm, m,
         raise ValueError(f"hm_norm must be > 0 and finite, got {hm_norm}")
     target_sq = hm_norm**2 / 4.0
     c = np.zeros(grid.num_modes, dtype=np.complex128)
-    for (n, phase) in zip((0, 1, separation, separation + 1), phases):
+    for (n, phase) in zip((0, 1, separation, separation + 1), MODE_PAIR_PHASES):
         amp = np.sqrt(target_sq / (1.0 + n**2) ** m)
         c[n % grid.num_modes] = amp * np.exp(1j * phase)
     return SpectralField(grid, c)

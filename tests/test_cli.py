@@ -1,6 +1,5 @@
 """Command-line surface: exit codes, manifests, precedence, reproducibility."""
 
-import functools
 import json
 import tracemalloc
 
@@ -8,6 +7,7 @@ import numpy as np
 import pytest
 
 import torus4nls.cli as cli
+import torus4nls.dynamics as dynamics
 import torus4nls.experiments as experiments
 from torus4nls import __version__
 from torus4nls.cli import (
@@ -167,12 +167,12 @@ class TestExitCodes:
         assert output_bytes(tmp_path) == earlier
 
     def test_study_failure_is_1(self, tmp_path, monkeypatch):
-        # a ladder too short to fit makes the eps study inconclusive -> 1
-        code = run_in(tmp_path, monkeypatch, [
-            "eps-converge", "--eps-ladder", "0.125", "--nu", "1", "--integrable",
-            "--t-end", "0.005", "--dt", "1e-3",
-        ])
+        # on 16 modes the mollifier ladder leaves errors at machine zero,
+        # which makes the rate study inconclusive -> 1
+        code = run_in(tmp_path, monkeypatch, ["bona-smith", "--num-modes", "16"])
         assert code == 1
+        manifest = json.loads((tmp_path / "bona_smith_rates__manifest.json").read_text())
+        assert manifest["verdict"] == "inconclusive"
 
 
 class TestSimulate:
@@ -230,8 +230,7 @@ class TestStreamedTrajectory:
     def test_bytes_match_column_writer(self, tmp_path, monkeypatch, argv,
                                        blowup_factor):
         if blowup_factor is not None:
-            halting = functools.partial(integrate, blowup_factor=blowup_factor)
-            monkeypatch.setattr(cli, "integrate", halting)
+            monkeypatch.setattr(dynamics, "BLOWUP_FACTOR", blowup_factor)
         assert run_in(tmp_path, monkeypatch, argv) == 0
         streamed = (tmp_path / "simulate__trajectory.csv").read_bytes()
         assert streamed == columns_trajectory_csv(argv)
@@ -340,6 +339,22 @@ class TestParser:
         assert err.value.code == 0
         assert capsys.readouterr().out.strip() == __version__
 
+    def test_each_option_has_one_meaning(self):
+        # every option has a help line, and one shared by several
+        # subcommands means the same thing in each
+        _, commands = build_parser()
+        seen = {}
+        for name, sub in commands.items():
+            for action in sub._actions:
+                if action.dest == "help":
+                    continue
+                assert action.help, f"{name} {action.option_strings} has no help"
+                meaning = (tuple(action.option_strings), type(action), action.type,
+                           action.help, tuple(action.choices or ()))
+                assert seen.setdefault(action.dest, meaning) == meaning, \
+                    f"{name} {action.option_strings} differs from another command's"
+        assert len(seen) == 28
+
 
 class TestReproducibility:
     @pytest.mark.parametrize("argv", [
@@ -378,6 +393,15 @@ class TestCertifyCmCommand:
 
 
 class TestUsageErrors:
+    @staticmethod
+    def _forbid_runs(monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("ran before checking its arguments")
+
+        for name in ("integrate", "integrate_many"):
+            monkeypatch.setattr(experiments, name, no_run)
+        monkeypatch.setattr(cli, "certify_cm", no_run)
+
     def test_bad_parameter_value_is_2(self, tmp_path, monkeypatch):
         # epsilon must lie in [0, 1]
         code = run_in(tmp_path, monkeypatch,
@@ -602,13 +626,57 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("delta", ["0", "-1e-3", "inf"])
     def test_bad_delta_is_2_before_any_run(self, tmp_path, monkeypatch, capsys, delta):
-        def no_run(*args, **kwargs):
-            raise AssertionError("continuity integrated before checking its deltas")
-
-        monkeypatch.setattr(experiments, "integrate_many", no_run)
+        self._forbid_runs(monkeypatch)
         out = tmp_path / "out"
         argv = ["continuity", "--nu", "1", "--integrable", "--deltas", f"1e-2,{delta}"]
         assert exit_code(out, monkeypatch, argv) == 2
         err = capsys.readouterr().err
         assert "delta_ladder entries must be positive and finite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,spec,key", [
+        ("simulate", "modes:n=1:amp=nan", "amp"),
+        ("simulate", "modes:n=1:amp=inf", "amp"),
+        ("simulate", "modes:n=1:phase=inf", "phase"),
+        ("simulate", "decay:s=nan", "s"),
+        ("simulate", "random:seed=1:l2=nan", "l2"),
+        ("simulate", "random:seed=1:decay=nan", "decay"),
+        ("conserve", "random:seed=1:hm=inf:m=4", "hm"),
+        # a norm to rescale to must be > 0: -1 would flip the sign of the data
+        ("simulate", "random:seed=1:l2=-1", "l2_mass"),
+        ("conserve", "random:seed=1:hm=0:m=4", "hm_norm"),
+    ])
+    def test_bad_data_number_is_2(self, tmp_path, monkeypatch, capsys, command,
+                                  spec, key):
+        out = tmp_path / "out"
+        assert run_in(out, monkeypatch, [command, "--data", spec]) == 2
+        assert f": {key} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("t_end", ["0", "-1e-3"])
+    @pytest.mark.parametrize("command", ["conserve", "eps-converge", "riccati",
+                                         "continuity"])
+    def test_nonpositive_t_end_is_2_before_any_run(self, tmp_path, monkeypatch,
+                                                    capsys, command, t_end):
+        # a study measured on no step would report a verdict on nothing
+        self._forbid_runs(monkeypatch)
+        out = tmp_path / "out"
+        argv = [command, "--nu", "1", f"--t-end={t_end}"]
+        if command != "conserve":
+            argv.append("--integrable")
+        assert exit_code(out, monkeypatch, argv) == 2
+        assert "t_end must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,name", [
+        (["eps-converge", "--eps-ladder", "2^-3"], "eps_ladder"),
+        (["continuity", "--deltas", "1e-2"], "delta_ladder"),
+    ], ids=["eps-converge", "continuity"])
+    def test_one_entry_ladder_is_2_before_any_run(self, tmp_path, monkeypatch,
+                                                  capsys, argv, name):
+        # one rung fits no rate
+        self._forbid_runs(monkeypatch)
+        out = tmp_path / "out"
+        assert exit_code(out, monkeypatch, argv + ["--nu", "1", "--integrable"]) == 2
+        assert f"{name} needs at least two entries" in capsys.readouterr().err
         assert not out.exists()

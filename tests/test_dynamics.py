@@ -8,7 +8,7 @@ import pytest
 
 from conftest import oracle_samples
 
-from torus4nls import kernels
+from torus4nls import dynamics, kernels
 from torus4nls.dynamics import (
     CoefficientSet,
     NonConvergence,
@@ -67,8 +67,6 @@ class TestSolverConfig:
             {"dt": -1.0},
             {"dt": 1e-3, "epsilon": -0.1},
             {"dt": 1e-3, "epsilon": 1.5},
-            {"dt": 1e-3, "picard_tol": 0.0},
-            {"dt": 1e-3, "picard_max_iters": 0},
             {"dt": 1e-3, "sobolev_index_m": 0},
             {"dt": float("nan")},
             {"dt": float("inf")},
@@ -249,13 +247,14 @@ class TestDuhamelStep:
         expect = semigroup_apply(psi, 1e-3, 0.1, 1.0)
         assert np.allclose(out.coeffs, expect.coeffs, atol=1e-15)
 
-    def test_nonconvergence_raised(self, grid64):
+    def test_nonconvergence_raised(self, grid64, monkeypatch):
         # second-derivative quintic forcing at order-one amplitude with a
         # huge step leaves the contraction regime; the first three iterates
         # are still finite (H^m gaps ~1e11, 1e32, 1e136), the fourth is not
+        monkeypatch.setattr(dynamics, "PICARD_MAX_ITERS", 3)
         rng = rng_for(4)
         psi = random_field(grid64, rng, decay=0.5, l2_mass=20.0)
-        cfg = SolverConfig(dt=0.5, picard_max_iters=3, sobolev_index_m=4)
+        cfg = SolverConfig(dt=0.5, sobolev_index_m=4)
         with pytest.raises(NonConvergence):
             duhamel_step(psi, cfg, integrable_coefficients(1.0))
 
@@ -297,20 +296,22 @@ class TestIntegrate:
         assert [s.time for s in seen] == [k * 2e-3 for k in range(5)] + [0.01]
         assert seen[-1] is traj.final
 
-    def test_blowup_marker(self, grid64):
+    def test_blowup_marker(self, grid64, monkeypatch):
         # ceiling below the conserved norm trips immediately
+        monkeypatch.setattr(dynamics, "BLOWUP_FACTOR", 0.99)
         psi = plane_wave(grid64, 0.5, 2)
         cfg = SolverConfig(dt=1e-3, sobolev_index_m=4)
         seen = []
-        traj = integrate(psi, 0.01, cfg, CoefficientSet(nu=1.0), blowup_factor=0.99,
+        traj = integrate(psi, 0.01, cfg, CoefficientSet(nu=1.0),
                          observers=[seen.append])
         assert traj.blowup_time == pytest.approx(1e-3)
         assert len(seen) == 2
 
-    def test_nonconvergence_carries_time(self, grid64):
+    def test_nonconvergence_carries_time(self, grid64, monkeypatch):
+        monkeypatch.setattr(dynamics, "PICARD_MAX_ITERS", 3)
         rng = rng_for(4)
         psi = random_field(grid64, rng, decay=0.5, l2_mass=20.0)
-        cfg = SolverConfig(dt=0.5, picard_max_iters=3, sobolev_index_m=4)
+        cfg = SolverConfig(dt=0.5, sobolev_index_m=4)
         with pytest.raises(NonConvergence) as err:
             integrate(psi, 2.0, cfg, integrable_coefficients(1.0))
         assert err.value.time is not None
@@ -467,9 +468,9 @@ def _field_duhamel_step(psi, cfg, coeffs):
     n0 = _field_eval_nonlinearity(psi, coeffs, pad)
     fixed = w_psi - (0.5j * dt) * semigroup_apply(n0, dt, eps, nu)
     current = w_psi
-    for iteration in range(1, cfg.picard_max_iters + 1):
+    for iteration in range(1, dynamics.PICARD_MAX_ITERS + 1):
         nxt = fixed - (0.5j * dt) * _field_eval_nonlinearity(current, coeffs, pad)
-        if sobolev_distance(nxt, current, cfg.sobolev_index_m) < cfg.picard_tol:
+        if sobolev_distance(nxt, current, cfg.sobolev_index_m) < dynamics.PICARD_TOL:
             return nxt, iteration
         current = nxt
     raise NonConvergence("reference step did not converge")
@@ -575,20 +576,20 @@ class TestIntegrateMany:
         assert alone.picard_iterations == run.picard_iterations
         assert np.array_equal(alone.final.state.coeffs, run.final.state.coeffs)
 
-    def test_blowup_member_halts_others_continue(self, grid64):
+    def test_blowup_member_halts_others_continue(self, grid64, monkeypatch):
         # a ceiling below the initial norm trips the undamped member at its
         # first step; the damped ones drop below it before that and go on
+        monkeypatch.setattr(dynamics, "BLOWUP_FACTOR", 0.9)
         coeffs = integrable_coefficients(1.0)
         members = [plane_wave(grid64, 0.3, 4), _benign(grid64),
                    plane_wave(grid64, 0.2, 5)]
         cfgs = [SolverConfig(dt=2e-3, epsilon=e, sobolev_index_m=4)
                 for e in (1.0, 0.0, 1.0)]
         seen, observers = _observed(3)
-        runs = integrate_many(members, 0.01, cfgs, coeffs, blowup_factor=0.9,
-                              observers=observers)
+        runs = integrate_many(members, 0.01, cfgs, coeffs, observers=observers)
         assert runs[1].blowup_time == 2e-3
         assert len(seen[1]) == 2
-        alone = integrate(members[1], 0.01, cfgs[1], coeffs, blowup_factor=0.9)
+        alone = integrate(members[1], 0.01, cfgs[1], coeffs)
         assert alone.blowup_time == 2e-3
         for run, obs, psi0, cfg in zip(runs, seen, members, cfgs):
             _assert_matches_serial(run, obs, psi0, cfg, coeffs)
@@ -630,8 +631,7 @@ class TestIntegrateMany:
         assert (err.value.member, err.value.time) == (1, 0.0)
 
     @pytest.mark.parametrize("change", [
-        {"dt": 2e-3}, {"picard_tol": 1e-10}, {"picard_max_iters": 20},
-        {"sobolev_index_m": 3},
+        {"dt": 2e-3}, {"sobolev_index_m": 3},
     ])
     def test_configs_may_differ_only_in_epsilon(self, grid64, change):
         cfg = SolverConfig(dt=1e-3, sobolev_index_m=4)

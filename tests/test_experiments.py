@@ -210,13 +210,14 @@ class TestBonaSmithStudy:
 
 
 class TestEpsConvergenceStudy:
-    def test_single_point_ladder_inconclusive(self):
+    def test_single_point_ladder_rejected(self):
+        # one rung fits no rate: refused before any run
         grid = GridSpec(32)
         data = decay_field(grid, 5.0, amp=0.05)
         cfg = SolverConfig(dt=1e-3, sobolev_index_m=4)
-        res = eps_convergence_study(data, integrable_coefficients(1.0), 0.01,
-                                    [0.125], cfg)
-        assert res.verdict == "inconclusive"
+        with pytest.raises(ValueError, match="eps_ladder needs at least two"):
+            eps_convergence_study(data, integrable_coefficients(1.0), 0.01,
+                                  [0.125], cfg)
 
     def test_linear_case_matches_closed_form(self):
         # lambda = 0: the run is exactly W_eps(t) applied to mollified data

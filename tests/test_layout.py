@@ -1,5 +1,5 @@
 """Source layout: every FFT of the package goes through one transform path,
-and no study tolerance is an argument.
+and no study tolerance or stepper setting is an argument.
 
 ``spectral.padded_samples`` synthesises samples and ``spectral.band_coeffs``
 takes them back; no other function calls a numpy FFT. The benchmark tracer
@@ -8,12 +8,13 @@ module, so a module that imports from ``numpy.fft`` by name would escape it.
 """
 
 import ast
+import dataclasses
 import inspect
 from pathlib import Path
 
 import pytest
 
-from torus4nls import experiments, functionals
+from torus4nls import dynamics, experiments, functionals
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "torus4nls"
 MODULES = sorted(SRC.glob("*.py"))
@@ -83,6 +84,8 @@ def test_no_fft_imported_by_name(path):
                     f"{path.name}: import {alias.name}"
 
 
+STEPPERS = ("_picard_step", "duhamel_step", "integrate", "integrate_many",
+            "reference_integrate")
 STUDIES = ("conservation_study", "bona_smith_rate_study", "eps_convergence_study",
            "riccati_study", "continuity_study", "inequality_sweeps")
 
@@ -90,7 +93,10 @@ STUDIES = ("conservation_study", "bona_smith_rate_study", "eps_convergence_study
 def test_no_tolerance_is_an_argument():
     """Each study's thresholds are one ``*_THRESHOLDS`` constant: no study
     and not ``certify_cm`` takes a parameter named after a threshold, nor
-    one of the certificate search's fixed settings."""
+    one of the certificate search's fixed settings. Likewise the Picard
+    tolerance, the Picard budget and the blow-up factor are ``dynamics``
+    constants: no stepper takes them, and ``SolverConfig`` holds only the
+    step, ε and m."""
     constants = {name: value for name, value in vars(experiments).items()
                  if name.endswith("_THRESHOLDS")}
     banned = {"safety", "resolutions", "certificate", "gn_cases"}
@@ -101,3 +107,10 @@ def test_no_tolerance_is_an_argument():
         knobs = banned & set(inspect.signature(fn).parameters)
         assert not knobs, f"{fn.__name__} takes {sorted(knobs)}"
     assert len(constants) == len(STUDIES), sorted(constants)
+    for name in STEPPERS:
+        params = set(inspect.signature(getattr(dynamics, name)).parameters)
+        knobs = {"picard_tol", "picard_max_iters", "blowup_factor"} & params
+        assert not knobs, f"{name} takes {sorted(knobs)}"
+    assert "cfg" not in inspect.signature(dynamics._picard_step).parameters
+    fields = tuple(f.name for f in dataclasses.fields(dynamics.SolverConfig))
+    assert fields == ("dt", "epsilon", "sobolev_index_m")

@@ -203,7 +203,10 @@ def parse_data_spec(spec, grid):
     if kind == "random":
         kv = _parse_kv([c for c in rest.split(":") if c], "random",
                        ("seed", "decay", "l2", "hm", "m", "maxmode"))
-        rng = rng_for(int(kv.get("seed", "0")))
+        seed = int(kv.get("seed", "0"))
+        if seed < 0:  # numpy's own error names no key
+            raise ValueError(f"random spec: seed must be >= 0, got {seed}")
+        rng = rng_for(seed)
         kwargs = {"decay": float(kv.get("decay", "2.0"))}
         if "l2" in kv:
             kwargs["l2_mass"] = float(kv["l2"])
@@ -212,7 +215,10 @@ def parse_data_spec(spec, grid):
         if "hm" in kv or "m" in kv:
             kwargs["m"] = int(kv.get("m", "4"))
         if "maxmode" in kv:
-            kwargs["max_mode"] = int(kv["maxmode"])
+            max_mode = int(kv["maxmode"])
+            if max_mode < 0:  # would empty every mode
+                raise ValueError(f"random spec: maxmode must be >= 0, got {max_mode}")
+            kwargs["max_mode"] = max_mode
         return random_field(grid, rng, **kwargs)
     raise ValueError(f"unknown data spec kind {kind!r}")
 
@@ -460,6 +466,8 @@ def run_command(argv):
             commands[args.command].set_defaults(**read_config(args.config, args))
             args = parser.parse_args(argv)
         args.outdir = resolve_outdir(args)  # before any study runs
+        if getattr(args, "seed", 0) < 0:  # numpy's own error names no flag
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (NonConvergence, NonFinite) as exc:
         print(f"solver error: {exc}", file=sys.stderr)

@@ -32,16 +32,18 @@ from .functionals import (
     certificate_sample,
     certify_cm,
     difference_energy,
-    modified_energy,
+    modified_energy_rows,
 )
 from .mollifier import mollify
 from .sampling import random_field, rng_for
 from .spectral import (
     GridSpec,
-    gn_ratio,
+    gn_ratio_rows,
+    per_field,
     sobolev_distance,
     sobolev_norm,
     sobolev_norm_sq,
+    sobolev_norm_sq_rows,
 )
 
 DRIFT_FLOOR = 1e-12  # relative drifts below this are round-off, not signal
@@ -360,7 +362,7 @@ def eps_convergence_study(data, coeffs, t_end, eps_ladder, cfg):
     cfg.sobolev_index_m) decrease monotonically along the ladder and the
     fitted H^1 order is at least ``min_h1_order``
     (``EPS_CONVERGENCE_THRESHOLDS``). The ladder needs two or more distinct
-    entries and t_end must be > 0.
+    entries, each in (0, 1], and t_end must be > 0.
     """
     m = cfg.sobolev_index_m
     if m < 4:
@@ -369,6 +371,8 @@ def eps_convergence_study(data, coeffs, t_end, eps_ladder, cfg):
         raise ValueError(f"eps_ladder needs at least two entries: {list(eps_ladder)}")
     if len(set(eps_ladder)) != len(eps_ladder):
         raise ValueError(f"eps_ladder repeats an entry: {list(eps_ladder)}")
+    if not all(0.0 < e <= 1.0 for e in eps_ladder):  # mollify's range
+        raise ValueError(f"eps_ladder entries must lie in (0, 1]: {list(eps_ladder)}")
     check_t_end(t_end)
     ladder = sorted(eps_ladder, reverse=True)
     eps_ref = min(ladder) / EPS_REF_DIVISOR
@@ -611,6 +615,12 @@ GN_CASES = ((1, 2, 2.0), (1, 2, float("inf")), (0, 1, float("inf")), (3, 4, 2.0)
 SWEEP_RESOLUTIONS = (64, 128)
 
 
+def _gn_sample(grid, rng):
+    """One interpolation-sweep draw: random envelope decay, modes |n| <= N/4."""
+    decay = float(rng.uniform(0.5, 2.5))
+    return random_field(grid, rng, decay=decay, max_mode=grid.num_modes // 4)
+
+
 def inequality_sweeps(seed, trials, m=4, nu=1.0, l2_ceiling=1.0):
     """Bundled randomized checks of the interpolation inequality, the
     smoothing-multiplier bound, and the two-sided energy equivalence, on
@@ -623,6 +633,12 @@ def inequality_sweeps(seed, trials, m=4, nu=1.0, l2_ceiling=1.0):
     bound; every sampled field satisfying the certified lower energy bound,
     with the upper equivalence constant within ``upper_spread_max`` under
     resolution doubling (``INEQUALITY_THRESHOLDS``).
+
+    Sample i of each sweep depends only on (seed, i), so growing ``trials``
+    never changes earlier samples. Each resolution's samples are drawn one
+    by one and evaluated as (B, N) blocks of at most ``BLOCK_ROWS`` rows
+    (``spectral.per_field``); every verdict input is bit for bit what
+    evaluating the samples one at a time gives.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -643,12 +659,13 @@ def inequality_sweeps(seed, trials, m=4, nu=1.0, l2_ceiling=1.0):
         max_ratio = {}
         for n in resolutions:
             grid = GridSpec(n)
+            fields = [
+                _gn_sample(grid, rng_for(seed, case_idx * 1_000_000 + n * 1_000 + i))
+                for i in range(trials)
+            ]
             worst = 0.0
-            for i in range(trials):
-                rng = rng_for(seed, case_idx * 1_000_000 + n * 1_000 + i)
-                decay = float(rng.uniform(0.5, 2.5))
-                psi = random_field(grid, rng, decay=decay, max_mode=n // 4)
-                worst = max(worst, gn_ratio(psi, l, mm, p))
+            for ratio in per_field(lambda c: gn_ratio_rows(c, l, mm, p), fields):
+                worst = max(worst, ratio)
             max_ratio[n] = worst
         growth = max_ratio[resolutions[-1]] / max_ratio[resolutions[0]]
         gn_rows["param"].append(float(case_idx))
@@ -689,13 +706,15 @@ def inequality_sweeps(seed, trials, m=4, nu=1.0, l2_ceiling=1.0):
     upper_consts = {}
     for n in resolutions:
         grid = GridSpec(n)
+        fields = [
+            certificate_sample(grid, rng_for(seed + 2, n * 1_000_000 + i), l2_ceiling)
+            for i in range(trials)
+        ]
+        energies = per_field(lambda c: modified_energy_rows(c, m, coeffs, c_m), fields)
+        hm_sqs = per_field(lambda c: sobolev_norm_sq_rows(c, m), fields)
+        l2_sqs = per_field(lambda c: sobolev_norm_sq_rows(c, 0), fields)
         c_upper = 0.0
-        for i in range(trials):
-            rng = rng_for(seed + 2, n * 1_000_000 + i)
-            psi = certificate_sample(grid, rng, l2_ceiling)
-            e_val = modified_energy(psi, m, coeffs, c_m)
-            hm_sq = sobolev_norm_sq(psi, m)
-            l2_sq = sobolev_norm_sq(psi, 0)
+        for e_val, hm_sq, l2_sq in zip(energies, hm_sqs, l2_sqs):
             margin = e_val - 0.5 * hm_sq
             worst_lower = min(worst_lower, margin)
             if margin < 0.0:

@@ -7,6 +7,13 @@ All spatial integrals of products are evaluated by dealiased quadrature:
 ``spectral.padded_samples`` synthesises the factors on a zero-padded grid
 large enough that the node average of the product equals its exact mean
 (pad 3 for quartic, pad 4 for sextic integrands).
+
+``quadrature_mean``, ``correction_terms``, ``modified_energy`` and
+``positivity_target`` are the one-field cases of ``*_rows`` functions that
+take (B, N) coefficients (or (B, M) samples) and return one value per row,
+each bit for bit the value of that row alone (a 1-D array is one row).
+``certify_cm`` evaluates its samples through them in blocks
+(``spectral.per_field``).
 """
 
 import math
@@ -16,7 +23,17 @@ from typing import NamedTuple
 import numpy as np
 
 from .sampling import random_field, rng_for
-from .spectral import GridSpec, SpectralField, padded_samples, seminorm_sq, sobolev_norm_sq
+from .spectral import (
+    GridSpec,
+    SpectralField,
+    padded_samples,
+    per_field,
+    row_by_row,
+    seminorm_sq,
+    seminorm_sq_rows,
+    sobolev_norm_sq,
+    sobolev_norm_sq_rows,
+)
 
 PAD_QUARTIC = 3
 PAD_SEXTIC = 4
@@ -25,9 +42,16 @@ CM_RESOLUTIONS = (32, 64, 128)  # grids the certification draws cycle through
 CM_SAFETY = 2.0  # factor on the smallest c_m that holds on every sample
 
 
+def quadrature_mean_rows(values):
+    """∫₀^{2π} f dx of each row of (..., M) samples by the periodic
+    trapezoid rule (node average × 2π)."""
+    # np.mean's pairwise sum and division, without its Python wrapper
+    return 2.0 * np.pi * (np.add.reduce(values, -1) / values.shape[-1])
+
+
 def quadrature_mean(values):
-    """∫₀^{2π} f dx by the periodic trapezoid rule (node average × 2π)."""
-    return 2.0 * np.pi * complex(np.mean(values))
+    """``quadrature_mean_rows`` of one row of M samples."""
+    return complex(quadrature_mean_rows(values))
 
 
 def _quartic_weights(m, lam):
@@ -36,30 +60,45 @@ def _quartic_weights(m, lam):
     return w, lam.lambda5 / lam.nu
 
 
-def correction_terms(psi, m, coeffs):
-    """The two quartic correction integrals of the modified energy:
+def correction_terms_rows(block, m, coeffs):
+    """The two quartic correction integrals of the modified energy,
 
     ( (λ5/ν) Re ∫ (∂^{m-1}ψ)² ψ̄² dx ,
-      ((2λ3+λ4+2(m-1)λ6)/(4ν)) ∫ |∂^{m-1}ψ|² |ψ|² dx )
+      ((2λ3+λ4+2(m-1)λ6)/(4ν)) ∫ |∂^{m-1}ψ|² |ψ|² dx ),
+
+    as two arrays with one entry per row ψ of (..., N) coefficients.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    u, d = padded_samples(psi.coeffs, PAD_QUARTIC, (0, m - 1))
+    u, d = padded_samples(block, PAD_QUARTIC, (0, m - 1))
     modulus_weight, phase_weight = _quartic_weights(m, coeffs)
-    first = phase_weight * quadrature_mean(d * d * np.conj(u) ** 2).real
-    second = modulus_weight * quadrature_mean(np.abs(d) ** 2 * np.abs(u) ** 2).real
+    first = phase_weight * quadrature_mean_rows(d * d * np.conj(u) ** 2).real
+    second = modulus_weight * quadrature_mean_rows(np.abs(d) ** 2 * np.abs(u) ** 2).real
     return first, second
 
 
-def modified_energy(psi, m, coeffs, c_m):
-    """‖∂^m ψ‖² + ‖ψ‖² + c_m ‖ψ‖^{4m+2} + both correction terms."""
+def correction_terms(psi, m, coeffs):
+    """``correction_terms_rows`` of one field, as two floats."""
+    first, second = correction_terms_rows(psi.coeffs, m, coeffs)
+    return float(first), float(second)
+
+
+def modified_energy_rows(block, m, coeffs, c_m):
+    """‖∂^m ψ‖² + ‖ψ‖² + c_m ‖ψ‖^{4m+2} + both correction terms, for each
+    row ψ of (..., N) coefficients."""
     if m < 1:
         raise ValueError("m must be >= 1")
     if c_m < 0.0:
         raise ValueError("c_m must be nonnegative")
-    l2_sq = sobolev_norm_sq(psi, 0)
-    first, second = correction_terms(psi, m, coeffs)
-    return seminorm_sq(psi, m) + l2_sq + c_m * l2_sq ** (2 * m + 1) + first + second
+    l2_sq = sobolev_norm_sq_rows(block, 0)
+    first, second = correction_terms_rows(block, m, coeffs)
+    mass_power = row_by_row(lambda v: v ** (2 * m + 1), l2_sq)
+    return seminorm_sq_rows(block, m) + l2_sq + c_m * mass_power + first + second
+
+
+def modified_energy(psi, m, coeffs, c_m):
+    """``modified_energy_rows`` of one field."""
+    return float(modified_energy_rows(psi.coeffs, m, coeffs, c_m))
 
 
 class ConservedQuantities(NamedTuple):
@@ -123,8 +162,9 @@ def difference_energy(psi, ref, m, coeffs, c_tilde):
     return seminorm_sq(psi, m) + c_tilde * sobolev_norm_sq(psi, 0) + quartic
 
 
-def positivity_target(psi, m, target):
-    """Lower bound the certificate must enforce for E_m.
+def positivity_target_rows(block, m, target):
+    """Lower bound the certificate must enforce for E_m, for each row ψ of
+    (..., N) coefficients.
 
     ``classic``  : ½(‖∂^m ψ‖² + ‖ψ‖²), the displayed positivity bound.
     ``sobolev``  : ½(‖ψ‖²_{H^m} + ‖ψ‖²), which dominates both the classic
@@ -132,10 +172,15 @@ def positivity_target(psi, m, target):
                    norm (the form the inequality sweeps check).
     """
     if target == "classic":
-        return 0.5 * (seminorm_sq(psi, m) + sobolev_norm_sq(psi, 0))
+        return 0.5 * (seminorm_sq_rows(block, m) + sobolev_norm_sq_rows(block, 0))
     if target == "sobolev":
-        return 0.5 * (sobolev_norm_sq(psi, m) + sobolev_norm_sq(psi, 0))
+        return 0.5 * (sobolev_norm_sq_rows(block, m) + sobolev_norm_sq_rows(block, 0))
     raise ValueError(f"target must be 'classic' or 'sobolev', got {target!r}")
+
+
+def positivity_target(psi, m, target):
+    """``positivity_target_rows`` of one field."""
+    return float(positivity_target_rows(psi.coeffs, m, target))
 
 
 @dataclass(frozen=True)
@@ -201,7 +246,10 @@ def certify_cm(m, coeffs, l2_ceiling, trials, rng_seed, target="classic"):
     c_m keeping E_m above the requested target on every sample is scaled
     by ``CM_SAFETY`` and returned with the worst observed margin. Sample i
     depends only on (rng_seed, i), so doubling ``trials`` never decreases
-    the result.
+    the result. Each grid's samples are evaluated as (B, N) blocks of at
+    most ``spectral.BLOCK_ROWS`` rows, and the maximum and minimum run over
+    the per-sample values in sample order, so the result is bit for bit
+    that of evaluating the samples one at a time.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -212,20 +260,16 @@ def certify_cm(m, coeffs, l2_ceiling, trials, rng_seed, target="classic"):
         rng = rng_for(rng_seed, i)
         grid = GridSpec(CM_RESOLUTIONS[i % len(CM_RESOLUTIONS)])
         samples.append(certificate_sample(grid, rng, l2_ceiling))
+    targets = per_field(lambda c: positivity_target_rows(c, m, target), samples)
+    e0s = per_field(lambda c: modified_energy_rows(c, m, coeffs, 0.0), samples)
+    mass_sqs = per_field(lambda c: sobolev_norm_sq_rows(c, 0), samples)
     required = 0.0
-    targets = []
-    for psi in samples:
-        t = positivity_target(psi, m, target)
-        e0 = modified_energy(psi, m, coeffs, 0.0)
-        mass_sq = sobolev_norm_sq(psi, 0)
+    for t, e0, mass_sq in zip(targets, e0s, mass_sqs):
         need = (t - e0) / mass_sq ** (2 * m + 1)
         required = max(required, need)
-        targets.append(t)
     c_m = CM_SAFETY * max(required, 0.0)
-    worst = min(
-        modified_energy(psi, m, coeffs, c_m) - t
-        for psi, t in zip(samples, targets)
-    )
+    energies = per_field(lambda c: modified_energy_rows(c, m, coeffs, c_m), samples)
+    worst = min(e - t for e, t in zip(energies, targets))
     return CmCertificate(c_m=c_m, worst_margin=worst)
 
 

@@ -1,10 +1,17 @@
 """The per-mode hot kernels, in numpy.
 
-All norm reductions run in ascending-|n| order (the ``order`` permutation)
-so results are reproducible independent of the FFT mode layout; they call
-``np.add.reduce``, the pairwise sum ``np.sum`` runs, without its Python
-wrapper. The pointwise kernels act elementwise, so they take any array
-shape, such as the (B, M) blocks of an ensemble step.
+All norm reductions run in ascending-|n| order (the ``order`` permutation,
+in which the callers list the weights too) so results are reproducible
+independent of the FFT mode layout; they call ``np.add.reduce``, the
+pairwise sum ``np.sum`` runs, without its Python wrapper.
+
+``weighted_norm_sq`` reduces the last axis of (..., N) coefficients, and
+each row of a (B, N) block gets the bits the row would get alone: the
+gather is ``take`` along that axis, which keeps the block C-contiguous, so
+every row is summed pairwise as a 1-D array is (fancy indexing
+``c[:, order]`` does not, and then the last bits of most rows differ).
+The pointwise kernels act elementwise, so they take any array shape, such
+as the (B, M) blocks of an ensemble step.
 """
 
 import numpy as np
@@ -41,14 +48,17 @@ def nonlinear_combine(u, du, d2u, lam):
 
 
 def weighted_norm_sq(coeffs, weights, order):
-    """sum_n weights[n] |coeffs[n]|^2, accumulated in ``order``."""
-    c = coeffs[order]
+    """sum_j weights[j] |coeffs[..., order[j]]|^2 over the last axis,
+    accumulated in j: one value per row of (..., N) coefficients. The
+    weights are listed in ``order``."""
+    c = coeffs.take(order, axis=-1)
     mag2 = c.real * c.real + c.imag * c.imag
-    return float(np.add.reduce(weights[order] * mag2))
+    return np.add.reduce(weights * mag2, -1)
 
 
 def weighted_diff_norm_sq(a, b, weights, order):
-    """sum_n weights[n] |a[n]-b[n]|^2, accumulated in ``order``."""
+    """sum_j weights[j] |a[order[j]]-b[order[j]]|^2, accumulated in j; the
+    weights are listed in ``order``."""
     d = (a - b)[order]
     mag2 = d.real * d.real + d.imag * d.imag
-    return float(np.add.reduce(weights[order] * mag2))
+    return float(np.add.reduce(weights * mag2))

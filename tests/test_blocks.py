@@ -1,0 +1,422 @@
+"""Block forms of the per-sample reductions.
+
+Every ``*_rows`` function takes (B, N) coefficients (or (B, M) samples) and
+returns one value per row, and each row must carry exactly the bits of the
+one-field call on that row: the verify studies evaluate their random samples
+this way and their outputs are compared byte for byte. The studies'
+block evaluation is replayed here against a per-sample loop, and a work
+guard fails if they fall back to one field at a time or stack unchunked
+blocks.
+"""
+
+import sys
+from functools import lru_cache
+
+import numpy as np
+import pytest
+
+import torus4nls.cli as cli
+from torus4nls import kernels, spectral
+from torus4nls.dynamics import CoefficientSet
+from torus4nls.exact import integrable_coefficients
+from torus4nls.experiments import GN_CASES, SWEEP_RESOLUTIONS, inequality_sweeps
+from torus4nls.functionals import (
+    CM_RESOLUTIONS,
+    CM_SAFETY,
+    certificate_sample,
+    certify_cm,
+    corner_probes,
+    correction_terms,
+    correction_terms_rows,
+    modified_energy,
+    modified_energy_rows,
+    positivity_target,
+    positivity_target_rows,
+    quadrature_mean,
+    quadrature_mean_rows,
+)
+from torus4nls.sampling import random_field, rng_for
+from torus4nls.spectral import (
+    BLOCK_ROWS,
+    GridSpec,
+    SpectralField,
+    derivative,
+    gn_ratio,
+    gn_ratio_rows,
+    lp_norm,
+    lp_norm_rows,
+    padded_samples,
+    seminorm_sq,
+    seminorm_sq_rows,
+    sobolev_norm_sq,
+    sobolev_norm_sq_rows,
+)
+
+GENERIC = CoefficientSet(
+    nu=1.0, lambda1=0.7, lambda2=-0.3, lambda3=0.2,
+    lambda4=-0.5, lambda5=0.4, lambda6=0.1,
+)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+@lru_cache(maxsize=None)
+def _block(num_modes, rows, zero_row):
+    """(rows, N) coefficients: generic draws, every third one band-limited,
+    with row 1 all zero if ``zero_row``."""
+    rng = np.random.default_rng(1000 * num_modes + rows)
+    grid = GridSpec(num_modes)
+    block = np.empty((rows, num_modes), dtype=np.complex128)
+    for b in range(rows):
+        max_mode = int(rng.integers(1, 6)) if b % 3 == 0 else None
+        psi = random_field(grid, rng, decay=float(rng.uniform(0.5, 4.0)),
+                           l2_mass=float(rng.uniform(0.2, 1.5)), max_mode=max_mode)
+        block[b] = psi.coeffs
+    if zero_row and rows > 1:
+        block[1] = 0.0
+    block.setflags(write=False)
+    return block
+
+
+def _on_samples(pad, fn):
+    """``fn`` of the samples of ∂ψ on the pad·N grid, for (..., N) coefficients."""
+    return lambda coeffs: fn(padded_samples(coeffs, pad, (1,))[0])
+
+
+def _field(row):
+    return SpectralField(GridSpec(row.size), row)
+
+
+def _weighted(coeffs):
+    """The H² norm kernel on the last axis, with the grid's ordered weights."""
+    grid = GridSpec(coeffs.shape[-1])
+    return kernels.weighted_norm_sq(coeffs, grid.sobolev_weights(2), grid.mode_order)
+
+
+def _quadrature(coeffs):
+    u, d = padded_samples(coeffs, 3, (0, 1))
+    return np.abs(u) ** 2 * np.conj(u) * d
+
+
+def _re_im(z):
+    return np.stack([np.real(z), np.imag(z)], axis=-1)
+
+
+# name -> (block function, one-field function of a 1-D coefficient row,
+#          whether a zero row is allowed); a complex value compares as re, im
+CASES = {
+    "weighted_norm_sq": (_weighted, _weighted, True),
+    **{f"sobolev_norm_sq_m{m}": (
+        lambda c, m=m: sobolev_norm_sq_rows(c, m),
+        lambda r, m=m: sobolev_norm_sq(_field(r), m),
+        True) for m in (0, 4)},
+    "seminorm_sq_m4": (
+        lambda c: seminorm_sq_rows(c, 4),
+        lambda r: seminorm_sq(_field(r), 4),
+        True),
+    **{f"lp_norm_pad{pad}_p{p}": (
+        _on_samples(pad, lambda s, p=p: lp_norm_rows(s, p)),
+        _on_samples(pad, lambda s, p=p: lp_norm(s, p)),
+        True) for pad in (1, 3) for p in (2.0, 6.0, np.inf)},
+    **{f"gn_ratio_{l}_{m}_{p}": (
+        lambda c, l=l, m=m, p=p: gn_ratio_rows(c, l, m, p),
+        lambda r, l=l, m=m, p=p: gn_ratio(_field(r), l, m, p),
+        False) for l, m, p in GN_CASES},
+    "quadrature_mean_pad3": (
+        lambda c: _re_im(quadrature_mean_rows(_quadrature(c))),
+        lambda r: _re_im(quadrature_mean(_quadrature(r))),
+        True),
+    **{f"correction_terms_m{m}": (
+        lambda c, m=m: np.stack(correction_terms_rows(c, m, GENERIC), axis=-1),
+        lambda r, m=m: correction_terms(_field(r), m, GENERIC),
+        True) for m in (1, 4)},
+    **{f"modified_energy_cm{c_m}": (
+        lambda c, c_m=c_m: modified_energy_rows(c, 4, GENERIC, c_m),
+        lambda r, c_m=c_m: modified_energy(_field(r), 4,
+                                           GENERIC, c_m),
+        True) for c_m in (0.0, 0.37)},
+    **{f"positivity_target_{t}": (
+        lambda c, t=t: positivity_target_rows(c, 4, t),
+        lambda r, t=t: positivity_target(_field(r), 4, t),
+        True) for t in ("classic", "sobolev")},
+}
+
+
+class TestRowsMatchOneField:
+    @pytest.mark.parametrize("rows", [1, 31, 32, 33, 200])
+    @pytest.mark.parametrize("num_modes", [32, 64, 128])
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_each_row_bitwise_equal(self, name, num_modes, rows):
+        fn_rows, fn_one, zero_row = CASES[name]
+        block = _block(num_modes, rows, zero_row)
+        got = np.asarray(fn_rows(block))
+        assert got.shape[0] == rows
+        alone = np.array([fn_one(row) for row in block]).reshape(got.shape)
+        assert np.array_equal(_bits(got), _bits(alone))
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_non_contiguous_block(self, name):
+        # the layout a fancy-indexed gather leaves: not C-contiguous
+        fn_rows, fn_one, zero_row = CASES[name]
+        block = _block(64, 33, zero_row)
+        perm = np.random.default_rng(5).permutation(64)
+        strided = block[:, np.argsort(perm)][:, perm]
+        assert np.array_equal(strided, block) and not strided.flags.c_contiguous
+        got = np.asarray(fn_rows(strided))
+        alone = np.array([fn_one(row) for row in block]).reshape(got.shape)
+        assert np.array_equal(_bits(got), _bits(alone))
+
+    def test_gn_ratio_rejects_a_zero_row(self):
+        block = _block(32, 3, zero_row=True)
+        with pytest.raises(ValueError, match="zero field"):
+            gn_ratio_rows(block, 1, 2, 2.0)
+
+
+# The one-field formulas as they were written before the block forms, with
+# Python scalar arithmetic wherever they had it: a block form that takes an
+# array power or a differently laid-out sum moves the last bits of a study
+# output, and only a comparison with these shows it (the one-field names are
+# themselves the one-row case of the block forms).
+def _norm_ref(coeffs, weights, order):
+    c = coeffs[order]
+    return float(np.add.reduce(weights[order] * (c.real * c.real + c.imag * c.imag)))
+
+
+def _sobolev_ref(psi, m):
+    return _norm_ref(psi.coeffs, (1.0 + psi.grid.modes**2) ** m, psi.grid.mode_order)
+
+
+def _seminorm_ref(psi, m):
+    return _norm_ref(psi.coeffs, np.abs(psi.grid.modes) ** (2 * m), psi.grid.mode_order)
+
+
+def _lp_ref(samples, p):
+    mag = np.abs(samples)
+    if np.isinf(p):
+        return float(np.max(mag))
+    return float((2.0 * np.pi / samples.shape[-1] * np.sum(mag**p)) ** (1.0 / p))
+
+
+def _gn_ref(psi, l, m, p):
+    alpha = (l + 0.5 - (0.0 if np.isinf(p) else 1.0 / p)) / m
+    l2 = float(np.sqrt(_sobolev_ref(psi, 0)))
+    dm = float(np.sqrt(_seminorm_ref(psi, m)))
+    numer = _lp_ref(padded_samples(derivative(psi, l).coeffs, 1, (0,))[0], p)
+    denom = l2 ** (1.0 - alpha) * dm**alpha
+    if l == 0:
+        denom += l2
+    return numer / denom
+
+
+def _mean_ref(values):
+    return 2.0 * np.pi * complex(np.mean(values))
+
+
+def _corrections_ref(psi, m, lam):
+    u, d = padded_samples(psi.coeffs, 3, (0, m - 1))
+    w = (2.0 * lam.lambda3 + lam.lambda4 + 2.0 * (m - 1) * lam.lambda6) / (4.0 * lam.nu)
+    first = lam.lambda5 / lam.nu * _mean_ref(d * d * np.conj(u) ** 2).real
+    second = w * _mean_ref(np.abs(d) ** 2 * np.abs(u) ** 2).real
+    return first, second
+
+
+def _energy_ref(psi, m, lam, c_m):
+    l2_sq = _sobolev_ref(psi, 0)
+    first, second = _corrections_ref(psi, m, lam)
+    return _seminorm_ref(psi, m) + l2_sq + c_m * l2_sq ** (2 * m + 1) + first + second
+
+
+REFERENCES = {
+    "weighted_norm_sq": lambda r: _sobolev_ref(_field(r), 2),
+    **{f"sobolev_norm_sq_m{m}": lambda r, m=m: _sobolev_ref(_field(r), m)
+       for m in (0, 4)},
+    "seminorm_sq_m4": lambda r: _seminorm_ref(_field(r), 4),
+    **{f"lp_norm_pad{pad}_p{p}": _on_samples(pad, lambda s, p=p: _lp_ref(s, p))
+       for pad in (1, 3) for p in (2.0, 6.0, np.inf)},
+    **{f"gn_ratio_{l}_{m}_{p}": lambda r, l=l, m=m, p=p: _gn_ref(_field(r), l, m, p)
+       for l, m, p in GN_CASES},
+    "quadrature_mean_pad3": lambda r: _re_im(_mean_ref(_quadrature(r))),
+    **{f"correction_terms_m{m}": lambda r, m=m: _corrections_ref(_field(r), m, GENERIC)
+       for m in (1, 4)},
+    **{f"modified_energy_cm{c_m}":
+       lambda r, c_m=c_m: _energy_ref(_field(r), 4, GENERIC, c_m)
+       for c_m in (0.0, 0.37)},
+    "positivity_target_classic": lambda r: 0.5 * (_seminorm_ref(_field(r), 4)
+                                                  + _sobolev_ref(_field(r), 0)),
+    "positivity_target_sobolev": lambda r: 0.5 * (_sobolev_ref(_field(r), 4)
+                                                  + _sobolev_ref(_field(r), 0)),
+}
+
+
+class TestRowsMatchScalarReference:
+    def test_every_case_has_a_reference(self):
+        assert set(REFERENCES) == set(CASES)
+
+    @pytest.mark.parametrize("num_modes", [32, 64, 128])
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_rows_bitwise_equal_reference(self, name, num_modes):
+        fn_rows, _, zero_row = CASES[name]
+        block = _block(num_modes, 33, zero_row)
+        got = np.asarray(fn_rows(block))
+        expect = np.array([REFERENCES[name](row) for row in block]).reshape(got.shape)
+        assert np.array_equal(_bits(got), _bits(expect))
+
+
+def _certify_reference(m, coeffs, l2_ceiling, trials, rng_seed, target):
+    """``certify_cm`` one sample at a time, as it was written before the
+    block evaluation: (c_m, worst margin)."""
+    samples = list(corner_probes(GridSpec(min(CM_RESOLUTIONS)), l2_ceiling))
+    for i in range(trials):
+        rng = rng_for(rng_seed, i)
+        grid = GridSpec(CM_RESOLUTIONS[i % len(CM_RESOLUTIONS)])
+        samples.append(certificate_sample(grid, rng, l2_ceiling))
+    required = 0.0
+    targets = []
+    for psi in samples:
+        t = positivity_target(psi, m, target)
+        e0 = modified_energy(psi, m, coeffs, 0.0)
+        need = (t - e0) / sobolev_norm_sq(psi, 0) ** (2 * m + 1)
+        required = max(required, need)
+        targets.append(t)
+    c_m = CM_SAFETY * max(required, 0.0)
+    worst = min(modified_energy(psi, m, coeffs, c_m) - t
+                for psi, t in zip(samples, targets))
+    return c_m, worst
+
+
+def _sweep_reference(seed, trials, m, c_m, l2_ceiling):
+    """The gn sweep's and the energy equivalence's per-sample loops."""
+    coeffs = integrable_coefficients(1.0)
+    max_ratios = []
+    for case_idx, (l, mm, p) in enumerate(GN_CASES):
+        for n in SWEEP_RESOLUTIONS:
+            grid = GridSpec(n)
+            worst = 0.0
+            for i in range(trials):
+                rng = rng_for(seed, case_idx * 1_000_000 + n * 1_000 + i)
+                decay = float(rng.uniform(0.5, 2.5))
+                psi = random_field(grid, rng, decay=decay, max_mode=n // 4)
+                worst = max(worst, gn_ratio(psi, l, mm, p))
+            max_ratios.append(worst)
+    worst_lower = np.inf
+    upper = []
+    for n in SWEEP_RESOLUTIONS:
+        grid = GridSpec(n)
+        c_upper = 0.0
+        for i in range(trials):
+            psi = certificate_sample(grid, rng_for(seed + 2, n * 1_000_000 + i),
+                                     l2_ceiling)
+            e_val = modified_energy(psi, m, coeffs, c_m)
+            hm_sq = sobolev_norm_sq(psi, m)
+            l2_sq = sobolev_norm_sq(psi, 0)
+            worst_lower = min(worst_lower, e_val - 0.5 * hm_sq)
+            c_upper = max(c_upper, e_val / ((l2_sq ** (2 * m) + 1.0) * hm_sq))
+        upper.append(c_upper)
+    return max_ratios, upper, worst_lower
+
+
+class TestStudiesReplayPerSample:
+    TRIALS = 45  # not a multiple of BLOCK_ROWS: every grid gets a short block
+
+    @pytest.mark.parametrize("seed", [31, 4])
+    @pytest.mark.parametrize("target", ["classic", "sobolev"])
+    @pytest.mark.parametrize("coeffs", [integrable_coefficients(1.0), GENERIC],
+                             ids=["integrable", "generic"])
+    def test_certify_cm(self, seed, target, coeffs):
+        assert self.TRIALS % BLOCK_ROWS
+        cert = certify_cm(4, coeffs, 1.0, trials=self.TRIALS, rng_seed=seed,
+                          target=target)
+        c_m, worst = _certify_reference(4, coeffs, 1.0, self.TRIALS, seed, target)
+        assert cert.c_m.hex() == c_m.hex()
+        assert cert.worst_margin.hex() == worst.hex()
+
+    @pytest.mark.parametrize("seed", [123, 8])
+    def test_inequality_sweeps(self, seed):
+        result = inequality_sweeps(seed, self.TRIALS)
+        m = result.parameters["m"]
+        c_m, _ = _certify_reference(m, integrable_coefficients(1.0), 1.0,
+                                    result.parameters["certificate_trials"],
+                                    seed + 1, "sobolev")
+        assert result.parameters["c_m"].hex() == c_m.hex()
+        max_ratios, upper, worst_lower = _sweep_reference(seed, self.TRIALS, m, c_m,
+                                                          1.0)
+        gn = result.tables["gn_sweep"]
+        top = max_ratios[len(SWEEP_RESOLUTIONS) - 1 :: len(SWEEP_RESOLUTIONS)]
+        low = max_ratios[:: len(SWEEP_RESOLUTIONS)]
+        assert [x.hex() for x in gn["max_ratio"]] == [x.hex() for x in top]
+        assert [x.hex() for x in gn["growth"]] == [(a / b).hex()
+                                                   for a, b in zip(top, low)]
+        energy = result.tables["energy_equivalence"]
+        assert [x.hex() for x in energy["upper_const"]] == [x.hex() for x in upper]
+        assert energy["worst_lower_margin"][0].hex() == worst_lower.hex()
+
+
+class TestWorkIsPerBlock:
+    """``sweep-inequalities`` and ``certify-cm`` synthesise samples once per
+    block of at most ``BLOCK_ROWS`` rows: a fall-back to one field at a time
+    multiplies the transforms by the block size, and an unchunked block
+    stacks more rows than the bound."""
+
+    TRIALS = 40
+
+    def test_block_size(self):
+        # the bound the peak resident set and the wall time were measured at
+        assert BLOCK_ROWS == 32
+
+    @staticmethod
+    def _spy(monkeypatch):
+        shapes, ffts = [], []
+        original, ifft = spectral.padded_samples, np.fft.ifft
+
+        def spy(coeffs, pad, orders):
+            shapes.append(coeffs.shape)
+            return original(coeffs, pad, orders)
+
+        def counted_ifft(*args, **kwargs):
+            ffts.append(args[0].shape)
+            return ifft(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("torus4nls") and \
+                    getattr(module, "padded_samples", None) is original:
+                monkeypatch.setattr(module, "padded_samples", spy)
+        monkeypatch.setattr(np.fft, "ifft", counted_ifft)
+        return shapes, ffts
+
+    @staticmethod
+    def _blocks(rows):
+        return -(-rows // BLOCK_ROWS)
+
+    def _certify_blocks(self, trials):
+        """Blocks of one ``modified_energy_rows`` pass over the samples."""
+        rows = dict.fromkeys(CM_RESOLUTIONS, 0)
+        rows[min(CM_RESOLUTIONS)] += len(corner_probes(GridSpec(32), 1.0))
+        for i in range(trials):
+            rows[CM_RESOLUTIONS[i % len(CM_RESOLUTIONS)]] += 1
+        return sum(self._blocks(r) for r in rows.values())
+
+    def _run(self, tmp_path, monkeypatch, argv):
+        shapes, ffts = self._spy(monkeypatch)
+        monkeypatch.delenv("TORUS4NLS_OUTDIR", raising=False)
+        code = cli.run_command(argv + ["--trials", str(self.TRIALS),
+                                       "--outdir", str(tmp_path)])
+        assert code in (0, 1)  # a verdict either way; 40 trials may not pass
+        assert all(len(s) == 2 and s[0] <= BLOCK_ROWS for s in shapes), shapes
+        assert len(ffts) == len(shapes)
+        return shapes
+
+    def test_sweep_inequalities(self, tmp_path, monkeypatch):
+        shapes = self._run(tmp_path, monkeypatch, ["sweep-inequalities"])
+        cert_trials = max(self.TRIALS // 2, 50)
+        per_grid = self._blocks(self.TRIALS)
+        expect = (2 * self._certify_blocks(cert_trials)
+                  + len(GN_CASES) * len(SWEEP_RESOLUTIONS) * per_grid
+                  + len(SWEEP_RESOLUTIONS) * per_grid)
+        assert len(shapes) == expect
+
+    def test_certify_cm(self, tmp_path, monkeypatch):
+        shapes = self._run(tmp_path, monkeypatch, ["certify-cm", "--nu", "1",
+                                                   "--integrable"])
+        assert len(shapes) == 2 * self._certify_blocks(self.TRIALS)

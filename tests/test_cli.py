@@ -680,3 +680,54 @@ class TestUsageErrors:
         assert exit_code(out, monkeypatch, argv + ["--nu", "1", "--integrable"]) == 2
         assert f"{name} needs at least two entries" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_negative_maxmode_is_2_before_any_run(self, tmp_path, monkeypatch, capsys):
+        # random_field zeroes |n| > max_mode: a negative one empties every mode
+        monkeypatch.setattr(cli, "integrate", lambda *a, **k: pytest.fail("ran"))
+        out = tmp_path / "out"
+        argv = ["simulate", "--data", "random:seed=1:maxmode=-1", "--t-end", "0.01"]
+        assert exit_code(out, monkeypatch, argv) == 2
+        assert "random spec: maxmode must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_maxmode_keeps_the_mean(self):
+        psi = parse_data_spec("random:seed=1:maxmode=0", GridSpec(16))
+        assert psi.coeffs[0] != 0.0 and not np.any(psi.coeffs[1:])
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep-inequalities"],
+        ["certify-cm"],
+        ["continuity", "--nu", "1", "--integrable"],
+        ["riccati", "--nu", "1", "--integrable"],
+    ], ids=["sweep-inequalities", "certify-cm", "continuity", "riccati"])
+    def test_negative_seed_is_2_before_any_run(self, tmp_path, monkeypatch, capsys,
+                                               argv):
+        # numpy's own error ("expected non-negative integer") names no flag
+        self._forbid_runs(monkeypatch)
+        monkeypatch.setattr(cli, "inequality_sweeps",
+                            lambda *a, **k: pytest.fail("ran"))
+        out = tmp_path / "out"
+        assert exit_code(out, monkeypatch, argv + ["--seed=-1"]) == 2
+        assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_spec_seed_is_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "integrate", lambda *a, **k: pytest.fail("ran"))
+        out = tmp_path / "out"
+        argv = ["simulate", "--data", "random:seed=-3", "--t-end", "0.01"]
+        assert exit_code(out, monkeypatch, argv) == 2
+        assert "random spec: seed must be >= 0, got -3" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("entry", ["0", "-2^-3", "1.5", "nan"])
+    def test_eps_ladder_outside_unit_interval_is_2_before_any_run(
+            self, tmp_path, monkeypatch, capsys, entry):
+        # mollification is defined for ε in (0, 1]: mollify's own error names
+        # no flag
+        self._forbid_runs(monkeypatch)
+        out = tmp_path / "out"
+        argv = ["eps-converge", "--nu", "1", "--integrable", "--eps-ladder",
+                f"2^-3,{entry}"]
+        assert exit_code(out, monkeypatch, argv) == 2
+        assert "eps_ladder entries must lie in (0, 1]" in capsys.readouterr().err
+        assert not out.exists()

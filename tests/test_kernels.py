@@ -52,11 +52,13 @@ def test_nonlinear_combine_formula_and_rows():
 def test_weighted_norms(m):
     grid = GridSpec(128)
     a, b, _ = random_arrays(128, m + 10)
-    w = grid.sobolev_weights(m)
+    w = (1.0 + grid.modes**2) ** m
     order = grid.mode_order
-    assert kernels.weighted_norm_sq(a, w, order) == pytest.approx(
+    # the kernels take the weights listed in ``order``, as the grid gives them
+    assert np.array_equal(grid.sobolev_weights(m), w[order])
+    assert kernels.weighted_norm_sq(a, w[order], order) == pytest.approx(
         np.sum(w * np.abs(a) ** 2), rel=1e-13
     )
-    assert kernels.weighted_diff_norm_sq(a, b, w, order) == pytest.approx(
+    assert kernels.weighted_diff_norm_sq(a, b, w[order], order) == pytest.approx(
         np.sum(w * np.abs(a - b) ** 2), rel=1e-13
     )

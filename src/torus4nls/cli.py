@@ -46,6 +46,7 @@ from .exact import (
 )
 from .experiments import (
     bona_smith_rate_study,
+    check_entries,
     check_t_end,
     conservation_study,
     continuity_study,
@@ -79,6 +80,36 @@ ladders (eps/deltas): comma-separated floats; `2^-3` exponent form allowed.
 """
 
 
+def _parse_number(tok):
+    tok = tok.strip()
+    if "^" in tok:
+        base, exp = tok.split("^", 1)
+        return float(base) ** float(exp)
+    return float(tok)
+
+
+def _comma_list(convert, text):
+    """Nonempty comma list, each entry through ``convert``. Its errors are
+    argparse's, so the message names the flag (or config key) given."""
+    try:
+        vals = [convert(t) for t in text.split(",") if t.strip()]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if not vals:
+        raise argparse.ArgumentTypeError(f"empty list {text!r}")
+    return vals
+
+
+def parse_ladder(text):
+    """Comma list of floats; ``2^-3`` exponent form allowed."""
+    return _comma_list(_parse_number, text)
+
+
+def parse_int_list(text):
+    """Comma list of integers."""
+    return _comma_list(int, text)
+
+
 LAMBDA_KEYS = ("lambda1", "lambda2", "lambda3", "lambda4", "lambda5", "lambda6")
 
 # Every option, by dest: its type and help. ``bool`` marks a switch and a
@@ -96,13 +127,13 @@ FLAGS = {
     "integrable": (bool, "use the completely integrable coefficient set for nu"),
     **{key: (float, f"{key} weight") for key in LAMBDA_KEYS},
     "seed": (int, "random seed"),
-    "l_values": (str, "comma list of l offsets"),
-    "eps_ladder": (str, "comma list (2^-k allowed); the study's only eps"),
-    "seps": (str, "comma list of mode separations"),
+    "l_values": (parse_int_list, "comma list of l offsets, each in [0, m]"),
+    "eps_ladder": (parse_ladder, "comma list (2^-k allowed); the study's only eps"),
+    "seps": (parse_int_list, "comma list of mode separations, each in [2, N/2-2]"),
     "hm_size": (float, "family H^m norm"),
     "cm_trials": (int, "certification trials"),
     "ceiling": (float, "certification L2 ceiling"),
-    "deltas": (str, "comma list of perturbation sizes"),
+    "deltas": (parse_ladder, "comma list of perturbation sizes"),
     "trials": (int, "random samples per sweep or certificate"),
     "kappa": (float, "plane-wave amplitude"),
     "tau": (int, "plane-wave mode"),
@@ -142,21 +173,6 @@ COMMANDS = {
         **COEFFS, "seed": 31, "m": 4, "ceiling": 1.0, "trials": 200,
         "target": "classic"}),
 }
-
-
-def _parse_number(tok):
-    tok = tok.strip()
-    if "^" in tok:
-        base, exp = tok.split("^", 1)
-        return float(base) ** float(exp)
-    return float(tok)
-
-
-def parse_ladder(text):
-    vals = [_parse_number(t) for t in text.split(",") if t.strip()]
-    if not vals:
-        raise ValueError("empty ladder")
-    return vals
 
 
 def _parse_kv(chunks, what, allowed):
@@ -340,9 +356,11 @@ def cmd_conserve(args):
 
 
 def cmd_bona_smith(args):
-    l_values = [int(v) for v in args.l_values.split(",")]
+    if not all(0 <= l <= args.m for l in args.l_values):
+        raise ValueError(f"--l-values entries must lie in [0, m] = [0, {args.m}], "
+                         f"got {args.l_values}")
     data = decay_field(GridSpec(args.num_modes), args.m + 0.6)
-    result = bona_smith_rate_study(args.m, l_values, data)
+    result = bona_smith_rate_study(args.m, args.l_values, data)
     return finish_study(result, args.outdir)
 
 
@@ -352,7 +370,7 @@ def cmd_eps_converge(args):
     coeffs = build_coeffs(args)
     cfg = build_solver_config(args)
     result = eps_convergence_study(
-        data, coeffs, args.t_end, parse_ladder(args.eps_ladder), cfg,
+        data, coeffs, args.t_end, args.eps_ladder, cfg,
     )
     return finish_study(result, args.outdir)
 
@@ -361,17 +379,17 @@ def cmd_riccati(args):
     grid = GridSpec(args.num_modes)
     coeffs = build_coeffs(args)
     cfg = build_solver_config(args)
-    seps = [int(v) for v in args.seps.split(",")]
-    if len(set(seps)) != len(seps):
-        raise ValueError(f"seps repeats an entry: {seps}")
-    family = [mode_pair_field(grid, k, args.hm_size, args.m) for k in seps]
+    top = grid.num_modes // 2 - 2  # the high pair {k, k+1} stays below N/2
+    check_entries("--seps", args.seps, lambda k: 2 <= k <= top,
+                  f"lie in [2, N/2-2] = [2, {top}]")
+    family = [mode_pair_field(grid, k, args.hm_size, args.m) for k in args.seps]
     check_t_end(args.t_end)  # the study checks it too, but after certification
     cert = certify_cm(
         args.m, coeffs, args.ceiling, trials=args.cm_trials,
         rng_seed=args.seed, target="sobolev",
     )
     result = riccati_study(family, coeffs, cfg, args.t_end, cert.c_m)
-    result.parameters["separations"] = seps
+    result.parameters["separations"] = args.seps
     return finish_study(result, args.outdir)
 
 
@@ -381,7 +399,7 @@ def cmd_continuity(args):
     coeffs = build_coeffs(args)
     cfg = build_solver_config(args)
     result = continuity_study(
-        data, parse_ladder(args.deltas), coeffs, args.t_end, cfg, args.seed,
+        data, args.deltas, coeffs, args.t_end, cfg, args.seed,
     )
     return finish_study(result, args.outdir)
 

@@ -16,7 +16,14 @@ from functools import lru_cache
 import numpy as np
 
 from . import kernels
-from .spectral import GridSpec, SpectralField, band_coeffs, padded_samples, sobolev_norm
+from .spectral import (
+    GridSpec,
+    SpectralField,
+    band_coeffs,
+    padded_samples,
+    sobolev_norm,
+    sobolev_norm_sq_rows,
+)
 
 PICARD_TOL = 1e-12  # converged when successive iterates differ by less in H^m
 PICARD_MAX_ITERS = 50  # iterations per step before NonConvergence
@@ -181,27 +188,32 @@ def smoothing_multiplier_sup(eps, s, grid):
 
 
 def _member_factors(num_modes, dt, epsilons, nu):
-    """W_ε(dt) multipliers for batch rows with the given ε: the cached row
-    as a (1, N) view when all ε agree, which broadcasts over the batch, else
-    the cached rows stacked one per member."""
+    """W_ε(dt) multipliers for batch rows with the given ε: the cached rows
+    stacked one per member."""
     dt, nu = float(dt), float(nu)
-    if len(set(epsilons)) == 1:
-        return _semigroup_factors_cached(num_modes, dt, float(epsilons[0]), nu)[None]
     return np.stack(
         [_semigroup_factors_cached(num_modes, dt, float(e), nu) for e in epsilons]
     )
 
 
-def _picard_step(c, factors, dt, coeffs, weights, order):
-    """One step of length dt for every row of the (B, N) coefficients ``c``.
+def _at(time, member, named):
+    """Where a run failed, for an error message: the time, and the member
+    when ``named`` (in every ensemble of two or more)."""
+    return f"t={time:.6g}" + (f", member {member}" if named else "")
+
+
+def _picard_step(c, factors, dt, coeffs, m, time, members, named):
+    """One step of length dt from ``time`` for every row of the (B, N)
+    coefficients ``c``, row i being run ``members[i]`` of its ensemble.
 
     Each row is the fixed point of ψ ↦ W_ε(dt)ψ₀ - i (dt/2) [W_ε(dt) N(ψ₀) +
     N(ψ)], converged when successive iterates differ by < PICARD_TOL in
     H^m. A row freezes at its own convergence and leaves the batch, so it
     takes the iterations and gets the bits it would get alone. Returns
     (states, iterations per row). When rows fail, raises for the lowest
-    one (``member`` is its row): NonFinite as soon as its distance is not
-    finite, NonConvergence past the budget.
+    one, carrying ``time`` and its member (named in the message when
+    ``named``): NonFinite as soon as its distance is not finite,
+    NonConvergence past the budget.
     """
     w_psi = kernels.apply_multiplier(c, factors)
     if coeffs.is_linear:
@@ -221,21 +233,20 @@ def _picard_step(c, factors, dt, coeffs, weights, order):
         current = w_psi
         for iteration in range(1, PICARD_MAX_ITERS + 1):
             nxt = fixed - _nonlinearity(current, lambdas, pad) * half_dt
+            gaps = np.sqrt(sobolev_norm_sq_rows(nxt - current, m)).tolist()
             keep = []
-            for i, row in enumerate(live):
-                dist = math.sqrt(
-                    kernels.weighted_diff_norm_sq(nxt[i], current[i], weights, order)
-                )
-                if dist < PICARD_TOL:
+            for i, (row, gap) in enumerate(zip(live, gaps)):
+                if gap < PICARD_TOL:
                     out[row] = nxt[i]
                     iterations[row] = iteration
-                elif math.isfinite(dist):
+                elif math.isfinite(gap):
                     keep.append(i)
                 else:
                     failure = NonFinite(
-                        f"Picard iterates diverged to a non-finite H^m distance "
-                        f"at iteration {iteration} (dt={dt}); reduce dt",
-                        member=row,
+                        f"at {_at(time, members[row], named)}: Picard iterates "
+                        f"diverged to a non-finite H^m distance at iteration "
+                        f"{iteration} (dt={dt}); reduce dt",
+                        time=time, member=members[row],
                     )
                     break  # the rows above this one can no longer fail first
             if not keep:
@@ -247,10 +258,10 @@ def _picard_step(c, factors, dt, coeffs, weights, order):
             current = nxt
     if keep:
         raise NonConvergence(
+            f"Picard non-convergence at {_at(time, members[live[0]], named)}: "
             f"Picard iteration did not contract within {PICARD_MAX_ITERS} "
             f"iterations (dt={dt}); reduce dt or check for loss of regularity",
-            iterations=PICARD_MAX_ITERS,
-            member=live[0],
+            time=time, iterations=PICARD_MAX_ITERS, member=members[live[0]],
         )
     if failure is not None:
         raise failure
@@ -258,20 +269,11 @@ def _picard_step(c, factors, dt, coeffs, weights, order):
 
 
 def duhamel_step(psi, cfg, coeffs):
-    """One step of length dt via Picard iteration on the Duhamel map.
-
-    Fixed point of ψ ↦ W_ε(dt)ψ₀ - i (dt/2) [W_ε(dt) N(ψ₀) + N(ψ)],
-    converged when successive iterates differ by < PICARD_TOL in H^m.
-    Returns (state, iterations); raises NonFinite as soon as that distance
-    is not finite and NonConvergence past the budget.
-    """
-    grid = psi.grid
-    factors = _member_factors(grid.num_modes, cfg.dt, [cfg.epsilon], coeffs.nu)
-    weights = grid.sobolev_weights(cfg.sobolev_index_m)
-    states, iterations = _picard_step(
-        psi.coeffs[None], factors, cfg.dt, coeffs, weights, grid.mode_order
-    )
-    return SpectralField(grid, states[0]), iterations[0]
+    """One step of length dt via Picard iteration on the Duhamel map: a
+    one-step ``integrate``, so the same state, Picard count and errors
+    (carrying time 0). Returns (state, iterations)."""
+    run = integrate(psi, cfg.dt, cfg, coeffs)
+    return run.final.state, run.picard_iterations[0]
 
 
 def _step_times(t_end, dt):
@@ -322,8 +324,6 @@ def integrate_many(psi0s, t_end, cfgs, coeffs, observers=None):
         raise ValueError("member configs may differ only in epsilon")
     times = _step_times(t_end, cfg.dt)  # checks t_end before any sample
     m = cfg.sobolev_index_m
-    weights = grid.sobolev_weights(m)
-    order = grid.mode_order
     runs = []
     ceilings = []
     for psi0, member_observers in zip(psi0s, observers):
@@ -343,27 +343,13 @@ def integrate_many(psi0s, t_end, cfgs, coeffs, observers=None):
             factors = _member_factors(
                 grid.num_modes, dt, [cfgs[i].epsilon for i in active], coeffs.nu
             )
-        try:
-            state, iterations = _picard_step(state, factors, dt, coeffs, weights,
-                                             order)
-        except (NonConvergence, NonFinite) as exc:
-            member = active[exc.member]
-            where = f"t={prev_t:.6g}" + (f", member {member}" if count > 1 else "")
-            if isinstance(exc, NonFinite):
-                raise NonFinite(f"at {where}: {exc}", time=prev_t,
-                                member=member) from exc
-            raise NonConvergence(
-                f"Picard non-convergence at {where}: {exc}",
-                time=prev_t,
-                iterations=exc.iterations,
-                member=member,
-            ) from exc
-        norms = [math.sqrt(kernels.weighted_norm_sq(row, weights, order))
-                 for row in state]
+        state, iterations = _picard_step(state, factors, dt, coeffs, m, prev_t,
+                                         active, count > 1)
+        norms = np.sqrt(sobolev_norm_sq_rows(state, m)).tolist()
         for i, norm in enumerate(norms):
             if not math.isfinite(norm):
-                raise NonFinite(f"non-finite H^m norm at t={t:.6g}", time=t,
-                                member=active[i])
+                raise NonFinite(f"non-finite H^m norm at {_at(t, active[i], count > 1)}",
+                                time=t, member=active[i])
         keep = []
         for i, member in enumerate(active):
             run = runs[member]
@@ -381,7 +367,7 @@ def integrate_many(psi0s, t_end, cfgs, coeffs, observers=None):
         if len(keep) < len(active):
             active = [active[i] for i in keep]
             state = state[keep]
-            factors_dt = None
+            factors = factors[keep]
         prev_t = t
     return runs
 

@@ -92,6 +92,33 @@ class RateFit:
         return cls(float(slope), float(intercept), r2)
 
 
+NO_FIT = RateFit(float("nan"), float("nan"), float("nan"))  # a case with no fit
+
+
+def _fits_table(params, fits):
+    """The ``fits`` table: one row per (param, RateFit) pair."""
+    return {
+        "param": [float(p) for p in params],
+        "slope": [f.slope for f in fits],
+        "intercept": [f.intercept for f in fits],
+        "r_squared": [f.r_squared for f in fits],
+    }
+
+
+def check_entries(name, values, ok, must, fewest=2):
+    """A ValueError unless ``values`` has at least ``fewest`` (1 or 2)
+    entries, repeats none, and each passes ``ok``; ``must`` ends the message
+    "{name} entries must ...". A repeated entry would only repeat a run."""
+    values = list(values)
+    if len(values) < fewest:
+        least = "one entry" if fewest == 1 else "two entries"
+        raise ValueError(f"{name} needs at least {least}: {values}")
+    if len(set(values)) != len(values):
+        raise ValueError(f"{name} repeats an entry: {values}")
+    if not all(ok(v) for v in values):
+        raise ValueError(f"{name} entries must {must}: {values}")
+
+
 @dataclass
 class StudyResult:
     name: str
@@ -290,38 +317,24 @@ def bona_smith_rate_study(m, l_values, data):
     The rates are attained on the critical spectrum ⟨n⟩^{-(m+0.6)}
     (``decay_field(grid, m + 0.6)``), which the CLI passes.
     """
-    if any(l < 0 or l > m for l in l_values):
-        raise ValueError("need 0 <= l <= m")
-    if len(set(l_values)) != len(l_values):
-        raise ValueError(f"l_values repeats an entry: {list(l_values)}")
+    check_entries("l_values", l_values, lambda l: 0 <= l <= m, f"lie in [0, {m}]",
+                  fewest=1)
     th = BONA_SMITH_THRESHOLDS
     hm = sobolev_norm(data, m)
     eps_ladder = list(BONA_SMITH_EPS_LADDER)
-    errors = {}
-    for l in l_values:
-        errors[l] = [
-            sobolev_distance(data, mollify(data, e), m - l) for e in eps_ladder
-        ]
+    mollified = [mollify(data, e) for e in eps_ladder]
     table = {"param": list(eps_ladder)}
-    for l in l_values:
-        table[f"err_l{l}"] = errors[l]
-    fits = {"param": [], "slope": [], "intercept": [], "r_squared": [], "passed": []}
+    fits = []
+    passed = []
     case_verdicts = []
     for l in l_values:
-        errs = errors[l]
+        errs = table[f"err_l{l}"] = [sobolev_distance(data, f, m - l) for f in mollified]
         if min(errs) < 1e-13 * hm:
+            fits.append(NO_FIT)
+            passed.append(0.0)
             case_verdicts.append("inconclusive")
-            fits["param"].append(float(l))
-            fits["slope"].append(float("nan"))
-            fits["intercept"].append(float("nan"))
-            fits["r_squared"].append(float("nan"))
-            fits["passed"].append(0.0)
             continue
         f = RateFit.fit(eps_ladder, errs)
-        fits["param"].append(float(l))
-        fits["slope"].append(f.slope)
-        fits["intercept"].append(f.intercept)
-        fits["r_squared"].append(f.r_squared)
         if l == 0:
             ok = max(errs) <= th["bound_const"] * hm
         else:
@@ -330,7 +343,8 @@ def bona_smith_rate_study(m, l_values, data):
                 (1.0 - band) * l <= f.slope <= (1.0 + band) * l
                 and f.r_squared >= th["r2_min"]
             )
-        fits["passed"].append(1.0 if ok else 0.0)
+        fits.append(f)
+        passed.append(1.0 if ok else 0.0)
         case_verdicts.append("pass" if ok else "fail")
     if any(v == "fail" for v in case_verdicts):
         verdict = "fail"
@@ -348,7 +362,8 @@ def bona_smith_rate_study(m, l_values, data):
             "data_hm_norm": hm,
         },
         thresholds=dict(th),
-        tables={"errors": table, "fits": fits},
+        tables={"errors": table,
+                "fits": {**_fits_table(l_values, fits), "passed": passed}},
         verdict=verdict,
     )
 
@@ -367,12 +382,8 @@ def eps_convergence_study(data, coeffs, t_end, eps_ladder, cfg):
     m = cfg.sobolev_index_m
     if m < 4:
         raise ValueError("the convergence regime needs m >= 4")
-    if len(eps_ladder) < 2:  # the fewest a rate can be fitted to
-        raise ValueError(f"eps_ladder needs at least two entries: {list(eps_ladder)}")
-    if len(set(eps_ladder)) != len(eps_ladder):
-        raise ValueError(f"eps_ladder repeats an entry: {list(eps_ladder)}")
-    if not all(0.0 < e <= 1.0 for e in eps_ladder):  # mollify's range
-        raise ValueError(f"eps_ladder entries must lie in (0, 1]: {list(eps_ladder)}")
+    # two entries are the fewest a rate can be fitted to; (0, 1] is mollify's range
+    check_entries("eps_ladder", eps_ladder, lambda e: 0.0 < e <= 1.0, "lie in (0, 1]")
     check_t_end(t_end)
     ladder = sorted(eps_ladder, reverse=True)
     eps_ref = min(ladder) / EPS_REF_DIVISOR
@@ -397,12 +408,7 @@ def eps_convergence_study(data, coeffs, t_end, eps_ladder, cfg):
     }
     th = EPS_CONVERGENCE_THRESHOLDS
     fit = RateFit.fit(ladder, h1_diffs)
-    tables["fits"] = {
-        "param": [1.0],
-        "slope": [fit.slope],
-        "intercept": [fit.intercept],
-        "r_squared": [fit.r_squared],
-    }
+    tables["fits"] = _fits_table([1.0], [fit])
     monotone = all(hm_diffs[i] > hm_diffs[i + 1] for i in range(len(hm_diffs) - 1))
     verdict = "pass" if (monotone and fit.slope >= th["min_h1_order"]) else "fail"
     return StudyResult(
@@ -452,11 +458,12 @@ def riccati_study(family, coeffs, cfg, t_end, c_m):
     while the plain quotient grows by ``raw_growth_min`` from first to last
     member. The verdict is only trusted (not inconclusive) if the stepper
     shows order ≥ ``min_order`` on the first member (all three in
-    ``RICCATI_THRESHOLDS``). A linear coefficient set is a ValueError: its
-    energies are constant, so every quotient is 0.
+    ``RICCATI_THRESHOLDS``). A family of fewer than two members is a
+    ValueError, and so is a linear coefficient set: its energies are
+    constant, so every quotient is 0.
     """
-    if not family:
-        raise ValueError("family must be nonempty")
+    if len(family) < 2:  # growth from first to last member needs two
+        raise ValueError(f"family needs at least two members, got {len(family)}")
     check_t_end(t_end)
     if coeffs.is_linear:
         raise ValueError("the riccati contrast needs a nonlinearity, but every "
@@ -526,15 +533,9 @@ def continuity_study(phi, delta_ladder, coeffs, t_end, cfg, rng_seed):
     ``quotient_spread_max`` (``CONTINUITY_THRESHOLDS``). The ladder needs
     two or more distinct δ, each positive and finite, and t_end must be > 0.
     """
-    if len(delta_ladder) < 2:  # the fewest a rate can be fitted to
-        raise ValueError(f"delta_ladder needs at least two entries: "
-                         f"{list(delta_ladder)}")
-    if len(set(delta_ladder)) != len(delta_ladder):
-        raise ValueError(f"delta_ladder repeats an entry: {list(delta_ladder)}")
+    check_entries("delta_ladder", delta_ladder, lambda d: 0.0 < d < math.inf,
+                  "be positive and finite")
     check_t_end(t_end)
-    if not all(0.0 < d < math.inf for d in delta_ladder):
-        raise ValueError(f"delta_ladder entries must be positive and finite: "
-                         f"{list(delta_ladder)}")
     m = cfg.sobolev_index_m
     deltas = sorted(delta_ladder, reverse=True)
     perturbed = [
@@ -600,12 +601,7 @@ def continuity_study(phi, delta_ladder, coeffs, t_end, cfg, rng_seed):
                 "gronwall_quotient": quotients,
                 "implied_rate": growth_rates,
             },
-            "fits": {
-                "param": [1.0],
-                "slope": [fit.slope],
-                "intercept": [fit.intercept],
-                "r_squared": [fit.r_squared],
-            },
+            "fits": _fits_table([1.0], [fit]),
         },
         verdict="pass" if ok else "fail",
     )

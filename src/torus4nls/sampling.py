@@ -8,7 +8,7 @@ trial count never changes earlier samples.
 
 import numpy as np
 
-from .spectral import SpectralField, l2_norm, sobolev_norm
+from .spectral import SpectralField, sobolev_norm
 
 MODE_PAIR_PHASES = (0.0, 1.0, 0.7, 2.1)  # of modes 0, 1, k, k+1: generic
 
@@ -53,12 +53,9 @@ def random_field(grid, rng, decay=2.0, l2_mass=None, hm_norm=None, m=None, max_m
     if max_mode is not None:
         c[np.abs(modes) > max_mode] = 0.0
     f = SpectralField(grid, c)
-    if l2_mass is not None:
-        cur = l2_norm(f)
-        if cur == 0.0:
-            raise ValueError("cannot rescale a zero draw")
-        f = (l2_mass / cur) * f
-    elif hm_norm is not None:
+    if l2_mass is not None:  # the L² norm is the H⁰ one
+        hm_norm, m = l2_mass, 0
+    if hm_norm is not None:
         cur = sobolev_norm(f, m)
         if cur == 0.0:
             raise ValueError("cannot rescale a zero draw")

@@ -87,10 +87,6 @@ class GridSpec:
     def nyquist_index(self):
         return self.num_modes // 2
 
-    def sobolev_weights(self, m):
-        """⟨n⟩^{2m} per mode, ⟨n⟩ = √(1+n²), listed in ``mode_order``."""
-        return _sobolev_weights(self.num_modes, m)
-
 
 @lru_cache(maxsize=64)
 def _grid(num_modes):
@@ -269,13 +265,9 @@ def sobolev_norm_sq(psi, m):
 def sobolev_distance(psi, chi, m):
     """H^m distance between two fields on the same grid."""
     _require_same_grid(psi, chi)
-    return float(
-        np.sqrt(
-            kernels.weighted_diff_norm_sq(
-                psi.coeffs, chi.coeffs, psi.grid.sobolev_weights(m), psi.grid.mode_order
-            )
-        )
-    )
+    n = psi.grid.num_modes
+    return float(np.sqrt(kernels.weighted_diff_norm_sq(
+        psi.coeffs, chi.coeffs, _sobolev_weights(n, m), _grid(n).mode_order)))
 
 
 def l2_norm(psi):

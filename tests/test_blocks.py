@@ -92,7 +92,8 @@ def _field(row):
 def _weighted(coeffs):
     """The H² norm kernel on the last axis, with the grid's ordered weights."""
     grid = GridSpec(coeffs.shape[-1])
-    return kernels.weighted_norm_sq(coeffs, grid.sobolev_weights(2), grid.mode_order)
+    return kernels.weighted_norm_sq(coeffs, spectral._sobolev_weights(grid.num_modes, 2),
+                                    grid.mode_order)
 
 
 def _quadrature(coeffs):

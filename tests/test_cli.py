@@ -624,6 +624,40 @@ class TestUsageErrors:
         assert f"{name} repeats an entry" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv,message", [
+        (["riccati", "--nu", "1", "--integrable", "--seps", "4,200"],
+         "--seps entries must lie in [2, N/2-2] = [2, 126]"),
+        (["riccati", "--nu", "1", "--integrable", "--seps", "1,4"],
+         "--seps entries must lie in [2, N/2-2] = [2, 126]"),
+        (["riccati", "--nu", "1", "--integrable", "--seps", "4,x"],
+         "argument --seps: invalid literal for int()"),
+        (["bona-smith", "--l-values", "0,5"],
+         "--l-values entries must lie in [0, m] = [0, 4]"),
+        (["eps-converge", "--nu", "1", "--integrable", "--eps-ladder", ","],
+         "argument --eps-ladder: empty list"),
+        (["continuity", "--nu", "1", "--integrable", "--deltas", "1e-2,x"],
+         "argument --deltas: could not convert string to float"),
+    ], ids=["seps-above", "seps-below", "seps-literal", "l-values-range",
+            "eps-ladder-empty", "deltas-literal"])
+    def test_bad_list_entry_names_the_flag(self, tmp_path, monkeypatch, capsys,
+                                           argv, message):
+        self._forbid_runs(monkeypatch)
+        monkeypatch.setattr(cli, "bona_smith_rate_study",
+                            lambda *a, **k: pytest.fail("ran"))
+        out = tmp_path / "out"
+        assert exit_code(out, monkeypatch, argv) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_config_list_names_the_flag(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seps = 4,x\n")
+        out = tmp_path / "out"
+        argv = ["riccati", "--nu", "1", "--integrable", "--config", str(cfg)]
+        assert exit_code(out, monkeypatch, argv) == 2
+        assert "argument --seps: invalid literal for int()" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("delta", ["0", "-1e-3", "inf"])
     def test_bad_delta_is_2_before_any_run(self, tmp_path, monkeypatch, capsys, delta):
         self._forbid_runs(monkeypatch)
@@ -671,7 +705,9 @@ class TestUsageErrors:
     @pytest.mark.parametrize("argv,name", [
         (["eps-converge", "--eps-ladder", "2^-3"], "eps_ladder"),
         (["continuity", "--deltas", "1e-2"], "delta_ladder"),
-    ], ids=["eps-converge", "continuity"])
+        # one member has no growth from first to last to contrast
+        (["riccati", "--seps", "4"], "--seps"),
+    ], ids=["eps-converge", "continuity", "riccati"])
     def test_one_entry_ladder_is_2_before_any_run(self, tmp_path, monkeypatch,
                                                   capsys, argv, name):
         # one rung fits no rate

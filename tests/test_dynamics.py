@@ -255,8 +255,28 @@ class TestDuhamelStep:
         rng = rng_for(4)
         psi = random_field(grid64, rng, decay=0.5, l2_mass=20.0)
         cfg = SolverConfig(dt=0.5, sobolev_index_m=4)
-        with pytest.raises(NonConvergence):
+        with pytest.raises(NonConvergence) as err:
             duhamel_step(psi, cfg, integrable_coefficients(1.0))
+        assert (err.value.time, err.value.member, err.value.iterations) == (0.0, 0, 3)
+        assert "member" not in str(err.value)
+
+    def test_divergence_is_nonfinite_at_time_0(self, grid64):
+        psi = random_field(grid64, rng_for(1), decay=0.5, l2_mass=20.0)
+        cfg = SolverConfig(dt=0.5, sobolev_index_m=4)
+        with pytest.raises(NonFinite) as err:
+            duhamel_step(psi, cfg, integrable_coefficients(1.0))
+        assert (err.value.time, err.value.member) == (0.0, 0)
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.05])
+    def test_is_the_first_step_of_integrate(self, grid64, generic_coeffs, epsilon):
+        psi = _benign(grid64)
+        cfg = SolverConfig(dt=2e-3, epsilon=epsilon, sobolev_index_m=4)
+        out, iters = duhamel_step(psi, cfg, generic_coeffs)
+        seen = []
+        run = integrate(psi, 3 * cfg.dt, cfg, generic_coeffs, observers=[seen.append])
+        assert seen[1].time == cfg.dt
+        assert np.array_equal(out.coeffs, seen[1].state.coeffs)
+        assert iters == run.picard_iterations[0] > 1
 
 
 class TestIntegrate:
@@ -596,6 +616,41 @@ class TestIntegrateMany:
         assert runs[0].blowup_time is None and runs[0].final.time == 0.01
         assert runs[2].blowup_time is None and runs[2].final.time == 0.01
 
+    def test_halted_member_compacts_its_factor_row(self, grid64, monkeypatch):
+        # three distinct ε, so each member has its own W_ε(dt) row: once the
+        # undamped middle member halts, the outer two must keep their own
+        # rows, also for the shorter last step
+        monkeypatch.setattr(dynamics, "BLOWUP_FACTOR", 0.9)
+        coeffs = integrable_coefficients(1.0)
+        members = [plane_wave(grid64, 0.3, 4), _benign(grid64),
+                   plane_wave(grid64, 0.2, 5)]
+        cfgs = [SolverConfig(dt=2e-3, epsilon=e, sobolev_index_m=4)
+                for e in (1.0, 0.0, 0.5)]
+        seen, observers = _observed(3)
+        runs = integrate_many(members, 0.011, cfgs, coeffs, observers=observers)
+        assert [run.blowup_time for run in runs] == [None, 2e-3, None]
+        for run, obs, psi0, cfg in zip(runs, seen, members, cfgs):
+            _assert_matches_serial(run, obs, psi0, cfg, coeffs)
+        assert runs[0].final.time == runs[2].final.time == 0.011
+
+    def test_error_names_member_after_shrinking_to_one(self, grid64, monkeypatch):
+        # member 0 halts at the first step; then an observer of member 1
+        # cuts the Picard budget to one iteration, which its next step needs
+        # more than
+        monkeypatch.setattr(dynamics, "BLOWUP_FACTOR", 0.9)
+        members = [plane_wave(grid64, 0.3, 4), _benign(grid64)]
+        cfgs = [SolverConfig(dt=2e-3, epsilon=e, sobolev_index_m=4) for e in (0.0, 1.0)]
+
+        def cut_budget(sample):
+            if sample.time > 0.0:
+                monkeypatch.setattr(dynamics, "PICARD_MAX_ITERS", 1)
+
+        with pytest.raises(NonConvergence) as err:
+            integrate_many(members, 0.01, cfgs, integrable_coefficients(1.0),
+                           observers=[[], [cut_budget]])
+        assert (err.value.member, err.value.time, err.value.iterations) == (1, 2e-3, 1)
+        assert "t=0.002, member 1:" in str(err.value)
+
     def test_nonfinite_earliest_step_lowest_member(self, grid64):
         # member 0 fails only at t=0.041; members 2 and 3 overflow in the
         # first step, so the batch reports member 2 at t=0
@@ -608,6 +663,7 @@ class TestIntegrateMany:
         with pytest.raises(NonFinite) as err:
             integrate_many(members, 0.05, [cfg] * 4, coeffs)
         assert (err.value.member, err.value.time) == (2, 0.0)
+        assert "at t=0, member 2: Picard iterates diverged" in str(err.value)
         with pytest.raises(NonFinite) as alone:
             integrate(first, 0.05, cfg, coeffs)
         assert alone.value.time == 0.0

@@ -7,7 +7,9 @@ import pytest
 
 from torus4nls.dynamics import CoefficientSet, SolverConfig, integrate
 from torus4nls.exact import integrable_coefficients, standing_wave
+from torus4nls import experiments
 from torus4nls.experiments import (
+    BONA_SMITH_EPS_LADDER,
     RateFit,
     StudyResult,
     bona_smith_rate_study,
@@ -208,6 +210,31 @@ class TestBonaSmithStudy:
         with pytest.raises(ValueError):
             bona_smith_rate_study(2, [3], decay_field(GridSpec(32), 2.6))
 
+    def test_mollifies_each_eps_once(self, monkeypatch):
+        calls = []
+
+        def counted(f, eps):
+            calls.append(eps)
+            return mollify(f, eps)
+
+        monkeypatch.setattr(experiments, "mollify", counted)
+        data = decay_field(GridSpec(1024), 4.6)
+        res = bona_smith_rate_study(4, [0, 1, 2], data)
+        assert calls == list(BONA_SMITH_EPS_LADDER)
+        for l in (0, 1, 2):
+            assert res.tables["errors"][f"err_l{l}"] == [
+                sobolev_distance(data, mollify(data, e), 4 - l)
+                for e in BONA_SMITH_EPS_LADDER
+            ]
+
+    def test_unfitted_case_is_a_nan_row(self):
+        grid = GridSpec(256)
+        data = random_field(grid, rng_for(3), decay=1.0, l2_mass=1.0, max_mode=4)
+        fits = bona_smith_rate_study(4, [1, 3], data).tables["fits"]
+        assert list(fits) == ["param", "slope", "intercept", "r_squared", "passed"]
+        assert fits["param"] == [1.0, 3.0] and fits["passed"][0] == 0.0
+        assert all(np.isnan(fits[k][0]) for k in ("slope", "intercept", "r_squared"))
+
 
 class TestEpsConvergenceStudy:
     def test_single_point_ladder_rejected(self):
@@ -260,6 +287,12 @@ class TestRiccatiStudy:
         res = riccati_study(family, coeffs, cfg, 2e-3, c_m=10.0)
         assert max(res.tables["quotients"]["q_modified"]) < 1e-3
         assert max(res.tables["quotients"]["q_raw"]) < 1e-3
+
+    def test_one_member_family_rejected(self):
+        family = [mode_pair_field(GridSpec(64), 4, 1.0, 4)]
+        cfg = SolverConfig(dt=1e-4, sobolev_index_m=4)
+        with pytest.raises(ValueError, match="at least two members"):
+            riccati_study(family, integrable_coefficients(1.0), cfg, 2e-3, c_m=1.0)
 
     def test_no_corrections_means_equal_quotients(self):
         # lambda3..6 = 0 and c_m = 0 make the corrected energy identical to

@@ -114,3 +114,43 @@ def test_no_tolerance_is_an_argument():
     assert "cfg" not in inspect.signature(dynamics._picard_step).parameters
     fields = tuple(f.name for f in dataclasses.fields(dynamics.SolverConfig))
     assert fields == ("dt", "epsilon", "sobolev_index_m")
+
+
+def _identifiers(tree):
+    """Every name, attribute and imported name a module's code uses."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+    return found
+
+
+def test_norm_layout_stays_in_spectral():
+    """The stepper measures its H^m gaps and norms through
+    ``spectral.sobolev_norm_sq_rows``: it never handles the norm weights or
+    the order the kernels sum in."""
+    used = _identifiers(ast.parse((SRC / "dynamics.py").read_text()))
+    layout = {"mode_order", "sobolev_weights", "_sobolev_weights",
+              "weighted_norm_sq", "weighted_diff_norm_sq"}
+    assert not used & layout, sorted(used & layout)
+
+
+def test_picard_step_has_one_call_site():
+    """``integrate_many`` is the one caller of ``_picard_step``, and no
+    ``try`` surrounds the call: the step raises its errors complete."""
+    sites = []
+
+    def visit(node, in_try):
+        if isinstance(node, ast.Call) and _dotted(node.func) in (
+                "_picard_step", "dynamics._picard_step"):
+            sites.append(in_try)
+        for child in ast.iter_child_nodes(node):
+            visit(child, in_try or isinstance(node, ast.Try))
+
+    for path in MODULES:
+        visit(ast.parse(path.read_text(), filename=str(path)), False)
+    assert sites == [False]

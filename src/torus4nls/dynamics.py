@@ -21,7 +21,6 @@ from .spectral import (
     SpectralField,
     band_coeffs,
     padded_samples,
-    sobolev_norm,
     sobolev_norm_sq_rows,
 )
 
@@ -301,11 +300,12 @@ def integrate_many(psi0s, t_end, cfgs, coeffs, observers=None):
     each of member i's TrajectorySamples as it is produced: the only way to
     keep them. A member whose H^m norm exceeds ``BLOWUP_FACTOR`` times its
     initial value is marked and halts; the others go on. A diverging step
-    or a non-finite norm raises NonFinite (NonConvergence past the Picard
-    budget) at the earliest failing step, for the lowest failing member,
-    carrying the time and the member index. A t_end that is negative or not
-    finite is a ValueError before any observer sees a sample. Returns one
-    Trajectory record per member.
+    raises NonFinite (NonConvergence past the Picard budget) at the earliest
+    failing step, for the lowest failing member, carrying the time and the
+    member index. Initial data whose H^m norm is not finite (a NaN or Inf
+    coefficient, or an overflowing weighted sum) and a t_end that is
+    negative or not finite are ValueErrors before any observer sees a
+    sample. Returns one Trajectory record per member.
     """
     psi0s = list(psi0s)
     cfgs = list(cfgs)
@@ -324,16 +324,22 @@ def integrate_many(psi0s, t_end, cfgs, coeffs, observers=None):
         raise ValueError("member configs may differ only in epsilon")
     times = _step_times(t_end, cfg.dt)  # checks t_end before any sample
     m = cfg.sobolev_index_m
+    state = np.array([psi.coeffs for psi in psi0s])
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        norms0 = np.sqrt(sobolev_norm_sq_rows(state, m)).tolist()
+    for i, norm in enumerate(norms0):
+        if not math.isfinite(norm):
+            named = f" of member {i}" if count > 1 else ""
+            raise ValueError(f"the initial data{named} has a non-finite H^m "
+                             f"norm (m={m}): {norm}")
     runs = []
-    ceilings = []
+    ceilings = [BLOWUP_FACTOR * max(norm, 1e-300) for norm in norms0]
     for psi0, member_observers in zip(psi0s, observers):
         sample = TrajectorySample(0.0, psi0)
         for obs in member_observers:
             obs(sample)
         runs.append(Trajectory(sample))
-        ceilings.append(BLOWUP_FACTOR * max(sobolev_norm(psi0, m), 1e-300))
     active = list(range(count))
-    state = np.array([psi.coeffs for psi in psi0s])
     factors_dt = None  # the step the current factors are for
     prev_t = 0.0
     for t in times:
@@ -346,10 +352,6 @@ def integrate_many(psi0s, t_end, cfgs, coeffs, observers=None):
         state, iterations = _picard_step(state, factors, dt, coeffs, m, prev_t,
                                          active, count > 1)
         norms = np.sqrt(sobolev_norm_sq_rows(state, m)).tolist()
-        for i, norm in enumerate(norms):
-            if not math.isfinite(norm):
-                raise NonFinite(f"non-finite H^m norm at {_at(t, active[i], count > 1)}",
-                                time=t, member=active[i])
         keep = []
         for i, member in enumerate(active):
             run = runs[member]
@@ -377,8 +379,8 @@ def integrate(psi0, t_end, cfg, coeffs, observers=()):
 
     Observers are called with each TrajectorySample as it is produced. The
     run halts early, marking the record, if the H^m norm exceeds
-    ``BLOWUP_FACTOR`` times its initial value; a non-finite norm or a
-    diverging step raises NonFinite carrying the time. A one-member
+    ``BLOWUP_FACTOR`` times its initial value; a diverging step raises
+    NonFinite carrying the time. A one-member
     ``integrate_many``: returns the run's Trajectory record.
     """
     return integrate_many([psi0], t_end, [cfg], coeffs, [observers])[0]

@@ -17,6 +17,9 @@ values compared against; no tolerance is an argument.
 
 import json
 import math
+import os
+import pickle
+import signal
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, replace
 from itertools import takewhile
@@ -435,12 +438,65 @@ def _max_quotient(times, values):
     return float(np.max(dv / v[:-1] ** 2))
 
 
-def _stepper_order(data, coarse, t_end, cfg, coeffs):
-    """Observed self-convergence order of the stepper on this data, given
-    ``coarse``, the final state of its run at cfg.dt."""
-    fine = integrate(data, t_end, replace(cfg, dt=cfg.dt * 0.5), coeffs).final.state
-    finest = integrate(data, t_end, replace(cfg, dt=cfg.dt * 0.125), coeffs).final.state
-    m = cfg.sobolev_index_m
+def in_worker(fn, args, meanwhile):
+    """``(meanwhile(), fn(*args))``, with ``fn(*args)`` computed in a forked
+    worker process while this process runs ``meanwhile()``.
+
+    The worker pickles its value, or the exception it raised, into a pipe
+    and always leaves through ``os._exit``: it never flushes this process's
+    inherited stdio buffers or runs its exit handlers. If ``meanwhile``
+    raises, the worker is killed and reaped before the exception goes on, so
+    it takes precedence; otherwise the worker's exception, if any, is raised
+    here with its type, message and attributes. A worker that ends without
+    sending a result is a RuntimeError naming its exit status. Needs
+    ``os.fork`` (Linux, macOS). The worker has only the calling thread, so
+    ``fn`` must not wait on a lock or pool of another thread; the stepper
+    uses numpy's FFTs and elementwise kernels, which need none.
+    """
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the worker
+        status = 1
+        try:
+            os.close(read_end)
+            try:
+                result = (True, fn(*args))
+            except BaseException as exc:
+                result = (False, exc)
+            with open(write_end, "wb") as out:
+                pickle.dump(result, out, pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    with open(read_end, "rb") as results:
+        try:
+            own = meanwhile()
+            payload = results.read()  # to EOF: the worker has closed its end
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code != 0:
+        how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+        raise RuntimeError(f"worker process {pid} ended without a result ({how})")
+    ok, value = pickle.loads(payload)
+    if not ok:
+        raise value
+    return own, value
+
+
+def _final_state(data, t_end, cfg, coeffs):
+    return integrate(data, t_end, cfg, coeffs).final.state
+
+
+def _stepper_order(coarse, fine, finest, m):
+    """Observed order of the stepper: log2 of the H^m errors of its final
+    states at dt (``coarse``) and dt/2 (``fine``), each against the state
+    at dt/8 (``finest``), which stands in for the exact solution.
+    ``riccati_study`` computes ``finest`` in a worker process: it is the
+    longest of the study's runs, 8 coarse runs' worth of steps."""
     e_coarse = sobolev_distance(coarse, finest, m)
     e_fine = sobolev_distance(fine, finest, m)
     if e_fine <= 0.0:
@@ -461,6 +517,14 @@ def riccati_study(family, coeffs, cfg, t_end, c_m):
     ``RICCATI_THRESHOLDS``). A family of fewer than two members is a
     ValueError, and so is a linear coefficient set: its energies are
     constant, so every quotient is 0.
+
+    The order compares the first member's runs at dt (taken from the
+    family batch) and dt/2 with its run at dt/8. That dt/8 run is most of
+    the study's steps and needs none of the others, so it goes to a forked
+    worker (``in_worker``) and runs on a second core while this process
+    runs the family and the dt/2 run. Every value is the one the serial
+    runs give, and errors keep their order: the family's, then dt/2's, then
+    dt/8's.
     """
     if len(family) < 2:  # growth from first to last member needs two
         raise ValueError(f"family needs at least two members, got {len(family)}")
@@ -473,10 +537,18 @@ def riccati_study(family, coeffs, cfg, t_end, c_m):
         raise ValueError("family must share one grid")
     m = cfg.sobolev_index_m
     recorders = [EnergyRecorder(m, coeffs, c_m, invariants=False) for _ in family]
-    runs = integrate_many(family, t_end, [cfg] * len(family), coeffs,
-                          observers=[[rec] for rec in recorders])
-    coarse = runs[0].final.state
-    order = _stepper_order(family[0], coarse, t_end, cfg, coeffs)
+
+    def family_and_fine():
+        runs = integrate_many(family, t_end, [cfg] * len(family), coeffs,
+                              observers=[[rec] for rec in recorders])
+        fine = _final_state(family[0], t_end, replace(cfg, dt=cfg.dt * 0.5), coeffs)
+        return runs[0].final.state, fine
+
+    (coarse, fine), finest = in_worker(
+        _final_state, (family[0], t_end, replace(cfg, dt=cfg.dt * 0.125), coeffs),
+        family_and_fine,
+    )
+    order = _stepper_order(coarse, fine, finest, m)
     q_mod = []
     q_raw = []
     freq_span = []

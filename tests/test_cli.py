@@ -1,7 +1,11 @@
 """Command-line surface: exit codes, manifests, precedence, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,6 +169,17 @@ class TestExitCodes:
         earlier = output_bytes(tmp_path)
         assert run_in(tmp_path, monkeypatch, MIDRUN_FAILURE) == 3
         assert output_bytes(tmp_path) == earlier
+
+    def test_overflowing_data_is_2(self, tmp_path, monkeypatch, capsys):
+        # finite coefficients whose H^m norm overflows: refused before any step
+        out = tmp_path / "out"
+        code = run_in(out, monkeypatch, [
+            "simulate", "--data", "modes:n=31:amp=1e150", "--nu", "1",
+            "--num-modes", "64", "--t-end", "0.01",
+        ])
+        assert code == 2
+        assert "initial data has a non-finite H^m norm" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_study_failure_is_1(self, tmp_path, monkeypatch):
         # on 16 modes the mollifier ladder leaves errors at machine zero,
@@ -378,6 +393,28 @@ class TestReproducibility:
         assert files_a == files_b and files_a
         for name in files_a:
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_riccati_prints_once(tmp_path):
+    """riccati's order run forks a worker. With stdout on a pipe, and so
+    block-buffered, a worker that returned into the CLI would print and
+    write a second time, and one that left through ``sys.exit`` would flush
+    the buffer it inherited."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {k: v for k, v in os.environ.items() if k != "TORUS4NLS_OUTDIR"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "torus4nls.cli", "riccati", "--nu", "1",
+         "--integrable", "--outdir", str(tmp_path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=300,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["riccati_contrast: verdict=pass"] + [
+        f"  wrote {tmp_path / name}"
+        for name in ("riccati_contrast__quotients.csv",
+                     "riccati_contrast__manifest.json")
+    ]
 
 
 class TestCertifyCmCommand:

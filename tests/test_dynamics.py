@@ -356,6 +356,31 @@ class TestIntegrate:
             _assert_only_final_alive(run, kept, 6)
 
 
+def _with_mode_31(grid, value):
+    coeffs = np.zeros(grid.num_modes, dtype=complex)
+    coeffs[grid.modes == 31] = value
+    return SpectralField(grid, coeffs)
+
+
+@pytest.mark.parametrize("value", [1e150, float("nan"), float("inf")])
+@pytest.mark.parametrize("coeffs", [CoefficientSet(nu=1.0), integrable_coefficients(1.0)],
+                         ids=["linear", "integrable"])
+def test_non_finite_initial_norm_rejected_before_any_sample(grid64, coeffs, value):
+    # 1e150 at mode 31 is finite, but its weighted H^4 square overflows;
+    # the check computes that norm without leaking numpy's RuntimeWarning
+    seen = []
+    with pytest.raises(ValueError, match=r"^the initial data has a non-finite H\^m norm"):
+        integrate(_with_mode_31(grid64, value), 0.01, SolverConfig(dt=1e-3), coeffs,
+                  observers=[seen.append])
+    assert seen == []
+    seen = [[], [], []]
+    with pytest.raises(ValueError, match="initial data of member 2 has a non-finite"):
+        integrate_many([_benign(grid64)] * 2 + [_with_mode_31(grid64, value)], 0.01,
+                       [SolverConfig(dt=1e-3)] * 3, coeffs,
+                       observers=[[kept.append] for kept in seen])
+    assert seen == [[], [], []]
+
+
 @pytest.mark.parametrize("t_end", [float("nan"), float("inf"), -1.0])
 @pytest.mark.parametrize("stepper", [integrate, reference_integrate],
                          ids=["duhamel", "rk4"])

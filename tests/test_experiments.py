@@ -1,11 +1,24 @@
 """Study harness: rate fits, serialization, study verdicts and determinism."""
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from torus4nls.dynamics import CoefficientSet, SolverConfig, integrate
+from torus4nls import dynamics
+from torus4nls.dynamics import (
+    CoefficientSet,
+    NonConvergence,
+    NonFinite,
+    SolverConfig,
+    integrate,
+)
 from torus4nls.exact import integrable_coefficients, standing_wave
 from torus4nls import experiments
 from torus4nls.experiments import (
@@ -16,6 +29,7 @@ from torus4nls.experiments import (
     conservation_study,
     continuity_study,
     eps_convergence_study,
+    in_worker,
     inequality_sweeps,
     riccati_study,
     table_rows,
@@ -316,6 +330,169 @@ class TestRiccatiStudy:
         q = res.tables["quotients"]
         assert max(q["q_modified"]) / min(q["q_modified"]) <= 2.0
         assert q["q_raw"][-1] / q["q_raw"][0] >= 4.0
+
+
+def assert_no_child_left():
+    """This process has no child: every worker was reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def same_error(a, b):
+    return (type(a), str(a), vars(a)) == (type(b), str(b), vars(b))
+
+
+class TestInWorker:
+    def test_returns_both_results(self):
+        assert in_worker(divmod, (7, 2), lambda: "own") == ("own", (3, 1))
+        assert_no_child_left()
+
+    def test_stepper_errors_cross_intact(self, monkeypatch):
+        # the divergent and stalling setups of test_dynamics: each error
+        # raised in the worker is the one an in-process run raises
+        coeffs = integrable_coefficients(1.0)
+        cfg = SolverConfig(dt=0.5, sobolev_index_m=4)
+        grid = GridSpec(64)
+        diverges = random_field(grid, rng_for(1), decay=0.5, l2_mass=20.0)
+        stalls = random_field(grid, rng_for(4), decay=0.5, l2_mass=20.0)
+        for psi, kind, budget in ((diverges, NonFinite, 50),
+                                  (stalls, NonConvergence, 3)):
+            monkeypatch.setattr(dynamics, "PICARD_MAX_ITERS", budget)
+            with pytest.raises(kind) as here:
+                integrate(psi, 2.0, cfg, coeffs)
+            with pytest.raises(kind) as there:
+                in_worker(integrate, (psi, 2.0, cfg, coeffs), lambda: None)
+            assert same_error(there.value, here.value)
+            assert there.value.time == 0.0 and there.value.member == 0
+        assert there.value.iterations == 3
+        assert_no_child_left()
+
+    def test_attributes_cross_intact(self):
+        sent = NonConvergence("stalled", time=0.25, iterations=50, member=3)
+
+        def fail():
+            raise sent
+
+        with pytest.raises(NonConvergence) as err:
+            in_worker(fail, (), lambda: None)
+        assert same_error(err.value, sent)
+        assert_no_child_left()
+
+    def test_worker_killed_before_result(self):
+        def killed():
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        with pytest.raises(RuntimeError, match=r"without a result \(killed by signal 9\)"):
+            in_worker(killed, (), lambda: None)
+        assert_no_child_left()
+
+    def test_worker_exit_before_result(self):
+        with pytest.raises(RuntimeError, match=r"without a result \(exit status 3\)"):
+            in_worker(os._exit, (3,), lambda: None)
+        assert_no_child_left()
+
+    def test_worker_leaves_stdio_alone(self):
+        # stdout on a pipe is block-buffered, so "before" is still in the
+        # buffer the worker inherits; the worker must not flush it again
+        script = ("from torus4nls.experiments import in_worker\n"
+                  "print('before')\n"
+                  "print(in_worker(divmod, (7, 2), lambda: 'own'))\n")
+        src = os.path.dirname(os.path.dirname(experiments.__file__))
+        proc = subprocess.run([sys.executable, "-I", "-c",
+                               f"import sys; sys.path.insert(0, {src!r})\n" + script],
+                              stdout=subprocess.PIPE, text=True, timeout=60)
+        assert proc.returncode == 0
+        assert proc.stdout == "before\n('own', (3, 1))\n"
+
+    def test_own_error_wins_and_kills_the_worker(self):
+        def fail():
+            raise NonFinite("here first", time=0.0)
+
+        start = time.monotonic()
+        with pytest.raises(NonFinite, match="here first"):
+            in_worker(time.sleep, (60,), fail)
+        assert time.monotonic() - start < 30
+        assert_no_child_left()
+
+
+def _contrast_family():
+    grid = GridSpec(64)
+    return [mode_pair_field(grid, k, 1.0, 4) for k in (4, 8)]
+
+
+class TestRiccatiWorker:
+    """The dt/8 order run goes to a worker; nothing else may change."""
+
+    CFG = SolverConfig(dt=1e-5, sobolev_index_m=4)
+    COEFFS = integrable_coefficients(1.0)
+    FINEST_DT = 1e-5 * 0.125
+
+    def fail_at(self, monkeypatch, errors):
+        """Make ``_final_state`` raise ``errors[dt]`` for a run at that dt."""
+        real = experiments._final_state
+
+        def final_state(data, t_end, cfg, coeffs):
+            if cfg.dt in errors:
+                raise errors[cfg.dt]
+            return real(data, t_end, cfg, coeffs)
+
+        monkeypatch.setattr(experiments, "_final_state", final_state)
+
+    def run(self):
+        return riccati_study(_contrast_family(), self.COEFFS, self.CFG, 2e-4, 1.0)
+
+    def test_returns_with_no_child_left(self):
+        assert self.run().parameters["stepper_order"] > 1.8
+        assert_no_child_left()
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        sent = NonConvergence("finest stalled", time=1e-4, iterations=50, member=0)
+        self.fail_at(monkeypatch, {self.FINEST_DT: sent})
+        with pytest.raises(NonConvergence) as err:
+            self.run()
+        assert same_error(err.value, sent)
+        assert_no_child_left()
+
+    def test_fine_error_before_finest(self, monkeypatch):
+        self.fail_at(monkeypatch, {self.CFG.dt * 0.5: NonFinite("fine"),
+                                   self.FINEST_DT: NonFinite("finest")})
+        with pytest.raises(NonFinite, match="^fine$"):
+            self.run()
+        assert_no_child_left()
+
+    def test_family_error_first_and_worker_killed(self, monkeypatch):
+        real = experiments._final_state
+
+        def slow_finest(data, t_end, cfg, coeffs):
+            if cfg.dt == self.FINEST_DT:
+                time.sleep(60)
+            return real(data, t_end, cfg, coeffs)
+
+        def family_fails(*args, **kwargs):
+            raise NonFinite("family", time=0.0, member=1)
+
+        monkeypatch.setattr(experiments, "_final_state", slow_finest)
+        monkeypatch.setattr(experiments, "integrate_many", family_fails)
+        start = time.monotonic()
+        with pytest.raises(NonFinite, match="^family$"):
+            self.run()
+        assert time.monotonic() - start < 30
+        assert_no_child_left()
+
+    def test_order_is_the_serial_one(self):
+        # criterion 8's setup; the order does not depend on c_m
+        m = 4
+        grid = GridSpec(256)
+        family = [mode_pair_field(grid, k, 2.0, m) for k in (4, 8, 16, 32)]
+        cfg = SolverConfig(dt=1e-6, sobolev_index_m=m)
+        res = riccati_study(family, self.COEFFS, cfg, 2e-4, 10.0)
+        coarse, fine, finest = (
+            integrate(family[0], 2e-4, replace(cfg, dt=cfg.dt * f), self.COEFFS)
+            .final.state for f in (1.0, 0.5, 0.125)
+        )
+        serial = float(np.log2(sobolev_distance(coarse, finest, m)
+                               / sobolev_distance(fine, finest, m)))
+        assert res.parameters["stepper_order"].hex() == serial.hex()
 
 
 class TestContinuityStudy:

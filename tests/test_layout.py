@@ -154,3 +154,29 @@ def test_picard_step_has_one_call_site():
     for path in MODULES:
         visit(ast.parse(path.read_text(), filename=str(path)), False)
     assert sites == [False]
+
+
+def _call_sites(names):
+    """(module, enclosing function) of every call in ``src/`` whose callee is
+    spelled as one of ``names``."""
+    sites = []
+
+    def visit(node, module, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Call) and _dotted(node.func) in names:
+            sites.append((module, func))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, func)
+
+    for path in MODULES:
+        visit(ast.parse(path.read_text(), filename=str(path)), path.stem, None)
+    return sites
+
+
+def test_one_fork_for_one_study():
+    """``experiments.in_worker`` is the package's one ``os.fork``, and
+    ``riccati_study`` its one caller: no other run leaves the process."""
+    assert _call_sites({"os.fork", "fork"}) == [("experiments", "in_worker")]
+    assert _call_sites({"in_worker", "experiments.in_worker"}) == [
+        ("experiments", "riccati_study")]

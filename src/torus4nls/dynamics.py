@@ -121,9 +121,9 @@ class TrajectorySample:
 
 @dataclass
 class Trajectory:
-    """Record of one run: its last sample, the time it halted because the
+    """Record of one run: its final sample, the time it halted because the
     H^m norm crossed the ceiling (None if it did not) and each step's Picard
-    count (Duhamel only). The run's observers see every sample."""
+    count (Duhamel only). Only the run's observers see the other states."""
 
     final: TrajectorySample
     blowup_time: float | None = None
@@ -289,33 +289,32 @@ def _step_times(t_end, dt):
     return steps
 
 
-def integrate_many(psi0s, t_end, cfgs, coeffs, observers=None):
+def integrate_many(psi0s, t_end, cfgs, coeffs, observer=None):
     """Repeated Duhamel stepping of an ensemble of runs up to t_end.
 
     Member i starts from ``psi0s[i]`` under ``cfgs[i]``. All members share
     one grid, and their configs may differ only in ``epsilon``; anything
     else is a ValueError. The members advance together as the rows of one
     (B, N) array, and each gets exactly the states and Picard counts a run
-    of its own would get. ``observers[i]``, a sequence of callables, sees
-    each of member i's TrajectorySamples as it is produced: the only way to
-    keep them. A member whose H^m norm exceeds ``BLOWUP_FACTOR`` times its
-    initial value is marked and halts; the others go on. A diverging step
-    raises NonFinite (NonConvergence past the Picard budget) at the earliest
-    failing step, for the lowest failing member, carrying the time and the
-    member index. Initial data whose H^m norm is not finite (a NaN or Inf
-    coefficient, or an overflowing weighted sum) and a t_end that is
-    negative or not finite are ValueErrors before any observer sees a
-    sample. Returns one Trajectory record per member.
+    of its own would get. ``observer(time, rows, members)``, called at t=0
+    and after each step with the read-only (B', N) coefficients of the live
+    members and their ascending member indices, is the only way to see the
+    states along the run. A member whose H^m norm exceeds ``BLOWUP_FACTOR``
+    times its initial value is marked and halts; the others go on. A
+    diverging step raises NonFinite (NonConvergence past the Picard budget)
+    at the earliest failing step, for the lowest failing member, carrying
+    the time and the member index. Initial data whose H^m norm is not finite
+    (a NaN or Inf coefficient, or an overflowing weighted sum) and a t_end
+    that is negative or not finite are ValueErrors before the observer is
+    called. Returns one Trajectory record per member.
     """
     psi0s = list(psi0s)
     cfgs = list(cfgs)
     count = len(psi0s)
     if count == 0:
         raise ValueError("integrate_many needs at least one member")
-    if observers is None:
-        observers = [()] * count
-    if len(cfgs) != count or len(observers) != count:
-        raise ValueError("psi0s, cfgs and observers need one entry per member")
+    if len(cfgs) != count:
+        raise ValueError("psi0s and cfgs need one entry per member")
     grid = psi0s[0].grid
     if any(psi.grid != grid for psi in psi0s):
         raise ValueError("ensemble members must share one grid")
@@ -332,14 +331,16 @@ def integrate_many(psi0s, t_end, cfgs, coeffs, observers=None):
             named = f" of member {i}" if count > 1 else ""
             raise ValueError(f"the initial data{named} has a non-finite H^m "
                              f"norm (m={m}): {norm}")
-    runs = []
+    runs = [Trajectory(TrajectorySample(0.0, psi0)) for psi0 in psi0s]
     ceilings = [BLOWUP_FACTOR * max(norm, 1e-300) for norm in norms0]
-    for psi0, member_observers in zip(psi0s, observers):
-        sample = TrajectorySample(0.0, psi0)
-        for obs in member_observers:
-            obs(sample)
-        runs.append(Trajectory(sample))
-    active = list(range(count))
+    active = tuple(range(count))
+
+    def observe(time):
+        if observer is not None:
+            state.setflags(write=False)  # a fresh array at every step
+            observer(time, state, active)
+
+    observe(0.0)
     factors_dt = None  # the step the current factors are for
     prev_t = 0.0
     for t in times:
@@ -351,39 +352,51 @@ def integrate_many(psi0s, t_end, cfgs, coeffs, observers=None):
             )
         state, iterations = _picard_step(state, factors, dt, coeffs, m, prev_t,
                                          active, count > 1)
+        observe(t)
         norms = np.sqrt(sobolev_norm_sq_rows(state, m)).tolist()
         keep = []
         for i, member in enumerate(active):
-            run = runs[member]
-            sample = TrajectorySample(t, SpectralField(grid, state[i]))
-            run.final = sample
-            run.picard_iterations.append(iterations[i])
-            for obs in observers[member]:
-                obs(sample)
+            runs[member].picard_iterations.append(iterations[i])
             if norms[i] > ceilings[member]:
-                run.blowup_time = t
+                runs[member].blowup_time = t
+                runs[member].final = TrajectorySample(t, SpectralField(grid, state[i]))
             else:
                 keep.append(i)
-        if not keep:
-            break
         if len(keep) < len(active):
-            active = [active[i] for i in keep]
+            active = tuple(active[i] for i in keep)
             state = state[keep]
             factors = factors[keep]
         prev_t = t
+        if not active:
+            break
+    if times:  # the members still running have reached t_end
+        for i, member in enumerate(active):
+            runs[member].final = TrajectorySample(t_end, SpectralField(grid, state[i]))
     return runs
 
 
 def integrate(psi0, t_end, cfg, coeffs, observers=()):
     """Repeated Duhamel stepping up to t_end with observer callbacks.
 
-    Observers are called with each TrajectorySample as it is produced. The
-    run halts early, marking the record, if the H^m norm exceeds
-    ``BLOWUP_FACTOR`` times its initial value; a diverging step raises
-    NonFinite carrying the time. A one-member
-    ``integrate_many``: returns the run's Trajectory record.
+    Observers are called with each TrajectorySample as it is produced, the
+    last being the record's final sample. The run halts early, marking the
+    record, if the H^m norm exceeds ``BLOWUP_FACTOR`` times its initial
+    value; a diverging step raises NonFinite carrying the time. A
+    one-member ``integrate_many``: returns the run's Trajectory record.
     """
-    return integrate_many([psi0], t_end, [cfg], coeffs, [observers])[0]
+    last = None
+
+    def observe(time, rows, members):
+        nonlocal last
+        state = SpectralField(psi0.grid, rows[0]) if time else psi0
+        last = TrajectorySample(time, state)
+        for obs in observers:
+            obs(last)
+
+    (run,) = integrate_many([psi0], t_end, [cfg], coeffs, observe if observers else None)
+    if last is not None:
+        run.final = last
+    return run
 
 
 def reference_integrate(psi0, t_end, cfg, coeffs, observers=()):

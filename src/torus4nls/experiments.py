@@ -34,7 +34,7 @@ from .functionals import (
     EnergyRecorder,
     certificate_sample,
     certify_cm,
-    difference_energy,
+    difference_quartic_rows,
     modified_energy_rows,
 )
 from .mollifier import mollify
@@ -43,9 +43,9 @@ from .spectral import (
     GridSpec,
     gn_ratio_rows,
     per_field,
+    seminorm_sq_rows,
     sobolev_distance,
     sobolev_norm,
-    sobolev_norm_sq,
     sobolev_norm_sq_rows,
 )
 
@@ -449,10 +449,14 @@ def in_worker(fn, args, meanwhile):
     it takes precedence; otherwise the worker's exception, if any, is raised
     here with its type, message and attributes. A worker that ends without
     sending a result is a RuntimeError naming its exit status. Needs
-    ``os.fork`` (Linux, macOS). The worker has only the calling thread, so
+    ``os.fork`` (Linux, macOS): where it is missing, a ValueError before
+    either call starts. The worker has only the calling thread, so
     ``fn`` must not wait on a lock or pool of another thread; the stepper
     uses numpy's FFTs and elementwise kernels, which need none.
     """
+    if not hasattr(os, "fork"):
+        raise ValueError("this study runs a worker process through os.fork, "
+                         "which this platform lacks (Linux and macOS have it)")
     read_end, write_end = os.pipe()
     pid = os.fork()
     if pid == 0:  # the worker
@@ -518,13 +522,14 @@ def riccati_study(family, coeffs, cfg, t_end, c_m):
     ValueError, and so is a linear coefficient set: its energies are
     constant, so every quotient is 0.
 
-    The order compares the first member's runs at dt (taken from the
-    family batch) and dt/2 with its run at dt/8. That dt/8 run is most of
-    the study's steps and needs none of the others, so it goes to a forked
-    worker (``in_worker``) and runs on a second core while this process
-    runs the family and the dt/2 run. Every value is the one the serial
-    runs give, and errors keep their order: the family's, then dt/2's, then
-    dt/8's.
+    The family runs as one ensemble, whose observer reduces each step's
+    (B, N) block to the members' energies. The order compares the first
+    member's runs at dt (taken from the family batch) and dt/2 with its run
+    at dt/8. That dt/8 run is most of the study's steps and needs none of
+    the others, so it goes to a forked worker (``in_worker``) and runs on a
+    second core while this process runs the family and the dt/2 run. Every
+    value is the one the serial runs give, and errors keep their order: the
+    family's, then dt/2's, then dt/8's.
     """
     if len(family) < 2:  # growth from first to last member needs two
         raise ValueError(f"family needs at least two members, got {len(family)}")
@@ -536,11 +541,16 @@ def riccati_study(family, coeffs, cfg, t_end, c_m):
     if any(f.grid != grid for f in family):
         raise ValueError("family must share one grid")
     m = cfg.sobolev_index_m
-    recorders = [EnergyRecorder(m, coeffs, c_m, invariants=False) for _ in family]
+    series = [[] for _ in family]  # (time, corrected, plain energy) per sample
+
+    def record(time, rows, members):
+        modified = modified_energy_rows(rows, m, coeffs, c_m).tolist()
+        plain = (seminorm_sq_rows(rows, m) + sobolev_norm_sq_rows(rows, 0)).tolist()
+        for member, mod, raw in zip(members, modified, plain):
+            series[member].append((time, mod, raw))
 
     def family_and_fine():
-        runs = integrate_many(family, t_end, [cfg] * len(family), coeffs,
-                              observers=[[rec] for rec in recorders])
+        runs = integrate_many(family, t_end, [cfg] * len(family), coeffs, record)
         fine = _final_state(family[0], t_end, replace(cfg, dt=cfg.dt * 0.5), coeffs)
         return runs[0].final.state, fine
 
@@ -552,11 +562,10 @@ def riccati_study(family, coeffs, cfg, t_end, c_m):
     q_mod = []
     q_raw = []
     freq_span = []
-    for member, rec in zip(family, recorders):
-        cols = rec.columns
-        q_mod.append(_max_quotient(cols["time"], cols["modified_energy"]))
-        raw = np.asarray(cols["deriv_m_norm_sq"]) + np.asarray(cols["l2_norm_sq"])
-        q_raw.append(_max_quotient(cols["time"], raw))
+    for member, samples in zip(family, series):
+        times, mods, raws = zip(*samples)
+        q_mod.append(_max_quotient(times, mods))
+        q_raw.append(_max_quotient(times, raws))
         populated = np.abs(member.coeffs) > 1e-14
         freq_span.append(float(np.max(np.abs(grid.modes[populated]))))
     spread = max(q_mod) / min(q_mod)
@@ -595,9 +604,10 @@ def continuity_study(phi, delta_ladder, coeffs, t_end, cfg, rng_seed):
     """Data-to-solution continuity: perturbation growth and Gronwall quotient.
 
     Perturbs phi by seeded random fields of H^m size δ (m =
-    cfg.sobolev_index_m), integrates both, and records sup_t of the H^1
-    difference plus the quotient Ẽ₁(t)/Ẽ₁(0) of the difference energy
-    around the base trajectory. The
+    cfg.sobolev_index_m), integrates all runs as one ensemble, and records
+    sup_t of the H^1 difference plus the quotient Ẽ₁(t)/Ẽ₁(0) of the
+    difference energy around the base trajectory, summed as
+    ``difference_energy`` sums it from four numbers kept per step. The
     positivity constant of Ẽ₁ is measured from the recorded series (twice
     the smallest value keeping Ẽ₁ ≥ ½‖·‖²_{H^1}, floored at 1), never
     assumed. Passes when sup-differences scale like δ within ``slope_band``
@@ -616,35 +626,42 @@ def continuity_study(phi, delta_ladder, coeffs, t_end, cfg, rng_seed):
         )
         for i, delta in enumerate(deltas)
     ]
-    samples = [[] for _ in range(len(deltas) + 1)]  # base run first
-    integrate_many([phi] + perturbed, t_end, [cfg] * len(samples), coeffs,
-                   observers=[[kept.append] for kept in samples])
-    base, *others = samples
-    runs = []
-    for delta, other in zip(deltas, others):
-        diffs = [b.state - o.state for b, o in zip(base, other)]
-        runs.append((delta, [b.time for b in base], diffs))
+    # per perturbed run and sample, while the base run is live too: ‖∂d‖²,
+    # ‖d‖², ‖d‖²_{H¹} and the quartic term of its difference d from the base
+    terms = [[] for _ in deltas]
+
+    def record(time, rows, members):
+        if members[0] != 0 or len(members) == 1:
+            return  # the base run, or every perturbed one, has halted
+        diffs = rows[0] - rows[1:]
+        values = zip(seminorm_sq_rows(diffs, 1).tolist(),
+                     sobolev_norm_sq_rows(diffs, 0).tolist(),
+                     sobolev_norm_sq_rows(diffs, 1).tolist(),
+                     difference_quartic_rows(diffs, rows[0], 1, coeffs).tolist())
+        for member, row in zip(members[1:], values):
+            terms[member - 1].append(row)
+
+    integrate_many([phi] + perturbed, t_end, [cfg] * (len(deltas) + 1), coeffs,
+                   record)
+
+    def energies(run, c):  # Ẽ₁ along a run, as difference_energy sums it
+        return [s + c * l2_sq + quartic for s, l2_sq, _, quartic in run]
+
     # measured positivity constant for the difference energy
     c_tilde_req = 1.0
-    for _, _, diffs in runs:
-        for d, ref_sample in zip(diffs, base):
-            l2_sq = sobolev_norm_sq(d, 0)
+    for run in terms:
+        for (_, l2_sq, h1_sq, _), base_energy in zip(run, energies(run, 0.0)):
             if l2_sq <= 0.0:
                 continue
-            base_energy = difference_energy(d, ref_sample.state, 1, coeffs, 0.0)
-            h1_sq = sobolev_norm_sq(d, 1)
             need = (0.5 * h1_sq - base_energy) / l2_sq
             c_tilde_req = max(c_tilde_req, need)
     c_tilde = 2.0 * c_tilde_req
     sup_h1 = []
     quotients = []
     growth_rates = []
-    for delta, times, diffs in runs:
-        sup_h1.append(max(sobolev_norm(d, 1) for d in diffs[1:]))
-        e1 = [
-            difference_energy(d, ref_sample.state, 1, coeffs, c_tilde)
-            for d, ref_sample in zip(diffs, base)
-        ]
+    for run in terms:
+        sup_h1.append(max(math.sqrt(h1_sq) for _, _, h1_sq, _ in run[1:]))
+        e1 = energies(run, c_tilde)
         q = max(e / e1[0] for e in e1) if e1[0] > 0 else float("nan")
         quotients.append(float(q))
         growth_rates.append(float(np.log(max(q, 1e-300)) / t_end))

@@ -8,12 +8,12 @@ All spatial integrals of products are evaluated by dealiased quadrature:
 large enough that the node average of the product equals its exact mean
 (pad 3 for quartic, pad 4 for sextic integrands).
 
-``quadrature_mean``, ``correction_terms``, ``modified_energy`` and
-``positivity_target`` are the one-field cases of ``*_rows`` functions that
-take (B, N) coefficients (or (B, M) samples) and return one value per row,
-each bit for bit the value of that row alone (a 1-D array is one row).
-``certify_cm`` evaluates its samples through them in blocks
-(``spectral.per_field``).
+``quadrature_mean``, ``modified_energy`` and ``difference_energy`` are the
+one-field cases of ``*_rows`` functions that take (B, N) coefficients (or
+(B, M) samples) and return one value per row, each bit for bit the value of
+that row alone (a 1-D array is one row). ``certify_cm`` evaluates its
+samples through them in blocks (``spectral.per_field``), and the ensemble
+studies evaluate the (B, N) block of each step through them.
 """
 
 import math
@@ -77,12 +77,6 @@ def correction_terms_rows(block, m, coeffs):
     return first, second
 
 
-def correction_terms(psi, m, coeffs):
-    """``correction_terms_rows`` of one field, as two floats."""
-    first, second = correction_terms_rows(psi.coeffs, m, coeffs)
-    return float(first), float(second)
-
-
 def modified_energy_rows(block, m, coeffs, c_m):
     """‖∂^m ψ‖² + ‖ψ‖² + c_m ‖ψ‖^{4m+2} + both correction terms, for each
     row ψ of (..., N) coefficients."""
@@ -139,26 +133,36 @@ def i2_imaginary_residual(psi):
     return abs(_conserved(psi)[2].imag)
 
 
-def difference_energy(psi, ref, m, coeffs, c_tilde):
-    """Difference-energy functional around a reference trajectory state.
+def difference_quartic_rows(block, ref, m, coeffs):
+    """The quartic term of the difference energy around the reference state
+    ``ref`` (N coefficients),
 
-    ‖∂^m ψ‖² + c̃ ‖ψ‖² + w₁ ∫|ref|²|∂^{m-1}ψ|² + w₂ Re ∫ ref² (∂^{m-1}ψ̄)²
+    w₁ ∫|ref|²|∂^{m-1}ψ|² dx + w₂ Re ∫ ref² (∂^{m-1}ψ̄)² dx,
 
-    with w₁ = (2λ3+λ4+2(m-1)λ6)/(4ν) and w₂ = λ5/ν; for m = 1 this is
-    exactly the uniqueness-proof functional.
+    with w₁ = (2λ3+λ4+2(m-1)λ6)/(4ν) and w₂ = λ5/ν, for each row ψ of
+    (..., N) coefficients.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
+    w1, w2 = _quartic_weights(m, coeffs)
+    r = padded_samples(ref, PAD_QUARTIC, (0,))[0]
+    d = padded_samples(block, PAD_QUARTIC, (m - 1,))[0]
+    return (
+        w1 * quadrature_mean_rows(np.abs(r) ** 2 * np.abs(d) ** 2).real
+        + w2 * quadrature_mean_rows(r * r * np.conj(d) ** 2).real
+    )
+
+
+def difference_energy(psi, ref, m, coeffs, c_tilde):
+    """Difference-energy functional around a reference trajectory state,
+
+    ‖∂^m ψ‖² + c̃ ‖ψ‖² + ``difference_quartic_rows`` of ψ;
+
+    for m = 1 this is exactly the uniqueness-proof functional.
+    """
     if psi.grid != ref.grid:
         raise ValueError("fields live on different grids")
-    w1, w2 = _quartic_weights(m, coeffs)
-    # orders (0, m-1) × fields (ref, ψ): the diagonal is ref and ∂^{m-1}ψ
-    s = padded_samples(np.stack([ref.coeffs, psi.coeffs]), PAD_QUARTIC, (0, m - 1))
-    r, d = s[0, 0], s[1, 1]
-    quartic = (
-        w1 * quadrature_mean(np.abs(r) ** 2 * np.abs(d) ** 2).real
-        + w2 * quadrature_mean(r * r * np.conj(d) ** 2).real
-    )
+    quartic = float(difference_quartic_rows(psi.coeffs, ref.coeffs, m, coeffs))
     return seminorm_sq(psi, m) + c_tilde * sobolev_norm_sq(psi, 0) + quartic
 
 
@@ -176,11 +180,6 @@ def positivity_target_rows(block, m, target):
     if target == "sobolev":
         return 0.5 * (sobolev_norm_sq_rows(block, m) + sobolev_norm_sq_rows(block, 0))
     raise ValueError(f"target must be 'classic' or 'sobolev', got {target!r}")
-
-
-def positivity_target(psi, m, target):
-    """``positivity_target_rows`` of one field."""
-    return float(positivity_target_rows(psi.coeffs, m, target))
 
 
 @dataclass(frozen=True)
@@ -274,25 +273,21 @@ def certify_cm(m, coeffs, l2_ceiling, trials, rng_seed, target="classic"):
 
 
 class EnergyRecorder:
-    """Trajectory observer tabulating the norms, the modified energy and the
+    """Observer of one run's TrajectorySamples (``integrate``'s observers)
+    tabulating the norms, the modified energy with c_m = 0 and the
     invariants of each sample.
 
     ``columns`` maps the header names of ``simulate__energy.csv`` (time,
     h_m_norm_sq, deriv_m_norm_sq, l2_norm_sq, modified_energy, i0, i1, i2)
-    to equal-length lists, one entry per sample. ``invariants=False`` leaves
-    out the i0–i2 columns, for callers that read only the norms and the
-    modified energy. A sample whose row fails to compute adds to no column.
+    to equal-length lists, one entry per sample. A sample whose row fails
+    to compute adds to no column.
     """
 
-    def __init__(self, m, coeffs, c_m=0.0, invariants=True):
+    def __init__(self, m, coeffs):
         self.m = m
         self.coeffs = coeffs
-        self.c_m = c_m
-        self.invariants = invariants
         names = ["time", "h_m_norm_sq", "deriv_m_norm_sq", "l2_norm_sq",
-                 "modified_energy"]
-        if invariants:
-            names += ["i0", "i1", "i2"]
+                 "modified_energy", "i0", "i1", "i2"]
         self.columns = {name: [] for name in names}
 
     def __call__(self, sample):
@@ -302,9 +297,8 @@ class EnergyRecorder:
             sobolev_norm_sq(psi, self.m),
             seminorm_sq(psi, self.m),
             sobolev_norm_sq(psi, 0),
-            modified_energy(psi, self.m, self.coeffs, self.c_m),
+            modified_energy(psi, self.m, self.coeffs, 0.0),
+            *conserved_quantities(psi),
         ]
-        if self.invariants:
-            row += conserved_quantities(psi)
         for column, value in zip(self.columns.values(), row):
             column.append(value)

@@ -26,11 +26,10 @@ from torus4nls.functionals import (
     certificate_sample,
     certify_cm,
     corner_probes,
-    correction_terms,
     correction_terms_rows,
+    difference_quartic_rows,
     modified_energy,
     modified_energy_rows,
-    positivity_target,
     positivity_target_rows,
     quadrature_mean,
     quadrature_mean_rows,
@@ -101,6 +100,14 @@ def _quadrature(coeffs):
     return np.abs(u) ** 2 * np.conj(u) * d
 
 
+@lru_cache(maxsize=None)
+def _ref_row(num_modes):
+    """The reference state of the difference-energy cases."""
+    psi = random_field(GridSpec(num_modes), rng_for(num_modes), decay=2.0,
+                       l2_mass=0.9)
+    return psi.coeffs
+
+
 def _re_im(z):
     return np.stack([np.real(z), np.imag(z)], axis=-1)
 
@@ -131,7 +138,7 @@ CASES = {
         True),
     **{f"correction_terms_m{m}": (
         lambda c, m=m: np.stack(correction_terms_rows(c, m, GENERIC), axis=-1),
-        lambda r, m=m: correction_terms(_field(r), m, GENERIC),
+        lambda r, m=m: correction_terms_rows(r, m, GENERIC),
         True) for m in (1, 4)},
     **{f"modified_energy_cm{c_m}": (
         lambda c, c_m=c_m: modified_energy_rows(c, 4, GENERIC, c_m),
@@ -140,8 +147,12 @@ CASES = {
         True) for c_m in (0.0, 0.37)},
     **{f"positivity_target_{t}": (
         lambda c, t=t: positivity_target_rows(c, 4, t),
-        lambda r, t=t: positivity_target(_field(r), 4, t),
+        lambda r, t=t: positivity_target_rows(r, 4, t),
         True) for t in ("classic", "sobolev")},
+    **{f"difference_quartic_m{m}": (
+        lambda c, m=m: difference_quartic_rows(c, _ref_row(c.shape[-1]), m, GENERIC),
+        lambda r, m=m: difference_quartic_rows(r, _ref_row(r.size), m, GENERIC),
+        True) for m in (1, 4)},
 }
 
 
@@ -223,6 +234,16 @@ def _corrections_ref(psi, m, lam):
     return first, second
 
 
+def _quartic_ref(psi, ref, m, lam):
+    """``difference_energy``'s quartic term as it was written before its
+    block form: both fields synthesised by one call, on the diagonal."""
+    w1 = (2.0 * lam.lambda3 + lam.lambda4 + 2.0 * (m - 1) * lam.lambda6) / (4.0 * lam.nu)
+    s = padded_samples(np.stack([ref.coeffs, psi.coeffs]), 3, (0, m - 1))
+    r, d = s[0, 0], s[1, 1]
+    return (w1 * _mean_ref(np.abs(r) ** 2 * np.abs(d) ** 2).real
+            + lam.lambda5 / lam.nu * _mean_ref(r * r * np.conj(d) ** 2).real)
+
+
 def _energy_ref(psi, m, lam, c_m):
     l2_sq = _sobolev_ref(psi, 0)
     first, second = _corrections_ref(psi, m, lam)
@@ -248,6 +269,9 @@ REFERENCES = {
                                                   + _sobolev_ref(_field(r), 0)),
     "positivity_target_sobolev": lambda r: 0.5 * (_sobolev_ref(_field(r), 4)
                                                   + _sobolev_ref(_field(r), 0)),
+    **{f"difference_quartic_m{m}":
+       lambda r, m=m: _quartic_ref(_field(r), _field(_ref_row(r.size)), m, GENERIC)
+       for m in (1, 4)},
 }
 
 
@@ -276,7 +300,7 @@ def _certify_reference(m, coeffs, l2_ceiling, trials, rng_seed, target):
     required = 0.0
     targets = []
     for psi in samples:
-        t = positivity_target(psi, m, target)
+        t = float(positivity_target_rows(psi.coeffs, m, target))
         e0 = modified_energy(psi, m, coeffs, 0.0)
         need = (t - e0) / sobolev_norm_sq(psi, 0) ** (2 * m + 1)
         required = max(required, need)

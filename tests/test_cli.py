@@ -439,6 +439,20 @@ class TestUsageErrors:
             monkeypatch.setattr(experiments, name, no_run)
         monkeypatch.setattr(cli, "certify_cm", no_run)
 
+    def test_missing_fork_is_2(self, tmp_path, monkeypatch, capsys):
+        # riccati's order reference runs in a forked worker: where os.fork
+        # does not exist, that is a named usage error before any run
+        def no_run(*args, **kwargs):
+            raise AssertionError("ran without os.fork")
+
+        for name in ("integrate", "integrate_many"):
+            monkeypatch.setattr(experiments, name, no_run)
+        monkeypatch.delattr(os, "fork")
+        code = run_in(tmp_path, monkeypatch, ["riccati", "--nu", "1", "--integrable"])
+        assert code == 2
+        assert "os.fork" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_bad_parameter_value_is_2(self, tmp_path, monkeypatch):
         # epsilon must lie in [0, 1]
         code = run_in(tmp_path, monkeypatch,

@@ -345,16 +345,6 @@ class TestIntegrate:
             integrate(psi, 1.0, cfg, integrable_coefficients(1.0))
         assert err.value.time == 0.0
 
-    def test_run_keeps_only_the_final_state(self, grid64, generic_coeffs):
-        refs = [[], []]
-        runs = integrate_many(
-            [_benign(grid64), plane_wave(grid64, 0.2, 1)], 0.01,
-            [SolverConfig(dt=2e-3, sobolev_index_m=4)] * 2, generic_coeffs,
-            observers=[[_weak_state_observer(kept)] for kept in refs],
-        )
-        for run, kept in zip(runs, refs):
-            _assert_only_final_alive(run, kept, 6)
-
 
 def _with_mode_31(grid, value):
     coeffs = np.zeros(grid.num_modes, dtype=complex)
@@ -373,12 +363,11 @@ def test_non_finite_initial_norm_rejected_before_any_sample(grid64, coeffs, valu
         integrate(_with_mode_31(grid64, value), 0.01, SolverConfig(dt=1e-3), coeffs,
                   observers=[seen.append])
     assert seen == []
-    seen = [[], [], []]
     with pytest.raises(ValueError, match="initial data of member 2 has a non-finite"):
         integrate_many([_benign(grid64)] * 2 + [_with_mode_31(grid64, value)], 0.01,
                        [SolverConfig(dt=1e-3)] * 3, coeffs,
-                       observers=[[kept.append] for kept in seen])
-    assert seen == [[], [], []]
+                       lambda *block: seen.append(block))
+    assert seen == []
 
 
 @pytest.mark.parametrize("t_end", [float("nan"), float("inf"), -1.0])
@@ -556,25 +545,36 @@ class TestRawPathMatchesFieldReference:
 
 
 def _observed(count):
-    """One sample list per member, and the observers that fill them."""
+    """One list of (time, coefficients) per member, and the block observer
+    that fills them with copies of its read-only rows."""
     seen = [[] for _ in range(count)]
-    return seen, [[kept.append] for kept in seen]
+
+    def observer(time, rows, members):
+        assert not rows.flags.writeable
+        assert rows.shape[0] == len(members) and list(members) == sorted(members)
+        for row, member in zip(rows, members):
+            seen[member].append((time, row.copy()))
+
+    return seen, observer
 
 
 def _assert_matches_serial(run, samples, psi0, cfg, coeffs):
     """Replay one member's observed ``samples`` with the field-level
     reference step, one step at a time, as a run of its own: every state
-    and every Picard count must be equal."""
-    assert np.array_equal(samples[0].state.coeffs, psi0.coeffs)
-    assert samples[-1] is run.final
+    and every Picard count must be equal, and the record's final sample is
+    the last one observed."""
+    assert samples[0][0] == 0.0 and np.array_equal(samples[0][1], psi0.coeffs)
+    assert samples[-1][0] == run.final.time
+    assert np.array_equal(samples[-1][1], run.final.state.coeffs)
     assert len(run.picard_iterations) == len(samples) - 1
     state = psi0
-    for prev, sample, iters in zip(samples, samples[1:], run.picard_iterations):
-        h = sample.time - prev.time
+    for (prev_t, _), (t, coeffs_t), iters in zip(samples, samples[1:],
+                                                run.picard_iterations):
+        h = t - prev_t
         step_cfg = cfg if abs(h - cfg.dt) < 1e-15 else replace(cfg, dt=h)
         state, ref_iters = _field_duhamel_step(state, step_cfg, coeffs)
         assert iters == ref_iters
-        assert np.array_equal(sample.state.coeffs, state.coeffs)
+        assert np.array_equal(coeffs_t, state.coeffs)
 
 
 def _benign(grid):
@@ -592,8 +592,8 @@ class TestIntegrateMany:
         coeffs = integrable_coefficients(1.0)
         cfg = SolverConfig(dt=1e-6, sobolev_index_m=4)
         assert coeffs.dealias_pad == 3
-        seen, observers = _observed(4)
-        runs = integrate_many(family, 1.25e-5, [cfg] * 4, coeffs, observers=observers)
+        seen, observer = _observed(4)
+        runs = integrate_many(family, 1.25e-5, [cfg] * 4, coeffs, observer)
         assert len({tuple(r.picard_iterations) for r in runs}) > 1
         for run, samples, psi0 in zip(runs, seen, family):
             assert run.final.time == 1.25e-5  # the last step is a partial one
@@ -604,8 +604,8 @@ class TestIntegrateMany:
         coeffs = integrable_coefficients(1.0)
         cfgs = [SolverConfig(dt=2e-3, epsilon=e, sobolev_index_m=4)
                 for e in (0.0, 2.0**-7, 2.0**-5, 2.0**-3)]
-        seen, observers = _observed(4)
-        runs = integrate_many([psi] * 4, 0.0102, cfgs, coeffs, observers=observers)
+        seen, observer = _observed(4)
+        runs = integrate_many([psi] * 4, 0.0102, cfgs, coeffs, observer)
         assert len({tuple(r.picard_iterations) for r in runs}) > 1
         for run, samples, cfg in zip(runs, seen, cfgs):
             assert run.final.time == 0.0102
@@ -614,8 +614,8 @@ class TestIntegrateMany:
     def test_single_member_is_integrate(self, grid64, generic_coeffs):
         psi = _benign(grid64)
         cfg = SolverConfig(dt=1e-3, sobolev_index_m=4)
-        (samples,), observers = _observed(1)
-        (run,) = integrate_many([psi], 0.01, [cfg], generic_coeffs, observers=observers)
+        (samples,), observer = _observed(1)
+        (run,) = integrate_many([psi], 0.01, [cfg], generic_coeffs, observer)
         _assert_matches_serial(run, samples, psi, cfg, generic_coeffs)
         alone = integrate(psi, 0.01, cfg, generic_coeffs)
         assert alone.picard_iterations == run.picard_iterations
@@ -630,8 +630,8 @@ class TestIntegrateMany:
                    plane_wave(grid64, 0.2, 5)]
         cfgs = [SolverConfig(dt=2e-3, epsilon=e, sobolev_index_m=4)
                 for e in (1.0, 0.0, 1.0)]
-        seen, observers = _observed(3)
-        runs = integrate_many(members, 0.01, cfgs, coeffs, observers=observers)
+        seen, observer = _observed(3)
+        runs = integrate_many(members, 0.01, cfgs, coeffs, observer)
         assert runs[1].blowup_time == 2e-3
         assert len(seen[1]) == 2
         alone = integrate(members[1], 0.01, cfgs[1], coeffs)
@@ -651,28 +651,28 @@ class TestIntegrateMany:
                    plane_wave(grid64, 0.2, 5)]
         cfgs = [SolverConfig(dt=2e-3, epsilon=e, sobolev_index_m=4)
                 for e in (1.0, 0.0, 0.5)]
-        seen, observers = _observed(3)
-        runs = integrate_many(members, 0.011, cfgs, coeffs, observers=observers)
+        seen, observer = _observed(3)
+        runs = integrate_many(members, 0.011, cfgs, coeffs, observer)
         assert [run.blowup_time for run in runs] == [None, 2e-3, None]
         for run, obs, psi0, cfg in zip(runs, seen, members, cfgs):
             _assert_matches_serial(run, obs, psi0, cfg, coeffs)
         assert runs[0].final.time == runs[2].final.time == 0.011
 
     def test_error_names_member_after_shrinking_to_one(self, grid64, monkeypatch):
-        # member 0 halts at the first step; then an observer of member 1
-        # cuts the Picard budget to one iteration, which its next step needs
-        # more than
+        # member 0 halts at the first step; then the observer, seeing
+        # member 1 after a step, cuts the Picard budget to one iteration,
+        # which its next step needs more than
         monkeypatch.setattr(dynamics, "BLOWUP_FACTOR", 0.9)
         members = [plane_wave(grid64, 0.3, 4), _benign(grid64)]
         cfgs = [SolverConfig(dt=2e-3, epsilon=e, sobolev_index_m=4) for e in (0.0, 1.0)]
 
-        def cut_budget(sample):
-            if sample.time > 0.0:
+        def cut_budget(time, rows, members):
+            if time > 0.0 and 1 in members:
                 monkeypatch.setattr(dynamics, "PICARD_MAX_ITERS", 1)
 
         with pytest.raises(NonConvergence) as err:
             integrate_many(members, 0.01, cfgs, integrable_coefficients(1.0),
-                           observers=[[], [cut_budget]])
+                           cut_budget)
         assert (err.value.member, err.value.time, err.value.iterations) == (1, 2e-3, 1)
         assert "t=0.002, member 1:" in str(err.value)
 
@@ -736,5 +736,47 @@ class TestIntegrateMany:
             integrate_many([], 0.01, [], coeffs)
         with pytest.raises(ValueError):
             integrate_many([psi, psi], 0.01, [cfg], coeffs)
-        with pytest.raises(ValueError):
-            integrate_many([psi, psi], 0.01, [cfg] * 2, coeffs, observers=[[]])
+
+    def test_no_observed_block_outlives_the_run(self, grid64, generic_coeffs):
+        # the observer holds each block by a weak reference only; the
+        # records hold their final states as copies
+        refs = []
+
+        def observer(time, rows, members):
+            refs.append(weakref.ref(rows))
+
+        runs = integrate_many(
+            [_benign(grid64), plane_wave(grid64, 0.2, 1)], 0.01,
+            [SolverConfig(dt=2e-3, sobolev_index_m=4)] * 2, generic_coeffs, observer,
+        )
+        assert len(refs) == 6
+        assert all(ref() is None for ref in refs)
+        for run in runs:
+            assert run.final.time == 0.01 and run.final.state.coeffs.base is None
+
+    def test_writing_to_the_block_is_refused(self, grid64, generic_coeffs):
+        def observer(time, rows, members):
+            rows[0, 0] = 0.0
+
+        with pytest.raises(ValueError, match="read-only"):
+            integrate_many([_benign(grid64)] * 2, 0.01,
+                           [SolverConfig(dt=2e-3, sobolev_index_m=4)] * 2,
+                           generic_coeffs, observer)
+
+    def test_one_field_per_member(self, grid64, generic_coeffs, monkeypatch):
+        # no per-step record: an unobserved run builds each member's final
+        # state and nothing else
+        members = [_benign(grid64), plane_wave(grid64, 0.2, 1),
+                   plane_wave(grid64, 0.1, 3)]
+        built = []
+        post_init = SpectralField.__post_init__
+
+        def counted(field):
+            built.append(field)
+            post_init(field)
+
+        monkeypatch.setattr(SpectralField, "__post_init__", counted)
+        runs = integrate_many(members, 0.02, [SolverConfig(dt=2e-3)] * 3,
+                              generic_coeffs)
+        assert [len(run.picard_iterations) for run in runs] == [10] * 3
+        assert built == [run.final.state for run in runs]

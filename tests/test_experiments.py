@@ -37,7 +37,12 @@ from torus4nls.experiments import (
     write_study,
     write_table,
 )
-from torus4nls.functionals import certify_cm
+from torus4nls.functionals import (
+    EnergyRecorder,
+    certify_cm,
+    difference_energy,
+    modified_energy,
+)
 from torus4nls.mollifier import mollify
 from torus4nls.sampling import (
     decay_field,
@@ -45,7 +50,13 @@ from torus4nls.sampling import (
     random_field,
     rng_for,
 )
-from torus4nls.spectral import GridSpec, sobolev_distance, zero_field
+from torus4nls.spectral import (
+    GridSpec,
+    sobolev_distance,
+    sobolev_norm,
+    sobolev_norm_sq,
+    zero_field,
+)
 
 
 class TestRateFit:
@@ -404,6 +415,13 @@ class TestInWorker:
         assert proc.returncode == 0
         assert proc.stdout == "before\n('own', (3, 1))\n"
 
+    def test_missing_fork_is_a_value_error_before_either_call(self, monkeypatch):
+        calls = []
+        monkeypatch.delattr(os, "fork")
+        with pytest.raises(ValueError, match=r"os\.fork"):
+            in_worker(calls.append, ("worker",), lambda: calls.append("own"))
+        assert calls == []
+
     def test_own_error_wins_and_kills_the_worker(self):
         def fail():
             raise NonFinite("here first", time=0.0)
@@ -553,3 +571,107 @@ class TestInequalitySweeps:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             inequality_sweeps(1, 0)
+
+
+def _continuity_reference(phi, delta_ladder, coeffs, t_end, cfg, rng_seed):
+    """``continuity_study``'s c̃, sup-differences and quotients as it
+    computed them before its block observer: each run alone, every sample
+    of every run kept, and ``difference_energy`` evaluated in two passes.
+    Also returns each run's sample count."""
+    m = cfg.sobolev_index_m
+    deltas = sorted(delta_ladder, reverse=True)
+    runs = []
+    for i, delta in enumerate([None] + deltas):
+        psi0 = phi if delta is None else phi + random_field(
+            phi.grid, rng_for(rng_seed, i - 1), decay=float(m), hm_norm=delta, m=m)
+        kept = []
+        integrate(psi0, t_end, cfg, coeffs, observers=[kept.append])
+        runs.append(kept)
+    base, *others = runs
+    diffs = [[b.state - o.state for b, o in zip(base, other)] for other in others]
+    c_tilde_req = 1.0
+    for run in diffs:
+        for d, ref in zip(run, base):
+            l2_sq = sobolev_norm_sq(d, 0)
+            if l2_sq <= 0.0:
+                continue
+            base_energy = difference_energy(d, ref.state, 1, coeffs, 0.0)
+            need = (0.5 * sobolev_norm_sq(d, 1) - base_energy) / l2_sq
+            c_tilde_req = max(c_tilde_req, need)
+    c_tilde = 2.0 * c_tilde_req
+    sup_h1 = []
+    quotients = []
+    for run in diffs:
+        sup_h1.append(max(sobolev_norm(d, 1) for d in run[1:]))
+        e1 = [difference_energy(d, ref.state, 1, coeffs, c_tilde)
+              for d, ref in zip(run, base)]
+        quotients.append(max(e / e1[0] for e in e1))
+    return c_tilde, sup_h1, quotients, [len(run) for run in runs]
+
+
+def _riccati_reference(family, coeffs, cfg, t_end, c_m):
+    """``riccati_study``'s quotients as it computed them before its block
+    observer: each member run alone under its own ``EnergyRecorder``, with
+    the modified energy at the study's c_m taken sample by sample. Also
+    returns each run's sample count."""
+    m = cfg.sobolev_index_m
+    q_mod, q_raw, lengths = [], [], []
+    for psi0 in family:
+        rec = EnergyRecorder(m, coeffs)
+        energies = []
+        integrate(psi0, t_end, cfg, coeffs, observers=[
+            rec, lambda s: energies.append(modified_energy(s.state, m, coeffs, c_m))])
+        cols = rec.columns
+        raw = np.asarray(cols["deriv_m_norm_sq"]) + np.asarray(cols["l2_norm_sq"])
+        q_mod.append(experiments._max_quotient(cols["time"], energies))
+        q_raw.append(experiments._max_quotient(cols["time"], raw))
+        lengths.append(len(energies))
+    return q_mod, q_raw, lengths
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+class TestEnsembleStudiesReplaySerialRuns:
+    """riccati and continuity reduce each step's (B, N) block as it comes
+    and keep no state; every output keeps the bits of the serial runs that
+    kept every sample. A monkeypatched ``BLOWUP_FACTOR`` halts some members
+    before the others: for continuity, the base run before two perturbed
+    ones, and a perturbed one before the base run."""
+
+    @pytest.mark.parametrize("data_seed, rng_seed, blowup, lengths", [
+        (3, 18, None, [51] * 5),
+        (3, 18, 1.0000073, [19, 20, 20, 19, 19]),
+        (29, 5, None, [51] * 5),
+        (29, 5, 1.0008, [45, 44, 45, 45, 45]),
+    ])
+    def test_continuity(self, monkeypatch, data_seed, rng_seed, blowup, lengths):
+        if blowup is not None:
+            monkeypatch.setattr(dynamics, "BLOWUP_FACTOR", blowup)
+        data = random_field(GridSpec(64), rng_for(data_seed), decay=6.0,
+                            hm_norm=0.4, m=4)
+        args = (data, [1e-2, 1e-3, 1e-4, 1e-5], integrable_coefficients(1.0), 0.05,
+                SolverConfig(dt=1e-3, sobolev_index_m=4), rng_seed)
+        res = continuity_study(*args)
+        c_tilde, sup_h1, quotients, counts = _continuity_reference(*args)
+        assert counts == lengths
+        assert res.parameters["c_tilde"].hex() == c_tilde.hex()
+        assert _hex(res.tables["scaling"]["sup_h1_diff"]) == _hex(sup_h1)
+        assert _hex(res.tables["scaling"]["gronwall_quotient"]) == _hex(quotients)
+
+    def test_riccati_criterion_8(self, monkeypatch):
+        # below 1, the ceiling halts the first member at its first step and
+        # the widest pair midway, when its H^4 norm grows back; the other
+        # two run on
+        monkeypatch.setattr(dynamics, "BLOWUP_FACTOR", 0.9999995)
+        m = 4
+        coeffs = integrable_coefficients(1.0)
+        cert = certify_cm(m, coeffs, 1.0, trials=60, rng_seed=2024, target="sobolev")
+        family = [mode_pair_field(GridSpec(256), k, 2.0, m) for k in (4, 8, 16, 32)]
+        cfg = SolverConfig(dt=1e-6, sobolev_index_m=m)
+        res = riccati_study(family, coeffs, cfg, 2e-4, cert.c_m)
+        q_mod, q_raw, counts = _riccati_reference(family, coeffs, cfg, 2e-4, cert.c_m)
+        assert counts == [2, 201, 201, 41]
+        assert _hex(res.tables["quotients"]["q_modified"]) == _hex(q_mod)
+        assert _hex(res.tables["quotients"]["q_raw"]) == _hex(q_raw)

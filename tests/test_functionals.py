@@ -12,7 +12,7 @@ from torus4nls.functionals import (
     EnergyRecorder,
     certify_cm,
     conserved_quantities,
-    correction_terms,
+    correction_terms_rows,
     difference_energy,
     i2_imaginary_residual,
     modified_energy,
@@ -30,11 +30,12 @@ from torus4nls.spectral import (
 
 class TestCorrectionTerms:
     def test_zero_field(self, grid64, generic_coeffs):
-        assert correction_terms(zero_field(grid64), 3, generic_coeffs) == (0.0, 0.0)
+        zero = zero_field(grid64).coeffs
+        assert correction_terms_rows(zero, 3, generic_coeffs) == (0.0, 0.0)
 
     def test_constant_field(self, grid64, generic_coeffs):
         psi = plane_wave(grid64, 0.7, 0)
-        first, second = correction_terms(psi, 2, generic_coeffs)
+        first, second = correction_terms_rows(psi.coeffs, 2, generic_coeffs)
         assert first == pytest.approx(0.0, abs=1e-14)
         assert second == pytest.approx(0.0, abs=1e-14)
 
@@ -44,7 +45,7 @@ class TestCorrectionTerms:
         kappa = 0.6
         psi = plane_wave(grid64, kappa, 1)
         lam = generic_coeffs
-        first, second = correction_terms(psi, 2, lam)
+        first, second = correction_terms_rows(psi.coeffs, 2, lam)
         assert first == pytest.approx(
             lam.lambda5 / lam.nu * (-2 * np.pi * kappa**4), rel=1e-12
         )
@@ -55,7 +56,7 @@ class TestCorrectionTerms:
         # independent fine-grid synthesis + trapezoid quadrature
         psi = random_field(grid64, rng_for(3), decay=2.5, l2_mass=0.8)
         m = 3
-        first, second = correction_terms(psi, m, generic_coeffs)
+        first, second = correction_terms_rows(psi.coeffs, m, generic_coeffs)
         u = oracle_samples(psi, 4, 0)
         d = oracle_samples(psi, 4, m - 1)
         lam = generic_coeffs
@@ -224,14 +225,15 @@ class TestDifferenceEnergy:
 class TestEnergyRecorder:
     def test_parallel_series_and_lower_bound(self):
         # along a trajectory of a certification-family datum, the certified
-        # energy dominates half of (H^m norm^2 + L^2 norm^2)
+        # energy (the recorded one plus c_m ‖ψ‖^{4m+2}) dominates half of
+        # (H^m norm^2 + L^2 norm^2)
         coeffs = integrable_coefficients(1.0)
         cert = certify_cm(4, coeffs, 1.0, trials=60, rng_seed=7, target="sobolev")
         grid = GridSpec(64)
         from torus4nls.functionals import certificate_sample
 
         data = certificate_sample(grid, rng_for(41), 1.0)
-        rec = EnergyRecorder(4, coeffs, cert.c_m)
+        rec = EnergyRecorder(4, coeffs)
         cfg = SolverConfig(dt=1e-3, sobolev_index_m=4)
         integrate(data, 0.02, cfg, coeffs, observers=[rec])
         cols = rec.columns
@@ -240,27 +242,16 @@ class TestEnergyRecorder:
         assert {len(v) for v in cols.values()} == {21}
         for e, h, l2 in zip(cols["modified_energy"], cols["h_m_norm_sq"],
                             cols["l2_norm_sq"]):
-            assert e >= 0.5 * (h + l2)
+            assert e + cert.c_m * l2 ** (2 * 4 + 1) >= 0.5 * (h + l2)
 
     def test_failing_row_adds_to_no_column(self):
-        # modified_energy rejects c_m < 0 after the time and the norms of
-        # the row are known; none of them may be kept
-        rec = EnergyRecorder(4, integrable_coefficients(1.0), c_m=-1.0)
+        # modified_energy rejects m = 0 after the time and the norms of the
+        # row are known; none of them may be kept
+        rec = EnergyRecorder(0, integrable_coefficients(1.0))
         sample = TrajectorySample(0.0, plane_wave(GridSpec(32), 0.3, 1))
-        with pytest.raises(ValueError, match="c_m"):
+        with pytest.raises(ValueError, match="m must be >= 1"):
             rec(sample)
         assert {len(v) for v in rec.columns.values()} == {0}
-
-    def test_invariants_off_leaves_columns_empty(self):
-        coeffs = integrable_coefficients(1.0)
-        full = EnergyRecorder(4, coeffs)
-        lean = EnergyRecorder(4, coeffs, invariants=False)
-        cfg = SolverConfig(dt=1e-3, sobolev_index_m=4)
-        integrate(plane_wave(GridSpec(32), 0.3, 1), 0.005, cfg, coeffs,
-                  observers=[full, lean])
-        assert list(lean.columns) == list(full.columns)[:5]
-        for name, column in lean.columns.items():
-            assert column == full.columns[name]
 
 
 def _fine_samples(psi, pad, deriv=0):
@@ -349,7 +340,7 @@ class TestPaddedPathMatchesFineSamples:
     def test_correction_terms_and_difference_energy(self, generic_coeffs, m):
         fields = _bitwise_fields()
         for i, psi in enumerate(fields):
-            assert _hex(correction_terms(psi, m, generic_coeffs)) == _hex(
+            assert _hex(correction_terms_rows(psi.coeffs, m, generic_coeffs)) == _hex(
                 _reference_correction_terms(psi, m, generic_coeffs))
             for ref in fields[i:]:
                 if ref.grid != psi.grid:

@@ -180,3 +180,14 @@ def test_one_fork_for_one_study():
     assert _call_sites({"os.fork", "fork"}) == [("experiments", "in_worker")]
     assert _call_sites({"in_worker", "experiments.in_worker"}) == [
         ("experiments", "riccati_study")]
+
+
+def test_ensembles_hand_one_observer_the_block():
+    """``integrate_many`` calls one observer with each step's (B, N) block:
+    it takes no per-member observer lists. ``EnergyRecorder``, the
+    per-sample observer of single runs, takes nothing but (m, coeffs): its
+    c_m and its switch for the invariants had no caller that set them."""
+    params = list(inspect.signature(dynamics.integrate_many).parameters)
+    assert params == ["psi0s", "t_end", "cfgs", "coeffs", "observer"]
+    params = list(inspect.signature(functionals.EnergyRecorder).parameters)
+    assert params == ["m", "coeffs"]

@@ -18,8 +18,9 @@ be forced through the ``TORUS4NLS_OUTDIR`` environment variable, which
 takes precedence over every other source (and is the only env override);
 an empty ``--outdir`` is a usage error.
 
-Exit codes: 0 pass/complete, 1 study failure, 2 usage error, 3 solver
-error (Picard non-convergence or non-finite state).
+Exit codes: 0 pass/complete, 1 study failure, 2 usage error (a
+``ValueError``), 3 solver error (Picard non-convergence or non-finite
+state). Any other exception is a fault of the program and propagates.
 """
 
 import argparse
@@ -95,6 +96,8 @@ def _comma_list(convert, text):
         vals = [convert(t) for t in text.split(",") if t.strip()]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+    except OverflowError:  # 2^100000
+        raise argparse.ArgumentTypeError(f"an entry of {text!r} overflows") from None
     if not vals:
         raise argparse.ArgumentTypeError(f"empty list {text!r}")
     return vals
@@ -175,67 +178,86 @@ COMMANDS = {
 }
 
 
-def _parse_kv(chunks, what, allowed):
+def _parse_kv(chunks, kind, types):
+    """The ``key=value`` chunks of a ``kind`` spec as a dict, each value read
+    with its key's type in ``types``; every error names the kind and key."""
     out = {}
     for chunk in chunks:
         k, eq, v = (part.strip() for part in chunk.partition("="))
         if not eq:
-            raise ValueError(f"malformed {what} entry {chunk!r} (expected key=value)")
-        if k not in allowed or k in out:
-            raise ValueError(f"{what} spec: unknown or repeated key {k!r}")
-        if not math.isfinite(float(v)):  # every spec value is a number
-            raise ValueError(f"{what} spec: {k} must be finite, got {v}")
-        out[k] = v
+            raise ValueError(f"malformed {kind} entry {chunk!r} (expected key=value)")
+        if k not in types or k in out:
+            raise ValueError(f"{kind} spec: unknown or repeated key {k!r}")
+        try:
+            value = types[k](v)
+        except ValueError:
+            what = "an integer" if types[k] is int else "a number"
+            raise ValueError(f"{kind} spec: {k} must be {what}, got {v!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"{kind} spec: {k} must be finite, got {v}")
+        out[k] = value
     return out
+
+
+def _required(kv, kind, key):
+    if key not in kv:
+        raise ValueError(f"{kind} spec: {key} is required")
+    return kv[key]
 
 
 def parse_data_spec(spec, grid):
     """Build initial data from the mini-language (see module help)."""
     kind, _, rest = spec.partition(":")
     kind = kind.strip()
+    chunks = [c for c in rest.split(":") if c]
     if kind == "modes":
         f = zero_field(grid)
         coeffs = np.array(f.coeffs)
         seen = set()
+        half = grid.num_modes // 2
         for entry in rest.split(","):
-            kv = _parse_kv(entry.split(":"), "modes", ("n", "amp", "phase"))
-            n = int(kv["n"])
+            kv = _parse_kv(entry.split(":"), "modes",
+                           {"n": int, "amp": float, "phase": float})
+            n = _required(kv, "modes", "n")
             if n in seen:
                 raise ValueError(f"modes spec: mode {n} given twice")
             seen.add(n)
-            amp = float(kv.get("amp", "1.0"))
-            phase = float(kv.get("phase", "0.0"))
-            half = grid.num_modes // 2
             if not -half <= n < half:
-                raise ValueError(f"mode {n} outside resolved band")
-            coeffs[n % grid.num_modes] = amp * np.exp(1j * phase)
+                raise ValueError(f"modes spec: n={n} outside the resolved band "
+                                 f"[{-half}, {half})")
+            phase = kv.get("phase", 0.0)
+            coeffs[n % grid.num_modes] = kv.get("amp", 1.0) * np.exp(1j * phase)
         return SpectralField(grid, coeffs)
     if kind == "standing":
-        kv = _parse_kv([c for c in rest.split(":") if c], "standing", ("kappa", "tau"))
-        return plane_wave(grid, float(kv.get("kappa", "0.3")), int(kv.get("tau", "1")))
+        kv = _parse_kv(chunks, "standing", {"kappa": float, "tau": int})
+        return plane_wave(grid, kv.get("kappa", 0.3), kv.get("tau", 1))
     if kind == "decay":
-        kv = _parse_kv([c for c in rest.split(":") if c], "decay", ("s", "amp"))
-        return decay_field(grid, float(kv["s"]), amp=float(kv.get("amp", "1.0")))
+        kv = _parse_kv(chunks, "decay", {"s": float, "amp": float})
+        return decay_field(grid, _required(kv, "decay", "s"), amp=kv.get("amp", 1.0))
     if kind == "random":
-        kv = _parse_kv([c for c in rest.split(":") if c], "random",
-                       ("seed", "decay", "l2", "hm", "m", "maxmode"))
-        seed = int(kv.get("seed", "0"))
-        if seed < 0:  # numpy's own error names no key
-            raise ValueError(f"random spec: seed must be >= 0, got {seed}")
-        rng = rng_for(seed)
-        kwargs = {"decay": float(kv.get("decay", "2.0"))}
+        kv = _parse_kv(chunks, "random", {"seed": int, "decay": float, "l2": float,
+                                          "hm": float, "m": int, "maxmode": int})
+        if "l2" in kv and "hm" in kv:
+            raise ValueError("random spec: give l2 or hm, not both")
+        if "m" in kv and "hm" not in kv:
+            raise ValueError("random spec: m is the index of hm; give hm with it")
+        # numpy's own seed error names no key; a negative maxmode empties
+        # every mode, and a negative norm would flip the sign of the data
+        for key in ("seed", "maxmode"):
+            if kv.get(key, 0) < 0:
+                raise ValueError(f"random spec: {key} must be >= 0, got {kv[key]}")
+        for key in ("l2", "hm"):
+            if kv.get(key, 1.0) <= 0.0:
+                raise ValueError(f"random spec: {key} must be > 0, got {kv[key]}")
+        kwargs = {"decay": kv.get("decay", 2.0)}
         if "l2" in kv:
-            kwargs["l2_mass"] = float(kv["l2"])
+            kwargs["l2_mass"] = kv["l2"]
         if "hm" in kv:
-            kwargs["hm_norm"] = float(kv["hm"])
-        if "hm" in kv or "m" in kv:
-            kwargs["m"] = int(kv.get("m", "4"))
+            kwargs["hm_norm"] = kv["hm"]
+            kwargs["m"] = kv.get("m", 4)
         if "maxmode" in kv:
-            max_mode = int(kv["maxmode"])
-            if max_mode < 0:  # would empty every mode
-                raise ValueError(f"random spec: maxmode must be >= 0, got {max_mode}")
-            kwargs["max_mode"] = max_mode
-        return random_field(grid, rng, **kwargs)
+            kwargs["max_mode"] = kv["maxmode"]
+        return random_field(grid, rng_for(kv.get("seed", 0)), **kwargs)
     raise ValueError(f"unknown data spec kind {kind!r}")
 
 
@@ -326,11 +348,12 @@ def cmd_simulate(args):
         names += [f"re_n{int(n)}", f"im_n{int(n)}"]
     fname = "simulate__trajectory.csv"
     with table_rows(args.outdir, fname, names) as write_row:
-        # the complex view interleaves re and im of each mode
-        def write_sample(s):
-            write_row([s.time] + s.state.coeffs[order].view(np.float64).tolist())
+        def observe(time, rows, members):
+            rec(time, rows, members)
+            # the complex view interleaves re and im of each mode
+            write_row([time] + rows[0][order].view(np.float64).tolist())
 
-        run = integrate(data, args.t_end, cfg, coeffs, observers=[rec, write_sample])
+        run = integrate(data, args.t_end, cfg, coeffs, observe)
     _report(args.outdir / fname)
     _report(write_table(args.outdir, "simulate__energy.csv", rec.columns))
     _report(write_manifest(args.outdir, "simulate", {
@@ -342,7 +365,7 @@ def cmd_simulate(args):
         },
         "thresholds": {},
         "blow_up_suspected": run.blowup_time is not None,
-        "final_time": run.final.time,
+        "final_time": run.time,
     }))
     return 0
 
@@ -415,8 +438,15 @@ def cmd_standing_wave(args):
     coeffs = build_coeffs(args)
     grid = GridSpec(args.num_modes)
     psi0 = plane_wave(grid, args.kappa, args.tau)
-    omega = standing_wave_frequency(args.kappa, args.tau, coeffs)
-    residual = pde_residual(psi0, omega, coeffs)
+    try:
+        omega = standing_wave_frequency(args.kappa, args.tau, coeffs)
+    except OverflowError:  # κ⁴ in Python floats
+        omega = math.inf
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        residual = pde_residual(psi0, omega, coeffs)
+    if not (math.isfinite(omega) and math.isfinite(residual)):
+        raise ValueError(f"--kappa {args.kappa!r} is too large: the rotation rate "
+                         f"{omega!r} or its residual {residual!r} is not finite")
     print(f"omega = {omega!r}")
     print(f"residual_l2 = {residual!r}")
     _report(write_manifest(args.outdir, "standing_wave", {
@@ -490,7 +520,7 @@ def run_command(argv):
     except (NonConvergence, NonFinite) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,6 +7,11 @@ Duhamel integral over one step (exponential-trapezoid quadrature), for an
 ensemble of runs on one grid at once as the rows of a (B, N) coefficient
 array; an integrating-factor RK4 scheme serves as an independent
 cross-check.
+
+Every stepper takes one optional ``observer(time, rows, members)``, called
+at t=0 and after each step with the read-only (B', N) coefficients of the
+runs still going and their member indices; a single run is the block
+(1, N) with members (0,). A run's record keeps only the state it ended at.
 """
 
 import math
@@ -109,23 +114,15 @@ class SolverConfig:
             raise ValueError("sobolev_index_m must be >= 1")
 
 
-@dataclass(frozen=True)
-class TrajectorySample:
-    time: float
-    state: SpectralField
-
-    def __post_init__(self):
-        if self.time < 0.0:
-            raise ValueError("sample time must be nonnegative")
-
-
 @dataclass
 class Trajectory:
-    """Record of one run: its final sample, the time it halted because the
-    H^m norm crossed the ceiling (None if it did not) and each step's Picard
-    count (Duhamel only). Only the run's observers see the other states."""
+    """Record of one run: the time it reached and its state there, the time
+    it halted because the H^m norm crossed the ceiling (None if it did not)
+    and each step's Picard count (Duhamel only). Only the run's observer
+    sees the other states."""
 
-    final: TrajectorySample
+    time: float
+    state: SpectralField
     blowup_time: float | None = None
     picard_iterations: list = field(default_factory=list)
 
@@ -272,7 +269,7 @@ def duhamel_step(psi, cfg, coeffs):
     one-step ``integrate``, so the same state, Picard count and errors
     (carrying time 0). Returns (state, iterations)."""
     run = integrate(psi, cfg.dt, cfg, coeffs)
-    return run.final.state, run.picard_iterations[0]
+    return run.state, run.picard_iterations[0]
 
 
 def _step_times(t_end, dt):
@@ -331,7 +328,7 @@ def integrate_many(psi0s, t_end, cfgs, coeffs, observer=None):
             named = f" of member {i}" if count > 1 else ""
             raise ValueError(f"the initial data{named} has a non-finite H^m "
                              f"norm (m={m}): {norm}")
-    runs = [Trajectory(TrajectorySample(0.0, psi0)) for psi0 in psi0s]
+    runs = [Trajectory(0.0, psi0) for psi0 in psi0s]
     ceilings = [BLOWUP_FACTOR * max(norm, 1e-300) for norm in norms0]
     active = tuple(range(count))
 
@@ -358,8 +355,8 @@ def integrate_many(psi0s, t_end, cfgs, coeffs, observer=None):
         for i, member in enumerate(active):
             runs[member].picard_iterations.append(iterations[i])
             if norms[i] > ceilings[member]:
-                runs[member].blowup_time = t
-                runs[member].final = TrajectorySample(t, SpectralField(grid, state[i]))
+                runs[member].blowup_time = runs[member].time = t
+                runs[member].state = SpectralField(grid, state[i])
             else:
                 keep.append(i)
         if len(keep) < len(active):
@@ -371,48 +368,33 @@ def integrate_many(psi0s, t_end, cfgs, coeffs, observer=None):
             break
     if times:  # the members still running have reached t_end
         for i, member in enumerate(active):
-            runs[member].final = TrajectorySample(t_end, SpectralField(grid, state[i]))
+            runs[member].time = t_end
+            runs[member].state = SpectralField(grid, state[i])
     return runs
 
 
-def integrate(psi0, t_end, cfg, coeffs, observers=()):
-    """Repeated Duhamel stepping up to t_end with observer callbacks.
-
-    Observers are called with each TrajectorySample as it is produced, the
-    last being the record's final sample. The run halts early, marking the
-    record, if the H^m norm exceeds ``BLOWUP_FACTOR`` times its initial
-    value; a diverging step raises NonFinite carrying the time. A
-    one-member ``integrate_many``: returns the run's Trajectory record.
-    """
-    last = None
-
-    def observe(time, rows, members):
-        nonlocal last
-        state = SpectralField(psi0.grid, rows[0]) if time else psi0
-        last = TrajectorySample(time, state)
-        for obs in observers:
-            obs(last)
-
-    (run,) = integrate_many([psi0], t_end, [cfg], coeffs, observe if observers else None)
-    if last is not None:
-        run.final = last
-    return run
+def integrate(psi0, t_end, cfg, coeffs, observer=None):
+    """Repeated Duhamel stepping of one run up to t_end: the one-member
+    ``integrate_many``, so ``observer`` sees (1, N) blocks with members
+    (0,). Returns the run's Trajectory record."""
+    return integrate_many([psi0], t_end, [cfg], coeffs, observer)[0]
 
 
-def reference_integrate(psi0, t_end, cfg, coeffs, observers=()):
+def reference_integrate(psi0, t_end, cfg, coeffs, observer=None):
     """Integrating-factor classical RK4, the independent cross-check scheme.
 
     The semigroup is applied only over forward substeps (dt/2, dt), so the
-    scheme is valid for ε > 0 as well. Observers are called with each
-    TrajectorySample as it is produced; returns the run's Trajectory record.
+    scheme is valid for ε > 0 as well. ``observer`` is called as in
+    ``integrate``: at t=0 and after each step, with the read-only (1, N)
+    coefficients and members (0,). Returns the run's Trajectory record.
     Raises NonFinite at the first step that ends with a NaN/Inf coefficient.
     """
     eps = cfg.epsilon
     nu = coeffs.nu
     times = _step_times(t_end, cfg.dt)  # checks t_end before any sample
-    run = Trajectory(TrajectorySample(0.0, psi0))
-    for obs in observers:
-        obs(run.final)
+    run = Trajectory(0.0, psi0)
+    if observer is not None:
+        observer(0.0, psi0.coeffs[None], (0,))
     state = psi0
     prev_t = 0.0
 
@@ -437,8 +419,8 @@ def reference_integrate(psi0, t_end, cfg, coeffs, observers=()):
             state = full + (h / 6.0) * incr
             if not np.all(np.isfinite(state.coeffs)):
                 raise NonFinite(f"non-finite coefficients at t={t:.6g}", time=t)
-            run.final = TrajectorySample(t, state)
-            for obs in observers:
-                obs(run.final)
+            run.time, run.state = t, state
+            if observer is not None:
+                observer(t, state.coeffs[None], (0,))
             prev_t = t
     return run

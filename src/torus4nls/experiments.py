@@ -34,6 +34,7 @@ from .functionals import (
     EnergyRecorder,
     certificate_sample,
     certify_cm,
+    check_l2_ceiling,
     difference_quartic_rows,
     modified_energy_rows,
 )
@@ -265,7 +266,7 @@ def conservation_study(data, nu, t_end, cfg):
     for label, factor in (("coarse", 1.0), ("fine", 0.5)):
         run_cfg = replace(cfg, dt=cfg.dt * factor)
         rec = EnergyRecorder(cfg.sobolev_index_m, coeffs)
-        integrate(data, t_end, run_cfg, coeffs, observers=[rec])
+        integrate(data, t_end, run_cfg, coeffs, rec)
         tables[f"series_{label}"] = {
             name: rec.columns[name]
             for name in ("time", "i0", "i1", "i2", "l2_norm_sq", "h_m_norm_sq")
@@ -395,11 +396,11 @@ def eps_convergence_study(data, coeffs, t_end, eps_ladder, cfg):
         [mollify(data, e) for e in epsilons], t_end,
         [replace(cfg, epsilon=e) for e in epsilons], coeffs,
     )
-    ref = runs[0].final.state
+    ref = runs[0].state
     h1_diffs = []
     hm_diffs = []
     for run in runs[1:]:
-        state = run.final.state
+        state = run.state
         h1_diffs.append(sobolev_distance(state, ref, 1))
         hm_diffs.append(sobolev_distance(state, ref, m))
     tables = {
@@ -492,7 +493,7 @@ def in_worker(fn, args, meanwhile):
 
 
 def _final_state(data, t_end, cfg, coeffs):
-    return integrate(data, t_end, cfg, coeffs).final.state
+    return integrate(data, t_end, cfg, coeffs).state
 
 
 def _stepper_order(coarse, fine, finest, m):
@@ -552,7 +553,7 @@ def riccati_study(family, coeffs, cfg, t_end, c_m):
     def family_and_fine():
         runs = integrate_many(family, t_end, [cfg] * len(family), coeffs, record)
         fine = _final_state(family[0], t_end, replace(cfg, dt=cfg.dt * 0.5), coeffs)
-        return runs[0].final.state, fine
+        return runs[0].state, fine
 
     (coarse, fine), finest = in_worker(
         _final_state, (family[0], t_end, replace(cfg, dt=cfg.dt * 0.125), coeffs),
@@ -727,8 +728,7 @@ def inequality_sweeps(seed, trials, m=4, nu=1.0, l2_ceiling=1.0):
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if not 0 < l2_ceiling < math.inf:
-        raise ValueError(f"l2_ceiling must be > 0 and finite, got {l2_ceiling}")
+    check_l2_ceiling(l2_ceiling, m)
     coeffs = integrable_coefficients(nu)
     cert_trials = max(trials // 2, 50)
     c_m = certify_cm(m, coeffs, l2_ceiling, trials=cert_trials,

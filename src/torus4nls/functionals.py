@@ -26,6 +26,7 @@ from .sampling import random_field, rng_for
 from .spectral import (
     GridSpec,
     SpectralField,
+    _grid,
     padded_samples,
     per_field,
     row_by_row,
@@ -237,6 +238,20 @@ def corner_probes(grid, l2_ceiling):
     return probes
 
 
+def check_l2_ceiling(l2_ceiling, m):
+    """ValueError unless 0 < l2_ceiling < inf and the certificate's divisor,
+    the mass power l2_ceiling^(4m+2), neither overflows nor underflows."""
+    if not 0 < l2_ceiling < math.inf:
+        raise ValueError(f"l2_ceiling must be > 0 and finite, got {l2_ceiling}")
+    try:
+        power = l2_ceiling ** (4 * m + 2)
+    except OverflowError:
+        power = math.inf
+    if not 0.0 < power < math.inf:
+        raise ValueError(f"l2_ceiling^(4m+2) must be > 0 and finite, "
+                         f"got {l2_ceiling}^{4 * m + 2} = {power}")
+
+
 def certify_cm(m, coeffs, l2_ceiling, trials, rng_seed, target="classic"):
     """Randomized adversarial search for the energy-positivity constant.
 
@@ -252,8 +267,7 @@ def certify_cm(m, coeffs, l2_ceiling, trials, rng_seed, target="classic"):
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if not 0 < l2_ceiling < math.inf:
-        raise ValueError(f"l2_ceiling must be > 0 and finite, got {l2_ceiling}")
+    check_l2_ceiling(l2_ceiling, m)
     samples = list(corner_probes(GridSpec(min(CM_RESOLUTIONS)), l2_ceiling))
     for i in range(trials):
         rng = rng_for(rng_seed, i)
@@ -273,14 +287,13 @@ def certify_cm(m, coeffs, l2_ceiling, trials, rng_seed, target="classic"):
 
 
 class EnergyRecorder:
-    """Observer of one run's TrajectorySamples (``integrate``'s observers)
-    tabulating the norms, the modified energy with c_m = 0 and the
-    invariants of each sample.
+    """Observer of one run (a stepper's ``observer``) tabulating the norms,
+    the modified energy with c_m = 0 and the invariants of each state.
 
     ``columns`` maps the header names of ``simulate__energy.csv`` (time,
     h_m_norm_sq, deriv_m_norm_sq, l2_norm_sq, modified_energy, i0, i1, i2)
-    to equal-length lists, one entry per sample. A sample whose row fails
-    to compute adds to no column.
+    to equal-length lists, one entry per observed state. A state whose row
+    fails to compute adds to no column.
     """
 
     def __init__(self, m, coeffs):
@@ -290,10 +303,11 @@ class EnergyRecorder:
                  "modified_energy", "i0", "i1", "i2"]
         self.columns = {name: [] for name in names}
 
-    def __call__(self, sample):
-        psi = sample.state
+    def __call__(self, time, rows, members):
+        (state,) = rows
+        psi = SpectralField(_grid(state.size), state)
         row = [
-            sample.time,
+            time,
             sobolev_norm_sq(psi, self.m),
             seminorm_sq(psi, self.m),
             sobolev_norm_sq(psi, 0),

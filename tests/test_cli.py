@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -58,10 +59,10 @@ def columns_trajectory_csv(argv):
     data = parse_data_spec(args.data, grid)
     samples = []
     cli.integrate(data, args.t_end, build_solver_config(args), build_coeffs(args),
-                  observers=[samples.append])
+                  lambda time, rows, members: samples.append((time, rows[0].copy())))
     order = np.argsort(grid.modes)
-    states = np.array([s.state.coeffs[order] for s in samples])
-    trajectory = {"time": [s.time for s in samples]}
+    states = np.array([c[order] for _, c in samples])
+    trajectory = {"time": [time for time, _ in samples]}
     for n, column in zip(grid.modes[order], states.T):
         trajectory[f"re_n{int(n)}"] = column.real
         trajectory[f"im_n{int(n)}"] = column.imag
@@ -104,20 +105,30 @@ class TestDataSpecs:
         assert np.array_equal(a.coeffs, b.coeffs)
         assert sobolev_norm(a, 0) == pytest.approx(0.5)
 
-    @pytest.mark.parametrize("bad", [
-        "nope:1", "modes:amp=1", "modes:n=99:amp=1",
+    # each malformed spec, and the start of the message naming its kind and key
+    MALFORMED = {
+        "nope:1": "unknown data spec kind 'nope'",
+        "modes:amp=1": "modes spec: n is required",
+        "modes:amp=0.5": "modes spec: n is required",
+        "modes:n=99:amp=1": "modes spec: n=99 outside the resolved band",
+        "modes:n=1:amp=": "modes spec: amp must be a number, got ''",
+        "decay:amp=1": "decay spec: s is required",
+        "standing:tau=1.5": "standing spec: tau must be an integer, got '1.5'",
         # input the parser would otherwise drop without a word
-        "random:seed=7:l2=0.5:hm=0.4",  # two rescalings
-        "random:seed=7:decya=9.0",  # a key random does not read
-        "random:seed=7:m=2",  # m without hm
-        "random:seed=7:seed=8",
-        "decay:s=3.0:amp=1.0:tau=2",
-        "standing:kappa=0.3:s=2",
-        "modes:n=1:amp=0.5:decay=2",
-        "modes:n=1:amp=0.5,n=1:amp=0.2",  # the later entry would win
-    ])
+        "random:seed=7:l2=0.5:hm=0.4": "random spec: give l2 or hm",  # two rescalings
+        "random:seed=7:decya=9.0": "random spec: unknown or repeated key 'decya'",
+        "random:seed=7:m=2": "random spec: m is the index of hm",  # m without hm
+        "random:seed=7:seed=8": "random spec: unknown or repeated key 'seed'",
+        "decay:s=3.0:amp=1.0:tau=2": "decay spec: unknown or repeated key 'tau'",
+        "standing:kappa=0.3:s=2": "standing spec: unknown or repeated key 's'",
+        "modes:n=1:amp=0.5:decay=2": "modes spec: unknown or repeated key 'decay'",
+        # the later entry would win
+        "modes:n=1:amp=0.5,n=1:amp=0.2": "modes spec: mode 1 given twice",
+    }
+
+    @pytest.mark.parametrize("bad", list(MALFORMED))
     def test_malformed_specs(self, bad):
-        with pytest.raises((ValueError, KeyError)):
+        with pytest.raises(ValueError, match="^" + re.escape(self.MALFORMED[bad])):
             parse_data_spec(bad, GridSpec(32))
 
     def test_ladder_exponent_notation(self):
@@ -154,8 +165,12 @@ class TestExitCodes:
     def test_midrun_solver_error_leaves_nothing(self, tmp_path, monkeypatch, capsys):
         seen = []
 
-        def integrate_seen(psi0, t_end, cfg, coeffs, observers):
-            return integrate(psi0, t_end, cfg, coeffs, [*observers, seen.append])
+        def integrate_seen(psi0, t_end, cfg, coeffs, observer):
+            def observe(time, rows, members):
+                observer(time, rows, members)
+                seen.append(time)
+
+            return integrate(psi0, t_end, cfg, coeffs, observe)
 
         monkeypatch.setattr(cli, "integrate", integrate_seen)
         out = tmp_path / "a" / "b"
@@ -453,6 +468,15 @@ class TestUsageErrors:
         assert "os.fork" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    def test_key_error_is_a_bug_not_a_usage_error(self, tmp_path, monkeypatch):
+        # a KeyError from study code is a fault of the program: it propagates
+        def lookup_fails(args):
+            return {}["missing"]
+
+        monkeypatch.setattr(cli, "cmd_standing_wave", lookup_fails)
+        with pytest.raises(KeyError, match="missing"):
+            run_in(tmp_path, monkeypatch, ["standing-wave"])
+
     def test_bad_parameter_value_is_2(self, tmp_path, monkeypatch):
         # epsilon must lie in [0, 1]
         code = run_in(tmp_path, monkeypatch,
@@ -576,6 +600,35 @@ class TestUsageErrors:
         out = tmp_path / "out"
         assert run_in(out, monkeypatch, argv) == 2
         assert f"usage error: {name} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,name", [
+        (["eps-converge", "--nu", "1", "--integrable", "--eps-ladder", "2^100000,2^-3"],
+         "argument --eps-ladder: an entry of '2^100000,2^-3' overflows"),
+        (["continuity", "--nu", "1", "--integrable", "--deltas", "2^100000,1e-3"],
+         "argument --deltas: an entry of '2^100000,1e-3' overflows"),
+        # ω overflows in Python floats; at 1e60 ω is finite but the residual is not
+        (["standing-wave", "--kappa", "1e100"], "--kappa 1e+100 is too large"),
+        (["standing-wave", "--nu", "1", "--integrable", "--kappa", "1e60"],
+         "--kappa 1e+60 is too large"),
+        # the certificate divides by the mass power l2_ceiling^(4m+2)
+        (["certify-cm", "--ceiling", "1e18"], "l2_ceiling^(4m+2) must be"),
+        (["certify-cm", "--ceiling", "1e200"], "l2_ceiling^(4m+2) must be"),
+        (["certify-cm", "--ceiling", "1e-30"], "l2_ceiling^(4m+2) must be"),
+        (["riccati", "--nu", "1", "--integrable", "--ceiling", "1e40"],
+         "l2_ceiling^(4m+2) must be"),
+        (["sweep-inequalities", "--ceiling", "1e40"], "l2_ceiling^(4m+2) must be"),
+    ], ids=["eps-ladder", "deltas", "kappa-omega", "kappa-residual", "certify-cm",
+            "certify-cm-nan-margin", "certify-cm-underflow", "riccati",
+            "sweep-inequalities"])
+    def test_overflowing_value_is_2(self, tmp_path, monkeypatch, capsys, argv, name):
+        monkeypatch.setattr(experiments, "integrate_many",
+                            lambda *a, **k: pytest.fail("ran"))
+        out = tmp_path / "out"
+        assert exit_code(out, monkeypatch, argv) == 2
+        out_text, err = capsys.readouterr()
+        assert name in err
+        assert "omega" not in out_text  # refused before printing a result
         assert not out.exists()
 
     def test_riccati_linear_flow_is_2(self, tmp_path, monkeypatch, capsys):
@@ -728,8 +781,8 @@ class TestUsageErrors:
         ("simulate", "random:seed=1:decay=nan", "decay"),
         ("conserve", "random:seed=1:hm=inf:m=4", "hm"),
         # a norm to rescale to must be > 0: -1 would flip the sign of the data
-        ("simulate", "random:seed=1:l2=-1", "l2_mass"),
-        ("conserve", "random:seed=1:hm=0:m=4", "hm_norm"),
+        ("simulate", "random:seed=1:l2=-1", "l2"),
+        ("conserve", "random:seed=1:hm=0:m=4", "hm"),
     ])
     def test_bad_data_number_is_2(self, tmp_path, monkeypatch, capsys, command,
                                   spec, key):

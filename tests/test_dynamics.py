@@ -272,10 +272,10 @@ class TestDuhamelStep:
         psi = _benign(grid64)
         cfg = SolverConfig(dt=2e-3, epsilon=epsilon, sobolev_index_m=4)
         out, iters = duhamel_step(psi, cfg, generic_coeffs)
-        seen = []
-        run = integrate(psi, 3 * cfg.dt, cfg, generic_coeffs, observers=[seen.append])
-        assert seen[1].time == cfg.dt
-        assert np.array_equal(out.coeffs, seen[1].state.coeffs)
+        (seen,), observer = _observed(1)
+        run = integrate(psi, 3 * cfg.dt, cfg, generic_coeffs, observer)
+        assert seen[1][0] == cfg.dt
+        assert np.array_equal(out.coeffs, seen[1][1])
         assert iters == run.picard_iterations[0] > 1
 
 
@@ -283,11 +283,11 @@ class TestIntegrate:
     def test_zero_time(self, grid64, generic_coeffs):
         psi = plane_wave(grid64, 0.2, 1)
         cfg = SolverConfig(dt=1e-3, sobolev_index_m=4)
-        seen = []
-        traj = integrate(psi, 0.0, cfg, generic_coeffs, observers=[seen.append])
-        assert len(seen) == 1 and seen[0] is traj.final
-        assert traj.final.time == 0.0
-        assert np.array_equal(traj.final.state.coeffs, psi.coeffs)
+        (seen,), observer = _observed(1)
+        traj = integrate(psi, 0.0, cfg, generic_coeffs, observer)
+        assert len(seen) == 1 and seen[0][0] == traj.time == 0.0
+        assert np.array_equal(seen[0][1], psi.coeffs)
+        assert np.array_equal(traj.state.coeffs, psi.coeffs)
 
     def test_linear_matches_closed_form(self, grid64):
         rng = rng_for(21)
@@ -295,35 +295,32 @@ class TestIntegrate:
         cfg = SolverConfig(dt=1e-3, sobolev_index_m=4)
         traj = integrate(psi, 0.25, cfg, CoefficientSet(nu=1.0))
         expect = semigroup_apply(psi, 0.25, 0.0, 1.0)
-        rel = sobolev_distance(traj.final.state, expect, 4) / sobolev_norm(expect, 4)
+        rel = sobolev_distance(traj.state, expect, 4) / sobolev_norm(expect, 4)
         assert rel < 1e-10
 
     def test_final_partial_step_lands_exactly(self, grid64, generic_coeffs):
         psi = plane_wave(grid64, 0.1, 1)
         cfg = SolverConfig(dt=3e-3, sobolev_index_m=4)
-        seen = []
-        traj = integrate(psi, 0.01, cfg, generic_coeffs, observers=[seen.append])
-        assert traj.final.time == 0.01
+        (seen,), observer = _observed(1)
+        traj = integrate(psi, 0.01, cfg, generic_coeffs, observer)
+        assert traj.time == 0.01
         assert len(seen) == 5  # 0, 3e-3, 6e-3, 9e-3, 1e-2
 
     def test_observers_see_every_sample(self, grid64, generic_coeffs):
-        seen = []
+        (seen,), observer = _observed(1)
         cfg = SolverConfig(dt=2e-3, sobolev_index_m=4)
-        traj = integrate(
-            plane_wave(grid64, 0.1, 1), 0.01, cfg, generic_coeffs,
-            observers=[seen.append],
-        )
-        assert [s.time for s in seen] == [k * 2e-3 for k in range(5)] + [0.01]
-        assert seen[-1] is traj.final
+        traj = integrate(plane_wave(grid64, 0.1, 1), 0.01, cfg, generic_coeffs, observer)
+        assert [t for t, _ in seen] == [k * 2e-3 for k in range(5)] + [0.01]
+        assert seen[-1][0] == traj.time
+        assert np.array_equal(seen[-1][1], traj.state.coeffs)
 
     def test_blowup_marker(self, grid64, monkeypatch):
         # ceiling below the conserved norm trips immediately
         monkeypatch.setattr(dynamics, "BLOWUP_FACTOR", 0.99)
         psi = plane_wave(grid64, 0.5, 2)
         cfg = SolverConfig(dt=1e-3, sobolev_index_m=4)
-        seen = []
-        traj = integrate(psi, 0.01, cfg, CoefficientSet(nu=1.0),
-                         observers=[seen.append])
+        (seen,), observer = _observed(1)
+        traj = integrate(psi, 0.01, cfg, CoefficientSet(nu=1.0), observer)
         assert traj.blowup_time == pytest.approx(1e-3)
         assert len(seen) == 2
 
@@ -361,7 +358,7 @@ def test_non_finite_initial_norm_rejected_before_any_sample(grid64, coeffs, valu
     seen = []
     with pytest.raises(ValueError, match=r"^the initial data has a non-finite H\^m norm"):
         integrate(_with_mode_31(grid64, value), 0.01, SolverConfig(dt=1e-3), coeffs,
-                  observers=[seen.append])
+                  lambda *block: seen.append(block))
     assert seen == []
     with pytest.raises(ValueError, match="initial data of member 2 has a non-finite"):
         integrate_many([_benign(grid64)] * 2 + [_with_mode_31(grid64, value)], 0.01,
@@ -378,13 +375,14 @@ def test_bad_t_end_rejected_before_any_sample(grid64, generic_coeffs, stepper,
     seen = []
     with pytest.raises(ValueError, match="t_end"):
         stepper(plane_wave(grid64, 0.2, 1), t_end, SolverConfig(dt=1e-3),
-                generic_coeffs, observers=[seen.append])
+                generic_coeffs, lambda *block: seen.append(block))
     assert seen == []
 
 
 def _weak_state_observer(refs):
-    """An observer that holds each sample's state by a weak reference only."""
-    return lambda sample: refs.append(weakref.ref(sample.state))
+    """An observer that holds the coefficients behind each (1, N) block it
+    sees by a weak reference only."""
+    return lambda time, rows, members: refs.append(weakref.ref(rows.base))
 
 
 def _assert_only_final_alive(run, refs, count):
@@ -392,7 +390,7 @@ def _assert_only_final_alive(run, refs, count):
     of the ``count`` observed states still in memory."""
     assert len(refs) == count
     alive = [state for state in (ref() for ref in refs) if state is not None]
-    assert len(alive) == 1 and alive[0] is run.final.state
+    assert len(alive) == 1 and alive[0] is run.state.coeffs
 
 
 class TestReferenceIntegrate:
@@ -402,7 +400,7 @@ class TestReferenceIntegrate:
         cfg = SolverConfig(dt=1e-3, sobolev_index_m=4)
         traj = reference_integrate(psi, 0.2, cfg, CoefficientSet(nu=1.0))
         expect = semigroup_apply(psi, 0.2, 0.0, 1.0)
-        rel = sobolev_distance(traj.final.state, expect, 4) / sobolev_norm(expect, 4)
+        rel = sobolev_distance(traj.state, expect, 4) / sobolev_norm(expect, 4)
         assert rel < 1e-11
 
     def test_fourth_order_self_convergence(self, grid64):
@@ -413,7 +411,7 @@ class TestReferenceIntegrate:
         finals = {}
         for dt in (2e-3, 1e-3, 2.5e-4):
             cfg = SolverConfig(dt=dt, sobolev_index_m=4)
-            finals[dt] = reference_integrate(psi, 0.05, cfg, coeffs).final.state
+            finals[dt] = reference_integrate(psi, 0.05, cfg, coeffs).state
         e_coarse = sobolev_distance(finals[2e-3], finals[2.5e-4], 4)
         e_fine = sobolev_distance(finals[1e-3], finals[2.5e-4], 4)
         assert 10.0 <= e_coarse / e_fine <= 24.0
@@ -429,9 +427,34 @@ class TestReferenceIntegrate:
         refs = []
         run = reference_integrate(
             _benign(grid64), 0.01, SolverConfig(dt=2e-3, sobolev_index_m=4),
-            generic_coeffs, observers=[_weak_state_observer(refs)],
+            generic_coeffs, _weak_state_observer(refs),
         )
         _assert_only_final_alive(run, refs, 6)
+
+    def test_observer_sees_one_read_only_row(self, grid64, generic_coeffs):
+        blocks = []
+
+        def observer(time, rows, members):
+            assert rows.shape == (1, 64) and members == (0,)
+            with pytest.raises(ValueError, match="read-only"):
+                rows[0, 0] = 0.0
+            blocks.append((time, rows[0].copy()))
+
+        run = reference_integrate(_benign(grid64), 0.01, SolverConfig(dt=3e-3),
+                                  generic_coeffs, observer)
+        assert len(blocks) == 5 and blocks[-1][0] == run.time
+        assert np.array_equal(blocks[-1][1], run.state.coeffs)
+
+    def test_observer_times_are_integrates(self, grid64, generic_coeffs):
+        # full steps, then a short last one, as integrate takes them
+        psi = _benign(grid64)
+        cfg = SolverConfig(dt=3e-3, sobolev_index_m=4)
+        times = []
+        reference_integrate(psi, 0.01, cfg, generic_coeffs,
+                            lambda time, rows, members: times.append(time))
+        (seen,), observer = _observed(1)
+        integrate(psi, 0.01, cfg, generic_coeffs, observer)
+        assert times == [t for t, _ in seen] == [k * 3e-3 for k in range(4)] + [0.01]
 
 
 class TestCrossIntegrator:
@@ -439,10 +462,10 @@ class TestCrossIntegrator:
         psi = plane_wave(grid64, 0.2, 1)
         duh = integrate(
             psi, 1.0, SolverConfig(dt=2e-4, sobolev_index_m=4), generic_coeffs
-        ).final.state
+        ).state
         rk4 = reference_integrate(
             psi, 1.0, SolverConfig(dt=1e-3, sobolev_index_m=4), generic_coeffs
-        ).final.state
+        ).state
         assert sobolev_distance(duh, rk4, 4) < 1e-7
 
     def test_discrepancy_shrinks_at_order_two(self, grid64):
@@ -453,10 +476,10 @@ class TestCrossIntegrator:
         for dt in (2e-3, 1e-3):
             duh = integrate(
                 psi, 0.05, SolverConfig(dt=dt, sobolev_index_m=4), coeffs
-            ).final.state
+            ).state
             rk4 = reference_integrate(
                 psi, 0.05, SolverConfig(dt=dt, sobolev_index_m=4), coeffs
-            ).final.state
+            ).state
             gaps.append(sobolev_distance(duh, rk4, 4))
         assert gaps[0] / gaps[1] >= 3.5
 
@@ -464,9 +487,9 @@ class TestCrossIntegrator:
         # eps > 0, no nonlinearity: mass strictly decreases off the DC mode
         psi = plane_wave(grid64, 0.5, 2)
         cfg = SolverConfig(dt=1e-3, epsilon=0.5, sobolev_index_m=4)
-        seen = []
-        integrate(psi, 0.02, cfg, CoefficientSet(nu=1.0), observers=[seen.append])
-        masses = [l2_norm(s.state) for s in seen]
+        (seen,), observer = _observed(1)
+        integrate(psi, 0.02, cfg, CoefficientSet(nu=1.0), observer)
+        masses = [l2_norm(SpectralField(grid64, c)) for _, c in seen]
         assert all(a > b for a, b in zip(masses, masses[1:]))
 
 
@@ -561,11 +584,11 @@ def _observed(count):
 def _assert_matches_serial(run, samples, psi0, cfg, coeffs):
     """Replay one member's observed ``samples`` with the field-level
     reference step, one step at a time, as a run of its own: every state
-    and every Picard count must be equal, and the record's final sample is
+    and every Picard count must be equal, and the record's final state is
     the last one observed."""
     assert samples[0][0] == 0.0 and np.array_equal(samples[0][1], psi0.coeffs)
-    assert samples[-1][0] == run.final.time
-    assert np.array_equal(samples[-1][1], run.final.state.coeffs)
+    assert samples[-1][0] == run.time
+    assert np.array_equal(samples[-1][1], run.state.coeffs)
     assert len(run.picard_iterations) == len(samples) - 1
     state = psi0
     for (prev_t, _), (t, coeffs_t), iters in zip(samples, samples[1:],
@@ -596,7 +619,7 @@ class TestIntegrateMany:
         runs = integrate_many(family, 1.25e-5, [cfg] * 4, coeffs, observer)
         assert len({tuple(r.picard_iterations) for r in runs}) > 1
         for run, samples, psi0 in zip(runs, seen, family):
-            assert run.final.time == 1.25e-5  # the last step is a partial one
+            assert run.time == 1.25e-5  # the last step is a partial one
             _assert_matches_serial(run, samples, psi0, cfg, coeffs)
 
     def test_epsilon_ladder_n64(self, grid64):
@@ -608,7 +631,7 @@ class TestIntegrateMany:
         runs = integrate_many([psi] * 4, 0.0102, cfgs, coeffs, observer)
         assert len({tuple(r.picard_iterations) for r in runs}) > 1
         for run, samples, cfg in zip(runs, seen, cfgs):
-            assert run.final.time == 0.0102
+            assert run.time == 0.0102
             _assert_matches_serial(run, samples, psi, cfg, coeffs)
 
     def test_single_member_is_integrate(self, grid64, generic_coeffs):
@@ -619,7 +642,7 @@ class TestIntegrateMany:
         _assert_matches_serial(run, samples, psi, cfg, generic_coeffs)
         alone = integrate(psi, 0.01, cfg, generic_coeffs)
         assert alone.picard_iterations == run.picard_iterations
-        assert np.array_equal(alone.final.state.coeffs, run.final.state.coeffs)
+        assert np.array_equal(alone.state.coeffs, run.state.coeffs)
 
     def test_blowup_member_halts_others_continue(self, grid64, monkeypatch):
         # a ceiling below the initial norm trips the undamped member at its
@@ -638,8 +661,8 @@ class TestIntegrateMany:
         assert alone.blowup_time == 2e-3
         for run, obs, psi0, cfg in zip(runs, seen, members, cfgs):
             _assert_matches_serial(run, obs, psi0, cfg, coeffs)
-        assert runs[0].blowup_time is None and runs[0].final.time == 0.01
-        assert runs[2].blowup_time is None and runs[2].final.time == 0.01
+        assert runs[0].blowup_time is None and runs[0].time == 0.01
+        assert runs[2].blowup_time is None and runs[2].time == 0.01
 
     def test_halted_member_compacts_its_factor_row(self, grid64, monkeypatch):
         # three distinct ε, so each member has its own W_ε(dt) row: once the
@@ -656,7 +679,7 @@ class TestIntegrateMany:
         assert [run.blowup_time for run in runs] == [None, 2e-3, None]
         for run, obs, psi0, cfg in zip(runs, seen, members, cfgs):
             _assert_matches_serial(run, obs, psi0, cfg, coeffs)
-        assert runs[0].final.time == runs[2].final.time == 0.011
+        assert runs[0].time == runs[2].time == 0.011
 
     def test_error_names_member_after_shrinking_to_one(self, grid64, monkeypatch):
         # member 0 halts at the first step; then the observer, seeing
@@ -752,7 +775,7 @@ class TestIntegrateMany:
         assert len(refs) == 6
         assert all(ref() is None for ref in refs)
         for run in runs:
-            assert run.final.time == 0.01 and run.final.state.coeffs.base is None
+            assert run.time == 0.01 and run.state.coeffs.base is None
 
     def test_writing_to_the_block_is_refused(self, grid64, generic_coeffs):
         def observer(time, rows, members):
@@ -779,4 +802,4 @@ class TestIntegrateMany:
         runs = integrate_many(members, 0.02, [SolverConfig(dt=2e-3)] * 3,
                               generic_coeffs)
         assert [len(run.picard_iterations) for run in runs] == [10] * 3
-        assert built == [run.final.state for run in runs]
+        assert built == [run.state for run in runs]

@@ -52,6 +52,7 @@ from torus4nls.sampling import (
 )
 from torus4nls.spectral import (
     GridSpec,
+    SpectralField,
     sobolev_distance,
     sobolev_norm,
     sobolev_norm_sq,
@@ -506,11 +507,23 @@ class TestRiccatiWorker:
         res = riccati_study(family, self.COEFFS, cfg, 2e-4, 10.0)
         coarse, fine, finest = (
             integrate(family[0], 2e-4, replace(cfg, dt=cfg.dt * f), self.COEFFS)
-            .final.state for f in (1.0, 0.5, 0.125)
+            .state for f in (1.0, 0.5, 0.125)
         )
         serial = float(np.log2(sobolev_distance(coarse, finest, m)
                                / sobolev_distance(fine, finest, m)))
         assert res.parameters["stepper_order"].hex() == serial.hex()
+
+
+def _kept_rows():
+    """An observer of one run that keeps a copy of every state it sees, in
+    its ``rows`` list."""
+    rows = []
+
+    def observer(time, block, members):
+        rows.append(block[0].copy())
+
+    observer.rows = rows
+    return observer
 
 
 class TestContinuityStudy:
@@ -521,27 +534,24 @@ class TestContinuityStudy:
         data = decay_field(grid, 5.0, amp=0.2)
         coeffs = integrable_coefficients(1.0)
         cfg = SolverConfig(dt=1e-3, sobolev_index_m=4)
-        a, b = [], []
-        integrate(data, 0.02, cfg, coeffs, observers=[a.append])
-        integrate(data, 0.02, cfg, coeffs, observers=[b.append])
-        assert len(a) == len(b) == 21
-        for sa, sb in zip(a, b):
-            assert np.array_equal(sa.state.coeffs, sb.state.coeffs)
+        a, b = _kept_rows(), _kept_rows()
+        integrate(data, 0.02, cfg, coeffs, a)
+        integrate(data, 0.02, cfg, coeffs, b)
+        assert len(a.rows) == len(b.rows) == 21
+        for ca, cb in zip(a.rows, b.rows):
+            assert np.array_equal(ca, cb)
 
     def test_gauge_rotation_commutes_with_flow(self, generic_coeffs):
         grid = GridSpec(32)
         data = decay_field(grid, 5.0, amp=0.2)
         cfg = SolverConfig(dt=1e-3, sobolev_index_m=4)
         theta = 1.234
-        a, b = [], []
-        integrate(np.exp(1j * theta) * data, 0.02, cfg, generic_coeffs,
-                  observers=[a.append])
-        integrate(data, 0.02, cfg, generic_coeffs, observers=[b.append])
-        assert len(a) == len(b) == 21
-        for sa, sb in zip(a, b):
-            assert np.allclose(
-                sa.state.coeffs, np.exp(1j * theta) * sb.state.coeffs, atol=1e-13
-            )
+        a, b = _kept_rows(), _kept_rows()
+        integrate(np.exp(1j * theta) * data, 0.02, cfg, generic_coeffs, a)
+        integrate(data, 0.02, cfg, generic_coeffs, b)
+        assert len(a.rows) == len(b.rows) == 21
+        for ca, cb in zip(a.rows, b.rows):
+            assert np.allclose(ca, np.exp(1j * theta) * cb, atol=1e-13)
 
     def test_linear_scaling_verdict(self):
         grid = GridSpec(64)
@@ -585,17 +595,18 @@ def _continuity_reference(phi, delta_ladder, coeffs, t_end, cfg, rng_seed):
         psi0 = phi if delta is None else phi + random_field(
             phi.grid, rng_for(rng_seed, i - 1), decay=float(m), hm_norm=delta, m=m)
         kept = []
-        integrate(psi0, t_end, cfg, coeffs, observers=[kept.append])
+        integrate(psi0, t_end, cfg, coeffs, lambda time, rows, members:
+                  kept.append(SpectralField(psi0.grid, rows[0])))
         runs.append(kept)
     base, *others = runs
-    diffs = [[b.state - o.state for b, o in zip(base, other)] for other in others]
+    diffs = [[b - o for b, o in zip(base, other)] for other in others]
     c_tilde_req = 1.0
     for run in diffs:
         for d, ref in zip(run, base):
             l2_sq = sobolev_norm_sq(d, 0)
             if l2_sq <= 0.0:
                 continue
-            base_energy = difference_energy(d, ref.state, 1, coeffs, 0.0)
+            base_energy = difference_energy(d, ref, 1, coeffs, 0.0)
             need = (0.5 * sobolev_norm_sq(d, 1) - base_energy) / l2_sq
             c_tilde_req = max(c_tilde_req, need)
     c_tilde = 2.0 * c_tilde_req
@@ -603,7 +614,7 @@ def _continuity_reference(phi, delta_ladder, coeffs, t_end, cfg, rng_seed):
     quotients = []
     for run in diffs:
         sup_h1.append(max(sobolev_norm(d, 1) for d in run[1:]))
-        e1 = [difference_energy(d, ref.state, 1, coeffs, c_tilde)
+        e1 = [difference_energy(d, ref, 1, coeffs, c_tilde)
               for d, ref in zip(run, base)]
         quotients.append(max(e / e1[0] for e in e1))
     return c_tilde, sup_h1, quotients, [len(run) for run in runs]
@@ -619,8 +630,13 @@ def _riccati_reference(family, coeffs, cfg, t_end, c_m):
     for psi0 in family:
         rec = EnergyRecorder(m, coeffs)
         energies = []
-        integrate(psi0, t_end, cfg, coeffs, observers=[
-            rec, lambda s: energies.append(modified_energy(s.state, m, coeffs, c_m))])
+
+        def observe(time, rows, members):
+            rec(time, rows, members)
+            psi = SpectralField(psi0.grid, rows[0])
+            energies.append(modified_energy(psi, m, coeffs, c_m))
+
+        integrate(psi0, t_end, cfg, coeffs, observe)
         cols = rec.columns
         raw = np.asarray(cols["deriv_m_norm_sq"]) + np.asarray(cols["l2_norm_sq"])
         q_mod.append(experiments._max_quotient(cols["time"], energies))

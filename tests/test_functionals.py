@@ -5,7 +5,7 @@ import pytest
 
 from conftest import oracle_integral, oracle_samples
 
-from torus4nls.dynamics import CoefficientSet, SolverConfig, TrajectorySample, integrate
+from torus4nls.dynamics import CoefficientSet, SolverConfig, integrate
 from torus4nls.exact import integrable_coefficients, plane_wave
 from torus4nls.functionals import (
     CmCertificate,
@@ -235,7 +235,7 @@ class TestEnergyRecorder:
         data = certificate_sample(grid, rng_for(41), 1.0)
         rec = EnergyRecorder(4, coeffs)
         cfg = SolverConfig(dt=1e-3, sobolev_index_m=4)
-        integrate(data, 0.02, cfg, coeffs, observers=[rec])
+        integrate(data, 0.02, cfg, coeffs, rec)
         cols = rec.columns
         assert list(cols) == ["time", "h_m_norm_sq", "deriv_m_norm_sq",
                               "l2_norm_sq", "modified_energy", "i0", "i1", "i2"]
@@ -248,9 +248,9 @@ class TestEnergyRecorder:
         # modified_energy rejects m = 0 after the time and the norms of the
         # row are known; none of them may be kept
         rec = EnergyRecorder(0, integrable_coefficients(1.0))
-        sample = TrajectorySample(0.0, plane_wave(GridSpec(32), 0.3, 1))
+        psi = plane_wave(GridSpec(32), 0.3, 1)
         with pytest.raises(ValueError, match="m must be >= 1"):
-            rec(sample)
+            rec(0.0, psi.coeffs[None], (0,))
         assert {len(v) for v in rec.columns.values()} == {0}
 
 

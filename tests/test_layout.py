@@ -184,10 +184,24 @@ def test_one_fork_for_one_study():
 
 def test_ensembles_hand_one_observer_the_block():
     """``integrate_many`` calls one observer with each step's (B, N) block:
-    it takes no per-member observer lists. ``EnergyRecorder``, the
-    per-sample observer of single runs, takes nothing but (m, coeffs): its
-    c_m and its switch for the invariants had no caller that set them."""
+    it takes no per-member observer lists. ``EnergyRecorder``, an observer
+    of one run, takes nothing but (m, coeffs): its c_m and its switch for
+    the invariants had no caller that set them."""
     params = list(inspect.signature(dynamics.integrate_many).parameters)
     assert params == ["psi0s", "t_end", "cfgs", "coeffs", "observer"]
     params = list(inspect.signature(functionals.EnergyRecorder).parameters)
     assert params == ["m", "coeffs"]
+
+
+def test_every_stepper_takes_one_observer():
+    """The three steppers share one observer contract, ``observer(time,
+    rows, members)``: each takes exactly one ``observer`` and no list of
+    them, no per-sample record type is left for an observer to receive,
+    and ``EnergyRecorder`` is called as such an observer."""
+    for name in ("integrate_many", "integrate", "reference_integrate"):
+        params = inspect.signature(getattr(dynamics, name)).parameters
+        assert [p for p in params if p.startswith("observer")] == ["observer"], name
+        assert params["observer"].default is None, name
+    assert not hasattr(dynamics, "TrajectorySample")
+    params = list(inspect.signature(functionals.EnergyRecorder.__call__).parameters)
+    assert params == ["self", "time", "rows", "members"]

@@ -61,7 +61,7 @@ from .experiments import (
 )
 from .functionals import CM_RESOLUTIONS, EnergyRecorder, certify_cm
 from .sampling import decay_field, mode_pair_field, random_field, rng_for
-from .spectral import GridSpec, SpectralField, zero_field
+from .spectral import GridSpec, SpectralField
 
 CONFIG_HELP = """\
 config file: flat `key = value` lines, `#` starts a comment; keys are the
@@ -84,8 +84,11 @@ ladders (eps/deltas): comma-separated floats; `2^-3` exponent form allowed.
 def _parse_number(tok):
     tok = tok.strip()
     if "^" in tok:
-        base, exp = tok.split("^", 1)
-        return float(base) ** float(exp)
+        base, exp = (float(part) for part in tok.split("^", 1))
+        try:
+            return math.pow(base, exp)
+        except ValueError:  # 0^-1, or -2^0.5: no real number
+            raise ValueError(f"{tok} is not a real number") from None
     return float(tok)
 
 
@@ -211,10 +214,8 @@ def parse_data_spec(spec, grid):
     kind = kind.strip()
     chunks = [c for c in rest.split(":") if c]
     if kind == "modes":
-        f = zero_field(grid)
-        coeffs = np.array(f.coeffs)
+        coeffs = np.zeros(grid.num_modes, np.complex128)
         seen = set()
-        half = grid.num_modes // 2
         for entry in rest.split(","):
             kv = _parse_kv(entry.split(":"), "modes",
                            {"n": int, "amp": float, "phase": float})
@@ -222,18 +223,22 @@ def parse_data_spec(spec, grid):
             if n in seen:
                 raise ValueError(f"modes spec: mode {n} given twice")
             seen.add(n)
-            if not -half <= n < half:
-                raise ValueError(f"modes spec: n={n} outside the resolved band "
-                                 f"[{-half}, {half})")
+            grid.check_mode(n, "modes spec: n")
             phase = kv.get("phase", 0.0)
             coeffs[n % grid.num_modes] = kv.get("amp", 1.0) * np.exp(1j * phase)
         return SpectralField(grid, coeffs)
     if kind == "standing":
         kv = _parse_kv(chunks, "standing", {"kappa": float, "tau": int})
+        grid.check_mode(kv.get("tau", 1), "standing spec: tau")
         return plane_wave(grid, kv.get("kappa", 0.3), kv.get("tau", 1))
     if kind == "decay":
         kv = _parse_kv(chunks, "decay", {"s": float, "amp": float})
-        return decay_field(grid, _required(kv, "decay", "s"), amp=kv.get("amp", 1.0))
+        s = _required(kv, "decay", "s")
+        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+            f = decay_field(grid, s, amp=kv.get("amp", 1.0))
+        if not np.isfinite(f.coeffs).all():
+            raise ValueError(f"decay spec: s={s} overflows the data's envelope")
+        return f
     if kind == "random":
         kv = _parse_kv(chunks, "random", {"seed": int, "decay": float, "l2": float,
                                           "hm": float, "m": int, "maxmode": int})
@@ -249,15 +254,17 @@ def parse_data_spec(spec, grid):
         for key in ("l2", "hm"):
             if kv.get(key, 1.0) <= 0.0:
                 raise ValueError(f"random spec: {key} must be > 0, got {kv[key]}")
-        kwargs = {"decay": kv.get("decay", 2.0)}
-        if "l2" in kv:
-            kwargs["l2_mass"] = kv["l2"]
-        if "hm" in kv:
-            kwargs["hm_norm"] = kv["hm"]
-            kwargs["m"] = kv.get("m", 4)
-        if "maxmode" in kv:
-            kwargs["max_mode"] = kv["maxmode"]
-        return random_field(grid, rng_for(kv.get("seed", 0)), **kwargs)
+        decay = kv.get("decay", 2.0)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+            f = random_field(grid, rng_for(kv.get("seed", 0)), decay=decay,
+                             l2_mass=kv.get("l2"), hm_norm=kv.get("hm"),
+                             m=kv.get("m", 4) if "hm" in kv else None,
+                             max_mode=kv.get("maxmode"))
+        # mode 0 keeps its nonzero draw, so only an overflow can empty the data
+        if not (np.isfinite(f.coeffs).all() and f.coeffs.any()):
+            raise ValueError(f"random spec: decay={decay} overflows the data's "
+                             f"envelope or its norm")
+        return f
     raise ValueError(f"unknown data spec kind {kind!r}")
 
 
@@ -290,10 +297,18 @@ def read_config(path, args):
 
 def resolve_outdir(args):
     """``TORUS4NLS_OUTDIR`` if set and not empty, else ``--outdir``, else
-    ./runs. An empty ``--outdir`` (or config ``outdir``) is a ValueError."""
+    ./runs. An empty ``--outdir`` (or config ``outdir``) is a ValueError,
+    and so is a directory that names an existing file or lies under one:
+    no run could write its files there."""
     if args.outdir == "":
         raise ValueError("--outdir must not be empty")
-    return Path(os.environ.get("TORUS4NLS_OUTDIR") or args.outdir or "runs")
+    env = os.environ.get("TORUS4NLS_OUTDIR")
+    outdir = Path(env or args.outdir or "runs")
+    nearest = next((p for p in (outdir, *outdir.parents) if p.exists()), Path("/"))
+    if not nearest.is_dir():
+        raise ValueError(f"{'TORUS4NLS_OUTDIR' if env else '--outdir'} "
+                         f"{str(outdir)!r}: {str(nearest)!r} is not a directory")
+    return outdir
 
 
 def _parse_bool(text):
@@ -437,6 +452,7 @@ def cmd_sweep_inequalities(args):
 def cmd_standing_wave(args):
     coeffs = build_coeffs(args)
     grid = GridSpec(args.num_modes)
+    grid.check_mode(args.tau, "--tau")
     psi0 = plane_wave(grid, args.kappa, args.tau)
     try:
         omega = standing_wave_frequency(args.kappa, args.tau, coeffs)

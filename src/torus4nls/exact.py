@@ -4,7 +4,7 @@ and the completely integrable coefficient choice."""
 import numpy as np
 
 from .dynamics import CoefficientSet, eval_nonlinearity, semigroup_apply
-from .spectral import SpectralField, l2_norm, zero_field
+from .spectral import SpectralField, l2_norm
 
 RESIDUAL_TOL = 1e-9  # relative to max(‖ψ₀‖_L², 1)
 
@@ -41,15 +41,12 @@ def standing_wave_frequency(kappa, tau, coeffs):
 
 def plane_wave(grid, kappa, tau):
     """κ e^{iτx} as a spectral field (single coefficient κ√(2π) at mode τ)."""
-    half = grid.num_modes // 2
     if not np.isfinite(kappa):
         raise ValueError(f"kappa must be finite, got {kappa}")
     if not isinstance(tau, (int, np.integer)):
         raise ValueError("tau must be an integer for periodicity")
-    if not -half <= tau < half:
-        raise ValueError(f"mode {tau} outside resolved band of N={grid.num_modes}")
-    f = zero_field(grid)
-    c = np.array(f.coeffs)
+    grid.check_mode(tau, "tau")
+    c = np.zeros(grid.num_modes, np.complex128)
     c[tau % grid.num_modes] = kappa * np.sqrt(2.0 * np.pi)
     return SpectralField(grid, c)
 

@@ -3,9 +3,10 @@
 Every study returns a StudyResult: named parameter map, named columnar
 tables, declared thresholds, and a pass/fail/inconclusive verdict judged
 against those thresholds only. Studies are deterministic functions of
-(seed, config). This module also owns the output format of every run:
-``table_rows`` is the one CSV writer (header row, `time` or `param` first
-column, LF endings), fed one row at a time; ``write_table`` feeds it a
+(seed, config). This module also writes every output file of a run, each
+through ``_output_file`` (``.part``, then rename; a failed write leaves
+nothing): ``table_rows`` writes a CSV table (header row, `time` or `param`
+first column, LF endings) one row at a time, ``write_table`` feeds it a
 table's columns, ``write_manifest`` writes a JSON manifest, and
 ``write_study`` a study's tables and manifest.
 
@@ -132,18 +133,29 @@ class StudyResult:
     verdict: str = "inconclusive"
 
 
-def _fmt(value):
-    if isinstance(value, (bool, int, str)) or value is None:
-        return value
-    if isinstance(value, float):
-        return value
-    if isinstance(value, (list, tuple)):
-        return [_fmt(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _fmt(v) for k, v in value.items()}
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    return str(value)
+@contextmanager
+def _output_file(outdir, fname):
+    """The one way a run writes a file: yields ``<fname>.part`` in
+    ``outdir``, open as ASCII text with LF endings, which becomes ``fname``
+    when the block ends. Missing directories are made first. If the block
+    raises, the partial file is removed, and so is every directory this
+    call made for it; a file left by an earlier run stays as it was.
+    """
+    outdir = Path(outdir)
+    made = list(takewhile(lambda d: not d.exists(), (outdir, *outdir.parents)))
+    part = outdir / (fname + ".part")
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        with open(part, "w", encoding="ascii", newline="\n") as out:
+            yield out
+        part.replace(outdir / fname)
+    except BaseException:
+        with suppress(OSError):
+            part.unlink()
+        for d in made:  # deepest first
+            with suppress(OSError):
+                d.rmdir()
+        raise
 
 
 @contextmanager
@@ -151,36 +163,22 @@ def table_rows(outdir, fname, names):
     """Write one CSV table as it goes: writes the header ``names``, whose
     first name is ``time`` or ``param``, and yields ``write_row(values)``.
 
-    Cells are the shortest round-trip repr of each value as a float, and
-    rows end in LF; a row of another length is a ValueError. Rows go to
-    ``<fname>.part``, which becomes ``fname`` when the block ends. If the
-    block raises, the partial file is removed, and so is every directory
-    this call made for it; a file left by an earlier run stays as it was.
+    Cells are the shortest round-trip repr of each value as a float; a row
+    of another length is a ValueError. The file comes from ``_output_file``.
     """
     names = list(names)
     if names and names[0] not in ("time", "param"):
         raise ValueError(f"{fname}: first column must be time or param")
-    outdir = Path(outdir)
-    made = list(takewhile(lambda d: not d.exists(), (outdir, *outdir.parents)))
-    part = _output_path(outdir, fname + ".part")
-    try:
-        with open(part, "w", encoding="ascii", newline="\n") as out:
-            out.write(",".join(names) + "\n")
+    with _output_file(outdir, fname) as out:
+        out.write(",".join(names) + "\n")
 
-            def write_row(values):
-                if len(values) != len(names):
-                    raise ValueError(f"{fname}: row of {len(values)} cells "
-                                     f"under {len(names)} columns")
-                out.write(",".join(repr(float(v)) for v in values) + "\n")
+        def write_row(values):
+            if len(values) != len(names):
+                raise ValueError(f"{fname}: row of {len(values)} cells "
+                                 f"under {len(names)} columns")
+            out.write(",".join(repr(float(v)) for v in values) + "\n")
 
-            yield write_row
-        part.replace(outdir / fname)
-    except BaseException:
-        part.unlink(missing_ok=True)
-        for d in made:  # deepest first
-            with suppress(OSError):
-                d.rmdir()
-        raise
+        yield write_row
 
 
 def write_table(outdir, fname, columns):
@@ -195,23 +193,16 @@ def write_table(outdir, fname, columns):
 
 
 def write_manifest(outdir, name, fields):
-    """Write ``<name>__manifest.json``: the fields (made JSON-ready by
-    ``_fmt``) plus ``name`` and ``code_version``, keys sorted; returns the
-    path."""
-    manifest = _fmt(fields)
-    manifest["name"] = name
-    manifest["code_version"] = __version__
-    path = _output_path(outdir, f"{name}__manifest.json")
-    path.write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="ascii"
-    )
-    return path
-
-
-def _output_path(outdir, fname):
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    return outdir / fname
+    """Write ``<name>__manifest.json`` through ``_output_file``: the fields
+    plus ``name`` and ``code_version``, keys sorted; a numpy scalar is
+    written as its Python value, any value JSON has no form for as its
+    ``str``. Returns the path."""
+    manifest = {**fields, "name": name, "code_version": __version__}
+    fname = f"{name}__manifest.json"
+    with _output_file(outdir, fname) as out:
+        out.write(json.dumps(manifest, sort_keys=True, indent=2, default=lambda v: (
+            v.item() if isinstance(v, (np.floating, np.integer)) else str(v))) + "\n")
+    return Path(outdir) / fname
 
 
 def write_study(result, outdir):

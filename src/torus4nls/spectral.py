@@ -62,6 +62,12 @@ class GridSpec:
         if n < 4 or n % 2 != 0:
             raise ValueError(f"num_modes must be even and >= 4, got {n}")
 
+    def check_mode(self, n, name="mode"):
+        """A ValueError naming ``name`` unless signed mode ``n`` is resolved."""
+        half = self.num_modes // 2
+        if not -half <= n < half:
+            raise ValueError(f"{name}={n} outside the resolved band [{-half}, {half})")
+
     @cached_property
     def nodes(self):
         """Physical nodes x_j = 2πj/N."""
@@ -112,9 +118,7 @@ class SpectralField:
 
     def coeff(self, n):
         """Coefficient at signed mode n."""
-        half = self.grid.num_modes // 2
-        if not -half <= n < half:
-            raise ValueError(f"mode {n} outside resolved band [{-half}, {half})")
+        self.grid.check_mode(n)
         return complex(self.coeffs[n % self.grid.num_modes])
 
     def __add__(self, other):

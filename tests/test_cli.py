@@ -124,6 +124,14 @@ class TestDataSpecs:
         "modes:n=1:amp=0.5:decay=2": "modes spec: unknown or repeated key 'decay'",
         # the later entry would win
         "modes:n=1:amp=0.5,n=1:amp=0.2": "modes spec: mode 1 given twice",
+        "standing:tau=16": "standing spec: tau=16 outside the resolved band [-16, 16)",
+        # an envelope that overflows: with no leaked RuntimeWarning either
+        "decay:s=-1000": "decay spec: s=-1000.0 overflows",
+        "decay:s=-1000:amp=0": "decay spec: s=-1000.0 overflows",
+        "random:seed=1:decay=-1000": "random spec: decay=-1000.0 overflows",
+        "random:seed=1:decay=-1000:hm=0.4:m=4": "random spec: decay=-1000.0 overflows",
+        # finite coefficients whose H^4 norm overflows would rescale to zero
+        "random:seed=1:decay=-130:hm=0.4:m=4": "random spec: decay=-130.0 overflows",
     }
 
     @pytest.mark.parametrize("bad", list(MALFORMED))
@@ -630,6 +638,78 @@ class TestUsageErrors:
         assert name in err
         assert "omega" not in out_text  # refused before printing a result
         assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command,flag,value", [
+        ("eps-converge", "--eps-ladder", "0^-1,2^-3"),
+        ("eps-converge", "--eps-ladder", "-2^0.5,2^-3"),
+        ("continuity", "--deltas", "-4^0.5,1e-3"),
+    ], ids=["zero-to-negative", "negative-to-fraction", "deltas"])
+    def test_ladder_entry_with_no_real_value_is_2(self, tmp_path, monkeypatch,
+                                                  capsys, command, flag, value,
+                                                  source):
+        # 0^-1 would divide by zero, and -2^0.5 would be a complex number
+        self._forbid_runs(monkeypatch)
+        out, entry = tmp_path / "out", value.split(",")[0]
+        argv = [command, "--nu", "1", "--integrable", f"{flag}={value}"]
+        if source == "config":
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{flag[2:].replace('-', '_')} = {value}\n")
+            argv[-1:] = ["--config", str(cfg)]
+        assert exit_code(out, monkeypatch, argv) == 2
+        out_text, err = capsys.readouterr()
+        assert f"argument {flag}: {entry} is not a real number" in err
+        assert out_text == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["standing-wave", "--tau", "40"],
+         "--tau=40 outside the resolved band [-32, 32)"),
+        (["simulate", "--data", "standing:tau=40"],
+         "standing spec: tau=40 outside the resolved band [-32, 32)"),
+        (["simulate", "--data", "decay:s=-1000"], "decay spec: s=-1000.0"),
+        (["conserve", "--data", "random:seed=1:decay=-1000:hm=0.4:m=4"],
+         "random spec: decay=-1000.0"),
+    ], ids=["tau-flag", "tau-spec", "decay-envelope", "random-envelope"])
+    def test_unresolved_data_names_its_flag_or_key(self, tmp_path, monkeypatch,
+                                                   capsys, argv, message):
+        # a RuntimeWarning leaked on the way would fail here as an error
+        self._forbid_runs(monkeypatch)
+        monkeypatch.setattr(cli, "integrate", lambda *a, **k: pytest.fail("ran"))
+        out = tmp_path / "out"
+        assert run_in(out, monkeypatch, argv) == 2
+        out_text, err = capsys.readouterr()
+        assert f"usage error: {message}" in err
+        assert out_text == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    @pytest.mark.parametrize("source", ["flag", "config", "env"])
+    @pytest.mark.parametrize("command", ["standing-wave", "riccati"])
+    def test_outdir_that_cannot_be_a_directory_is_2(self, tmp_path, monkeypatch,
+                                                    capsys, command, source, under):
+        # refused before the study runs, not as a traceback after it
+        self._forbid_runs(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("TORUS4NLS_OUTDIR", raising=False)
+        (tmp_path / "taken").write_text("a file\n")
+        outdir = "taken/run/x" if under else "taken"
+        argv = [command, "--nu", "1", "--integrable"]
+        if source == "flag":
+            argv += ["--outdir", outdir]
+        elif source == "config":
+            (tmp_path / "run.cfg").write_text(f"outdir = {outdir}\n")
+            argv += ["--config", "run.cfg"]
+        else:
+            monkeypatch.setenv("TORUS4NLS_OUTDIR", outdir)
+        assert run_command(argv) == 2
+        out_text, err = capsys.readouterr()
+        name = "TORUS4NLS_OUTDIR" if source == "env" else "--outdir"
+        assert f"usage error: {name} '{outdir}': 'taken' is not a directory" in err
+        assert out_text == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["taken"] + (["run.cfg"] if source == "config" else []))
+        assert (tmp_path / "taken").read_text() == "a file\n"
 
     def test_riccati_linear_flow_is_2(self, tmp_path, monkeypatch, capsys):
         # every lambda 0 at the defaults: each growth quotient would be 0

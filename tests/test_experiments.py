@@ -7,11 +7,12 @@ import subprocess
 import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from torus4nls import dynamics
+from torus4nls import __version__, dynamics
 from torus4nls.dynamics import (
     CoefficientSet,
     NonConvergence,
@@ -134,6 +135,39 @@ class TestWriteStudy:
         assert manifest["value"] == 0.25
         assert manifest["name"] == "demo"
         assert manifest["code_version"]
+
+    def test_manifest_bytes(self, tmp_path):
+        # the bytes the recursive converter gave before json's default= took
+        # over: numpy scalars as Python values, anything else as its str
+        path = write_manifest(tmp_path, "demo", {
+            "pair": (1, np.float32(0.1)), "where": Path("x/y"), "none": None,
+            "sizes": {"n": np.int64(3), "tiny": np.float64(1e-300)}, "flag": True,
+        })
+        assert path.read_bytes() == (
+            '{\n  "code_version": "%s",\n  "flag": true,\n  "name": "demo",\n'
+            '  "none": null,\n  "pair": [\n    1,\n    0.10000000149011612\n  ],\n'
+            '  "sizes": {\n    "n": 3,\n    "tiny": 1e-300\n  },\n  "where": "x/y"\n}\n'
+            % __version__).encode("ascii")
+
+    def test_failed_manifest_removes_made_dirs(self, tmp_path):
+        # sort_keys cannot order 1 and "y": the write fails part way
+        out = tmp_path / "a" / "b"
+        with pytest.raises(TypeError):
+            write_manifest(out, "demo", {"labels": {1: "x", "y": 2}})
+        assert not (tmp_path / "a").exists()
+
+    def test_failed_rewrite_keeps_earlier_manifest(self, tmp_path):
+        path = write_manifest(tmp_path, "demo", {"alpha": 1.5})
+        earlier = path.read_bytes()
+        with pytest.raises(TypeError):
+            write_manifest(tmp_path, "demo", {"labels": {1: "x", "y": 2}})
+        assert [p.name for p in tmp_path.iterdir()] == ["demo__manifest.json"]
+        assert path.read_bytes() == earlier
+
+    def test_manifest_leaves_fields_as_given(self, tmp_path):
+        fields = {"alpha": 1.5}
+        write_manifest(tmp_path, "demo", fields)
+        assert fields == {"alpha": 1.5}
 
 
 class TestTableRows:

@@ -158,13 +158,15 @@ def test_picard_step_has_one_call_site():
 
 def _call_sites(names):
     """(module, enclosing function) of every call in ``src/`` whose callee is
-    spelled as one of ``names``."""
+    spelled as one of ``names``, or, if ``names`` is a function, of every
+    call node for which it is true."""
+    matches = names if callable(names) else lambda call: _dotted(call.func) in names
     sites = []
 
     def visit(node, module, func):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             func = node.name
-        if isinstance(node, ast.Call) and _dotted(node.func) in names:
+        if isinstance(node, ast.Call) and matches(node):
             sites.append((module, func))
         for child in ast.iter_child_nodes(node):
             visit(child, module, func)
@@ -205,3 +207,34 @@ def test_every_stepper_takes_one_observer():
     assert not hasattr(dynamics, "TrajectorySample")
     params = list(inspect.signature(functionals.EnergyRecorder.__call__).parameters)
     assert params == ["self", "time", "rows", "members"]
+
+
+def _writes_a_file(call):
+    """Whether a call makes a directory or opens a file for writing: a
+    ``mkdir``, ``makedirs``, ``write_text``, ``write_bytes`` or ``touch``,
+    or an ``open`` whose mode writes, appends, creates or updates (a mode
+    that is not a literal counts as one that does)."""
+    callee = _dotted(call.func)  # None for a method of a call's result
+    name = getattr(call.func, "attr", getattr(call.func, "id", None))
+    if name in {"mkdir", "makedirs", "write_text", "write_bytes", "touch"}:
+        return True
+    if name not in {"open", "fdopen"}:
+        return False
+    file_first = callee in {"open", "io.open", "os.fdopen"}  # else Path.open
+    modes = [kw.value for kw in call.keywords if kw.arg == "mode"]
+    modes += call.args[1:2] if file_first else call.args[:1]
+    if not modes:
+        return False  # "r"
+    mode = modes[0]
+    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and not set(mode.value) & set("wax+"))
+
+
+def test_one_writer_for_every_output_file():
+    """``experiments._output_file`` is the one function of the package that
+    makes a directory or opens a file to write: every CSV table and JSON
+    manifest goes through its ``.part``-and-rename path. The one other
+    write is ``in_worker``'s end of its result pipe, which is no file."""
+    assert sorted(_call_sites(_writes_a_file)) == [
+        ("experiments", "_output_file"), ("experiments", "_output_file"),
+        ("experiments", "in_worker")]

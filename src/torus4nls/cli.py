@@ -77,6 +77,7 @@ data specs:
   decay:s=4.6:amp=1.0                         spectrum amp*<n>^-s
   random:seed=7:decay=2.0:l2=0.5              seeded random field
   random:seed=7:decay=2.0:hm=0.4:m=4          ...rescaled in H^m instead
+  random:seed=7:hm=0.4:m=4:maxmode=4          ...with modes |n| > maxmode zeroed
 ladders (eps/deltas): comma-separated floats; `2^-3` exponent form allowed.
 """
 
@@ -229,8 +230,10 @@ def parse_data_spec(spec, grid):
         return SpectralField(grid, coeffs)
     if kind == "standing":
         kv = _parse_kv(chunks, "standing", {"kappa": float, "tau": int})
-        grid.check_mode(kv.get("tau", 1), "standing spec: tau")
-        return plane_wave(grid, kv.get("kappa", 0.3), kv.get("tau", 1))
+        try:  # a kappa or tau error, named by its key
+            return plane_wave(grid, kv.get("kappa", 0.3), kv.get("tau", 1))
+        except ValueError as exc:
+            raise ValueError(f"standing spec: {exc}") from None
     if kind == "decay":
         kv = _parse_kv(chunks, "decay", {"s": float, "amp": float})
         s = _required(kv, "decay", "s")

@@ -16,13 +16,11 @@ runs still going and their member indices; a single run is the block
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 
 import numpy as np
 
 from . import kernels
 from .spectral import (
-    GridSpec,
     SpectralField,
     band_coeffs,
     padded_samples,
@@ -153,18 +151,11 @@ def eval_nonlinearity(psi, coeffs):
     )
 
 
-@lru_cache(maxsize=256)
-def _semigroup_factors_cached(num_modes, t, eps, nu):
-    factors = kernels.semigroup_factors(GridSpec(num_modes).modes, t, eps, nu)
-    factors.setflags(write=False)
-    return factors
-
-
 def semigroup_apply(psi, t, eps, nu):
     """Apply W_ε(t); rejects backward heat flow (t < 0 with ε > 0)."""
     if eps > 0.0 and t < 0.0:
         raise ValueError("t must be nonnegative when eps > 0")
-    factors = _semigroup_factors_cached(psi.grid.num_modes, float(t), float(eps), float(nu))
+    factors = kernels.semigroup_factors(psi.grid.modes, float(t), float(eps), float(nu))
     return SpectralField(psi.grid, kernels.apply_multiplier(psi.coeffs, factors))
 
 
@@ -181,15 +172,6 @@ def smoothing_multiplier_sup(eps, s, grid):
     # four times the cost; equal while n⁴ is exact (|n| < 2^13)
     n2 = grid.modes**2
     return float(np.max((1.0 + n2) * np.exp(-eps * (n2 * n2) * s)))
-
-
-def _member_factors(num_modes, dt, epsilons, nu):
-    """W_ε(dt) multipliers for batch rows with the given ε: the cached rows
-    stacked one per member."""
-    dt, nu = float(dt), float(nu)
-    return np.stack(
-        [_semigroup_factors_cached(num_modes, dt, float(e), nu) for e in epsilons]
-    )
 
 
 def _at(time, member, named):
@@ -344,9 +326,11 @@ def integrate_many(psi0s, t_end, cfgs, coeffs, observer=None):
         dt = cfg.dt if abs((t - prev_t) - cfg.dt) < 1e-15 else t - prev_t
         if dt != factors_dt:
             factors_dt = dt
-            factors = _member_factors(
-                grid.num_modes, dt, [cfgs[i].epsilon for i in active], coeffs.nu
-            )
+            factors = np.stack([
+                kernels.semigroup_factors(grid.modes, float(dt),
+                                          float(cfgs[i].epsilon), float(coeffs.nu))
+                for i in active
+            ])
         state, iterations = _picard_step(state, factors, dt, coeffs, m, prev_t,
                                          active, count > 1)
         observe(t)

@@ -1,10 +1,12 @@
 """Closed-form references: plane-wave standing solutions, pure linear flow,
 and the completely integrable coefficient choice."""
 
+import math
+
 import numpy as np
 
 from .dynamics import CoefficientSet, eval_nonlinearity, semigroup_apply
-from .spectral import SpectralField, l2_norm
+from .spectral import SQRT_2PI, SpectralField, l2_norm
 
 RESIDUAL_TOL = 1e-9  # relative to max(‖ψ₀‖_L², 1)
 
@@ -41,13 +43,16 @@ def standing_wave_frequency(kappa, tau, coeffs):
 
 def plane_wave(grid, kappa, tau):
     """κ e^{iτx} as a spectral field (single coefficient κ√(2π) at mode τ)."""
-    if not np.isfinite(kappa):
-        raise ValueError(f"kappa must be finite, got {kappa}")
+    # in Python floats, a κ above about 7e307 overflows to inf without a warning
+    coeff = float(kappa) * SQRT_2PI
+    if not math.isfinite(coeff):
+        raise ValueError(f"kappa must be finite with a finite kappa*sqrt(2*pi), "
+                         f"got {kappa}")
     if not isinstance(tau, (int, np.integer)):
         raise ValueError("tau must be an integer for periodicity")
     grid.check_mode(tau, "tau")
     c = np.zeros(grid.num_modes, np.complex128)
-    c[tau % grid.num_modes] = kappa * np.sqrt(2.0 * np.pi)
+    c[tau % grid.num_modes] = coeff
     return SpectralField(grid, c)
 
 

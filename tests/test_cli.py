@@ -125,6 +125,8 @@ class TestDataSpecs:
         # the later entry would win
         "modes:n=1:amp=0.5,n=1:amp=0.2": "modes spec: mode 1 given twice",
         "standing:tau=16": "standing spec: tau=16 outside the resolved band [-16, 16)",
+        # κ√(2π) overflows: with no leaked RuntimeWarning either
+        "standing:kappa=1e308": "standing spec: kappa must be",
         # an envelope that overflows: with no leaked RuntimeWarning either
         "decay:s=-1000": "decay spec: s=-1000.0 overflows",
         "decay:s=-1000:amp=0": "decay spec: s=-1000.0 overflows",
@@ -370,6 +372,14 @@ class TestParser:
             run_command(([command] if command else []) + ["--help"])
         assert err.value.code == 0
         assert capsys.readouterr().out.startswith("usage: torus4nls")
+
+    def test_help_names_every_data_spec_key(self, capsys):
+        with pytest.raises(SystemExit):
+            run_command(["--help"])
+        out = capsys.readouterr().out
+        keys = ["n", "amp", "phase", "kappa", "tau", "s", "seed", "decay", "l2",
+                "hm", "m", "maxmode"]  # every key parse_data_spec accepts
+        assert [k for k in keys if not re.search(rf"\b{k}=", out)] == []
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -619,6 +629,8 @@ class TestUsageErrors:
         (["standing-wave", "--kappa", "1e100"], "--kappa 1e+100 is too large"),
         (["standing-wave", "--nu", "1", "--integrable", "--kappa", "1e60"],
          "--kappa 1e+60 is too large"),
+        # the plane wave's coefficient κ√(2π) overflows
+        (["standing-wave", "--kappa", "1e308"], "usage error: kappa must be"),
         # the certificate divides by the mass power l2_ceiling^(4m+2)
         (["certify-cm", "--ceiling", "1e18"], "l2_ceiling^(4m+2) must be"),
         (["certify-cm", "--ceiling", "1e200"], "l2_ceiling^(4m+2) must be"),
@@ -626,7 +638,8 @@ class TestUsageErrors:
         (["riccati", "--nu", "1", "--integrable", "--ceiling", "1e40"],
          "l2_ceiling^(4m+2) must be"),
         (["sweep-inequalities", "--ceiling", "1e40"], "l2_ceiling^(4m+2) must be"),
-    ], ids=["eps-ladder", "deltas", "kappa-omega", "kappa-residual", "certify-cm",
+    ], ids=["eps-ladder", "deltas", "kappa-omega", "kappa-residual",
+            "kappa-coefficient", "certify-cm",
             "certify-cm-nan-margin", "certify-cm-underflow", "riccati",
             "sweep-inequalities"])
     def test_overflowing_value_is_2(self, tmp_path, monkeypatch, capsys, argv, name):

@@ -238,3 +238,23 @@ def test_one_writer_for_every_output_file():
     assert sorted(_call_sites(_writes_a_file)) == [
         ("experiments", "_output_file"), ("experiments", "_output_file"),
         ("experiments", "in_worker")]
+
+
+def test_every_cache_is_measured():
+    """The package's memo caches are the five ``spectral`` ones whose hits
+    and cost of a miss were measured on the benchmark's workloads (see
+    ROADMAP aim 2): a new cache comes with its measurement. ``GridSpec``'s
+    ``cached_property``s are per-instance fields, not counted here."""
+    sites = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for dec in node.decorator_list:
+                    name = _dotted(dec.func if isinstance(dec, ast.Call) else dec)
+                    if name in {"lru_cache", "cache", "functools.lru_cache",
+                                "functools.cache"}:
+                        sites.append((path.stem, node.name))
+    assert sorted(sites) == [
+        ("spectral", "_grid"), ("spectral", "_padded_band"),
+        ("spectral", "_padded_multiplier"), ("spectral", "_seminorm_weights"),
+        ("spectral", "_sobolev_weights")]

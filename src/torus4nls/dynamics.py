@@ -254,18 +254,23 @@ def duhamel_step(psi, cfg, coeffs):
     return run.state, run.picard_iterations[0]
 
 
-def _step_times(t_end, dt):
-    """Step endpoints 0 < t_1 < … < t_k = t_end with steps of at most dt."""
+def _steps(t_end, dt):
+    """Both steppers' one clock: (start, end, length) of each step. Full
+    steps end at k·dt with length exactly dt; the last ends at t_end, short
+    only if t_end is no whole number of steps to round-off. Checks t_end."""
     if not 0.0 <= t_end < math.inf:
         raise ValueError(f"t_end must be nonnegative and finite, got {t_end}")
-    steps = []
-    k = 1
-    while k * dt < t_end - 1e-12 * max(1.0, t_end):
-        steps.append(k * dt)
-        k += 1
-    if t_end > 0.0:
-        steps.append(t_end)
-    return steps
+
+    def clock():
+        start, k = 0.0, 1
+        while k * dt < t_end - 1e-12 * max(1.0, t_end):  # a full step fits
+            yield start, k * dt, dt
+            start, k = k * dt, k + 1
+        if t_end > 0.0:
+            last = t_end - start
+            yield start, t_end, dt if abs(last - dt) < 1e-15 * max(1.0, t_end) else last
+
+    return clock()
 
 
 def integrate_many(psi0s, t_end, cfgs, coeffs, observer=None):
@@ -300,7 +305,7 @@ def integrate_many(psi0s, t_end, cfgs, coeffs, observer=None):
     cfg = cfgs[0]
     if any(replace(c, epsilon=cfg.epsilon) != cfg for c in cfgs):
         raise ValueError("member configs may differ only in epsilon")
-    times = _step_times(t_end, cfg.dt)  # checks t_end before any sample
+    steps = _steps(t_end, cfg.dt)  # checks t_end before any sample
     m = cfg.sobolev_index_m
     state = np.array([psi.coeffs for psi in psi0s])
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
@@ -321,9 +326,7 @@ def integrate_many(psi0s, t_end, cfgs, coeffs, observer=None):
 
     observe(0.0)
     factors_dt = None  # the step the current factors are for
-    prev_t = 0.0
-    for t in times:
-        dt = cfg.dt if abs((t - prev_t) - cfg.dt) < 1e-15 else t - prev_t
+    for start, t, dt in steps:
         if dt != factors_dt:
             factors_dt = dt
             factors = np.stack([
@@ -331,7 +334,7 @@ def integrate_many(psi0s, t_end, cfgs, coeffs, observer=None):
                                           float(cfgs[i].epsilon), float(coeffs.nu))
                 for i in active
             ])
-        state, iterations = _picard_step(state, factors, dt, coeffs, m, prev_t,
+        state, iterations = _picard_step(state, factors, dt, coeffs, m, start,
                                          active, count > 1)
         observe(t)
         norms = np.sqrt(sobolev_norm_sq_rows(state, m)).tolist()
@@ -347,10 +350,9 @@ def integrate_many(psi0s, t_end, cfgs, coeffs, observer=None):
             active = tuple(active[i] for i in keep)
             state = state[keep]
             factors = factors[keep]
-        prev_t = t
         if not active:
             break
-    if times:  # the members still running have reached t_end
+    if t_end > 0.0:  # the members still running have reached t_end
         for i, member in enumerate(active):
             runs[member].time = t_end
             runs[member].state = SpectralField(grid, state[i])
@@ -375,20 +377,18 @@ def reference_integrate(psi0, t_end, cfg, coeffs, observer=None):
     """
     eps = cfg.epsilon
     nu = coeffs.nu
-    times = _step_times(t_end, cfg.dt)  # checks t_end before any sample
+    steps = _steps(t_end, cfg.dt)  # checks t_end before any sample
     run = Trajectory(0.0, psi0)
     if observer is not None:
         observer(0.0, psi0.coeffs[None], (0,))
     state = psi0
-    prev_t = 0.0
 
     def rhs(f):
         return (-1j) * eval_nonlinearity(f, coeffs)
 
     # overflow on the way to a non-finite state is reported by the check
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in times:
-            h = t - prev_t
+        for _, t, h in steps:
             k1 = rhs(state)
             half = semigroup_apply(state, 0.5 * h, eps, nu)
             k2 = rhs(half + (0.5 * h) * semigroup_apply(k1, 0.5 * h, eps, nu))
@@ -406,5 +406,4 @@ def reference_integrate(psi0, t_end, cfg, coeffs, observer=None):
             run.time, run.state = t, state
             if observer is not None:
                 observer(t, state.coeffs[None], (0,))
-            prev_t = t
     return run

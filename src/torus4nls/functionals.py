@@ -78,6 +78,16 @@ def correction_terms_rows(block, m, coeffs):
     return first, second
 
 
+def _mass_power(l2_sq, m):
+    """‖ψ‖^{4m+2} from the Python float ‖ψ‖²; a ValueError naming it where
+    it overflows, as ``check_l2_ceiling`` gives for the certificate."""
+    try:
+        return l2_sq ** (2 * m + 1)
+    except OverflowError:
+        raise ValueError(f"the modified energy's mass power ||psi||^(4m+2) "
+                         f"overflows at ||psi||^2={l2_sq}, m={m}") from None
+
+
 def modified_energy_rows(block, m, coeffs, c_m):
     """‖∂^m ψ‖² + ‖ψ‖² + c_m ‖ψ‖^{4m+2} + both correction terms, for each
     row ψ of (..., N) coefficients."""
@@ -86,8 +96,8 @@ def modified_energy_rows(block, m, coeffs, c_m):
     if c_m < 0.0:
         raise ValueError("c_m must be nonnegative")
     l2_sq = sobolev_norm_sq_rows(block, 0)
+    mass_power = row_by_row(lambda v: _mass_power(v, m), l2_sq)
     first, second = correction_terms_rows(block, m, coeffs)
-    mass_power = row_by_row(lambda v: v ** (2 * m + 1), l2_sq)
     return seminorm_sq_rows(block, m) + l2_sq + c_m * mass_power + first + second
 
 

@@ -76,7 +76,10 @@ def mode_pair_field(grid, separation, hm_norm, m):
         raise ValueError("separation outside resolved band")
     if not 0 < hm_norm < np.inf:
         raise ValueError(f"hm_norm must be > 0 and finite, got {hm_norm}")
-    target_sq = hm_norm**2 / 4.0
+    try:
+        target_sq = hm_norm**2 / 4.0
+    except OverflowError:
+        raise ValueError(f"hm_norm^2 overflows, got hm_norm={hm_norm}") from None
     c = np.zeros(grid.num_modes, dtype=np.complex128)
     for (n, phase) in zip((0, 1, separation, separation + 1), MODE_PAIR_PHASES):
         amp = np.sqrt(target_sq / (1.0 + n**2) ** m)

@@ -63,10 +63,13 @@ class GridSpec:
             raise ValueError(f"num_modes must be even and >= 4, got {n}")
 
     def check_mode(self, n, name="mode"):
-        """A ValueError naming ``name`` unless signed mode ``n`` is resolved."""
+        """A ValueError naming ``name`` unless signed mode ``n`` is resolved,
+        |n| < N/2: the Nyquist mode -N/2 is stored, but the nonlinearity and
+        the samplers zero it."""
         half = self.num_modes // 2
-        if not -half <= n < half:
-            raise ValueError(f"{name}={n} outside the resolved band [{-half}, {half})")
+        if not -half < n < half:
+            raise ValueError(f"{name}={n} outside the resolved band "
+                             f"[{1 - half}, {half - 1}]")
 
     @cached_property
     def nodes(self):

@@ -124,7 +124,7 @@ class TestDataSpecs:
         "modes:n=1:amp=0.5:decay=2": "modes spec: unknown or repeated key 'decay'",
         # the later entry would win
         "modes:n=1:amp=0.5,n=1:amp=0.2": "modes spec: mode 1 given twice",
-        "standing:tau=16": "standing spec: tau=16 outside the resolved band [-16, 16)",
+        "standing:tau=16": "standing spec: tau=16 outside the resolved band [-15, 15]",
         # κ√(2π) overflows: with no leaked RuntimeWarning either
         "standing:kappa=1e308": "standing spec: kappa must be",
         # an envelope that overflows: with no leaked RuntimeWarning either
@@ -652,6 +652,33 @@ class TestUsageErrors:
         assert "omega" not in out_text  # refused before printing a result
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv,message", [
+        (["simulate", "--data", "modes:n=1:amp=1e18", "--t-end", "0.01"],
+         "mass power ||psi||^(4m+2) overflows"),
+        (["conserve", "--nu", "1", "--data", "modes:n=1:amp=1e30"],
+         "mass power ||psi||^(4m+2) overflows"),
+        # the correction integrals would overflow too, after the mass power
+        (["conserve", "--nu", "1", "--data", "modes:n=1:amp=1e100"],
+         "mass power ||psi||^(4m+2) overflows"),
+        (["riccati", "--nu", "1", "--integrable", "--hm-size", "1e20",
+          "--t-end", "1e-5"], "mass power ||psi||^(4m+2) overflows"),
+        (["riccati", "--nu", "1", "--integrable", "--hm-size", "1e200"],
+         "hm_norm^2 overflows"),
+    ], ids=["simulate", "conserve", "conserve-correction", "riccati-energy",
+            "riccati-hm-size"])
+    def test_overflowing_energy_is_2(self, tmp_path, monkeypatch, capsys, argv,
+                                     message):
+        # finite data whose modified energy overflows in Python floats: a
+        # RuntimeWarning leaked on the way would fail here as an error
+        out = tmp_path / "out"
+        assert run_in(out, monkeypatch, argv) == 2
+        out_text, err = capsys.readouterr()
+        assert err.startswith("usage error: ") and message in err
+        assert out_text == ""
+        assert not out.exists()
+        with pytest.raises(ChildProcessError):  # riccati's worker was reaped
+            os.waitpid(-1, os.WNOHANG)
+
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize("command,flag,value", [
         ("eps-converge", "--eps-ladder", "0^-1,2^-3"),
@@ -677,13 +704,21 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("argv,message", [
         (["standing-wave", "--tau", "40"],
-         "--tau=40 outside the resolved band [-32, 32)"),
+         "--tau=40 outside the resolved band [-31, 31]"),
         (["simulate", "--data", "standing:tau=40"],
-         "standing spec: tau=40 outside the resolved band [-32, 32)"),
+         "standing spec: tau=40 outside the resolved band [-31, 31]"),
         (["simulate", "--data", "decay:s=-1000"], "decay spec: s=-1000.0"),
         (["conserve", "--data", "random:seed=1:decay=-1000:hm=0.4:m=4"],
          "random spec: decay=-1000.0"),
-    ], ids=["tau-flag", "tau-spec", "decay-envelope", "random-envelope"])
+        # the Nyquist mode -N/2 is stored, but the scheme zeroes it
+        (["standing-wave", "--nu", "1", "--integrable", "--tau", "-32"],
+         "--tau=-32 outside the resolved band [-31, 31]"),
+        (["simulate", "--data", "standing:tau=-32"],
+         "standing spec: tau=-32 outside the resolved band [-31, 31]"),
+        (["simulate", "--data", "modes:n=-32:amp=0.1"],
+         "modes spec: n=-32 outside the resolved band [-31, 31]"),
+    ], ids=["tau-flag", "tau-spec", "decay-envelope", "random-envelope",
+            "nyquist-tau-flag", "nyquist-tau-spec", "nyquist-modes"])
     def test_unresolved_data_names_its_flag_or_key(self, tmp_path, monkeypatch,
                                                    capsys, argv, message):
         # a RuntimeWarning leaked on the way would fail here as an error

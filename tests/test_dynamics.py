@@ -343,6 +343,68 @@ class TestIntegrate:
         assert err.value.time == 0.0
 
 
+def _snapped_step_times(t_end, dt):
+    """The step rule both steppers' clock replaced: a list of step ends,
+    and each step's length ``t - prev_t`` snapped back to dt inside an
+    absolute 1e-15 window, as (start, end, length)."""
+    ends, k = [], 1
+    while k * dt < t_end - 1e-12 * max(1.0, t_end):
+        ends.append(k * dt)
+        k += 1
+    if t_end > 0.0:
+        ends.append(t_end)
+    steps, prev_t = [], 0.0
+    for t in ends:
+        h = dt if abs((t - prev_t) - dt) < 1e-15 else t - prev_t
+        steps.append((prev_t, t, h))
+        prev_t = t
+    return steps
+
+
+def _counting(monkeypatch, module, name):
+    """Wrap ``module.name`` so that each call's arguments are recorded."""
+    calls = []
+    inner = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestStepClock:
+    """``dynamics._steps`` is both steppers' one clock."""
+
+    # the (t_end, dt) pairs of the benchmark's workloads
+    @pytest.mark.parametrize("t_end,dt", [
+        (2e-4, 1e-6), (2e-4, 5e-7), (2e-4, 1.25e-7), (0.05, 1e-3),
+        (0.02, 5e-4), (0.1, 2e-3), (0.1, 1e-3), (0.02, 1e-4)])
+    def test_workload_steps_are_the_snapped_ones(self, t_end, dt):
+        assert list(dynamics._steps(t_end, dt)) == _snapped_step_times(t_end, dt)
+
+    def test_short_last_step(self):
+        steps = list(dynamics._steps(0.01, 3e-3))
+        assert steps[:-1] == [((k - 1) * 3e-3, k * 3e-3, 3e-3) for k in (1, 2, 3)]
+        assert steps[-1] == (3 * 3e-3, 0.01, 0.01 - 3 * 3e-3)
+
+    @pytest.mark.parametrize("t_end,dt", [(10.0, 1e-3), (100.0, 1e-2)])
+    def test_long_run_builds_its_factors_once(self, monkeypatch, t_end, dt):
+        # past t ≈ 8 an absolute snap window no longer matches t - prev_t
+        calls = _counting(monkeypatch, kernels, "semigroup_factors")
+        run = integrate(plane_wave(GridSpec(16), 0.2, 1), t_end, SolverConfig(dt=dt),
+                        CoefficientSet(nu=1.0))
+        assert run.time == t_end and len(run.picard_iterations) == round(t_end / dt)
+        assert [args[1] for args in calls] == [dt]
+
+    def test_rk4_takes_full_steps(self, grid64, monkeypatch):
+        calls = _counting(monkeypatch, dynamics, "semigroup_apply")
+        reference_integrate(_benign(grid64), 0.05, SolverConfig(dt=1e-3),
+                            integrable_coefficients(1.0))
+        assert {args[1] for args in calls} == {0.5e-3, 1e-3}
+
+
 def _with_mode_31(grid, value):
     coeffs = np.zeros(grid.num_modes, dtype=complex)
     coeffs[grid.modes == 31] = value

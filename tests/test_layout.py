@@ -176,6 +176,15 @@ def _call_sites(names):
     return sites
 
 
+def test_one_step_clock():
+    """``dynamics._steps`` is the one source of step lengths, called by the
+    two steppers that loop over steps; no list of step times is left."""
+    assert _call_sites({"_steps", "dynamics._steps"}) == [
+        ("dynamics", "integrate_many"), ("dynamics", "reference_integrate")]
+    for path in MODULES:
+        assert "_step_times" not in path.read_text(), path.name
+
+
 def test_one_fork_for_one_study():
     """``experiments.in_worker`` is the package's one ``os.fork``, and
     ``riccati_study`` its one caller: no other run leaves the process."""

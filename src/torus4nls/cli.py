@@ -61,7 +61,7 @@ from .experiments import (
 )
 from .functionals import CM_RESOLUTIONS, EnergyRecorder, certify_cm
 from .sampling import decay_field, mode_pair_field, random_field, rng_for
-from .spectral import GridSpec, SpectralField
+from .spectral import GridSpec, SpectralField, refusing
 
 CONFIG_HELP = """\
 config file: flat `key = value` lines, `#` starts a comment; keys are the
@@ -82,15 +82,12 @@ ladders (eps/deltas): comma-separated floats; `2^-3` exponent form allowed.
 """
 
 
-def _parse_number(tok):
-    tok = tok.strip()
-    if "^" in tok:
-        base, exp = (float(part) for part in tok.split("^", 1))
-        try:
-            return math.pow(base, exp)
-        except ValueError:  # 0^-1, or -2^0.5: no real number
-            raise ValueError(f"{tok} is not a real number") from None
-    return float(tok)
+def _power(tok):
+    base, exp = (float(part) for part in tok.split("^", 1))
+    try:
+        return math.pow(base, exp)
+    except ValueError:  # 0^-1, or -2^0.5: no real number
+        raise ValueError(f"{tok.strip()} is not a real number") from None
 
 
 def _comma_list(convert, text):
@@ -100,16 +97,16 @@ def _comma_list(convert, text):
         vals = [convert(t) for t in text.split(",") if t.strip()]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    except OverflowError:  # 2^100000
-        raise argparse.ArgumentTypeError(f"an entry of {text!r} overflows") from None
     if not vals:
         raise argparse.ArgumentTypeError(f"empty list {text!r}")
     return vals
 
 
 def parse_ladder(text):
-    """Comma list of floats; ``2^-3`` exponent form allowed."""
-    return _comma_list(_parse_number, text)
+    """Comma list of floats; ``2^-3`` exponent form allowed, refused where
+    it overflows (``inf`` and ``nan`` are left to the flag's own check)."""
+    return _comma_list(lambda tok: float(tok) if "^" not in tok else refusing(
+        lambda: f"an entry of {text!r} overflows", _power, tok), text)
 
 
 def parse_int_list(text):
@@ -197,8 +194,8 @@ def _parse_kv(chunks, kind, types):
         except ValueError:
             what = "an integer" if types[k] is int else "a number"
             raise ValueError(f"{kind} spec: {k} must be {what}, got {v!r}") from None
-        if not math.isfinite(value):
-            raise ValueError(f"{kind} spec: {k} must be finite, got {v}")
+        # as a float, so an int too large for one is refused too
+        refusing(lambda: f"{kind} spec: {k} must be finite, got {v}", float, value)
         out[k] = value
     return out
 
@@ -237,11 +234,8 @@ def parse_data_spec(spec, grid):
     if kind == "decay":
         kv = _parse_kv(chunks, "decay", {"s": float, "amp": float})
         s = _required(kv, "decay", "s")
-        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-            f = decay_field(grid, s, amp=kv.get("amp", 1.0))
-        if not np.isfinite(f.coeffs).all():
-            raise ValueError(f"decay spec: s={s} overflows the data's envelope")
-        return f
+        return refusing(lambda: f"decay spec: s={s} overflows the data's envelope",
+                        decay_field, grid, s, kv.get("amp", 1.0))
     if kind == "random":
         kv = _parse_kv(chunks, "random", {"seed": int, "decay": float, "l2": float,
                                           "hm": float, "m": int, "maxmode": int})
@@ -258,16 +252,13 @@ def parse_data_spec(spec, grid):
             if kv.get(key, 1.0) <= 0.0:
                 raise ValueError(f"random spec: {key} must be > 0, got {kv[key]}")
         decay = kv.get("decay", 2.0)
-        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-            f = random_field(grid, rng_for(kv.get("seed", 0)), decay=decay,
-                             l2_mass=kv.get("l2"), hm_norm=kv.get("hm"),
-                             m=kv.get("m", 4) if "hm" in kv else None,
-                             max_mode=kv.get("maxmode"))
-        # mode 0 keeps its nonzero draw, so only an overflow can empty the data
-        if not (np.isfinite(f.coeffs).all() and f.coeffs.any()):
-            raise ValueError(f"random spec: decay={decay} overflows the data's "
-                             f"envelope or its norm")
-        return f
+        return refusing(
+            lambda: f"random spec: decay={decay} overflows the data's envelope "
+                    f"or its norm",
+            lambda: random_field(grid, rng_for(kv.get("seed", 0)), decay=decay,
+                                 l2_mass=kv.get("l2"), hm_norm=kv.get("hm"),
+                                 m=kv.get("m", 4) if "hm" in kv else None,
+                                 max_mode=kv.get("maxmode")))
     raise ValueError(f"unknown data spec kind {kind!r}")
 
 
@@ -457,15 +448,13 @@ def cmd_standing_wave(args):
     grid = GridSpec(args.num_modes)
     grid.check_mode(args.tau, "--tau")
     psi0 = plane_wave(grid, args.kappa, args.tau)
-    try:
-        omega = standing_wave_frequency(args.kappa, args.tau, coeffs)
-    except OverflowError:  # κ⁴ in Python floats
-        omega = math.inf
-    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-        residual = pde_residual(psi0, omega, coeffs)
-    if not (math.isfinite(omega) and math.isfinite(residual)):
-        raise ValueError(f"--kappa {args.kappa!r} is too large: the rotation rate "
-                         f"{omega!r} or its residual {residual!r} is not finite")
+
+    def refused():
+        return (f"omega or its residual is not finite at --kappa {args.kappa!r}, "
+                f"--tau {args.tau}, --nu {coeffs.nu!r}, lambdas {coeffs.lambdas}")
+
+    omega = refusing(refused, standing_wave_frequency, args.kappa, args.tau, coeffs)
+    residual = refusing(refused, pde_residual, psi0, omega, coeffs)
     print(f"omega = {omega!r}")
     print(f"residual_l2 = {residual!r}")
     _report(write_manifest(args.outdir, "standing_wave", {

@@ -24,6 +24,7 @@ from .spectral import (
     SpectralField,
     band_coeffs,
     padded_samples,
+    refusing,
     sobolev_norm_sq_rows,
 )
 
@@ -290,7 +291,8 @@ def integrate_many(psi0s, t_end, cfgs, coeffs, observer=None):
     the time and the member index. Initial data whose H^m norm is not finite
     (a NaN or Inf coefficient, or an overflowing weighted sum) and a t_end
     that is negative or not finite are ValueErrors before the observer is
-    called. Returns one Trajectory record per member.
+    called; so are, at the first step of their length, linear factors
+    W_ε(dt) that are not finite. Returns one Trajectory record per member.
     """
     psi0s = list(psi0s)
     cfgs = list(cfgs)
@@ -308,13 +310,10 @@ def integrate_many(psi0s, t_end, cfgs, coeffs, observer=None):
     steps = _steps(t_end, cfg.dt)  # checks t_end before any sample
     m = cfg.sobolev_index_m
     state = np.array([psi.coeffs for psi in psi0s])
-    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        norms0 = np.sqrt(sobolev_norm_sq_rows(state, m)).tolist()
-    for i, norm in enumerate(norms0):
-        if not math.isfinite(norm):
-            named = f" of member {i}" if count > 1 else ""
-            raise ValueError(f"the initial data{named} has a non-finite H^m "
-                             f"norm (m={m}): {norm}")
+    norms0 = [math.sqrt(refusing(
+        lambda: f"the initial data{f' of member {i}' if count > 1 else ''} has a "
+                f"non-finite H^m norm (m={m})", sobolev_norm_sq_rows, row, m))
+        for i, row in enumerate(state)]
     runs = [Trajectory(0.0, psi0) for psi0 in psi0s]
     ceilings = [BLOWUP_FACTOR * max(norm, 1e-300) for norm in norms0]
     active = tuple(range(count))
@@ -329,11 +328,12 @@ def integrate_many(psi0s, t_end, cfgs, coeffs, observer=None):
     for start, t, dt in steps:
         if dt != factors_dt:
             factors_dt = dt
-            factors = np.stack([
-                kernels.semigroup_factors(grid.modes, float(dt),
-                                          float(cfgs[i].epsilon), float(coeffs.nu))
-                for i in active
-            ])
+            # |W| <= 1 as eps >= 0: finite factors keep a finite state finite
+            factors = refusing(
+                lambda: f"the factors W_eps(dt) overflow: nu={coeffs.nu}, dt={dt}",
+                lambda: np.stack([kernels.semigroup_factors(
+                    grid.modes, float(dt), float(cfgs[i].epsilon), float(coeffs.nu))
+                    for i in active]))
         state, iterations = _picard_step(state, factors, dt, coeffs, m, start,
                                          active, count > 1)
         observe(t)

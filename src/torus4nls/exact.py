@@ -1,12 +1,10 @@
 """Closed-form references: plane-wave standing solutions, pure linear flow,
 and the completely integrable coefficient choice."""
 
-import math
-
 import numpy as np
 
 from .dynamics import CoefficientSet, eval_nonlinearity, semigroup_apply
-from .spectral import SQRT_2PI, SpectralField, l2_norm
+from .spectral import SQRT_2PI, SpectralField, l2_norm, refusing
 
 RESIDUAL_TOL = 1e-9  # relative to max(‖ψ₀‖_L², 1)
 
@@ -14,15 +12,11 @@ RESIDUAL_TOL = 1e-9  # relative to max(‖ψ₀‖_L², 1)
 def integrable_coefficients(nu):
     """The unique coefficient set with infinitely many conserved quantities:
     λ1 = -1/2, λ2 = -3ν/8, λ3 = -3ν/2, λ4 = -ν, λ5 = -ν/2, λ6 = -2ν."""
-    return CoefficientSet(
-        nu=nu,
-        lambda1=-0.5,
-        lambda2=-3.0 * nu / 8.0,
-        lambda3=-1.5 * nu,
-        lambda4=-nu,
-        lambda5=-0.5 * nu,
-        lambda6=-2.0 * nu,
-    )
+    lambdas = refusing(
+        lambda: f"nu must be finite with finite integrable lambdas -3nu/8, "
+                f"-3nu/2, -nu, -nu/2 and -2nu, got {nu}",
+        lambda: (-0.5, -3.0 * nu / 8.0, -1.5 * nu, -nu, -0.5 * nu, -2.0 * nu))
+    return CoefficientSet(nu, *lambdas)
 
 
 def standing_wave_frequency(kappa, tau, coeffs):
@@ -43,11 +37,8 @@ def standing_wave_frequency(kappa, tau, coeffs):
 
 def plane_wave(grid, kappa, tau):
     """κ e^{iτx} as a spectral field (single coefficient κ√(2π) at mode τ)."""
-    # in Python floats, a κ above about 7e307 overflows to inf without a warning
-    coeff = float(kappa) * SQRT_2PI
-    if not math.isfinite(coeff):
-        raise ValueError(f"kappa must be finite with a finite kappa*sqrt(2*pi), "
-                         f"got {kappa}")
+    coeff = refusing(lambda: f"kappa must be finite with a finite kappa*sqrt(2*pi), "
+                             f"got {kappa}", lambda: float(kappa) * SQRT_2PI)
     if not isinstance(tau, (int, np.integer)):
         raise ValueError("tau must be an integer for periodicity")
     grid.check_mode(tau, "tau")

@@ -29,6 +29,7 @@ from .spectral import (
     _grid,
     padded_samples,
     per_field,
+    refusing,
     row_by_row,
     seminorm_sq,
     seminorm_sq_rows,
@@ -79,13 +80,11 @@ def correction_terms_rows(block, m, coeffs):
 
 
 def _mass_power(l2_sq, m):
-    """‖ψ‖^{4m+2} from the Python float ‖ψ‖²; a ValueError naming it where
-    it overflows, as ``check_l2_ceiling`` gives for the certificate."""
-    try:
-        return l2_sq ** (2 * m + 1)
-    except OverflowError:
-        raise ValueError(f"the modified energy's mass power ||psi||^(4m+2) "
-                         f"overflows at ||psi||^2={l2_sq}, m={m}") from None
+    """‖ψ‖^{4m+2} of each row from its ‖ψ‖², row by row in Python floats; a
+    ValueError naming it where it overflows, like ``check_l2_ceiling``'s."""
+    return refusing(lambda: f"the modified energy's mass power ||psi||^(4m+2) "
+                            f"overflows at ||psi||^2={np.max(l2_sq)}, m={m}",
+                    row_by_row, lambda v: v ** (2 * m + 1), l2_sq)
 
 
 def modified_energy_rows(block, m, coeffs, c_m):
@@ -96,7 +95,7 @@ def modified_energy_rows(block, m, coeffs, c_m):
     if c_m < 0.0:
         raise ValueError("c_m must be nonnegative")
     l2_sq = sobolev_norm_sq_rows(block, 0)
-    mass_power = row_by_row(lambda v: _mass_power(v, m), l2_sq)
+    mass_power = _mass_power(l2_sq, m)
     first, second = correction_terms_rows(block, m, coeffs)
     return seminorm_sq_rows(block, m) + l2_sq + c_m * mass_power + first + second
 
@@ -253,13 +252,11 @@ def check_l2_ceiling(l2_ceiling, m):
     the mass power l2_ceiling^(4m+2), neither overflows nor underflows."""
     if not 0 < l2_ceiling < math.inf:
         raise ValueError(f"l2_ceiling must be > 0 and finite, got {l2_ceiling}")
-    try:
-        power = l2_ceiling ** (4 * m + 2)
-    except OverflowError:
-        power = math.inf
-    if not 0.0 < power < math.inf:
-        raise ValueError(f"l2_ceiling^(4m+2) must be > 0 and finite, "
-                         f"got {l2_ceiling}^{4 * m + 2} = {power}")
+    k = 4 * m + 2
+    power = refusing(lambda: f"l2_ceiling^(4m+2) must be finite, got {l2_ceiling}^{k}",
+                     pow, float(l2_ceiling), k)
+    if power == 0.0:
+        raise ValueError(f"l2_ceiling^(4m+2) must be > 0, got {l2_ceiling}^{k}")
 
 
 def certify_cm(m, coeffs, l2_ceiling, trials, rng_seed, target="classic"):

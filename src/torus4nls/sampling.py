@@ -8,7 +8,7 @@ trial count never changes earlier samples.
 
 import numpy as np
 
-from .spectral import SpectralField, sobolev_norm
+from .spectral import SpectralField, refusing, sobolev_norm
 
 MODE_PAIR_PHASES = (0.0, 1.0, 0.7, 2.1)  # of modes 0, 1, k, k+1: generic
 
@@ -76,12 +76,12 @@ def mode_pair_field(grid, separation, hm_norm, m):
         raise ValueError("separation outside resolved band")
     if not 0 < hm_norm < np.inf:
         raise ValueError(f"hm_norm must be > 0 and finite, got {hm_norm}")
-    try:
-        target_sq = hm_norm**2 / 4.0
-    except OverflowError:
-        raise ValueError(f"hm_norm^2 overflows, got hm_norm={hm_norm}") from None
+    modes = (0, 1, separation, separation + 1)
+    amps = refusing(lambda: f"hm_norm^2 overflows, or a weight <n>^(2m) does, got "
+                            f"hm_norm={hm_norm}, m={m}",
+                    lambda: [np.sqrt(hm_norm**2 / 4.0 / (1.0 + n**2) ** m)
+                             for n in modes])
     c = np.zeros(grid.num_modes, dtype=np.complex128)
-    for (n, phase) in zip((0, 1, separation, separation + 1), MODE_PAIR_PHASES):
-        amp = np.sqrt(target_sq / (1.0 + n**2) ** m)
+    for n, amp, phase in zip(modes, amps, MODE_PAIR_PHASES):
         c[n % grid.num_modes] = amp * np.exp(1j * phase)
     return SpectralField(grid, c)

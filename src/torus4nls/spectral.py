@@ -33,12 +33,28 @@ SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 BLOCK_ROWS = 32
 
 
+def refusing(message, compute, *args):
+    """``compute(*args)``, or ``ValueError(message())`` where it overflows,
+    divides by zero or is invalid (in numpy or Python floats), or where its
+    value (numbers, an array or a field's coefficients) is not finite. Not
+    for a stepper's inner loop: numpy's error state costs microseconds."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            value = compute(*args)
+        if np.isfinite(getattr(value, "coeffs", value)).all():
+            return value
+    except (OverflowError, FloatingPointError, ZeroDivisionError):
+        pass
+    raise ValueError(message())
+
+
 # The norm weights are listed in ``mode_order``, the order the norm kernels
 # sum in, so a norm does not gather them again on every call.
 @lru_cache(maxsize=512)
 def _sobolev_weights(num_modes, m):
     grid = _grid(num_modes)
-    w = ((1.0 + grid.modes**2) ** m)[grid.mode_order]
+    w = refusing(lambda: f"<n>^(2m) overflows: m={m} is too large for N={num_modes}",
+                 lambda: (1.0 + grid.modes**2) ** m)[grid.mode_order]
     w.setflags(write=False)
     return w
 
@@ -46,7 +62,8 @@ def _sobolev_weights(num_modes, m):
 @lru_cache(maxsize=512)
 def _seminorm_weights(num_modes, m):
     grid = _grid(num_modes)
-    w = (np.abs(grid.modes) ** (2 * m))[grid.mode_order]
+    w = refusing(lambda: f"|n|^(2m) overflows: m={m} is too large for N={num_modes}",
+                 lambda: np.abs(grid.modes) ** (2 * m))[grid.mode_order]
     w.setflags(write=False)
     return w
 
@@ -160,7 +177,8 @@ def _padded_band(num_modes, pad):
 def _padded_multiplier(num_modes, pad, k):
     """(i·n)^k over the modes of the pad·N grid."""
     m = pad * num_modes
-    row = (1j * np.fft.fftfreq(m, 1.0 / m)) ** k
+    row = refusing(lambda: f"(i n)^k overflows: k={k} is too large for N={num_modes}",
+                   lambda: (1j * np.fft.fftfreq(m, 1.0 / m)) ** k)
     row.setflags(write=False)
     return row
 

@@ -626,9 +626,15 @@ class TestUsageErrors:
         (["continuity", "--nu", "1", "--integrable", "--deltas", "2^100000,1e-3"],
          "argument --deltas: an entry of '2^100000,1e-3' overflows"),
         # ω overflows in Python floats; at 1e60 ω is finite but the residual is not
-        (["standing-wave", "--kappa", "1e100"], "--kappa 1e+100 is too large"),
+        (["standing-wave", "--kappa", "1e100"], "not finite at --kappa 1e+100,"),
         (["standing-wave", "--nu", "1", "--integrable", "--kappa", "1e60"],
-         "--kappa 1e+60 is too large"),
+         "not finite at --kappa 1e+60,"),
+        # the residual's ν n⁴ overflows: the message names every input of ω
+        (["standing-wave", "--nu", "1e308"],
+         "--kappa 0.3, --tau 1, --nu 1e+308, lambdas (0.0,"),
+        # the integrable λ6 = -2ν overflows
+        (["sweep-inequalities", "--nu", "1e308", "--trials", "3"],
+         "usage error: nu must be finite with finite integrable lambdas"),
         # the plane wave's coefficient κ√(2π) overflows
         (["standing-wave", "--kappa", "1e308"], "usage error: kappa must be"),
         # the certificate divides by the mass power l2_ceiling^(4m+2)
@@ -638,10 +644,23 @@ class TestUsageErrors:
         (["riccati", "--nu", "1", "--integrable", "--ceiling", "1e40"],
          "l2_ceiling^(4m+2) must be"),
         (["sweep-inequalities", "--ceiling", "1e40"], "l2_ceiling^(4m+2) must be"),
-    ], ids=["eps-ladder", "deltas", "kappa-omega", "kappa-residual",
-            "kappa-coefficient", "certify-cm",
+        # an m whose weights <n>^(2m) or |n|^(2m) overflow on a grid it uses
+        (["certify-cm", "--m", "140", "--trials", "5"], "m=140 is too large for N="),
+        (["certify-cm", "--m", "100", "--trials", "5"], "m=100 is too large for N="),
+        (["sweep-inequalities", "--m", "120", "--trials", "3"],
+         "m=120 is too large for N="),
+        (["bona-smith", "--m", "200"], "m=200 is too large for N=1024"),
+        (["riccati", "--nu", "1", "--integrable", "--m", "200"],
+         "a weight <n>^(2m) does, got hm_norm=2.0, m=200"),
+        # linear factors W_eps(dt) that are not finite
+        (["simulate", "--nu", "1e308", "--t-end", "0.003"], "nu=1e+308, dt=0.001"),
+        (["simulate", "--dt", "1e308", "--t-end", "1e308"], "nu=1.0, dt=1e+308"),
+    ], ids=["eps-ladder", "deltas", "kappa-omega", "kappa-residual", "standing-wave-nu",
+            "sweep-inequalities-nu", "kappa-coefficient", "certify-cm",
             "certify-cm-nan-margin", "certify-cm-underflow", "riccati",
-            "sweep-inequalities"])
+            "sweep-inequalities", "certify-cm-m140", "certify-cm-m100",
+            "sweep-inequalities-m", "bona-smith-m", "riccati-m", "simulate-nu",
+            "simulate-dt"])
     def test_overflowing_value_is_2(self, tmp_path, monkeypatch, capsys, argv, name):
         monkeypatch.setattr(experiments, "integrate_many",
                             lambda *a, **k: pytest.fail("ran"))
@@ -649,8 +668,10 @@ class TestUsageErrors:
         assert exit_code(out, monkeypatch, argv) == 2
         out_text, err = capsys.readouterr()
         assert name in err
-        assert "omega" not in out_text  # refused before printing a result
+        assert out_text == ""  # refused before printing a result
         assert not out.exists()
+        with pytest.raises(ChildProcessError):  # riccati's worker was reaped
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("argv,message", [
         (["simulate", "--data", "modes:n=1:amp=1e18", "--t-end", "0.01"],
@@ -911,6 +932,8 @@ class TestUsageErrors:
         # a norm to rescale to must be > 0: -1 would flip the sign of the data
         ("simulate", "random:seed=1:l2=-1", "l2"),
         ("conserve", "random:seed=1:hm=0:m=4", "hm"),
+        # an integer past the float range
+        pytest.param("simulate", "modes:n=1" + "0" * 309, "n", id="huge-int"),
     ])
     def test_bad_data_number_is_2(self, tmp_path, monkeypatch, capsys, command,
                                   spec, key):

@@ -1,5 +1,6 @@
 """Nonlinearity evaluation, semigroup, and both time integrators."""
 
+import re
 import weakref
 from dataclasses import replace
 
@@ -427,6 +428,20 @@ def test_non_finite_initial_norm_rejected_before_any_sample(grid64, coeffs, valu
                        [SolverConfig(dt=1e-3)] * 3, coeffs,
                        lambda *block: seen.append(block))
     assert seen == []
+
+
+@pytest.mark.parametrize("nu,dt,t_end", [(1e308, 1e-3, 0.003), (1.0, 1e308, 1e308)],
+                         ids=["nu", "dt"])
+def test_non_finite_factors_rejected(grid64, nu, dt, t_end):
+    # a linear step applies W_eps(dt) with no Picard gap to check, and the
+    # blow-up test is False for NaN, so non-finite factors must be refused
+    seen = []
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"the factors W_eps(dt) overflow: nu={nu}, dt={dt}")):
+        integrate_many([_benign(grid64)] * 2, t_end,
+                       [SolverConfig(dt=dt), SolverConfig(dt=dt, epsilon=0.5)],
+                       CoefficientSet(nu=nu), lambda *block: seen.append(block[0]))
+    assert seen == [0.0]  # the first step's factors are refused
 
 
 @pytest.mark.parametrize("t_end", [float("nan"), float("inf"), -1.0])

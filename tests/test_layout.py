@@ -156,17 +156,15 @@ def test_picard_step_has_one_call_site():
     assert sites == [False]
 
 
-def _call_sites(names):
-    """(module, enclosing function) of every call in ``src/`` whose callee is
-    spelled as one of ``names``, or, if ``names`` is a function, of every
-    call node for which it is true."""
-    matches = names if callable(names) else lambda call: _dotted(call.func) in names
+def _sites(matches):
+    """(module, enclosing function) of every node in ``src/`` for which
+    ``matches`` is true."""
     sites = []
 
     def visit(node, module, func):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             func = node.name
-        if isinstance(node, ast.Call) and matches(node):
+        if matches(node):
             sites.append((module, func))
         for child in ast.iter_child_nodes(node):
             visit(child, module, func)
@@ -174,6 +172,14 @@ def _call_sites(names):
     for path in MODULES:
         visit(ast.parse(path.read_text(), filename=str(path)), path.stem, None)
     return sites
+
+
+def _call_sites(names):
+    """(module, enclosing function) of every call in ``src/`` whose callee is
+    spelled as one of ``names``, or, if ``names`` is a function, of every
+    call node for which it is true."""
+    matches = names if callable(names) else lambda call: _dotted(call.func) in names
+    return _sites(lambda node: isinstance(node, ast.Call) and matches(node))
 
 
 def test_one_step_clock():
@@ -267,3 +273,16 @@ def test_every_cache_is_measured():
         ("spectral", "_grid"), ("spectral", "_padded_band"),
         ("spectral", "_padded_multiplier"), ("spectral", "_seminorm_weights"),
         ("spectral", "_sobolev_weights")]
+
+
+def test_one_refusal_path():
+    """``spectral.refusing`` is the package's one refusal of a value that
+    overflows: the only handler of ``OverflowError`` and, beside the two
+    steppers' inner loops, the only ``np.errstate``, so no module grows a
+    check of its own again."""
+    assert sorted(_call_sites({"np.errstate", "numpy.errstate"})) == [
+        ("dynamics", "_picard_step"), ("dynamics", "reference_integrate"),
+        ("spectral", "refusing")]
+    assert _sites(lambda node: isinstance(node, ast.ExceptHandler)
+                  and "OverflowError" in ast.unparse(node.type or ast.Tuple([]))) == [
+        ("spectral", "refusing")]

@@ -1,5 +1,7 @@
 """Transforms, derivatives, and norms on the torus grid."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,8 @@ from torus4nls.spectral import (
     l2_norm,
     lp_norm,
     padded_samples,
+    refusing,
+    seminorm_sq,
     sobolev_norm,
     zero_field,
 )
@@ -279,3 +283,47 @@ class TestImmutability:
         gn_ratio(psi, 1, 2, np.inf)
         l2_norm(psi)
         assert np.array_equal(psi.coeffs, before)
+
+
+def _not_called():
+    raise AssertionError("the message is built only when the value is refused")
+
+
+class TestRefusing:
+    def test_returns_the_value_itself(self, grid64):
+        block = np.array([1e300, 2.0])
+        assert refusing(_not_called, lambda: block) is block
+        assert refusing(_not_called, pow, 2.0, 10) == 1024.0
+        field = single_mode(grid64, 3)
+        assert refusing(_not_called, lambda: field) is field
+
+    @pytest.mark.parametrize("compute", [
+        lambda: 10.0**400,  # OverflowError in Python floats
+        lambda: 1.0 / 0.0,  # ZeroDivisionError
+        lambda: np.array([1e300]) * 1e10,  # numpy overflow, not a RuntimeWarning
+        lambda: np.array([0.0]) / 0.0,  # numpy invalid
+        lambda: np.log(np.array([0.0])),  # numpy divide
+        lambda: 1e308 * 10.0,  # inf in Python floats, with no exception
+        lambda: (1.0, float("nan")),
+        lambda: SpectralField(GridSpec(8), [np.inf] + [0.0] * 7),
+    ], ids=["python-overflow", "python-divide", "numpy-overflow", "numpy-invalid",
+            "numpy-divide", "python-inf", "nan-entry", "field"])
+    def test_refuses_with_the_message(self, compute):
+        with pytest.raises(ValueError, match="^named input$"):
+            refusing(lambda: "named input", compute)
+
+    def test_other_errors_pass_through(self):
+        with pytest.raises(ValueError, match="math domain error"):
+            refusing(_not_called, math.sqrt, -1.0)
+
+    def test_weights_that_overflow_name_m_and_n(self, grid64):
+        # 32^(2·103) overflows: every norm taken with it would be inf or NaN
+        psi = single_mode(grid64, 1)
+        assert seminorm_sq(psi, 102) == 1.0
+        with pytest.raises(ValueError, match=r"^\|n\|\^\(2m\) overflows: m=103 is "
+                                             r"too large for N=64"):
+            seminorm_sq(psi, 103)
+        with pytest.raises(ValueError, match=r"^<n>\^\(2m\) overflows: m=103"):
+            sobolev_norm(psi, 103)
+        with pytest.raises(ValueError, match=r"^\(i n\)\^k overflows: k=200"):
+            padded_samples(psi.coeffs, 3, (200,))

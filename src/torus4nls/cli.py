@@ -103,10 +103,16 @@ def _comma_list(convert, text):
 
 
 def parse_ladder(text):
-    """Comma list of floats; ``2^-3`` exponent form allowed, refused where
-    it overflows (``inf`` and ``nan`` are left to the flag's own check)."""
-    return _comma_list(lambda tok: float(tok) if "^" not in tok else refusing(
-        lambda: f"an entry of {text!r} overflows", _power, tok), text)
+    """Comma list of floats; ``2^-3`` exponent form allowed. An entry that
+    overflows is refused; the literals ``inf`` and ``nan`` are left to the
+    flag's own check."""
+    def entry(tok):
+        if tok.strip().lstrip("+-").lower() in ("inf", "infinity", "nan"):
+            return float(tok)
+        return refusing(lambda: f"an entry of {text!r} overflows",
+                        _power if "^" in tok else float, tok)
+
+    return _comma_list(entry, text)
 
 
 def parse_int_list(text):

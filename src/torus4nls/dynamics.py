@@ -6,7 +6,9 @@ unitary when ε = 0. The main stepper performs Picard iteration on the
 Duhamel integral over one step (exponential-trapezoid quadrature), for an
 ensemble of runs on one grid at once as the rows of a (B, N) coefficient
 array; an integrating-factor RK4 scheme serves as an independent
-cross-check.
+cross-check. Both step coefficient arrays through one core: the
+nonlinearity ``_nonlinearity``, the factors ``_factors`` and the clock
+``_steps``, so they differ only in the time discretization.
 
 Every stepper takes one optional ``observer(time, rows, members)``, called
 at t=0 and after each step with the read-only (B', N) coefficients of the
@@ -255,6 +257,15 @@ def duhamel_step(psi, cfg, coeffs):
     return run.state, run.picard_iterations[0]
 
 
+def _factors(grid, t, epsilons, nu):
+    """Both steppers' one builder of W_ε(t): (len(epsilons), N) rows, one per
+    ε, or a ValueError where they are not finite. As |W| <= 1 for ε >= 0,
+    finite factors keep a finite state finite."""
+    return refusing(lambda: f"the factors W_eps(dt) overflow: nu={nu}, dt={t}",
+                    lambda: np.stack([kernels.semigroup_factors(
+                        grid.modes, float(t), float(eps), float(nu)) for eps in epsilons]))
+
+
 def _steps(t_end, dt):
     """Both steppers' one clock: (start, end, length) of each step. Full
     steps end at k·dt with length exactly dt; the last ends at t_end, short
@@ -328,12 +339,7 @@ def integrate_many(psi0s, t_end, cfgs, coeffs, observer=None):
     for start, t, dt in steps:
         if dt != factors_dt:
             factors_dt = dt
-            # |W| <= 1 as eps >= 0: finite factors keep a finite state finite
-            factors = refusing(
-                lambda: f"the factors W_eps(dt) overflow: nu={coeffs.nu}, dt={dt}",
-                lambda: np.stack([kernels.semigroup_factors(
-                    grid.modes, float(dt), float(cfgs[i].epsilon), float(coeffs.nu))
-                    for i in active]))
+            factors = _factors(grid, dt, [cfgs[i].epsilon for i in active], coeffs.nu)
         state, iterations = _picard_step(state, factors, dt, coeffs, m, start,
                                          active, count > 1)
         observe(t)
@@ -367,43 +373,45 @@ def integrate(psi0, t_end, cfg, coeffs, observer=None):
 
 
 def reference_integrate(psi0, t_end, cfg, coeffs, observer=None):
-    """Integrating-factor classical RK4, the independent cross-check scheme.
+    """Integrating-factor classical RK4, the independent cross-check scheme:
+    it steps (1, N) arrays through the Picard stepper's ``_nonlinearity``,
+    ``_factors`` and ``_steps``, and differs only in the time discretization.
 
     The semigroup is applied only over forward substeps (dt/2, dt), so the
     scheme is valid for ε > 0 as well. ``observer`` is called as in
     ``integrate``: at t=0 and after each step, with the read-only (1, N)
     coefficients and members (0,). Returns the run's Trajectory record.
-    Raises NonFinite at the first step that ends with a NaN/Inf coefficient.
+    Factors W_ε(dt) that are not finite are ``integrate``'s ValueError; a
+    step that ends with a NaN/Inf coefficient raises NonFinite.
     """
-    eps = cfg.epsilon
-    nu = coeffs.nu
     steps = _steps(t_end, cfg.dt)  # checks t_end before any sample
     run = Trajectory(0.0, psi0)
     if observer is not None:
         observer(0.0, psi0.coeffs[None], (0,))
-    state = psi0
+    state = psi0.coeffs[None]
 
-    def rhs(f):
-        return (-1j) * eval_nonlinearity(f, coeffs)
+    def rhs(c):  # -i N(ψ), N being zeros for linear coefficients
+        return (np.zeros_like(c) if coeffs.is_linear
+                else _nonlinearity(c, coeffs.lambdas, coeffs.dealias_pad)) * (-1j)
 
-    # overflow on the way to a non-finite state is reported by the check
+    # scalars on the right as in _picard_step; overflow is left to the check
+    factors_dt = None  # the step the current factors are for
     with np.errstate(over="ignore", invalid="ignore"):
         for _, t, h in steps:
+            if h != factors_dt:  # W(h) first, so that a refusal names dt
+                factors_dt = h
+                w, w_half = (_factors(psi0.grid, s, [cfg.epsilon], coeffs.nu)
+                             for s in (h, 0.5 * h))
             k1 = rhs(state)
-            half = semigroup_apply(state, 0.5 * h, eps, nu)
-            k2 = rhs(half + (0.5 * h) * semigroup_apply(k1, 0.5 * h, eps, nu))
-            k3 = rhs(half + (0.5 * h) * k2)
-            full = semigroup_apply(state, h, eps, nu)
-            k4 = rhs(full + h * semigroup_apply(k3, 0.5 * h, eps, nu))
-            incr = (
-                semigroup_apply(k1, h, eps, nu)
-                + 2.0 * semigroup_apply(k2 + k3, 0.5 * h, eps, nu)
-                + k4
-            )
-            state = full + (h / 6.0) * incr
-            if not np.all(np.isfinite(state.coeffs)):
+            half = state * w_half
+            k2 = rhs(half + (k1 * w_half) * (0.5 * h))
+            k3 = rhs(half + k2 * (0.5 * h))
+            full = state * w
+            k4 = rhs(full + (k3 * w_half) * h)
+            state = full + (k1 * w + ((k2 + k3) * w_half) * 2.0 + k4) * (h / 6.0)
+            if not np.all(np.isfinite(state)):
                 raise NonFinite(f"non-finite coefficients at t={t:.6g}", time=t)
-            run.time, run.state = t, state
+            run.time, run.state = t, SpectralField(psi0.grid, state[0])
             if observer is not None:
-                observer(t, state.coeffs[None], (0,))
+                observer(t, run.state.coeffs[None], (0,))
     return run

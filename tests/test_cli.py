@@ -625,6 +625,12 @@ class TestUsageErrors:
          "argument --eps-ladder: an entry of '2^100000,2^-3' overflows"),
         (["continuity", "--nu", "1", "--integrable", "--deltas", "2^100000,1e-3"],
          "argument --deltas: an entry of '2^100000,1e-3' overflows"),
+        # a plain float that overflows is refused the same way; inf and nan
+        # are left to the study's own check
+        (["eps-converge", "--nu", "1", "--integrable", "--eps-ladder", "1e400,2^-3"],
+         "argument --eps-ladder: an entry of '1e400,2^-3' overflows"),
+        (["continuity", "--nu", "1", "--integrable", "--deltas", "1e400,1e-3"],
+         "argument --deltas: an entry of '1e400,1e-3' overflows"),
         # ω overflows in Python floats; at 1e60 ω is finite but the residual is not
         (["standing-wave", "--kappa", "1e100"], "not finite at --kappa 1e+100,"),
         (["standing-wave", "--nu", "1", "--integrable", "--kappa", "1e60"],
@@ -655,12 +661,12 @@ class TestUsageErrors:
         # linear factors W_eps(dt) that are not finite
         (["simulate", "--nu", "1e308", "--t-end", "0.003"], "nu=1e+308, dt=0.001"),
         (["simulate", "--dt", "1e308", "--t-end", "1e308"], "nu=1.0, dt=1e+308"),
-    ], ids=["eps-ladder", "deltas", "kappa-omega", "kappa-residual", "standing-wave-nu",
-            "sweep-inequalities-nu", "kappa-coefficient", "certify-cm",
-            "certify-cm-nan-margin", "certify-cm-underflow", "riccati",
-            "sweep-inequalities", "certify-cm-m140", "certify-cm-m100",
-            "sweep-inequalities-m", "bona-smith-m", "riccati-m", "simulate-nu",
-            "simulate-dt"])
+    ], ids=["eps-ladder", "deltas", "eps-ladder-float", "deltas-float", "kappa-omega",
+            "kappa-residual", "standing-wave-nu", "sweep-inequalities-nu",
+            "kappa-coefficient", "certify-cm", "certify-cm-nan-margin",
+            "certify-cm-underflow", "riccati", "sweep-inequalities", "certify-cm-m140",
+            "certify-cm-m100", "sweep-inequalities-m", "bona-smith-m", "riccati-m",
+            "simulate-nu", "simulate-dt"])
     def test_overflowing_value_is_2(self, tmp_path, monkeypatch, capsys, argv, name):
         monkeypatch.setattr(experiments, "integrate_many",
                             lambda *a, **k: pytest.fail("ran"))

@@ -400,10 +400,16 @@ class TestStepClock:
         assert [args[1] for args in calls] == [dt]
 
     def test_rk4_takes_full_steps(self, grid64, monkeypatch):
-        calls = _counting(monkeypatch, dynamics, "semigroup_apply")
+        # W(h) and W(h/2) are built once per step length, W(h) first
+        calls = _counting(monkeypatch, kernels, "semigroup_factors")
         reference_integrate(_benign(grid64), 0.05, SolverConfig(dt=1e-3),
                             integrable_coefficients(1.0))
-        assert {args[1] for args in calls} == {0.5e-3, 1e-3}
+        assert [args[1] for args in calls] == [1e-3, 0.5e-3]
+        calls.clear()
+        reference_integrate(_benign(grid64), 0.01, SolverConfig(dt=3e-3),
+                            integrable_coefficients(1.0))
+        last = 0.01 - 3 * 3e-3
+        assert [args[1] for args in calls] == [3e-3, 1.5e-3, last, 0.5 * last]
 
 
 def _with_mode_31(grid, value):
@@ -430,17 +436,23 @@ def test_non_finite_initial_norm_rejected_before_any_sample(grid64, coeffs, valu
     assert seen == []
 
 
+def _pair(psi0, t_end, cfg, coeffs, observer):
+    """A two-member ``integrate_many`` of ``psi0`` at ε = 0 and ε = 0.5."""
+    return integrate_many([psi0] * 2, t_end, [cfg, replace(cfg, epsilon=0.5)],
+                          coeffs, observer)
+
+
 @pytest.mark.parametrize("nu,dt,t_end", [(1e308, 1e-3, 0.003), (1.0, 1e308, 1e308)],
                          ids=["nu", "dt"])
-def test_non_finite_factors_rejected(grid64, nu, dt, t_end):
+@pytest.mark.parametrize("stepper", [_pair, reference_integrate], ids=["duhamel", "rk4"])
+def test_non_finite_factors_rejected(grid64, stepper, nu, dt, t_end):
     # a linear step applies W_eps(dt) with no Picard gap to check, and the
     # blow-up test is False for NaN, so non-finite factors must be refused
     seen = []
     with pytest.raises(ValueError, match="^" + re.escape(
             f"the factors W_eps(dt) overflow: nu={nu}, dt={dt}")):
-        integrate_many([_benign(grid64)] * 2, t_end,
-                       [SolverConfig(dt=dt), SolverConfig(dt=dt, epsilon=0.5)],
-                       CoefficientSet(nu=nu), lambda *block: seen.append(block[0]))
+        stepper(_benign(grid64), t_end, SolverConfig(dt=dt), CoefficientSet(nu=nu),
+                lambda *block: seen.append(block[0]))
     assert seen == [0.0]  # the first step's factors are refused
 
 
@@ -642,6 +654,60 @@ class TestRawPathMatchesFieldReference:
             assert new_iters == ref_iters
             assert np.array_equal(new.coeffs, ref.coeffs)
         assert new_iters > 1
+
+
+def _field_reference_integrate(psi0, t_end, cfg, coeffs):
+    """The field-level RK4 loop the array path replaced: every state it
+    reaches, as (time, coefficients), from t=0 on."""
+    eps = cfg.epsilon
+    nu = coeffs.nu
+    states = [(0.0, psi0.coeffs)]
+    state = psi0
+
+    def rhs(f):
+        return (-1j) * eval_nonlinearity(f, coeffs)
+
+    for _, t, h in dynamics._steps(t_end, cfg.dt):
+        k1 = rhs(state)
+        half = semigroup_apply(state, 0.5 * h, eps, nu)
+        k2 = rhs(half + (0.5 * h) * semigroup_apply(k1, 0.5 * h, eps, nu))
+        k3 = rhs(half + (0.5 * h) * k2)
+        full = semigroup_apply(state, h, eps, nu)
+        k4 = rhs(full + h * semigroup_apply(k3, 0.5 * h, eps, nu))
+        incr = (
+            semigroup_apply(k1, h, eps, nu)
+            + 2.0 * semigroup_apply(k2 + k3, 0.5 * h, eps, nu)
+            + k4
+        )
+        state = full + (h / 6.0) * incr
+        states.append((t, state.coeffs))
+    return states
+
+
+class TestRK4MatchesFieldReference:
+    """RK4 on (1, N) arrays keeps every arithmetic expression of the
+    field-level loop, so every observed block and the final state keep
+    their bytes (``tobytes``, which tells -0.0 from 0.0)."""
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.05])
+    @pytest.mark.parametrize("kind", ["linear", "integrable", "cubic", "generic"])
+    @pytest.mark.parametrize("t_end,dt", [(0.01, 3e-3), (0.02, 1e-3)],
+                             ids=["short-last-step", "full-steps"])
+    def test_every_block_bytewise_equal(self, grid64, generic_coeffs, kind, epsilon,
+                                        t_end, dt):
+        coeffs = {"linear": CoefficientSet(nu=1.0), "cubic": CUBIC,
+                  "integrable": integrable_coefficients(1.0),
+                  "generic": generic_coeffs}[kind]
+        psi = _benign(grid64)
+        cfg = SolverConfig(dt=dt, epsilon=epsilon)
+        blocks = []
+        run = reference_integrate(psi, t_end, cfg, coeffs,
+                                  lambda time, rows, members: blocks.append(
+                                      (time, rows.tobytes())))
+        expected = _field_reference_integrate(psi, t_end, cfg, coeffs)
+        assert blocks == [(t, c.tobytes()) for t, c in expected]
+        assert run.time == t_end
+        assert run.state.coeffs.tobytes() == expected[-1][1].tobytes()
 
 
 def _observed(count):

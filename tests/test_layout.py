@@ -191,6 +191,22 @@ def test_one_step_clock():
         assert "_step_times" not in path.read_text(), path.name
 
 
+def test_one_factor_builder():
+    """``dynamics._factors`` is where both steppers build W_ε, and the
+    one-field ``semigroup_apply`` the one other place. No stepper goes
+    through ``semigroup_apply`` or ``eval_nonlinearity``, not even from a
+    nested helper (which ``_call_sites`` would name instead): only
+    ``exact``'s closed forms call them."""
+    assert sorted(_call_sites({"kernels.semigroup_factors", "semigroup_factors"})) == [
+        ("dynamics", "_factors"), ("dynamics", "semigroup_apply")]
+    assert sorted(_call_sites({"_factors", "dynamics._factors"})) == [
+        ("dynamics", "integrate_many"), ("dynamics", "reference_integrate")]
+    one_field = {"semigroup_apply", "eval_nonlinearity", "dynamics.semigroup_apply",
+                 "dynamics.eval_nonlinearity"}
+    assert sorted(_call_sites(one_field)) == [
+        ("exact", "linear_solution"), ("exact", "pde_residual")]
+
+
 def test_one_fork_for_one_study():
     """``experiments.in_worker`` is the package's one ``os.fork``, and
     ``riccati_study`` its one caller: no other run leaves the process."""

@@ -54,7 +54,7 @@ from .experiments import (
     eps_convergence_study,
     inequality_sweeps,
     riccati_study,
-    table_rows,
+    streamed_table,
     write_manifest,
     write_study,
     write_table,
@@ -104,13 +104,17 @@ def _comma_list(convert, text):
 
 def parse_ladder(text):
     """Comma list of floats; ``2^-3`` exponent form allowed. An entry that
-    overflows is refused; the literals ``inf`` and ``nan`` are left to the
-    flag's own check."""
+    overflows is refused, and so is a nonzero entry that underflows to 0;
+    the literals ``inf`` and ``nan`` are left to the flag's own check."""
     def entry(tok):
         if tok.strip().lstrip("+-").lower() in ("inf", "infinity", "nan"):
             return float(tok)
-        return refusing(lambda: f"an entry of {text!r} overflows",
-                        _power if "^" in tok else float, tok)
+        value = refusing(lambda: f"an entry of {text!r} overflows",
+                         _power if "^" in tok else float, tok)
+        # the mantissa of a float, or the base of a power, says if it is 0
+        if value == 0.0 and float(tok.split("^")[0].lower().split("e")[0]) != 0.0:
+            raise ValueError(f"{tok.strip()} underflows to 0")
+        return value
 
     return _comma_list(entry, text)
 
@@ -352,6 +356,9 @@ def finish_study(result, outdir):
 
 
 def cmd_simulate(args):
+    """Integrate one run and write its trajectory, energies and manifest.
+    This process steps and records the energies; the trajectory's rows go
+    to a forked writer (``streamed_table``), so ``os.fork`` is needed."""
     grid = GridSpec(args.num_modes)
     data = parse_data_spec(args.data, grid)
     coeffs = build_coeffs(args)
@@ -362,13 +369,16 @@ def cmd_simulate(args):
     for n in grid.modes[order]:
         names += [f"re_n{int(n)}", f"im_n{int(n)}"]
     fname = "simulate__trajectory.csv"
-    with table_rows(args.outdir, fname, names) as write_row:
+
+    def produce(send_row):
         def observe(time, rows, members):
             rec(time, rows, members)
             # the complex view interleaves re and im of each mode
-            write_row([time] + rows[0][order].view(np.float64).tolist())
+            send_row(np.concatenate(([time], rows[0][order].view(np.float64))))
 
-        run = integrate(data, args.t_end, cfg, coeffs, observe)
+        return integrate(data, args.t_end, cfg, coeffs, observe)
+
+    run = streamed_table(args.outdir, fname, names, produce)
     _report(args.outdir / fname)
     _report(write_table(args.outdir, "simulate__energy.csv", rec.columns))
     _report(write_manifest(args.outdir, "simulate", {

@@ -7,8 +7,9 @@ against those thresholds only. Studies are deterministic functions of
 through ``_output_file`` (``.part``, then rename; a failed write leaves
 nothing): ``table_rows`` writes a CSV table (header row, `time` or `param`
 first column, LF endings) one row at a time, ``write_table`` feeds it a
-table's columns, ``write_manifest`` writes a JSON manifest, and
-``write_study`` a study's tables and manifest.
+table's columns, ``streamed_table`` has a forked worker format the rows
+while this process produces them, ``write_manifest`` writes a JSON
+manifest, and ``write_study`` a study's tables and manifest.
 
 Each study's thresholds are one module-level constant
 (``CONSERVATION_THRESHOLDS`` and its five siblings). The verdict reads it
@@ -23,6 +24,7 @@ import pickle
 import signal
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import takewhile
 from pathlib import Path
 
@@ -165,6 +167,8 @@ def table_rows(outdir, fname, names):
 
     Cells are the shortest round-trip repr of each value as a float; a row
     of another length is a ValueError. The file comes from ``_output_file``.
+    ``write_row.flush()`` flushes what is written so far: a forked writer
+    (``streamed_table``) must not inherit it in a buffer, nor leave with it.
     """
     names = list(names)
     if names and names[0] not in ("time", "param"):
@@ -173,12 +177,17 @@ def table_rows(outdir, fname, names):
         out.write(",".join(names) + "\n")
 
         def write_row(values):
-            if len(values) != len(names):
-                raise ValueError(f"{fname}: row of {len(values)} cells "
-                                 f"under {len(names)} columns")
+            _check_row(fname, names, values)
             out.write(",".join(repr(float(v)) for v in values) + "\n")
 
+        write_row.flush = out.flush
         yield write_row
+
+
+def _check_row(fname, names, values):
+    if len(values) != len(names):
+        raise ValueError(f"{fname}: row of {len(values)} cells "
+                         f"under {len(names)} columns")
 
 
 def write_table(outdir, fname, columns):
@@ -444,10 +453,12 @@ def in_worker(fn, args, meanwhile):
     ``os.fork`` (Linux, macOS): where it is missing, a ValueError before
     either call starts. The worker has only the calling thread, so
     ``fn`` must not wait on a lock or pool of another thread; the stepper
-    uses numpy's FFTs and elementwise kernels, which need none.
+    uses numpy's FFTs and elementwise kernels, which need none. Its two
+    callers are ``riccati_study`` (the dt/8 order run) and
+    ``streamed_table`` (simulate's trajectory writer).
     """
     if not hasattr(os, "fork"):
-        raise ValueError("this study runs a worker process through os.fork, "
+        raise ValueError("this command runs a worker process through os.fork, "
                          "which this platform lacks (Linux and macOS have it)")
     read_end, write_end = os.pipe()
     pid = os.fork()
@@ -481,6 +492,53 @@ def in_worker(fn, args, meanwhile):
     if not ok:
         raise value
     return own, value
+
+
+def streamed_table(outdir, fname, names, produce):
+    """``produce(send_row)``, with the rows it sends written to the CSV
+    table ``fname`` in ``outdir`` by a forked worker (``in_worker``) while
+    this process goes on producing them.
+
+    ``send_row(values)`` checks the row's length in this process, where a
+    row of another length is ``table_rows``' ValueError, and sends the row
+    to the worker as float64 bytes over a pipe. The worker formats each row
+    with ``table_rows``' ``write_row``, so the bytes are the ones a serial
+    ``table_rows`` writes. The header is flushed before the fork and the
+    worker flushes its rows before it leaves, so each is written once. An
+    error of ``produce`` wins and the worker is killed. A worker that fails
+    stops reading: its own error (an OSError, say), or the RuntimeError of
+    a worker that died, is raised rather than the broken pipe this process
+    meets on its next send. On any error the ``.part`` file is removed.
+    """
+    names = list(names)
+    with table_rows(outdir, fname, names) as write_row:
+        write_row.flush()  # the header, before the worker inherits the buffer
+        read_end, write_end = os.pipe()
+        with open(read_end, "rb") as rows_in, open(write_end, "wb") as rows_out:
+            def write_rows():  # in the worker
+                rows_out.close()
+                for row in iter(partial(rows_in.read, 8 * len(names)), b""):
+                    write_row(np.frombuffer(row).tolist())
+                write_row.flush()
+
+            def send_row(values):
+                _check_row(fname, names, values)
+                rows_out.write(np.ascontiguousarray(values, dtype=np.float64))
+
+            broken = []
+
+            def stream():
+                rows_in.close()
+                try:
+                    with rows_out:
+                        return produce(send_row)
+                except BrokenPipeError as exc:  # the worker's error, if any, wins
+                    broken.append(exc)
+
+            own, _ = in_worker(write_rows, (), stream)
+            if broken:  # the worker read to the end: the pipe was not the cause
+                raise broken[0]
+    return own
 
 
 def _final_state(data, t_end, cfg, coeffs):

@@ -6,11 +6,26 @@ and integrates with the plain trapezoid rule, so functional values are
 cross-checked through a different code path.
 """
 
+import os
+
 import numpy as np
 import pytest
 
 from torus4nls.dynamics import CoefficientSet
 from torus4nls.spectral import GridSpec
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fails any test after which this process still has a child, running
+    or not yet reaped: every forked worker must be gone when its caller
+    returns or raises."""
+    yield
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"a child process was left: waitpid gave ({pid}, {status})")
 
 
 @pytest.fixture

@@ -189,6 +189,17 @@ class TestExitCodes:
         assert "at t=0.09" in capsys.readouterr().err
         assert not (tmp_path / "a").exists()
 
+    def test_midrun_solver_error_reaps_the_writer(self, tmp_path, monkeypatch, capsys):
+        # the trajectory's forked writer is killed and reaped, its .part removed
+        out = tmp_path / "a" / "b"
+        assert run_in(out, monkeypatch, MIDRUN_FAILURE) == 3
+        assert "at t=0.09" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()
+        assert run_in(tmp_path, monkeypatch, MIDRUN_FAILURE) == 3
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_solver_error_keeps_earlier_run(self, tmp_path, monkeypatch):
         assert run_in(tmp_path, monkeypatch, MIDRUN_FAILURE[:-1] + ["0.05"]) == 0
         earlier = output_bytes(tmp_path)
@@ -486,6 +497,18 @@ class TestUsageErrors:
         assert "os.fork" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    def test_simulate_without_fork_is_2(self, tmp_path, monkeypatch, capsys):
+        # simulate's trajectory is written by a forked worker: where os.fork
+        # does not exist, that is the same usage error, before any step
+        monkeypatch.setattr(cli, "integrate", lambda *a, **k: pytest.fail("ran"))
+        monkeypatch.delattr(os, "fork")
+        out = tmp_path / "out"
+        assert run_in(out, monkeypatch, ["simulate", "--t-end", "0.01"]) == 2
+        out_text, err = capsys.readouterr()
+        assert "usage error: " in err and "os.fork" in err
+        assert out_text == ""
+        assert not out.exists()
+
     def test_key_error_is_a_bug_not_a_usage_error(self, tmp_path, monkeypatch):
         # a KeyError from study code is a fault of the program: it propagates
         def lookup_fails(args):
@@ -726,6 +749,27 @@ class TestUsageErrors:
         assert exit_code(out, monkeypatch, argv) == 2
         out_text, err = capsys.readouterr()
         assert f"argument {flag}: {entry} is not a real number" in err
+        assert out_text == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command,flag,value", [
+        ("continuity", "--deltas", "1e-2,1e-400"),
+        ("eps-converge", "--eps-ladder", "2^-3,2^-1e400"),
+    ], ids=["deltas", "eps-ladder"])
+    def test_ladder_entry_that_underflows_is_2(self, tmp_path, monkeypatch, capsys,
+                                               command, flag, value, source):
+        # a nonzero entry that parses to 0.0 is the flag's error, not the study's
+        self._forbid_runs(monkeypatch)
+        out, entry = tmp_path / "out", value.split(",")[1]
+        argv = [command, "--nu", "1", "--integrable", f"{flag}={value}"]
+        if source == "config":
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{flag[2:].replace('-', '_')} = {value}\n")
+            argv[-1:] = ["--config", str(cfg)]
+        assert exit_code(out, monkeypatch, argv) == 2
+        out_text, err = capsys.readouterr()
+        assert f"argument {flag}: {entry} underflows to 0" in err
         assert out_text == ""
         assert not out.exists()
 

@@ -1,7 +1,9 @@
 """Study harness: rate fits, serialization, study verdicts and determinism."""
 
+import errno
 import json
 import os
+import resource
 import signal
 import subprocess
 import sys
@@ -33,6 +35,7 @@ from torus4nls.experiments import (
     in_worker,
     inequality_sweeps,
     riccati_study,
+    streamed_table,
     table_rows,
     write_manifest,
     write_study,
@@ -466,6 +469,113 @@ class TestInWorker:
             in_worker(time.sleep, (60,), fail)
         assert time.monotonic() - start < 30
         assert_no_child_left()
+
+
+def fork_with(monkeypatch, in_child):
+    """Make ``os.fork`` call ``in_child()`` in the child; returns the list
+    the parent's child pids are appended to."""
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid == 0:
+            in_child()
+        else:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+class TestStreamedTable:
+    """The rows ``produce`` sends are written by a forked worker, with the
+    bytes of a serial ``table_rows``; every failure leaves no ``.part``."""
+
+    NAMES = ["time", "x", "y"]
+
+    def test_header_and_rows_written_once(self, tmp_path):
+        # all of it fits in the .part's block buffer: a header left in the
+        # buffer the worker inherits would be written twice, and rows the
+        # worker did not flush before leaving would be lost
+        rows = [[0.0, 0.1, -0.0], [0.5, 1e-300, 3.0], [1.0, np.float32(0.1), -2.5]]
+
+        def produce(send_row):
+            for row in rows:
+                send_row(row)
+            return "done"
+
+        assert streamed_table(tmp_path / "s", "t.csv", self.NAMES, produce) == "done"
+        write_table(tmp_path / "t", "t.csv", dict(zip(self.NAMES, zip(*rows))))
+        streamed = (tmp_path / "s" / "t.csv").read_bytes()
+        assert streamed == (tmp_path / "t" / "t.csv").read_bytes()
+        assert streamed.count(b"time,x,y\n") == 1 and streamed.count(b"\n") == 4
+        assert_no_child_left()
+
+    def test_wrong_length_row_is_raised_here(self, tmp_path):
+        def produce(send_row):
+            with pytest.raises(ValueError, match=r"t\.csv: row of 2 cells under 3"):
+                send_row([0.0, 1.0])
+            send_row([1.0, 2.0, 3.0])
+
+        streamed_table(tmp_path, "t.csv", self.NAMES, produce)
+        assert (tmp_path / "t.csv").read_bytes() == b"time,x,y\n1.0,2.0,3.0\n"
+        assert_no_child_left()
+
+    def test_produce_error_wins_and_removes_part(self, tmp_path):
+        def produce(send_row):
+            send_row([0.0, 1.0, 2.0])
+            raise NonFinite("here", time=0.1)
+
+        with pytest.raises(NonFinite, match="here"):
+            streamed_table(tmp_path / "a" / "b", "t.csv", self.NAMES, produce)
+        assert not (tmp_path / "a").exists()
+        assert_no_child_left()
+
+    def test_killed_writer_is_named(self, tmp_path, monkeypatch):
+        pids = fork_with(monkeypatch, lambda: None)
+
+        def produce(send_row):
+            send_row([0.0, 1.0, 2.0])
+            os.kill(pids[0], signal.SIGKILL)
+            for k in range(100_000):  # until the pipe breaks
+                send_row([float(k), 1.0, 2.0])
+            pytest.fail("the pipe did not break")
+
+        with pytest.raises(RuntimeError, match=r"without a result \(killed by signal 9\)"):
+            streamed_table(tmp_path, "t.csv", self.NAMES, produce)
+        assert list(tmp_path.iterdir()) == []
+        assert_no_child_left()
+
+    def test_writer_os_error_is_raised_as_itself(self, tmp_path, monkeypatch):
+        # the worker may not grow a file past 100 bytes: its first flush of
+        # rows fails with EFBIG (SIGXFSZ is ignored, as Python starts it)
+        def limit_file_size():
+            signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+            hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]
+            resource.setrlimit(resource.RLIMIT_FSIZE, (100, hard))
+
+        fork_with(monkeypatch, limit_file_size)
+
+        def produce(send_row):
+            for k in range(100_000):  # until the pipe breaks
+                send_row([float(k), 1.0, 2.0])
+            pytest.fail("the pipe did not break")
+
+        with pytest.raises(OSError) as err:
+            streamed_table(tmp_path, "t.csv", self.NAMES, produce)
+        assert not isinstance(err.value, BrokenPipeError)
+        assert err.value.errno == errno.EFBIG
+        assert list(tmp_path.iterdir()) == []
+        assert_no_child_left()
+
+    def test_missing_fork_is_a_value_error_before_produce(self, tmp_path, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        with pytest.raises(ValueError, match=r"os\.fork"):
+            streamed_table(tmp_path / "out", "t.csv", self.NAMES,
+                           lambda send_row: pytest.fail("produced"))
+        assert not (tmp_path / "out").exists()
 
 
 def _contrast_family():

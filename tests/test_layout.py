@@ -207,12 +207,14 @@ def test_one_factor_builder():
         ("exact", "linear_solution"), ("exact", "pde_residual")]
 
 
-def test_one_fork_for_one_study():
-    """``experiments.in_worker`` is the package's one ``os.fork``, and
-    ``riccati_study`` its one caller: no other run leaves the process."""
+def test_one_fork_for_two_callers():
+    """``experiments.in_worker`` is the package's one ``os.fork``, and it
+    has two callers: ``riccati_study`` (the dt/8 order run) and
+    ``streamed_table`` (simulate's trajectory writer). No other work
+    leaves the process."""
     assert _call_sites({"os.fork", "fork"}) == [("experiments", "in_worker")]
-    assert _call_sites({"in_worker", "experiments.in_worker"}) == [
-        ("experiments", "riccati_study")]
+    assert sorted(_call_sites({"in_worker", "experiments.in_worker"})) == [
+        ("experiments", "riccati_study"), ("experiments", "streamed_table")]
 
 
 def test_ensembles_hand_one_observer_the_block():
@@ -264,11 +266,14 @@ def _writes_a_file(call):
 def test_one_writer_for_every_output_file():
     """``experiments._output_file`` is the one function of the package that
     makes a directory or opens a file to write: every CSV table and JSON
-    manifest goes through its ``.part``-and-rename path. The one other
-    write is ``in_worker``'s end of its result pipe, which is no file."""
+    manifest goes through its ``.part``-and-rename path. The two other
+    writes are pipe ends, which are no files: ``in_worker``'s result pipe
+    and ``streamed_table``'s row pipe. ``cli`` opens no pipe of its own."""
     assert sorted(_call_sites(_writes_a_file)) == [
         ("experiments", "_output_file"), ("experiments", "_output_file"),
-        ("experiments", "in_worker")]
+        ("experiments", "in_worker"), ("experiments", "streamed_table")]
+    assert sorted(_call_sites({"os.pipe", "pipe"})) == [
+        ("experiments", "in_worker"), ("experiments", "streamed_table")]
 
 
 def test_every_cache_is_measured():

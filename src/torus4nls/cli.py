@@ -10,8 +10,8 @@ of the subcommand with dashes replaced by underscores; any other key is a
 usage error. Its values become the subcommand parser's defaults, so each is
 read with its flag's own type (``integrable`` takes 1/true/yes or
 0/false/no). Flags must be spelled in full, and a config file that cannot
-be read is a usage error. ``eps-converge`` takes ε only from
-``--eps-ladder``, and ``conserve`` has no ε: it runs the unregularized
+be read is a usage error. Only ``simulate`` has ``--eps``; ``eps-converge``
+takes ε from ``--eps-ladder``, and the other studies run the unregularized
 flow. The dealiasing pad has no flag either; the coefficients fix it
 (``CoefficientSet.dealias_pad``). The output directory may additionally
 be forced through the ``TORUS4NLS_OUTDIR`` environment variable, which
@@ -172,12 +172,12 @@ COMMANDS = {
         "data": "random:seed=7:decay=8.0:hm=0.4:m=4", "num_modes": 64, "dt": 5e-4,
         "t_end": 0.02, "m": 4, **COEFFS, "eps_ladder": "2^-3,2^-4,2^-5,2^-6,2^-7"}),
     "riccati": ("energy growth-quotient contrast study", {
-        "dt": 1e-6, "t_end": 2e-4, "eps": 0.0, "m": 4, **COEFFS, "seed": 2024,
+        "dt": 1e-6, "t_end": 2e-4, "m": 4, **COEFFS, "seed": 2024,
         "num_modes": 256, "seps": "4,8,16,32", "hm_size": 2.0, "cm_trials": 60,
         "ceiling": 1.0}),
     "continuity": ("data-to-solution continuity study", {
         "data": "random:seed=11:decay=6.0:hm=0.4:m=4", "num_modes": 64, "dt": 1e-3,
-        "t_end": 0.05, "eps": 0.0, "m": 4, **COEFFS, "seed": 7,
+        "t_end": 0.05, "m": 4, **COEFFS, "seed": 7,
         "deltas": "1e-2,1e-3,1e-4,1e-5"}),
     "sweep-inequalities": ("bundled inequality sweeps", {
         "seed": 123, "trials": 200, "m": 4, "nu": 1.0, "ceiling": 1.0}),
@@ -338,7 +338,7 @@ def build_coeffs(args):
 def build_solver_config(args):
     return SolverConfig(
         dt=args.dt,
-        epsilon=getattr(args, "eps", 0.0),  # eps-converge, conserve: no --eps
+        epsilon=getattr(args, "eps", 0.0),  # only simulate has --eps
         sobolev_index_m=args.m,
     )
 
@@ -432,6 +432,8 @@ def cmd_riccati(args):
                   f"lie in [2, N/2-2] = [2, {top}]")
     family = [mode_pair_field(grid, k, args.hm_size, args.m) for k in args.seps]
     check_t_end(args.t_end)  # the study checks it too, but after certification
+    if args.cm_trials < 1:  # certify_cm's own error names no flag
+        raise ValueError(f"--cm-trials must be >= 1, got {args.cm_trials}")
     cert = certify_cm(
         args.m, coeffs, args.ceiling, trials=args.cm_trials,
         rng_seed=args.seed, target="sobolev",

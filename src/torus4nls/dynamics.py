@@ -6,9 +6,9 @@ unitary when ε = 0. The main stepper performs Picard iteration on the
 Duhamel integral over one step (exponential-trapezoid quadrature), for an
 ensemble of runs on one grid at once as the rows of a (B, N) coefficient
 array; an integrating-factor RK4 scheme serves as an independent
-cross-check. Both step coefficient arrays through one core: the
+cross-check. Both run in one loop, ``_stepping``, on one core: the
 nonlinearity ``_nonlinearity``, the factors ``_factors`` and the clock
-``_steps``, so they differ only in the time discretization.
+``_steps``, so they differ only in their step function.
 
 Every stepper takes one optional ``observer(time, rows, members)``, called
 at t=0 and after each step with the read-only (B', N) coefficients of the
@@ -119,8 +119,8 @@ class SolverConfig:
 class Trajectory:
     """Record of one run: the time it reached and its state there, the time
     it halted because the H^m norm crossed the ceiling (None if it did not)
-    and each step's Picard count (Duhamel only). Only the run's observer
-    sees the other states."""
+    and each step's Picard count (0 for an RK4 step). Only the run's
+    observer sees the other states."""
 
     time: float
     state: SpectralField
@@ -128,15 +128,19 @@ class Trajectory:
     picard_iterations: list = field(default_factory=list)
 
 
-def _nonlinearity(c, lambdas, pad):
+def _nonlinearity(c, coeffs):
     """Raw-array core of ``eval_nonlinearity`` for (B, N) coefficients ``c``:
-    a new writable (B, N) array, each row exactly as it would come out alone."""
+    a new writable (B, N) array, each row exactly as it would come out alone
+    (zeros for linear coefficients)."""
+    if coeffs.is_linear:
+        return np.zeros_like(c)
     rows, n = c.shape
+    pad = coeffs.dealias_pad
     # the pointwise kernel runs on flat (B·M,) views: elementwise, so
     # the same values, without numpy's per-row iteration over (B, M)
     u, du, d2u = padded_samples(c, pad, (0, 1, 2)).reshape(3, -1)
-    combined = kernels.nonlinear_combine(u, du, d2u, lambdas).reshape(rows, pad * n)
-    return band_coeffs(combined, n, pad)
+    combined = kernels.nonlinear_combine(u, du, d2u, coeffs.lambdas)
+    return band_coeffs(combined.reshape(rows, pad * n), n, pad)
 
 
 def eval_nonlinearity(psi, coeffs):
@@ -146,19 +150,14 @@ def eval_nonlinearity(psi, coeffs):
     by ``coeffs.dealias_pad``, and the result truncated back to the original
     band with the Nyquist mode forced to zero.
     """
-    if coeffs.is_linear:
-        return SpectralField(psi.grid, np.zeros_like(psi.coeffs))
-    return SpectralField(
-        psi.grid,
-        _nonlinearity(psi.coeffs[None], coeffs.lambdas, coeffs.dealias_pad)[0],
-    )
+    return SpectralField(psi.grid, _nonlinearity(psi.coeffs[None], coeffs)[0])
 
 
 def semigroup_apply(psi, t, eps, nu):
-    """Apply W_ε(t); rejects backward heat flow (t < 0 with ε > 0)."""
+    """Apply W_ε(t) from ``_factors``; rejects backward heat flow (t < 0, ε > 0)."""
     if eps > 0.0 and t < 0.0:
         raise ValueError("t must be nonnegative when eps > 0")
-    factors = kernels.semigroup_factors(psi.grid.modes, float(t), float(eps), float(nu))
+    factors = _factors(psi.grid, t, [eps], nu)[0]
     return SpectralField(psi.grid, kernels.apply_multiplier(psi.coeffs, factors))
 
 
@@ -184,8 +183,8 @@ def _at(time, member, named):
 
 
 def _picard_step(c, factors, dt, coeffs, m, time, members, named):
-    """One step of length dt from ``time`` for every row of the (B, N)
-    coefficients ``c``, row i being run ``members[i]`` of its ensemble.
+    """One step of length dt from ``time``, given ``factors`` (W_ε(dt),), for
+    each row i of the (B, N) coefficients ``c``, run ``members[i]``.
 
     Each row is the fixed point of ψ ↦ W_ε(dt)ψ₀ - i (dt/2) [W_ε(dt) N(ψ₀) +
     N(ψ)], converged when successive iterates differ by < PICARD_TOL in
@@ -196,11 +195,9 @@ def _picard_step(c, factors, dt, coeffs, m, time, members, named):
     ``named``): NonFinite as soon as its distance is not finite,
     NonConvergence past the budget.
     """
-    w_psi = kernels.apply_multiplier(c, factors)
+    w_psi = kernels.apply_multiplier(c, factors[0])
     if coeffs.is_linear:
         return w_psi, [1] * len(c)
-    lambdas = coeffs.lambdas
-    pad = coeffs.dealias_pad
     # the scalar stays on the right, where SpectralField.__rmul__ put it:
     # swapping complex operands can change the last bit under FMA
     half_dt = 0.5j * dt
@@ -209,11 +206,11 @@ def _picard_step(c, factors, dt, coeffs, m, time, members, named):
     live = list(range(len(c)))  # rows still iterating, ascending
     failure = None
     with np.errstate(over="ignore", invalid="ignore"):
-        n0 = _nonlinearity(c, lambdas, pad)
-        fixed = w_psi - kernels.apply_multiplier(n0, factors) * half_dt
+        n0 = _nonlinearity(c, coeffs)
+        fixed = w_psi - kernels.apply_multiplier(n0, factors[0]) * half_dt
         current = w_psi
         for iteration in range(1, PICARD_MAX_ITERS + 1):
-            nxt = fixed - _nonlinearity(current, lambdas, pad) * half_dt
+            nxt = fixed - _nonlinearity(current, coeffs) * half_dt
             gaps = np.sqrt(sobolev_norm_sq_rows(nxt - current, m)).tolist()
             keep = []
             for i, (row, gap) in enumerate(zip(live, gaps)):
@@ -249,6 +246,32 @@ def _picard_step(c, factors, dt, coeffs, m, time, members, named):
     return out, iterations
 
 
+def _rk4_step(c, factors, dt, coeffs, m, time, members, named):
+    """One integrating-factor RK4 step, taken as ``_picard_step`` takes its
+    own, from ``factors`` (W_ε(dt), W_ε(dt/2)): forward substeps only, so
+    valid for ε > 0 too. A row with a NaN/Inf coefficient raises NonFinite."""
+    w, w_half = factors
+
+    def rhs(c):  # -i N(ψ)
+        return _nonlinearity(c, coeffs) * (-1j)
+
+    # scalars on the right as in _picard_step; overflow is left to the check
+    with np.errstate(over="ignore", invalid="ignore"):
+        k1 = rhs(c)
+        half = c * w_half
+        k2 = rhs(half + (k1 * w_half) * (0.5 * dt))
+        k3 = rhs(half + k2 * (0.5 * dt))
+        full = c * w
+        k4 = rhs(full + (k3 * w_half) * dt)
+        out = full + (k1 * w + ((k2 + k3) * w_half) * 2.0 + k4) * (dt / 6.0)
+    finite = np.isfinite(out).all(axis=1).tolist()
+    if not all(finite):  # the lowest failing row
+        member = members[finite.index(False)]
+        raise NonFinite(f"non-finite coefficients at {_at(time, member, named)}",
+                        time=time, member=member)
+    return out, [0] * len(c)
+
+
 def duhamel_step(psi, cfg, coeffs):
     """One step of length dt via Picard iteration on the Duhamel map: a
     one-step ``integrate``, so the same state, Picard count and errors
@@ -258,9 +281,9 @@ def duhamel_step(psi, cfg, coeffs):
 
 
 def _factors(grid, t, epsilons, nu):
-    """Both steppers' one builder of W_ε(t): (len(epsilons), N) rows, one per
-    ε, or a ValueError where they are not finite. As |W| <= 1 for ε >= 0,
-    finite factors keep a finite state finite."""
+    """The one builder of W_ε(t): (len(epsilons), N) rows, one per ε, or a
+    ValueError where they are not finite. As |W| <= 1 for ε >= 0, finite
+    factors keep a finite state finite."""
     return refusing(lambda: f"the factors W_eps(dt) overflow: nu={nu}, dt={t}",
                     lambda: np.stack([kernels.semigroup_factors(
                         grid.modes, float(t), float(eps), float(nu)) for eps in epsilons]))
@@ -285,26 +308,9 @@ def _steps(t_end, dt):
     return clock()
 
 
-def integrate_many(psi0s, t_end, cfgs, coeffs, observer=None):
-    """Repeated Duhamel stepping of an ensemble of runs up to t_end.
-
-    Member i starts from ``psi0s[i]`` under ``cfgs[i]``. All members share
-    one grid, and their configs may differ only in ``epsilon``; anything
-    else is a ValueError. The members advance together as the rows of one
-    (B, N) array, and each gets exactly the states and Picard counts a run
-    of its own would get. ``observer(time, rows, members)``, called at t=0
-    and after each step with the read-only (B', N) coefficients of the live
-    members and their ascending member indices, is the only way to see the
-    states along the run. A member whose H^m norm exceeds ``BLOWUP_FACTOR``
-    times its initial value is marked and halts; the others go on. A
-    diverging step raises NonFinite (NonConvergence past the Picard budget)
-    at the earliest failing step, for the lowest failing member, carrying
-    the time and the member index. Initial data whose H^m norm is not finite
-    (a NaN or Inf coefficient, or an overflowing weighted sum) and a t_end
-    that is negative or not finite are ValueErrors before the observer is
-    called; so are, at the first step of their length, linear factors
-    W_ε(dt) that are not finite. Returns one Trajectory record per member.
-    """
+def _stepping(step, fractions, psi0s, t_end, cfgs, coeffs, observer):
+    """``integrate_many`` with the scheme's ``step``, called as ``_picard_step``
+    with W_ε(f·dt) for each f of ``fractions``, built when dt changes."""
     psi0s = list(psi0s)
     cfgs = list(cfgs)
     count = len(psi0s)
@@ -337,32 +343,53 @@ def integrate_many(psi0s, t_end, cfgs, coeffs, observer=None):
     observe(0.0)
     factors_dt = None  # the step the current factors are for
     for start, t, dt in steps:
-        if dt != factors_dt:
+        if dt != factors_dt:  # W(dt) first, so that a refusal names dt
             factors_dt = dt
-            factors = _factors(grid, dt, [cfgs[i].epsilon for i in active], coeffs.nu)
-        state, iterations = _picard_step(state, factors, dt, coeffs, m, start,
-                                         active, count > 1)
+            epsilons = [cfgs[i].epsilon for i in active]
+            factors = [_factors(grid, f * dt, epsilons, coeffs.nu) for f in fractions]
+        state, iterations = step(state, factors, dt, coeffs, m, start, active, count > 1)
         observe(t)
         norms = np.sqrt(sobolev_norm_sq_rows(state, m)).tolist()
         keep = []
         for i, member in enumerate(active):
-            runs[member].picard_iterations.append(iterations[i])
+            run = runs[member]
+            run.picard_iterations.append(iterations[i])
             if norms[i] > ceilings[member]:
-                runs[member].blowup_time = runs[member].time = t
-                runs[member].state = SpectralField(grid, state[i])
+                run.blowup_time = t
             else:
                 keep.append(i)
+            if run.blowup_time is not None or t == t_end:  # it halts, or has ended
+                run.time, run.state = t, SpectralField(grid, state[i])
         if len(keep) < len(active):
             active = tuple(active[i] for i in keep)
             state = state[keep]
-            factors = factors[keep]
+            factors = [w[keep] for w in factors]
         if not active:
             break
-    if t_end > 0.0:  # the members still running have reached t_end
-        for i, member in enumerate(active):
-            runs[member].time = t_end
-            runs[member].state = SpectralField(grid, state[i])
     return runs
+
+
+def integrate_many(psi0s, t_end, cfgs, coeffs, observer=None):
+    """Repeated Duhamel stepping of an ensemble of runs up to t_end.
+
+    Member i starts from ``psi0s[i]`` under ``cfgs[i]``. All members share
+    one grid, and their configs may differ only in ``epsilon``; anything
+    else is a ValueError. The members advance together as the rows of one
+    (B, N) array, and each gets exactly the states and Picard counts a run
+    of its own would get. ``observer(time, rows, members)``, called at t=0
+    and after each step with the read-only (B', N) coefficients of the live
+    members and their ascending member indices, is the only way to see the
+    states along the run. A member whose H^m norm exceeds ``BLOWUP_FACTOR``
+    times its initial value is marked and halts; the others go on. A
+    diverging step raises NonFinite (NonConvergence past the Picard budget)
+    at the earliest failing step, for the lowest failing member, carrying
+    the time and the member index. Initial data whose H^m norm is not finite
+    (a NaN or Inf coefficient, or an overflowing weighted sum) and a t_end
+    that is negative or not finite are ValueErrors before the observer is
+    called; so are, at the first step of their length, linear factors
+    W_ε(dt) that are not finite. Returns one Trajectory record per member.
+    """
+    return _stepping(_picard_step, (1.0,), psi0s, t_end, cfgs, coeffs, observer)
 
 
 def integrate(psi0, t_end, cfg, coeffs, observer=None):
@@ -374,44 +401,7 @@ def integrate(psi0, t_end, cfg, coeffs, observer=None):
 
 def reference_integrate(psi0, t_end, cfg, coeffs, observer=None):
     """Integrating-factor classical RK4, the independent cross-check scheme:
-    it steps (1, N) arrays through the Picard stepper's ``_nonlinearity``,
-    ``_factors`` and ``_steps``, and differs only in the time discretization.
-
-    The semigroup is applied only over forward substeps (dt/2, dt), so the
-    scheme is valid for ε > 0 as well. ``observer`` is called as in
-    ``integrate``: at t=0 and after each step, with the read-only (1, N)
-    coefficients and members (0,). Returns the run's Trajectory record.
-    Factors W_ε(dt) that are not finite are ``integrate``'s ValueError; a
-    step that ends with a NaN/Inf coefficient raises NonFinite.
-    """
-    steps = _steps(t_end, cfg.dt)  # checks t_end before any sample
-    run = Trajectory(0.0, psi0)
-    if observer is not None:
-        observer(0.0, psi0.coeffs[None], (0,))
-    state = psi0.coeffs[None]
-
-    def rhs(c):  # -i N(ψ), N being zeros for linear coefficients
-        return (np.zeros_like(c) if coeffs.is_linear
-                else _nonlinearity(c, coeffs.lambdas, coeffs.dealias_pad)) * (-1j)
-
-    # scalars on the right as in _picard_step; overflow is left to the check
-    factors_dt = None  # the step the current factors are for
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _, t, h in steps:
-            if h != factors_dt:  # W(h) first, so that a refusal names dt
-                factors_dt = h
-                w, w_half = (_factors(psi0.grid, s, [cfg.epsilon], coeffs.nu)
-                             for s in (h, 0.5 * h))
-            k1 = rhs(state)
-            half = state * w_half
-            k2 = rhs(half + (k1 * w_half) * (0.5 * h))
-            k3 = rhs(half + k2 * (0.5 * h))
-            full = state * w
-            k4 = rhs(full + (k3 * w_half) * h)
-            state = full + (k1 * w + ((k2 + k3) * w_half) * 2.0 + k4) * (h / 6.0)
-            if not np.all(np.isfinite(state)):
-                raise NonFinite(f"non-finite coefficients at t={t:.6g}", time=t)
-            run.time, run.state = t, SpectralField(psi0.grid, state[0])
-            if observer is not None:
-                observer(t, run.state.coeffs[None], (0,))
-    return run
+    ``integrate`` with ``_rk4_step`` for the Picard step, so the same refusals,
+    blow-up ceiling, observer blocks and record (0 Picard iterations per
+    step); its NonFinite carries the time the failing step started from."""
+    return _stepping(_rk4_step, (1.0, 0.5), [psi0], t_end, [cfg], coeffs, observer)[0]

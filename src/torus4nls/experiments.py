@@ -569,8 +569,8 @@ def riccati_study(family, coeffs, cfg, t_end, c_m):
     member. The verdict is only trusted (not inconclusive) if the stepper
     shows order ≥ ``min_order`` on the first member (all three in
     ``RICCATI_THRESHOLDS``). A family of fewer than two members is a
-    ValueError, and so is a linear coefficient set: its energies are
-    constant, so every quotient is 0.
+    ValueError, and so are ε ≠ 0, a linear coefficient set (its energies are
+    constant, so every quotient is 0) and energies whose square underflows.
 
     The family runs as one ensemble, whose observer reduces each step's
     (B, N) block to the members' energies. The order compares the first
@@ -584,6 +584,8 @@ def riccati_study(family, coeffs, cfg, t_end, c_m):
     if len(family) < 2:  # growth from first to last member needs two
         raise ValueError(f"family needs at least two members, got {len(family)}")
     check_t_end(t_end)
+    if cfg.epsilon != 0.0:
+        raise ValueError("riccati study runs the unregularized flow")
     if coeffs.is_linear:
         raise ValueError("the riccati contrast needs a nonlinearity, but every "
                          "lambda is 0: use --integrable or a --lambdaK flag")
@@ -596,6 +598,9 @@ def riccati_study(family, coeffs, cfg, t_end, c_m):
     def record(time, rows, members):
         modified = modified_energy_rows(rows, m, coeffs, c_m).tolist()
         plain = (seminorm_sq_rows(rows, m) + sobolev_norm_sq_rows(rows, 0)).tolist()
+        if time == 0.0 and min(e * e for e in modified + plain) < np.finfo(float).tiny:
+            raise ValueError("the family's energies E are so small that the "
+                             "quotient's E^2 underflows: raise --hm-size")
         for member, mod, raw in zip(members, modified, plain):
             series[member].append((time, mod, raw))
 
@@ -616,7 +621,7 @@ def riccati_study(family, coeffs, cfg, t_end, c_m):
         times, mods, raws = zip(*samples)
         q_mod.append(_max_quotient(times, mods))
         q_raw.append(_max_quotient(times, raws))
-        populated = np.abs(member.coeffs) > 1e-14
+        populated = np.abs(member.coeffs) > 1e-14 * np.abs(member.coeffs).max()
         freq_span.append(float(np.max(np.abs(grid.modes[populated]))))
     spread = max(q_mod) / min(q_mod)
     growth = q_raw[-1] / q_raw[0]
@@ -663,11 +668,13 @@ def continuity_study(phi, delta_ladder, coeffs, t_end, cfg, rng_seed):
     assumed. Passes when sup-differences scale like δ within ``slope_band``
     and the quotient band across the ladder stays within
     ``quotient_spread_max`` (``CONTINUITY_THRESHOLDS``). The ladder needs
-    two or more distinct δ, each positive and finite, and t_end must be > 0.
+    two or more distinct δ, each positive and finite, t_end > 0 and ε = 0.
     """
     check_entries("delta_ladder", delta_ladder, lambda d: 0.0 < d < math.inf,
                   "be positive and finite")
     check_t_end(t_end)
+    if cfg.epsilon != 0.0:
+        raise ValueError("continuity study runs the unregularized flow")
     m = cfg.sobolev_index_m
     deltas = sorted(delta_ladder, reverse=True)
     perturbed = [

@@ -598,18 +598,23 @@ class TestUsageErrors:
         ["--vers"],
         # the coefficients fix the dealiasing pad
         *([command, "--pad", "3", "--t-end", "0.005"] for command in STEPPING),
-        # conservation runs the unregularized flow
+        # conservation, riccati and continuity run the unregularized flow
         ["conserve", "--eps", "0", "--t-end", "0.005"],
+        ["riccati", "--nu", "1", "--integrable", "--eps", "0", "--cm-trials", "2",
+         "--t-end", "4e-6"],
+        ["continuity", "--eps", "0", "--t-end", "0.005"],
     ], ids=["eps-converge-eps", "abbreviated", "abbreviated-top-level",
-            *(f"{command}-pad" for command in STEPPING), "conserve-eps"])
+            *(f"{command}-pad" for command in STEPPING), "conserve-eps",
+            "riccati-eps", "continuity-eps"])
     def test_unknown_flag_is_2(self, tmp_path, monkeypatch, argv):
         assert exit_code(tmp_path, monkeypatch, argv) == 2
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("command,text", [
         *((command, "pad = 3") for command in STEPPING),
-        ("conserve", "eps = 0"),
-    ], ids=[*(f"{command}-pad" for command in STEPPING), "conserve-eps"])
+        *((command, "eps = 0") for command in ("conserve", "riccati", "continuity")),
+    ], ids=[*(f"{command}-pad" for command in STEPPING), "conserve-eps",
+            "riccati-eps", "continuity-eps"])
     def test_config_key_without_flag_is_2(self, tmp_path, monkeypatch, capsys,
                                           command, text):
         cfg = tmp_path / "run.cfg"
@@ -829,6 +834,22 @@ class TestUsageErrors:
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
             ["taken"] + (["run.cfg"] if source == "config" else []))
         assert (tmp_path / "taken").read_text() == "a file\n"
+
+    def test_riccati_zero_cm_trials_is_2(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "out"
+        argv = ["riccati", "--nu", "1", "--integrable", "--cm-trials", "0"]
+        assert run_in(out, monkeypatch, argv) == 2
+        assert "usage error: --cm-trials must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_riccati_underflowing_hm_size_is_2(self, tmp_path, monkeypatch, capsys):
+        # the growth quotients divide by E^2, which underflows at this size
+        out = tmp_path / "out"
+        argv = ["riccati", "--nu", "1", "--integrable", "--hm-size", "1e-80",
+                "--cm-trials", "2", "--t-end", "4e-6"]
+        assert run_in(out, monkeypatch, argv) == 2
+        assert "raise --hm-size" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_riccati_linear_flow_is_2(self, tmp_path, monkeypatch, capsys):
         # every lambda 0 at the defaults: each growth quotient would be 0

@@ -210,6 +210,13 @@ class TestSemigroup:
         # unitary case allows negative times
         semigroup_apply(psi, -0.1, 0.0, 1.0)
 
+    @pytest.mark.parametrize("t,nu", [(1e308, 1.0), (1.0, 1e308)], ids=["t", "nu"])
+    def test_non_finite_factors_rejected(self, grid64, t, nu):
+        # the steppers' refusal, not numpy's overflow warning and NaN
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"the factors W_eps(dt) overflow: nu={nu}, dt={t}")):
+            semigroup_apply(plane_wave(grid64, 1.0, 1), t, 0.0, nu)
+
 
 class TestSmoothingMultiplier:
     def test_at_least_one(self, grid64):
@@ -315,14 +322,17 @@ class TestIntegrate:
         assert seen[-1][0] == traj.time
         assert np.array_equal(seen[-1][1], traj.state.coeffs)
 
-    def test_blowup_marker(self, grid64, monkeypatch):
+    @pytest.mark.parametrize("stepper", [integrate, reference_integrate],
+                             ids=["duhamel", "rk4"])
+    def test_blowup_marker(self, grid64, monkeypatch, stepper):
         # ceiling below the conserved norm trips immediately
         monkeypatch.setattr(dynamics, "BLOWUP_FACTOR", 0.99)
         psi = plane_wave(grid64, 0.5, 2)
         cfg = SolverConfig(dt=1e-3, sobolev_index_m=4)
         (seen,), observer = _observed(1)
-        traj = integrate(psi, 0.01, cfg, CoefficientSet(nu=1.0), observer)
-        assert traj.blowup_time == pytest.approx(1e-3)
+        traj = stepper(psi, 0.01, cfg, CoefficientSet(nu=1.0), observer)
+        assert traj.blowup_time == traj.time == 1e-3
+        assert np.array_equal(traj.state.coeffs, seen[-1][1])
         assert len(seen) == 2
 
     def test_nonconvergence_carries_time(self, grid64, monkeypatch):
@@ -421,13 +431,16 @@ def _with_mode_31(grid, value):
 @pytest.mark.parametrize("value", [1e150, float("nan"), float("inf")])
 @pytest.mark.parametrize("coeffs", [CoefficientSet(nu=1.0), integrable_coefficients(1.0)],
                          ids=["linear", "integrable"])
-def test_non_finite_initial_norm_rejected_before_any_sample(grid64, coeffs, value):
+@pytest.mark.parametrize("stepper", [integrate, reference_integrate],
+                         ids=["duhamel", "rk4"])
+def test_non_finite_initial_norm_rejected_before_any_sample(grid64, stepper, coeffs,
+                                                            value):
     # 1e150 at mode 31 is finite, but its weighted H^4 square overflows;
     # the check computes that norm without leaking numpy's RuntimeWarning
     seen = []
     with pytest.raises(ValueError, match=r"^the initial data has a non-finite H\^m norm"):
-        integrate(_with_mode_31(grid64, value), 0.01, SolverConfig(dt=1e-3), coeffs,
-                  lambda *block: seen.append(block))
+        stepper(_with_mode_31(grid64, value), 0.01, SolverConfig(dt=1e-3), coeffs,
+                lambda *block: seen.append(block))
     assert seen == []
     with pytest.raises(ValueError, match="initial data of member 2 has a non-finite"):
         integrate_many([_benign(grid64)] * 2 + [_with_mode_31(grid64, value)], 0.01,
@@ -468,20 +481,6 @@ def test_bad_t_end_rejected_before_any_sample(grid64, generic_coeffs, stepper,
     assert seen == []
 
 
-def _weak_state_observer(refs):
-    """An observer that holds the coefficients behind each (1, N) block it
-    sees by a weak reference only."""
-    return lambda time, rows, members: refs.append(weakref.ref(rows.base))
-
-
-def _assert_only_final_alive(run, refs, count):
-    """Once the run has returned, the record's final state is the only one
-    of the ``count`` observed states still in memory."""
-    assert len(refs) == count
-    alive = [state for state in (ref() for ref in refs) if state is not None]
-    assert len(alive) == 1 and alive[0] is run.state.coeffs
-
-
 class TestReferenceIntegrate:
     def test_linear_exact_vs_semigroup(self, grid64):
         rng = rng_for(31)
@@ -513,12 +512,16 @@ class TestReferenceIntegrate:
             reference_integrate(psi, 5.0, cfg, integrable_coefficients(1.0))
 
     def test_run_keeps_only_the_final_state(self, grid64, generic_coeffs):
+        # as in integrate: the observer holds each block by a weak reference
+        # only, and the record holds its final state as a copy
         refs = []
         run = reference_integrate(
             _benign(grid64), 0.01, SolverConfig(dt=2e-3, sobolev_index_m=4),
-            generic_coeffs, _weak_state_observer(refs),
+            generic_coeffs, lambda time, rows, members: refs.append(weakref.ref(rows)),
         )
-        _assert_only_final_alive(run, refs, 6)
+        assert len(refs) == 6 and all(ref() is None for ref in refs)
+        assert run.time == 0.01 and run.state.coeffs.base is None
+        assert run.picard_iterations == [0] * 5
 
     def test_observer_sees_one_read_only_row(self, grid64, generic_coeffs):
         blocks = []

@@ -357,6 +357,28 @@ class TestRiccatiStudy:
         with pytest.raises(ValueError, match="at least two members"):
             riccati_study(family, integrable_coefficients(1.0), cfg, 2e-3, c_m=1.0)
 
+    def test_requires_unregularized(self):
+        family = [mode_pair_field(GridSpec(64), k, 1.0, 4) for k in (4, 8)]
+        cfg = SolverConfig(dt=1e-4, epsilon=0.1, sobolev_index_m=4)
+        with pytest.raises(ValueError, match="unregularized"):
+            riccati_study(family, integrable_coefficients(1.0), cfg, 2e-3, c_m=1.0)
+
+    def test_freq_span_is_relative_to_each_member(self):
+        # at H^m size 1e-9 the k=16 member's mode 17 is about 6e-15, yet
+        # populated: the span is measured against the member's largest mode
+        family = [mode_pair_field(GridSpec(64), k, 1e-9, 4) for k in (4, 16)]
+        cfg = SolverConfig(dt=1e-5, sobolev_index_m=4)
+        res = riccati_study(family, integrable_coefficients(1.0), cfg, 4e-5, c_m=1.0)
+        assert res.tables["quotients"]["freq_span"] == [5.0, 17.0]
+
+    def test_underflowing_energy_square_rejected(self):
+        # E ~ 1e-160, so the quotient's denominator E^2 is below the
+        # smallest normal float; refused at t=0, before any step
+        family = [mode_pair_field(GridSpec(64), k, 1e-80, 4) for k in (4, 16)]
+        cfg = SolverConfig(dt=1e-5, sobolev_index_m=4)
+        with pytest.raises(ValueError, match=r"E\^2 underflows: raise --hm-size$"):
+            riccati_study(family, integrable_coefficients(1.0), cfg, 4e-5, c_m=1.0)
+
     def test_no_corrections_means_equal_quotients(self):
         # lambda3..6 = 0 and c_m = 0 make the corrected energy identical to
         # the plain one
@@ -671,6 +693,13 @@ def _kept_rows():
 
 
 class TestContinuityStudy:
+    def test_requires_unregularized(self):
+        cfg = SolverConfig(dt=1e-3, epsilon=0.1, sobolev_index_m=4)
+        data = decay_field(GridSpec(32), 5.0, amp=0.2)
+        with pytest.raises(ValueError, match="unregularized"):
+            continuity_study(data, [1e-2, 1e-3], integrable_coefficients(1.0), 0.01,
+                             cfg, 7)
+
     def test_same_data_same_trajectory(self):
         # delta = 0 perturbation: bitwise-identical runs (uniqueness in the
         # deterministic sense)

@@ -84,7 +84,7 @@ def test_no_fft_imported_by_name(path):
                     f"{path.name}: import {alias.name}"
 
 
-STEPPERS = ("_picard_step", "duhamel_step", "integrate", "integrate_many",
+STEPPERS = ("_picard_step", "_rk4_step", "duhamel_step", "integrate", "integrate_many",
             "reference_integrate")
 STUDIES = ("conservation_study", "bona_smith_rate_study", "eps_convergence_study",
            "riccati_study", "continuity_study", "inequality_sweeps")
@@ -111,7 +111,8 @@ def test_no_tolerance_is_an_argument():
         params = set(inspect.signature(getattr(dynamics, name)).parameters)
         knobs = {"picard_tol", "picard_max_iters", "blowup_factor"} & params
         assert not knobs, f"{name} takes {sorted(knobs)}"
-    assert "cfg" not in inspect.signature(dynamics._picard_step).parameters
+    for step in (dynamics._picard_step, dynamics._rk4_step):
+        assert "cfg" not in inspect.signature(step).parameters
     fields = tuple(f.name for f in dataclasses.fields(dynamics.SolverConfig))
     assert fields == ("dt", "epsilon", "sobolev_index_m")
 
@@ -139,21 +140,32 @@ def test_norm_layout_stays_in_spectral():
     assert not used & layout, sorted(used & layout)
 
 
+STEP_FUNCTIONS = {"_picard_step", "_rk4_step", "dynamics._picard_step",
+                  "dynamics._rk4_step"}
+
+
 def test_picard_step_has_one_call_site():
-    """``integrate_many`` is the one caller of ``_picard_step``, and no
-    ``try`` surrounds the call: the step raises its errors complete."""
+    """The one stepping loop ``_stepping`` is the one caller of a scheme's
+    step function, and no ``try`` surrounds the call: the step raises its
+    errors complete. ``_picard_step`` and ``_rk4_step`` are named nowhere
+    but in the public stepper that hands each to the loop."""
     sites = []
 
-    def visit(node, in_try):
+    def visit(node, func, in_try):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
         if isinstance(node, ast.Call) and _dotted(node.func) in (
-                "_picard_step", "dynamics._picard_step"):
-            sites.append(in_try)
+                {"step"} | STEP_FUNCTIONS):
+            sites.append((func, _dotted(node.func), in_try))
         for child in ast.iter_child_nodes(node):
-            visit(child, in_try or isinstance(node, ast.Try))
+            visit(child, func, in_try or isinstance(node, ast.Try))
 
     for path in MODULES:
-        visit(ast.parse(path.read_text(), filename=str(path)), False)
-    assert sites == [False]
+        visit(ast.parse(path.read_text(), filename=str(path)), None, False)
+    assert sites == [("_stepping", "step", False)]
+    named = _sites(lambda node: _dotted(node) in STEP_FUNCTIONS)
+    assert sorted(named) == [("dynamics", "integrate_many"),
+                             ("dynamics", "reference_integrate")]
 
 
 def _sites(matches):
@@ -184,23 +196,23 @@ def _call_sites(names):
 
 def test_one_step_clock():
     """``dynamics._steps`` is the one source of step lengths, called by the
-    two steppers that loop over steps; no list of step times is left."""
-    assert _call_sites({"_steps", "dynamics._steps"}) == [
-        ("dynamics", "integrate_many"), ("dynamics", "reference_integrate")]
+    one stepping loop of both schemes; no list of step times is left."""
+    assert _call_sites({"_steps", "dynamics._steps"}) == [("dynamics", "_stepping")]
     for path in MODULES:
         assert "_step_times" not in path.read_text(), path.name
 
 
 def test_one_factor_builder():
-    """``dynamics._factors`` is where both steppers build W_ε, and the
-    one-field ``semigroup_apply`` the one other place. No stepper goes
-    through ``semigroup_apply`` or ``eval_nonlinearity``, not even from a
-    nested helper (which ``_call_sites`` would name instead): only
-    ``exact``'s closed forms call them."""
-    assert sorted(_call_sites({"kernels.semigroup_factors", "semigroup_factors"})) == [
-        ("dynamics", "_factors"), ("dynamics", "semigroup_apply")]
+    """``dynamics._factors`` is the one builder of W_ε: the one stepping
+    loop calls it for both schemes, and the one-field ``semigroup_apply``
+    is its one other caller. No stepper goes through ``semigroup_apply`` or
+    ``eval_nonlinearity``, not even from a nested helper (which
+    ``_call_sites`` would name instead): only ``exact``'s closed forms call
+    them."""
+    assert _call_sites({"kernels.semigroup_factors", "semigroup_factors"}) == [
+        ("dynamics", "_factors")]
     assert sorted(_call_sites({"_factors", "dynamics._factors"})) == [
-        ("dynamics", "integrate_many"), ("dynamics", "reference_integrate")]
+        ("dynamics", "_stepping"), ("dynamics", "semigroup_apply")]
     one_field = {"semigroup_apply", "eval_nonlinearity", "dynamics.semigroup_apply",
                  "dynamics.eval_nonlinearity"}
     assert sorted(_call_sites(one_field)) == [
@@ -299,10 +311,10 @@ def test_every_cache_is_measured():
 def test_one_refusal_path():
     """``spectral.refusing`` is the package's one refusal of a value that
     overflows: the only handler of ``OverflowError`` and, beside the two
-    steppers' inner loops, the only ``np.errstate``, so no module grows a
+    schemes' step functions, the only ``np.errstate``, so no module grows a
     check of its own again."""
     assert sorted(_call_sites({"np.errstate", "numpy.errstate"})) == [
-        ("dynamics", "_picard_step"), ("dynamics", "reference_integrate"),
+        ("dynamics", "_picard_step"), ("dynamics", "_rk4_step"),
         ("spectral", "refusing")]
     assert _sites(lambda node: isinstance(node, ast.ExceptHandler)
                   and "OverflowError" in ast.unparse(node.type or ast.Tuple([]))) == [

@@ -343,6 +343,13 @@ def build_solver_config(args):
     )
 
 
+def check_trials(trials, flag):
+    """A ValueError naming ``flag`` unless ``trials`` >= 1; the studies'
+    own check names no flag."""
+    if trials < 1:
+        raise ValueError(f"{flag} must be >= 1, got {trials}")
+
+
 def _report(path):
     print(f"  wrote {path}")
 
@@ -432,8 +439,7 @@ def cmd_riccati(args):
                   f"lie in [2, N/2-2] = [2, {top}]")
     family = [mode_pair_field(grid, k, args.hm_size, args.m) for k in args.seps]
     check_t_end(args.t_end)  # the study checks it too, but after certification
-    if args.cm_trials < 1:  # certify_cm's own error names no flag
-        raise ValueError(f"--cm-trials must be >= 1, got {args.cm_trials}")
+    check_trials(args.cm_trials, "--cm-trials")
     cert = certify_cm(
         args.m, coeffs, args.ceiling, trials=args.cm_trials,
         rng_seed=args.seed, target="sobolev",
@@ -455,6 +461,7 @@ def cmd_continuity(args):
 
 
 def cmd_sweep_inequalities(args):
+    check_trials(args.trials, "--trials")
     result = inequality_sweeps(
         args.seed, args.trials, m=args.m, nu=args.nu, l2_ceiling=args.ceiling,
     )
@@ -487,6 +494,7 @@ def cmd_standing_wave(args):
 
 def cmd_certify_cm(args):
     coeffs = build_coeffs(args)
+    check_trials(args.trials, "--trials")
     cert = certify_cm(
         args.m, coeffs, args.ceiling, trials=args.trials, rng_seed=args.seed,
         target=args.target,

@@ -34,6 +34,15 @@ PICARD_TOL = 1e-12  # converged when successive iterates differ by less in H^m
 PICARD_MAX_ITERS = 50  # iterations per step before NonConvergence
 BLOWUP_FACTOR = 1e6  # a run halts once its H^m norm exceeds this times its initial one
 
+# The most padded points (2·B·pad·N) for which a Picard step evaluates
+# N(ψ₀) and the first iterate's N(W_ε(dt)ψ₀) as one (2B, N) block, one
+# call fewer per step. Above it the fused call's temporaries outgrow what
+# malloc keeps between calls: on a 2-core x86-64 host (numpy 2.4, glibc)
+# a 6,144-point call takes about 150 minor page faults and costs 1.2-1.5
+# times the two calls it replaces, which take none, while up to 4,608
+# points it costs 0.75-0.90 of them.
+_FUSED_POINTS = 4096
+
 
 class NonConvergence(RuntimeError):
     """Picard iteration failed to contract within the iteration budget;
@@ -157,7 +166,7 @@ def semigroup_apply(psi, t, eps, nu):
     """Apply W_ε(t) from ``_factors``; rejects backward heat flow (t < 0, ε > 0)."""
     if eps > 0.0 and t < 0.0:
         raise ValueError("t must be nonnegative when eps > 0")
-    factors = _factors(psi.grid, t, [eps], nu)[0]
+    factors = _factors(psi.grid, t, [eps], nu, "t")[0]
     return SpectralField(psi.grid, kernels.apply_multiplier(psi.coeffs, factors))
 
 
@@ -188,8 +197,13 @@ def _picard_step(c, factors, dt, coeffs, m, time, members, named):
 
     Each row is the fixed point of ψ ↦ W_ε(dt)ψ₀ - i (dt/2) [W_ε(dt) N(ψ₀) +
     N(ψ)], converged when successive iterates differ by < PICARD_TOL in
-    H^m. A row freezes at its own convergence and leaves the batch, so it
-    takes the iterations and gets the bits it would get alone. Returns
+    H^m. N(ψ₀) and the first iterate's N(W_ε(dt)ψ₀) depend only on the
+    step's start, so while the (2B, N) block of both has at most
+    ``_FUSED_POINTS`` padded points they are one ``_nonlinearity`` call:
+    k calls for k iterations instead of k+1. Every row of a
+    ``_nonlinearity`` block gets the bits it would get alone, and a row
+    freezes at its own convergence and leaves the batch, so each row takes
+    the iterations and gets the bits of a run of its own. Returns
     (states, iterations per row). When rows fail, raises for the lowest
     one, carrying ``time`` and its member (named in the message when
     ``named``): NonFinite as soon as its distance is not finite,
@@ -206,11 +220,16 @@ def _picard_step(c, factors, dt, coeffs, m, time, members, named):
     live = list(range(len(c)))  # rows still iterating, ascending
     failure = None
     with np.errstate(over="ignore", invalid="ignore"):
-        n0 = _nonlinearity(c, coeffs)
+        if 2 * c.size * coeffs.dealias_pad <= _FUSED_POINTS:
+            both = _nonlinearity(np.concatenate((c, w_psi)), coeffs)
+            n0, n_first = both[: len(c)], both[len(c) :]
+        else:
+            n0, n_first = _nonlinearity(c, coeffs), _nonlinearity(w_psi, coeffs)
         fixed = w_psi - kernels.apply_multiplier(n0, factors[0]) * half_dt
         current = w_psi
         for iteration in range(1, PICARD_MAX_ITERS + 1):
-            nxt = fixed - _nonlinearity(current, coeffs) * half_dt
+            n_current = n_first if iteration == 1 else _nonlinearity(current, coeffs)
+            nxt = fixed - n_current * half_dt
             gaps = np.sqrt(sobolev_norm_sq_rows(nxt - current, m)).tolist()
             keep = []
             for i, (row, gap) in enumerate(zip(live, gaps)):
@@ -280,11 +299,12 @@ def duhamel_step(psi, cfg, coeffs):
     return run.state, run.picard_iterations[0]
 
 
-def _factors(grid, t, epsilons, nu):
-    """The one builder of W_ε(t): (len(epsilons), N) rows, one per ε, or a
-    ValueError where they are not finite. As |W| <= 1 for ε >= 0, finite
-    factors keep a finite state finite."""
-    return refusing(lambda: f"the factors W_eps(dt) overflow: nu={nu}, dt={t}",
+def _factors(grid, t, epsilons, nu, name="dt"):
+    """The one builder of W_ε(t): (len(epsilons), N) rows, one per ε, or,
+    where they are not finite, a ValueError that calls ``t`` ``name`` ("dt"
+    for a step, "t" for a time). As |W| <= 1 for ε >= 0, finite factors
+    keep a finite state finite."""
+    return refusing(lambda: f"the factors W_eps({name}) overflow: nu={nu}, {name}={t}",
                     lambda: np.stack([kernels.semigroup_factors(
                         grid.modes, float(t), float(eps), float(nu)) for eps in epsilons]))
 

@@ -835,11 +835,15 @@ class TestUsageErrors:
             ["taken"] + (["run.cfg"] if source == "config" else []))
         assert (tmp_path / "taken").read_text() == "a file\n"
 
-    def test_riccati_zero_cm_trials_is_2(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("argv,flag", [
+        (["riccati", "--nu", "1", "--integrable", "--cm-trials", "0"], "--cm-trials"),
+        (["certify-cm", "--nu", "1", "--integrable", "--trials", "0"], "--trials"),
+        (["sweep-inequalities", "--trials", "0"], "--trials"),
+    ], ids=["riccati", "certify-cm", "sweep-inequalities"])
+    def test_zero_trials_is_2(self, tmp_path, monkeypatch, capsys, argv, flag):
         out = tmp_path / "out"
-        argv = ["riccati", "--nu", "1", "--integrable", "--cm-trials", "0"]
         assert run_in(out, monkeypatch, argv) == 2
-        assert "usage error: --cm-trials must be >= 1, got 0" in capsys.readouterr().err
+        assert f"usage error: {flag} must be >= 1, got 0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_riccati_underflowing_hm_size_is_2(self, tmp_path, monkeypatch, capsys):

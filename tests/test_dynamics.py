@@ -212,9 +212,10 @@ class TestSemigroup:
 
     @pytest.mark.parametrize("t,nu", [(1e308, 1.0), (1.0, 1e308)], ids=["t", "nu"])
     def test_non_finite_factors_rejected(self, grid64, t, nu):
-        # the steppers' refusal, not numpy's overflow warning and NaN
+        # the steppers' refusal, not numpy's overflow warning and NaN, naming
+        # the time it was asked for, which is no step
         with pytest.raises(ValueError, match="^" + re.escape(
-                f"the factors W_eps(dt) overflow: nu={nu}, dt={t}")):
+                f"the factors W_eps(t) overflow: nu={nu}, t={t}")):
             semigroup_apply(plane_wave(grid64, 1.0, 1), t, 0.0, nu)
 
 
@@ -657,6 +658,83 @@ class TestRawPathMatchesFieldReference:
             assert new_iters == ref_iters
             assert np.array_equal(new.coeffs, ref.coeffs)
         assert new_iters > 1
+
+    @pytest.mark.parametrize("num_modes", [64, 256], ids=["below-bound", "above-bound"])
+    def test_ensemble_bytewise_equal(self, num_modes):
+        # four members at pad 3: 1,536 padded points at N=64, so both
+        # start-of-step evaluations are one call, and 6,144 at N=256
+        grid = GridSpec(num_modes)
+        coeffs = integrable_coefficients(1.0)
+        fused = 2 * 4 * coeffs.dealias_pad * num_modes <= dynamics._FUSED_POINTS
+        assert fused == (num_modes == 64)
+        psis = [random_field(grid, rng_for(num_modes + k), decay=2.0, hm_norm=0.4,
+                             m=4, max_mode=6) for k in range(4)]
+        cfgs = [SolverConfig(dt=2e-4, epsilon=e, sobolev_index_m=4)
+                for e in (0.0, 0.0, 0.05, 0.05)]
+        blocks = []
+        runs = integrate_many(psis, 8e-4, cfgs, coeffs,
+                              lambda time, rows, members: blocks.append((members, rows.copy())))
+        assert len(blocks) == 5
+        for k, (psi, cfg, run) in enumerate(zip(psis, cfgs, runs)):
+            ref = psi
+            for step, (members, rows) in enumerate(blocks[1:]):
+                ref, ref_iters = _field_duhamel_step(ref, cfg, coeffs)
+                assert run.picard_iterations[step] == ref_iters
+                assert rows[members.index(k)].tobytes() == ref.coeffs.tobytes()
+            assert ref_iters > 1
+
+
+class TestNonlinearityRows:
+    """Each row of a ``_nonlinearity`` block gets the bytes it gets alone,
+    which the Picard step's fused start-of-step block relies on; the odd
+    sizes are no multiple of a SIMD width."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 5, 8, 10])
+    @pytest.mark.parametrize("num_modes", [4, 6, 10, 32, 64, 256])
+    @pytest.mark.parametrize("coeffs,pad", [(CUBIC, 2), (integrable_coefficients(1.0), 3)],
+                             ids=["cubic-pad2", "integrable-pad3"])
+    def test_each_row_bytewise_equal(self, coeffs, pad, num_modes, rows):
+        assert coeffs.dealias_pad == pad
+        rng = np.random.default_rng(10 * num_modes + rows)
+        block = (rng.standard_normal((rows, num_modes))
+                 + 1j * rng.standard_normal((rows, num_modes))) * 0.3
+        if rows > 1:
+            block[1] = 0.0
+        got = dynamics._nonlinearity(block, coeffs)
+        assert got.shape == block.shape
+        for row, out in zip(block, got):
+            assert out.tobytes() == dynamics._nonlinearity(row[None], coeffs)[0].tobytes()
+
+
+class TestFusedStartOfStep:
+    """A Picard step evaluates N(ψ₀) and its first iterate's N(W_ε(dt)ψ₀)
+    in one call while their (2B, N) block has at most ``_FUSED_POINTS``
+    padded points, and in two above it; the rows evaluated are the same."""
+
+    def test_bound(self):
+        # the crossover measured in the constant's comment
+        assert dynamics._FUSED_POINTS == 4096
+
+    @pytest.mark.parametrize("num_modes,coeffs,fused", [
+        (64, integrable_coefficients(1.0), True),  # 384 points
+        (1024, CUBIC, True),  # 4,096: at the bound
+        (1024, integrable_coefficients(1.0), False),  # 6,144
+    ], ids=["below", "at", "above"])
+    def test_calls_per_step(self, monkeypatch, num_modes, coeffs, fused):
+        points = []
+        combine = kernels.nonlinear_combine
+
+        def counting(u, du, d2u, lam):
+            points.append(u.size)
+            return combine(u, du, d2u, lam)
+
+        monkeypatch.setattr(kernels, "nonlinear_combine", counting)
+        run = integrate(_benign(GridSpec(num_modes)), 1e-3, SolverConfig(dt=2e-4), coeffs)
+        steps, iterations = len(run.picard_iterations), sum(run.picard_iterations)
+        assert steps == 5 and iterations > steps
+        assert len(points) == iterations + (0 if fused else steps)
+        # one row for N(ψ₀) and one per iteration, on either side
+        assert sum(points) == coeffs.dealias_pad * num_modes * (steps + iterations)
 
 
 def _field_reference_integrate(psi0, t_end, cfg, coeffs):

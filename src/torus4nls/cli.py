@@ -343,11 +343,11 @@ def build_solver_config(args):
     )
 
 
-def check_trials(trials, flag):
-    """A ValueError naming ``flag`` unless ``trials`` >= 1; the studies'
-    own check names no flag."""
-    if trials < 1:
-        raise ValueError(f"{flag} must be >= 1, got {trials}")
+def check_at_least_one(value, flag):
+    """A ValueError naming ``flag`` unless ``value`` >= 1; the studies' own
+    checks name no flag."""
+    if value < 1:
+        raise ValueError(f"{flag} must be >= 1, got {value}")
 
 
 def _report(path):
@@ -439,7 +439,7 @@ def cmd_riccati(args):
                   f"lie in [2, N/2-2] = [2, {top}]")
     family = [mode_pair_field(grid, k, args.hm_size, args.m) for k in args.seps]
     check_t_end(args.t_end)  # the study checks it too, but after certification
-    check_trials(args.cm_trials, "--cm-trials")
+    check_at_least_one(args.cm_trials, "--cm-trials")
     cert = certify_cm(
         args.m, coeffs, args.ceiling, trials=args.cm_trials,
         rng_seed=args.seed, target="sobolev",
@@ -461,7 +461,7 @@ def cmd_continuity(args):
 
 
 def cmd_sweep_inequalities(args):
-    check_trials(args.trials, "--trials")
+    check_at_least_one(args.trials, "--trials")
     result = inequality_sweeps(
         args.seed, args.trials, m=args.m, nu=args.nu, l2_ceiling=args.ceiling,
     )
@@ -494,7 +494,7 @@ def cmd_standing_wave(args):
 
 def cmd_certify_cm(args):
     coeffs = build_coeffs(args)
-    check_trials(args.trials, "--trials")
+    check_at_least_one(args.trials, "--trials")
     cert = certify_cm(
         args.m, coeffs, args.ceiling, trials=args.trials, rng_seed=args.seed,
         target=args.target,
@@ -550,6 +550,8 @@ def run_command(argv):
         args.outdir = resolve_outdir(args)  # before any study runs
         if getattr(args, "seed", 0) < 0:  # numpy's own error names no flag
             raise ValueError(f"--seed must be >= 0, got {args.seed}")
+        if args.command != "bona-smith":  # its H^0 rates (--m 0) are defined
+            check_at_least_one(getattr(args, "m", 1), "--m")
         return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (NonConvergence, NonFinite) as exc:
         print(f"solver error: {exc}", file=sys.stderr)

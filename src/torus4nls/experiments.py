@@ -35,18 +35,18 @@ from .dynamics import integrate, integrate_many, smoothing_multiplier_sup
 from .exact import integrable_coefficients
 from .functionals import (
     EnergyRecorder,
-    certificate_sample,
+    certificate_rows,
     certify_cm,
     check_l2_ceiling,
     difference_quartic_rows,
     modified_energy_rows,
 )
 from .mollifier import mollify
-from .sampling import random_field, rng_for
+from .sampling import random_field, random_rows, rng_for
 from .spectral import (
     GridSpec,
     gn_ratio_rows,
-    per_field,
+    row_blocks,
     seminorm_sq_rows,
     sobolev_distance,
     sobolev_norm,
@@ -757,10 +757,11 @@ GN_CASES = ((1, 2, 2.0), (1, 2, float("inf")), (0, 1, float("inf")), (3, 4, 2.0)
 SWEEP_RESOLUTIONS = (64, 128)
 
 
-def _gn_sample(grid, rng):
-    """One interpolation-sweep draw: random envelope decay, modes |n| <= N/4."""
-    decay = float(rng.uniform(0.5, 2.5))
-    return random_field(grid, rng, decay=decay, max_mode=grid.num_modes // 4)
+def _gn_rows(grid, rngs):
+    """Interpolation-sweep draws, one row per generator: random envelope
+    decay, modes |n| <= N/4."""
+    decays = [float(rng.uniform(0.5, 2.5)) for rng in rngs]
+    return random_rows(grid, rngs, decays, [grid.num_modes // 4] * len(rngs))
 
 
 def inequality_sweeps(seed, trials, m=4, nu=1.0, l2_ceiling=1.0):
@@ -777,10 +778,10 @@ def inequality_sweeps(seed, trials, m=4, nu=1.0, l2_ceiling=1.0):
     resolution doubling (``INEQUALITY_THRESHOLDS``).
 
     Sample i of each sweep depends only on (seed, i), so growing ``trials``
-    never changes earlier samples. Each resolution's samples are drawn one
-    by one and evaluated as (B, N) blocks of at most ``BLOCK_ROWS`` rows
-    (``spectral.per_field``); every verdict input is bit for bit what
-    evaluating the samples one at a time gives.
+    never changes earlier samples. Each resolution's samples are drawn and
+    evaluated as (B, N) blocks of at most ``BLOCK_ROWS`` rows
+    (``spectral.row_blocks``), one block at a time; every verdict input is
+    bit for bit what drawing and evaluating the samples one at a time gives.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -800,13 +801,12 @@ def inequality_sweeps(seed, trials, m=4, nu=1.0, l2_ceiling=1.0):
         max_ratio = {}
         for n in resolutions:
             grid = GridSpec(n)
-            fields = [
-                _gn_sample(grid, rng_for(seed, case_idx * 1_000_000 + n * 1_000 + i))
-                for i in range(trials)
-            ]
             worst = 0.0
-            for ratio in per_field(lambda c: gn_ratio_rows(c, l, mm, p), fields):
-                worst = max(worst, ratio)
+            for block in row_blocks(trials):
+                rows = _gn_rows(grid, [rng_for(seed, case_idx * 1_000_000 + n * 1_000 + i)
+                                       for i in range(trials)[block]])
+                for ratio in gn_ratio_rows(rows, l, mm, p).tolist():
+                    worst = max(worst, ratio)
             max_ratio[n] = worst
         growth = max_ratio[resolutions[-1]] / max_ratio[resolutions[0]]
         gn_rows["param"].append(float(case_idx))
@@ -847,20 +847,19 @@ def inequality_sweeps(seed, trials, m=4, nu=1.0, l2_ceiling=1.0):
     upper_consts = {}
     for n in resolutions:
         grid = GridSpec(n)
-        fields = [
-            certificate_sample(grid, rng_for(seed + 2, n * 1_000_000 + i), l2_ceiling)
-            for i in range(trials)
-        ]
-        energies = per_field(lambda c: modified_energy_rows(c, m, coeffs, c_m), fields)
-        hm_sqs = per_field(lambda c: sobolev_norm_sq_rows(c, m), fields)
-        l2_sqs = per_field(lambda c: sobolev_norm_sq_rows(c, 0), fields)
         c_upper = 0.0
-        for e_val, hm_sq, l2_sq in zip(energies, hm_sqs, l2_sqs):
-            margin = e_val - 0.5 * hm_sq
-            worst_lower = min(worst_lower, margin)
-            if margin < 0.0:
-                lower_viol += 1
-            c_upper = max(c_upper, e_val / ((l2_sq ** (2 * m) + 1.0) * hm_sq))
+        for block in row_blocks(trials):
+            rows = certificate_rows(grid, [rng_for(seed + 2, n * 1_000_000 + i)
+                                           for i in range(trials)[block]], l2_ceiling)
+            energies = modified_energy_rows(rows, m, coeffs, c_m).tolist()
+            hm_sqs = sobolev_norm_sq_rows(rows, m).tolist()
+            l2_sqs = sobolev_norm_sq_rows(rows, 0).tolist()
+            for e_val, hm_sq, l2_sq in zip(energies, hm_sqs, l2_sqs):
+                margin = e_val - 0.5 * hm_sq
+                worst_lower = min(worst_lower, margin)
+                if margin < 0.0:
+                    lower_viol += 1
+                c_upper = max(c_upper, e_val / ((l2_sq ** (2 * m) + 1.0) * hm_sq))
         upper_consts[n] = c_upper
     upper_ratio = upper_consts[resolutions[-1]] / upper_consts[resolutions[0]]
     tables["energy_equivalence"] = {

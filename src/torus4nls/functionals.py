@@ -11,9 +11,11 @@ large enough that the node average of the product equals its exact mean
 ``quadrature_mean``, ``modified_energy`` and ``difference_energy`` are the
 one-field cases of ``*_rows`` functions that take (B, N) coefficients (or
 (B, M) samples) and return one value per row, each bit for bit the value of
-that row alone (a 1-D array is one row). ``certify_cm`` evaluates its
-samples through them in blocks (``spectral.per_field``), and the ensemble
-studies evaluate the (B, N) block of each step through them.
+that row alone (a 1-D array is one row). ``certify_cm`` draws its samples
+as one (B, N) array per grid (``certificate_rows``, of which
+``certificate_sample`` is the one-row case) and evaluates them through
+these in blocks (``spectral.row_blocks``), and the ensemble studies
+evaluate the (B, N) block of each step through them.
 """
 
 import math
@@ -22,14 +24,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .sampling import random_field, rng_for
+from .sampling import random_rows, rng_for
 from .spectral import (
-    GridSpec,
     SpectralField,
     _grid,
     padded_samples,
-    per_field,
     refusing,
+    row_blocks,
     row_by_row,
     seminorm_sq,
     seminorm_sq_rows,
@@ -185,11 +186,16 @@ def positivity_target_rows(block, m, target):
                    bound and the two-sided equivalence with the full H^m
                    norm (the form the inequality sweeps check).
     """
+    _check_target(target)
     if target == "classic":
         return 0.5 * (seminorm_sq_rows(block, m) + sobolev_norm_sq_rows(block, 0))
-    if target == "sobolev":
-        return 0.5 * (sobolev_norm_sq_rows(block, m) + sobolev_norm_sq_rows(block, 0))
-    raise ValueError(f"target must be 'classic' or 'sobolev', got {target!r}")
+    return 0.5 * (sobolev_norm_sq_rows(block, m) + sobolev_norm_sq_rows(block, 0))
+
+
+def _check_target(target):
+    """ValueError unless ``target`` names a positivity target."""
+    if target not in ("classic", "sobolev"):
+        raise ValueError(f"target must be 'classic' or 'sobolev', got {target!r}")
 
 
 @dataclass(frozen=True)
@@ -205,20 +211,24 @@ class CmCertificate:
             raise ValueError("certificate recorded a positivity violation")
 
 
-def certificate_sample(grid, rng, l2_ceiling):
-    """One certification draw: random envelope decay, mass at the ceiling.
+def certificate_rows(grid, rngs, l2_ceiling):
+    """Certification draws, one row per generator of the sequence ``rngs``:
+    random envelope decay, mass at the ceiling.
 
     A quarter of the draws are confined to |n| <= 3; fields concentrated on
     the lowest modes are where the Sobolev-weighted lower bound is tightest,
     so the adversarial search must visit them.
     """
-    decay = float(rng.uniform(0.5, 6.0))
-    max_mode = None
-    if rng.uniform() < 0.25:
-        max_mode = int(rng.integers(1, 4))
-    return random_field(
-        grid, rng, decay=decay, l2_mass=l2_ceiling, max_mode=max_mode
-    )
+    decays, max_modes = [], []
+    for rng in rngs:
+        decays.append(float(rng.uniform(0.5, 6.0)))
+        max_modes.append(int(rng.integers(1, 4)) if rng.uniform() < 0.25 else None)
+    return random_rows(grid, rngs, decays, max_modes, l2_mass=l2_ceiling)
+
+
+def certificate_sample(grid, rng, l2_ceiling):
+    """``certificate_rows`` of one generator, as a field."""
+    return SpectralField(grid, certificate_rows(grid, [rng], l2_ceiling)[0])
 
 
 def corner_probes(grid, l2_ceiling):
@@ -267,28 +277,43 @@ def certify_cm(m, coeffs, l2_ceiling, trials, rng_seed, target="classic"):
     c_m keeping E_m above the requested target on every sample is scaled
     by ``CM_SAFETY`` and returned with the worst observed margin. Sample i
     depends only on (rng_seed, i), so doubling ``trials`` never decreases
-    the result. Each grid's samples are evaluated as (B, N) blocks of at
-    most ``spectral.BLOCK_ROWS`` rows, and the maximum and minimum run over
+    the result. Each grid's samples are drawn as one (B, N) array in sample
+    order (the probes first, on the first grid) and evaluated in blocks of
+    at most ``spectral.BLOCK_ROWS`` rows; the maximum and minimum run over
     the per-sample values in sample order, so the result is bit for bit
-    that of evaluating the samples one at a time.
+    that of drawing and evaluating the samples one at a time.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    _check_target(target)
     check_l2_ceiling(l2_ceiling, m)
-    samples = list(corner_probes(GridSpec(min(CM_RESOLUTIONS)), l2_ceiling))
-    for i in range(trials):
-        rng = rng_for(rng_seed, i)
-        grid = GridSpec(CM_RESOLUTIONS[i % len(CM_RESOLUTIONS)])
-        samples.append(certificate_sample(grid, rng, l2_ceiling))
-    targets = per_field(lambda c: positivity_target_rows(c, m, target), samples)
-    e0s = per_field(lambda c: modified_energy_rows(c, m, coeffs, 0.0), samples)
-    mass_sqs = per_field(lambda c: sobolev_norm_sq_rows(c, 0), samples)
+    count = len(CM_RESOLUTIONS)
+    grids = [_grid(n) for n in CM_RESOLUTIONS]
+    # sample i is drawn on grid i % count; fewer trials than grids leave
+    # the last grids without a sample
+    arrays = [certificate_rows(grid, [rng_for(rng_seed, i)
+                                      for i in range(first, trials, count)], l2_ceiling)
+              for first, grid in enumerate(grids[:trials])]
+    probes = np.stack([psi.coeffs for psi in corner_probes(grids[0], l2_ceiling)])
+    arrays[0] = np.concatenate((probes, arrays[0]))
+
+    def per_sample(fn):
+        """``fn``'s value for each sample, in sample order."""
+        values = [iter([v for block in row_blocks(len(rows))
+                        for v in fn(rows[block]).tolist()])
+                  for rows in arrays]
+        return ([next(values[0]) for _ in probes]
+                + [next(values[i % count]) for i in range(trials)])
+
+    targets = per_sample(lambda c: positivity_target_rows(c, m, target))
+    e0s = per_sample(lambda c: modified_energy_rows(c, m, coeffs, 0.0))
+    mass_sqs = per_sample(lambda c: sobolev_norm_sq_rows(c, 0))
     required = 0.0
     for t, e0, mass_sq in zip(targets, e0s, mass_sqs):
         need = (t - e0) / mass_sq ** (2 * m + 1)
         required = max(required, need)
     c_m = CM_SAFETY * max(required, 0.0)
-    energies = per_field(lambda c: modified_energy_rows(c, m, coeffs, c_m), samples)
+    energies = per_sample(lambda c: modified_energy_rows(c, m, coeffs, c_m))
     worst = min(e - t for e, t in zip(energies, targets))
     return CmCertificate(c_m=c_m, worst_margin=worst)
 

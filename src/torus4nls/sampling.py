@@ -4,11 +4,15 @@ Every sampler is a pure function of (grid, seed/rng, profile parameters), so
 studies built on them are bit-reproducible. Sample i of a sweep is always
 derived from ``(seed, i)``, which makes sweeps prefix-stable: growing the
 trial count never changes earlier samples.
+
+``random_rows`` draws a (B, N) block of random coefficients, one row per
+generator, and ``random_field`` is its one-row case: each row has the bits
+it gets drawn alone, so a sweep can draw its samples a block at a time.
 """
 
 import numpy as np
 
-from .spectral import SpectralField, refusing, sobolev_norm
+from .spectral import SpectralField, refusing, sobolev_norm_sq_rows
 
 MODE_PAIR_PHASES = (0.0, 1.0, 0.7, 2.1)  # of modes 0, 1, k, k+1: generic
 
@@ -32,12 +36,17 @@ def decay_field(grid, s, amp=1.0):
     return SpectralField(grid, c)
 
 
-def random_field(grid, rng, decay=2.0, l2_mass=None, hm_norm=None, m=None, max_mode=None):
-    """Random field with ⟨n⟩^{-decay} envelope and Gaussian complex weights.
+def random_rows(grid, rngs, decays, max_modes=None, l2_mass=None, hm_norm=None,
+                m=None):
+    """(B, N) coefficients with ⟨n⟩^{-decay} envelopes and Gaussian complex
+    weights: row i is the draw of ``rngs[i]`` with envelope ``decays[i]``.
 
-    Modes beyond ``max_mode`` (default: the full Nyquist-free band) are left
-    empty. At most one of ``l2_mass`` / (``hm_norm``, ``m``) may be given to
-    rescale the draw to a prescribed norm, which must be > 0 and finite.
+    Each generator makes one ``standard_normal(2N)`` call. Modes beyond
+    ``max_modes[i]`` (None, or a None entry: the full Nyquist-free band) are
+    left empty. At most one of ``l2_mass`` / (``hm_norm``, ``m``) may be given
+    to rescale every row to a prescribed norm, which must be > 0 and finite.
+    Each step acts on each row as it would on that row alone, so the block
+    holds the bits of B one-row calls.
     """
     if (l2_mass is not None and hm_norm is not None) or (m is None) != (hm_norm is None):
         raise ValueError("give l2_mass, or hm_norm with m, or neither")
@@ -46,21 +55,30 @@ def random_field(grid, rng, decay=2.0, l2_mass=None, hm_norm=None, m=None, max_m
             raise ValueError(f"{name} must be > 0 and finite, got {norm}")
     n = grid.num_modes
     modes = grid.modes
-    g = rng.standard_normal(2 * n)
-    c = (g[:n] + 1j * g[n:]) / np.sqrt(2.0)
-    c *= (1.0 + modes**2) ** (-decay / 2.0)
-    c[grid.nyquist_index] = 0.0
-    if max_mode is not None:
-        c[np.abs(modes) > max_mode] = 0.0
-    f = SpectralField(grid, c)
+    g = np.stack([rng.standard_normal(2 * n) for rng in rngs])
+    c = (g[:, :n] + 1j * g[:, n:]) / np.sqrt(2.0)
+    # one envelope per row: numpy's power takes a reciprocal fast path for a
+    # scalar exponent of -1 (decay 2) that an array of exponents does not
+    base = 1.0 + modes**2
+    c *= np.stack([base ** (-decay / 2.0) for decay in decays])
+    c[:, grid.nyquist_index] = 0.0
+    if max_modes is not None:
+        cutoffs = np.array([np.inf if k is None else k for k in max_modes], dtype=float)
+        c[np.abs(modes) > cutoffs[:, None]] = 0.0
     if l2_mass is not None:  # the L² norm is the H⁰ one
         hm_norm, m = l2_mass, 0
     if hm_norm is not None:
-        cur = sobolev_norm(f, m)
-        if cur == 0.0:
+        cur = np.sqrt(sobolev_norm_sq_rows(c, m))
+        if not cur.all():
             raise ValueError("cannot rescale a zero draw")
-        f = (hm_norm / cur) * f
-    return f
+        c *= (hm_norm / cur)[:, None]
+    return c
+
+
+def random_field(grid, rng, decay=2.0, l2_mass=None, hm_norm=None, m=None, max_mode=None):
+    """``random_rows`` of one generator, as a field."""
+    rows = random_rows(grid, [rng], [decay], [max_mode], l2_mass, hm_norm, m)
+    return SpectralField(grid, rows[0])
 
 
 def mode_pair_field(grid, separation, hm_norm, m):

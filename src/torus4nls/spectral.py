@@ -10,8 +10,8 @@ coefficients are immutable after construction; every operation is pure.
 The norms and ``gn_ratio`` are the one-field cases of ``*_rows`` functions
 that take (B, N) coefficients and return one value per row, bit for bit
 the value the row gets alone (a 1-D array is one row, and the one-field
-call is that case); ``per_field`` evaluates a list of fields through them
-in blocks of at most ``BLOCK_ROWS`` rows.
+call is that case); ``row_blocks`` cuts the studies' sample arrays into
+blocks of at most ``BLOCK_ROWS`` rows for them.
 Physical samples are plain arrays: ``padded_samples`` synthesises them on
 the pad·N grid (pad 1 is the field's own grid) and ``band_coeffs`` takes
 them back, and these two hold every FFT of the package.
@@ -26,10 +26,10 @@ from . import kernels
 
 SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 
-# The most rows ``per_field`` stacks into one block. Every block function
-# makes several temporaries of the block's padded size, so the bound keeps
-# the peak resident set of a 200-sample study where one-field evaluation
-# kept it, while a block still amortizes numpy's per-call overhead.
+# The most rows of a ``row_blocks`` block. Every block function makes
+# several temporaries of the block's padded size, so the bound keeps the
+# peak resident set of a 200-sample study where one-field evaluation kept
+# it, while a block still amortizes numpy's per-call overhead.
 BLOCK_ROWS = 32
 
 
@@ -217,25 +217,13 @@ def band_coeffs(samples, num_modes, pad):
     return chat
 
 
-def per_field(fn, fields):
-    """``fn``'s value for each of ``fields``, in order, as Python floats.
-
-    ``fn`` maps (B, N) coefficients to one value per row (a ``*_rows``
-    function). The fields of each grid are stacked into blocks of at most
-    ``BLOCK_ROWS`` rows, in their order; since each row's value is the one
-    it gets alone, the result is that of calling ``fn`` field by field.
-    """
-    by_size = {}
-    for i, psi in enumerate(fields):
-        by_size.setdefault(psi.grid.num_modes, []).append(i)
-    values = [0.0] * len(fields)
-    for indices in by_size.values():
-        for start in range(0, len(indices), BLOCK_ROWS):
-            rows = indices[start : start + BLOCK_ROWS]
-            block = fn(np.stack([fields[i].coeffs for i in rows]))
-            for i, value in zip(rows, block.tolist()):
-                values[i] = value
-    return values
+def row_blocks(count):
+    """Consecutive slices of at most ``BLOCK_ROWS`` rows that cover ``count``
+    rows in order: the blocks in which the studies draw and evaluate their
+    samples. Each row's value is the one it gets alone, so the blocking
+    changes no bit."""
+    return [slice(start, min(start + BLOCK_ROWS, count))
+            for start in range(0, count, BLOCK_ROWS)]
 
 
 def row_by_row(fn, *values):
@@ -302,6 +290,8 @@ def l2_norm(psi):
 def seminorm_sq_rows(coeffs, m):
     """Σ_n n^{2m} |ĉ(n)|², the squared L² norm of ∂_x^m, of each row of
     (..., N) coefficients."""
+    if m < 0:
+        raise ValueError("seminorm index must be nonnegative")
     n = coeffs.shape[-1]
     order = _grid(n).mode_order
     return kernels.weighted_norm_sq(coeffs, _seminorm_weights(n, m), order)

@@ -1,12 +1,13 @@
-"""Block forms of the per-sample reductions.
+"""Block forms of the per-sample draws and reductions.
 
 Every ``*_rows`` function takes (B, N) coefficients (or (B, M) samples) and
 returns one value per row, and each row must carry exactly the bits of the
 one-field call on that row: the verify studies evaluate their random samples
-this way and their outputs are compared byte for byte. The studies'
-block evaluation is replayed here against a per-sample loop, and a work
-guard fails if they fall back to one field at a time or stack unchunked
-blocks.
+this way and their outputs are compared byte for byte. The samplers
+``random_rows`` and ``certificate_rows`` draw such blocks, each row with the
+bits of the one-sample draw. The studies' block evaluation is replayed here
+against a per-sample loop, and a work guard fails if they fall back to one
+field at a time or stack unchunked blocks.
 """
 
 import sys
@@ -23,6 +24,7 @@ from torus4nls.experiments import GN_CASES, SWEEP_RESOLUTIONS, inequality_sweeps
 from torus4nls.functionals import (
     CM_RESOLUTIONS,
     CM_SAFETY,
+    certificate_rows,
     certificate_sample,
     certify_cm,
     corner_probes,
@@ -34,7 +36,7 @@ from torus4nls.functionals import (
     quadrature_mean,
     quadrature_mean_rows,
 )
-from torus4nls.sampling import random_field, rng_for
+from torus4nls.sampling import random_field, random_rows, rng_for
 from torus4nls.spectral import (
     BLOCK_ROWS,
     GridSpec,
@@ -287,6 +289,77 @@ class TestRowsMatchScalarReference:
         got = np.asarray(fn_rows(block))
         expect = np.array([REFERENCES[name](row) for row in block]).reshape(got.shape)
         assert np.array_equal(_bits(got), _bits(expect))
+
+
+def _random_field_reference(grid, rng, decay, max_mode, l2_mass=None, hm_norm=None,
+                            m=None):
+    """``random_field``'s arithmetic as it was written before the block
+    draw: one generator, one row."""
+    n = grid.num_modes
+    modes = grid.modes
+    g = rng.standard_normal(2 * n)
+    c = (g[:n] + 1j * g[n:]) / np.sqrt(2.0)
+    c *= (1.0 + modes**2) ** (-decay / 2.0)
+    c[grid.nyquist_index] = 0.0
+    if max_mode is not None:
+        c[np.abs(modes) > max_mode] = 0.0
+    f = SpectralField(grid, c)
+    if l2_mass is not None:
+        hm_norm, m = l2_mass, 0
+    if hm_norm is not None:
+        f = (hm_norm / float(np.sqrt(sobolev_norm_sq(f, m)))) * f
+    return f.coeffs
+
+
+class TestRandomRows:
+    MAX_MODES = (None, 0, 1, 3, None, 2)
+
+    @staticmethod
+    def _decays(rows):
+        """2.0 (numpy's reciprocal power), 4.0 and uniform draws in turn."""
+        pool = rng_for(99, rows)
+        return [(2.0, 4.0, float(pool.uniform(0.5, 6.0)))[b % 3] for b in range(rows)]
+
+    @pytest.mark.parametrize("rescale", [{}, {"l2_mass": 0.8}, {"hm_norm": 0.4, "m": 4}],
+                             ids=["none", "l2_mass", "hm_norm"])
+    @pytest.mark.parametrize("rows", [1, 5, 33])
+    @pytest.mark.parametrize("num_modes", [32, 64, 128, 1024])
+    def test_each_row_bitwise_equal_reference(self, num_modes, rows, rescale):
+        grid = GridSpec(num_modes)
+        decays = self._decays(rows)
+        max_modes = [self.MAX_MODES[b % len(self.MAX_MODES)] for b in range(rows)]
+        block = random_rows(grid, [rng_for(5, b) for b in range(rows)], decays,
+                            max_modes, **rescale)
+        assert block.shape == (rows, num_modes)
+        for b in range(rows):
+            expect = _random_field_reference(grid, rng_for(5, b), decays[b],
+                                             max_modes[b], **rescale)
+            assert block[b].tobytes() == expect.tobytes()
+
+    def test_one_row_is_random_field(self):
+        grid = GridSpec(64)
+        block = random_rows(grid, [rng_for(8, b) for b in range(3)], [2.0, 1.5, 2.0],
+                            [None, 4, 0], hm_norm=0.4, m=4)
+        for b, (decay, max_mode) in enumerate([(2.0, None), (1.5, 4), (2.0, 0)]):
+            psi = random_field(grid, rng_for(8, b), decay=decay, hm_norm=0.4, m=4,
+                               max_mode=max_mode)
+            assert block[b].tobytes() == psi.coeffs.tobytes()
+
+    def test_block_with_a_zero_draw_raises(self):
+        # a negative max_mode empties every mode of its row
+        with pytest.raises(ValueError, match="cannot rescale a zero draw"):
+            random_rows(GridSpec(32), [rng_for(1, b) for b in range(3)], [2.0] * 3,
+                        [None, -1, 2], l2_mass=1.0)
+
+    @pytest.mark.parametrize("num_modes", [32, 64, 128])
+    def test_certificate_rows_leave_each_generator_as_one_draw(self, num_modes):
+        grid = GridSpec(num_modes)
+        alone = [rng_for(17, i) for i in range(40)]
+        blocked = [rng_for(17, i) for i in range(40)]
+        block = certificate_rows(grid, blocked, 1.3)
+        for row, one, rng in zip(block, alone, blocked):
+            assert row.tobytes() == certificate_sample(grid, one, 1.3).coeffs.tobytes()
+            assert one.standard_normal(3).tobytes() == rng.standard_normal(3).tobytes()
 
 
 def _certify_reference(m, coeffs, l2_ceiling, trials, rng_seed, target):

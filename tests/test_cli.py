@@ -835,15 +835,25 @@ class TestUsageErrors:
             ["taken"] + (["run.cfg"] if source == "config" else []))
         assert (tmp_path / "taken").read_text() == "a file\n"
 
-    @pytest.mark.parametrize("argv,flag", [
-        (["riccati", "--nu", "1", "--integrable", "--cm-trials", "0"], "--cm-trials"),
-        (["certify-cm", "--nu", "1", "--integrable", "--trials", "0"], "--trials"),
-        (["sweep-inequalities", "--trials", "0"], "--trials"),
-    ], ids=["riccati", "certify-cm", "sweep-inequalities"])
-    def test_zero_trials_is_2(self, tmp_path, monkeypatch, capsys, argv, flag):
+    @pytest.mark.parametrize("argv,flag,value", [
+        (["riccati", "--nu", "1", "--integrable", "--cm-trials", "0"], "--cm-trials", 0),
+        (["certify-cm", "--nu", "1", "--integrable", "--trials", "0"], "--trials", 0),
+        (["sweep-inequalities", "--trials", "0"], "--trials", 0),
+        (["certify-cm", "--m", "-1", "--trials", "3"], "--m", -1),
+        (["sweep-inequalities", "--m", "0"], "--m", 0),
+        (["sweep-inequalities", "--m", "-2"], "--m", -2),
+        *[([command, "--nu", "1", "--integrable", "--m", "0"], "--m", 0)
+          for command in ("riccati", "continuity", "eps-converge", "simulate")],
+        (["conserve", "--nu", "1", "--m", "0"], "--m", 0),
+    ], ids=["riccati", "certify-cm", "sweep-inequalities", "certify-cm-m",
+            "sweep-inequalities-m0", "sweep-inequalities-m-2", "riccati-m",
+            "continuity-m", "eps-converge-m", "simulate-m", "conserve-m"])
+    def test_below_one_is_2(self, tmp_path, monkeypatch, capsys, argv, flag, value):
+        # counts and --m below 1 are refused naming the flag, before any work
+        self._forbid_runs(monkeypatch)
         out = tmp_path / "out"
         assert run_in(out, monkeypatch, argv) == 2
-        assert f"usage error: {flag} must be >= 1, got 0" in capsys.readouterr().err
+        assert f"usage error: {flag} must be >= 1, got {value}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_riccati_underflowing_hm_size_is_2(self, tmp_path, monkeypatch, capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import oracle_integral, oracle_samples
 
+from torus4nls import functionals
 from torus4nls.dynamics import CoefficientSet, SolverConfig, integrate
 from torus4nls.exact import integrable_coefficients, plane_wave
 from torus4nls.functionals import (
@@ -131,6 +132,15 @@ class TestCertifyCm:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             certify_cm(4, integrable_coefficients(1.0), 1.0, trials=0, rng_seed=1)
+
+    def test_rejects_unknown_target_before_drawing(self, monkeypatch):
+        def drew(*args):
+            raise AssertionError("drew a sample")
+
+        monkeypatch.setattr(functionals, "rng_for", drew)
+        with pytest.raises(ValueError, match="target must be 'classic' or 'sobolev'"):
+            certify_cm(4, integrable_coefficients(1.0), 1.0, trials=5, rng_seed=1,
+                       target="bogus")
 
     def test_certificate_rejects_negative_margin(self):
         with pytest.raises(ValueError):

@@ -219,6 +219,22 @@ def test_one_factor_builder():
         ("exact", "linear_solution"), ("exact", "pde_residual")]
 
 
+def test_one_sampler_and_one_blocking_helper():
+    """``sampling.random_rows`` makes every Gaussian draw of the package;
+    ``random_field``, ``certificate_rows`` and the sweep's ``_gn_rows`` draw
+    through it. ``spectral.row_blocks`` is the one blocking helper, which
+    both verify studies use."""
+    normals = _call_sites(lambda call: isinstance(call.func, ast.Attribute)
+                          and call.func.attr == "standard_normal")
+    assert normals == [("sampling", "random_rows")]
+    assert sorted(_call_sites({"random_rows"})) == [
+        ("experiments", "_gn_rows"), ("functionals", "certificate_rows"),
+        ("sampling", "random_field")]
+    assert sorted(_call_sites({"row_blocks"})) == [
+        ("experiments", "inequality_sweeps"), ("experiments", "inequality_sweeps"),
+        ("functionals", "per_sample")]
+
+
 def test_one_fork_for_two_callers():
     """``experiments.in_worker`` is the package's one ``os.fork``, and it
     has two callers: ``riccati_study`` (the dt/8 order run) and

@@ -17,8 +17,11 @@ from torus4nls.spectral import (
     lp_norm,
     padded_samples,
     refusing,
+    row_blocks,
     seminorm_sq,
+    seminorm_sq_rows,
     sobolev_norm,
+    sobolev_norm_sq_rows,
     zero_field,
 )
 
@@ -224,6 +227,22 @@ class TestNorms:
     def test_lp_rejects_small_p(self):
         with pytest.raises(ValueError):
             lp_norm(np.ones(64), 1.5)
+
+    @pytest.mark.parametrize("norm_rows,name", [(sobolev_norm_sq_rows, "Sobolev"),
+                                                (seminorm_sq_rows, "seminorm")])
+    def test_negative_index_refused(self, norm_rows, name):
+        # |0|^(2m) would divide by zero for m < 0, not overflow
+        with pytest.raises(ValueError, match=f"{name} index must be nonnegative"):
+            norm_rows(np.ones((2, 32), dtype=complex), -1)
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("count", [0, 1, 31, 32, 33, 200])
+    def test_blocks_cover_the_rows_in_order(self, count):
+        blocks = row_blocks(count)
+        rows = [i for block in blocks for i in range(count)[block]]
+        assert rows == list(range(count))
+        assert all(0 < block.stop - block.start <= 32 for block in blocks)
 
 
 class TestGnRatio:

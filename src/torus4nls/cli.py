@@ -411,9 +411,8 @@ def cmd_conserve(args):
 
 
 def cmd_bona_smith(args):
-    if not all(0 <= l <= args.m for l in args.l_values):
-        raise ValueError(f"--l-values entries must lie in [0, m] = [0, {args.m}], "
-                         f"got {args.l_values}")
+    check_entries("--l-values", args.l_values, lambda l: 0 <= l <= args.m,
+                  f"lie in [0, m] = [0, {args.m}]", fewest=1)
     data = decay_field(GridSpec(args.num_modes), args.m + 0.6)
     result = bona_smith_rate_study(args.m, args.l_values, data)
     return finish_study(result, args.outdir)
@@ -450,6 +449,8 @@ def cmd_riccati(args):
 
 
 def cmd_continuity(args):
+    check_entries("--deltas", args.deltas, lambda d: 0.0 < d < math.inf,
+                  "be positive and finite")
     grid = GridSpec(args.num_modes)
     data = parse_data_spec(args.data, grid)
     coeffs = build_coeffs(args)

@@ -45,6 +45,7 @@ from .mollifier import mollify
 from .sampling import random_field, random_rows, rng_for
 from .spectral import (
     GridSpec,
+    SpectralField,
     gn_ratio_rows,
     row_blocks,
     seminorm_sq_rows,
@@ -678,9 +679,9 @@ def continuity_study(phi, delta_ladder, coeffs, t_end, cfg, rng_seed):
     m = cfg.sobolev_index_m
     deltas = sorted(delta_ladder, reverse=True)
     perturbed = [
-        phi + random_field(
+        SpectralField(phi.grid, phi.coeffs + random_field(
             phi.grid, rng_for(rng_seed, i), decay=float(m), hm_norm=delta, m=m
-        )
+        ).coeffs)
         for i, delta in enumerate(deltas)
     ]
     # per perturbed run and sample, while the base run is live too: ‖∂d‖²,

@@ -12,9 +12,8 @@ large enough that the node average of the product equals its exact mean
 one-field cases of ``*_rows`` functions that take (B, N) coefficients (or
 (B, M) samples) and return one value per row, each bit for bit the value of
 that row alone (a 1-D array is one row). ``certify_cm`` draws its samples
-as one (B, N) array per grid (``certificate_rows``, of which
-``certificate_sample`` is the one-row case) and evaluates them through
-these in blocks (``spectral.row_blocks``), and the ensemble studies
+as one (B, N) array per grid (``certificate_rows``) and evaluates them
+through these in blocks (``spectral.row_blocks``), and the ensemble studies
 evaluate the (B, N) block of each step through them.
 """
 
@@ -133,15 +132,10 @@ def _conserved(psi):
 
 def conserved_quantities(psi):
     """(I₀, I₁, I₂) by dealiased quadrature; I₂'s odd-looking cubic terms sum
-    to a real quantity, so only the real part is returned (see
-    ``i2_imaginary_residual`` for the quadrature diagnostic)."""
+    to a real quantity, so only the real part is returned (the imaginary
+    part of the raw quadrature is round-off for band-limited fields)."""
     i0, i1, i2_raw = _conserved(psi)
     return ConservedQuantities(i0, i1, i2_raw.real)
-
-
-def i2_imaginary_residual(psi):
-    """|Im| of the raw I₂ quadrature; ≈ round-off for band-limited fields."""
-    return abs(_conserved(psi)[2].imag)
 
 
 def difference_quartic_rows(block, ref, m, coeffs):
@@ -224,11 +218,6 @@ def certificate_rows(grid, rngs, l2_ceiling):
         decays.append(float(rng.uniform(0.5, 6.0)))
         max_modes.append(int(rng.integers(1, 4)) if rng.uniform() < 0.25 else None)
     return random_rows(grid, rngs, decays, max_modes, l2_mass=l2_ceiling)
-
-
-def certificate_sample(grid, rng, l2_ceiling):
-    """``certificate_rows`` of one generator, as a field."""
-    return SpectralField(grid, certificate_rows(grid, [rng], l2_ceiling)[0])
 
 
 def corner_probes(grid, l2_ceiling):

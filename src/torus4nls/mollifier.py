@@ -11,9 +11,6 @@ import numpy as np
 
 from .spectral import SpectralField
 
-MULTIPLIER_XI_MAX = 64.0  # φ(64) is below e^-4000: nothing past it counts
-MULTIPLIER_SAMPLES = 200001  # ξ-grid points on [0, MULTIPLIER_XI_MAX]
-
 
 def kernel_value(xi):
     """φ(ξ) = exp(-ξ² e^{-1/ξ²}), with φ(0) = 1. Accepts scalars or arrays."""
@@ -32,15 +29,3 @@ def mollify(data, eps):
     if not 0.0 < eps <= 1.0:
         raise ValueError(f"mollification scale must lie in (0, 1], got {eps}")
     return SpectralField(data.grid, data.coeffs * kernel_value(eps * data.grid.modes))
-
-
-def multiplier_sup(l):
-    """sup over a fine ξ-grid of ⟨ξ⟩^l φ(ξ).
-
-    Finite because φ decays faster than any polynomial; it certifies the
-    smoothing gain ‖f_ε‖_{H^{m+l}} ≤ C ε^{-l} ‖f‖_{H^m}, whose multiplier
-    satisfies ⟨n⟩^l φ(εn) ≤ ε^{-l} ⟨εn⟩^l φ(εn) for ε ≤ 1.
-    """
-    xi = np.linspace(0.0, MULTIPLIER_XI_MAX, MULTIPLIER_SAMPLES)
-    vals = (1.0 + xi**2) ** (l / 2.0) * kernel_value(xi)
-    return float(np.max(vals))

@@ -5,8 +5,9 @@ discretely as ψ̂(n) = (√(2π)/N) Σ_j ψ(x_j) e^{-i n x_j} on the nodes
 x_j = 2πj/N. With this scaling Parseval reads ∫|ψ|² dx = Σ_n |ψ̂(n)|².
 
 Coefficients are stored in FFT order for the signed mode set
-{-N/2, …, N/2-1}; N must be even and ≥ 4. A field is a SpectralField, whose
-coefficients are immutable after construction; every operation is pure.
+{-N/2, …, N/2-1}; N must be even and ≥ 4. A field is a SpectralField, a
+plain value: a grid and its coefficients, frozen at construction. It has
+no arithmetic; code that adds or scales fields does so on ``coeffs``.
 The norms and ``gn_ratio`` are the one-field cases of ``*_rows`` functions
 that take (B, N) coefficients and return one value per row, bit for bit
 the value the row gets alone (a 1-D array is one row, and the one-field
@@ -89,13 +90,6 @@ class GridSpec:
                              f"[{1 - half}, {half - 1}]")
 
     @cached_property
-    def nodes(self):
-        """Physical nodes x_j = 2πj/N."""
-        x = 2.0 * np.pi * np.arange(self.num_modes) / self.num_modes
-        x.setflags(write=False)
-        return x
-
-    @cached_property
     def modes(self):
         """Signed integer modes in FFT order: 0, 1, …, N/2-1, -N/2, …, -1."""
         m = np.fft.fftfreq(self.num_modes, 1.0 / self.num_modes)
@@ -135,33 +129,6 @@ class SpectralField:
             raise ValueError(f"coeffs must have shape ({n},), got {coeffs.shape}")
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
-
-    def coeff(self, n):
-        """Coefficient at signed mode n."""
-        self.grid.check_mode(n)
-        return complex(self.coeffs[n % self.grid.num_modes])
-
-    def __add__(self, other):
-        _require_same_grid(self, other)
-        return SpectralField(self.grid, self.coeffs + other.coeffs)
-
-    def __sub__(self, other):
-        _require_same_grid(self, other)
-        return SpectralField(self.grid, self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar):
-        return SpectralField(self.grid, self.coeffs * scalar)
-
-    __rmul__ = __mul__
-
-
-def _require_same_grid(a, b):
-    if a.grid != b.grid:
-        raise ValueError("fields live on different grids")
-
-
-def zero_field(grid):
-    return SpectralField(grid, np.zeros(grid.num_modes, dtype=np.complex128))
 
 
 @lru_cache(maxsize=64)
@@ -250,13 +217,6 @@ def _derivative(coeffs, k):
     return coeffs
 
 
-def derivative(psi, k):
-    """k-th spectral derivative: coefficient n picks up (i n)^k."""
-    if k == 0:
-        return psi
-    return SpectralField(psi.grid, _derivative(psi.coeffs, k))
-
-
 def sobolev_norm(psi, m):
     """H^m norm (Σ_n ⟨n⟩^{2m} |ψ̂(n)|²)^{1/2} over the resolved band."""
     return float(np.sqrt(sobolev_norm_sq(psi, m)))
@@ -277,7 +237,8 @@ def sobolev_norm_sq(psi, m):
 
 def sobolev_distance(psi, chi, m):
     """H^m distance between two fields on the same grid."""
-    _require_same_grid(psi, chi)
+    if psi.grid != chi.grid:
+        raise ValueError("fields live on different grids")
     n = psi.grid.num_modes
     return float(np.sqrt(kernels.weighted_diff_norm_sq(
         psi.coeffs, chi.coeffs, _sobolev_weights(n, m), _grid(n).mode_order)))

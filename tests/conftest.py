@@ -1,9 +1,14 @@
-"""Shared fixtures and independent quadrature oracles.
+"""Shared fixtures, independent quadrature oracles and the tests' own
+references.
 
 The oracle here deliberately avoids the package's padded-product machinery:
 it synthesises each factor on a fine grid straight from the coefficients
 and integrates with the plain trapezoid rule, so functional values are
 cross-checked through a different code path.
+
+The references below are what only the tests use, so they live here and
+not in the package: the zero field, the grid nodes, one certification draw,
+the kernel's multiplier supremum and I₂'s imaginary residual.
 """
 
 import os
@@ -11,8 +16,10 @@ import os
 import numpy as np
 import pytest
 
+from torus4nls import functionals
 from torus4nls.dynamics import CoefficientSet
-from torus4nls.spectral import GridSpec
+from torus4nls.mollifier import kernel_value
+from torus4nls.spectral import GridSpec, SpectralField
 
 
 @pytest.fixture(autouse=True)
@@ -57,3 +64,35 @@ def oracle_samples(psi, fine_factor=4, deriv=0):
 def oracle_integral(values):
     """Trapezoid rule on the fine grid (periodic, so the plain mean)."""
     return 2.0 * np.pi * np.mean(values)
+
+
+def zero_field(grid):
+    return SpectralField(grid, np.zeros(grid.num_modes, dtype=np.complex128))
+
+
+def nodes(grid):
+    """Physical nodes x_j = 2πj/N."""
+    return 2.0 * np.pi * np.arange(grid.num_modes) / grid.num_modes
+
+
+def certificate_sample(grid, rng, l2_ceiling):
+    """``functionals.certificate_rows`` of one generator, as a field: the
+    one-row reference of the certificate's blocked draws."""
+    return SpectralField(grid, functionals.certificate_rows(grid, [rng], l2_ceiling)[0])
+
+
+def multiplier_sup(l):
+    """sup over a fine ξ-grid on [0, 64] of ⟨ξ⟩^l φ(ξ); φ(64) is below
+    e^-4000, so nothing past it counts.
+
+    Finite because φ decays faster than any polynomial; it certifies the
+    smoothing gain ‖f_ε‖_{H^{m+l}} ≤ C ε^{-l} ‖f‖_{H^m}, whose multiplier
+    satisfies ⟨n⟩^l φ(εn) ≤ ε^{-l} ⟨εn⟩^l φ(εn) for ε ≤ 1.
+    """
+    xi = np.linspace(0.0, 64.0, 200001)
+    return float(np.max((1.0 + xi**2) ** (l / 2.0) * kernel_value(xi)))
+
+
+def i2_imaginary_residual(psi):
+    """|Im| of the raw I₂ quadrature; ≈ round-off for band-limited fields."""
+    return abs(functionals._conserved(psi)[2].imag)

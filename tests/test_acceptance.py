@@ -8,6 +8,8 @@ for evolution, total runtime well under a minute on one core.
 
 import numpy as np
 
+from conftest import certificate_sample
+
 from torus4nls.cli import run_command
 from torus4nls.dynamics import CoefficientSet, SolverConfig, integrate, reference_integrate
 from torus4nls.exact import (
@@ -23,7 +25,7 @@ from torus4nls.experiments import (
     eps_convergence_study,
     riccati_study,
 )
-from torus4nls.functionals import certificate_sample, certify_cm, modified_energy
+from torus4nls.functionals import certify_cm, modified_energy
 from torus4nls.sampling import decay_field, mode_pair_field, random_field, rng_for
 from torus4nls.spectral import (
     GridSpec,

@@ -16,6 +16,8 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from conftest import certificate_sample
+
 import torus4nls.cli as cli
 from torus4nls import kernels, spectral
 from torus4nls.dynamics import CoefficientSet
@@ -25,7 +27,6 @@ from torus4nls.functionals import (
     CM_RESOLUTIONS,
     CM_SAFETY,
     certificate_rows,
-    certificate_sample,
     certify_cm,
     corner_probes,
     correction_terms_rows,
@@ -41,7 +42,6 @@ from torus4nls.spectral import (
     BLOCK_ROWS,
     GridSpec,
     SpectralField,
-    derivative,
     gn_ratio,
     gn_ratio_rows,
     lp_norm,
@@ -217,7 +217,7 @@ def _gn_ref(psi, l, m, p):
     alpha = (l + 0.5 - (0.0 if np.isinf(p) else 1.0 / p)) / m
     l2 = float(np.sqrt(_sobolev_ref(psi, 0)))
     dm = float(np.sqrt(_seminorm_ref(psi, m)))
-    numer = _lp_ref(padded_samples(derivative(psi, l).coeffs, 1, (0,))[0], p)
+    numer = _lp_ref(padded_samples(spectral._derivative(psi.coeffs, l), 1, (0,))[0], p)
     denom = l2 ** (1.0 - alpha) * dm**alpha
     if l == 0:
         denom += l2
@@ -303,12 +303,12 @@ def _random_field_reference(grid, rng, decay, max_mode, l2_mass=None, hm_norm=No
     c[grid.nyquist_index] = 0.0
     if max_mode is not None:
         c[np.abs(modes) > max_mode] = 0.0
-    f = SpectralField(grid, c)
     if l2_mass is not None:
         hm_norm, m = l2_mass, 0
     if hm_norm is not None:
-        f = (hm_norm / float(np.sqrt(sobolev_norm_sq(f, m)))) * f
-    return f.coeffs
+        scale = hm_norm / float(np.sqrt(sobolev_norm_sq(SpectralField(grid, c), m)))
+        c = c * scale  # a field scaled as its coefficients times the scalar
+    return c
 
 
 class TestRandomRows:

@@ -83,20 +83,20 @@ class TestDataSpecs:
     def test_modes_entries(self):
         grid = GridSpec(32)
         f = parse_data_spec("modes:n=1:amp=0.5:phase=0.0,n=-2:amp=0.1", grid)
-        assert f.coeff(1) == pytest.approx(0.5)
-        assert f.coeff(-2) == pytest.approx(0.1)
+        assert f.coeffs[1] == pytest.approx(0.5)
+        assert f.coeffs[-2] == pytest.approx(0.1)
         assert np.count_nonzero(f.coeffs) == 2
 
     def test_standing_preset(self):
         grid = GridSpec(32)
         f = parse_data_spec("standing:kappa=0.4:tau=2", grid)
-        assert f.coeff(2) == pytest.approx(0.4 * np.sqrt(2 * np.pi))
+        assert f.coeffs[2] == pytest.approx(0.4 * np.sqrt(2 * np.pi))
 
     def test_decay_preset(self):
         grid = GridSpec(32)
         f = parse_data_spec("decay:s=3.0:amp=2.0", grid)
-        assert f.coeff(0) == pytest.approx(2.0)
-        assert f.coeff(3) == pytest.approx(2.0 * 10.0**-1.5)
+        assert f.coeffs[0] == pytest.approx(2.0)
+        assert f.coeffs[3] == pytest.approx(2.0 * 10.0**-1.5)
 
     def test_random_preset_deterministic(self):
         grid = GridSpec(32)
@@ -948,11 +948,11 @@ class TestUsageErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv,name", [
-        (["bona-smith", "--l-values", "0,1,0"], "l_values"),
+        (["bona-smith", "--l-values", "0,1,0"], "--l-values"),
         (["eps-converge", "--nu", "1", "--integrable", "--t-end", "0.005",
           "--eps-ladder", "2^-3,2^-3,2^-4"], "eps_ladder"),
         (["continuity", "--nu", "1", "--integrable", "--t-end", "0.005",
-          "--deltas", "1e-2,1e-2,1e-3"], "delta_ladder"),
+          "--deltas", "1e-2,1e-2,1e-3"], "--deltas"),
         (["riccati", "--nu", "1", "--integrable", "--seps", "4,4"], "seps"),
     ], ids=["bona-smith", "eps-converge", "continuity", "riccati"])
     def test_repeated_entry_is_2(self, tmp_path, monkeypatch, capsys, argv, name):
@@ -987,13 +987,29 @@ class TestUsageErrors:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    def test_bad_config_list_names_the_flag(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("command,line,message", [
+        ("riccati", "seps = 4,x", "argument --seps: invalid literal for int()"),
+        ("continuity", "deltas = 1e-2", "--deltas needs at least two entries"),
+        ("continuity", "deltas = 1e-2,1e-2", "--deltas repeats an entry"),
+        ("continuity", "deltas = 1e-2,0", "--deltas entries must be positive"),
+        ("bona-smith", "l_values = 0,0", "--l-values repeats an entry"),
+        ("bona-smith", "l_values = 0,5", "--l-values entries must lie in [0, m]"),
+    ], ids=["seps-literal", "deltas-one", "deltas-repeat", "deltas-zero",
+            "l-values-repeat", "l-values-range"])
+    def test_bad_config_list_names_the_flag(self, tmp_path, monkeypatch, capsys,
+                                            command, line, message):
+        # a list read from the config file is checked as its flag is
+        self._forbid_runs(monkeypatch)
+        monkeypatch.setattr(cli, "bona_smith_rate_study",
+                            lambda *a, **k: pytest.fail("ran"))
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("seps = 4,x\n")
+        cfg.write_text(line + "\n")
         out = tmp_path / "out"
-        argv = ["riccati", "--nu", "1", "--integrable", "--config", str(cfg)]
+        argv = [command, "--config", str(cfg)]
+        if command != "bona-smith":
+            argv += ["--nu", "1", "--integrable"]
         assert exit_code(out, monkeypatch, argv) == 2
-        assert "argument --seps: invalid literal for int()" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("delta", ["0", "-1e-3", "inf"])
@@ -1003,7 +1019,7 @@ class TestUsageErrors:
         argv = ["continuity", "--nu", "1", "--integrable", "--deltas", f"1e-2,{delta}"]
         assert exit_code(out, monkeypatch, argv) == 2
         err = capsys.readouterr().err
-        assert "delta_ladder entries must be positive and finite" in err
+        assert "--deltas entries must be positive and finite" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command,spec,key", [
@@ -1044,7 +1060,7 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("argv,name", [
         (["eps-converge", "--eps-ladder", "2^-3"], "eps_ladder"),
-        (["continuity", "--deltas", "1e-2"], "delta_ladder"),
+        (["continuity", "--deltas", "1e-2"], "--deltas"),
         # one member has no growth from first to last to contrast
         (["riccati", "--seps", "4"], "--seps"),
     ], ids=["eps-converge", "continuity", "riccati"])

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import oracle_samples
+from conftest import oracle_samples, zero_field
 
 from torus4nls import dynamics, kernels
 from torus4nls.dynamics import (
@@ -31,7 +31,6 @@ from torus4nls.spectral import (
     l2_norm,
     sobolev_distance,
     sobolev_norm,
-    zero_field,
 )
 
 
@@ -89,7 +88,7 @@ class TestNonlinearity:
         out = eval_nonlinearity(psi, generic_coeffs)
         lam = generic_coeffs
         expect = (lam.lambda1 * abs(c) ** 2 + lam.lambda2 * abs(c) ** 4) * c
-        assert out.coeff(0) == pytest.approx(expect * np.sqrt(2 * np.pi))
+        assert out.coeffs[0] == pytest.approx(expect * np.sqrt(2 * np.pi))
         assert np.max(np.abs(np.delete(out.coeffs, 0))) < 1e-14
 
     @pytest.mark.parametrize("kappa,tau", [(0.5, 2), (0.3, -3), (1.1, 1)])
@@ -105,7 +104,7 @@ class TestNonlinearity:
             * tau**2
             * kappa**2
         )
-        assert out.coeff(tau) == pytest.approx(mult * kappa * np.sqrt(2 * np.pi))
+        assert out.coeffs[tau] == pytest.approx(mult * kappa * np.sqrt(2 * np.pi))
         others = np.abs(out.coeffs).copy()
         others[tau % 64] = 0.0
         assert np.max(others) < 1e-13
@@ -129,16 +128,16 @@ class TestNonlinearity:
         # forward transform on the 256-point grid, in the package convention
         oracle = np.fft.fft(combined) * (np.sqrt(2.0 * np.pi) / (4 * 64))
         for n in range(-8, 8):
-            assert out.coeff(n) == pytest.approx(oracle[n % (4 * 64)], abs=1e-12)
+            assert out.coeffs[n] == pytest.approx(oracle[n % (4 * 64)], abs=1e-12)
 
     def test_gauge_covariance(self, grid64, generic_coeffs):
         rng = rng_for(5)
         psi = random_field(grid64, rng, decay=2.0, l2_mass=0.5)
         theta = 0.7321
-        rotated = np.exp(1j * theta) * psi
-        lhs = eval_nonlinearity(rotated, generic_coeffs)
-        rhs = np.exp(1j * theta) * eval_nonlinearity(psi, generic_coeffs)
-        assert np.allclose(lhs.coeffs, rhs.coeffs, atol=1e-14)
+        rotated = SpectralField(grid64, psi.coeffs * np.exp(1j * theta))
+        lhs = eval_nonlinearity(rotated, generic_coeffs).coeffs
+        rhs = eval_nonlinearity(psi, generic_coeffs).coeffs * np.exp(1j * theta)
+        assert np.allclose(lhs, rhs, atol=1e-14)
 
     def test_dealiasing_matches_fine_resolution(self, generic_coeffs):
         # band-limited field evaluated at N and at 4N agree on the band
@@ -152,7 +151,7 @@ class TestNonlinearity:
         fine_coeffs[256 - 32 :] = psi.coeffs[32:]
         out_fine = eval_nonlinearity(SpectralField(fine, fine_coeffs), generic_coeffs)
         for n in range(-31, 32):
-            assert abs(out.coeff(n) - out_fine.coeff(n)) < 1e-11
+            assert abs(out.coeffs[n] - out_fine.coeffs[n]) < 1e-11
 
     def test_nyquist_zeroed(self, grid64, generic_coeffs):
         rng = rng_for(13)
@@ -172,12 +171,12 @@ class TestSemigroup:
         # -n^2 + nu n^4 = 0 at n = 1, nu = 1
         psi = plane_wave(grid64, 1.0, 1)
         out = semigroup_apply(psi, 0.37, 0.0, 1.0)
-        assert out.coeff(1) == pytest.approx(psi.coeff(1))
+        assert out.coeffs[1] == pytest.approx(psi.coeffs[1])
 
     def test_damping_rate(self, grid64):
         psi = plane_wave(grid64, 1.0, 1)
         out = semigroup_apply(psi, 1.0, 1.0, 0.3)
-        assert abs(out.coeff(1)) == pytest.approx(abs(psi.coeff(1)) * np.exp(-1.0))
+        assert abs(out.coeffs[1]) == pytest.approx(abs(psi.coeffs[1]) * np.exp(-1.0))
 
     def test_group_law(self, grid64):
         # dyadic times so s + t is exact; any residual is pure exp round-off
@@ -201,7 +200,7 @@ class TestSemigroup:
     def test_strict_decay_off_dc(self, grid64):
         psi = plane_wave(grid64, 1.0, 3)
         out = semigroup_apply(psi, 0.1, 0.5, 1.0)
-        assert abs(out.coeff(3)) < abs(psi.coeff(3))
+        assert abs(out.coeffs[3]) < abs(psi.coeffs[3])
 
     def test_backward_heat_rejected(self, grid64):
         psi = plane_wave(grid64, 1.0, 1)
@@ -616,10 +615,11 @@ def _field_duhamel_step(psi, cfg, coeffs):
     pad = coeffs.dealias_pad
     w_psi = semigroup_apply(psi, dt, eps, nu)
     n0 = _field_eval_nonlinearity(psi, coeffs, pad)
-    fixed = w_psi - (0.5j * dt) * semigroup_apply(n0, dt, eps, nu)
+    fixed = w_psi.coeffs - semigroup_apply(n0, dt, eps, nu).coeffs * (0.5j * dt)
     current = w_psi
     for iteration in range(1, dynamics.PICARD_MAX_ITERS + 1):
-        nxt = fixed - (0.5j * dt) * _field_eval_nonlinearity(current, coeffs, pad)
+        n_current = _field_eval_nonlinearity(current, coeffs, pad)
+        nxt = SpectralField(psi.grid, fixed - n_current.coeffs * (0.5j * dt))
         if sobolev_distance(nxt, current, cfg.sobolev_index_m) < dynamics.PICARD_TOL:
             return nxt, iteration
         current = nxt
@@ -739,29 +739,29 @@ class TestFusedStartOfStep:
 
 def _field_reference_integrate(psi0, t_end, cfg, coeffs):
     """The field-level RK4 loop the array path replaced: every state it
-    reaches, as (time, coefficients), from t=0 on."""
+    reaches, as (time, coefficients), from t=0 on. Fields are added and
+    scaled on their coefficients, the coefficients first."""
     eps = cfg.epsilon
     nu = coeffs.nu
     states = [(0.0, psi0.coeffs)]
-    state = psi0
+    state = psi0.coeffs
 
-    def rhs(f):
-        return (-1j) * eval_nonlinearity(f, coeffs)
+    def semigroup(c, t):
+        return semigroup_apply(SpectralField(psi0.grid, c), t, eps, nu).coeffs
+
+    def rhs(c):
+        return eval_nonlinearity(SpectralField(psi0.grid, c), coeffs).coeffs * (-1j)
 
     for _, t, h in dynamics._steps(t_end, cfg.dt):
         k1 = rhs(state)
-        half = semigroup_apply(state, 0.5 * h, eps, nu)
-        k2 = rhs(half + (0.5 * h) * semigroup_apply(k1, 0.5 * h, eps, nu))
-        k3 = rhs(half + (0.5 * h) * k2)
-        full = semigroup_apply(state, h, eps, nu)
-        k4 = rhs(full + h * semigroup_apply(k3, 0.5 * h, eps, nu))
-        incr = (
-            semigroup_apply(k1, h, eps, nu)
-            + 2.0 * semigroup_apply(k2 + k3, 0.5 * h, eps, nu)
-            + k4
-        )
-        state = full + (h / 6.0) * incr
-        states.append((t, state.coeffs))
+        half = semigroup(state, 0.5 * h)
+        k2 = rhs(half + semigroup(k1, 0.5 * h) * (0.5 * h))
+        k3 = rhs(half + k2 * (0.5 * h))
+        full = semigroup(state, h)
+        k4 = rhs(full + semigroup(k3, 0.5 * h) * h)
+        incr = semigroup(k1, h) + semigroup(k2 + k3, 0.5 * h) * 2.0 + k4
+        state = full + incr * (h / 6.0)
+        states.append((t, state))
     return states
 
 

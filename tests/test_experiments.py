@@ -14,6 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import zero_field
+
 from torus4nls import __version__, dynamics
 from torus4nls.dynamics import (
     CoefficientSet,
@@ -60,7 +62,6 @@ from torus4nls.spectral import (
     sobolev_distance,
     sobolev_norm,
     sobolev_norm_sq,
-    zero_field,
 )
 
 
@@ -720,7 +721,8 @@ class TestContinuityStudy:
         cfg = SolverConfig(dt=1e-3, sobolev_index_m=4)
         theta = 1.234
         a, b = _kept_rows(), _kept_rows()
-        integrate(np.exp(1j * theta) * data, 0.02, cfg, generic_coeffs, a)
+        rotated = SpectralField(grid, data.coeffs * np.exp(1j * theta))
+        integrate(rotated, 0.02, cfg, generic_coeffs, a)
         integrate(data, 0.02, cfg, generic_coeffs, b)
         assert len(a.rows) == len(b.rows) == 21
         for ca, cb in zip(a.rows, b.rows):
@@ -765,14 +767,18 @@ def _continuity_reference(phi, delta_ladder, coeffs, t_end, cfg, rng_seed):
     deltas = sorted(delta_ladder, reverse=True)
     runs = []
     for i, delta in enumerate([None] + deltas):
-        psi0 = phi if delta is None else phi + random_field(
-            phi.grid, rng_for(rng_seed, i - 1), decay=float(m), hm_norm=delta, m=m)
+        psi0 = phi
+        if delta is not None:
+            kick = random_field(phi.grid, rng_for(rng_seed, i - 1), decay=float(m),
+                                hm_norm=delta, m=m)
+            psi0 = SpectralField(phi.grid, phi.coeffs + kick.coeffs)
         kept = []
         integrate(psi0, t_end, cfg, coeffs, lambda time, rows, members:
                   kept.append(SpectralField(psi0.grid, rows[0])))
         runs.append(kept)
     base, *others = runs
-    diffs = [[b - o for b, o in zip(base, other)] for other in others]
+    diffs = [[SpectralField(phi.grid, b.coeffs - o.coeffs) for b, o in zip(base, other)]
+             for other in others]
     c_tilde_req = 1.0
     for run in diffs:
         for d, ref in zip(run, base):

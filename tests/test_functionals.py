@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from conftest import oracle_integral, oracle_samples
+from conftest import (
+    certificate_sample,
+    i2_imaginary_residual,
+    oracle_integral,
+    oracle_samples,
+    zero_field,
+)
 
 from torus4nls import functionals
 from torus4nls.dynamics import CoefficientSet, SolverConfig, integrate
@@ -15,7 +21,6 @@ from torus4nls.functionals import (
     conserved_quantities,
     correction_terms_rows,
     difference_energy,
-    i2_imaginary_residual,
     modified_energy,
     quadrature_mean,
 )
@@ -25,7 +30,6 @@ from torus4nls.spectral import (
     SpectralField,
     seminorm_sq,
     sobolev_norm_sq,
-    zero_field,
 )
 
 
@@ -83,7 +87,7 @@ class TestModifiedEnergy:
 
     def test_phase_invariance(self, grid64, generic_coeffs):
         psi = random_field(grid64, rng_for(17), decay=2.0, l2_mass=0.7)
-        rotated = np.exp(0.93j) * psi
+        rotated = SpectralField(grid64, psi.coeffs * np.exp(0.93j))
         for m in (1, 2, 4):
             assert modified_energy(rotated, m, generic_coeffs, 1.0) == pytest.approx(
                 modified_energy(psi, m, generic_coeffs, 1.0), rel=1e-12
@@ -119,8 +123,6 @@ class TestCertifyCm:
     def test_certified_lower_bound_holds_on_fresh_samples(self):
         # the acceptance-style check: certified energy dominates half the
         # squared Sobolev norm on fields from the certification family
-        from torus4nls.functionals import certificate_sample
-
         c = integrable_coefficients(1.0)
         cert = certify_cm(4, c, 1.0, trials=80, rng_seed=11, target="sobolev")
         for i in range(100):
@@ -240,8 +242,6 @@ class TestEnergyRecorder:
         coeffs = integrable_coefficients(1.0)
         cert = certify_cm(4, coeffs, 1.0, trials=60, rng_seed=7, target="sobolev")
         grid = GridSpec(64)
-        from torus4nls.functionals import certificate_sample
-
         data = certificate_sample(grid, rng_for(41), 1.0)
         rec = EnergyRecorder(4, coeffs)
         cfg = SolverConfig(dt=1e-3, sobolev_index_m=4)

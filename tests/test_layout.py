@@ -1,5 +1,7 @@
 """Source layout: every FFT of the package goes through one transform path,
-and no study tolerance or stepper setting is an argument.
+no study tolerance or stepper setting is an argument, and every function,
+method and constant of ``src/`` is reached by a command, a criterion oracle
+or the benchmark.
 
 ``spectral.padded_samples`` synthesises samples and ``spectral.band_coeffs``
 takes them back; no other function calls a numpy FFT. The benchmark tracer
@@ -16,7 +18,8 @@ import pytest
 
 from torus4nls import dynamics, experiments, functionals
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "torus4nls"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "torus4nls"
 MODULES = sorted(SRC.glob("*.py"))
 TRANSFORM_PATH = {("spectral", "padded_samples"), ("spectral", "band_coeffs")}
 
@@ -335,3 +338,117 @@ def test_one_refusal_path():
     assert _sites(lambda node: isinstance(node, ast.ExceptHandler)
                   and "OverflowError" in ast.unparse(node.type or ast.Tuple([]))) == [
         ("spectral", "refusing")]
+
+
+# The criterion oracles: reference solutions the acceptance tests compare
+# the steppers and studies with, which no command calls.
+ORACLES = ("reference_integrate", "linear_solution", "standing_wave")
+# Methods Python calls without naming them.
+IMPLICIT = ("__post_init__", "__init__", "__call__")
+# The benchmark files that name package code: the tracer wraps functions by
+# name and the pass runner reads a constant.
+BENCHMARK_FILES = (ROOT / "perfbench" / "spans.py", ROOT / "perfbench" / "passrun.py")
+
+
+def _uses(nodes, local=False):
+    """The names and attributes ``nodes`` read; with ``local``, as one
+    function body, whose own arguments and assigned names are no use of a
+    module-level definition."""
+    reads, bound = set(), set()
+    for node in (sub for top in nodes for sub in ast.walk(top)):
+        if isinstance(node, ast.Attribute):
+            reads.add(node.attr)
+        elif isinstance(node, ast.Name):
+            (bound if isinstance(node.ctx, ast.Store) else reads).add(node.id)
+        elif isinstance(node, ast.arg):
+            bound.add(node.arg)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+    return reads - bound if local else reads
+
+
+def _definitions():
+    """The top-level functions and methods of ``src/`` as ``{"module.name"
+    or "module.Class.name": (name, names its body uses)}``, and the names
+    that module-level code (constants, decorators, class-level assignments)
+    uses. An import uses nothing."""
+    defs, module_level = {}, set()
+
+    def define(key, fn):
+        defs[key] = (fn.name, _uses([fn.args, *fn.body], local=True))
+        module_level.update(_uses(fn.decorator_list))
+
+    for path in MODULES:
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                define(f"{path.stem}.{stmt.name}", stmt)
+            elif isinstance(stmt, ast.ClassDef):
+                module_level |= _uses(stmt.bases + stmt.keywords + stmt.decorator_list)
+                for item in stmt.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        define(f"{path.stem}.{stmt.name}.{item.name}", item)
+                    else:
+                        module_level |= _uses([item])
+            elif not isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                module_level |= _uses([stmt])
+    return defs, module_level
+
+
+def _traced_names():
+    """The attribute names ``perfbench/spans.py`` passes to its
+    ``function(...)`` and ``method(...)`` calls, as a literal or as the
+    variable of a ``for`` loop over a literal tuple."""
+    names = set()
+
+    def visit(node, loops):
+        if isinstance(node, ast.For) and isinstance(node.target, ast.Name) \
+                and isinstance(node.iter, ast.Tuple):
+            loops = {**loops, node.target.id: [e.value for e in node.iter.elts]}
+        if isinstance(node, ast.Call) and _dotted(node.func) in ("function", "method"):
+            attr = node.args[1]
+            if isinstance(attr, ast.Constant):
+                names.add(attr.value)
+            elif isinstance(attr, ast.Name):
+                names.update(loops.get(attr.id, ()))
+        for child in ast.iter_child_nodes(node):
+            visit(child, loops)
+
+    visit(ast.parse(BENCHMARK_FILES[0].read_text()), {})
+    return names
+
+
+def test_every_function_is_reached():
+    """Every top-level function and method of ``src/`` is reached from a
+    command handler (``cmd_*`` and ``main``), a criterion oracle, a name
+    the benchmark tracer wraps, or a method Python calls implicitly, along
+    the names and attributes each reached body uses; module-level code
+    counts as reached. Names are matched by spelling, so a reach is an
+    upper bound: what this names, nothing can call. Every module-level
+    UPPER_CASE constant is named by other code of ``src/`` or of the
+    benchmark files."""
+    defs, reached = _definitions()
+    reached |= {name for name, _ in defs.values()
+                if name.startswith("cmd_") or name == "main"}
+    reached |= {*ORACLES, *IMPLICIT, *_traced_names()}
+    grown = True
+    while grown:
+        grown = False
+        for name, uses in defs.values():
+            if name in reached and not uses <= reached:
+                reached |= uses
+                grown = True
+    unreached = sorted(key for key, (name, _) in defs.items() if name not in reached)
+    assert not unreached, f"reached by no command, oracle or benchmark: {unreached}"
+
+    named = set()
+    for path in [*MODULES, *BENCHMARK_FILES]:
+        named |= _uses([ast.parse(path.read_text(), filename=str(path))])
+    constants = sorted(
+        f"{path.stem}.{target.id}"
+        for path in MODULES
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+        for target in (stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target])
+        if isinstance(target, ast.Name) and target.id.isupper()
+        and target.id not in named)
+    assert not constants, f"constants nothing names: {constants}"

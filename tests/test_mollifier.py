@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from torus4nls.mollifier import kernel_value, mollify, multiplier_sup
+from conftest import multiplier_sup
+
+from torus4nls.mollifier import kernel_value, mollify
 from torus4nls.sampling import decay_field
 from torus4nls.spectral import GridSpec, sobolev_distance, sobolev_norm
 
@@ -51,7 +53,7 @@ class TestMollify:
 
         psi = SpectralField(grid, c)
         out = mollify(psi, 0.25)
-        assert out.coeff(5) == pytest.approx((2.0 - 1.0j) * kernel_value(0.25 * 5))
+        assert out.coeffs[5] == pytest.approx((2.0 - 1.0j) * kernel_value(0.25 * 5))
 
     def test_eps_to_zero_pointwise(self):
         grid = GridSpec(64)

@@ -10,13 +10,12 @@ of the subcommand with dashes replaced by underscores; any other key is a
 usage error. Its values become the subcommand parser's defaults, so each is
 read with its flag's own type (``integrable`` takes 1/true/yes or
 0/false/no). Flags must be spelled in full, and a config file that cannot
-be read is a usage error. Only ``simulate`` has ``--eps``; ``eps-converge``
-takes ε from ``--eps-ladder``, and the other studies run the unregularized
-flow. The dealiasing pad has no flag either; the coefficients fix it
-(``CoefficientSet.dealias_pad``). The output directory may additionally
-be forced through the ``TORUS4NLS_OUTDIR`` environment variable, which
-takes precedence over every other source (and is the only env override);
-an empty ``--outdir`` is a usage error.
+be read is a usage error. ε is a coefficient of the equation, given to
+the run rather than the solver config: only ``simulate`` has ``--eps``,
+``eps-converge`` takes its εs from ``--eps-ladder``, and the other
+studies have no ε (they run at ε = 0). The dealiasing pad has no flag
+either; the coefficients fix it (``CoefficientSet.dealias_pad``). No
+environment variable is read; an empty ``--outdir`` is a usage error.
 
 Exit codes: 0 pass/complete, 1 study failure, 2 usage error (a
 ``ValueError``), 3 solver error (Picard non-convergence or non-finite
@@ -25,7 +24,6 @@ state). Any other exception is a fault of the program and propagates.
 
 import argparse
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -300,18 +298,16 @@ def read_config(path, args):
 
 
 def resolve_outdir(args):
-    """``TORUS4NLS_OUTDIR`` if set and not empty, else ``--outdir``, else
-    ./runs. An empty ``--outdir`` (or config ``outdir``) is a ValueError,
-    and so is a directory that names an existing file or lies under one:
-    no run could write its files there."""
+    """``--outdir``, else ./runs. An empty ``--outdir`` (or config
+    ``outdir``) is a ValueError, and so is a directory that names an
+    existing file or lies under one: no run could write its files there."""
     if args.outdir == "":
         raise ValueError("--outdir must not be empty")
-    env = os.environ.get("TORUS4NLS_OUTDIR")
-    outdir = Path(env or args.outdir or "runs")
+    outdir = Path(args.outdir or "runs")
     nearest = next((p for p in (outdir, *outdir.parents) if p.exists()), Path("/"))
     if not nearest.is_dir():
-        raise ValueError(f"{'TORUS4NLS_OUTDIR' if env else '--outdir'} "
-                         f"{str(outdir)!r}: {str(nearest)!r} is not a directory")
+        raise ValueError(f"--outdir {str(outdir)!r}: {str(nearest)!r} "
+                         "is not a directory")
     return outdir
 
 
@@ -336,11 +332,7 @@ def build_coeffs(args):
 
 
 def build_solver_config(args):
-    return SolverConfig(
-        dt=args.dt,
-        epsilon=getattr(args, "eps", 0.0),  # only simulate has --eps
-        sobolev_index_m=args.m,
-    )
+    return SolverConfig(dt=args.dt, sobolev_index_m=args.m)
 
 
 def check_at_least_one(value, flag):
@@ -383,7 +375,7 @@ def cmd_simulate(args):
             # the complex view interleaves re and im of each mode
             send_row(np.concatenate(([time], rows[0][order].view(np.float64))))
 
-        return integrate(data, args.t_end, cfg, coeffs, observe)
+        return integrate(data, args.t_end, cfg, coeffs, observe, eps=args.eps)
 
     run = streamed_table(args.outdir, fname, names, produce)
     _report(args.outdir / fname)
@@ -391,7 +383,7 @@ def cmd_simulate(args):
     _report(write_manifest(args.outdir, "simulate", {
         "parameters": {
             "data": args.data, "num_modes": grid.num_modes,
-            "dt": cfg.dt, "t_end": args.t_end, "epsilon": cfg.epsilon,
+            "dt": cfg.dt, "t_end": args.t_end, "epsilon": args.eps,
             "m": cfg.sobolev_index_m, "nu": coeffs.nu,
             "lambdas": coeffs.lambdas,
         },
@@ -419,6 +411,8 @@ def cmd_bona_smith(args):
 
 
 def cmd_eps_converge(args):
+    check_entries("--eps-ladder", args.eps_ladder, lambda e: 0.0 < e <= 1.0,
+                  "lie in (0, 1]")
     grid = GridSpec(args.num_modes)
     data = parse_data_spec(args.data, grid)
     coeffs = build_coeffs(args)

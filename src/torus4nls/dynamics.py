@@ -17,7 +17,7 @@ runs still going and their member indices; a single run is the block
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -108,16 +108,15 @@ class CoefficientSet:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Stepper parameters. The coefficients fix the dealiasing pad, and the
-    Picard tolerance and budget are ``PICARD_TOL`` and ``PICARD_MAX_ITERS``."""
+    """The scheme's own settings: the step and the index m of the H^m norm
+    its checks use. ε is a coefficient of the equation, given to each run;
+    the coefficients fix the dealiasing pad, and the Picard tolerance and
+    budget are ``PICARD_TOL`` and ``PICARD_MAX_ITERS``."""
 
     dt: float
-    epsilon: float = 0.0
     sobolev_index_m: int = 4
 
     def __post_init__(self):
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon}")
         if not 0.0 < self.dt < math.inf:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if self.sobolev_index_m < 1:
@@ -292,9 +291,9 @@ def _rk4_step(c, factors, dt, coeffs, m, time, members, named):
 
 
 def duhamel_step(psi, cfg, coeffs):
-    """One step of length dt via Picard iteration on the Duhamel map: a
-    one-step ``integrate``, so the same state, Picard count and errors
-    (carrying time 0). Returns (state, iterations)."""
+    """One unregularized (ε = 0) step of length dt via Picard iteration on
+    the Duhamel map: a one-step ``integrate``, so the same state, Picard
+    count and errors (carrying time 0). Returns (state, iterations)."""
     run = integrate(psi, cfg.dt, cfg, coeffs)
     return run.state, run.picard_iterations[0]
 
@@ -328,22 +327,22 @@ def _steps(t_end, dt):
     return clock()
 
 
-def _stepping(step, fractions, psi0s, t_end, cfgs, coeffs, observer):
+def _stepping(step, fractions, psi0s, t_end, cfg, epsilons, coeffs, observer):
     """``integrate_many`` with the scheme's ``step``, called as ``_picard_step``
     with W_ε(f·dt) for each f of ``fractions``, built when dt changes."""
     psi0s = list(psi0s)
-    cfgs = list(cfgs)
     count = len(psi0s)
     if count == 0:
         raise ValueError("integrate_many needs at least one member")
-    if len(cfgs) != count:
-        raise ValueError("psi0s and cfgs need one entry per member")
+    epsilons = [0.0] * count if epsilons is None else list(epsilons)
+    if len(epsilons) != count:
+        raise ValueError("psi0s and epsilons need one entry per member")
+    for eps in epsilons:
+        if not 0.0 <= eps <= 1.0:
+            raise ValueError(f"epsilon must lie in [0, 1], got {eps}")
     grid = psi0s[0].grid
     if any(psi.grid != grid for psi in psi0s):
         raise ValueError("ensemble members must share one grid")
-    cfg = cfgs[0]
-    if any(replace(c, epsilon=cfg.epsilon) != cfg for c in cfgs):
-        raise ValueError("member configs may differ only in epsilon")
     steps = _steps(t_end, cfg.dt)  # checks t_end before any sample
     m = cfg.sobolev_index_m
     state = np.array([psi.coeffs for psi in psi0s])
@@ -365,8 +364,8 @@ def _stepping(step, fractions, psi0s, t_end, cfgs, coeffs, observer):
     for start, t, dt in steps:
         if dt != factors_dt:  # W(dt) first, so that a refusal names dt
             factors_dt = dt
-            epsilons = [cfgs[i].epsilon for i in active]
-            factors = [_factors(grid, f * dt, epsilons, coeffs.nu) for f in fractions]
+            live = [epsilons[i] for i in active]
+            factors = [_factors(grid, f * dt, live, coeffs.nu) for f in fractions]
         state, iterations = step(state, factors, dt, coeffs, m, start, active, count > 1)
         observe(t)
         norms = np.sqrt(sobolev_norm_sq_rows(state, m)).tolist()
@@ -389,39 +388,43 @@ def _stepping(step, fractions, psi0s, t_end, cfgs, coeffs, observer):
     return runs
 
 
-def integrate_many(psi0s, t_end, cfgs, coeffs, observer=None):
+def integrate_many(psi0s, t_end, cfg, coeffs, observer=None, *, epsilons=None):
     """Repeated Duhamel stepping of an ensemble of runs up to t_end.
 
-    Member i starts from ``psi0s[i]`` under ``cfgs[i]``. All members share
-    one grid, and their configs may differ only in ``epsilon``; anything
-    else is a ValueError. The members advance together as the rows of one
-    (B, N) array, and each gets exactly the states and Picard counts a run
-    of its own would get. ``observer(time, rows, members)``, called at t=0
-    and after each step with the read-only (B', N) coefficients of the live
-    members and their ascending member indices, is the only way to see the
-    states along the run. A member whose H^m norm exceeds ``BLOWUP_FACTOR``
-    times its initial value is marked and halts; the others go on. A
-    diverging step raises NonFinite (NonConvergence past the Picard budget)
-    at the earliest failing step, for the lowest failing member, carrying
-    the time and the member index. Initial data whose H^m norm is not finite
-    (a NaN or Inf coefficient, or an overflowing weighted sum) and a t_end
-    that is negative or not finite are ValueErrors before the observer is
-    called; so are, at the first step of their length, linear factors
-    W_ε(dt) that are not finite. Returns one Trajectory record per member.
+    Member i starts from ``psi0s[i]`` and solves the equation with
+    regularization ``epsilons[i]`` (every member at ε = 0 when None); all
+    share ``cfg`` and one grid. The members advance together as the rows of
+    one (B, N) array, and each gets exactly the states and Picard counts a
+    run of its own would get. ``observer(time, rows, members)``, called at
+    t=0 and after each step with the read-only (B', N) coefficients of the
+    live members and their ascending member indices, is the only way to see
+    the states along the run. A member whose H^m norm exceeds
+    ``BLOWUP_FACTOR`` times its initial value is marked and halts; the
+    others go on. A diverging step raises NonFinite (NonConvergence past the
+    Picard budget) at the earliest failing step, for the lowest failing
+    member, carrying the time and the member index. Initial data whose H^m
+    norm is not finite (a NaN or Inf coefficient, or an overflowing weighted
+    sum) and a t_end that is negative or not finite are ValueErrors before
+    the observer is called, as are an ε outside [0, 1] and ``epsilons``
+    whose length is not that of ``psi0s``; so are, at the first step of
+    their length, linear factors W_ε(dt) that are not finite. Returns one
+    Trajectory record per member.
     """
-    return _stepping(_picard_step, (1.0,), psi0s, t_end, cfgs, coeffs, observer)
+    return _stepping(_picard_step, (1.0,), psi0s, t_end, cfg, epsilons, coeffs,
+                     observer)
 
 
-def integrate(psi0, t_end, cfg, coeffs, observer=None):
-    """Repeated Duhamel stepping of one run up to t_end: the one-member
-    ``integrate_many``, so ``observer`` sees (1, N) blocks with members
-    (0,). Returns the run's Trajectory record."""
-    return integrate_many([psi0], t_end, [cfg], coeffs, observer)[0]
+def integrate(psi0, t_end, cfg, coeffs, observer=None, *, eps=0.0):
+    """Repeated Duhamel stepping of one run up to t_end at regularization
+    ``eps``: the one-member ``integrate_many``, so ``observer`` sees (1, N)
+    blocks with members (0,). Returns the run's Trajectory record."""
+    return integrate_many([psi0], t_end, cfg, coeffs, observer, epsilons=[eps])[0]
 
 
-def reference_integrate(psi0, t_end, cfg, coeffs, observer=None):
+def reference_integrate(psi0, t_end, cfg, coeffs, observer=None, *, eps=0.0):
     """Integrating-factor classical RK4, the independent cross-check scheme:
     ``integrate`` with ``_rk4_step`` for the Picard step, so the same refusals,
     blow-up ceiling, observer blocks and record (0 Picard iterations per
     step); its NonFinite carries the time the failing step started from."""
-    return _stepping(_rk4_step, (1.0, 0.5), [psi0], t_end, [cfg], coeffs, observer)[0]
+    return _stepping(_rk4_step, (1.0, 0.5), [psi0], t_end, cfg, [eps], coeffs,
+                     observer)[0]

@@ -250,7 +250,7 @@ def _relative_drifts(columns):
 
 
 def conservation_study(data, nu, t_end, cfg):
-    """Drift of I₀, I₁, I₂ along an unregularized integrable-case run.
+    """Drift of I₀, I₁, I₂ along an unregularized (ε = 0) integrable-case run.
 
     Integrates at cfg.dt and at dt/2; passes when every relative drift at
     the coarse step is within ``drift_tol`` and shrinks by ``min_gain``
@@ -258,8 +258,6 @@ def conservation_study(data, nu, t_end, cfg):
     round-off floor are exempt from the gain requirement, since they carry
     no convergence signal).
     """
-    if cfg.epsilon != 0.0:
-        raise ValueError("conservation study runs the unregularized flow")
     check_t_end(t_end)
     coeffs = integrable_coefficients(nu)
     tables = {}
@@ -301,7 +299,7 @@ def conservation_study(data, nu, t_end, cfg):
             "nu": nu,
             "t_end": t_end,
             "dt": cfg.dt,
-            "epsilon": cfg.epsilon,
+            "epsilon": 0.0,
             "num_modes": data.grid.num_modes,
             "m": cfg.sobolev_index_m,
         },
@@ -393,10 +391,8 @@ def eps_convergence_study(data, coeffs, t_end, eps_ladder, cfg):
     ladder = sorted(eps_ladder, reverse=True)
     eps_ref = min(ladder) / EPS_REF_DIVISOR
     epsilons = [eps_ref] + ladder
-    runs = integrate_many(
-        [mollify(data, e) for e in epsilons], t_end,
-        [replace(cfg, epsilon=e) for e in epsilons], coeffs,
-    )
+    runs = integrate_many([mollify(data, e) for e in epsilons], t_end, cfg, coeffs,
+                          epsilons=epsilons)
     ref = runs[0].state
     h1_diffs = []
     hm_diffs = []
@@ -569,9 +565,10 @@ def riccati_study(family, coeffs, cfg, t_end, c_m):
     while the plain quotient grows by ``raw_growth_min`` from first to last
     member. The verdict is only trusted (not inconclusive) if the stepper
     shows order ≥ ``min_order`` on the first member (all three in
-    ``RICCATI_THRESHOLDS``). A family of fewer than two members is a
-    ValueError, and so are ε ≠ 0, a linear coefficient set (its energies are
-    constant, so every quotient is 0) and energies whose square underflows.
+    ``RICCATI_THRESHOLDS``). Every run is unregularized (ε = 0). A family
+    of fewer than two members is a ValueError, and so are a linear
+    coefficient set (its energies are constant, so every quotient is 0) and
+    energies whose square underflows.
 
     The family runs as one ensemble, whose observer reduces each step's
     (B, N) block to the members' energies. The order compares the first
@@ -585,8 +582,6 @@ def riccati_study(family, coeffs, cfg, t_end, c_m):
     if len(family) < 2:  # growth from first to last member needs two
         raise ValueError(f"family needs at least two members, got {len(family)}")
     check_t_end(t_end)
-    if cfg.epsilon != 0.0:
-        raise ValueError("riccati study runs the unregularized flow")
     if coeffs.is_linear:
         raise ValueError("the riccati contrast needs a nonlinearity, but every "
                          "lambda is 0: use --integrable or a --lambdaK flag")
@@ -606,7 +601,7 @@ def riccati_study(family, coeffs, cfg, t_end, c_m):
             series[member].append((time, mod, raw))
 
     def family_and_fine():
-        runs = integrate_many(family, t_end, [cfg] * len(family), coeffs, record)
+        runs = integrate_many(family, t_end, cfg, coeffs, record)
         fine = _final_state(family[0], t_end, replace(cfg, dt=cfg.dt * 0.5), coeffs)
         return runs[0].state, fine
 
@@ -669,13 +664,12 @@ def continuity_study(phi, delta_ladder, coeffs, t_end, cfg, rng_seed):
     assumed. Passes when sup-differences scale like δ within ``slope_band``
     and the quotient band across the ladder stays within
     ``quotient_spread_max`` (``CONTINUITY_THRESHOLDS``). The ladder needs
-    two or more distinct δ, each positive and finite, t_end > 0 and ε = 0.
+    two or more distinct δ, each positive and finite, and t_end > 0; every
+    run is unregularized (ε = 0).
     """
     check_entries("delta_ladder", delta_ladder, lambda d: 0.0 < d < math.inf,
                   "be positive and finite")
     check_t_end(t_end)
-    if cfg.epsilon != 0.0:
-        raise ValueError("continuity study runs the unregularized flow")
     m = cfg.sobolev_index_m
     deltas = sorted(delta_ladder, reverse=True)
     perturbed = [
@@ -699,8 +693,7 @@ def continuity_study(phi, delta_ladder, coeffs, t_end, cfg, rng_seed):
         for member, row in zip(members[1:], values):
             terms[member - 1].append(row)
 
-    integrate_many([phi] + perturbed, t_end, [cfg] * (len(deltas) + 1), coeffs,
-                   record)
+    integrate_many([phi] + perturbed, t_end, cfg, coeffs, record)
 
     def energies(run, c):  # Ẽ₁ along a run, as difference_energy sums it
         return [s + c * l2_sq + quartic for s, l2_sq, _, quartic in run]

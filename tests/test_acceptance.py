@@ -51,7 +51,7 @@ def test_criterion_01_linear_exactness():
     grid = GridSpec(64)
     data = random_field(grid, rng_for(1), decay=2.0, l2_mass=1.0)
     ref = linear_solution(data, 1.0, 1.0)
-    cfg = SolverConfig(dt=1e-3, epsilon=0.0, sobolev_index_m=4)
+    cfg = SolverConfig(dt=1e-3, sobolev_index_m=4)
     lin = CoefficientSet(nu=1.0)
     scale = sobolev_norm(ref, 4)
     err_duh = sobolev_distance(integrate(data, 1.0, cfg, lin).state, ref, 4) / scale
@@ -93,7 +93,7 @@ def test_criterion_03_integrable_conservation():
     grid = GridSpec(64)
     data = random_field(grid, rng_for(42), decay=2.0, hm_norm=0.4, m=4, max_mode=4)
     assert sobolev_norm(data, 4) <= 0.5
-    cfg = SolverConfig(dt=2e-3, epsilon=0.0, sobolev_index_m=4)
+    cfg = SolverConfig(dt=2e-3, sobolev_index_m=4)
     res = conservation_study(data, 1.0, 0.1, cfg)
     assert res.thresholds == {"drift_tol": 1e-6, "min_gain": 4.0, "drift_floor": 1e-12}
     drifts = res.tables["drifts"]["drift_coarse"]
@@ -243,8 +243,7 @@ def test_criterion_10_continuity():
            f"spread {spread:.4f} (tol 2x)")
 
 
-def test_criterion_11_reproducibility(tmp_path, monkeypatch):
-    monkeypatch.delenv("TORUS4NLS_OUTDIR", raising=False)
+def test_criterion_11_reproducibility(tmp_path):
     argv = ["sweep-inequalities", "--trials", "60", "--seed", "9"]
     dirs = [tmp_path / "a", tmp_path / "b"]
     for d in dirs:

@@ -497,7 +497,6 @@ class TestWorkIsPerBlock:
 
     def _run(self, tmp_path, monkeypatch, argv):
         shapes, ffts = self._spy(monkeypatch)
-        monkeypatch.delenv("TORUS4NLS_OUTDIR", raising=False)
         code = cli.run_command(argv + ["--trials", str(self.TRIALS),
                                        "--outdir", str(tmp_path)])
         assert code in (0, 1)  # a verdict either way; 40 trials may not pass

@@ -32,15 +32,14 @@ COMMANDS = ["simulate", "conserve", "bona-smith", "eps-converge", "riccati",
 STEPPING = ["simulate", "conserve", "eps-converge", "riccati", "continuity"]
 
 
-def run_in(tmp_path, monkeypatch, argv):
-    monkeypatch.delenv("TORUS4NLS_OUTDIR", raising=False)
+def run_in(tmp_path, argv):
     return run_command(argv + ["--outdir", str(tmp_path)])
 
 
-def exit_code(tmp_path, monkeypatch, argv):
+def exit_code(tmp_path, argv):
     """The process exit code of ``argv``: argparse's errors raise SystemExit."""
     try:
-        return run_in(tmp_path, monkeypatch, argv)
+        return run_in(tmp_path, argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
 
@@ -151,8 +150,8 @@ class TestExitCodes:
             run_command(["no-such-command"])
         assert err.value.code == 2
 
-    def test_standing_wave_zero_amplitude(self, tmp_path, monkeypatch, capsys):
-        code = run_in(tmp_path, monkeypatch,
+    def test_standing_wave_zero_amplitude(self, tmp_path, capsys):
+        code = run_in(tmp_path,
                       ["standing-wave", "--kappa", "0", "--tau", "1", "--nu", "1"])
         assert code == 0
         out = capsys.readouterr().out
@@ -162,10 +161,10 @@ class TestExitCodes:
         assert manifest["residual_l2"] <= 1e-11
         assert manifest["code_version"]
 
-    def test_solver_error_is_3(self, tmp_path, monkeypatch):
+    def test_solver_error_is_3(self, tmp_path):
         # fails at the first step, after the t=0 row has been written
         out = tmp_path / "out"
-        code = run_in(out, monkeypatch, [
+        code = run_in(out, [
             "simulate", "--data", "random:seed=1:decay=0.5:l2=20",
             "--nu", "1", "--integrable", "--dt", "0.5", "--t-end", "1.0",
         ])
@@ -175,41 +174,41 @@ class TestExitCodes:
     def test_midrun_solver_error_leaves_nothing(self, tmp_path, monkeypatch, capsys):
         seen = []
 
-        def integrate_seen(psi0, t_end, cfg, coeffs, observer):
+        def integrate_seen(psi0, t_end, cfg, coeffs, observer, *, eps):
             def observe(time, rows, members):
                 observer(time, rows, members)
                 seen.append(time)
 
-            return integrate(psi0, t_end, cfg, coeffs, observe)
+            return integrate(psi0, t_end, cfg, coeffs, observe, eps=eps)
 
         monkeypatch.setattr(cli, "integrate", integrate_seen)
         out = tmp_path / "a" / "b"
-        assert run_in(out, monkeypatch, MIDRUN_FAILURE) == 3
+        assert run_in(out, MIDRUN_FAILURE) == 3
         assert len(seen) == 10  # rows streamed before the failure
         assert "at t=0.09" in capsys.readouterr().err
         assert not (tmp_path / "a").exists()
 
-    def test_midrun_solver_error_reaps_the_writer(self, tmp_path, monkeypatch, capsys):
+    def test_midrun_solver_error_reaps_the_writer(self, tmp_path, capsys):
         # the trajectory's forked writer is killed and reaped, its .part removed
         out = tmp_path / "a" / "b"
-        assert run_in(out, monkeypatch, MIDRUN_FAILURE) == 3
+        assert run_in(out, MIDRUN_FAILURE) == 3
         assert "at t=0.09" in capsys.readouterr().err
         assert not (tmp_path / "a").exists()
-        assert run_in(tmp_path, monkeypatch, MIDRUN_FAILURE) == 3
+        assert run_in(tmp_path, MIDRUN_FAILURE) == 3
         assert list(tmp_path.iterdir()) == []
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_solver_error_keeps_earlier_run(self, tmp_path, monkeypatch):
-        assert run_in(tmp_path, monkeypatch, MIDRUN_FAILURE[:-1] + ["0.05"]) == 0
+    def test_solver_error_keeps_earlier_run(self, tmp_path):
+        assert run_in(tmp_path, MIDRUN_FAILURE[:-1] + ["0.05"]) == 0
         earlier = output_bytes(tmp_path)
-        assert run_in(tmp_path, monkeypatch, MIDRUN_FAILURE) == 3
+        assert run_in(tmp_path, MIDRUN_FAILURE) == 3
         assert output_bytes(tmp_path) == earlier
 
-    def test_overflowing_data_is_2(self, tmp_path, monkeypatch, capsys):
+    def test_overflowing_data_is_2(self, tmp_path, capsys):
         # finite coefficients whose H^m norm overflows: refused before any step
         out = tmp_path / "out"
-        code = run_in(out, monkeypatch, [
+        code = run_in(out, [
             "simulate", "--data", "modes:n=31:amp=1e150", "--nu", "1",
             "--num-modes", "64", "--t-end", "0.01",
         ])
@@ -217,18 +216,18 @@ class TestExitCodes:
         assert "initial data has a non-finite H^m norm" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_study_failure_is_1(self, tmp_path, monkeypatch):
+    def test_study_failure_is_1(self, tmp_path):
         # on 16 modes the mollifier ladder leaves errors at machine zero,
         # which makes the rate study inconclusive -> 1
-        code = run_in(tmp_path, monkeypatch, ["bona-smith", "--num-modes", "16"])
+        code = run_in(tmp_path, ["bona-smith", "--num-modes", "16"])
         assert code == 1
         manifest = json.loads((tmp_path / "bona_smith_rates__manifest.json").read_text())
         assert manifest["verdict"] == "inconclusive"
 
 
 class TestSimulate:
-    def test_linear_final_state_matches_closed_form(self, tmp_path, monkeypatch):
-        code = run_in(tmp_path, monkeypatch, [
+    def test_linear_final_state_matches_closed_form(self, tmp_path):
+        code = run_in(tmp_path, [
             "simulate", "--data", "random:seed=3:decay=3.0:l2=0.5",
             "--nu", "1", "--dt", "1e-3", "--t-end", "0.1", "--num-modes", "64",
         ])
@@ -248,8 +247,8 @@ class TestSimulate:
         rel = sobolev_distance(final, expect, 4) / sobolev_norm(expect, 4)
         assert rel < 1e-10
 
-    def test_manifest_and_energy_written(self, tmp_path, monkeypatch):
-        code = run_in(tmp_path, monkeypatch, [
+    def test_manifest_and_energy_written(self, tmp_path):
+        code = run_in(tmp_path, [
             "simulate", "--data", "standing:kappa=0.2:tau=1", "--nu", "1",
             "--integrable", "--dt", "1e-3", "--t-end", "0.01",
         ])
@@ -282,7 +281,7 @@ class TestStreamedTrajectory:
                                        blowup_factor):
         if blowup_factor is not None:
             monkeypatch.setattr(dynamics, "BLOWUP_FACTOR", blowup_factor)
-        assert run_in(tmp_path, monkeypatch, argv) == 0
+        assert run_in(tmp_path, argv) == 0
         streamed = (tmp_path / "simulate__trajectory.csv").read_bytes()
         assert streamed == columns_trajectory_csv(argv)
         manifest = json.loads((tmp_path / "simulate__manifest.json").read_text())
@@ -290,7 +289,7 @@ class TestStreamedTrajectory:
         assert manifest["blow_up_suspected"] is halted
         assert (manifest["final_time"] < manifest["parameters"]["t_end"]) is halted
 
-    def test_trajectory_not_held(self, tmp_path, monkeypatch):
+    def test_trajectory_not_held(self, tmp_path):
         # a 51-sample N=1024 run may not peak higher than a 3-sample one by
         # as much as one (S, N) complex128 array; the stepper's own arrays
         # and lazily built caches are common to both
@@ -301,18 +300,18 @@ class TestStreamedTrajectory:
         def traced_peak(t_end):
             tracemalloc.start()
             try:
-                assert run_in(tmp_path / t_end, monkeypatch, argv + [t_end]) == 0
+                assert run_in(tmp_path / t_end, argv + [t_end]) == 0
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        assert run_in(tmp_path / "warm", monkeypatch, argv + ["2e-4"]) == 0
+        assert run_in(tmp_path / "warm", argv + ["2e-4"]) == 0
         growth = traced_peak("0.005") - traced_peak("2e-4")
         assert growth < 51 * 1024 * 16
 
 
 class TestConfigPrecedence:
-    def test_flag_overrides_config_overrides_default(self, tmp_path, monkeypatch):
+    def test_flag_overrides_config_overrides_default(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("kappa = 0.5\ntau = 2\n# comment\n")
         out1 = tmp_path / "a"
@@ -335,17 +334,6 @@ class TestConfigPrecedence:
         assert m2["parameters"]["kappa"] == 0.3  # flag wins
         assert m2["parameters"]["tau"] == 2  # config still wins over default
 
-    def test_env_var_outdir_override(self, tmp_path, monkeypatch):
-        env_dir = tmp_path / "env_dir"
-        monkeypatch.setenv("TORUS4NLS_OUTDIR", str(env_dir))
-        code = run_command([
-            "standing-wave", "--kappa", "0.1", "--tau", "1", "--nu", "1",
-            "--outdir", str(tmp_path / "flag_dir"),
-        ])
-        assert code == 0
-        assert (env_dir / "standing_wave__manifest.json").exists()
-        assert not (tmp_path / "flag_dir").exists()
-
 
     @pytest.mark.parametrize("command,settings", [
         ("simulate", [("data", "random:seed=5:decay=2.0:l2=0.3"), ("num_modes", "32"),
@@ -357,7 +345,7 @@ class TestConfigPrecedence:
                         ("ceiling", "0.8"), ("trials", "20"), ("seed", "5"),
                         ("target", "sobolev")]),
     ], ids=["simulate", "certify-cm"])
-    def test_config_equals_flags(self, tmp_path, monkeypatch, command, settings):
+    def test_config_equals_flags(self, tmp_path, command, settings):
         flags = [command]
         lines = []
         for key, value in settings:
@@ -369,9 +357,8 @@ class TestConfigPrecedence:
                 lines.append(f"{key} = {value}")
         cfg = tmp_path / "run.cfg"
         cfg.write_text("\n".join(lines) + "\n")
-        assert run_in(tmp_path / "flags", monkeypatch, flags) == 0
-        assert run_in(tmp_path / "config", monkeypatch,
-                      [command, "--config", str(cfg)]) == 0
+        assert run_in(tmp_path / "flags", flags) == 0
+        assert run_in(tmp_path / "config", [command, "--config", str(cfg)]) == 0
         from_flags = output_bytes(tmp_path / "flags")
         assert from_flags and output_bytes(tmp_path / "config") == from_flags
 
@@ -425,9 +412,7 @@ class TestReproducibility:
         ["certify-cm", "--nu", "1", "--integrable", "--trials", "20",
          "--seed", "3"],
     ], ids=lambda argv: argv[0])
-    def test_identical_argv_byte_identical_outputs(self, tmp_path, monkeypatch,
-                                                   argv):
-        monkeypatch.delenv("TORUS4NLS_OUTDIR", raising=False)
+    def test_identical_argv_byte_identical_outputs(self, tmp_path, argv):
         a = tmp_path / "a"
         b = tmp_path / "b"
         assert run_command(argv + ["--outdir", str(a)]) in (0, 1)
@@ -445,7 +430,7 @@ def test_riccati_prints_once(tmp_path):
     write a second time, and one that left through ``sys.exit`` would flush
     the buffer it inherited."""
     src = Path(__file__).resolve().parents[1] / "src"
-    env = {k: v for k, v in os.environ.items() if k != "TORUS4NLS_OUTDIR"}
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "torus4nls.cli", "riccati", "--nu", "1",
@@ -462,8 +447,8 @@ def test_riccati_prints_once(tmp_path):
 
 
 class TestCertifyCmCommand:
-    def test_certificate_manifest(self, tmp_path, monkeypatch):
-        code = run_in(tmp_path, monkeypatch, [
+    def test_certificate_manifest(self, tmp_path):
+        code = run_in(tmp_path, [
             "certify-cm", "--nu", "1", "--integrable", "--m", "4",
             "--trials", "30", "--seed", "7", "--target", "sobolev",
         ])
@@ -492,7 +477,7 @@ class TestUsageErrors:
         for name in ("integrate", "integrate_many"):
             monkeypatch.setattr(experiments, name, no_run)
         monkeypatch.delattr(os, "fork")
-        code = run_in(tmp_path, monkeypatch, ["riccati", "--nu", "1", "--integrable"])
+        code = run_in(tmp_path, ["riccati", "--nu", "1", "--integrable"])
         assert code == 2
         assert "os.fork" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
@@ -503,7 +488,7 @@ class TestUsageErrors:
         monkeypatch.setattr(cli, "integrate", lambda *a, **k: pytest.fail("ran"))
         monkeypatch.delattr(os, "fork")
         out = tmp_path / "out"
-        assert run_in(out, monkeypatch, ["simulate", "--t-end", "0.01"]) == 2
+        assert run_in(out, ["simulate", "--t-end", "0.01"]) == 2
         out_text, err = capsys.readouterr()
         assert "usage error: " in err and "os.fork" in err
         assert out_text == ""
@@ -516,19 +501,27 @@ class TestUsageErrors:
 
         monkeypatch.setattr(cli, "cmd_standing_wave", lookup_fails)
         with pytest.raises(KeyError, match="missing"):
-            run_in(tmp_path, monkeypatch, ["standing-wave"])
+            run_in(tmp_path, ["standing-wave"])
 
-    def test_bad_parameter_value_is_2(self, tmp_path, monkeypatch):
-        # epsilon must lie in [0, 1]
-        code = run_in(tmp_path, monkeypatch,
-                      ["simulate", "--nu", "1", "--eps", "1.5", "--t-end", "0.01"])
-        assert code == 2
+    @pytest.mark.parametrize("eps", ["1.5", "2", "-0.1"])
+    def test_bad_parameter_value_is_2(self, tmp_path, capsys, eps):
+        # epsilon must lie in [0, 1]; the run refuses it before its first
+        # sample, so the trajectory's writer is reaped and the directory
+        # made for its table is removed
+        out = tmp_path / "out"
+        argv = ["simulate", "--nu", "1", f"--eps={eps}", "--t-end", "0.01"]
+        assert run_in(out, argv) == 2
+        out_text, err = capsys.readouterr()
+        assert f"usage error: epsilon must lie in [0, 1], got {float(eps)}" in err
+        assert out_text == ""
+        assert not out.exists()
+        with pytest.raises(ChildProcessError):  # the writer was reaped
+            os.waitpid(-1, os.WNOHANG)
 
-    def test_unknown_config_key_is_2(self, tmp_path, monkeypatch):
+    def test_unknown_config_key_is_2(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("kappa = 0.5\nkapa = 0.7\n")
-        code = run_in(tmp_path, monkeypatch,
-                      ["standing-wave", "--config", str(cfg), "--nu", "1"])
+        code = run_in(tmp_path, ["standing-wave", "--config", str(cfg), "--nu", "1"])
         assert code == 2
         assert not (tmp_path / "standing_wave__manifest.json").exists()
 
@@ -538,20 +531,18 @@ class TestUsageErrors:
         "command = simulate\n",
         "func = x\n",
     ], ids=["repeated", "config", "command", "func"])
-    def test_ignored_config_key_is_2(self, tmp_path, monkeypatch, text):
+    def test_ignored_config_key_is_2(self, tmp_path, text):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(text)
-        code = run_in(tmp_path, monkeypatch,
-                      ["standing-wave", "--config", str(cfg), "--nu", "1"])
+        code = run_in(tmp_path, ["standing-wave", "--config", str(cfg), "--nu", "1"])
         assert code == 2
         assert not (tmp_path / "standing_wave__manifest.json").exists()
 
     @pytest.mark.parametrize("value", ["ture", "2", "on", ""])
-    def test_unrecognised_integrable_is_2(self, tmp_path, monkeypatch, value):
+    def test_unrecognised_integrable_is_2(self, tmp_path, value):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"integrable = {value}\n")
-        code = run_in(tmp_path, monkeypatch,
-                      ["standing-wave", "--config", str(cfg), "--nu", "1"])
+        code = run_in(tmp_path, ["standing-wave", "--config", str(cfg), "--nu", "1"])
         assert code == 2
         assert not (tmp_path / "standing_wave__manifest.json").exists()
 
@@ -559,27 +550,25 @@ class TestUsageErrors:
         ("1", True), ("True", True), ("YES", True),
         ("0", False), ("false", False), ("No", False),
     ])
-    def test_integrable_config_spellings(self, tmp_path, monkeypatch, value,
-                                         integrable):
+    def test_integrable_config_spellings(self, tmp_path, value, integrable):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"integrable = {value}\n")
-        code = run_in(tmp_path, monkeypatch,
-                      ["standing-wave", "--config", str(cfg), "--nu", "1"])
+        code = run_in(tmp_path, ["standing-wave", "--config", str(cfg), "--nu", "1"])
         assert code == 0
         manifest = json.loads((tmp_path / "standing_wave__manifest.json").read_text())
         expect = integrable_coefficients(1.0).lambdas if integrable else (0.0,) * 6
         assert manifest["parameters"]["lambdas"] == list(expect)
 
-    def test_riccati_has_no_n_low(self, tmp_path, monkeypatch):
+    def test_riccati_has_no_n_low(self, tmp_path):
         with pytest.raises(SystemExit) as err:
-            run_in(tmp_path, monkeypatch, [
+            run_in(tmp_path, [
                 "riccati", "--nu", "1", "--integrable", "--n-low", "1",
                 "--cm-trials", "2", "--t-end", "4e-6",
             ])
         assert err.value.code == 2
 
     @pytest.mark.parametrize("source", ["flag", "config"])
-    def test_lambdas_with_integrable_is_2(self, tmp_path, monkeypatch, source):
+    def test_lambdas_with_integrable_is_2(self, tmp_path, source):
         argv = ["standing-wave", "--nu", "1", "--integrable"]
         if source == "flag":
             argv += ["--lambda3", "0.2"]
@@ -587,7 +576,7 @@ class TestUsageErrors:
             cfg = tmp_path / "run.cfg"
             cfg.write_text("lambda3 = 0.2\n")
             argv += ["--config", str(cfg)]
-        assert run_in(tmp_path, monkeypatch, argv) == 2
+        assert run_in(tmp_path, argv) == 2
         assert not (tmp_path / "standing_wave__manifest.json").exists()
 
     @pytest.mark.parametrize("argv", [
@@ -598,7 +587,7 @@ class TestUsageErrors:
         ["--vers"],
         # the coefficients fix the dealiasing pad
         *([command, "--pad", "3", "--t-end", "0.005"] for command in STEPPING),
-        # conservation, riccati and continuity run the unregularized flow
+        # conservation, riccati and continuity have no ε: they run at ε = 0
         ["conserve", "--eps", "0", "--t-end", "0.005"],
         ["riccati", "--nu", "1", "--integrable", "--eps", "0", "--cm-trials", "2",
          "--t-end", "4e-6"],
@@ -606,8 +595,8 @@ class TestUsageErrors:
     ], ids=["eps-converge-eps", "abbreviated", "abbreviated-top-level",
             *(f"{command}-pad" for command in STEPPING), "conserve-eps",
             "riccati-eps", "continuity-eps"])
-    def test_unknown_flag_is_2(self, tmp_path, monkeypatch, argv):
-        assert exit_code(tmp_path, monkeypatch, argv) == 2
+    def test_unknown_flag_is_2(self, tmp_path, argv):
+        assert exit_code(tmp_path, argv) == 2
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("command,text", [
@@ -615,12 +604,11 @@ class TestUsageErrors:
         *((command, "eps = 0") for command in ("conserve", "riccati", "continuity")),
     ], ids=[*(f"{command}-pad" for command in STEPPING), "conserve-eps",
             "riccati-eps", "continuity-eps"])
-    def test_config_key_without_flag_is_2(self, tmp_path, monkeypatch, capsys,
-                                          command, text):
+    def test_config_key_without_flag_is_2(self, tmp_path, capsys, command, text):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(text + "\nt_end = 0.005\n")
         out = tmp_path / "out"
-        assert run_in(out, monkeypatch, [command, "--config", str(cfg)]) == 2
+        assert run_in(out, [command, "--config", str(cfg)]) == 2
         assert "unknown config key(s): " + text.split()[0] in capsys.readouterr().err
         assert not out.exists()
 
@@ -642,9 +630,9 @@ class TestUsageErrors:
             "kappa-nan", "kappa-inf", "standing-wave-nu", "standing-wave-lambda1",
             "certify-cm-nu", "simulate-lambda1", "conserve-nu",
             "sweep-inequalities-nu"])
-    def test_nonfinite_value_is_2(self, tmp_path, monkeypatch, capsys, argv, name):
+    def test_nonfinite_value_is_2(self, tmp_path, capsys, argv, name):
         out = tmp_path / "out"
-        assert run_in(out, monkeypatch, argv) == 2
+        assert run_in(out, argv) == 2
         assert f"usage error: {name} must be" in capsys.readouterr().err
         assert not out.exists()
 
@@ -699,7 +687,7 @@ class TestUsageErrors:
         monkeypatch.setattr(experiments, "integrate_many",
                             lambda *a, **k: pytest.fail("ran"))
         out = tmp_path / "out"
-        assert exit_code(out, monkeypatch, argv) == 2
+        assert exit_code(out, argv) == 2
         out_text, err = capsys.readouterr()
         assert name in err
         assert out_text == ""  # refused before printing a result
@@ -721,12 +709,11 @@ class TestUsageErrors:
          "hm_norm^2 overflows"),
     ], ids=["simulate", "conserve", "conserve-correction", "riccati-energy",
             "riccati-hm-size"])
-    def test_overflowing_energy_is_2(self, tmp_path, monkeypatch, capsys, argv,
-                                     message):
+    def test_overflowing_energy_is_2(self, tmp_path, capsys, argv, message):
         # finite data whose modified energy overflows in Python floats: a
         # RuntimeWarning leaked on the way would fail here as an error
         out = tmp_path / "out"
-        assert run_in(out, monkeypatch, argv) == 2
+        assert run_in(out, argv) == 2
         out_text, err = capsys.readouterr()
         assert err.startswith("usage error: ") and message in err
         assert out_text == ""
@@ -751,7 +738,7 @@ class TestUsageErrors:
             cfg = tmp_path / "run.cfg"
             cfg.write_text(f"{flag[2:].replace('-', '_')} = {value}\n")
             argv[-1:] = ["--config", str(cfg)]
-        assert exit_code(out, monkeypatch, argv) == 2
+        assert exit_code(out, argv) == 2
         out_text, err = capsys.readouterr()
         assert f"argument {flag}: {entry} is not a real number" in err
         assert out_text == ""
@@ -772,7 +759,7 @@ class TestUsageErrors:
             cfg = tmp_path / "run.cfg"
             cfg.write_text(f"{flag[2:].replace('-', '_')} = {value}\n")
             argv[-1:] = ["--config", str(cfg)]
-        assert exit_code(out, monkeypatch, argv) == 2
+        assert exit_code(out, argv) == 2
         out_text, err = capsys.readouterr()
         assert f"argument {flag}: {entry} underflows to 0" in err
         assert out_text == ""
@@ -801,35 +788,31 @@ class TestUsageErrors:
         self._forbid_runs(monkeypatch)
         monkeypatch.setattr(cli, "integrate", lambda *a, **k: pytest.fail("ran"))
         out = tmp_path / "out"
-        assert run_in(out, monkeypatch, argv) == 2
+        assert run_in(out, argv) == 2
         out_text, err = capsys.readouterr()
         assert f"usage error: {message}" in err
         assert out_text == ""
         assert not out.exists()
 
     @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
-    @pytest.mark.parametrize("source", ["flag", "config", "env"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize("command", ["standing-wave", "riccati"])
     def test_outdir_that_cannot_be_a_directory_is_2(self, tmp_path, monkeypatch,
                                                     capsys, command, source, under):
         # refused before the study runs, not as a traceback after it
         self._forbid_runs(monkeypatch)
         monkeypatch.chdir(tmp_path)
-        monkeypatch.delenv("TORUS4NLS_OUTDIR", raising=False)
         (tmp_path / "taken").write_text("a file\n")
         outdir = "taken/run/x" if under else "taken"
         argv = [command, "--nu", "1", "--integrable"]
         if source == "flag":
             argv += ["--outdir", outdir]
-        elif source == "config":
+        else:
             (tmp_path / "run.cfg").write_text(f"outdir = {outdir}\n")
             argv += ["--config", "run.cfg"]
-        else:
-            monkeypatch.setenv("TORUS4NLS_OUTDIR", outdir)
         assert run_command(argv) == 2
         out_text, err = capsys.readouterr()
-        name = "TORUS4NLS_OUTDIR" if source == "env" else "--outdir"
-        assert f"usage error: {name} '{outdir}': 'taken' is not a directory" in err
+        assert f"usage error: --outdir '{outdir}': 'taken' is not a directory" in err
         assert out_text == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
             ["taken"] + (["run.cfg"] if source == "config" else []))
@@ -852,30 +835,29 @@ class TestUsageErrors:
         # counts and --m below 1 are refused naming the flag, before any work
         self._forbid_runs(monkeypatch)
         out = tmp_path / "out"
-        assert run_in(out, monkeypatch, argv) == 2
+        assert run_in(out, argv) == 2
         assert f"usage error: {flag} must be >= 1, got {value}" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_riccati_underflowing_hm_size_is_2(self, tmp_path, monkeypatch, capsys):
+    def test_riccati_underflowing_hm_size_is_2(self, tmp_path, capsys):
         # the growth quotients divide by E^2, which underflows at this size
         out = tmp_path / "out"
         argv = ["riccati", "--nu", "1", "--integrable", "--hm-size", "1e-80",
                 "--cm-trials", "2", "--t-end", "4e-6"]
-        assert run_in(out, monkeypatch, argv) == 2
+        assert run_in(out, argv) == 2
         assert "raise --hm-size" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_riccati_linear_flow_is_2(self, tmp_path, monkeypatch, capsys):
+    def test_riccati_linear_flow_is_2(self, tmp_path, capsys):
         # every lambda 0 at the defaults: each growth quotient would be 0
         out = tmp_path / "out"
-        assert run_in(out, monkeypatch, ["riccati", "--cm-trials", "2"]) == 2
+        assert run_in(out, ["riccati", "--cm-trials", "2"]) == 2
         assert "needs a nonlinearity" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_empty_outdir_is_2(self, tmp_path, monkeypatch, capsys, source):
         monkeypatch.chdir(tmp_path)
-        monkeypatch.delenv("TORUS4NLS_OUTDIR", raising=False)
         argv = ["standing-wave", "--nu", "1"]
         if source == "flag":
             argv += ["--outdir", ""]
@@ -888,26 +870,19 @@ class TestUsageErrors:
         assert "--outdir must not be empty" in err
         assert not (tmp_path / "runs").exists()
 
-    def test_empty_env_outdir_is_unset(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("TORUS4NLS_OUTDIR", "")
-        argv = ["standing-wave", "--nu", "1", "--outdir", str(tmp_path)]
-        assert run_command(argv) == 0
-        assert (tmp_path / "standing_wave__manifest.json").exists()
-
-    def test_eps_converge_config_eps_is_2(self, tmp_path, monkeypatch):
+    def test_eps_converge_config_eps_is_2(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("eps = 0.3\nt_end = 0.005\ndt = 1e-3\n")
         out = tmp_path / "out"
-        code = run_in(out, monkeypatch,
+        code = run_in(out,
                       ["eps-converge", "--nu", "1", "--integrable", "--config", str(cfg)])
         assert code == 2
         assert not out.exists()
 
     @pytest.mark.parametrize("kind", ["missing", "directory"])
-    def test_unreadable_config_is_2(self, tmp_path, monkeypatch, capsys, kind):
+    def test_unreadable_config_is_2(self, tmp_path, capsys, kind):
         path = tmp_path / "absent.cfg" if kind == "missing" else tmp_path
-        code = run_in(tmp_path, monkeypatch,
-                      ["standing-wave", "--nu", "1", "--config", str(path)])
+        code = run_in(tmp_path, ["standing-wave", "--nu", "1", "--config", str(path)])
         assert code == 2
         assert str(path) in capsys.readouterr().err
         assert not (tmp_path / "standing_wave__manifest.json").exists()
@@ -917,32 +892,29 @@ class TestUsageErrors:
         ("standing-wave", "kappa = abc", "--kappa"),
         ("simulate", "eps =", "--eps"),
     ], ids=["int", "float", "empty"])
-    def test_bad_typed_config_value_is_2(self, tmp_path, monkeypatch, capsys,
-                                         command, text, flag):
+    def test_bad_typed_config_value_is_2(self, tmp_path, capsys, command, text, flag):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(text + "\n")
         out = tmp_path / "out"
-        code = exit_code(out, monkeypatch,
-                         [command, "--num-modes", "32", "--config", str(cfg)])
+        code = exit_code(out, [command, "--num-modes", "32", "--config", str(cfg)])
         assert code == 2
         assert f"argument {flag}:" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
     @pytest.mark.parametrize("command", ["certify-cm", "sweep-inequalities", "riccati"])
-    def test_nonpositive_ceiling_is_2(self, tmp_path, monkeypatch, capsys,
-                                      command, value):
+    def test_nonpositive_ceiling_is_2(self, tmp_path, capsys, command, value):
         # every sample is drawn at the ceiling's L2 mass
         out = tmp_path / "out"
-        assert exit_code(out, monkeypatch, [command, f"--ceiling={value}"]) == 2
+        assert exit_code(out, [command, f"--ceiling={value}"]) == 2
         assert "l2_ceiling must be > 0" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["0", "-2", "nan", "inf"])
-    def test_nonpositive_hm_size_is_2(self, tmp_path, monkeypatch, capsys, value):
+    def test_nonpositive_hm_size_is_2(self, tmp_path, capsys, value):
         # the family's amplitudes come from hm_size squared
         out = tmp_path / "out"
-        code = exit_code(out, monkeypatch, ["riccati", f"--hm-size={value}"])
+        code = exit_code(out, ["riccati", f"--hm-size={value}"])
         assert code == 2
         assert "hm_norm must be > 0" in capsys.readouterr().err
         assert not out.exists()
@@ -950,15 +922,15 @@ class TestUsageErrors:
     @pytest.mark.parametrize("argv,name", [
         (["bona-smith", "--l-values", "0,1,0"], "--l-values"),
         (["eps-converge", "--nu", "1", "--integrable", "--t-end", "0.005",
-          "--eps-ladder", "2^-3,2^-3,2^-4"], "eps_ladder"),
+          "--eps-ladder", "2^-3,2^-3,2^-4"], "--eps-ladder"),
         (["continuity", "--nu", "1", "--integrable", "--t-end", "0.005",
           "--deltas", "1e-2,1e-2,1e-3"], "--deltas"),
         (["riccati", "--nu", "1", "--integrable", "--seps", "4,4"], "seps"),
     ], ids=["bona-smith", "eps-converge", "continuity", "riccati"])
-    def test_repeated_entry_is_2(self, tmp_path, monkeypatch, capsys, argv, name):
+    def test_repeated_entry_is_2(self, tmp_path, capsys, argv, name):
         # a repeated ladder entry would only repeat a run
         out = tmp_path / "out"
-        assert exit_code(out, monkeypatch, argv) == 2
+        assert exit_code(out, argv) == 2
         assert f"{name} repeats an entry" in capsys.readouterr().err
         assert not out.exists()
 
@@ -983,7 +955,7 @@ class TestUsageErrors:
         monkeypatch.setattr(cli, "bona_smith_rate_study",
                             lambda *a, **k: pytest.fail("ran"))
         out = tmp_path / "out"
-        assert exit_code(out, monkeypatch, argv) == 2
+        assert exit_code(out, argv) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
 
@@ -994,8 +966,10 @@ class TestUsageErrors:
         ("continuity", "deltas = 1e-2,0", "--deltas entries must be positive"),
         ("bona-smith", "l_values = 0,0", "--l-values repeats an entry"),
         ("bona-smith", "l_values = 0,5", "--l-values entries must lie in [0, m]"),
+        ("eps-converge", "eps_ladder = 2^-3",
+         "--eps-ladder needs at least two entries"),
     ], ids=["seps-literal", "deltas-one", "deltas-repeat", "deltas-zero",
-            "l-values-repeat", "l-values-range"])
+            "l-values-repeat", "l-values-range", "eps-ladder-one"])
     def test_bad_config_list_names_the_flag(self, tmp_path, monkeypatch, capsys,
                                             command, line, message):
         # a list read from the config file is checked as its flag is
@@ -1008,7 +982,7 @@ class TestUsageErrors:
         argv = [command, "--config", str(cfg)]
         if command != "bona-smith":
             argv += ["--nu", "1", "--integrable"]
-        assert exit_code(out, monkeypatch, argv) == 2
+        assert exit_code(out, argv) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
 
@@ -1017,7 +991,7 @@ class TestUsageErrors:
         self._forbid_runs(monkeypatch)
         out = tmp_path / "out"
         argv = ["continuity", "--nu", "1", "--integrable", "--deltas", f"1e-2,{delta}"]
-        assert exit_code(out, monkeypatch, argv) == 2
+        assert exit_code(out, argv) == 2
         err = capsys.readouterr().err
         assert "--deltas entries must be positive and finite" in err
         assert not out.exists()
@@ -1036,10 +1010,9 @@ class TestUsageErrors:
         # an integer past the float range
         pytest.param("simulate", "modes:n=1" + "0" * 309, "n", id="huge-int"),
     ])
-    def test_bad_data_number_is_2(self, tmp_path, monkeypatch, capsys, command,
-                                  spec, key):
+    def test_bad_data_number_is_2(self, tmp_path, capsys, command, spec, key):
         out = tmp_path / "out"
-        assert run_in(out, monkeypatch, [command, "--data", spec]) == 2
+        assert run_in(out, [command, "--data", spec]) == 2
         assert f": {key} must be" in capsys.readouterr().err
         assert not out.exists()
 
@@ -1054,12 +1027,12 @@ class TestUsageErrors:
         argv = [command, "--nu", "1", f"--t-end={t_end}"]
         if command != "conserve":
             argv.append("--integrable")
-        assert exit_code(out, monkeypatch, argv) == 2
+        assert exit_code(out, argv) == 2
         assert "t_end must be positive and finite" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv,name", [
-        (["eps-converge", "--eps-ladder", "2^-3"], "eps_ladder"),
+        (["eps-converge", "--eps-ladder", "2^-3"], "--eps-ladder"),
         (["continuity", "--deltas", "1e-2"], "--deltas"),
         # one member has no growth from first to last to contrast
         (["riccati", "--seps", "4"], "--seps"),
@@ -1069,7 +1042,7 @@ class TestUsageErrors:
         # one rung fits no rate
         self._forbid_runs(monkeypatch)
         out = tmp_path / "out"
-        assert exit_code(out, monkeypatch, argv + ["--nu", "1", "--integrable"]) == 2
+        assert exit_code(out, argv + ["--nu", "1", "--integrable"]) == 2
         assert f"{name} needs at least two entries" in capsys.readouterr().err
         assert not out.exists()
 
@@ -1078,7 +1051,7 @@ class TestUsageErrors:
         monkeypatch.setattr(cli, "integrate", lambda *a, **k: pytest.fail("ran"))
         out = tmp_path / "out"
         argv = ["simulate", "--data", "random:seed=1:maxmode=-1", "--t-end", "0.01"]
-        assert exit_code(out, monkeypatch, argv) == 2
+        assert exit_code(out, argv) == 2
         assert "random spec: maxmode must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
@@ -1099,7 +1072,7 @@ class TestUsageErrors:
         monkeypatch.setattr(cli, "inequality_sweeps",
                             lambda *a, **k: pytest.fail("ran"))
         out = tmp_path / "out"
-        assert exit_code(out, monkeypatch, argv + ["--seed=-1"]) == 2
+        assert exit_code(out, argv + ["--seed=-1"]) == 2
         assert "--seed must be >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
@@ -1107,7 +1080,7 @@ class TestUsageErrors:
         monkeypatch.setattr(cli, "integrate", lambda *a, **k: pytest.fail("ran"))
         out = tmp_path / "out"
         argv = ["simulate", "--data", "random:seed=-3", "--t-end", "0.01"]
-        assert exit_code(out, monkeypatch, argv) == 2
+        assert exit_code(out, argv) == 2
         assert "random spec: seed must be >= 0, got -3" in capsys.readouterr().err
         assert not out.exists()
 
@@ -1120,6 +1093,6 @@ class TestUsageErrors:
         out = tmp_path / "out"
         argv = ["eps-converge", "--nu", "1", "--integrable", "--eps-ladder",
                 f"2^-3,{entry}"]
-        assert exit_code(out, monkeypatch, argv) == 2
-        assert "eps_ladder entries must lie in (0, 1]" in capsys.readouterr().err
+        assert exit_code(out, argv) == 2
+        assert "--eps-ladder entries must lie in (0, 1]" in capsys.readouterr().err
         assert not out.exists()

@@ -65,8 +65,6 @@ class TestSolverConfig:
         "kwargs",
         [
             {"dt": -1.0},
-            {"dt": 1e-3, "epsilon": -0.1},
-            {"dt": 1e-3, "epsilon": 1.5},
             {"dt": 1e-3, "sobolev_index_m": 0},
             {"dt": float("nan")},
             {"dt": float("inf")},
@@ -75,6 +73,31 @@ class TestSolverConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
+
+
+def _one_step(psi, cfg, coeffs, eps):
+    """One step of length dt at regularization ``eps``: ``duhamel_step`` at
+    ε = 0, else a one-step ``integrate``. Returns (state, iterations)."""
+    if eps == 0.0:
+        return duhamel_step(psi, cfg, coeffs)
+    run = integrate(psi, cfg.dt, cfg, coeffs, eps=eps)
+    return run.state, run.picard_iterations[0]
+
+
+@pytest.mark.parametrize("eps", [-0.1, 1.5, float("nan")])
+@pytest.mark.parametrize("stepper", ["integrate", "integrate_many", "reference_integrate"])
+def test_epsilon_outside_unit_interval_refused_before_any_sample(grid64, stepper, eps):
+    # ε is an input of the run, checked before the observer first sees it
+    seen = []
+    psi, cfg, coeffs = _benign(grid64), SolverConfig(dt=1e-3), CoefficientSet(nu=1.0)
+    with pytest.raises(ValueError, match=r"^epsilon must lie in \[0, 1\], got "):
+        if stepper == "integrate_many":
+            integrate_many([psi] * 2, 0.01, cfg, coeffs,
+                           lambda *block: seen.append(block), epsilons=[0.5, eps])
+        else:
+            getattr(dynamics, stepper)(psi, 0.01, cfg, coeffs,
+                                       lambda *block: seen.append(block), eps=eps)
+    assert seen == []
 
 
 class TestNonlinearity:
@@ -248,9 +271,9 @@ class TestDuhamelStep:
     def test_linear_case_is_semigroup(self, grid64):
         rng = rng_for(3)
         psi = random_field(grid64, rng, decay=2.0, l2_mass=0.5)
-        cfg = SolverConfig(dt=1e-3, epsilon=0.1, sobolev_index_m=4)
+        cfg = SolverConfig(dt=1e-3, sobolev_index_m=4)
         lin = CoefficientSet(nu=1.0)
-        out, iters = duhamel_step(psi, cfg, lin)
+        out, iters = _one_step(psi, cfg, lin, 0.1)
         assert iters <= 2
         expect = semigroup_apply(psi, 1e-3, 0.1, 1.0)
         assert np.allclose(out.coeffs, expect.coeffs, atol=1e-15)
@@ -278,10 +301,10 @@ class TestDuhamelStep:
     @pytest.mark.parametrize("epsilon", [0.0, 0.05])
     def test_is_the_first_step_of_integrate(self, grid64, generic_coeffs, epsilon):
         psi = _benign(grid64)
-        cfg = SolverConfig(dt=2e-3, epsilon=epsilon, sobolev_index_m=4)
-        out, iters = duhamel_step(psi, cfg, generic_coeffs)
+        cfg = SolverConfig(dt=2e-3, sobolev_index_m=4)
+        out, iters = _one_step(psi, cfg, generic_coeffs, epsilon)
         (seen,), observer = _observed(1)
-        run = integrate(psi, 3 * cfg.dt, cfg, generic_coeffs, observer)
+        run = integrate(psi, 3 * cfg.dt, cfg, generic_coeffs, observer, eps=epsilon)
         assert seen[1][0] == cfg.dt
         assert np.array_equal(out.coeffs, seen[1][1])
         assert iters == run.picard_iterations[0] > 1
@@ -444,15 +467,15 @@ def test_non_finite_initial_norm_rejected_before_any_sample(grid64, stepper, coe
     assert seen == []
     with pytest.raises(ValueError, match="initial data of member 2 has a non-finite"):
         integrate_many([_benign(grid64)] * 2 + [_with_mode_31(grid64, value)], 0.01,
-                       [SolverConfig(dt=1e-3)] * 3, coeffs,
+                       SolverConfig(dt=1e-3), coeffs,
                        lambda *block: seen.append(block))
     assert seen == []
 
 
 def _pair(psi0, t_end, cfg, coeffs, observer):
     """A two-member ``integrate_many`` of ``psi0`` at ε = 0 and ε = 0.5."""
-    return integrate_many([psi0] * 2, t_end, [cfg, replace(cfg, epsilon=0.5)],
-                          coeffs, observer)
+    return integrate_many([psi0] * 2, t_end, cfg, coeffs, observer,
+                          epsilons=[0.0, 0.5])
 
 
 @pytest.mark.parametrize("nu,dt,t_end", [(1e308, 1e-3, 0.003), (1.0, 1e308, 1e308)],
@@ -578,9 +601,9 @@ class TestCrossIntegrator:
     def test_l2_decay_under_regularization(self, grid64):
         # eps > 0, no nonlinearity: mass strictly decreases off the DC mode
         psi = plane_wave(grid64, 0.5, 2)
-        cfg = SolverConfig(dt=1e-3, epsilon=0.5, sobolev_index_m=4)
+        cfg = SolverConfig(dt=1e-3, sobolev_index_m=4)
         (seen,), observer = _observed(1)
-        integrate(psi, 0.02, cfg, CoefficientSet(nu=1.0), observer)
+        integrate(psi, 0.02, cfg, CoefficientSet(nu=1.0), observer, eps=0.5)
         masses = [l2_norm(SpectralField(grid64, c)) for _, c in seen]
         assert all(a > b for a, b in zip(masses, masses[1:]))
 
@@ -607,10 +630,10 @@ def _field_eval_nonlinearity(psi, coeffs, pad):
     return SpectralField(grid, out)
 
 
-def _field_duhamel_step(psi, cfg, coeffs):
-    """The field-level Picard step the raw-array path replaced."""
+def _field_duhamel_step(psi, cfg, coeffs, eps):
+    """The field-level Picard step the raw-array path replaced, at
+    regularization ``eps``."""
     dt = cfg.dt
-    eps = cfg.epsilon
     nu = coeffs.nu
     pad = coeffs.dealias_pad
     w_psi = semigroup_apply(psi, dt, eps, nu)
@@ -645,7 +668,7 @@ class TestRawPathMatchesFieldReference:
         grid = GridSpec(num_modes)
         psi = random_field(grid, rng_for(num_modes), decay=2.0, hm_norm=0.4,
                            m=4, max_mode=6)
-        cfg = SolverConfig(dt=2e-4, epsilon=epsilon, sobolev_index_m=4)
+        cfg = SolverConfig(dt=2e-4, sobolev_index_m=4)
         assert coeffs.dealias_pad == pad
         assert np.array_equal(
             eval_nonlinearity(psi, coeffs).coeffs,
@@ -653,8 +676,8 @@ class TestRawPathMatchesFieldReference:
         )
         new = ref = psi
         for _ in range(4):
-            new, new_iters = duhamel_step(new, cfg, coeffs)
-            ref, ref_iters = _field_duhamel_step(ref, cfg, coeffs)
+            new, new_iters = _one_step(new, cfg, coeffs, epsilon)
+            ref, ref_iters = _field_duhamel_step(ref, cfg, coeffs, epsilon)
             assert new_iters == ref_iters
             assert np.array_equal(new.coeffs, ref.coeffs)
         assert new_iters > 1
@@ -669,16 +692,18 @@ class TestRawPathMatchesFieldReference:
         assert fused == (num_modes == 64)
         psis = [random_field(grid, rng_for(num_modes + k), decay=2.0, hm_norm=0.4,
                              m=4, max_mode=6) for k in range(4)]
-        cfgs = [SolverConfig(dt=2e-4, epsilon=e, sobolev_index_m=4)
-                for e in (0.0, 0.0, 0.05, 0.05)]
+        cfg = SolverConfig(dt=2e-4, sobolev_index_m=4)
+        epsilons = (0.0, 0.0, 0.05, 0.05)
         blocks = []
-        runs = integrate_many(psis, 8e-4, cfgs, coeffs,
-                              lambda time, rows, members: blocks.append((members, rows.copy())))
+        runs = integrate_many(
+            psis, 8e-4, cfg, coeffs,
+            lambda time, rows, members: blocks.append((members, rows.copy())),
+            epsilons=epsilons)
         assert len(blocks) == 5
-        for k, (psi, cfg, run) in enumerate(zip(psis, cfgs, runs)):
+        for k, (psi, eps, run) in enumerate(zip(psis, epsilons, runs)):
             ref = psi
             for step, (members, rows) in enumerate(blocks[1:]):
-                ref, ref_iters = _field_duhamel_step(ref, cfg, coeffs)
+                ref, ref_iters = _field_duhamel_step(ref, cfg, coeffs, eps)
                 assert run.picard_iterations[step] == ref_iters
                 assert rows[members.index(k)].tobytes() == ref.coeffs.tobytes()
             assert ref_iters > 1
@@ -737,11 +762,11 @@ class TestFusedStartOfStep:
         assert sum(points) == coeffs.dealias_pad * num_modes * (steps + iterations)
 
 
-def _field_reference_integrate(psi0, t_end, cfg, coeffs):
-    """The field-level RK4 loop the array path replaced: every state it
-    reaches, as (time, coefficients), from t=0 on. Fields are added and
-    scaled on their coefficients, the coefficients first."""
-    eps = cfg.epsilon
+def _field_reference_integrate(psi0, t_end, cfg, coeffs, eps):
+    """The field-level RK4 loop the array path replaced, at regularization
+    ``eps``: every state it reaches, as (time, coefficients), from t=0 on.
+    Fields are added and scaled on their coefficients, the coefficients
+    first."""
     nu = coeffs.nu
     states = [(0.0, psi0.coeffs)]
     state = psi0.coeffs
@@ -780,12 +805,12 @@ class TestRK4MatchesFieldReference:
                   "integrable": integrable_coefficients(1.0),
                   "generic": generic_coeffs}[kind]
         psi = _benign(grid64)
-        cfg = SolverConfig(dt=dt, epsilon=epsilon)
+        cfg = SolverConfig(dt=dt)
         blocks = []
         run = reference_integrate(psi, t_end, cfg, coeffs,
                                   lambda time, rows, members: blocks.append(
-                                      (time, rows.tobytes())))
-        expected = _field_reference_integrate(psi, t_end, cfg, coeffs)
+                                      (time, rows.tobytes())), eps=epsilon)
+        expected = _field_reference_integrate(psi, t_end, cfg, coeffs, epsilon)
         assert blocks == [(t, c.tobytes()) for t, c in expected]
         assert run.time == t_end
         assert run.state.coeffs.tobytes() == expected[-1][1].tobytes()
@@ -805,11 +830,11 @@ def _observed(count):
     return seen, observer
 
 
-def _assert_matches_serial(run, samples, psi0, cfg, coeffs):
+def _assert_matches_serial(run, samples, psi0, cfg, coeffs, eps=0.0):
     """Replay one member's observed ``samples`` with the field-level
-    reference step, one step at a time, as a run of its own: every state
-    and every Picard count must be equal, and the record's final state is
-    the last one observed."""
+    reference step at ``eps``, one step at a time, as a run of its own:
+    every state and every Picard count must be equal, and the record's
+    final state is the last one observed."""
     assert samples[0][0] == 0.0 and np.array_equal(samples[0][1], psi0.coeffs)
     assert samples[-1][0] == run.time
     assert np.array_equal(samples[-1][1], run.state.coeffs)
@@ -819,7 +844,7 @@ def _assert_matches_serial(run, samples, psi0, cfg, coeffs):
                                                 run.picard_iterations):
         h = t - prev_t
         step_cfg = cfg if abs(h - cfg.dt) < 1e-15 else replace(cfg, dt=h)
-        state, ref_iters = _field_duhamel_step(state, step_cfg, coeffs)
+        state, ref_iters = _field_duhamel_step(state, step_cfg, coeffs, eps)
         assert iters == ref_iters
         assert np.array_equal(coeffs_t, state.coeffs)
 
@@ -840,7 +865,7 @@ class TestIntegrateMany:
         cfg = SolverConfig(dt=1e-6, sobolev_index_m=4)
         assert coeffs.dealias_pad == 3
         seen, observer = _observed(4)
-        runs = integrate_many(family, 1.25e-5, [cfg] * 4, coeffs, observer)
+        runs = integrate_many(family, 1.25e-5, cfg, coeffs, observer)
         assert len({tuple(r.picard_iterations) for r in runs}) > 1
         for run, samples, psi0 in zip(runs, seen, family):
             assert run.time == 1.25e-5  # the last step is a partial one
@@ -849,20 +874,20 @@ class TestIntegrateMany:
     def test_epsilon_ladder_n64(self, grid64):
         psi = _benign(grid64)
         coeffs = integrable_coefficients(1.0)
-        cfgs = [SolverConfig(dt=2e-3, epsilon=e, sobolev_index_m=4)
-                for e in (0.0, 2.0**-7, 2.0**-5, 2.0**-3)]
+        cfg = SolverConfig(dt=2e-3, sobolev_index_m=4)
+        epsilons = (0.0, 2.0**-7, 2.0**-5, 2.0**-3)
         seen, observer = _observed(4)
-        runs = integrate_many([psi] * 4, 0.0102, cfgs, coeffs, observer)
+        runs = integrate_many([psi] * 4, 0.0102, cfg, coeffs, observer, epsilons=epsilons)
         assert len({tuple(r.picard_iterations) for r in runs}) > 1
-        for run, samples, cfg in zip(runs, seen, cfgs):
+        for run, samples, eps in zip(runs, seen, epsilons):
             assert run.time == 0.0102
-            _assert_matches_serial(run, samples, psi, cfg, coeffs)
+            _assert_matches_serial(run, samples, psi, cfg, coeffs, eps)
 
     def test_single_member_is_integrate(self, grid64, generic_coeffs):
         psi = _benign(grid64)
         cfg = SolverConfig(dt=1e-3, sobolev_index_m=4)
         (samples,), observer = _observed(1)
-        (run,) = integrate_many([psi], 0.01, [cfg], generic_coeffs, observer)
+        (run,) = integrate_many([psi], 0.01, cfg, generic_coeffs, observer)
         _assert_matches_serial(run, samples, psi, cfg, generic_coeffs)
         alone = integrate(psi, 0.01, cfg, generic_coeffs)
         assert alone.picard_iterations == run.picard_iterations
@@ -875,16 +900,16 @@ class TestIntegrateMany:
         coeffs = integrable_coefficients(1.0)
         members = [plane_wave(grid64, 0.3, 4), _benign(grid64),
                    plane_wave(grid64, 0.2, 5)]
-        cfgs = [SolverConfig(dt=2e-3, epsilon=e, sobolev_index_m=4)
-                for e in (1.0, 0.0, 1.0)]
+        cfg = SolverConfig(dt=2e-3, sobolev_index_m=4)
+        epsilons = (1.0, 0.0, 1.0)
         seen, observer = _observed(3)
-        runs = integrate_many(members, 0.01, cfgs, coeffs, observer)
+        runs = integrate_many(members, 0.01, cfg, coeffs, observer, epsilons=epsilons)
         assert runs[1].blowup_time == 2e-3
         assert len(seen[1]) == 2
-        alone = integrate(members[1], 0.01, cfgs[1], coeffs)
+        alone = integrate(members[1], 0.01, cfg, coeffs)
         assert alone.blowup_time == 2e-3
-        for run, obs, psi0, cfg in zip(runs, seen, members, cfgs):
-            _assert_matches_serial(run, obs, psi0, cfg, coeffs)
+        for run, obs, psi0, eps in zip(runs, seen, members, epsilons):
+            _assert_matches_serial(run, obs, psi0, cfg, coeffs, eps)
         assert runs[0].blowup_time is None and runs[0].time == 0.01
         assert runs[2].blowup_time is None and runs[2].time == 0.01
 
@@ -896,13 +921,13 @@ class TestIntegrateMany:
         coeffs = integrable_coefficients(1.0)
         members = [plane_wave(grid64, 0.3, 4), _benign(grid64),
                    plane_wave(grid64, 0.2, 5)]
-        cfgs = [SolverConfig(dt=2e-3, epsilon=e, sobolev_index_m=4)
-                for e in (1.0, 0.0, 0.5)]
+        cfg = SolverConfig(dt=2e-3, sobolev_index_m=4)
+        epsilons = (1.0, 0.0, 0.5)
         seen, observer = _observed(3)
-        runs = integrate_many(members, 0.011, cfgs, coeffs, observer)
+        runs = integrate_many(members, 0.011, cfg, coeffs, observer, epsilons=epsilons)
         assert [run.blowup_time for run in runs] == [None, 2e-3, None]
-        for run, obs, psi0, cfg in zip(runs, seen, members, cfgs):
-            _assert_matches_serial(run, obs, psi0, cfg, coeffs)
+        for run, obs, psi0, eps in zip(runs, seen, members, epsilons):
+            _assert_matches_serial(run, obs, psi0, cfg, coeffs, eps)
         assert runs[0].time == runs[2].time == 0.011
 
     def test_error_names_member_after_shrinking_to_one(self, grid64, monkeypatch):
@@ -911,15 +936,15 @@ class TestIntegrateMany:
         # which its next step needs more than
         monkeypatch.setattr(dynamics, "BLOWUP_FACTOR", 0.9)
         members = [plane_wave(grid64, 0.3, 4), _benign(grid64)]
-        cfgs = [SolverConfig(dt=2e-3, epsilon=e, sobolev_index_m=4) for e in (0.0, 1.0)]
+        cfg = SolverConfig(dt=2e-3, sobolev_index_m=4)
 
         def cut_budget(time, rows, members):
             if time > 0.0 and 1 in members:
                 monkeypatch.setattr(dynamics, "PICARD_MAX_ITERS", 1)
 
         with pytest.raises(NonConvergence) as err:
-            integrate_many(members, 0.01, cfgs, integrable_coefficients(1.0),
-                           cut_budget)
+            integrate_many(members, 0.01, cfg, integrable_coefficients(1.0),
+                           cut_budget, epsilons=[0.0, 1.0])
         assert (err.value.member, err.value.time, err.value.iterations) == (1, 2e-3, 1)
         assert "t=0.002, member 1:" in str(err.value)
 
@@ -933,7 +958,7 @@ class TestIntegrateMany:
         second = random_field(grid64, rng_for(1), decay=1.5, l2_mass=3.0)
         members = [late, _benign(grid64), first, second]
         with pytest.raises(NonFinite) as err:
-            integrate_many(members, 0.05, [cfg] * 4, coeffs)
+            integrate_many(members, 0.05, cfg, coeffs)
         assert (err.value.member, err.value.time) == (2, 0.0)
         assert "at t=0, member 2: Picard iterates diverged" in str(err.value)
         with pytest.raises(NonFinite) as alone:
@@ -943,7 +968,7 @@ class TestIntegrateMany:
             integrate(late, 0.05, cfg, coeffs)
         assert alone.value.time == pytest.approx(0.041)
         with pytest.raises(NonConvergence) as err:
-            integrate_many(members[:2], 0.05, [cfg] * 2, coeffs)
+            integrate_many(members[:2], 0.05, cfg, coeffs)
         assert (err.value.member, err.value.time) == (0, alone.value.time)
 
     def test_lowest_member_first_within_a_step(self, grid64):
@@ -954,35 +979,24 @@ class TestIntegrateMany:
         stalls = random_field(grid64, rng_for(1), decay=1.5, l2_mass=1.0)
         overflows = random_field(grid64, rng_for(1), decay=1.5, l2_mass=3.0)
         with pytest.raises(NonConvergence) as err:
-            integrate_many([_benign(grid64), stalls, overflows], 0.01, [cfg] * 3,
-                           coeffs)
+            integrate_many([_benign(grid64), stalls, overflows], 0.01, cfg, coeffs)
         assert (err.value.member, err.value.time) == (1, 0.0)
-
-    @pytest.mark.parametrize("change", [
-        {"dt": 2e-3}, {"sobolev_index_m": 3},
-    ])
-    def test_configs_may_differ_only_in_epsilon(self, grid64, change):
-        cfg = SolverConfig(dt=1e-3, sobolev_index_m=4)
-        psi = _benign(grid64)
-        with pytest.raises(ValueError):
-            integrate_many([psi, psi], 0.01, [cfg, replace(cfg, **change)],
-                           integrable_coefficients(1.0))
 
     def test_members_share_one_grid(self, grid64):
         cfg = SolverConfig(dt=1e-3, sobolev_index_m=4)
         other = _benign(GridSpec(128))
         with pytest.raises(ValueError):
-            integrate_many([_benign(grid64), other], 0.01, [cfg] * 2,
+            integrate_many([_benign(grid64), other], 0.01, cfg,
                            integrable_coefficients(1.0))
 
     def test_one_entry_per_member(self, grid64):
         cfg = SolverConfig(dt=1e-3, sobolev_index_m=4)
         psi = _benign(grid64)
         coeffs = integrable_coefficients(1.0)
-        with pytest.raises(ValueError):
-            integrate_many([], 0.01, [], coeffs)
-        with pytest.raises(ValueError):
-            integrate_many([psi, psi], 0.01, [cfg], coeffs)
+        with pytest.raises(ValueError, match="at least one member"):
+            integrate_many([], 0.01, cfg, coeffs)
+        with pytest.raises(ValueError, match="one entry per member"):
+            integrate_many([psi, psi], 0.01, cfg, coeffs, epsilons=[0.0])
 
     def test_no_observed_block_outlives_the_run(self, grid64, generic_coeffs):
         # the observer holds each block by a weak reference only; the
@@ -994,7 +1008,7 @@ class TestIntegrateMany:
 
         runs = integrate_many(
             [_benign(grid64), plane_wave(grid64, 0.2, 1)], 0.01,
-            [SolverConfig(dt=2e-3, sobolev_index_m=4)] * 2, generic_coeffs, observer,
+            SolverConfig(dt=2e-3, sobolev_index_m=4), generic_coeffs, observer,
         )
         assert len(refs) == 6
         assert all(ref() is None for ref in refs)
@@ -1007,7 +1021,7 @@ class TestIntegrateMany:
 
         with pytest.raises(ValueError, match="read-only"):
             integrate_many([_benign(grid64)] * 2, 0.01,
-                           [SolverConfig(dt=2e-3, sobolev_index_m=4)] * 2,
+                           SolverConfig(dt=2e-3, sobolev_index_m=4),
                            generic_coeffs, observer)
 
     def test_one_field_per_member(self, grid64, generic_coeffs, monkeypatch):
@@ -1023,7 +1037,6 @@ class TestIntegrateMany:
             post_init(field)
 
         monkeypatch.setattr(SpectralField, "__post_init__", counted)
-        runs = integrate_many(members, 0.02, [SolverConfig(dt=2e-3)] * 3,
-                              generic_coeffs)
+        runs = integrate_many(members, 0.02, SolverConfig(dt=2e-3), generic_coeffs)
         assert [len(run.picard_iterations) for run in runs] == [10] * 3
         assert built == [run.state for run in runs]

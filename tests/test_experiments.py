@@ -232,12 +232,6 @@ class TestConservationStudy:
         res = conservation_study(psi0, 1.0, 0.05, cfg)
         assert max(res.tables["drifts"]["drift_coarse"]) <= 1e-10
 
-    def test_requires_unregularized(self):
-        grid = GridSpec(32)
-        cfg = SolverConfig(dt=1e-3, epsilon=0.1, sobolev_index_m=4)
-        with pytest.raises(ValueError):
-            conservation_study(zero_field(grid), 1.0, 0.01, cfg)
-
     def test_verdict_consistent_with_thresholds(self):
         grid = GridSpec(64)
         data = random_field(grid, rng_for(42), decay=2.0, hm_norm=0.4, m=4, max_mode=4)
@@ -356,12 +350,6 @@ class TestRiccatiStudy:
         family = [mode_pair_field(GridSpec(64), 4, 1.0, 4)]
         cfg = SolverConfig(dt=1e-4, sobolev_index_m=4)
         with pytest.raises(ValueError, match="at least two members"):
-            riccati_study(family, integrable_coefficients(1.0), cfg, 2e-3, c_m=1.0)
-
-    def test_requires_unregularized(self):
-        family = [mode_pair_field(GridSpec(64), k, 1.0, 4) for k in (4, 8)]
-        cfg = SolverConfig(dt=1e-4, epsilon=0.1, sobolev_index_m=4)
-        with pytest.raises(ValueError, match="unregularized"):
             riccati_study(family, integrable_coefficients(1.0), cfg, 2e-3, c_m=1.0)
 
     def test_freq_span_is_relative_to_each_member(self):
@@ -694,13 +682,6 @@ def _kept_rows():
 
 
 class TestContinuityStudy:
-    def test_requires_unregularized(self):
-        cfg = SolverConfig(dt=1e-3, epsilon=0.1, sobolev_index_m=4)
-        data = decay_field(GridSpec(32), 5.0, amp=0.2)
-        with pytest.raises(ValueError, match="unregularized"):
-            continuity_study(data, [1e-2, 1e-3], integrable_coefficients(1.0), 0.01,
-                             cfg, 7)
-
     def test_same_data_same_trajectory(self):
         # delta = 0 perturbation: bitwise-identical runs (uniqueness in the
         # deterministic sense)

@@ -99,7 +99,7 @@ def test_no_tolerance_is_an_argument():
     one of the certificate search's fixed settings. Likewise the Picard
     tolerance, the Picard budget and the blow-up factor are ``dynamics``
     constants: no stepper takes them, and ``SolverConfig`` holds only the
-    step, ε and m."""
+    step and m (ε is an input of each run)."""
     constants = {name: value for name, value in vars(experiments).items()
                  if name.endswith("_THRESHOLDS")}
     banned = {"safety", "resolutions", "certificate", "gn_cases"}
@@ -117,7 +117,7 @@ def test_no_tolerance_is_an_argument():
     for step in (dynamics._picard_step, dynamics._rk4_step):
         assert "cfg" not in inspect.signature(step).parameters
     fields = tuple(f.name for f in dataclasses.fields(dynamics.SolverConfig))
-    assert fields == ("dt", "epsilon", "sobolev_index_m")
+    assert fields == ("dt", "sobolev_index_m")
 
 
 def _identifiers(tree):
@@ -250,11 +250,18 @@ def test_one_fork_for_two_callers():
 
 def test_ensembles_hand_one_observer_the_block():
     """``integrate_many`` calls one observer with each step's (B, N) block:
-    it takes no per-member observer lists. ``EnergyRecorder``, an observer
+    it takes no per-member observer lists, and one config for every member.
+    ε, which members may differ in, is the run's keyword-only input
+    (``epsilons``, and ``eps`` for one run), not a config field.
+    ``EnergyRecorder``, an observer
     of one run, takes nothing but (m, coeffs): its c_m and its switch for
     the invariants had no caller that set them."""
     params = list(inspect.signature(dynamics.integrate_many).parameters)
-    assert params == ["psi0s", "t_end", "cfgs", "coeffs", "observer"]
+    assert params == ["psi0s", "t_end", "cfg", "coeffs", "observer", "epsilons"]
+    for name, eps in (("integrate_many", "epsilons"), ("integrate", "eps"),
+                      ("reference_integrate", "eps")):
+        param = inspect.signature(getattr(dynamics, name)).parameters[eps]
+        assert param.kind is inspect.Parameter.KEYWORD_ONLY, name
     params = list(inspect.signature(functionals.EnergyRecorder).parameters)
     assert params == ["m", "coeffs"]
 

@@ -1,0 +1,19 @@
+"""Every ```python block of README.md runs as written, so an example that
+shows the API cannot fall behind it."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+BLOCKS = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.S | re.M)
+
+
+def test_readme_has_a_python_block():
+    assert BLOCKS
+
+
+@pytest.mark.parametrize("code", BLOCKS, ids=[f"block{i}" for i in range(len(BLOCKS))])
+def test_python_block_runs(code):
+    exec(compile(code, str(README), "exec"), {"__name__": "readme"})

@@ -42,7 +42,7 @@ from .functionals import (
     modified_energy_rows,
 )
 from .mollifier import mollify
-from .sampling import random_field, random_rows, rng_for
+from .sampling import random_field, random_rows, rng_for, rng_states, rngs_from
 from .spectral import (
     GridSpec,
     SpectralField,
@@ -567,8 +567,9 @@ def riccati_study(family, coeffs, cfg, t_end, c_m):
     shows order ≥ ``min_order`` on the first member (all three in
     ``RICCATI_THRESHOLDS``). Every run is unregularized (ε = 0). A family
     of fewer than two members is a ValueError, and so are a linear
-    coefficient set (its energies are constant, so every quotient is 0) and
-    energies whose square underflows.
+    coefficient set (its energies are constant, so every quotient is 0),
+    energies whose square underflows, and a t_end too short for the
+    energies to move (a quotient the contrast divides by is 0).
 
     The family runs as one ensemble, whose observer reduces each step's
     (B, N) block to the members' energies. The order compares the first
@@ -619,6 +620,10 @@ def riccati_study(family, coeffs, cfg, t_end, c_m):
         q_raw.append(_max_quotient(times, raws))
         populated = np.abs(member.coeffs) > 1e-14 * np.abs(member.coeffs).max()
         freq_span.append(float(np.max(np.abs(grid.modes[populated]))))
+    if min(q_mod) == 0.0 or q_raw[0] == 0.0:
+        raise ValueError(f"the energies do not move within --t-end {t_end}, so a "
+                         "growth quotient is 0 and the contrast is unmeasurable: "
+                         "raise --t-end")
     spread = max(q_mod) / min(q_mod)
     growth = q_raw[-1] / q_raw[0]
     th = RICCATI_THRESHOLDS
@@ -772,10 +777,14 @@ def inequality_sweeps(seed, trials, m=4, nu=1.0, l2_ceiling=1.0):
     resolution doubling (``INEQUALITY_THRESHOLDS``).
 
     Sample i of each sweep depends only on (seed, i), so growing ``trials``
-    never changes earlier samples. Each resolution's samples are drawn and
-    evaluated as (B, N) blocks of at most ``BLOCK_ROWS`` rows
-    (``spectral.row_blocks``), one block at a time; every verdict input is
-    bit for bit what drawing and evaluating the samples one at a time gives.
+    never changes earlier samples: its generator draws the stream of
+    ``rng_for`` of the sweep's seed and sample index,
+    ``np.random.default_rng([seed, index])``, from a seed state derived
+    with the rest of its sweep's in one ``sampling.rng_states`` call. Each
+    resolution's samples are drawn and evaluated as (B, N) blocks of at
+    most ``BLOCK_ROWS`` rows (``spectral.row_blocks``), one block at a
+    time; every verdict input is bit for bit what drawing and evaluating
+    the samples one at a time gives.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -796,9 +805,10 @@ def inequality_sweeps(seed, trials, m=4, nu=1.0, l2_ceiling=1.0):
         for n in resolutions:
             grid = GridSpec(n)
             worst = 0.0
+            first = case_idx * 1_000_000 + n * 1_000
+            states = rng_states(seed, range(first, first + trials))
             for block in row_blocks(trials):
-                rows = _gn_rows(grid, [rng_for(seed, case_idx * 1_000_000 + n * 1_000 + i)
-                                       for i in range(trials)[block]])
+                rows = _gn_rows(grid, rngs_from(states[block]))
                 for ratio in gn_ratio_rows(rows, l, mm, p).tolist():
                     worst = max(worst, ratio)
             max_ratio[n] = worst
@@ -842,9 +852,10 @@ def inequality_sweeps(seed, trials, m=4, nu=1.0, l2_ceiling=1.0):
     for n in resolutions:
         grid = GridSpec(n)
         c_upper = 0.0
+        first = n * 1_000_000
+        states = rng_states(seed + 2, range(first, first + trials))
         for block in row_blocks(trials):
-            rows = certificate_rows(grid, [rng_for(seed + 2, n * 1_000_000 + i)
-                                           for i in range(trials)[block]], l2_ceiling)
+            rows = certificate_rows(grid, rngs_from(states[block]), l2_ceiling)
             energies = modified_energy_rows(rows, m, coeffs, c_m).tolist()
             hm_sqs = sobolev_norm_sq_rows(rows, m).tolist()
             l2_sqs = sobolev_norm_sq_rows(rows, 0).tolist()

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .sampling import random_rows, rng_for
+from .sampling import random_rows, rng_states, rngs_from
 from .spectral import (
     SpectralField,
     _grid,
@@ -266,11 +266,14 @@ def certify_cm(m, coeffs, l2_ceiling, trials, rng_seed, target="classic"):
     c_m keeping E_m above the requested target on every sample is scaled
     by ``CM_SAFETY`` and returned with the worst observed margin. Sample i
     depends only on (rng_seed, i), so doubling ``trials`` never decreases
-    the result. Each grid's samples are drawn as one (B, N) array in sample
-    order (the probes first, on the first grid) and evaluated in blocks of
-    at most ``spectral.BLOCK_ROWS`` rows; the maximum and minimum run over
-    the per-sample values in sample order, so the result is bit for bit
-    that of drawing and evaluating the samples one at a time.
+    the result: its generator draws the stream of ``rng_for(rng_seed, i)``,
+    ``np.random.default_rng([rng_seed, i])``, from a seed state derived with
+    every other sample's in one ``sampling.rng_states`` call. Each grid's
+    samples are drawn as one (B, N) array in sample order (the probes
+    first, on the first grid) and evaluated in blocks of at most
+    ``spectral.BLOCK_ROWS`` rows; the maximum and minimum run over the
+    per-sample values in sample order, so the result is bit for bit that
+    of drawing and evaluating the samples one at a time.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -280,8 +283,8 @@ def certify_cm(m, coeffs, l2_ceiling, trials, rng_seed, target="classic"):
     grids = [_grid(n) for n in CM_RESOLUTIONS]
     # sample i is drawn on grid i % count; fewer trials than grids leave
     # the last grids without a sample
-    arrays = [certificate_rows(grid, [rng_for(rng_seed, i)
-                                      for i in range(first, trials, count)], l2_ceiling)
+    states = rng_states(rng_seed, range(trials))
+    arrays = [certificate_rows(grid, rngs_from(states[first::count]), l2_ceiling)
               for first, grid in enumerate(grids[:trials])]
     probes = np.stack([psi.coeffs for psi in corner_probes(grids[0], l2_ceiling)])
     arrays[0] = np.concatenate((probes, arrays[0]))

@@ -37,7 +37,7 @@ from torus4nls.functionals import (
     quadrature_mean,
     quadrature_mean_rows,
 )
-from torus4nls.sampling import random_field, random_rows, rng_for
+from torus4nls.sampling import random_field, random_rows, rng_for, rng_states, rngs_from
 from torus4nls.spectral import (
     BLOCK_ROWS,
     GridSpec,
@@ -415,10 +415,53 @@ def _sweep_reference(seed, trials, m, c_m, l2_ceiling):
     return max_ratios, upper, worst_lower
 
 
+class TestBlockSeeding:
+    """``rngs_from(rng_states(seed, indices))`` is the generators
+    ``np.random.default_rng([seed, i])`` of ``indices``, byte for byte: the
+    seeds and indices span one to seven 32-bit words, so the entropy takes
+    every word count up to and past the pool's four."""
+
+    SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**96 + 7, 2**200)
+    # mixed word counts in one call, out of order
+    INDICES = (2**70, 0, 2**32, 1, 2**32 - 1, 7, 2**32 + 1)
+    DRAWS = (lambda g: g.uniform(0.5, 6.0, 3), lambda g: g.integers(1, 4, 5),
+             lambda g: g.uniform(), lambda g: g.standard_normal(9))
+
+    @pytest.mark.parametrize("seed", SEEDS, ids=lambda s: f"{s.bit_length()}bit")
+    def test_streams_are_default_rng(self, seed):
+        states = rng_states(seed, self.INDICES)
+        assert states.shape == (len(self.INDICES), 4) and states.dtype == np.uint64
+        for state, index in zip(states, self.INDICES):
+            expect = np.random.SeedSequence([seed, index]).generate_state(4, np.uint64)
+            assert state.tobytes() == expect.tobytes()
+        for rng, index in zip(rngs_from(states), self.INDICES):
+            ref = np.random.default_rng([seed, index])
+            for draw in self.DRAWS:
+                assert np.asarray(draw(rng)).tobytes() == np.asarray(draw(ref)).tobytes()
+
+    def test_no_indices(self):
+        states = rng_states(2**64 + 3, [])
+        assert states.shape == (0, 4) and states.dtype == np.uint64
+        assert rngs_from(states) == []
+
+    def test_negative_refused_as_default_rng_refuses(self):
+        for seed, index in ((-1, 0), (0, -1)):
+            with pytest.raises(ValueError, match="expected non-negative integer"):
+                np.random.default_rng([seed, index])
+            with pytest.raises(ValueError, match="expected non-negative integer"):
+                rng_states(seed, [index])
+
+    @pytest.mark.parametrize("asked", [(8, np.uint32), (4, np.uint32), (2, np.uint64)])
+    def test_state_holds_only_what_pcg64_asks_for(self, asked):
+        seed_seq = rngs_from(rng_states(5, [0]))[0].bit_generator.seed_seq
+        with pytest.raises(ValueError, match=r"generate_state\(4, np.uint64\) only"):
+            seed_seq.generate_state(*asked)
+
+
 class TestStudiesReplayPerSample:
     TRIALS = 45  # not a multiple of BLOCK_ROWS: every grid gets a short block
 
-    @pytest.mark.parametrize("seed", [31, 4])
+    @pytest.mark.parametrize("seed", [31, 4, 2**64 + 9])
     @pytest.mark.parametrize("target", ["classic", "sobolev"])
     @pytest.mark.parametrize("coeffs", [integrable_coefficients(1.0), GENERIC],
                              ids=["integrable", "generic"])
@@ -430,7 +473,7 @@ class TestStudiesReplayPerSample:
         assert cert.c_m.hex() == c_m.hex()
         assert cert.worst_margin.hex() == worst.hex()
 
-    @pytest.mark.parametrize("seed", [123, 8])
+    @pytest.mark.parametrize("seed", [123, 8, 2**64])
     def test_inequality_sweeps(self, seed):
         result = inequality_sweeps(seed, self.TRIALS)
         m = result.parameters["m"]

@@ -503,6 +503,17 @@ class TestUsageErrors:
         with pytest.raises(KeyError, match="missing"):
             run_in(tmp_path, ["standing-wave"])
 
+    def test_unmeasurable_riccati_contrast_is_2(self, tmp_path, capsys):
+        # the energies do not move in one 1e-300 step, so every growth
+        # quotient is 0 and the contrast would divide by it
+        out = tmp_path / "out"
+        argv = ["riccati", "--nu", "1", "--integrable", "--t-end", "1e-300"]
+        assert run_in(out, argv) == 2
+        out_text, err = capsys.readouterr()
+        assert "usage error: " in err and "--t-end" in err
+        assert out_text == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("eps", ["1.5", "2", "-0.1"])
     def test_bad_parameter_value_is_2(self, tmp_path, capsys, eps):
         # epsilon must lie in [0, 1]; the run refuses it before its first

@@ -139,7 +139,7 @@ class TestCertifyCm:
         def drew(*args):
             raise AssertionError("drew a sample")
 
-        monkeypatch.setattr(functionals, "rng_for", drew)
+        monkeypatch.setattr(functionals, "rng_states", drew)
         with pytest.raises(ValueError, match="target must be 'classic' or 'sobolev'"):
             certify_cm(4, integrable_coefficients(1.0), 1.0, trials=5, rng_seed=1,
                        target="bogus")

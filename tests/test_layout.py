@@ -226,7 +226,31 @@ def test_one_sampler_and_one_blocking_helper():
     """``sampling.random_rows`` makes every Gaussian draw of the package;
     ``random_field``, ``certificate_rows`` and the sweep's ``_gn_rows`` draw
     through it. ``spectral.row_blocks`` is the one blocking helper, which
-    both verify studies use."""
+    both verify studies use. ``sampling`` is the one module that names
+    ``np.random``: ``rng_for`` through ``default_rng``, and the block form
+    ``rngs_from`` through ``PCG64``, ``Generator`` and the ``bit_generator``
+    interface it registers its states with; only the two verify studies
+    call it, with the states of ``rng_states``. No module imports
+    ``numpy.random``, which loads on a command's first draw."""
+    assert _sites(lambda node: isinstance(node, ast.ImportFrom)
+                  and (node.module or "").startswith("numpy.random")
+                  or isinstance(node, ast.Import)
+                  and any(a.name.startswith("numpy.random") for a in node.names)) == []
+
+    def names_random(node):
+        return isinstance(node, ast.Attribute) \
+            and _dotted(node.value) in ("np.random", "numpy.random")
+
+    assert sorted(_sites(names_random)) == [("sampling", "rng_for")] * 2 + [
+        ("sampling", "rngs_from")] * 3
+    assert sorted(node.attr for path in MODULES
+                  for node in ast.walk(ast.parse(path.read_text()))
+                  if names_random(node)) == [
+        "Generator", "PCG64", "bit_generator", "default_rng", "default_rng"]
+    assert sorted(_call_sites({"rng_states", "rngs_from"})) == [
+        ("experiments", "inequality_sweeps"), ("experiments", "inequality_sweeps"),
+        ("experiments", "inequality_sweeps"), ("experiments", "inequality_sweeps"),
+        ("functionals", "certify_cm"), ("functionals", "certify_cm")]
     normals = _call_sites(lambda call: isinstance(call.func, ast.Attribute)
                           and call.func.attr == "standard_normal")
     assert normals == [("sampling", "random_rows")]
@@ -350,8 +374,9 @@ def test_one_refusal_path():
 # The criterion oracles: reference solutions the acceptance tests compare
 # the steppers and studies with, which no command calls.
 ORACLES = ("reference_integrate", "linear_solution", "standing_wave")
-# Methods Python calls without naming them.
-IMPLICIT = ("__post_init__", "__init__", "__call__")
+# Methods Python calls without naming them, and the one a numpy PCG64 calls
+# on its seed sequence (``sampling._SeedState``).
+IMPLICIT = ("__post_init__", "__init__", "__call__", "generate_state")
 # The benchmark files that name package code: the tracer wraps functions by
 # name and the pass runner reads a constant.
 BENCHMARK_FILES = (ROOT / "perfbench" / "spans.py", ROOT / "perfbench" / "passrun.py")
@@ -427,9 +452,9 @@ def _traced_names():
 def test_every_function_is_reached():
     """Every top-level function and method of ``src/`` is reached from a
     command handler (``cmd_*`` and ``main``), a criterion oracle, a name
-    the benchmark tracer wraps, or a method Python calls implicitly, along
-    the names and attributes each reached body uses; module-level code
-    counts as reached. Names are matched by spelling, so a reach is an
+    the benchmark tracer wraps, or a method Python or numpy calls
+    implicitly, along the names and attributes each reached body uses;
+    module-level code counts as reached. Names are matched by spelling, so a reach is an
     upper bound: what this names, nothing can call. Every module-level
     UPPER_CASE constant is named by other code of ``src/`` or of the
     benchmark files."""

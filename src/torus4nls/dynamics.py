@@ -8,7 +8,9 @@ ensemble of runs on one grid at once as the rows of a (B, N) coefficient
 array; an integrating-factor RK4 scheme serves as an independent
 cross-check. Both run in one loop, ``_stepping``, on one core: the
 nonlinearity ``_nonlinearity``, the factors ``_factors`` and the clock
-``_steps``, so they differ only in their step function.
+``_steps``, so they differ only in their step function. The nonlinearity
+writes one reused ``_workspace`` per block shape (B, N, pad) and allocates
+only the array it returns.
 
 Every stepper takes one optional ``observer(time, rows, members)``, called
 at t=0 and after each step with the read-only (B', N) coefficients of the
@@ -18,6 +20,7 @@ runs still going and their member indices; a single run is the block
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,16 +36,6 @@ from .spectral import (
 PICARD_TOL = 1e-12  # converged when successive iterates differ by less in H^m
 PICARD_MAX_ITERS = 50  # iterations per step before NonConvergence
 BLOWUP_FACTOR = 1e6  # a run halts once its H^m norm exceeds this times its initial one
-
-# The most padded points (2·B·pad·N) for which a Picard step evaluates
-# N(ψ₀) and the first iterate's N(W_ε(dt)ψ₀) as one (2B, N) block, one
-# call fewer per step. Above it the fused call's temporaries outgrow what
-# malloc keeps between calls: on a 2-core x86-64 host (numpy 2.4, glibc)
-# a 6,144-point call takes about 150 minor page faults and costs 1.2-1.5
-# times the two calls it replaces, which take none, while up to 4,608
-# points it costs 0.75-0.90 of them.
-_FUSED_POINTS = 4096
-
 
 class NonConvergence(RuntimeError):
     """Picard iteration failed to contract within the iteration budget;
@@ -136,19 +129,37 @@ class Trajectory:
     picard_iterations: list = field(default_factory=list)
 
 
+@lru_cache(maxsize=16)
+def _workspace(rows, num_modes, pad):
+    """The arrays a ``_nonlinearity`` call on a (rows, N) block at ``pad``
+    writes, with every view it takes of them built once: the sample stack,
+    its three rows flattened to (rows·pad·N,), the combine's work arrays
+    and its result as a (rows, pad·N) block, which the forward FFT
+    overwrites. 104 bytes a padded point; the 16 shapes used last are kept
+    (a benchmark workload uses at most six). Reusing them leaves malloc
+    nothing to hand back to the system between calls and fault in again.
+    Calls of one shape share them, so two threads must not make such calls
+    at once."""
+    stack = np.empty((3, rows, pad * num_modes), dtype=np.complex128)
+    work = kernels.combine_work((rows * pad * num_modes,))
+    return stack, tuple(stack.reshape(3, -1)), work, work[-3].reshape(rows, -1)
+
+
 def _nonlinearity(c, coeffs):
     """Raw-array core of ``eval_nonlinearity`` for (B, N) coefficients ``c``:
     a new writable (B, N) array, each row exactly as it would come out alone
-    (zeros for linear coefficients)."""
+    (zeros for linear coefficients). Every other array it writes is the
+    block shape's ``_workspace``."""
     if coeffs.is_linear:
         return np.zeros_like(c)
     rows, n = c.shape
     pad = coeffs.dealias_pad
+    stack, samples, work, combined = _workspace(rows, n, pad)
+    padded_samples(c, pad, (0, 1, 2), out=stack)
     # the pointwise kernel runs on flat (B·M,) views: elementwise, so
     # the same values, without numpy's per-row iteration over (B, M)
-    u, du, d2u = padded_samples(c, pad, (0, 1, 2)).reshape(3, -1)
-    combined = kernels.nonlinear_combine(u, du, d2u, coeffs.lambdas)
-    return band_coeffs(combined.reshape(rows, pad * n), n, pad)
+    kernels.nonlinear_combine(*samples, coeffs.lambdas, work)
+    return band_coeffs(combined, n, pad, out=combined)
 
 
 def eval_nonlinearity(psi, coeffs):
@@ -197,9 +208,8 @@ def _picard_step(c, factors, dt, coeffs, m, time, members, named):
     Each row is the fixed point of ψ ↦ W_ε(dt)ψ₀ - i (dt/2) [W_ε(dt) N(ψ₀) +
     N(ψ)], converged when successive iterates differ by < PICARD_TOL in
     H^m. N(ψ₀) and the first iterate's N(W_ε(dt)ψ₀) depend only on the
-    step's start, so while the (2B, N) block of both has at most
-    ``_FUSED_POINTS`` padded points they are one ``_nonlinearity`` call:
-    k calls for k iterations instead of k+1. Every row of a
+    step's start, so they are one ``_nonlinearity`` call on the (2B, N)
+    block of both: k calls for k iterations instead of k+1. Every row of a
     ``_nonlinearity`` block gets the bits it would get alone, and a row
     freezes at its own convergence and leaves the batch, so each row takes
     the iterations and gets the bits of a run of its own. Returns
@@ -219,11 +229,8 @@ def _picard_step(c, factors, dt, coeffs, m, time, members, named):
     live = list(range(len(c)))  # rows still iterating, ascending
     failure = None
     with np.errstate(over="ignore", invalid="ignore"):
-        if 2 * c.size * coeffs.dealias_pad <= _FUSED_POINTS:
-            both = _nonlinearity(np.concatenate((c, w_psi)), coeffs)
-            n0, n_first = both[: len(c)], both[len(c) :]
-        else:
-            n0, n_first = _nonlinearity(c, coeffs), _nonlinearity(w_psi, coeffs)
+        both = _nonlinearity(np.concatenate((c, w_psi)), coeffs)
+        n0, n_first = both[: len(c)], both[len(c) :]
         fixed = w_psi - kernels.apply_multiplier(n0, factors[0]) * half_dt
         current = w_psi
         for iteration in range(1, PICARD_MAX_ITERS + 1):

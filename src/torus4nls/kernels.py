@@ -11,7 +11,9 @@ gather is ``take`` along that axis, which keeps the block C-contiguous, so
 every row is summed pairwise as a 1-D array is (fancy indexing
 ``c[:, order]`` does not, and then the last bits of most rows differ).
 The pointwise kernels act elementwise, so they take any array shape, such
-as the (B, M) blocks of an ensemble step.
+as the (B, M) blocks of an ensemble step. ``nonlinear_combine`` writes its
+temporaries and result into work arrays from ``combine_work`` that the
+caller may keep, so the stepper's evaluations allocate none of them.
 """
 
 import numpy as np
@@ -30,21 +32,61 @@ def apply_multiplier(coeffs, factors):
     return coeffs * factors
 
 
-def nonlinear_combine(u, du, d2u, lam):
+def combine_work(shape):
+    """New work arrays for ``nonlinear_combine`` on samples of ``shape``:
+    |u|², |du|² and two real temporaries, then the complex result and two
+    complex temporaries p and q. |du|² and the two real temporaries live in
+    p's and q's memory, which they use only while p and q are unused."""
+    au2 = np.empty(shape)
+    out, p, q = np.empty((3, *shape), dtype=np.complex128)
+    adu2, _ = np.split(p.reshape(-1).view(np.float64), 2)
+    s, t = np.split(q.reshape(-1).view(np.float64), 2)
+    return au2, *(a.reshape(shape) for a in (adu2, s, t)), out, p, q
+
+
+def nonlinear_combine(u, du, d2u, lam, work=None):
     """Pointwise six-term derivative nonlinearity on a physical grid.
 
     lam1 |u|^2 u + lam2 |u|^4 u + lam3 (du)^2 conj(u) + lam4 |du|^2 u
     + lam5 u^2 conj(d2u) + lam6 |u|^2 d2u
+
+    Every product and sum is one ufunc call into ``work`` (from
+    ``combine_work``; new arrays when None), on the operands, in the order,
+    of the expression above evaluated left to right, so the bits do not
+    depend on whether the arrays are new. Returns ``work``'s result array:
+    a caller that passes the same ``work`` again allocates nothing. A
+    complex product written over its first operand gets the bits of one
+    written to a new array on two or more points; on a single point numpy
+    takes another loop, which can change the last bit.
     """
     l1, l2, l3, l4, l5, l6 = lam
-    au2 = u.real * u.real + u.imag * u.imag
-    adu2 = du.real * du.real + du.imag * du.imag
-    return (
-        (l1 * au2 + l2 * au2 * au2 + l4 * adu2) * u
-        + l3 * du * du * np.conj(u)
-        + l5 * u * u * np.conj(d2u)
-        + l6 * au2 * d2u
-    )
+    au2, adu2, s, t, out, p, q = combine_work(u.shape) if work is None else work
+    mul, add, conj = np.multiply, np.add, np.conjugate
+    mul(u.real, u.real, au2)
+    mul(u.imag, u.imag, s)
+    add(au2, s, au2)  # |u|^2
+    mul(du.real, du.real, adu2)
+    mul(du.imag, du.imag, s)
+    add(adu2, s, adu2)  # |du|^2
+    mul(l1, au2, s)
+    mul(l2, au2, t)
+    mul(t, au2, t)
+    add(s, t, s)
+    mul(l4, adu2, t)
+    add(s, t, s)
+    mul(s, u, out)  # (l1 |u|^2 + l2 |u|^4 + l4 |du|^2) u; s, t and adu2 end
+    mul(l3, du, p)
+    mul(p, du, p)
+    mul(p, conj(u, q), p)
+    add(out, p, out)
+    mul(l5, u, p)
+    mul(p, u, p)
+    mul(p, conj(d2u, q), p)
+    add(out, p, out)
+    mul(l6, au2, s)
+    mul(s, d2u, p)
+    add(out, p, out)
+    return out
 
 
 def weighted_norm_sq(coeffs, weights, order):

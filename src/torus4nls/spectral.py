@@ -150,13 +150,18 @@ def _padded_multiplier(num_modes, pad, k):
     return row
 
 
-def padded_samples(coeffs, pad, orders):
+def padded_samples(coeffs, pad, orders, *, out=None):
     """Samples of ∂^k ψ for each k in ``orders`` on the pad·N grid, from
     (..., N) coefficients: a (len(orders), ..., pad·N) array from one
-    inverse FFT, each row exactly as it would come out alone."""
+    inverse FFT, each row exactly as it would come out alone. ``out``, a
+    complex array of that shape, receives them in place of a new array."""
     n = coeffs.shape[-1]
     m, half = pad * n, n // 2
-    stack = np.zeros((len(orders),) + coeffs.shape[:-1] + (m,), dtype=np.complex128)
+    if out is None:
+        stack = np.zeros((len(orders),) + coeffs.shape[:-1] + (m,), dtype=np.complex128)
+    else:
+        stack = out
+        stack[0, ..., half : m - half] = 0.0
     base = stack[0]
     # two slice copies: assigning through the band index into a (B, M)
     # block costs about 3% of riccati's wall time
@@ -174,10 +179,13 @@ def padded_samples(coeffs, pad, orders):
     return stack
 
 
-def band_coeffs(samples, num_modes, pad):
+def band_coeffs(samples, num_modes, pad, *, out=None):
     """Coefficients of samples on the pad·N grid, truncated to the N-mode
-    band with the Nyquist mode zeroed: a new writable (..., N) array."""
-    chat = np.fft.fft(samples) * (SQRT_2PI / (pad * num_modes))
+    band with the Nyquist mode zeroed: a new writable (..., N) array for
+    pad > 1. The pad·N-point FFT goes to ``out`` (``samples`` itself for an
+    FFT in place) in place of a new array; at pad 1 the result is ``out``."""
+    chat = np.fft.fft(samples, out=out)
+    chat *= SQRT_2PI / (pad * num_modes)
     if pad > 1:
         chat = chat.take(_padded_band(num_modes, pad), axis=-1)
     chat[..., num_modes // 2] = 0.0

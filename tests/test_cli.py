@@ -371,6 +371,18 @@ class TestParser:
         assert err.value.code == 0
         assert capsys.readouterr().out.startswith("usage: torus4nls")
 
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_one_command_build_helps_as_the_full_one(self, command, capsys):
+        # run_command adds options only to the subcommand it was given:
+        # `torus4nls --help` and that subcommand's help keep every byte
+        full, full_commands = build_parser()
+        parser, commands = build_parser(command)
+        assert parser.format_help() == full.format_help()
+        assert commands[command].format_help() == full_commands[command].format_help()
+        with pytest.raises(SystemExit):
+            run_command([command, "--help"])
+        assert capsys.readouterr().out == full_commands[command].format_help()
+
     def test_help_names_every_data_spec_key(self, capsys):
         with pytest.raises(SystemExit):
             run_command(["--help"])
@@ -1005,6 +1017,22 @@ class TestUsageErrors:
         assert exit_code(out, argv) == 2
         err = capsys.readouterr().err
         assert "--deltas entries must be positive and finite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_delta_that_overflows_the_norm_is_2_before_any_run(
+            self, tmp_path, monkeypatch, capsys, source):
+        # 1e300 is finite, but the perturbed data's H^m norm squared is not
+        self._forbid_runs(monkeypatch)
+        out = tmp_path / "out"
+        argv = ["continuity", "--nu", "1", "--integrable", "--deltas", "1e300,1"]
+        if source == "config":
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("deltas = 1e300,1\n")
+            argv[-2:] = ["--config", str(cfg)]
+        assert exit_code(out, argv) == 2
+        err = capsys.readouterr().err
+        assert "usage error: --deltas entry 1e+300 is too large" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command,spec,key", [

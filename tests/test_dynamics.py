@@ -1,8 +1,11 @@
 """Nonlinearity evaluation, semigroup, and both time integrators."""
 
 import re
+import subprocess
+import sys
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -649,6 +652,7 @@ def _field_duhamel_step(psi, cfg, coeffs, eps):
     raise NonConvergence("reference step did not converge")
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 CUBIC = CoefficientSet(nu=1.0, lambda1=0.7, lambda3=0.2, lambda4=-0.5,
                        lambda5=0.4, lambda6=0.1)
 
@@ -682,14 +686,12 @@ class TestRawPathMatchesFieldReference:
             assert np.array_equal(new.coeffs, ref.coeffs)
         assert new_iters > 1
 
-    @pytest.mark.parametrize("num_modes", [64, 256], ids=["below-bound", "above-bound"])
+    @pytest.mark.parametrize("num_modes", [64, 256])
     def test_ensemble_bytewise_equal(self, num_modes):
-        # four members at pad 3: 1,536 padded points at N=64, so both
-        # start-of-step evaluations are one call, and 6,144 at N=256
+        # four members at pad 3: both start-of-step evaluations are one
+        # (8, N) call, of 1,536 padded points at N=64 and 6,144 at N=256
         grid = GridSpec(num_modes)
         coeffs = integrable_coefficients(1.0)
-        fused = 2 * 4 * coeffs.dealias_pad * num_modes <= dynamics._FUSED_POINTS
-        assert fused == (num_modes == 64)
         psis = [random_field(grid, rng_for(num_modes + k), decay=2.0, hm_norm=0.4,
                              m=4, max_mode=6) for k in range(4)]
         cfg = SolverConfig(dt=2e-4, sobolev_index_m=4)
@@ -731,35 +733,92 @@ class TestNonlinearityRows:
             assert out.tobytes() == dynamics._nonlinearity(row[None], coeffs)[0].tobytes()
 
 
+_FAULT_SCRIPT = """
+import resource, sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from torus4nls import dynamics
+from torus4nls.exact import integrable_coefficients
+
+rows, num_modes = int(sys.argv[2]), int(sys.argv[3])
+rng = np.random.default_rng(0)
+block = (rng.standard_normal((rows, num_modes))
+         + 1j * rng.standard_normal((rows, num_modes))) * 0.3
+coeffs = integrable_coefficients(1.0)
+for _ in range(20):
+    dynamics._nonlinearity(block, coeffs)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(500):
+    dynamics._nonlinearity(block, coeffs)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+class TestNonlinearityWorkspace:
+    """A ``_nonlinearity`` call writes its block shape's reused workspace and
+    returns a new array: after a warm-up, calls fault in no pages, and a
+    result outlives the calls after it."""
+
+    @pytest.mark.parametrize("rows,num_modes", [(8, 256), (2, 1024)])
+    def test_no_page_faults_per_call(self, rows, num_modes):
+        # the riccati family's fused (8, 256) block and simulate's (2, 1024),
+        # at pad 3, in a fresh interpreter: whether malloc hands freed
+        # temporaries back to the system, and faults them in again on the
+        # next call, depends on the heap's history, which in this process
+        # is the suite's
+        proc = subprocess.run(
+            [sys.executable, "-I", "-c", _FAULT_SCRIPT, str(SRC), str(rows),
+             str(num_modes)], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 50
+
+    @pytest.mark.parametrize("coeffs", [CUBIC, integrable_coefficients(1.0)],
+                             ids=["cubic-pad2", "integrable-pad3"])
+    def test_result_is_a_new_array(self, coeffs):
+        rng = np.random.default_rng(4)
+        block = (rng.standard_normal((4, 64)) + 1j * rng.standard_normal((4, 64))) * 0.3
+        first = dynamics._nonlinearity(block, coeffs)
+        kept = first.tobytes()
+        second = dynamics._nonlinearity(block[::-1].copy(), coeffs)
+        assert first.tobytes() == kept and second.tobytes() != kept
+        stack, _, work, _ = dynamics._workspace(4, 64, coeffs.dealias_pad)
+        for out in (first, second):
+            assert out.flags.writeable and out.flags.c_contiguous
+            assert not any(np.shares_memory(out, a) for a in (stack, *work))
+
+
 class TestFusedStartOfStep:
     """A Picard step evaluates N(ψ₀) and its first iterate's N(W_ε(dt)ψ₀)
-    in one call while their (2B, N) block has at most ``_FUSED_POINTS``
-    padded points, and in two above it; the rows evaluated are the same."""
+    in one call on their (2B, N) block at every size: k calls for k
+    iterations, on the rows the step evaluates."""
 
-    def test_bound(self):
-        # the crossover measured in the constant's comment
-        assert dynamics._FUSED_POINTS == 4096
-
-    @pytest.mark.parametrize("num_modes,coeffs,fused", [
-        (64, integrable_coefficients(1.0), True),  # 384 points
-        (1024, CUBIC, True),  # 4,096: at the bound
-        (1024, integrable_coefficients(1.0), False),  # 6,144
-    ], ids=["below", "at", "above"])
-    def test_calls_per_step(self, monkeypatch, num_modes, coeffs, fused):
+    @pytest.mark.parametrize("num_modes,coeffs,members", [
+        (64, integrable_coefficients(1.0), 1),  # 384 padded points
+        (1024, CUBIC, 1),  # 4,096
+        (1024, integrable_coefficients(1.0), 1),  # 6,144
+        (256, integrable_coefficients(1.0), 4),  # 6,144, the riccati family's
+    ], ids=["n64-pad3", "n1024-pad2", "n1024-pad3", "n256-pad3-four"])
+    def test_calls_per_step(self, monkeypatch, num_modes, coeffs, members):
         points = []
         combine = kernels.nonlinear_combine
 
-        def counting(u, du, d2u, lam):
+        def counting(u, du, d2u, lam, work=None):
             points.append(u.size)
-            return combine(u, du, d2u, lam)
+            return combine(u, du, d2u, lam, work)
 
         monkeypatch.setattr(kernels, "nonlinear_combine", counting)
-        run = integrate(_benign(GridSpec(num_modes)), 1e-3, SolverConfig(dt=2e-4), coeffs)
-        steps, iterations = len(run.picard_iterations), sum(run.picard_iterations)
-        assert steps == 5 and iterations > steps
-        assert len(points) == iterations + (0 if fused else steps)
-        # one row for N(ψ₀) and one per iteration, on either side
-        assert sum(points) == coeffs.dealias_pad * num_modes * (steps + iterations)
+        grid = GridSpec(num_modes)
+        psis = [random_field(grid, rng_for(64 + k), decay=2.0, hm_norm=0.4, m=4,
+                             max_mode=6) for k in range(members)]
+        runs = integrate_many(psis, 1e-3, SolverConfig(dt=2e-4), coeffs)
+        iterations = [run.picard_iterations for run in runs]
+        assert all(len(counts) == 5 for counts in iterations)
+        per_step = [max(counts) for counts in zip(*iterations)]
+        assert sum(per_step) > 5
+        assert len(points) == sum(per_step)
+        # one row for N(ψ₀) and one per iteration of each member
+        assert sum(points) == coeffs.dealias_pad * num_modes * sum(
+            len(counts) + sum(counts) for counts in iterations)
 
 
 def _field_reference_integrate(psi0, t_end, cfg, coeffs, eps):

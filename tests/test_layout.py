@@ -338,14 +338,44 @@ def test_one_writer_for_every_output_file():
         ("experiments", "in_worker"), ("experiments", "streamed_table")]
 
 
+def _memo_dicts(tree):
+    """Names the module binds at its top level that a function of the
+    module fills as a memo: item assignment, or ``setdefault``, ``update``
+    or ``__setitem__`` on the name."""
+    top = {target.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+           for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+           if isinstance(target, ast.Name)}
+    found = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, (ast.Assign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.value.id for t in targets
+                         if isinstance(t, ast.Subscript) and isinstance(t.value, ast.Name)]
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr in {"setdefault", "update", "__setitem__"} \
+                    and isinstance(node.func.value, ast.Name):
+                names = [node.func.value.id]
+            else:
+                continue
+            found.update(name for name in names if name in top)
+    return found
+
+
 def test_every_cache_is_measured():
-    """The package's memo caches are the five ``spectral`` ones whose hits
-    and cost of a miss were measured on the benchmark's workloads (see
-    ROADMAP aim 2): a new cache comes with its measurement. ``GridSpec``'s
-    ``cached_property``s are per-instance fields, not counted here."""
-    sites = []
+    """The package's memo caches are the five ``spectral`` ones and
+    ``dynamics._workspace``, whose hits and cost of a miss were measured on
+    the benchmark's workloads (see ROADMAP aim 2): a new cache comes with
+    its measurement. No module-level dict is filled as a memo behind the
+    decorators' back. ``GridSpec``'s ``cached_property``s are per-instance
+    fields, not counted here."""
+    sites, memos = [], []
     for path in MODULES:
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        memos += [(path.stem, name) for name in sorted(_memo_dicts(tree))]
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 for dec in node.decorator_list:
                     name = _dotted(dec.func if isinstance(dec, ast.Call) else dec)
@@ -353,9 +383,32 @@ def test_every_cache_is_measured():
                                 "functools.cache"}:
                         sites.append((path.stem, node.name))
     assert sorted(sites) == [
+        ("dynamics", "_workspace"),
         ("spectral", "_grid"), ("spectral", "_padded_band"),
         ("spectral", "_padded_multiplier"), ("spectral", "_seminorm_weights"),
         ("spectral", "_sobolev_weights")]
+    assert memos == []
+
+
+def test_memo_dicts_are_found():
+    """The memo-dict scan of ``test_every_cache_is_measured`` sees each way
+    of filling one, and not a local dict or a module-level constant."""
+    tree = ast.parse("""
+A = {}
+B = {}
+C = dict()
+D = {"k": 1}
+E = {}
+
+def fill(key):
+    A[key] = 1
+    B.setdefault(key, 2)
+    C.update(k=3)
+    local = {}
+    local[key] = 4
+    return D["k"] + E.get(key, 0)
+""")
+    assert _memo_dicts(tree) == {"A", "B", "C"}
 
 
 def test_one_refusal_path():

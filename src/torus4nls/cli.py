@@ -375,11 +375,14 @@ def cmd_simulate(args):
             # the complex view interleaves re and im of each mode
             send_row(np.concatenate(([time], rows[0][order].view(np.float64))))
 
-        return integrate(data, args.t_end, cfg, coeffs, observe, eps=args.eps)
+        run = integrate(data, args.t_end, cfg, coeffs, observe, eps=args.eps)
+        # the last block is evaluated here, so that its error removes the
+        # trajectory's .part file
+        return run, rec.columns
 
-    run = streamed_table(args.outdir, fname, names, produce)
+    run, energies = streamed_table(args.outdir, fname, names, produce)
     _report(args.outdir / fname)
-    _report(write_table(args.outdir, "simulate__energy.csv", rec.columns))
+    _report(write_table(args.outdir, "simulate__energy.csv", energies))
     _report(write_manifest(args.outdir, "simulate", {
         "parameters": {
             "data": args.data, "num_modes": grid.num_modes,

@@ -179,7 +179,7 @@ def table_rows(outdir, fname, names):
 
         def write_row(values):
             _check_row(fname, names, values)
-            out.write(",".join(repr(float(v)) for v in values) + "\n")
+            out.write(",".join(map(repr, map(float, values))) + "\n")
 
         write_row.flush = out.flush
         yield write_row
@@ -266,11 +266,12 @@ def conservation_study(data, nu, t_end, cfg):
         run_cfg = replace(cfg, dt=cfg.dt * factor)
         rec = EnergyRecorder(cfg.sobolev_index_m, coeffs)
         integrate(data, t_end, run_cfg, coeffs, rec)
+        columns = rec.columns  # evaluates the last block
         tables[f"series_{label}"] = {
-            name: rec.columns[name]
+            name: columns[name]
             for name in ("time", "i0", "i1", "i2", "l2_norm_sq", "h_m_norm_sq")
         }
-        drifts[label] = _relative_drifts(rec.columns)
+        drifts[label] = _relative_drifts(columns)
     gains = [
         c / f if f > 0 else float("inf")
         for c, f in zip(drifts["coarse"], drifts["fine"])

@@ -8,14 +8,15 @@ All spatial integrals of products are evaluated by dealiased quadrature:
 large enough that the node average of the product equals its exact mean
 (pad 3 for quartic, pad 4 for sextic integrands).
 
-``quadrature_mean``, ``modified_energy`` and ``difference_energy`` are the
-one-field cases of ``*_rows`` functions that take (B, N) coefficients (or
-(B, M) samples) and return one value per row, each bit for bit the value of
-that row alone (a 1-D array is one row). ``certify_cm`` draws its samples
-as one (B, N) array per grid (``certificate_rows``) and evaluates them
-through these in blocks (``spectral.row_blocks``), and the ensemble studies
-evaluate the (B, N) block of each step through them.
-"""
+``modified_energy``, ``conserved_quantities`` and ``difference_energy``
+are the one-field cases of ``*_rows`` functions that take (B, N)
+coefficients (or (B, M) samples) and return one value per row, each bit
+for bit the value of that row alone (a 1-D array is one row).
+``certify_cm`` draws its samples as one (B, N) array per grid
+(``certificate_rows``) and evaluates them through these in blocks
+(``spectral.row_blocks``), the ensemble studies evaluate the (B, N) block
+of each step through them, and ``EnergyRecorder`` evaluates the states of
+one run through them in blocks of consecutive steps."""
 
 import math
 from dataclasses import dataclass
@@ -25,6 +26,7 @@ import numpy as np
 
 from .sampling import random_rows, rng_states, rngs_from
 from .spectral import (
+    RECORD_POINTS,
     SpectralField,
     _grid,
     padded_samples,
@@ -49,11 +51,6 @@ def quadrature_mean_rows(values):
     trapezoid rule (node average × 2π)."""
     # np.mean's pairwise sum and division, without its Python wrapper
     return 2.0 * np.pi * (np.add.reduce(values, -1) / values.shape[-1])
-
-
-def quadrature_mean(values):
-    """``quadrature_mean_rows`` of one row of M samples."""
-    return complex(quadrature_mean_rows(values))
 
 
 def _quartic_weights(m, lam):
@@ -111,31 +108,35 @@ class ConservedQuantities(NamedTuple):
     i2: float
 
 
-def _conserved(psi):
-    u, du, d2u = padded_samples(psi.coeffs, PAD_SEXTIC, (0, 1, 2))
+def conserved_rows(block, *, out=None):
+    """(I₀, I₁, raw I₂) by dealiased quadrature, as three arrays with one
+    entry per row ψ of (..., N) coefficients. Raw I₂ is complex: its
+    odd-looking cubic terms sum to a real quantity, and its imaginary part
+    is round-off for band-limited fields. ``out``, a complex (3, ..., 4·N)
+    array, receives the samples (``padded_samples``' ``out``)."""
+    u, du, d2u = padded_samples(block, PAD_SEXTIC, (0, 1, 2), out=out)
     au2 = np.abs(u) ** 2
-    i0 = 0.5 * quadrature_mean(au2).real
+    i0 = 0.5 * quadrature_mean_rows(au2)
     i1 = (
-        0.5 * quadrature_mean(np.abs(du) ** 2).real
-        - 0.125 * quadrature_mean(au2**2).real
+        0.5 * quadrature_mean_rows(np.abs(du) ** 2)
+        - 0.125 * quadrature_mean_rows(au2**2)
     )
     i2_raw = (
-        0.5 * quadrature_mean(np.abs(d2u) ** 2)
-        + 0.75 * quadrature_mean(au2 * np.conj(u) * d2u)
-        + 0.125 * quadrature_mean(au2 * u * np.conj(d2u))
-        + 0.625 * quadrature_mean(du * du * np.conj(u) ** 2)
-        + 0.75 * quadrature_mean(np.abs(du) ** 2 * au2)
-        + 0.0625 * quadrature_mean(au2**3)
+        0.5 * quadrature_mean_rows(np.abs(d2u) ** 2)
+        + 0.75 * quadrature_mean_rows(au2 * np.conj(u) * d2u)
+        + 0.125 * quadrature_mean_rows(au2 * u * np.conj(d2u))
+        + 0.625 * quadrature_mean_rows(du * du * np.conj(u) ** 2)
+        + 0.75 * quadrature_mean_rows(np.abs(du) ** 2 * au2)
+        + 0.0625 * quadrature_mean_rows(au2**3)
     )
     return i0, i1, i2_raw
 
 
 def conserved_quantities(psi):
-    """(I₀, I₁, I₂) by dealiased quadrature; I₂'s odd-looking cubic terms sum
-    to a real quantity, so only the real part is returned (the imaginary
-    part of the raw quadrature is round-off for band-limited fields)."""
-    i0, i1, i2_raw = _conserved(psi)
-    return ConservedQuantities(i0, i1, i2_raw.real)
+    """(I₀, I₁, I₂) of one field: ``conserved_rows`` of its coefficients,
+    with the real part of raw I₂."""
+    i0, i1, i2_raw = conserved_rows(psi.coeffs)
+    return ConservedQuantities(float(i0), float(i1), float(i2_raw.real))
 
 
 def difference_quartic_rows(block, ref, m, coeffs):
@@ -316,8 +317,17 @@ class EnergyRecorder:
 
     ``columns`` maps the header names of ``simulate__energy.csv`` (time,
     h_m_norm_sq, deriv_m_norm_sq, l2_norm_sq, modified_energy, i0, i1, i2)
-    to equal-length lists, one entry per observed state. A state whose row
-    fails to compute adds to no column.
+    to equal-length lists, one entry per observed state. The states are
+    evaluated in blocks of consecutive steps through the ``*_rows`` forms,
+    each value bit for bit the one its state gets alone: the first observed
+    state at once and alone, so that data whose energy cannot be computed
+    is refused before the first step; after it, a block whenever its states
+    fill ``spectral.RECORD_POINTS`` padded points (at least one state).
+    Reading ``columns`` evaluates the states still buffered. So an error in
+    a later state surfaces when its block is evaluated: at the call that
+    fills the block, or at the next read of ``columns``. A block that fails
+    adds to no column. A buffered state is the row it was handed, not a
+    copy: the steppers hand a new read-only array at every step.
     """
 
     def __init__(self, m, coeffs):
@@ -325,18 +335,46 @@ class EnergyRecorder:
         self.coeffs = coeffs
         names = ["time", "h_m_norm_sq", "deriv_m_norm_sq", "l2_norm_sq",
                  "modified_energy", "i0", "i1", "i2"]
-        self.columns = {name: [] for name in names}
+        self._columns = {name: [] for name in names}
+        self._times, self._states = [], []
+        self._stack = np.empty(0, dtype=np.complex128)
 
     def __call__(self, time, rows, members):
         (state,) = rows
-        psi = SpectralField(_grid(state.size), state)
-        row = [
-            time,
-            sobolev_norm_sq(psi, self.m),
-            seminorm_sq(psi, self.m),
-            sobolev_norm_sq(psi, 0),
-            modified_energy(psi, self.m, self.coeffs, 0.0),
-            *conserved_quantities(psi),
+        self._times.append(time)
+        self._states.append(state)
+        rows_per_block = max(1, RECORD_POINTS // (PAD_SEXTIC * state.size))
+        if len(self._states) == rows_per_block or not self._columns["time"]:
+            self._evaluate()
+
+    @property
+    def columns(self):
+        if self._states:
+            self._evaluate()
+        return self._columns
+
+    def _evaluate(self):
+        """Add the buffered states' rows to the columns; the buffer is
+        emptied first, so a block that fails is dropped whole."""
+        times, block = self._times, np.array(self._states)
+        self._times, self._states = [], []
+        m = self.m
+        # the energy before the invariants: it refuses an overflowing mass
+        # power before their squares overflow with a RuntimeWarning
+        values = [
+            sobolev_norm_sq_rows(block, m),
+            seminorm_sq_rows(block, m),
+            sobolev_norm_sq_rows(block, 0),
+            modified_energy_rows(block, m, self.coeffs, 0.0),
         ]
-        for column, value in zip(self.columns.values(), row):
-            column.append(value)
+        # kept while the block shape stays: allocated at every step, the
+        # 196 KiB stack at N=1024 was trimmed from the heap top and faulted
+        # back in (22,500 minor faults a simulate_n1024 pass, not 6,600)
+        rows, n = block.shape
+        if self._stack.shape != (3, rows, PAD_SEXTIC * n):
+            self._stack = np.empty((3, rows, PAD_SEXTIC * n), dtype=np.complex128)
+        i0, i1, i2_raw = conserved_rows(block, out=self._stack)
+        values += [i0, i1, i2_raw.real]
+        for column, value in zip(self._columns.values(),
+                                 [times, *(v.tolist() for v in values)]):
+            column.extend(value)

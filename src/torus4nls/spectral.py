@@ -33,6 +33,14 @@ SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 # it, while a block still amortizes numpy's per-call overhead.
 BLOCK_ROWS = 32
 
+# The most padded points (pad·N·rows) of an ``EnergyRecorder`` block: 16
+# rows at N=64, 1 row at N=1024. On a 2-core x86-64 host, 16-row blocks cut
+# the recorder from about 104 to 27 µs a state at N=64 and raised the
+# families_n64 pass's peak RSS by 0.3 MiB; 8,192 points (32 rows) gave 24 µs
+# for +0.8 MiB and no wall time, and 2-row blocks at N=1024 raised
+# simulate_n1024's peak RSS by 0.34 MiB with no CPU time beyond the noise.
+RECORD_POINTS = 4096
+
 
 def refusing(message, compute, *args):
     """``compute(*args)``, or ``ValueError(message())`` where it overflows,

@@ -8,7 +8,9 @@ cross-checked through a different code path.
 
 The references below are what only the tests use, so they live here and
 not in the package: the zero field, the grid nodes, one certification draw,
-the kernel's multiplier supremum and I₂'s imaginary residual.
+the kernel's multiplier supremum, I₂'s imaginary residual and the
+one-row quadrature mean; ``fail_second_block`` makes a recorder fail in a
+later block.
 """
 
 import os
@@ -33,6 +35,23 @@ def no_child_left():
     except ChildProcessError:
         return
     pytest.fail(f"a child process was left: waitpid gave ({pid}, {status})")
+
+
+@pytest.fixture
+def fail_second_block(monkeypatch):
+    """``functionals.conserved_rows`` raising a ValueError on its second
+    call, so that an ``EnergyRecorder`` fails in a block after its first
+    state; yields the list of the rows of each call."""
+    blocks, original = [], functionals.conserved_rows
+
+    def failing(block, **kwargs):
+        blocks.append(len(block))
+        if len(blocks) == 2:
+            raise ValueError("conserved_rows failed in a later block")
+        return original(block, **kwargs)
+
+    monkeypatch.setattr(functionals, "conserved_rows", failing)
+    return blocks
 
 
 @pytest.fixture
@@ -95,4 +114,9 @@ def multiplier_sup(l):
 
 def i2_imaginary_residual(psi):
     """|Im| of the raw I₂ quadrature; ≈ round-off for band-limited fields."""
-    return abs(functionals._conserved(psi)[2].imag)
+    return abs(float(functionals.conserved_rows(psi.coeffs)[2].imag))
+
+
+def quadrature_mean(values):
+    """``functionals.quadrature_mean_rows`` of one row of M samples."""
+    return complex(functionals.quadrature_mean_rows(values))

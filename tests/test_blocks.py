@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from conftest import certificate_sample
+from conftest import certificate_sample, quadrature_mean
 
 import torus4nls.cli as cli
 from torus4nls import kernels, spectral
@@ -34,7 +34,6 @@ from torus4nls.functionals import (
     modified_energy,
     modified_energy_rows,
     positivity_target_rows,
-    quadrature_mean,
     quadrature_mean_rows,
 )
 from torus4nls.sampling import random_field, random_rows, rng_for, rng_states, rngs_from

@@ -744,6 +744,26 @@ class TestUsageErrors:
         with pytest.raises(ChildProcessError):  # riccati's worker was reaped
             os.waitpid(-1, os.WNOHANG)
 
+    @pytest.mark.parametrize("argv,blocks", [
+        (["simulate", "--t-end", "0.02"], [1, 16]),
+        (["simulate", "--t-end", "0.01"], [1, 10]),
+        (["conserve", "--nu", "1"], [1, 16]),
+    ], ids=["simulate-full-block", "simulate-last-block", "conserve"])
+    def test_failing_later_recorder_block_is_2(self, tmp_path, capsys,
+                                               fail_second_block, argv, blocks):
+        # the recorder fails after the first step: in a block filled while
+        # stepping, or in simulate's last block, evaluated when it reads
+        # the columns before its writer is done
+        out = tmp_path / "out"
+        assert run_in(out, argv) == 2
+        out_text, err = capsys.readouterr()
+        assert err.startswith("usage error: ") and "a later block" in err
+        assert out_text == ""
+        assert fail_second_block == blocks
+        assert not out.exists()
+        with pytest.raises(ChildProcessError):  # simulate's writer was reaped
+            os.waitpid(-1, os.WNOHANG)
+
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize("command,flag,value", [
         ("eps-converge", "--eps-ladder", "0^-1,2^-3"),

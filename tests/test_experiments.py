@@ -16,7 +16,7 @@ import pytest
 
 from conftest import zero_field
 
-from torus4nls import __version__, dynamics
+from torus4nls import __version__, dynamics, functionals
 from torus4nls.dynamics import (
     CoefficientSet,
     NonConvergence,
@@ -246,6 +246,22 @@ class TestConservationStudy:
             d <= floor or g >= min_gain for d, g in zip(drifts, gains)
         )
         assert (res.verdict == "pass") == expect_pass
+
+    def test_recorder_blocks(self, monkeypatch):
+        # conserve's defaults: 51 coarse and 101 fine states at N=64, each
+        # run's first state alone, then recorder blocks of 16 rows. A count
+        # of deterministic work, pinned exactly
+        blocks, original = [], functionals.conserved_rows
+
+        def counted(block, **kwargs):
+            blocks.append(len(block))
+            return original(block, **kwargs)
+
+        monkeypatch.setattr(functionals, "conserved_rows", counted)
+        data = random_field(GridSpec(64), rng_for(42), decay=2.0, hm_norm=0.4, m=4,
+                            max_mode=4)
+        conservation_study(data, 1.0, 0.1, SolverConfig(dt=2e-3, sobolev_index_m=4))
+        assert blocks == [1, 16, 16, 16, 2] + [1, 16, 16, 16, 16, 16, 16, 4]
 
 
 class TestBonaSmithStudy:

@@ -8,6 +8,7 @@ from conftest import (
     i2_imaginary_residual,
     oracle_integral,
     oracle_samples,
+    quadrature_mean,
     zero_field,
 )
 
@@ -19,10 +20,10 @@ from torus4nls.functionals import (
     EnergyRecorder,
     certify_cm,
     conserved_quantities,
+    conserved_rows,
     correction_terms_rows,
     difference_energy,
     modified_energy,
-    quadrature_mean,
 )
 from torus4nls.sampling import random_field, rng_for
 from torus4nls.spectral import (
@@ -254,7 +255,7 @@ class TestEnergyRecorder:
                             cols["l2_norm_sq"]):
             assert e + cert.c_m * l2 ** (2 * 4 + 1) >= 0.5 * (h + l2)
 
-    def test_failing_row_adds_to_no_column(self):
+    def test_failing_row_adds_to_no_column(self, fail_second_block):
         # modified_energy rejects m = 0 after the time and the norms of the
         # row are known; none of them may be kept
         rec = EnergyRecorder(0, integrable_coefficients(1.0))
@@ -262,6 +263,66 @@ class TestEnergyRecorder:
         with pytest.raises(ValueError, match="m must be >= 1"):
             rec(0.0, psi.coeffs[None], (0,))
         assert {len(v) for v in rec.columns.values()} == {0}
+        # a later block fails when the call that fills it evaluates it, or
+        # at the read of the columns; it adds to no column either
+        blocks = fail_second_block
+        psi = plane_wave(GridSpec(64), 0.3, 1)
+        for read in (False, True):
+            rec = EnergyRecorder(4, integrable_coefficients(1.0))
+            blocks.clear()
+            rec(0.0, psi.coeffs[None], (0,))  # the first state, alone
+            for k in range(1, 15 if read else 16):
+                rec(k * 1e-3, psi.coeffs[None], (0,))
+            with pytest.raises(ValueError, match="a later block"):
+                if read:
+                    rec.columns
+                else:
+                    rec(16e-3, psi.coeffs[None], (0,))
+            assert blocks == [1, 14 if read else 16]
+            assert {len(v) for v in rec.columns.values()} == {1}
+            assert blocks == [1, 14 if read else 16]  # the block was dropped
+
+    @pytest.mark.parametrize("num_modes,dt,states", [(64, 1e-3, 21), (64, 1e-3, 37),
+                                                     (1024, 1e-4, 3)])
+    def test_columns_bitwise_equal_per_state(self, generic_coeffs, num_modes, dt,
+                                             states):
+        # blocks of 16 rows at N=64, one row at N=1024; the last block of a
+        # run is short. The data is simulate's benchmark data
+        data = random_field(GridSpec(num_modes), rng_for(num_modes), decay=2.0,
+                            hm_norm=0.4, m=4, max_mode=4)
+        rec, ref = EnergyRecorder(4, generic_coeffs), _PerStateRecorder(4, generic_coeffs)
+
+        def both(time, rows, members):
+            rec(time, rows, members)
+            ref(time, rows, members)
+
+        integrate(data, dt * (states - 1), SolverConfig(dt=dt, sobolev_index_m=4),
+                  generic_coeffs, both)
+        assert list(rec.columns) == list(ref.columns)
+        for name, column in rec.columns.items():
+            assert len(column) == states
+            assert all(type(v) is float for v in column)
+            assert np.array(column).tobytes() == np.array(ref.columns[name]).tobytes()
+
+
+class _PerStateRecorder:
+    """The recorder as it was before its blocks: each state alone, through
+    the one-field functions and the invariants' pre-block formulas."""
+
+    def __init__(self, m, coeffs):
+        self.m, self.coeffs = m, coeffs
+        self.columns = {name: [] for name in (
+            "time", "h_m_norm_sq", "deriv_m_norm_sq", "l2_norm_sq",
+            "modified_energy", "i0", "i1", "i2")}
+
+    def __call__(self, time, rows, members):
+        (state,) = rows
+        psi = SpectralField(GridSpec(state.size), state)
+        row = [time, sobolev_norm_sq(psi, self.m), seminorm_sq(psi, self.m),
+               sobolev_norm_sq(psi, 0), modified_energy(psi, self.m, self.coeffs, 0.0),
+               *_reference_conserved(psi)]
+        for column, value in zip(self.columns.values(), row):
+            column.append(value)
 
 
 def _fine_samples(psi, pad, deriv=0):
@@ -363,3 +424,40 @@ class TestPaddedPathMatchesFineSamples:
     def test_conserved_quantities(self):
         for psi in _bitwise_fields():
             assert _hex(conserved_quantities(psi)) == _hex(_reference_conserved(psi))
+
+
+def _scaled_block(num_modes, rows):
+    """(rows, N) coefficients of decaying random fields with L² norms from
+    1e-150 to 3, row 1 all zero when there are three rows or more."""
+    rng = np.random.default_rng(7 * num_modes + rows)
+    modes = GridSpec(num_modes).modes
+    block = (rng.standard_normal((rows, num_modes))
+             + 1j * rng.standard_normal((rows, num_modes))) / (1.0 + modes**2)
+    block[:, num_modes // 2] = 0.0
+    block /= np.sqrt(np.sum(np.abs(block) ** 2, axis=-1, keepdims=True))
+    block *= rng.permutation(np.geomspace(1e-150, 3.0, rows))[:, None]
+    if rows >= 3:
+        block[1] = 0.0
+    return block
+
+
+class TestConservedRows:
+    """Each row of a ``conserved_rows`` block carries the bits of the
+    one-row call and of the invariants' pre-block formulas."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 15, 16, 17, 33])
+    @pytest.mark.parametrize("num_modes", [4, 64, 1024])
+    def test_each_row_bitwise_equal(self, num_modes, rows):
+        block = _scaled_block(num_modes, rows)
+        got = conserved_rows(block)
+        assert [v.shape for v in got] == [(rows,)] * 3
+        # samples written over a used stack get the same bits
+        stale = np.full((3, rows, 4 * num_modes), np.nan, dtype=np.complex128)
+        reused = conserved_rows(block, out=stale)
+        assert [v.tobytes() for v in reused] == [v.tobytes() for v in got]
+        for b, row in enumerate(block):
+            alone = conserved_rows(row)
+            assert [v[b].tobytes() for v in got] == [v.tobytes() for v in alone]
+            i0, i1, i2_raw = (v[b] for v in got)
+            psi = SpectralField(GridSpec(num_modes), row)
+            assert _hex([i0, i1, i2_raw.real]) == _hex(_reference_conserved(psi))

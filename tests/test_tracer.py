@@ -32,14 +32,16 @@ calls, counts = tracer.calls - calls0, tracer.counts - counts0
 rows = calls["functionals.recorder"]
 combines = calls["kernels.nonlinear_combine"]
 assert rows == 3 and combines > 0, dict(calls)
-assert calls["functionals.modified_energy"] == rows, dict(calls)
-# one inverse FFT per recorder row for each of modified_energy and the
-# invariants; an inverse and a forward FFT per nonlinearity evaluation, of
-# 3 and 1 times the points combined (a call may combine several rows)
+# the recorder evaluates the state at t=0 alone, then the other two as one
+# block when simulate reads its columns (a block holds 32 rows at N=32)
+blocks = 2
+# one inverse FFT per recorder block for each of the modified energy and
+# the invariants; an inverse and a forward FFT per nonlinearity evaluation,
+# of 3 and 1 times the points combined (a call may combine several rows)
 combined = counts["kernels.nonlinear_combine.points"]
-assert counts["fft.calls_n128"] == rows, dict(counts)
-assert counts["fft.calls_n96"] == rows + 2 * combines, dict(counts)
-assert calls["fft"] == 2 * rows + 2 * combines, dict(calls)
+assert counts["fft.calls_n128"] == blocks, dict(counts)
+assert counts["fft.calls_n96"] == blocks + 2 * combines, dict(counts)
+assert calls["fft"] == 2 * blocks + 2 * combines, dict(calls)
 assert counts["fft.points"] == 128 * 3 * rows + 96 * 2 * rows + 4 * combined, \
     dict(counts)
 """

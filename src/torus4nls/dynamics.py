@@ -36,6 +36,9 @@ from .spectral import (
 PICARD_TOL = 1e-12  # converged when successive iterates differ by less in H^m
 PICARD_MAX_ITERS = 50  # iterations per step before NonConvergence
 BLOWUP_FACTOR = 1e6  # a run halts once its H^m norm exceeds this times its initial one
+# the step clock's round-off window, relative to dt: no full step starts
+# within it of t_end, and a last step within it of dt has length dt
+STEP_SNAP = 1e-9
 
 class NonConvergence(RuntimeError):
     """Picard iteration failed to contract within the iteration budget;
@@ -318,18 +321,20 @@ def _factors(grid, t, epsilons, nu, name="dt"):
 def _steps(t_end, dt):
     """Both steppers' one clock: (start, end, length) of each step. Full
     steps end at k·dt with length exactly dt; the last ends at t_end, short
-    only if t_end is no whole number of steps to round-off. Checks t_end."""
+    only if t_end is no whole number of steps to within ``STEP_SNAP``·dt.
+    Checks t_end."""
     if not 0.0 <= t_end < math.inf:
         raise ValueError(f"t_end must be nonnegative and finite, got {t_end}")
+    window = STEP_SNAP * dt
 
     def clock():
         start, k = 0.0, 1
-        while k * dt < t_end - 1e-12 * max(1.0, t_end):  # a full step fits
+        while k * dt < t_end - window:  # a full step fits
             yield start, k * dt, dt
             start, k = k * dt, k + 1
         if t_end > 0.0:
             last = t_end - start
-            yield start, t_end, dt if abs(last - dt) < 1e-15 * max(1.0, t_end) else last
+            yield start, t_end, dt if abs(last - dt) < window else last
 
     return clock()
 

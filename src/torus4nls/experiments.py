@@ -39,7 +39,7 @@ from .functionals import (
     certify_cm,
     check_l2_ceiling,
     difference_quartic_rows,
-    modified_energy_rows,
+    energy_terms_rows,
 )
 from .mollifier import mollify
 from .sampling import random_field, random_rows, rng_for, rng_states, rngs_from
@@ -567,23 +567,26 @@ def riccati_study(family, coeffs, cfg, t_end, c_m):
     member. The verdict is only trusted (not inconclusive) if the stepper
     shows order ≥ ``min_order`` on the first member (all three in
     ``RICCATI_THRESHOLDS``). Every run is unregularized (ε = 0). A family
-    of fewer than two members is a ValueError, and so are a linear
-    coefficient set (its energies are constant, so every quotient is 0),
-    energies whose square underflows, and a t_end too short for the
+    of fewer than two members is a ValueError, and so are a negative c_m,
+    a linear coefficient set (its energies are constant, so every quotient
+    is 0), energies whose square underflows, and a t_end too short for the
     energies to move (a quotient the contrast divides by is 0).
 
     The family runs as one ensemble, whose observer reduces each step's
-    (B, N) block to the members' energies. The order compares the first
-    member's runs at dt (taken from the family batch) and dt/2 with its run
-    at dt/8. That dt/8 run is most of the study's steps and needs none of
-    the others, so it goes to a forked worker (``in_worker``) and runs on a
-    second core while this process runs the family and the dt/2 run. Every
-    value is the one the serial runs give, and errors keep their order: the
-    family's, then dt/2's, then dt/8's.
+    (B, N) block to the members' energies, both sums of one
+    ``energy_terms_rows``. The order compares the first member's runs at dt
+    (taken from the family batch) and dt/2 with its run at dt/8. That dt/8
+    run is most of the study's steps and needs none of the others, so it
+    goes to a forked worker (``in_worker``) and runs on a second core while
+    this process runs the family and the dt/2 run. Every value is the one
+    the serial runs give, and errors keep their order: the family's, then
+    dt/2's, then dt/8's.
     """
     if len(family) < 2:  # growth from first to last member needs two
         raise ValueError(f"family needs at least two members, got {len(family)}")
     check_t_end(t_end)
+    if c_m < 0.0:
+        raise ValueError("c_m must be nonnegative")
     if coeffs.is_linear:
         raise ValueError("the riccati contrast needs a nonlinearity, but every "
                          "lambda is 0: use --integrable or a --lambdaK flag")
@@ -594,8 +597,9 @@ def riccati_study(family, coeffs, cfg, t_end, c_m):
     series = [[] for _ in family]  # (time, corrected, plain energy) per sample
 
     def record(time, rows, members):
-        modified = modified_energy_rows(rows, m, coeffs, c_m).tolist()
-        plain = (seminorm_sq_rows(rows, m) + sobolev_norm_sq_rows(rows, 0)).tolist()
+        terms = energy_terms_rows(rows, m, coeffs)
+        modified = terms.energy(c_m).tolist()
+        plain = (terms.deriv_sq + terms.l2_sq).tolist()
         if time == 0.0 and min(e * e for e in modified + plain) < np.finfo(float).tiny:
             raise ValueError("the family's energies E are so small that the "
                              "quotient's E^2 underflows: raise --hm-size")
@@ -764,6 +768,11 @@ def _gn_rows(grid, rngs):
     return random_rows(grid, rngs, decays, [grid.num_modes // 4] * len(rngs))
 
 
+def _ranges(firsts, count):
+    """The indices first, …, first + count - 1 of each of ``firsts``, in turn."""
+    return [first + i for first in firsts for i in range(count)]
+
+
 def inequality_sweeps(seed, trials, m=4, nu=1.0, l2_ceiling=1.0):
     """Bundled randomized checks of the interpolation inequality, the
     smoothing-multiplier bound, and the two-sided energy equivalence, on
@@ -781,7 +790,7 @@ def inequality_sweeps(seed, trials, m=4, nu=1.0, l2_ceiling=1.0):
     never changes earlier samples: its generator draws the stream of
     ``rng_for`` of the sweep's seed and sample index,
     ``np.random.default_rng([seed, index])``, from a seed state derived
-    with the rest of its sweep's in one ``sampling.rng_states`` call. Each
+    with the rest of its seed's in one ``sampling.rng_states`` call. Each
     resolution's samples are drawn and evaluated as (B, N) blocks of at
     most ``BLOCK_ROWS`` rows (``spectral.row_blocks``), one block at a
     time; every verdict input is bit for bit what drawing and evaluating
@@ -799,15 +808,18 @@ def inequality_sweeps(seed, trials, m=4, nu=1.0, l2_ceiling=1.0):
     tables = {}
     failures = []
 
-    # interpolation-ratio sweep
+    # interpolation-ratio sweep; the seed states of every (case, resolution)
+    # range at once, taken in the loops' order
+    gn_firsts = [case_idx * 1_000_000 + n * 1_000
+                 for case_idx in range(len(GN_CASES)) for n in resolutions]
+    gn_states = iter(rng_states(seed, _ranges(gn_firsts, trials)).reshape(-1, trials, 4))
     gn_rows = {"param": [], "l": [], "m": [], "inv_p": [], "max_ratio": [], "growth": []}
     for case_idx, (l, mm, p) in enumerate(GN_CASES):
         max_ratio = {}
         for n in resolutions:
             grid = GridSpec(n)
             worst = 0.0
-            first = case_idx * 1_000_000 + n * 1_000
-            states = rng_states(seed, range(first, first + trials))
+            states = next(gn_states)
             for block in row_blocks(trials):
                 rows = _gn_rows(grid, rngs_from(states[block]))
                 for ratio in gn_ratio_rows(rows, l, mm, p).tolist():
@@ -850,16 +862,17 @@ def inequality_sweeps(seed, trials, m=4, nu=1.0, l2_ceiling=1.0):
     lower_viol = 0
     worst_lower = np.inf
     upper_consts = {}
-    for n in resolutions:
+    firsts = [n * 1_000_000 for n in resolutions]
+    energy_states = rng_states(seed + 2, _ranges(firsts, trials)).reshape(-1, trials, 4)
+    for n, states in zip(resolutions, energy_states):
         grid = GridSpec(n)
         c_upper = 0.0
-        first = n * 1_000_000
-        states = rng_states(seed + 2, range(first, first + trials))
         for block in row_blocks(trials):
             rows = certificate_rows(grid, rngs_from(states[block]), l2_ceiling)
-            energies = modified_energy_rows(rows, m, coeffs, c_m).tolist()
+            terms = energy_terms_rows(rows, m, coeffs)
+            energies = terms.energy(c_m).tolist()
             hm_sqs = sobolev_norm_sq_rows(rows, m).tolist()
-            l2_sqs = sobolev_norm_sq_rows(rows, 0).tolist()
+            l2_sqs = terms.l2_sq.tolist()
             for e_val, hm_sq, l2_sq in zip(energies, hm_sqs, l2_sqs):
                 margin = e_val - 0.5 * hm_sq
                 worst_lower = min(worst_lower, margin)

@@ -84,17 +84,41 @@ def _mass_power(l2_sq, m):
                     row_by_row, lambda v: v ** (2 * m + 1), l2_sq)
 
 
+class EnergyTerms(NamedTuple):
+    """The terms of the modified energy, each with one entry per row (a
+    scalar for a 1-D array)."""
+
+    deriv_sq: np.ndarray  # ‖∂^m ψ‖²
+    l2_sq: np.ndarray  # ‖ψ‖²
+    mass_power: np.ndarray  # ‖ψ‖^{4m+2}
+    first: np.ndarray  # the two terms of ``correction_terms_rows``
+    second: np.ndarray
+
+    def energy(self, c_m):
+        """E_m at ``c_m``, summed in the one order that fixes its bits."""
+        return self.deriv_sq + self.l2_sq + c_m * self.mass_power + self.first + self.second
+
+
+def energy_terms_rows(block, m, coeffs):
+    """The ``EnergyTerms`` of each row ψ of (..., N) coefficients, evaluated
+    in the order ‖ψ‖², its power, the corrections, ‖∂^m ψ‖²: a mass power
+    that overflows is refused before the corrections' products overflow."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    l2_sq = sobolev_norm_sq_rows(block, 0)
+    mass_power = _mass_power(l2_sq, m)
+    first, second = correction_terms_rows(block, m, coeffs)
+    return EnergyTerms(seminorm_sq_rows(block, m), l2_sq, mass_power, first, second)
+
+
 def modified_energy_rows(block, m, coeffs, c_m):
     """‖∂^m ψ‖² + ‖ψ‖² + c_m ‖ψ‖^{4m+2} + both correction terms, for each
-    row ψ of (..., N) coefficients."""
+    row ψ of (..., N) coefficients: ``energy_terms_rows`` summed at c_m."""
     if m < 1:
         raise ValueError("m must be >= 1")
     if c_m < 0.0:
         raise ValueError("c_m must be nonnegative")
-    l2_sq = sobolev_norm_sq_rows(block, 0)
-    mass_power = _mass_power(l2_sq, m)
-    first, second = correction_terms_rows(block, m, coeffs)
-    return seminorm_sq_rows(block, m) + l2_sq + c_m * mass_power + first + second
+    return energy_terms_rows(block, m, coeffs).energy(c_m)
 
 
 def modified_energy(psi, m, coeffs, c_m):
@@ -272,9 +296,11 @@ def certify_cm(m, coeffs, l2_ceiling, trials, rng_seed, target="classic"):
     every other sample's in one ``sampling.rng_states`` call. Each grid's
     samples are drawn as one (B, N) array in sample order (the probes
     first, on the first grid) and evaluated in blocks of at most
-    ``spectral.BLOCK_ROWS`` rows; the maximum and minimum run over the
-    per-sample values in sample order, so the result is bit for bit that
-    of drawing and evaluating the samples one at a time.
+    ``spectral.BLOCK_ROWS`` rows: first every target, whose weights refuse
+    an overflowing m, then every sample's ``energy_terms_rows``, once; E_m
+    at 0 and at c_m are both sums of those terms. The maximum and minimum
+    run over the per-sample values in sample order, so the result is bit
+    for bit that of drawing and evaluating the samples one at a time.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -289,25 +315,27 @@ def certify_cm(m, coeffs, l2_ceiling, trials, rng_seed, target="classic"):
               for first, grid in enumerate(grids[:trials])]
     probes = np.stack([psi.coeffs for psi in corner_probes(grids[0], l2_ceiling)])
     arrays[0] = np.concatenate((probes, arrays[0]))
+    # the grids' rows side by side; trial i is row i // count of its grid's
+    starts = np.cumsum([0] + [len(rows) for rows in arrays[:-1]])
+    starts[0] = len(probes)
+    trial = np.arange(trials)
+    order = np.concatenate((np.arange(len(probes)), starts[trial % count] + trial // count))
 
     def per_sample(fn):
-        """``fn``'s value for each sample, in sample order."""
-        values = [iter([v for block in row_blocks(len(rows))
-                        for v in fn(rows[block]).tolist()])
-                  for rows in arrays]
-        return ([next(values[0]) for _ in probes]
-                + [next(values[i % count]) for i in range(trials)])
+        """``fn``'s values (one array, or a tuple of arrays, with one entry
+        per row of a block) for each sample, in sample order on the last axis."""
+        return np.concatenate([fn(rows[block]) for rows in arrays
+                               for block in row_blocks(len(rows))], axis=-1)[..., order]
 
     targets = per_sample(lambda c: positivity_target_rows(c, m, target))
-    e0s = per_sample(lambda c: modified_energy_rows(c, m, coeffs, 0.0))
-    mass_sqs = per_sample(lambda c: sobolev_norm_sq_rows(c, 0))
+    terms = EnergyTerms(*per_sample(lambda c: energy_terms_rows(c, m, coeffs)))
     required = 0.0
-    for t, e0, mass_sq in zip(targets, e0s, mass_sqs):
+    for t, e0, mass_sq in zip(targets.tolist(), terms.energy(0.0).tolist(),
+                              terms.l2_sq.tolist()):
         need = (t - e0) / mass_sq ** (2 * m + 1)
         required = max(required, need)
     c_m = CM_SAFETY * max(required, 0.0)
-    energies = per_sample(lambda c: modified_energy_rows(c, m, coeffs, c_m))
-    worst = min(e - t for e, t in zip(energies, targets))
+    worst = min((terms.energy(c_m) - targets).tolist())
     return CmCertificate(c_m=c_m, worst_margin=worst)
 
 
@@ -319,7 +347,8 @@ class EnergyRecorder:
     h_m_norm_sq, deriv_m_norm_sq, l2_norm_sq, modified_energy, i0, i1, i2)
     to equal-length lists, one entry per observed state. The states are
     evaluated in blocks of consecutive steps through the ``*_rows`` forms,
-    each value bit for bit the one its state gets alone: the first observed
+    each value bit for bit the one its state gets alone (the norms are read
+    from the energy's ``energy_terms_rows``): the first observed
     state at once and alone, so that data whose energy cannot be computed
     is refused before the first step; after it, a block whenever its states
     fill ``spectral.RECORD_POINTS`` padded points (at least one state).
@@ -358,15 +387,11 @@ class EnergyRecorder:
         emptied first, so a block that fails is dropped whole."""
         times, block = self._times, np.array(self._states)
         self._times, self._states = [], []
-        m = self.m
+        h_m_sq = sobolev_norm_sq_rows(block, self.m)
         # the energy before the invariants: it refuses an overflowing mass
         # power before their squares overflow with a RuntimeWarning
-        values = [
-            sobolev_norm_sq_rows(block, m),
-            seminorm_sq_rows(block, m),
-            sobolev_norm_sq_rows(block, 0),
-            modified_energy_rows(block, m, self.coeffs, 0.0),
-        ]
+        terms = energy_terms_rows(block, self.m, self.coeffs)
+        values = [h_m_sq, terms.deriv_sq, terms.l2_sq, terms.energy(0.0)]
         # kept while the block shape stays: allocated at every step, the
         # 196 KiB stack at N=1024 was trimmed from the heap top and faulted
         # back in (22,500 minor faults a simulate_n1024 pass, not 6,600)

@@ -24,6 +24,11 @@ from .spectral import SpectralField, refusing, sobolev_norm_sq_rows
 
 MODE_PAIR_PHASES = (0.0, 1.0, 0.7, 2.1)  # of modes 0, 1, k, k+1: generic
 
+# exponents at which numpy's ``array ** scalar`` takes its own path (a
+# reciprocal for -1, a square root for 1/2) and gets last bits that its power
+# by an array of exponents does not: decays 2 and -1
+SCALAR_POWER_PATHS = (-1.0, 0.5)
+
 # numpy's SeedSequence (after O'Neill's seed_seq_fe): the pool's word count,
 # the multipliers of the entropy hash (A) and of the output hash (B), and
 # the pool's mixing multipliers
@@ -160,12 +165,15 @@ def random_rows(grid, rngs, decays, max_modes=None, l2_mass=None, hm_norm=None,
     """(B, N) coefficients with ⟨n⟩^{-decay} envelopes and Gaussian complex
     weights: row i is the draw of ``rngs[i]`` with envelope ``decays[i]``.
 
-    Each generator makes one ``standard_normal(2N)`` call. Modes beyond
-    ``max_modes[i]`` (None, or a None entry: the full Nyquist-free band) are
-    left empty. At most one of ``l2_mass`` / (``hm_norm``, ``m``) may be given
-    to rescale every row to a prescribed norm, which must be > 0 and finite.
-    Each step acts on each row as it would on that row alone, so the block
-    holds the bits of B one-row calls.
+    Each generator fills its row's 2N normals with one ``standard_normal``
+    call, and one ``np.power`` call raises every row's envelope; a row whose
+    exponent -decay/2 is one of ``SCALAR_POWER_PATHS`` is raised alone, as
+    ``base ** exponent``. Modes beyond ``max_modes[i]`` (None, or a None
+    entry: the full Nyquist-free band) are left empty. At most one of
+    ``l2_mass`` / (``hm_norm``, ``m``) may be given to rescale every row to
+    a prescribed norm, which must be > 0 and finite. Each step acts on each
+    row as it would on that row alone, so the block holds the bits of B
+    one-row calls.
     """
     if (l2_mass is not None and hm_norm is not None) or (m is None) != (hm_norm is None):
         raise ValueError("give l2_mass, or hm_norm with m, or neither")
@@ -174,12 +182,17 @@ def random_rows(grid, rngs, decays, max_modes=None, l2_mass=None, hm_norm=None,
             raise ValueError(f"{name} must be > 0 and finite, got {norm}")
     n = grid.num_modes
     modes = grid.modes
-    g = np.stack([rng.standard_normal(2 * n) for rng in rngs])
+    g = np.empty((len(rngs), 2 * n))
+    for rng, row in zip(rngs, g):
+        rng.standard_normal(out=row)
     c = (g[:, :n] + 1j * g[:, n:]) / np.sqrt(2.0)
-    # one envelope per row: numpy's power takes a reciprocal fast path for a
-    # scalar exponent of -1 (decay 2) that an array of exponents does not
     base = 1.0 + modes**2
-    c *= np.stack([base ** (-decay / 2.0) for decay in decays])
+    exponents = -np.array(decays, dtype=float) / 2.0
+    envelopes = np.power(base, exponents[:, None])
+    for i, exponent in enumerate(exponents.tolist()):
+        if exponent in SCALAR_POWER_PATHS:
+            envelopes[i] = base ** exponent
+    c *= envelopes
     c[:, grid.nyquist_index] = 0.0
     if max_modes is not None:
         cutoffs = np.array([np.inf if k is None else k for k in max_modes], dtype=float)

@@ -8,9 +8,9 @@ cross-checked through a different code path.
 
 The references below are what only the tests use, so they live here and
 not in the package: the zero field, the grid nodes, one certification draw,
-the kernel's multiplier supremum, I₂'s imaginary residual and the
-one-row quadrature mean; ``fail_second_block`` makes a recorder fail in a
-later block.
+the two-pass certificate, the kernel's multiplier supremum, I₂'s imaginary
+residual and the one-row quadrature mean; ``fail_second_block`` makes a
+recorder fail in a later block.
 """
 
 import os
@@ -21,7 +21,8 @@ import pytest
 from torus4nls import functionals
 from torus4nls.dynamics import CoefficientSet
 from torus4nls.mollifier import kernel_value
-from torus4nls.spectral import GridSpec, SpectralField
+from torus4nls.sampling import rng_states, rngs_from
+from torus4nls.spectral import GridSpec, SpectralField, row_blocks, sobolev_norm_sq_rows
 
 
 @pytest.fixture(autouse=True)
@@ -98,6 +99,39 @@ def certificate_sample(grid, rng, l2_ceiling):
     """``functionals.certificate_rows`` of one generator, as a field: the
     one-row reference of the certificate's blocked draws."""
     return SpectralField(grid, functionals.certificate_rows(grid, [rng], l2_ceiling)[0])
+
+
+def certify_cm_two_pass(m, coeffs, l2_ceiling, trials, rng_seed, target="classic"):
+    """``functionals.certify_cm`` evaluating every sample's modified energy
+    twice, at c_m = 0 and at the c_m found, each pass in blocks: the
+    reference for the certificate that evaluates each sample's terms once."""
+    count = len(functionals.CM_RESOLUTIONS)
+    grids = [GridSpec(n) for n in functionals.CM_RESOLUTIONS]
+    states = rng_states(rng_seed, range(trials))
+    arrays = [functionals.certificate_rows(grid, rngs_from(states[first::count]),
+                                           l2_ceiling)
+              for first, grid in enumerate(grids[:trials])]
+    probes = np.stack([psi.coeffs
+                       for psi in functionals.corner_probes(grids[0], l2_ceiling)])
+    arrays[0] = np.concatenate((probes, arrays[0]))
+
+    def per_sample(fn):
+        values = [iter([v for block in row_blocks(len(rows))
+                        for v in fn(rows[block]).tolist()])
+                  for rows in arrays]
+        return ([next(values[0]) for _ in probes]
+                + [next(values[i % count]) for i in range(trials)])
+
+    targets = per_sample(lambda c: functionals.positivity_target_rows(c, m, target))
+    e0s = per_sample(lambda c: functionals.modified_energy_rows(c, m, coeffs, 0.0))
+    mass_sqs = per_sample(lambda c: sobolev_norm_sq_rows(c, 0))
+    required = 0.0
+    for t, e0, mass_sq in zip(targets, e0s, mass_sqs):
+        required = max(required, (t - e0) / mass_sq ** (2 * m + 1))
+    c_m = functionals.CM_SAFETY * max(required, 0.0)
+    energies = per_sample(lambda c: functionals.modified_energy_rows(c, m, coeffs, c_m))
+    worst = min(e - t for e, t in zip(energies, targets))
+    return functionals.CmCertificate(c_m=c_m, worst_margin=worst)
 
 
 def multiplier_sup(l):

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from conftest import certificate_sample, quadrature_mean
+from conftest import certificate_sample, certify_cm_two_pass, quadrature_mean
 
 import torus4nls.cli as cli
 from torus4nls import kernels, spectral
@@ -335,6 +335,32 @@ class TestRandomRows:
                                              max_modes[b], **rescale)
             assert block[b].tobytes() == expect.tobytes()
 
+    # the decays at which numpy's scalar power takes its own path (x ** -1,
+    # x ** 0, x ** 0.5, x ** 1, x ** 2), even decays and uniform draws; the
+    # studies draw up to BLOCK_ROWS rows a call, and numpy picks its power
+    # loop by the block's shape
+    DECAYS = ([2.0, 0.0, -1.0, -2.0, -4.0, 4.0, 6.0, 8.0]
+              + rng_for(7).uniform(0.5, 6.0, 200).tolist())
+
+    @pytest.mark.parametrize("rescale", [{}, {"l2_mass": 0.8}, {"hm_norm": 0.4, "m": 4}],
+                             ids=["none", "l2_mass", "hm_norm"])
+    @pytest.mark.parametrize("cut", [False, True], ids=["full_band", "max_modes"])
+    @pytest.mark.parametrize("num_modes", [32, 64, 128, 256, 1024])
+    def test_envelopes_bitwise_equal_per_row_power(self, num_modes, cut, rescale):
+        grid = GridSpec(num_modes)
+        count = len(self.DECAYS)
+        max_modes = [b % 5 + 1 if cut else None for b in range(count)]
+        expect = [_random_field_reference(grid, rng_for(3, b), self.DECAYS[b],
+                                          max_modes[b], **rescale).tobytes()
+                  for b in range(count)]
+        for rows in (1, 2, 3, BLOCK_ROWS, count):
+            for start in range(0, count, rows):
+                span = range(start, min(start + rows, count))
+                block = random_rows(grid, [rng_for(3, b) for b in span],
+                                    [self.DECAYS[b] for b in span],
+                                    [max_modes[b] for b in span], **rescale)
+                assert [row.tobytes() for row in block] == expect[span.start:span.stop]
+
     def test_one_row_is_random_field(self):
         grid = GridSpec(64)
         block = random_rows(grid, [rng_for(8, b) for b in range(3)], [2.0, 1.5, 2.0],
@@ -472,6 +498,16 @@ class TestStudiesReplayPerSample:
         assert cert.c_m.hex() == c_m.hex()
         assert cert.worst_margin.hex() == worst.hex()
 
+    @pytest.mark.parametrize("seed", [0, 31, 2**64])
+    @pytest.mark.parametrize("trials", [1, 2, 7, 200])
+    @pytest.mark.parametrize("target", ["classic", "sobolev"])
+    def test_certify_cm_equals_two_passes(self, seed, trials, target):
+        coeffs = integrable_coefficients(1.0)
+        cert = certify_cm(4, coeffs, 1.0, trials=trials, rng_seed=seed, target=target)
+        expect = certify_cm_two_pass(4, coeffs, 1.0, trials, seed, target)
+        assert cert.c_m.hex() == expect.c_m.hex()
+        assert cert.worst_margin.hex() == expect.worst_margin.hex()
+
     @pytest.mark.parametrize("seed", [123, 8, 2**64])
     def test_inequality_sweeps(self, seed):
         result = inequality_sweeps(seed, self.TRIALS)
@@ -497,7 +533,8 @@ class TestWorkIsPerBlock:
     """``sweep-inequalities`` and ``certify-cm`` synthesise samples once per
     block of at most ``BLOCK_ROWS`` rows: a fall-back to one field at a time
     multiplies the transforms by the block size, and an unchunked block
-    stacks more rows than the bound."""
+    stacks more rows than the bound. The certificate synthesises each of its
+    samples once: a second energy pass doubles its transforms."""
 
     TRIALS = 40
 
@@ -530,7 +567,8 @@ class TestWorkIsPerBlock:
         return -(-rows // BLOCK_ROWS)
 
     def _certify_blocks(self, trials):
-        """Blocks of one ``modified_energy_rows`` pass over the samples."""
+        """Blocks of one ``energy_terms_rows`` pass over the samples: the
+        certificate's only padded samples."""
         rows = dict.fromkeys(CM_RESOLUTIONS, 0)
         rows[min(CM_RESOLUTIONS)] += len(corner_probes(GridSpec(32), 1.0))
         for i in range(trials):
@@ -550,7 +588,7 @@ class TestWorkIsPerBlock:
         shapes = self._run(tmp_path, monkeypatch, ["sweep-inequalities"])
         cert_trials = max(self.TRIALS // 2, 50)
         per_grid = self._blocks(self.TRIALS)
-        expect = (2 * self._certify_blocks(cert_trials)
+        expect = (self._certify_blocks(cert_trials)
                   + len(GN_CASES) * len(SWEEP_RESOLUTIONS) * per_grid
                   + len(SWEEP_RESOLUTIONS) * per_grid)
         assert len(shapes) == expect
@@ -558,4 +596,4 @@ class TestWorkIsPerBlock:
     def test_certify_cm(self, tmp_path, monkeypatch):
         shapes = self._run(tmp_path, monkeypatch, ["certify-cm", "--nu", "1",
                                                    "--integrable"])
-        assert len(shapes) == 2 * self._certify_blocks(self.TRIALS)
+        assert len(shapes) == self._certify_blocks(self.TRIALS)

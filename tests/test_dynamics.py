@@ -421,6 +421,16 @@ class TestStepClock:
     def test_workload_steps_are_the_snapped_ones(self, t_end, dt):
         assert list(dynamics._steps(t_end, dt)) == _snapped_step_times(t_end, dt)
 
+    @pytest.mark.parametrize("t_end,dt,count", [(1e-13, 1e-14, 10), (1e-9, 1e-12, 1000)])
+    def test_tiny_steps_are_not_merged(self, t_end, dt, count):
+        # the round-off windows scale with dt, not with max(1, t_end)
+        steps = list(dynamics._steps(t_end, dt))
+        assert len(steps) == count and steps[-1][1] == t_end
+        assert all(h == dt for _, _, h in steps)
+        run = integrate(plane_wave(GridSpec(16), 0.2, 1), t_end, SolverConfig(dt=dt),
+                        CoefficientSet(nu=1.0))
+        assert run.time == t_end and len(run.picard_iterations) == count
+
     def test_short_last_step(self):
         steps = list(dynamics._steps(0.01, 3e-3))
         assert steps[:-1] == [((k - 1) * 3e-3, k * 3e-3, 3e-3) for k in (1, 2, 3)]

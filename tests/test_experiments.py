@@ -368,6 +368,12 @@ class TestRiccatiStudy:
         with pytest.raises(ValueError, match="at least two members"):
             riccati_study(family, integrable_coefficients(1.0), cfg, 2e-3, c_m=1.0)
 
+    def test_negative_c_m_rejected(self):
+        family = [mode_pair_field(GridSpec(64), k, 1.0, 4) for k in (4, 8)]
+        cfg = SolverConfig(dt=1e-4, sobolev_index_m=4)
+        with pytest.raises(ValueError, match="c_m must be nonnegative"):
+            riccati_study(family, integrable_coefficients(1.0), cfg, 2e-3, c_m=-1.0)
+
     def test_freq_span_is_relative_to_each_member(self):
         # at H^m size 1e-9 the k=16 member's mode 17 is about 6e-15, yet
         # populated: the span is measured against the member's largest mode

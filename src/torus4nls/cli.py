@@ -20,6 +20,13 @@ environment variable is read; an empty ``--outdir`` is a usage error.
 Exit codes: 0 pass/complete, 1 study failure, 2 usage error (a
 ``ValueError``), 3 solver error (Picard non-convergence or non-finite
 state). Any other exception is a fault of the program and propagates.
+Each constraint on an input is stated once, where the library takes the
+value: a value outside its parameter's domain is a ``spectral.InputError``
+that names the library's parameter, and exit 2 prints the flag that sets
+it instead: ``--`` plus the name with ``-`` for ``_``, unless
+``PARAM_FLAGS`` gives another. Of the flags' domains this module checks
+only those no library function takes: ``--outdir``, ``--seed`` and the
+``--seps`` list as a list.
 """
 
 import argparse
@@ -46,7 +53,7 @@ from .exact import (
 from .experiments import (
     bona_smith_rate_study,
     check_entries,
-    check_t_end,
+    check_riccati,
     conservation_study,
     continuity_study,
     eps_convergence_study,
@@ -59,7 +66,7 @@ from .experiments import (
 )
 from .functionals import CM_RESOLUTIONS, EnergyRecorder, certify_cm
 from .sampling import decay_field, mode_pair_field, random_field, rng_for
-from .spectral import GridSpec, SpectralField, refusing, sobolev_norm
+from .spectral import GridSpec, InputError, SpectralField, refusing
 
 CONFIG_HELP = """\
 config file: flat `key = value` lines, `#` starts a comment; keys are the
@@ -152,6 +159,23 @@ FLAGS = {
     "target": (("classic", "sobolev"), "energy lower bound to certify"),
 }
 
+# The flag of each library parameter whose flag is not "--" plus its name
+# with "-" for "_"; a (command, parameter) key holds for that command only.
+# riccati's family is built at --hm-size; its size, len(--seps), is checked
+# as --seps before the family is built.
+PARAM_FLAGS = {
+    "delta_ladder": "--deltas", "l2_ceiling": "--ceiling", "sobolev_index_m": "--m",
+    "hm_norm": "--hm-size", "epsilon": "--eps", "separation": "--seps",
+    ("riccati", "trials"): "--cm-trials", ("riccati", "family"): "--hm-size",
+}
+
+
+def param_flag(command, param):
+    """The flag that sets the library parameter ``param`` in ``command``."""
+    flag = PARAM_FLAGS.get((command, param), PARAM_FLAGS.get(param))
+    return flag or "--" + param.replace("_", "-")
+
+
 COEFFS = {"nu": 1.0, "integrable": False, **dict.fromkeys(LAMBDA_KEYS)}
 
 # Each subcommand: its help and the defaults of its flags, in help order
@@ -215,9 +239,17 @@ def _required(kv, kind, key):
 
 
 def parse_data_spec(spec, grid):
-    """Build initial data from the mini-language (see module help)."""
+    """Build initial data from the mini-language (see module help). Every
+    error names the spec's kind, and the key at fault where there is one."""
     kind, _, rest = spec.partition(":")
     kind = kind.strip()
+    try:
+        return _spec_data(kind, rest, grid)
+    except InputError as exc:  # a library parameter, named as the spec's key
+        raise ValueError(f"{kind} spec: {exc}") from None
+
+
+def _spec_data(kind, rest, grid):
     chunks = [c for c in rest.split(":") if c]
     if kind == "modes":
         coeffs = np.zeros(grid.num_modes, np.complex128)
@@ -229,16 +261,13 @@ def parse_data_spec(spec, grid):
             if n in seen:
                 raise ValueError(f"modes spec: mode {n} given twice")
             seen.add(n)
-            grid.check_mode(n, "modes spec: n")
+            grid.check_mode(n, "n")
             phase = kv.get("phase", 0.0)
             coeffs[n % grid.num_modes] = kv.get("amp", 1.0) * np.exp(1j * phase)
         return SpectralField(grid, coeffs)
     if kind == "standing":
         kv = _parse_kv(chunks, "standing", {"kappa": float, "tau": int})
-        try:  # a kappa or tau error, named by its key
-            return plane_wave(grid, kv.get("kappa", 0.3), kv.get("tau", 1))
-        except ValueError as exc:
-            raise ValueError(f"standing spec: {exc}") from None
+        return plane_wave(grid, kv.get("kappa", 0.3), kv.get("tau", 1))
     if kind == "decay":
         kv = _parse_kv(chunks, "decay", {"s": float, "amp": float})
         s = _required(kv, "decay", "s")
@@ -335,13 +364,6 @@ def build_solver_config(args):
     return SolverConfig(dt=args.dt, sobolev_index_m=args.m)
 
 
-def check_at_least_one(value, flag):
-    """A ValueError naming ``flag`` unless ``value`` >= 1; the studies' own
-    checks name no flag."""
-    if value < 1:
-        raise ValueError(f"{flag} must be >= 1, got {value}")
-
-
 def _report(path):
     print(f"  wrote {path}")
 
@@ -406,16 +428,12 @@ def cmd_conserve(args):
 
 
 def cmd_bona_smith(args):
-    check_entries("--l-values", args.l_values, lambda l: 0 <= l <= args.m,
-                  f"lie in [0, m] = [0, {args.m}]", fewest=1)
     data = decay_field(GridSpec(args.num_modes), args.m + 0.6)
     result = bona_smith_rate_study(args.m, args.l_values, data)
     return finish_study(result, args.outdir)
 
 
 def cmd_eps_converge(args):
-    check_entries("--eps-ladder", args.eps_ladder, lambda e: 0.0 < e <= 1.0,
-                  "lie in (0, 1]")
     grid = GridSpec(args.num_modes)
     data = parse_data_spec(args.data, grid)
     coeffs = build_coeffs(args)
@@ -427,15 +445,15 @@ def cmd_eps_converge(args):
 
 
 def cmd_riccati(args):
+    """Certify c_m, then run the study at it; the study's own argument
+    checks (``check_riccati``) come first, so that no certification is
+    drawn for a study that would refuse to run."""
     grid = GridSpec(args.num_modes)
     coeffs = build_coeffs(args)
     cfg = build_solver_config(args)
-    top = grid.num_modes // 2 - 2  # the high pair {k, k+1} stays below N/2
-    check_entries("--seps", args.seps, lambda k: 2 <= k <= top,
-                  f"lie in [2, N/2-2] = [2, {top}]")
+    check_entries("seps", args.seps)  # each entry is mode_pair_field's to check
     family = [mode_pair_field(grid, k, args.hm_size, args.m) for k in args.seps]
-    check_t_end(args.t_end)  # the study checks it too, but after certification
-    check_at_least_one(args.cm_trials, "--cm-trials")
+    check_riccati(family, coeffs, args.t_end)
     cert = certify_cm(
         args.m, coeffs, args.ceiling, trials=args.cm_trials,
         rng_seed=args.seed, target="sobolev",
@@ -446,18 +464,8 @@ def cmd_riccati(args):
 
 
 def cmd_continuity(args):
-    check_entries("--deltas", args.deltas, lambda d: 0.0 < d < math.inf,
-                  "be positive and finite")
     grid = GridSpec(args.num_modes)
     data = parse_data_spec(args.data, grid)
-    # a perturbation of H^m size delta leaves the data's H^m norm at most
-    # its own plus delta, whose square the stepper's first check computes
-    bound = refusing(lambda: f"the initial data has a non-finite H^m norm (m={args.m})",
-                     sobolev_norm, data, args.m)
-    for delta in args.deltas:
-        if not (bound + delta) * (bound + delta) < math.inf:
-            raise ValueError(f"--deltas entry {delta!r} is too large: the perturbed "
-                             f"data's H^m norm (m={args.m}) overflows")
     coeffs = build_coeffs(args)
     cfg = build_solver_config(args)
     result = continuity_study(
@@ -467,7 +475,6 @@ def cmd_continuity(args):
 
 
 def cmd_sweep_inequalities(args):
-    check_at_least_one(args.trials, "--trials")
     result = inequality_sweeps(
         args.seed, args.trials, m=args.m, nu=args.nu, l2_ceiling=args.ceiling,
     )
@@ -477,7 +484,6 @@ def cmd_sweep_inequalities(args):
 def cmd_standing_wave(args):
     coeffs = build_coeffs(args)
     grid = GridSpec(args.num_modes)
-    grid.check_mode(args.tau, "--tau")
     psi0 = plane_wave(grid, args.kappa, args.tau)
 
     def refused():
@@ -500,7 +506,6 @@ def cmd_standing_wave(args):
 
 def cmd_certify_cm(args):
     coeffs = build_coeffs(args)
-    check_at_least_one(args.trials, "--trials")
     cert = certify_cm(
         args.m, coeffs, args.ceiling, trials=args.trials, rng_seed=args.seed,
         target=args.target,
@@ -563,13 +568,13 @@ def run_command(argv):
         args.outdir = resolve_outdir(args)  # before any study runs
         if getattr(args, "seed", 0) < 0:  # numpy's own error names no flag
             raise ValueError(f"--seed must be >= 0, got {args.seed}")
-        if args.command != "bona-smith":  # its H^0 rates (--m 0) are defined
-            check_at_least_one(getattr(args, "m", 1), "--m")
         return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (NonConvergence, NonFinite) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
+        if isinstance(exc, InputError):  # the parameter, as the flag that sets it
+            exc = f"{param_flag(args.command, exc.args[0])} {exc.args[1]}"
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
 

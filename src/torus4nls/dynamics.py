@@ -26,6 +26,7 @@ import numpy as np
 
 from . import kernels
 from .spectral import (
+    InputError,
     SpectralField,
     band_coeffs,
     padded_samples,
@@ -75,10 +76,10 @@ class CoefficientSet:
 
     def __post_init__(self):
         if not (math.isfinite(self.nu) and self.nu != 0.0):
-            raise ValueError(f"nu must be finite and nonzero, got {self.nu}")
+            raise InputError("nu", f"must be finite and nonzero, got {self.nu}")
         for k, value in enumerate(self.lambdas, start=1):
             if not math.isfinite(value):
-                raise ValueError(f"lambda{k} must be finite, got {value}")
+                raise InputError(f"lambda{k}", f"must be finite, got {value}")
 
     @property
     def lambdas(self):
@@ -114,9 +115,9 @@ class SolverConfig:
 
     def __post_init__(self):
         if not 0.0 < self.dt < math.inf:
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+            raise InputError("dt", f"must be positive and finite, got {self.dt}")
         if self.sobolev_index_m < 1:
-            raise ValueError("sobolev_index_m must be >= 1")
+            raise InputError("sobolev_index_m", f"must be >= 1, got {self.sobolev_index_m}")
 
 
 @dataclass
@@ -189,9 +190,9 @@ def smoothing_multiplier_sup(eps, s, grid):
     Compared by callers against the closed-form bound 1 + ε^{-1/2} s^{-1/2}.
     """
     if eps <= 0.0:
-        raise ValueError("eps must be positive")
+        raise InputError("eps", "must be positive")
     if s <= 0.0:
-        raise ValueError("s must be positive")
+        raise InputError("s", "must be positive")
     # n2 * n2 rather than n**4, which numpy computes with pow() at about
     # four times the cost; equal while n⁴ is exact (|n| < 2^13)
     n2 = grid.modes**2
@@ -324,7 +325,7 @@ def _steps(t_end, dt):
     only if t_end is no whole number of steps to within ``STEP_SNAP``·dt.
     Checks t_end."""
     if not 0.0 <= t_end < math.inf:
-        raise ValueError(f"t_end must be nonnegative and finite, got {t_end}")
+        raise InputError("t_end", f"must be nonnegative and finite, got {t_end}")
     window = STEP_SNAP * dt
 
     def clock():
@@ -351,7 +352,7 @@ def _stepping(step, fractions, psi0s, t_end, cfg, epsilons, coeffs, observer):
         raise ValueError("psi0s and epsilons need one entry per member")
     for eps in epsilons:
         if not 0.0 <= eps <= 1.0:
-            raise ValueError(f"epsilon must lie in [0, 1], got {eps}")
+            raise InputError("epsilon", f"must lie in [0, 1], got {eps}")
     grid = psi0s[0].grid
     if any(psi.grid != grid for psi in psi0s):
         raise ValueError("ensemble members must share one grid")

@@ -4,7 +4,7 @@ and the completely integrable coefficient choice."""
 import numpy as np
 
 from .dynamics import CoefficientSet, eval_nonlinearity, semigroup_apply
-from .spectral import SQRT_2PI, SpectralField, l2_norm, refusing
+from .spectral import SQRT_2PI, InputError, SpectralField, l2_norm, refusing
 
 RESIDUAL_TOL = 1e-9  # relative to max(‖ψ₀‖_L², 1)
 
@@ -13,8 +13,8 @@ def integrable_coefficients(nu):
     """The unique coefficient set with infinitely many conserved quantities:
     λ1 = -1/2, λ2 = -3ν/8, λ3 = -3ν/2, λ4 = -ν, λ5 = -ν/2, λ6 = -2ν."""
     lambdas = refusing(
-        lambda: f"nu must be finite with finite integrable lambdas -3nu/8, "
-                f"-3nu/2, -nu, -nu/2 and -2nu, got {nu}",
+        lambda: InputError("nu", f"must be finite with finite integrable lambdas "
+                                 f"-3nu/8, -3nu/2, -nu, -nu/2 and -2nu, got {nu}"),
         lambda: (-0.5, -3.0 * nu / 8.0, -1.5 * nu, -nu, -0.5 * nu, -2.0 * nu))
     return CoefficientSet(nu, *lambdas)
 
@@ -37,10 +37,11 @@ def standing_wave_frequency(kappa, tau, coeffs):
 
 def plane_wave(grid, kappa, tau):
     """κ e^{iτx} as a spectral field (single coefficient κ√(2π) at mode τ)."""
-    coeff = refusing(lambda: f"kappa must be finite with a finite kappa*sqrt(2*pi), "
-                             f"got {kappa}", lambda: float(kappa) * SQRT_2PI)
+    coeff = refusing(lambda: InputError("kappa", f"must be finite with a finite "
+                                                 f"kappa*sqrt(2*pi), got {kappa}"),
+                     lambda: float(kappa) * SQRT_2PI)
     if not isinstance(tau, (int, np.integer)):
-        raise ValueError("tau must be an integer for periodicity")
+        raise InputError("tau", "must be an integer for periodicity")
     grid.check_mode(tau, "tau")
     c = np.zeros(grid.num_modes, np.complex128)
     c[tau % grid.num_modes] = coeff

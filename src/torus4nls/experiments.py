@@ -37,7 +37,6 @@ from .functionals import (
     EnergyRecorder,
     certificate_rows,
     certify_cm,
-    check_l2_ceiling,
     difference_quartic_rows,
     energy_terms_rows,
 )
@@ -45,8 +44,10 @@ from .mollifier import mollify
 from .sampling import random_field, random_rows, rng_for, rng_states, rngs_from
 from .spectral import (
     GridSpec,
+    InputError,
     SpectralField,
     gn_ratio_rows,
+    refusing,
     row_blocks,
     seminorm_sq_rows,
     sobolev_distance,
@@ -113,18 +114,19 @@ def _fits_table(params, fits):
     }
 
 
-def check_entries(name, values, ok, must, fewest=2):
-    """A ValueError unless ``values`` has at least ``fewest`` (1 or 2)
-    entries, repeats none, and each passes ``ok``; ``must`` ends the message
-    "{name} entries must ...". A repeated entry would only repeat a run."""
+def check_entries(name, values, ok=None, must=None, fewest=2):
+    """An InputError of the list parameter ``name`` unless ``values`` has at
+    least ``fewest`` (1 or 2) entries, repeats none, and each passes ``ok``
+    (if given); ``must`` ends the message "{name} entries must ...". A
+    repeated entry would only repeat a run."""
     values = list(values)
     if len(values) < fewest:
         least = "one entry" if fewest == 1 else "two entries"
-        raise ValueError(f"{name} needs at least {least}: {values}")
+        raise InputError(name, f"needs at least {least}: {values}")
     if len(set(values)) != len(values):
-        raise ValueError(f"{name} repeats an entry: {values}")
-    if not all(ok(v) for v in values):
-        raise ValueError(f"{name} entries must {must}: {values}")
+        raise InputError(name, f"repeats an entry: {values}")
+    if ok is not None and not all(ok(v) for v in values):
+        raise InputError(name, f"entries must {must}: {values}")
 
 
 @dataclass
@@ -235,9 +237,10 @@ def write_study(result, outdir):
 
 
 def check_t_end(t_end):
-    """A ValueError unless ``t_end`` is > 0 and finite: no step, no measure."""
+    """An InputError of ``t_end`` unless it is > 0 and finite: a study
+    measured on no step would give a verdict on nothing."""
     if not 0.0 < t_end < math.inf:
-        raise ValueError(f"t_end must be positive and finite, got {t_end}")
+        raise InputError("t_end", f"must be positive and finite, got {t_end}")
 
 
 def _relative_drifts(columns):
@@ -321,10 +324,10 @@ def bona_smith_rate_study(m, l_values, data):
     The rates are attained on the critical spectrum ⟨n⟩^{-(m+0.6)}
     (``decay_field(grid, m + 0.6)``), which the CLI passes.
     """
-    check_entries("l_values", l_values, lambda l: 0 <= l <= m, f"lie in [0, {m}]",
-                  fewest=1)
+    hm = sobolev_norm(data, m)  # checks m >= 0
+    check_entries("l_values", l_values, lambda l: 0 <= l <= m,
+                  f"lie in [0, m] = [0, {m}]", fewest=1)
     th = BONA_SMITH_THRESHOLDS
-    hm = sobolev_norm(data, m)
     eps_ladder = list(BONA_SMITH_EPS_LADDER)
     mollified = [mollify(data, e) for e in eps_ladder]
     table = {"param": list(eps_ladder)}
@@ -385,7 +388,7 @@ def eps_convergence_study(data, coeffs, t_end, eps_ladder, cfg):
     """
     m = cfg.sobolev_index_m
     if m < 4:
-        raise ValueError("the convergence regime needs m >= 4")
+        raise InputError("sobolev_index_m", f"must be >= 4 for this study, got {m}")
     # two entries are the fewest a rate can be fitted to; (0, 1] is mollify's range
     check_entries("eps_ladder", eps_ladder, lambda e: 0.0 < e <= 1.0, "lie in (0, 1]")
     check_t_end(t_end)
@@ -556,6 +559,21 @@ def _stepper_order(coarse, fine, finest, m):
     return float(np.log2(e_coarse / e_fine))
 
 
+def check_riccati(family, coeffs, t_end):
+    """The checks of ``riccati_study``'s arguments that need no c_m, so that
+    a caller can make them before it certifies one: an InputError for a
+    family of fewer than two members or a t_end that is not > 0 and finite,
+    and a ValueError for a linear coefficient set (its energies are
+    constant, so every quotient is 0) or a family on more than one grid."""
+    if len(family) < 2:  # growth from first to last member needs two
+        raise InputError("family", f"needs at least two members, got {len(family)}")
+    check_t_end(t_end)
+    if coeffs.is_linear:
+        raise ValueError("the riccati contrast needs a nonlinearity, but every lambda is 0")
+    if any(f.grid != family[0].grid for f in family):
+        raise ValueError("family must share one grid")
+
+
 def riccati_study(family, coeffs, cfg, t_end, c_m):
     """Growth-quotient contrast between the corrected and plain energies.
 
@@ -566,11 +584,11 @@ def riccati_study(family, coeffs, cfg, t_end, c_m):
     while the plain quotient grows by ``raw_growth_min`` from first to last
     member. The verdict is only trusted (not inconclusive) if the stepper
     shows order ≥ ``min_order`` on the first member (all three in
-    ``RICCATI_THRESHOLDS``). Every run is unregularized (ε = 0). A family
-    of fewer than two members is a ValueError, and so are a negative c_m,
-    a linear coefficient set (its energies are constant, so every quotient
-    is 0), energies whose square underflows, and a t_end too short for the
-    energies to move (a quotient the contrast divides by is 0).
+    ``RICCATI_THRESHOLDS``). Every run is unregularized (ε = 0). Its
+    arguments pass ``check_riccati`` first; then a negative c_m, energies
+    whose square underflows (the family's) and a t_end too short for the
+    energies to move (a quotient the contrast divides by is 0) are
+    InputErrors.
 
     The family runs as one ensemble, whose observer reduces each step's
     (B, N) block to the members' energies, both sums of one
@@ -582,17 +600,10 @@ def riccati_study(family, coeffs, cfg, t_end, c_m):
     the serial runs give, and errors keep their order: the family's, then
     dt/2's, then dt/8's.
     """
-    if len(family) < 2:  # growth from first to last member needs two
-        raise ValueError(f"family needs at least two members, got {len(family)}")
-    check_t_end(t_end)
+    check_riccati(family, coeffs, t_end)
     if c_m < 0.0:
-        raise ValueError("c_m must be nonnegative")
-    if coeffs.is_linear:
-        raise ValueError("the riccati contrast needs a nonlinearity, but every "
-                         "lambda is 0: use --integrable or a --lambdaK flag")
+        raise InputError("c_m", f"must be nonnegative, got {c_m}")
     grid = family[0].grid
-    if any(f.grid != grid for f in family):
-        raise ValueError("family must share one grid")
     m = cfg.sobolev_index_m
     series = [[] for _ in family]  # (time, corrected, plain energy) per sample
 
@@ -601,8 +612,7 @@ def riccati_study(family, coeffs, cfg, t_end, c_m):
         modified = terms.energy(c_m).tolist()
         plain = (terms.deriv_sq + terms.l2_sq).tolist()
         if time == 0.0 and min(e * e for e in modified + plain) < np.finfo(float).tiny:
-            raise ValueError("the family's energies E are so small that the "
-                             "quotient's E^2 underflows: raise --hm-size")
+            raise InputError("family", "is so small that its energies' E^2 underflow")
         for member, mod, raw in zip(members, modified, plain):
             series[member].append((time, mod, raw))
 
@@ -626,9 +636,8 @@ def riccati_study(family, coeffs, cfg, t_end, c_m):
         populated = np.abs(member.coeffs) > 1e-14 * np.abs(member.coeffs).max()
         freq_span.append(float(np.max(np.abs(grid.modes[populated]))))
     if min(q_mod) == 0.0 or q_raw[0] == 0.0:
-        raise ValueError(f"the energies do not move within --t-end {t_end}, so a "
-                         "growth quotient is 0 and the contrast is unmeasurable: "
-                         "raise --t-end")
+        raise InputError("t_end", f"{t_end} is too short for the energies to move, so a "
+                                  "growth quotient is 0 and the contrast unmeasurable")
     spread = max(q_mod) / min(q_mod)
     growth = q_raw[-1] / q_raw[0]
     th = RICCATI_THRESHOLDS
@@ -674,13 +683,22 @@ def continuity_study(phi, delta_ladder, coeffs, t_end, cfg, rng_seed):
     assumed. Passes when sup-differences scale like δ within ``slope_band``
     and the quotient band across the ladder stays within
     ``quotient_spread_max`` (``CONTINUITY_THRESHOLDS``). The ladder needs
-    two or more distinct δ, each positive and finite, and t_end > 0; every
+    two or more distinct δ, each positive and finite and small enough that
+    the perturbed data's H^m norm squared is finite, and t_end > 0; every
     run is unregularized (ε = 0).
     """
     check_entries("delta_ladder", delta_ladder, lambda d: 0.0 < d < math.inf,
                   "be positive and finite")
     check_t_end(t_end)
     m = cfg.sobolev_index_m
+    # a perturbation of H^m size delta leaves the data's H^m norm at most
+    # its own plus delta, whose square the stepper's first check computes
+    bound = refusing(lambda: f"the initial data has a non-finite H^m norm (m={m})",
+                     sobolev_norm, phi, m)
+    for delta in delta_ladder:
+        if not (bound + delta) * (bound + delta) < math.inf:
+            raise InputError("delta_ladder", f"entry {delta!r} is too large: the "
+                             f"perturbed data's H^m norm (m={m}) overflows")
     deltas = sorted(delta_ladder, reverse=True)
     perturbed = [
         SpectralField(phi.grid, phi.coeffs + random_field(
@@ -797,8 +815,7 @@ def inequality_sweeps(seed, trials, m=4, nu=1.0, l2_ceiling=1.0):
     the samples one at a time gives.
     """
     if trials < 1:
-        raise ValueError("trials must be >= 1")
-    check_l2_ceiling(l2_ceiling, m)
+        raise InputError("trials", f"must be >= 1, got {trials}")
     coeffs = integrable_coefficients(nu)
     cert_trials = max(trials // 2, 50)
     c_m = certify_cm(m, coeffs, l2_ceiling, trials=cert_trials,

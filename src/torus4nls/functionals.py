@@ -27,6 +27,7 @@ import numpy as np
 from .sampling import random_rows, rng_states, rngs_from
 from .spectral import (
     RECORD_POINTS,
+    InputError,
     SpectralField,
     _grid,
     padded_samples,
@@ -65,10 +66,9 @@ def correction_terms_rows(block, m, coeffs):
     ( (λ5/ν) Re ∫ (∂^{m-1}ψ)² ψ̄² dx ,
       ((2λ3+λ4+2(m-1)λ6)/(4ν)) ∫ |∂^{m-1}ψ|² |ψ|² dx ),
 
-    as two arrays with one entry per row ψ of (..., N) coefficients.
+    as two arrays with one entry per row ψ of (..., N) coefficients, for
+    m >= 1 (``energy_terms_rows`` checks it).
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
     u, d = padded_samples(block, PAD_QUARTIC, (0, m - 1))
     modulus_weight, phase_weight = _quartic_weights(m, coeffs)
     first = phase_weight * quadrature_mean_rows(d * d * np.conj(u) ** 2).real
@@ -104,7 +104,7 @@ def energy_terms_rows(block, m, coeffs):
     in the order ‖ψ‖², its power, the corrections, ‖∂^m ψ‖²: a mass power
     that overflows is refused before the corrections' products overflow."""
     if m < 1:
-        raise ValueError("m must be >= 1")
+        raise InputError("m", f"must be >= 1, got {m}")
     l2_sq = sobolev_norm_sq_rows(block, 0)
     mass_power = _mass_power(l2_sq, m)
     first, second = correction_terms_rows(block, m, coeffs)
@@ -114,10 +114,8 @@ def energy_terms_rows(block, m, coeffs):
 def modified_energy_rows(block, m, coeffs, c_m):
     """‖∂^m ψ‖² + ‖ψ‖² + c_m ‖ψ‖^{4m+2} + both correction terms, for each
     row ψ of (..., N) coefficients: ``energy_terms_rows`` summed at c_m."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
     if c_m < 0.0:
-        raise ValueError("c_m must be nonnegative")
+        raise InputError("c_m", f"must be nonnegative, got {c_m}")
     return energy_terms_rows(block, m, coeffs).energy(c_m)
 
 
@@ -173,7 +171,7 @@ def difference_quartic_rows(block, ref, m, coeffs):
     (..., N) coefficients.
     """
     if m < 1:
-        raise ValueError("m must be >= 1")
+        raise InputError("m", f"must be >= 1, got {m}")
     w1, w2 = _quartic_weights(m, coeffs)
     r = padded_samples(ref, PAD_QUARTIC, (0,))[0]
     d = padded_samples(block, PAD_QUARTIC, (m - 1,))[0]
@@ -212,9 +210,9 @@ def positivity_target_rows(block, m, target):
 
 
 def _check_target(target):
-    """ValueError unless ``target`` names a positivity target."""
+    """An InputError unless ``target`` names a positivity target."""
     if target not in ("classic", "sobolev"):
-        raise ValueError(f"target must be 'classic' or 'sobolev', got {target!r}")
+        raise InputError("target", f"must be 'classic' or 'sobolev', got {target!r}")
 
 
 @dataclass(frozen=True)
@@ -272,10 +270,11 @@ def corner_probes(grid, l2_ceiling):
 
 
 def check_l2_ceiling(l2_ceiling, m):
-    """ValueError unless 0 < l2_ceiling < inf and the certificate's divisor,
-    the mass power l2_ceiling^(4m+2), neither overflows nor underflows."""
+    """An InputError unless 0 < l2_ceiling < inf, and a ValueError unless
+    the certificate's divisor, the mass power l2_ceiling^(4m+2), neither
+    overflows nor underflows."""
     if not 0 < l2_ceiling < math.inf:
-        raise ValueError(f"l2_ceiling must be > 0 and finite, got {l2_ceiling}")
+        raise InputError("l2_ceiling", f"must be > 0 and finite, got {l2_ceiling}")
     k = 4 * m + 2
     power = refusing(lambda: f"l2_ceiling^(4m+2) must be finite, got {l2_ceiling}^{k}",
                      pow, float(l2_ceiling), k)
@@ -302,8 +301,10 @@ def certify_cm(m, coeffs, l2_ceiling, trials, rng_seed, target="classic"):
     run over the per-sample values in sample order, so the result is bit
     for bit that of drawing and evaluating the samples one at a time.
     """
+    if m < 1:  # before its weights or powers are taken
+        raise InputError("m", f"must be >= 1, got {m}")
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise InputError("trials", f"must be >= 1, got {trials}")
     _check_target(target)
     check_l2_ceiling(l2_ceiling, m)
     count = len(CM_RESOLUTIONS)

@@ -20,7 +20,7 @@ it gets drawn alone, so a sweep can draw its samples a block at a time.
 
 import numpy as np
 
-from .spectral import SpectralField, refusing, sobolev_norm_sq_rows
+from .spectral import InputError, SpectralField, refusing, sobolev_norm_sq_rows
 
 MODE_PAIR_PHASES = (0.0, 1.0, 0.7, 2.1)  # of modes 0, 1, k, k+1: generic
 
@@ -179,7 +179,7 @@ def random_rows(grid, rngs, decays, max_modes=None, l2_mass=None, hm_norm=None,
         raise ValueError("give l2_mass, or hm_norm with m, or neither")
     for name, norm in (("l2_mass", l2_mass), ("hm_norm", hm_norm)):
         if norm is not None and not 0 < norm < np.inf:
-            raise ValueError(f"{name} must be > 0 and finite, got {norm}")
+            raise InputError(name, f"must be > 0 and finite, got {norm}")
     n = grid.num_modes
     modes = grid.modes
     g = np.empty((len(rngs), 2 * n))
@@ -222,10 +222,10 @@ def mode_pair_field(grid, separation, hm_norm, m):
     at t = 0 and scale with the separation k.
     """
     half = grid.num_modes // 2
-    if not 2 <= separation < half - 1:
-        raise ValueError("separation outside resolved band")
+    if not 2 <= separation < half - 1:  # the pair {k, k+1} stays below N/2
+        raise InputError("separation", f"must lie in [2, {half - 2}], got {separation}")
     if not 0 < hm_norm < np.inf:
-        raise ValueError(f"hm_norm must be > 0 and finite, got {hm_norm}")
+        raise InputError("hm_norm", f"must be > 0 and finite, got {hm_norm}")
     modes = (0, 1, separation, separation + 1)
     amps = refusing(lambda: f"hm_norm^2 overflows, or a weight <n>^(2m) does, got "
                             f"hm_norm={hm_norm}, m={m}",

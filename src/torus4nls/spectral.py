@@ -27,6 +27,17 @@ from . import kernels
 
 SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 
+
+class InputError(ValueError):
+    """A value outside its parameter's domain, raised as
+    ``InputError(param, must)`` with the library's name of the parameter.
+    The message is ``f"{param} {must}"``; ``args`` keeps both, so a caller
+    that has its own name for the parameter can say that instead."""
+
+    def __str__(self):
+        return "{} {}".format(*self.args)
+
+
 # The most rows of a ``row_blocks`` block. Every block function makes
 # several temporaries of the block's padded size, so the bound keeps the
 # peak resident set of a 200-sample study where one-field evaluation kept
@@ -45,8 +56,9 @@ RECORD_POINTS = 4096
 def refusing(message, compute, *args):
     """``compute(*args)``, or ``ValueError(message())`` where it overflows,
     divides by zero or is invalid (in numpy or Python floats), or where its
-    value (numbers, an array or a field's coefficients) is not finite. Not
-    for a stepper's inner loop: numpy's error state costs microseconds."""
+    value (numbers, an array or a field's coefficients) is not finite; a
+    ``message()`` that is an ``InputError`` is raised itself. Not for a
+    stepper's inner loop: numpy's error state costs microseconds."""
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             value = compute(*args)
@@ -54,7 +66,8 @@ def refusing(message, compute, *args):
             return value
     except (OverflowError, FloatingPointError, ZeroDivisionError):
         pass
-    raise ValueError(message())
+    error = message()
+    raise error if isinstance(error, InputError) else ValueError(error)
 
 
 # The norm weights are listed in ``mode_order``, the order the norm kernels
@@ -86,16 +99,16 @@ class GridSpec:
     def __post_init__(self):
         n = self.num_modes
         if n < 4 or n % 2 != 0:
-            raise ValueError(f"num_modes must be even and >= 4, got {n}")
+            raise InputError("num_modes", f"must be even and >= 4, got {n}")
 
     def check_mode(self, n, name="mode"):
-        """A ValueError naming ``name`` unless signed mode ``n`` is resolved,
+        """An InputError of ``name`` unless signed mode ``n`` is resolved,
         |n| < N/2: the Nyquist mode -N/2 is stored, but the nonlinearity and
         the samplers zero it."""
         half = self.num_modes // 2
         if not -half < n < half:
-            raise ValueError(f"{name}={n} outside the resolved band "
-                             f"[{1 - half}, {half - 1}]")
+            raise InputError(name, f"must lie in the resolved band "
+                                   f"[{1 - half}, {half - 1}], got {n}")
 
     @cached_property
     def modes(self):
@@ -241,7 +254,7 @@ def sobolev_norm(psi, m):
 def sobolev_norm_sq_rows(coeffs, m):
     """Σ_n ⟨n⟩^{2m} |ĉ(n)|² of each row of (..., N) coefficients."""
     if m < 0:
-        raise ValueError("Sobolev index must be nonnegative")
+        raise InputError("m", f"must be >= 0, got {m}")
     n = coeffs.shape[-1]
     order = _grid(n).mode_order
     return kernels.weighted_norm_sq(coeffs, _sobolev_weights(n, m), order)
@@ -268,7 +281,7 @@ def seminorm_sq_rows(coeffs, m):
     """Σ_n n^{2m} |ĉ(n)|², the squared L² norm of ∂_x^m, of each row of
     (..., N) coefficients."""
     if m < 0:
-        raise ValueError("seminorm index must be nonnegative")
+        raise InputError("m", f"must be >= 0, got {m}")
     n = coeffs.shape[-1]
     order = _grid(n).mode_order
     return kernels.weighted_norm_sq(coeffs, _seminorm_weights(n, m), order)

@@ -14,6 +14,7 @@ import pytest
 import torus4nls.cli as cli
 import torus4nls.dynamics as dynamics
 import torus4nls.experiments as experiments
+import torus4nls.functionals as functionals
 from torus4nls import __version__
 from torus4nls.cli import (
     build_coeffs,
@@ -30,6 +31,16 @@ from torus4nls.spectral import GridSpec, SpectralField, sobolev_distance, sobole
 COMMANDS = ["simulate", "conserve", "bona-smith", "eps-converge", "riccati",
             "continuity", "sweep-inequalities", "standing-wave", "certify-cm"]
 STEPPING = ["simulate", "conserve", "eps-converge", "riccati", "continuity"]
+
+# The work a refused command must not reach: the first draw of a study or a
+# certificate (its seed states, or eps-converge's and bona-smith's first
+# mollification) and the first run (a study's, or simulate's own).
+FIRST_WORK = ((functionals, "rng_states"), (experiments, "rng_states"),
+              (experiments, "mollify"), (experiments, "integrate"),
+              (experiments, "integrate_many"), (cli, "integrate"))
+# The same draws, and the first step of any run: simulate's run checks its
+# t_end and ε when it starts, before its first step.
+FIRST_DRAW_OR_STEP = (*FIRST_WORK[:3], (dynamics, "_picard_step"))
 
 
 def run_in(tmp_path, argv):
@@ -109,7 +120,8 @@ class TestDataSpecs:
         "nope:1": "unknown data spec kind 'nope'",
         "modes:amp=1": "modes spec: n is required",
         "modes:amp=0.5": "modes spec: n is required",
-        "modes:n=99:amp=1": "modes spec: n=99 outside the resolved band",
+        "modes:n=99:amp=1": "modes spec: n must lie in the resolved band [-15, 15], "
+                            "got 99",
         "modes:n=1:amp=": "modes spec: amp must be a number, got ''",
         "decay:amp=1": "decay spec: s is required",
         "standing:tau=1.5": "standing spec: tau must be an integer, got '1.5'",
@@ -123,7 +135,8 @@ class TestDataSpecs:
         "modes:n=1:amp=0.5:decay=2": "modes spec: unknown or repeated key 'decay'",
         # the later entry would win
         "modes:n=1:amp=0.5,n=1:amp=0.2": "modes spec: mode 1 given twice",
-        "standing:tau=16": "standing spec: tau=16 outside the resolved band [-15, 15]",
+        "standing:tau=16": "standing spec: tau must lie in the resolved band "
+                           "[-15, 15], got 16",
         # κ√(2π) overflows: with no leaked RuntimeWarning either
         "standing:kappa=1e308": "standing spec: kappa must be",
         # an envelope that overflows: with no leaked RuntimeWarning either
@@ -473,12 +486,13 @@ class TestCertifyCmCommand:
 class TestUsageErrors:
     @staticmethod
     def _forbid_runs(monkeypatch):
+        """Fail a command that reaches its work: the first draw of a study
+        or a certificate, or the first run."""
         def no_run(*args, **kwargs):
             raise AssertionError("ran before checking its arguments")
 
-        for name in ("integrate", "integrate_many"):
-            monkeypatch.setattr(experiments, name, no_run)
-        monkeypatch.setattr(cli, "certify_cm", no_run)
+        for module, name in FIRST_WORK:
+            monkeypatch.setattr(module, name, no_run)
 
     def test_missing_fork_is_2(self, tmp_path, monkeypatch, capsys):
         # riccati's order reference runs in a forked worker: where os.fork
@@ -522,7 +536,8 @@ class TestUsageErrors:
         argv = ["riccati", "--nu", "1", "--integrable", "--t-end", "1e-300"]
         assert run_in(out, argv) == 2
         out_text, err = capsys.readouterr()
-        assert "usage error: " in err and "--t-end" in err
+        assert err.startswith("usage error: --t-end 1e-300 is too short for the "
+                              "energies to move, ")
         assert out_text == ""
         assert not out.exists()
 
@@ -535,7 +550,7 @@ class TestUsageErrors:
         argv = ["simulate", "--nu", "1", f"--eps={eps}", "--t-end", "0.01"]
         assert run_in(out, argv) == 2
         out_text, err = capsys.readouterr()
-        assert f"usage error: epsilon must lie in [0, 1], got {float(eps)}" in err
+        assert err == f"usage error: --eps must lie in [0, 1], got {float(eps)}\n"
         assert out_text == ""
         assert not out.exists()
         with pytest.raises(ChildProcessError):  # the writer was reaped
@@ -635,28 +650,29 @@ class TestUsageErrors:
         assert "unknown config key(s): " + text.split()[0] in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv,name", [
-        (["simulate", "--dt", "nan", "--t-end", "0.01"], "dt"),
-        (["simulate", "--dt", "inf", "--t-end", "0.01"], "dt"),
-        (["simulate", "--t-end", "nan"], "t_end"),
-        (["simulate", "--t-end", "inf"], "t_end"),
-        (["conserve", "--t-end", "nan"], "t_end"),
-        (["standing-wave", "--kappa", "nan"], "kappa"),
-        (["standing-wave", "--kappa", "inf"], "kappa"),
-        (["standing-wave", "--nu", "nan"], "nu"),
-        (["standing-wave", "--lambda1", "nan"], "lambda1"),
-        (["certify-cm", "--nu", "nan", "--trials", "5"], "nu"),
-        (["simulate", "--lambda1", "nan", "--t-end", "0.01"], "lambda1"),
-        (["conserve", "--nu", "nan"], "nu"),
-        (["sweep-inequalities", "--nu", "nan", "--trials", "3"], "nu"),
+    @pytest.mark.parametrize("argv,flag", [
+        (["simulate", "--dt", "nan", "--t-end", "0.01"], "--dt"),
+        (["simulate", "--dt", "inf", "--t-end", "0.01"], "--dt"),
+        (["simulate", "--t-end", "nan"], "--t-end"),
+        (["simulate", "--t-end", "inf"], "--t-end"),
+        (["conserve", "--t-end", "nan"], "--t-end"),
+        (["standing-wave", "--kappa", "nan"], "--kappa"),
+        (["standing-wave", "--kappa", "inf"], "--kappa"),
+        (["standing-wave", "--nu", "nan"], "--nu"),
+        (["standing-wave", "--lambda1", "nan"], "--lambda1"),
+        (["certify-cm", "--nu", "nan", "--trials", "5"], "--nu"),
+        (["simulate", "--lambda1", "nan", "--t-end", "0.01"], "--lambda1"),
+        (["conserve", "--nu", "nan"], "--nu"),
+        (["sweep-inequalities", "--nu", "nan", "--trials", "3"], "--nu"),
     ], ids=["dt-nan", "dt-inf", "t-end-nan", "t-end-inf", "conserve-t-end-nan",
             "kappa-nan", "kappa-inf", "standing-wave-nu", "standing-wave-lambda1",
             "certify-cm-nu", "simulate-lambda1", "conserve-nu",
             "sweep-inequalities-nu"])
-    def test_nonfinite_value_is_2(self, tmp_path, capsys, argv, name):
+    def test_nonfinite_value_is_2(self, tmp_path, capsys, argv, flag):
         out = tmp_path / "out"
         assert run_in(out, argv) == 2
-        assert f"usage error: {name} must be" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: {flag} must be") and err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("argv,name", [
@@ -679,9 +695,9 @@ class TestUsageErrors:
          "--kappa 0.3, --tau 1, --nu 1e+308, lambdas (0.0,"),
         # the integrable λ6 = -2ν overflows
         (["sweep-inequalities", "--nu", "1e308", "--trials", "3"],
-         "usage error: nu must be finite with finite integrable lambdas"),
+         "usage error: --nu must be finite with finite integrable lambdas"),
         # the plane wave's coefficient κ√(2π) overflows
-        (["standing-wave", "--kappa", "1e308"], "usage error: kappa must be"),
+        (["standing-wave", "--kappa", "1e308"], "usage error: --kappa must be"),
         # the certificate divides by the mass power l2_ceiling^(4m+2)
         (["certify-cm", "--ceiling", "1e18"], "l2_ceiling^(4m+2) must be"),
         (["certify-cm", "--ceiling", "1e200"], "l2_ceiling^(4m+2) must be"),
@@ -712,7 +728,7 @@ class TestUsageErrors:
         out = tmp_path / "out"
         assert exit_code(out, argv) == 2
         out_text, err = capsys.readouterr()
-        assert name in err
+        assert err.startswith(name) if name.startswith("usage error: ") else name in err
         assert out_text == ""  # refused before printing a result
         assert not out.exists()
         with pytest.raises(ChildProcessError):  # riccati's worker was reaped
@@ -810,19 +826,19 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("argv,message", [
         (["standing-wave", "--tau", "40"],
-         "--tau=40 outside the resolved band [-31, 31]"),
+         "--tau must lie in the resolved band [-31, 31], got 40\n"),
         (["simulate", "--data", "standing:tau=40"],
-         "standing spec: tau=40 outside the resolved band [-31, 31]"),
+         "standing spec: tau must lie in the resolved band [-31, 31], got 40\n"),
         (["simulate", "--data", "decay:s=-1000"], "decay spec: s=-1000.0"),
         (["conserve", "--data", "random:seed=1:decay=-1000:hm=0.4:m=4"],
          "random spec: decay=-1000.0"),
         # the Nyquist mode -N/2 is stored, but the scheme zeroes it
         (["standing-wave", "--nu", "1", "--integrable", "--tau", "-32"],
-         "--tau=-32 outside the resolved band [-31, 31]"),
+         "--tau must lie in the resolved band [-31, 31], got -32\n"),
         (["simulate", "--data", "standing:tau=-32"],
-         "standing spec: tau=-32 outside the resolved band [-31, 31]"),
+         "standing spec: tau must lie in the resolved band [-31, 31], got -32\n"),
         (["simulate", "--data", "modes:n=-32:amp=0.1"],
-         "modes spec: n=-32 outside the resolved band [-31, 31]"),
+         "modes spec: n must lie in the resolved band [-31, 31], got -32\n"),
     ], ids=["tau-flag", "tau-spec", "decay-envelope", "random-envelope",
             "nyquist-tau-flag", "nyquist-tau-spec", "nyquist-modes"])
     def test_unresolved_data_names_its_flag_or_key(self, tmp_path, monkeypatch,
@@ -833,7 +849,7 @@ class TestUsageErrors:
         out = tmp_path / "out"
         assert run_in(out, argv) == 2
         out_text, err = capsys.readouterr()
-        assert f"usage error: {message}" in err
+        assert err.startswith(f"usage error: {message}") and err.count("\n") == 1
         assert out_text == ""
         assert not out.exists()
 
@@ -879,7 +895,7 @@ class TestUsageErrors:
         self._forbid_runs(monkeypatch)
         out = tmp_path / "out"
         assert run_in(out, argv) == 2
-        assert f"usage error: {flag} must be >= 1, got {value}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"usage error: {flag} must be >= 1, got {value}\n"
         assert not out.exists()
 
     def test_riccati_underflowing_hm_size_is_2(self, tmp_path, capsys):
@@ -888,14 +904,18 @@ class TestUsageErrors:
         argv = ["riccati", "--nu", "1", "--integrable", "--hm-size", "1e-80",
                 "--cm-trials", "2", "--t-end", "4e-6"]
         assert run_in(out, argv) == 2
-        assert "raise --hm-size" in capsys.readouterr().err
+        assert capsys.readouterr().err == ("usage error: --hm-size is so small that "
+                                           "its energies' E^2 underflow\n")
         assert not out.exists()
 
-    def test_riccati_linear_flow_is_2(self, tmp_path, capsys):
-        # every lambda 0 at the defaults: each growth quotient would be 0
+    def test_riccati_linear_flow_is_2(self, tmp_path, monkeypatch, capsys):
+        # every lambda 0 at the defaults: each growth quotient would be 0, so
+        # no certificate is drawn for it either
+        self._forbid_runs(monkeypatch)
         out = tmp_path / "out"
         assert run_in(out, ["riccati", "--cm-trials", "2"]) == 2
-        assert "needs a nonlinearity" in capsys.readouterr().err
+        assert capsys.readouterr().err == ("usage error: the riccati contrast needs a "
+                                           "nonlinearity, but every lambda is 0\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("source", ["flag", "config"])
@@ -946,11 +966,17 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
     @pytest.mark.parametrize("command", ["certify-cm", "sweep-inequalities", "riccati"])
-    def test_nonpositive_ceiling_is_2(self, tmp_path, capsys, command, value):
+    def test_nonpositive_ceiling_is_2(self, tmp_path, monkeypatch, capsys, command,
+                                      value):
         # every sample is drawn at the ceiling's L2 mass
+        self._forbid_runs(monkeypatch)
         out = tmp_path / "out"
-        assert exit_code(out, [command, f"--ceiling={value}"]) == 2
-        assert "l2_ceiling must be > 0" in capsys.readouterr().err
+        argv = [command, f"--ceiling={value}"]
+        if command == "riccati":  # its linear default lambdas are refused first
+            argv += ["--nu", "1", "--integrable"]
+        assert exit_code(out, argv) == 2
+        assert capsys.readouterr().err == (
+            f"usage error: --ceiling must be > 0 and finite, got {float(value)}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["0", "-2", "nan", "inf"])
@@ -959,7 +985,8 @@ class TestUsageErrors:
         out = tmp_path / "out"
         code = exit_code(out, ["riccati", f"--hm-size={value}"])
         assert code == 2
-        assert "hm_norm must be > 0" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"usage error: --hm-size must be > 0 and finite, got {float(value)}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("argv,name", [
@@ -968,24 +995,24 @@ class TestUsageErrors:
           "--eps-ladder", "2^-3,2^-3,2^-4"], "--eps-ladder"),
         (["continuity", "--nu", "1", "--integrable", "--t-end", "0.005",
           "--deltas", "1e-2,1e-2,1e-3"], "--deltas"),
-        (["riccati", "--nu", "1", "--integrable", "--seps", "4,4"], "seps"),
+        (["riccati", "--nu", "1", "--integrable", "--seps", "4,4"], "--seps"),
     ], ids=["bona-smith", "eps-converge", "continuity", "riccati"])
     def test_repeated_entry_is_2(self, tmp_path, capsys, argv, name):
         # a repeated ladder entry would only repeat a run
         out = tmp_path / "out"
         assert exit_code(out, argv) == 2
-        assert f"{name} repeats an entry" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"usage error: {name} repeats an entry")
         assert not out.exists()
 
     @pytest.mark.parametrize("argv,message", [
         (["riccati", "--nu", "1", "--integrable", "--seps", "4,200"],
-         "--seps entries must lie in [2, N/2-2] = [2, 126]"),
+         "--seps must lie in [2, 126], got 200\n"),
         (["riccati", "--nu", "1", "--integrable", "--seps", "1,4"],
-         "--seps entries must lie in [2, N/2-2] = [2, 126]"),
+         "--seps must lie in [2, 126], got 1\n"),
         (["riccati", "--nu", "1", "--integrable", "--seps", "4,x"],
          "argument --seps: invalid literal for int()"),
         (["bona-smith", "--l-values", "0,5"],
-         "--l-values entries must lie in [0, m] = [0, 4]"),
+         "--l-values entries must lie in [0, m] = [0, 4]: [0, 5]\n"),
         (["eps-converge", "--nu", "1", "--integrable", "--eps-ladder", ","],
          "argument --eps-ladder: empty list"),
         (["continuity", "--nu", "1", "--integrable", "--deltas", "1e-2,x"],
@@ -994,20 +1021,21 @@ class TestUsageErrors:
             "eps-ladder-empty", "deltas-literal"])
     def test_bad_list_entry_names_the_flag(self, tmp_path, monkeypatch, capsys,
                                            argv, message):
+        # argparse's own message follows its usage text; every other is the line
         self._forbid_runs(monkeypatch)
-        monkeypatch.setattr(cli, "bona_smith_rate_study",
-                            lambda *a, **k: pytest.fail("ran"))
         out = tmp_path / "out"
         assert exit_code(out, argv) == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err if message.startswith("argument ") else (
+            err == f"usage error: {message}")
         assert not out.exists()
 
     @pytest.mark.parametrize("command,line,message", [
         ("riccati", "seps = 4,x", "argument --seps: invalid literal for int()"),
-        ("continuity", "deltas = 1e-2", "--deltas needs at least two entries"),
+        ("continuity", "deltas = 1e-2", "--deltas needs at least two entries: [0.01]"),
         ("continuity", "deltas = 1e-2,1e-2", "--deltas repeats an entry"),
         ("continuity", "deltas = 1e-2,0", "--deltas entries must be positive"),
-        ("bona-smith", "l_values = 0,0", "--l-values repeats an entry"),
+        ("bona-smith", "l_values = 0,0", "--l-values repeats an entry: [0, 0]"),
         ("bona-smith", "l_values = 0,5", "--l-values entries must lie in [0, m]"),
         ("eps-converge", "eps_ladder = 2^-3",
          "--eps-ladder needs at least two entries"),
@@ -1017,8 +1045,6 @@ class TestUsageErrors:
                                             command, line, message):
         # a list read from the config file is checked as its flag is
         self._forbid_runs(monkeypatch)
-        monkeypatch.setattr(cli, "bona_smith_rate_study",
-                            lambda *a, **k: pytest.fail("ran"))
         cfg = tmp_path / "run.cfg"
         cfg.write_text(line + "\n")
         out = tmp_path / "out"
@@ -1026,7 +1052,9 @@ class TestUsageErrors:
         if command != "bona-smith":
             argv += ["--nu", "1", "--integrable"]
         assert exit_code(out, argv) == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err if message.startswith("argument ") else (
+            err.startswith(f"usage error: {message}"))
         assert not out.exists()
 
     @pytest.mark.parametrize("delta", ["0", "-1e-3", "inf"])
@@ -1036,7 +1064,7 @@ class TestUsageErrors:
         argv = ["continuity", "--nu", "1", "--integrable", "--deltas", f"1e-2,{delta}"]
         assert exit_code(out, argv) == 2
         err = capsys.readouterr().err
-        assert "--deltas entries must be positive and finite" in err
+        assert err.startswith("usage error: --deltas entries must be positive and finite")
         assert not out.exists()
 
     @pytest.mark.parametrize("source", ["flag", "config"])
@@ -1052,7 +1080,8 @@ class TestUsageErrors:
             argv[-2:] = ["--config", str(cfg)]
         assert exit_code(out, argv) == 2
         err = capsys.readouterr().err
-        assert "usage error: --deltas entry 1e+300 is too large" in err
+        assert err == ("usage error: --deltas entry 1e+300 is too large: the perturbed "
+                       "data's H^m norm (m=4) overflows\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command,spec,key", [
@@ -1087,7 +1116,8 @@ class TestUsageErrors:
         if command != "conserve":
             argv.append("--integrable")
         assert exit_code(out, argv) == 2
-        assert "t_end must be positive and finite" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"usage error: --t-end must be positive and finite, got {float(t_end)}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("argv,name", [
@@ -1102,7 +1132,8 @@ class TestUsageErrors:
         self._forbid_runs(monkeypatch)
         out = tmp_path / "out"
         assert exit_code(out, argv + ["--nu", "1", "--integrable"]) == 2
-        assert f"{name} needs at least two entries" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(
+            f"usage error: {name} needs at least two entries: [")
         assert not out.exists()
 
     def test_negative_maxmode_is_2_before_any_run(self, tmp_path, monkeypatch, capsys):
@@ -1128,11 +1159,9 @@ class TestUsageErrors:
                                                argv):
         # numpy's own error ("expected non-negative integer") names no flag
         self._forbid_runs(monkeypatch)
-        monkeypatch.setattr(cli, "inequality_sweeps",
-                            lambda *a, **k: pytest.fail("ran"))
         out = tmp_path / "out"
         assert exit_code(out, argv + ["--seed=-1"]) == 2
-        assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+        assert capsys.readouterr().err == "usage error: --seed must be >= 0, got -1\n"
         assert not out.exists()
 
     def test_negative_spec_seed_is_2(self, tmp_path, monkeypatch, capsys):
@@ -1153,5 +1182,85 @@ class TestUsageErrors:
         argv = ["eps-converge", "--nu", "1", "--integrable", "--eps-ladder",
                 f"2^-3,{entry}"]
         assert exit_code(out, argv) == 2
-        assert "--eps-ladder entries must lie in (0, 1]" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(
+            "usage error: --eps-ladder entries must lie in (0, 1]: [0.125, ")
         assert not out.exists()
+
+
+# One value outside the domain of each flag that has one: a count below 1,
+# a NaN, a value out of range, or a list of one entry. A switch, a choice, a
+# file and a data spec (whose errors name its key) have no such value here.
+INVALID = {
+    "outdir": "", "num_modes": "5", "dt": "0", "t_end": "-1", "eps": "2", "m": "-1",
+    "nu": "nan", **dict.fromkeys(cli.LAMBDA_KEYS, "nan"), "seed": "-1",
+    "l_values": "5", "eps_ladder": "2^-3", "seps": "4", "hm_size": "0",
+    "cm_trials": "0", "ceiling": "0", "deltas": "1e-2", "trials": "0",
+    "kappa": "nan", "tau": "40",
+}
+NO_DOMAIN = {"config", "data", "integrable", "target"}
+FLAG_CASES = [(command, dest) for command, (_, defaults) in cli.COMMANDS.items()
+              for dest in ["outdir", *defaults] if dest not in NO_DOMAIN]
+
+
+class TestEveryFlagError:
+    """Each command refuses each of its flags at an invalid value before any
+    draw or step, with one stderr line that names the flag."""
+
+    def test_every_flag_is_classified(self):
+        assert set(cli.FLAGS) == set(INVALID) | NO_DOMAIN
+
+    @staticmethod
+    def refused(tmp_path, monkeypatch, capsys, argv):
+        """stderr of ``argv``, run in an empty ``tmp_path`` with no draw or
+        step allowed, after checking that it exits 2, prints nothing to
+        stdout and leaves ``tmp_path`` empty."""
+        def no_work(*args, **kwargs):
+            raise AssertionError("reached a draw or a step before refusing")
+
+        for module, name in FIRST_DRAW_OR_STEP:
+            monkeypatch.setattr(module, name, no_work)
+        monkeypatch.chdir(tmp_path)
+        if not any(a.startswith("--outdir=") for a in argv):
+            argv = argv + ["--outdir=out"]
+        assert run_command(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert not list(tmp_path.iterdir())
+        return err
+
+    @pytest.mark.parametrize("command,dest", FLAG_CASES,
+                             ids=[f"{command}-{dest}" for command, dest in FLAG_CASES])
+    def test_invalid_value_names_its_flag(self, tmp_path, monkeypatch, capsys,
+                                          command, dest):
+        argv = [command, f"--{dest.replace('_', '-')}={INVALID[dest]}"]
+        # every other input valid: riccati refuses linear coefficients first
+        if "integrable" in cli.COMMANDS[command][1] and dest not in cli.LAMBDA_KEYS:
+            argv.append("--integrable")
+        err = self.refused(tmp_path, monkeypatch, capsys, argv)
+        assert err.startswith(f"usage error: --{dest.replace('_', '-')} ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv,line", [
+        (["simulate", "--dt", "0"], "--dt must be positive and finite, got 0.0"),
+        (["simulate", "--num-modes", "5"], "--num-modes must be even and >= 4, got 5"),
+        (["simulate", "--nu", "0"], "--nu must be finite and nonzero, got 0.0"),
+        (["standing-wave", "--lambda4", "nan"], "--lambda4 must be finite, got nan"),
+        (["simulate", "--eps", "2"], "--eps must lie in [0, 1], got 2.0"),
+        (["simulate", "--t-end", "-1"],
+         "--t-end must be nonnegative and finite, got -1.0"),
+        (["sweep-inequalities", "--ceiling", "0"],
+         "--ceiling must be > 0 and finite, got 0.0"),
+        (["riccati", "--integrable", "--hm-size", "0"],
+         "--hm-size must be > 0 and finite, got 0.0"),
+        (["eps-converge", "--integrable", "--m", "2"],
+         "--m must be >= 4 for this study, got 2"),
+        (["certify-cm", "--m", "-1"], "--m must be >= 1, got -1"),
+        (["bona-smith", "--m", "-1"], "--m must be >= 0, got -1"),
+        (["riccati", "--integrable", "--cm-trials", "0"], "--cm-trials must be >= 1, got 0"),
+        (["riccati"], "the riccati contrast needs a nonlinearity, but every lambda is 0"),
+    ], ids=["dt", "num-modes", "nu", "lambda", "eps", "t-end", "ceiling", "hm-size",
+            "eps-converge-m", "certify-cm-m", "bona-smith-m", "cm-trials",
+            "riccati-linear"])
+    def test_refusal_line(self, tmp_path, monkeypatch, capsys, argv, line):
+        err = self.refused(tmp_path, monkeypatch, capsys, argv)
+        assert err == f"usage error: {line}\n"

@@ -58,6 +58,7 @@ from torus4nls.sampling import (
 )
 from torus4nls.spectral import (
     GridSpec,
+    InputError,
     SpectralField,
     sobolev_distance,
     sobolev_norm,
@@ -387,7 +388,8 @@ class TestRiccatiStudy:
         # smallest normal float; refused at t=0, before any step
         family = [mode_pair_field(GridSpec(64), k, 1e-80, 4) for k in (4, 16)]
         cfg = SolverConfig(dt=1e-5, sobolev_index_m=4)
-        with pytest.raises(ValueError, match=r"E\^2 underflows: raise --hm-size$"):
+        with pytest.raises(InputError,
+                           match=r"^family is so small that its energies' E\^2 underflow$"):
             riccati_study(family, integrable_coefficients(1.0), cfg, 4e-5, c_m=1.0)
 
     def test_no_corrections_means_equal_quotients(self):

@@ -12,6 +12,7 @@ module, so a module that imports from ``numpy.fft`` by name would escape it.
 import ast
 import dataclasses
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -118,6 +119,29 @@ def test_no_tolerance_is_an_argument():
         assert "cfg" not in inspect.signature(step).parameters
     fields = tuple(f.name for f in dataclasses.fields(dynamics.SolverConfig))
     assert fields == ("dt", "sobolev_index_m")
+
+
+def test_flags_only_in_cli():
+    """Only ``cli.py`` spells a flag. The library names its own parameters,
+    as the ``param`` of a ``spectral.InputError``, and the CLI prints the
+    flag that sets each one, so no other module of ``src/`` has a ``--name``
+    in its code, messages or docs, and no ``InputError`` anywhere is raised
+    for a parameter spelled as a flag."""
+    spelled = [f"{path.name}:{number}: {line.strip()}"
+               for path in MODULES if path.name != "cli.py"
+               for number, line in enumerate(path.read_text().splitlines(), 1)
+               if re.search(r"--[a-z]", line)]
+    assert not spelled, spelled
+    as_flags = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call) and _dotted(node.func) == "InputError":
+                param = node.args[0]
+                if isinstance(param, ast.JoinedStr):  # an f-string: its first part
+                    param = param.values[0]
+                if isinstance(param, ast.Constant) and param.value.startswith("-"):
+                    as_flags.append(f"{path.name}:{node.lineno}")
+    assert not as_flags, as_flags
 
 
 def _identifiers(tree):
@@ -429,7 +453,7 @@ def test_one_refusal_path():
 ORACLES = ("reference_integrate", "linear_solution", "standing_wave")
 # Methods Python calls without naming them, and the one a numpy PCG64 calls
 # on its seed sequence (``sampling._SeedState``).
-IMPLICIT = ("__post_init__", "__init__", "__call__", "generate_state")
+IMPLICIT = ("__post_init__", "__init__", "__call__", "__str__", "generate_state")
 # The benchmark files that name package code: the tracer wraps functions by
 # name and the pass runner reads a constant.
 BENCHMARK_FILES = (ROOT / "perfbench" / "spans.py", ROOT / "perfbench" / "passrun.py")

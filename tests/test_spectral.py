@@ -9,6 +9,7 @@ from conftest import nodes, oracle_samples, zero_field
 
 from torus4nls.spectral import (
     GridSpec,
+    InputError,
     SpectralField,
     _derivative,
     band_coeffs,
@@ -226,8 +227,9 @@ class TestNorms:
                                                 (seminorm_sq_rows, "seminorm")])
     def test_negative_index_refused(self, norm_rows, name):
         # |0|^(2m) would divide by zero for m < 0, not overflow
-        with pytest.raises(ValueError, match=f"{name} index must be nonnegative"):
+        with pytest.raises(InputError, match=r"^m must be >= 0, got -1$") as err:
             norm_rows(np.ones((2, 32), dtype=complex), -1)
+        assert err.value.args == ("m", "must be >= 0, got -1"), name
 
 
 class TestRowBlocks:

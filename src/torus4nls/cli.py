@@ -42,6 +42,7 @@ from .dynamics import (
     NonConvergence,
     NonFinite,
     SolverConfig,
+    check_run,
     integrate,
 )
 from .exact import (
@@ -238,6 +239,10 @@ def _required(kv, kind, key):
     return kv[key]
 
 
+# The key of each library parameter that a data spec sets under another name.
+SPEC_KEYS = {"l2_mass": "l2", "hm_norm": "hm"}
+
+
 def parse_data_spec(spec, grid):
     """Build initial data from the mini-language (see module help). Every
     error names the spec's kind, and the key at fault where there is one."""
@@ -246,7 +251,8 @@ def parse_data_spec(spec, grid):
     try:
         return _spec_data(kind, rest, grid)
     except InputError as exc:  # a library parameter, named as the spec's key
-        raise ValueError(f"{kind} spec: {exc}") from None
+        param, must = exc.args
+        raise ValueError(f"{kind} spec: {SPEC_KEYS.get(param, param)} {must}") from None
 
 
 def _spec_data(kind, rest, grid):
@@ -280,14 +286,11 @@ def _spec_data(kind, rest, grid):
             raise ValueError("random spec: give l2 or hm, not both")
         if "m" in kv and "hm" not in kv:
             raise ValueError("random spec: m is the index of hm; give hm with it")
-        # numpy's own seed error names no key; a negative maxmode empties
-        # every mode, and a negative norm would flip the sign of the data
+        # numpy's own seed error names no key, and a negative maxmode
+        # empties every mode
         for key in ("seed", "maxmode"):
             if kv.get(key, 0) < 0:
                 raise ValueError(f"random spec: {key} must be >= 0, got {kv[key]}")
-        for key in ("l2", "hm"):
-            if kv.get(key, 1.0) <= 0.0:
-                raise ValueError(f"random spec: {key} must be > 0, got {kv[key]}")
         decay = kv.get("decay", 2.0)
         return refusing(
             lambda: f"random spec: decay={decay} overflows the data's envelope "
@@ -379,11 +382,14 @@ def finish_study(result, outdir):
 def cmd_simulate(args):
     """Integrate one run and write its trajectory, energies and manifest.
     This process steps and records the energies; the trajectory's rows go
-    to a forked writer (``streamed_table``), so ``os.fork`` is needed."""
+    to a forked writer (``streamed_table``), so ``os.fork`` is needed. The
+    run's own argument checks (``check_run``) come first, so that no writer
+    is started and no directory made for a run that would refuse to start."""
     grid = GridSpec(args.num_modes)
     data = parse_data_spec(args.data, grid)
     coeffs = build_coeffs(args)
     cfg = build_solver_config(args)
+    check_run(args.t_end, [args.eps])
     rec = EnergyRecorder(cfg.sobolev_index_m, coeffs)
     order = np.argsort(grid.modes)
     names = ["time"]

@@ -8,9 +8,11 @@ ensemble of runs on one grid at once as the rows of a (B, N) coefficient
 array; an integrating-factor RK4 scheme serves as an independent
 cross-check. Both run in one loop, ``_stepping``, on one core: the
 nonlinearity ``_nonlinearity``, the factors ``_factors`` and the clock
-``_steps``, so they differ only in their step function. The nonlinearity
-writes one reused ``_workspace`` per block shape (B, N, pad) and allocates
-only the array it returns.
+``_steps``, so they differ only in their step function. The nonlinearity's
+``_workspace`` per block shape (B, N, pad) is its prepared evaluation: the
+arrays it writes and every view and constant it reads, so that a call makes
+one cache lookup and then only the FFT and ufunc calls of its arithmetic,
+and allocates only the array it returns.
 
 Every stepper takes one optional ``observer(time, rows, members)``, called
 at t=0 and after each step with the read-only (B', N) coefficients of the
@@ -20,7 +22,7 @@ runs still going and their member indices; a single run is the block
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -29,8 +31,11 @@ from .spectral import (
     InputError,
     SpectralField,
     band_coeffs,
+    band_layout,
     padded_samples,
     refusing,
+    sample_layout,
+    sobolev_norm_sq_of,
     sobolev_norm_sq_rows,
 )
 
@@ -81,7 +86,10 @@ class CoefficientSet:
             if not math.isfinite(value):
                 raise InputError(f"lambda{k}", f"must be finite, got {value}")
 
-    @property
+    # Built on first use and kept per instance, outside the fields, so that
+    # a set still compares, hashes and reprs by its fields alone: the
+    # stepper reads them at every nonlinearity evaluation.
+    @cached_property
     def lambdas(self):
         return (
             self.lambda1,
@@ -92,11 +100,11 @@ class CoefficientSet:
             self.lambda6,
         )
 
-    @property
+    @cached_property
     def is_linear(self):
         return all(l == 0.0 for l in self.lambdas)
 
-    @property
+    @cached_property
     def dealias_pad(self):
         """Zero-padding factor that removes aliasing from the nonlinearity:
         3 for its quintic term (λ2 ≠ 0), 2 for cubic products."""
@@ -133,37 +141,48 @@ class Trajectory:
     picard_iterations: list = field(default_factory=list)
 
 
+ORDERS = (0, 1, 2)  # the derivatives the nonlinearity samples
+
+
 @lru_cache(maxsize=16)
 def _workspace(rows, num_modes, pad):
-    """The arrays a ``_nonlinearity`` call on a (rows, N) block at ``pad``
-    writes, with every view it takes of them built once: the sample stack,
-    its three rows flattened to (rows·pad·N,), the combine's work arrays
-    and its result as a (rows, pad·N) block, which the forward FFT
-    overwrites. 104 bytes a padded point; the 16 shapes used last are kept
-    (a benchmark workload uses at most six). Reusing them leaves malloc
-    nothing to hand back to the system between calls and fault in again.
-    Calls of one shape share them, so two threads must not make such calls
-    at once."""
+    """The prepared ``_nonlinearity`` of a (rows, N) block at ``pad``: every
+    array a call writes but the one it returns, and every view and constant
+    it reads, built once. That is the (3, rows, pad·N) sample stack's
+    ``sample_layout``, the combine's ``kernels.combine_work`` on the
+    stack's three rows flattened to (rows·pad·N,), and the ``band_layout``
+    of the combine's result as a (rows, pad·N) block, which the forward
+    FFT overwrites. 104 bytes a padded point; the 16 shapes used last are
+    kept. Reusing them leaves malloc nothing to hand back to the system
+    between calls and fault in again, and a call nothing to build but its
+    result. Calls of one shape share them, so two threads must not make
+    such calls at once."""
     stack = np.empty((3, rows, pad * num_modes), dtype=np.complex128)
-    work = kernels.combine_work((rows * pad * num_modes,))
-    return stack, tuple(stack.reshape(3, -1)), work, work[-3].reshape(rows, -1)
+    work = kernels.combine_work(*stack.reshape(3, -1))
+    return (sample_layout(stack, num_modes, pad, ORDERS), work,
+            band_layout(work[-3].reshape(rows, -1), num_modes, pad))
 
 
-def _nonlinearity(c, coeffs):
-    """Raw-array core of ``eval_nonlinearity`` for (B, N) coefficients ``c``:
-    a new writable (B, N) array, each row exactly as it would come out alone
-    (zeros for linear coefficients). Every other array it writes is the
-    block shape's ``_workspace``."""
-    if coeffs.is_linear:
-        return np.zeros_like(c)
+def _nonlinearity(c, coeffs, w=None):
+    """Raw-array core of ``eval_nonlinearity`` for (B, N) coefficients ``c``,
+    followed by the rows of ``w`` when given: a new writable (B, N) array
+    (B + len(w) rows), each row exactly as it would come out alone (zeros
+    for linear coefficients). Every other array it writes is the block
+    shape's ``_workspace``, and ``c`` and ``w`` are written into its sample
+    stack as they are, not joined first."""
     rows, n = c.shape
+    if w is not None:
+        rows += len(w)
+        c = (c, w)
+    if coeffs.is_linear:
+        return np.zeros((rows, n), dtype=np.complex128)
     pad = coeffs.dealias_pad
-    stack, samples, work, combined = _workspace(rows, n, pad)
-    padded_samples(c, pad, (0, 1, 2), out=stack)
+    samples, work, band = _workspace(rows, n, pad)
+    padded_samples(c, pad, ORDERS, out=samples)
     # the pointwise kernel runs on flat (B·M,) views: elementwise, so
     # the same values, without numpy's per-row iteration over (B, M)
-    kernels.nonlinear_combine(*samples, coeffs.lambdas, work)
-    return band_coeffs(combined, n, pad, out=combined)
+    kernels.nonlinear_combine(*work[:3], coeffs.lambdas, work)
+    return band_coeffs(band[0], n, pad, out=band)
 
 
 def eval_nonlinearity(psi, coeffs):
@@ -232,15 +251,16 @@ def _picard_step(c, factors, dt, coeffs, m, time, members, named):
     iterations = [0] * len(c)
     live = list(range(len(c)))  # rows still iterating, ascending
     failure = None
+    gap_sq = sobolev_norm_sq_of(c.shape[-1], m)
     with np.errstate(over="ignore", invalid="ignore"):
-        both = _nonlinearity(np.concatenate((c, w_psi)), coeffs)
+        both = _nonlinearity(c, coeffs, w_psi)
         n0, n_first = both[: len(c)], both[len(c) :]
         fixed = w_psi - kernels.apply_multiplier(n0, factors[0]) * half_dt
         current = w_psi
         for iteration in range(1, PICARD_MAX_ITERS + 1):
             n_current = n_first if iteration == 1 else _nonlinearity(current, coeffs)
             nxt = fixed - n_current * half_dt
-            gaps = np.sqrt(sobolev_norm_sq_rows(nxt - current, m)).tolist()
+            gaps = np.sqrt(gap_sq(nxt - current)).tolist()
             keep = []
             for i, (row, gap) in enumerate(zip(live, gaps)):
                 if gap < PICARD_TOL:
@@ -323,9 +343,7 @@ def _steps(t_end, dt):
     """Both steppers' one clock: (start, end, length) of each step. Full
     steps end at k·dt with length exactly dt; the last ends at t_end, short
     only if t_end is no whole number of steps to within ``STEP_SNAP``·dt.
-    Checks t_end."""
-    if not 0.0 <= t_end < math.inf:
-        raise InputError("t_end", f"must be nonnegative and finite, got {t_end}")
+    For a t_end that ``check_run`` accepts."""
     window = STEP_SNAP * dt
 
     def clock():
@@ -340,6 +358,19 @@ def _steps(t_end, dt):
     return clock()
 
 
+def check_run(t_end, epsilons):
+    """The refusals of a run's own arguments, made before any stepper
+    samples its data: an InputError of ``t_end`` unless it is nonnegative
+    and finite, and of ``epsilon`` for an ε outside [0, 1]. A caller that
+    must refuse before it starts other work (a trajectory's writer) calls
+    it first too."""
+    for eps in epsilons:
+        if not 0.0 <= eps <= 1.0:
+            raise InputError("epsilon", f"must lie in [0, 1], got {eps}")
+    if not 0.0 <= t_end < math.inf:
+        raise InputError("t_end", f"must be nonnegative and finite, got {t_end}")
+
+
 def _stepping(step, fractions, psi0s, t_end, cfg, epsilons, coeffs, observer):
     """``integrate_many`` with the scheme's ``step``, called as ``_picard_step``
     with W_ε(f·dt) for each f of ``fractions``, built when dt changes."""
@@ -350,19 +381,17 @@ def _stepping(step, fractions, psi0s, t_end, cfg, epsilons, coeffs, observer):
     epsilons = [0.0] * count if epsilons is None else list(epsilons)
     if len(epsilons) != count:
         raise ValueError("psi0s and epsilons need one entry per member")
-    for eps in epsilons:
-        if not 0.0 <= eps <= 1.0:
-            raise InputError("epsilon", f"must lie in [0, 1], got {eps}")
+    check_run(t_end, epsilons)
     grid = psi0s[0].grid
     if any(psi.grid != grid for psi in psi0s):
         raise ValueError("ensemble members must share one grid")
-    steps = _steps(t_end, cfg.dt)  # checks t_end before any sample
     m = cfg.sobolev_index_m
     state = np.array([psi.coeffs for psi in psi0s])
     norms0 = [math.sqrt(refusing(
         lambda: f"the initial data{f' of member {i}' if count > 1 else ''} has a "
                 f"non-finite H^m norm (m={m})", sobolev_norm_sq_rows, row, m))
         for i, row in enumerate(state)]
+    norm_sq = sobolev_norm_sq_of(grid.num_modes, m)
     runs = [Trajectory(0.0, psi0) for psi0 in psi0s]
     ceilings = [BLOWUP_FACTOR * max(norm, 1e-300) for norm in norms0]
     active = tuple(range(count))
@@ -374,14 +403,14 @@ def _stepping(step, fractions, psi0s, t_end, cfg, epsilons, coeffs, observer):
 
     observe(0.0)
     factors_dt = None  # the step the current factors are for
-    for start, t, dt in steps:
+    for start, t, dt in _steps(t_end, cfg.dt):
         if dt != factors_dt:  # W(dt) first, so that a refusal names dt
             factors_dt = dt
             live = [epsilons[i] for i in active]
             factors = [_factors(grid, f * dt, live, coeffs.nu) for f in fractions]
         state, iterations = step(state, factors, dt, coeffs, m, start, active, count > 1)
         observe(t)
-        norms = np.sqrt(sobolev_norm_sq_rows(state, m)).tolist()
+        norms = np.sqrt(norm_sq(state)).tolist()
         keep = []
         for i, member in enumerate(active):
             run = runs[member]

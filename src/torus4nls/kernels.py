@@ -12,8 +12,10 @@ every row is summed pairwise as a 1-D array is (fancy indexing
 ``c[:, order]`` does not, and then the last bits of most rows differ).
 The pointwise kernels act elementwise, so they take any array shape, such
 as the (B, M) blocks of an ensemble step. ``nonlinear_combine`` writes its
-temporaries and result into work arrays from ``combine_work`` that the
-caller may keep, so the stepper's evaluations allocate none of them.
+temporaries and result into work arrays from ``combine_work``, which also
+holds the views it takes of its samples; a caller that keeps the work and
+rewrites the samples in place, as the stepper does, makes the evaluations
+allocate no array and build no view.
 """
 
 import numpy as np
@@ -32,16 +34,19 @@ def apply_multiplier(coeffs, factors):
     return coeffs * factors
 
 
-def combine_work(shape):
-    """New work arrays for ``nonlinear_combine`` on samples of ``shape``:
-    |u|², |du|² and two real temporaries, then the complex result and two
-    complex temporaries p and q. |du|² and the two real temporaries live in
-    p's and q's memory, which they use only while p and q are unused."""
-    au2 = np.empty(shape)
-    out, p, q = np.empty((3, *shape), dtype=np.complex128)
-    adu2, _ = np.split(p.reshape(-1).view(np.float64), 2)
-    s, t = np.split(q.reshape(-1).view(np.float64), 2)
-    return au2, *(a.reshape(shape) for a in (adu2, s, t)), out, p, q
+def combine_work(u, du, d2u):
+    """``nonlinear_combine``'s views of the samples ``u``, ``du`` and
+    ``d2u``, which the caller may rewrite in place between calls, their
+    real and imaginary parts, and new arrays for it to write: seven real
+    rows of the samples' size in one block, 56 bytes a point. |u|², |du|²
+    and a temporary take rows 0-2, and λ1|u|², λ2|u|² and λ6|u|² rows 4-6;
+    the complex result and the temporaries p and q take rows 0-5 once all
+    but λ6|u|² are spent."""
+    reals = np.empty((7, u.size))
+    au2, adu2, tmp, _, s, t, s6 = (row.reshape(u.shape) for row in reals)
+    out, p, q = reals[:6].reshape(-1).view(np.complex128).reshape(3, *u.shape)
+    return (u, du, d2u, u.real, u.imag, du.real, du.imag, au2, adu2, tmp, s, t, s6,
+            out, p, q)
 
 
 def nonlinear_combine(u, du, d2u, lam, work=None):
@@ -50,31 +55,38 @@ def nonlinear_combine(u, du, d2u, lam, work=None):
     lam1 |u|^2 u + lam2 |u|^4 u + lam3 (du)^2 conj(u) + lam4 |du|^2 u
     + lam5 u^2 conj(d2u) + lam6 |u|^2 d2u
 
-    Every product and sum is one ufunc call into ``work`` (from
-    ``combine_work``; new arrays when None), on the operands, in the order,
-    of the expression above evaluated left to right, so the bits do not
-    depend on whether the arrays are new. Returns ``work``'s result array:
-    a caller that passes the same ``work`` again allocates nothing. A
-    complex product written over its first operand gets the bits of one
-    written to a new array on two or more points; on a single point numpy
-    takes another loop, which can change the last bit.
+    Every product and sum is one ufunc call into ``work``
+    (``combine_work(u, du, d2u)``; new arrays when None), on the operands,
+    in the order, of the expression above evaluated left to right (lam6
+    |u|^2 is formed with the other multiples of |u|^2, before the result
+    takes its memory), so the bits do not depend on whether the arrays are
+    new. Returns ``work``'s result array: a caller that rewrites the
+    samples in place and passes the same ``work`` again allocates nothing
+    and makes no view. A complex product written over its first operand
+    gets the bits of one written to a new array on two or more points; on
+    a single point numpy takes another loop, which can change the last bit.
     """
     l1, l2, l3, l4, l5, l6 = lam
-    au2, adu2, s, t, out, p, q = combine_work(u.shape) if work is None else work
+    if work is None:
+        work = combine_work(u, du, d2u)
+    elif work[0] is not u or work[1] is not du or work[2] is not d2u:
+        raise ValueError("work was prepared for other samples")
+    _, _, _, ur, ui, dr, di, au2, adu2, tmp, s, t, s6, out, p, q = work
     mul, add, conj = np.multiply, np.add, np.conjugate
-    mul(u.real, u.real, au2)
-    mul(u.imag, u.imag, s)
-    add(au2, s, au2)  # |u|^2
-    mul(du.real, du.real, adu2)
-    mul(du.imag, du.imag, s)
-    add(adu2, s, adu2)  # |du|^2
+    mul(ur, ur, au2)
+    mul(ui, ui, tmp)
+    add(au2, tmp, au2)  # |u|^2
+    mul(dr, dr, adu2)
+    mul(di, di, tmp)
+    add(adu2, tmp, adu2)  # |du|^2
     mul(l1, au2, s)
     mul(l2, au2, t)
+    mul(l6, au2, s6)
     mul(t, au2, t)
     add(s, t, s)
     mul(l4, adu2, t)
     add(s, t, s)
-    mul(s, u, out)  # (l1 |u|^2 + l2 |u|^4 + l4 |du|^2) u; s, t and adu2 end
+    mul(s, u, out)  # (l1 |u|^2 + l2 |u|^4 + l4 |du|^2) u; only s6 stays
     mul(l3, du, p)
     mul(p, du, p)
     mul(p, conj(u, q), p)
@@ -83,8 +95,7 @@ def nonlinear_combine(u, du, d2u, lam, work=None):
     mul(p, u, p)
     mul(p, conj(d2u, q), p)
     add(out, p, out)
-    mul(l6, au2, s)
-    mul(s, d2u, p)
+    mul(s6, d2u, p)
     add(out, p, out)
     return out
 

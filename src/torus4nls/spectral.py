@@ -171,45 +171,82 @@ def _padded_multiplier(num_modes, pad, k):
     return row
 
 
+def sample_layout(stack, num_modes, pad, orders):
+    """What ``padded_samples`` writes a complex (len(orders), ..., pad·N)
+    ``stack`` through, built once for a caller that reuses the stack: the
+    stack, its row 0 (the padded spectrum), the (..., 2, N/2) view of row
+    0's two band halves and the view of its zero middle, each other written
+    row with its multiplier (i·n)^k (None: a copy of row 0), last row
+    first, and the inverse FFT's scaling."""
+    base = stack[0]
+    # the pad·N modes as 2·pad runs of N/2: the band is the first and last
+    runs = base.reshape(*stack.shape[1:-1], 2 * pad, num_modes // 2)
+    rows = tuple((_padded_multiplier(num_modes, pad, orders[row]) if orders[row] else None,
+                  stack[row])
+                 for row in reversed(range(len(orders))) if row or orders[row])
+    return (stack, base, runs[..., :: 2 * pad - 1, :], runs[..., 1 : 2 * pad - 1, :],
+            rows, pad * num_modes / SQRT_2PI)
+
+
 def padded_samples(coeffs, pad, orders, *, out=None):
     """Samples of ∂^k ψ for each k in ``orders`` on the pad·N grid, from
     (..., N) coefficients: a (len(orders), ..., pad·N) array from one
-    inverse FFT, each row exactly as it would come out alone. ``out``, a
-    complex array of that shape, receives them in place of a new array."""
-    n = coeffs.shape[-1]
-    m, half = pad * n, n // 2
-    if out is None:
-        stack = np.zeros((len(orders),) + coeffs.shape[:-1] + (m,), dtype=np.complex128)
+    inverse FFT, each row exactly as it would come out alone. ``out``
+    receives them in place of a new array: a complex array of that shape,
+    or its ``sample_layout``, whose views and constants are then not built
+    again, and which also takes a tuple of (B_i, N) blocks in place of the
+    coefficients, standing for their rows in turn."""
+    if not isinstance(out, tuple):
+        n = coeffs.shape[-1]
+        if out is None:
+            out = np.empty((len(orders), *coeffs.shape[:-1], pad * n), dtype=np.complex128)
+        out = sample_layout(out, n, pad, orders)
+    stack, base, band, middle, rows, scale = out
+    middle.fill(0.0)
+    # the coefficients' halves are their (..., 2, N/2) reshape: one copy, not
+    # an assignment through the band index (about 3% of riccati's wall time)
+    if isinstance(coeffs, tuple):  # each block in place, not joined first
+        start = 0
+        for block in coeffs:
+            band[start : start + len(block)] = block.reshape(len(block), *band.shape[1:])
+            start += len(block)
     else:
-        stack = out
-        stack[0, ..., half : m - half] = 0.0
-    base = stack[0]
-    # two slice copies: assigning through the band index into a (B, M)
-    # block costs about 3% of riccati's wall time
-    base[..., :half] = coeffs[..., :half]
-    base[..., m - half :] = coeffs[..., half:]
-    for row in reversed(range(len(orders))):  # row 0, the plain copy, last
-        if orders[row]:
-            np.multiply(_padded_multiplier(n, pad, orders[row]), base, out=stack[row])
-        elif row:
-            stack[row] = base
+        band[...] = coeffs.reshape(band.shape)
+    for multiplier, row in rows:  # row 0, the plain copy, last
+        if multiplier is None:
+            row[...] = base
+        else:
+            np.multiply(multiplier, base, out=row)
     # in place: a second block this size per call (196 KiB for simulate at
     # N=1024, pad 4) makes malloc hand memory back and fault it in again
     np.fft.ifft(stack, axis=-1, out=stack)
-    stack *= m / SQRT_2PI
+    stack *= scale
     return stack
+
+
+def band_layout(out, num_modes, pad):
+    """What ``band_coeffs`` reads, built once for a caller that reuses its
+    FFT output ``out`` (None: a new array): ``out``, the N-mode band's
+    positions (None at pad 1), the forward scaling and the Nyquist index."""
+    band = _padded_band(num_modes, pad) if pad > 1 else None
+    return out, band, SQRT_2PI / (pad * num_modes), num_modes // 2
 
 
 def band_coeffs(samples, num_modes, pad, *, out=None):
     """Coefficients of samples on the pad·N grid, truncated to the N-mode
     band with the Nyquist mode zeroed: a new writable (..., N) array for
     pad > 1. The pad·N-point FFT goes to ``out`` (``samples`` itself for an
-    FFT in place) in place of a new array; at pad 1 the result is ``out``."""
-    chat = np.fft.fft(samples, out=out)
-    chat *= SQRT_2PI / (pad * num_modes)
-    if pad > 1:
-        chat = chat.take(_padded_band(num_modes, pad), axis=-1)
-    chat[..., num_modes // 2] = 0.0
+    FFT in place) in place of a new array, or to the array of a
+    ``band_layout`` given as ``out``; at pad 1 the result is that array.
+    The band is taken before it is scaled: the same products, on N points
+    of the pad·N."""
+    fft_out, band, scale, nyquist = (
+        out if isinstance(out, tuple) else band_layout(out, num_modes, pad))
+    chat = np.fft.fft(samples, out=fft_out)
+    if band is not None:
+        chat = chat.take(band, axis=-1)
+    chat *= scale
+    chat[..., nyquist] = 0.0
     return chat
 
 
@@ -251,13 +288,24 @@ def sobolev_norm(psi, m):
     return float(np.sqrt(sobolev_norm_sq(psi, m)))
 
 
-def sobolev_norm_sq_rows(coeffs, m):
-    """Σ_n ⟨n⟩^{2m} |ĉ(n)|² of each row of (..., N) coefficients."""
+def _sobolev_layout(num_modes, m):
+    """The weights ⟨n⟩^{2m}, listed in ``mode_order``, and that order."""
     if m < 0:
         raise InputError("m", f"must be >= 0, got {m}")
-    n = coeffs.shape[-1]
-    order = _grid(n).mode_order
-    return kernels.weighted_norm_sq(coeffs, _sobolev_weights(n, m), order)
+    return _sobolev_weights(num_modes, m), _grid(num_modes).mode_order
+
+
+def sobolev_norm_sq_rows(coeffs, m):
+    """Σ_n ⟨n⟩^{2m} |ĉ(n)|² of each row of (..., N) coefficients."""
+    return kernels.weighted_norm_sq(coeffs, *_sobolev_layout(coeffs.shape[-1], m))
+
+
+def sobolev_norm_sq_of(num_modes, m):
+    """``sobolev_norm_sq_rows`` at one N and m as a function of the
+    coefficients alone, its weights and order found once: for a caller
+    that takes many norms of one size."""
+    weights, order = _sobolev_layout(num_modes, m)
+    return lambda coeffs: kernels.weighted_norm_sq(coeffs, weights, order)
 
 
 def sobolev_norm_sq(psi, m):

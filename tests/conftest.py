@@ -9,8 +9,10 @@ cross-checked through a different code path.
 The references below are what only the tests use, so they live here and
 not in the package: the zero field, the grid nodes, one certification draw,
 the two-pass certificate, the kernel's multiplier supremum, I₂'s imaginary
-residual and the one-row quadrature mean; ``fail_second_block`` makes a
-recorder fail in a later block.
+residual, the one-row quadrature mean, and the nonlinearity as it was
+evaluated before the stepper prepared each block shape's evaluation
+(``reference_combine``, ``reference_nonlinearity``); ``fail_second_block``
+makes a recorder fail in a later block.
 """
 
 import os
@@ -18,11 +20,17 @@ import os
 import numpy as np
 import pytest
 
-from torus4nls import functionals
+from torus4nls import functionals, spectral
 from torus4nls.dynamics import CoefficientSet
 from torus4nls.mollifier import kernel_value
 from torus4nls.sampling import rng_states, rngs_from
-from torus4nls.spectral import GridSpec, SpectralField, row_blocks, sobolev_norm_sq_rows
+from torus4nls.spectral import (
+    SQRT_2PI,
+    GridSpec,
+    SpectralField,
+    row_blocks,
+    sobolev_norm_sq_rows,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -154,3 +162,43 @@ def i2_imaginary_residual(psi):
 def quadrature_mean(values):
     """``functionals.quadrature_mean_rows`` of one row of M samples."""
     return complex(functionals.quadrature_mean_rows(values))
+
+
+def reference_combine(u, du, d2u, lam):
+    """The pointwise six-term nonlinearity with one ufunc call per product
+    and sum, each on one operand, into new arrays: the kernel before it
+    grouped the real operations that repeat on several operands."""
+    l1, l2, l3, l4, l5, l6 = lam
+    mul, add, conj = np.multiply, np.add, np.conjugate
+    au2 = add(mul(u.real, u.real), mul(u.imag, u.imag))
+    adu2 = add(mul(du.real, du.real), mul(du.imag, du.imag))
+    s = add(add(mul(l1, au2), mul(mul(l2, au2), au2)), mul(l4, adu2))
+    out = mul(s, u)
+    out = add(out, mul(mul(mul(l3, du), du), conj(u)))
+    out = add(out, mul(mul(mul(l5, u), u), conj(d2u)))
+    return add(out, mul(mul(l6, au2), d2u))
+
+
+def reference_nonlinearity(c, coeffs):
+    """``dynamics._nonlinearity`` of (B, N) coefficients ``c`` as it was
+    before each block shape's evaluation was prepared: the padded spectrum
+    with its derivatives, one inverse FFT in place and its scaling
+    (``padded_samples``), ``reference_combine`` on the flat sample rows,
+    then the forward FFT in place, its scaling over all pad·N modes and
+    the band (``band_coeffs``)."""
+    rows, n = c.shape
+    pad = coeffs.dealias_pad
+    m, half = pad * n, n // 2
+    stack = np.zeros((3, rows, m), dtype=np.complex128)
+    stack[0, :, :half] = c[:, :half]
+    stack[0, :, m - half :] = c[:, half:]
+    for k in (2, 1):
+        np.multiply(spectral._padded_multiplier(n, pad, k), stack[0], out=stack[k])
+    np.fft.ifft(stack, axis=-1, out=stack)
+    stack *= m / SQRT_2PI
+    combined = reference_combine(*stack.reshape(3, -1), coeffs.lambdas).reshape(rows, m)
+    chat = np.fft.fft(combined, out=combined)
+    chat *= SQRT_2PI / m
+    chat = chat.take(spectral._padded_band(n, pad), axis=-1)
+    chat[:, half] = 0.0
+    return chat

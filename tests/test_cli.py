@@ -520,6 +520,24 @@ class TestUsageErrors:
         assert out_text == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--eps", "2"], "--eps must lie in [0, 1], got 2.0"),
+        (["--t-end=-1"], "--t-end must be nonnegative and finite, got -1.0"),
+    ], ids=["eps", "t-end"])
+    def test_simulate_refuses_its_run_before_forking(self, tmp_path, monkeypatch,
+                                                     capsys, argv, message):
+        # the run's own checks come before its trajectory's writer is forked
+        # and its output directory made
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        out = tmp_path / "out"
+        assert run_in(out, ["simulate", "--nu", "1", *argv]) == 2
+        out_text, err = capsys.readouterr()
+        assert err == f"usage error: {message}\n"
+        assert out_text == "" and forks == []
+        assert not out.exists()
+
     def test_key_error_is_a_bug_not_a_usage_error(self, tmp_path, monkeypatch):
         # a KeyError from study code is a fault of the program: it propagates
         def lookup_fails(args):
@@ -1102,6 +1120,19 @@ class TestUsageErrors:
         out = tmp_path / "out"
         assert run_in(out, [command, "--data", spec]) == 2
         assert f": {key} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,spec,value", [
+        ("simulate", "random:seed=1:l2=-1", "l2 must be > 0 and finite, got -1.0"),
+        ("conserve", "random:seed=1:hm=0:m=4", "hm must be > 0 and finite, got 0.0"),
+    ], ids=["l2", "hm"])
+    def test_rescaling_norm_is_named_by_its_key(self, tmp_path, capsys, command, spec,
+                                                value):
+        # random_rows states the constraint on l2_mass and hm_norm; the spec
+        # names each by its key
+        out = tmp_path / "out"
+        assert run_in(out, [command, "--data", spec]) == 2
+        assert capsys.readouterr().err == f"usage error: random spec: {value}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("t_end", ["0", "-1e-3"])

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import oracle_samples, zero_field
+from conftest import oracle_samples, reference_nonlinearity, zero_field
 
 from torus4nls import dynamics, kernels
 from torus4nls.dynamics import (
@@ -52,6 +52,20 @@ class TestCoefficientSet:
     def test_is_linear(self):
         assert CoefficientSet(nu=1.0).is_linear
         assert not CoefficientSet(nu=1.0, lambda3=0.1).is_linear
+
+    def test_used_set_is_its_fields(self):
+        # what a set builds for the stepper is kept beside its fields, not
+        # among them: a set that has stepped still compares, hashes and
+        # reprs as a new one
+        used = CoefficientSet(nu=1.0, lambda2=0.1, lambda3=0.2)
+        eval_nonlinearity(_benign(GridSpec(64)), used)
+        fresh = CoefficientSet(nu=1.0, lambda2=0.1, lambda3=0.2)
+        assert {"lambdas", "is_linear", "dealias_pad"} <= set(vars(used))
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh) == (
+            "CoefficientSet(nu=1.0, lambda1=0.0, lambda2=0.1, lambda3=0.2, "
+            "lambda4=0.0, lambda5=0.0, lambda6=0.0)")
+        assert used != replace(used, lambda3=0.3)
 
 
 class TestSolverConfig:
@@ -769,10 +783,11 @@ class TestNonlinearityWorkspace:
     returns a new array: after a warm-up, calls fault in no pages, and a
     result outlives the calls after it."""
 
-    @pytest.mark.parametrize("rows,num_modes", [(8, 256), (2, 1024)])
+    @pytest.mark.parametrize("rows,num_modes", [(8, 256), (2, 1024), (1, 256), (2, 256)])
     def test_no_page_faults_per_call(self, rows, num_modes):
-        # the riccati family's fused (8, 256) block and simulate's (2, 1024),
-        # at pad 3, in a fresh interpreter: whether malloc hands freed
+        # the riccati family's fused (8, 256) block, simulate's (2, 1024) and
+        # the (1, 256) and fused (2, 256) blocks of riccati's one-member
+        # runs, at pad 3, in a fresh interpreter: whether malloc hands freed
         # temporaries back to the system, and faults them in again on the
         # next call, depends on the heap's history, which in this process
         # is the suite's
@@ -791,10 +806,38 @@ class TestNonlinearityWorkspace:
         kept = first.tobytes()
         second = dynamics._nonlinearity(block[::-1].copy(), coeffs)
         assert first.tobytes() == kept and second.tobytes() != kept
-        stack, _, work, _ = dynamics._workspace(4, 64, coeffs.dealias_pad)
+        samples, work, _ = dynamics._workspace(4, 64, coeffs.dealias_pad)
+        arrays = [samples[0], *work[7:]]
         for out in (first, second):
             assert out.flags.writeable and out.flags.c_contiguous
-            assert not any(np.shares_memory(out, a) for a in (stack, *work))
+            assert not any(np.shares_memory(out, a) for a in arrays)
+
+
+class TestPreparedEvaluation:
+    """A call on a block shape's prepared ``_workspace`` gets every row's
+    bytes of ``reference_nonlinearity``, the evaluation before it was
+    prepared, at each block shape the workloads use: 1 to 12 rows, one
+    member's fused pair to the family's, at N = 64, 256 and 1024 and an N
+    whose band halves are odd, at pad 2 and pad 3. A fused call, from a
+    block and the block after it, gets the bytes of their concatenation."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 4, 5, 6, 8, 10, 12])
+    @pytest.mark.parametrize("num_modes", [64, 102, 256, 1024])
+    @pytest.mark.parametrize("coeffs,pad", [(CUBIC, 2), (integrable_coefficients(1.0), 3)],
+                             ids=["cubic-pad2", "integrable-pad3"])
+    def test_rows_bytewise_equal_reference(self, coeffs, pad, num_modes, rows):
+        assert coeffs.dealias_pad == pad
+        rng = np.random.default_rng(7 * num_modes + rows)
+        block = (rng.standard_normal((rows, num_modes))
+                 + 1j * rng.standard_normal((rows, num_modes))) * 0.3
+        expect = reference_nonlinearity(block, coeffs)
+        for _ in range(2):  # a new workspace, then the kept one
+            got = dynamics._nonlinearity(block, coeffs)
+            assert [row.tobytes() for row in got] == [row.tobytes() for row in expect]
+        if rows % 2 == 0:
+            half = rows // 2
+            fused = dynamics._nonlinearity(block[:half], coeffs, block[half:])
+            assert [row.tobytes() for row in fused] == [row.tobytes() for row in expect]
 
 
 class TestFusedStartOfStep:

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from conftest import reference_combine
+
 from torus4nls import kernels, spectral
 from torus4nls.spectral import GridSpec
 
@@ -46,6 +48,24 @@ def test_nonlinear_combine_formula_and_rows():
     )
     assert np.array_equal(block[0], out)
     assert np.array_equal(block[1], kernels.nonlinear_combine(*other, lam))
+
+
+@pytest.mark.parametrize("shape", [(2,), (3,), (128,), (4, 96), (3, 2, 5)])
+def test_kept_work_gives_the_bytes_of_new_arrays(shape):
+    # work kept from an earlier call, on samples rewritten in place, gives
+    # every element the bytes of new arrays; work is bound to its samples
+    rng = np.random.default_rng(len(shape))
+    samples = rng.standard_normal((3, *shape)) + 1j * rng.standard_normal((3, *shape))
+    lam = (0.7, -0.3, 0.2, -0.5, 0.4, 0.1)
+    u, du, d2u = samples
+    work = kernels.combine_work(u, du, d2u)
+    kernels.nonlinear_combine(u, du, d2u, lam, work)
+    samples[...] = samples[::-1] * 0.5
+    expect = reference_combine(u, du, d2u, lam).tobytes()
+    assert kernels.nonlinear_combine(u, du, d2u, lam).tobytes() == expect
+    assert kernels.nonlinear_combine(u, du, d2u, lam, work).tobytes() == expect
+    with pytest.raises(ValueError, match="work was prepared for other samples"):
+        kernels.nonlinear_combine(u.copy(), du, d2u, lam, work)
 
 
 @pytest.mark.parametrize("m", [0, 1, 4])

@@ -149,16 +149,16 @@ def _workspace(rows, num_modes, pad):
     """The prepared ``_nonlinearity`` of a (rows, N) block at ``pad``: every
     array a call writes but the one it returns, and every view and constant
     it reads, built once. That is the (3, rows, pad·N) sample stack's
-    ``sample_layout``, the combine's ``kernels.combine_work`` on the
-    stack's three rows flattened to (rows·pad·N,), and the ``band_layout``
-    of the combine's result as a (rows, pad·N) block, which the forward
-    FFT overwrites. 104 bytes a padded point; the 16 shapes used last are
-    kept. Reusing them leaves malloc nothing to hand back to the system
-    between calls and fault in again, and a call nothing to build but its
-    result. Calls of one shape share them, so two threads must not make
-    such calls at once."""
+    ``sample_layout``, the combine's ``kernels.combine_work`` on the stack
+    flattened to (3, rows·pad·N), and the ``band_layout`` of the combine's
+    result as a (rows, pad·N) block, which the forward FFT overwrites. 104
+    bytes a padded point; the 16 shapes used last are kept (a benchmark
+    workload uses at most six). Reusing them leaves malloc nothing to hand
+    back to the system between calls and fault in again, and a call nothing
+    to build but its result. Calls of one shape share them, so two threads
+    must not make such calls at once."""
     stack = np.empty((3, rows, pad * num_modes), dtype=np.complex128)
-    work = kernels.combine_work(*stack.reshape(3, -1))
+    work = kernels.combine_work(stack.reshape(3, -1))
     return (sample_layout(stack, num_modes, pad, ORDERS), work,
             band_layout(work[-3].reshape(rows, -1), num_modes, pad))
 

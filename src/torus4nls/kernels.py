@@ -15,7 +15,9 @@ as the (B, M) blocks of an ensemble step. ``nonlinear_combine`` writes its
 temporaries and result into work arrays from ``combine_work``, which also
 holds the views it takes of its samples; a caller that keeps the work and
 rewrites the samples in place, as the stepper does, makes the evaluations
-allocate no array and build no view.
+allocate no array and build no view. Where one real operation repeats on
+u and du (the squares and sums of |u|² and |du|²), it is one call on a
+flat run of both, element by element the same operations.
 """
 
 import numpy as np
@@ -34,19 +36,26 @@ def apply_multiplier(coeffs, factors):
     return coeffs * factors
 
 
-def combine_work(u, du, d2u):
-    """``nonlinear_combine``'s views of the samples ``u``, ``du`` and
-    ``d2u``, which the caller may rewrite in place between calls, their
-    real and imaginary parts, and new arrays for it to write: seven real
-    rows of the samples' size in one block, 56 bytes a point. |u|², |du|²
-    and a temporary take rows 0-2, and λ1|u|², λ2|u|² and λ6|u|² rows 4-6;
-    the complex result and the temporaries p and q take rows 0-5 once all
-    but λ6|u|² are spent."""
+def combine_work(samples):
+    """``nonlinear_combine``'s views of its samples u, du and d2u, the rows
+    of the complex (3, ...) array ``samples``, which the caller may rewrite
+    in place between calls, and new arrays for it to write: seven real
+    rows of the samples' size in one block, 56 bytes a point. The squares
+    of u's and du's real and imaginary parts take rows 2-5, |u|² and |du|²
+    rows 0-1, λ1|u|², λ2|u|² and λ6|u|² rows 4-6; the complex result and
+    the temporaries p and q take rows 0-5 once all but λ6|u|² are spent."""
+    if samples.dtype != np.complex128 or not samples.flags.c_contiguous:
+        raise ValueError("the samples must be one C-contiguous complex block")
+    u, du, d2u = samples
     reals = np.empty((7, u.size))
-    au2, adu2, tmp, _, s, t, s6 = (row.reshape(u.shape) for row in reals)
+    au2, adu2, _, _, s, t, s6 = (row.reshape(u.shape) for row in reals)
+    # u's and du's real and imaginary parts, interleaved, as one flat run:
+    # flat views keep numpy on its one-dimensional loops
+    parts = samples[:2].reshape(-1).view(np.float64)
+    squares = reals[2:6].reshape(-1)
     out, p, q = reals[:6].reshape(-1).view(np.complex128).reshape(3, *u.shape)
-    return (u, du, d2u, u.real, u.imag, du.real, du.imag, au2, adu2, tmp, s, t, s6,
-            out, p, q)
+    return (u, du, d2u, parts, squares, squares[::2], squares[1::2], reals[:2].reshape(-1),
+            au2, adu2, s, t, s6, out, p, q)
 
 
 def nonlinear_combine(u, du, d2u, lam, work=None):
@@ -55,30 +64,29 @@ def nonlinear_combine(u, du, d2u, lam, work=None):
     lam1 |u|^2 u + lam2 |u|^4 u + lam3 (du)^2 conj(u) + lam4 |du|^2 u
     + lam5 u^2 conj(d2u) + lam6 |u|^2 d2u
 
-    Every product and sum is one ufunc call into ``work``
-    (``combine_work(u, du, d2u)``; new arrays when None), on the operands,
-    in the order, of the expression above evaluated left to right (lam6
-    |u|^2 is formed with the other multiples of |u|^2, before the result
-    takes its memory), so the bits do not depend on whether the arrays are
-    new. Returns ``work``'s result array: a caller that rewrites the
-    samples in place and passes the same ``work`` again allocates nothing
-    and makes no view. A complex product written over its first operand
-    gets the bits of one written to a new array on two or more points; on
-    a single point numpy takes another loop, which can change the last bit.
+    Every product and sum is a ufunc call into ``work`` (``combine_work``
+    of the samples as one block; of a copy and new arrays when None), on
+    the operands, in the order, of the expression above evaluated left to
+    right (lam6 |u|^2 is formed with the other multiples of |u|^2, before
+    the result takes its memory), so the bits do not depend on whether the
+    arrays are new. The squares in |u|^2 and |du|^2 are one call, and
+    their sums another. Returns ``work``'s result array: a caller that
+    rewrites the samples in place and passes the same ``work`` again
+    allocates nothing and makes no view. A complex product written over its
+    first operand gets the bits of one written to a new array on two or
+    more points; on a single point numpy takes another loop, which can
+    change the last bit.
     """
     l1, l2, l3, l4, l5, l6 = lam
     if work is None:
-        work = combine_work(u, du, d2u)
+        work = combine_work(np.array((u, du, d2u), dtype=np.complex128))
+        u, du, d2u = work[:3]
     elif work[0] is not u or work[1] is not du or work[2] is not d2u:
         raise ValueError("work was prepared for other samples")
-    _, _, _, ur, ui, dr, di, au2, adu2, tmp, s, t, s6, out, p, q = work
+    _, _, _, parts, squares, re2, im2, mags, au2, adu2, s, t, s6, out, p, q = work
     mul, add, conj = np.multiply, np.add, np.conjugate
-    mul(ur, ur, au2)
-    mul(ui, ui, tmp)
-    add(au2, tmp, au2)  # |u|^2
-    mul(dr, dr, adu2)
-    mul(di, di, tmp)
-    add(adu2, tmp, adu2)  # |du|^2
+    mul(parts, parts, squares)
+    add(re2, im2, mags)  # |u|^2 and |du|^2
     mul(l1, au2, s)
     mul(l2, au2, t)
     mul(l6, au2, s6)

@@ -66,6 +66,10 @@ def test_kept_work_gives_the_bytes_of_new_arrays(shape):
     assert kernels.nonlinear_combine(u, du, d2u, lam, work).tobytes() == expect
     with pytest.raises(ValueError, match="work was prepared for other samples"):
         kernels.nonlinear_combine(u.copy(), du, d2u, lam, work)
+    # the work's flat views need the samples as one complex block
+    for other in (samples[:, ::2], samples.real.copy()):
+        with pytest.raises(ValueError, match="one C-contiguous complex block"):
+            kernels.combine_work(other)
 
 
 @pytest.mark.parametrize("m", [0, 1, 4])

@@ -31,7 +31,6 @@ from .spectral import (
     InputError,
     SpectralField,
     band_coeffs,
-    band_layout,
     padded_samples,
     refusing,
     sample_layout,
@@ -150,39 +149,33 @@ def _workspace(rows, num_modes, pad):
     array a call writes but the one it returns, and every view and constant
     it reads, built once. That is the (3, rows, pad·N) sample stack's
     ``sample_layout``, the combine's ``kernels.combine_work`` on the stack
-    flattened to (3, rows·pad·N), and the ``band_layout`` of the combine's
-    result as a (rows, pad·N) block, which the forward FFT overwrites. 104
-    bytes a padded point; the 16 shapes used last are kept (a benchmark
-    workload uses at most six). Reusing them leaves malloc nothing to hand
-    back to the system between calls and fault in again, and a call nothing
-    to build but its result. Calls of one shape share them, so two threads
-    must not make such calls at once."""
+    flattened to (3, rows·pad·N), and the combine's result as a (rows,
+    pad·N) block, which the forward FFT overwrites. 104 bytes a padded
+    point; the 16 shapes used last are kept (a benchmark workload uses at
+    most six). Reusing them leaves malloc nothing to hand back to the
+    system between calls and fault in again, and a call nothing to build
+    but its result. Calls of one shape share them, so two threads must not
+    make such calls at once."""
     stack = np.empty((3, rows, pad * num_modes), dtype=np.complex128)
     work = kernels.combine_work(stack.reshape(3, -1))
-    return (sample_layout(stack, num_modes, pad, ORDERS), work,
-            band_layout(work[-3].reshape(rows, -1), num_modes, pad))
+    return sample_layout(stack, num_modes, pad, ORDERS), work, work[-3].reshape(rows, -1)
 
 
-def _nonlinearity(c, coeffs, w=None):
-    """Raw-array core of ``eval_nonlinearity`` for (B, N) coefficients ``c``,
-    followed by the rows of ``w`` when given: a new writable (B, N) array
-    (B + len(w) rows), each row exactly as it would come out alone (zeros
-    for linear coefficients). Every other array it writes is the block
-    shape's ``_workspace``, and ``c`` and ``w`` are written into its sample
-    stack as they are, not joined first."""
-    rows, n = c.shape
-    if w is not None:
-        rows += len(w)
-        c = (c, w)
+def _nonlinearity(c, coeffs):
+    """Raw-array core of ``eval_nonlinearity`` for (B, N) coefficients
+    ``c``: a new writable (B, N) array, each row exactly as it would come
+    out alone (zeros for linear coefficients). Every other array it writes
+    is the block shape's ``_workspace``."""
     if coeffs.is_linear:
-        return np.zeros((rows, n), dtype=np.complex128)
+        return np.zeros(c.shape, dtype=np.complex128)
+    rows, n = c.shape
     pad = coeffs.dealias_pad
-    samples, work, band = _workspace(rows, n, pad)
+    samples, work, combined = _workspace(rows, n, pad)
     padded_samples(c, pad, ORDERS, out=samples)
     # the pointwise kernel runs on flat (B·M,) views: elementwise, so
     # the same values, without numpy's per-row iteration over (B, M)
     kernels.nonlinear_combine(*work[:3], coeffs.lambdas, work)
-    return band_coeffs(band[0], n, pad, out=band)
+    return band_coeffs(combined, n, pad, out=combined)
 
 
 def eval_nonlinearity(psi, coeffs):
@@ -231,15 +224,15 @@ def _picard_step(c, factors, dt, coeffs, m, time, members, named):
     Each row is the fixed point of ψ ↦ W_ε(dt)ψ₀ - i (dt/2) [W_ε(dt) N(ψ₀) +
     N(ψ)], converged when successive iterates differ by < PICARD_TOL in
     H^m. N(ψ₀) and the first iterate's N(W_ε(dt)ψ₀) depend only on the
-    step's start, so they are one ``_nonlinearity`` call on the (2B, N)
-    block of both: k calls for k iterations instead of k+1. Every row of a
-    ``_nonlinearity`` block gets the bits it would get alone, and a row
-    freezes at its own convergence and leaves the batch, so each row takes
-    the iterations and gets the bits of a run of its own. Returns
-    (states, iterations per row). When rows fail, raises for the lowest
-    one, carrying ``time`` and its member (named in the message when
-    ``named``): NonFinite as soon as its distance is not finite,
-    NonConvergence past the budget.
+    step's start, so c and W_ε(dt)c are written into one (2B, N) start
+    block and evaluated in one ``_nonlinearity`` call: k calls for k
+    iterations instead of k+1. Every row of a ``_nonlinearity`` block gets
+    the bits it would get alone, and a row freezes at its own convergence
+    and leaves the batch, so each row takes the iterations and gets the
+    bits of a run of its own. Returns (states, iterations per row). When
+    rows fail, raises for the lowest one, carrying ``time`` and its member
+    (named in the message when ``named``): NonFinite as soon as its
+    distance is not finite, NonConvergence past the budget.
     """
     w_psi = kernels.apply_multiplier(c, factors[0])
     if coeffs.is_linear:
@@ -253,7 +246,7 @@ def _picard_step(c, factors, dt, coeffs, m, time, members, named):
     failure = None
     gap_sq = sobolev_norm_sq_of(c.shape[-1], m)
     with np.errstate(over="ignore", invalid="ignore"):
-        both = _nonlinearity(c, coeffs, w_psi)
+        both = _nonlinearity(np.concatenate((c, w_psi)), coeffs)
         n0, n_first = both[: len(c)], both[len(c) :]
         fixed = w_psi - kernels.apply_multiplier(n0, factors[0]) * half_dt
         current = w_psi

@@ -34,6 +34,7 @@ from .spectral import (
     refusing,
     row_blocks,
     row_by_row,
+    sample_layout,
     seminorm_sq,
     seminorm_sq_rows,
     sobolev_norm_sq,
@@ -134,8 +135,9 @@ def conserved_rows(block, *, out=None):
     """(I₀, I₁, raw I₂) by dealiased quadrature, as three arrays with one
     entry per row ψ of (..., N) coefficients. Raw I₂ is complex: its
     odd-looking cubic terms sum to a real quantity, and its imaginary part
-    is round-off for band-limited fields. ``out``, a complex (3, ..., 4·N)
-    array, receives the samples (``padded_samples``' ``out``)."""
+    is round-off for band-limited fields. ``out``, the ``sample_layout`` of
+    a complex (3, ..., 4·N) array at orders (0, 1, 2), receives the samples
+    (``padded_samples``' ``out``)."""
     u, du, d2u = padded_samples(block, PAD_SEXTIC, (0, 1, 2), out=out)
     au2 = np.abs(u) ** 2
     i0 = 0.5 * quadrature_mean_rows(au2)
@@ -367,7 +369,7 @@ class EnergyRecorder:
                  "modified_energy", "i0", "i1", "i2"]
         self._columns = {name: [] for name in names}
         self._times, self._states = [], []
-        self._stack = np.empty(0, dtype=np.complex128)
+        self._samples = None  # the last block shape's sample_layout
 
     def __call__(self, time, rows, members):
         (state,) = rows
@@ -397,9 +399,10 @@ class EnergyRecorder:
         # 196 KiB stack at N=1024 was trimmed from the heap top and faulted
         # back in (22,500 minor faults a simulate_n1024 pass, not 6,600)
         rows, n = block.shape
-        if self._stack.shape != (3, rows, PAD_SEXTIC * n):
-            self._stack = np.empty((3, rows, PAD_SEXTIC * n), dtype=np.complex128)
-        i0, i1, i2_raw = conserved_rows(block, out=self._stack)
+        if self._samples is None or self._samples[0].shape != (3, rows, PAD_SEXTIC * n):
+            stack = np.empty((3, rows, PAD_SEXTIC * n), dtype=np.complex128)
+            self._samples = sample_layout(stack, n, PAD_SEXTIC, (0, 1, 2))
+        i0, i1, i2_raw = conserved_rows(block, out=self._samples)
         values += [i0, i1, i2_raw.real]
         for column, value in zip(self._columns.values(),
                                  [times, *(v.tolist() for v in values)]):

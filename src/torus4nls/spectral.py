@@ -14,8 +14,11 @@ the value the row gets alone (a 1-D array is one row, and the one-field
 call is that case); ``row_blocks`` cuts the studies' sample arrays into
 blocks of at most ``BLOCK_ROWS`` rows for them.
 Physical samples are plain arrays: ``padded_samples`` synthesises them on
-the pad·N grid (pad 1 is the field's own grid) and ``band_coeffs`` takes
-them back, and these two hold every FFT of the package.
+the pad·N grid (pad 1 is the field's own grid) from one (..., N) array and
+``band_coeffs`` takes them back, and these two hold every FFT of the
+package. Both reach the N-mode band through the pad·N modes' 2·pad runs of
+N/2, the first and the last; a caller that reuses its sample stack keeps
+the stack's ``sample_layout`` and hands it to ``padded_samples`` as ``out``.
 """
 
 from dataclasses import dataclass
@@ -152,15 +155,6 @@ class SpectralField:
         object.__setattr__(self, "coeffs", coeffs)
 
 
-@lru_cache(maxsize=64)
-def _padded_band(num_modes, pad):
-    """Positions of the N-mode band in the FFT layout of the pad·N grid."""
-    m, half = pad * num_modes, num_modes // 2
-    band = np.r_[:half, m - half : m]
-    band.setflags(write=False)
-    return band
-
-
 @lru_cache(maxsize=128)
 def _padded_multiplier(num_modes, pad, k):
     """(i·n)^k over the modes of the pad·N grid."""
@@ -191,27 +185,19 @@ def sample_layout(stack, num_modes, pad, orders):
 def padded_samples(coeffs, pad, orders, *, out=None):
     """Samples of ∂^k ψ for each k in ``orders`` on the pad·N grid, from
     (..., N) coefficients: a (len(orders), ..., pad·N) array from one
-    inverse FFT, each row exactly as it would come out alone. ``out``
-    receives them in place of a new array: a complex array of that shape,
-    or its ``sample_layout``, whose views and constants are then not built
-    again, and which also takes a tuple of (B_i, N) blocks in place of the
-    coefficients, standing for their rows in turn."""
-    if not isinstance(out, tuple):
+    inverse FFT, each row exactly as it would come out alone. ``out``, the
+    ``sample_layout`` of a complex array of that shape, receives them in
+    place of a new array, and its views and constants are not built
+    again."""
+    if out is None:
         n = coeffs.shape[-1]
-        if out is None:
-            out = np.empty((len(orders), *coeffs.shape[:-1], pad * n), dtype=np.complex128)
-        out = sample_layout(out, n, pad, orders)
+        stack = np.empty((len(orders), *coeffs.shape[:-1], pad * n), dtype=np.complex128)
+        out = sample_layout(stack, n, pad, orders)
     stack, base, band, middle, rows, scale = out
     middle.fill(0.0)
     # the coefficients' halves are their (..., 2, N/2) reshape: one copy, not
     # an assignment through the band index (about 3% of riccati's wall time)
-    if isinstance(coeffs, tuple):  # each block in place, not joined first
-        start = 0
-        for block in coeffs:
-            band[start : start + len(block)] = block.reshape(len(block), *band.shape[1:])
-            start += len(block)
-    else:
-        band[...] = coeffs.reshape(band.shape)
+    band[...] = coeffs.reshape(band.shape)
     for multiplier, row in rows:  # row 0, the plain copy, last
         if multiplier is None:
             row[...] = base
@@ -224,29 +210,21 @@ def padded_samples(coeffs, pad, orders, *, out=None):
     return stack
 
 
-def band_layout(out, num_modes, pad):
-    """What ``band_coeffs`` reads, built once for a caller that reuses its
-    FFT output ``out`` (None: a new array): ``out``, the N-mode band's
-    positions (None at pad 1), the forward scaling and the Nyquist index."""
-    band = _padded_band(num_modes, pad) if pad > 1 else None
-    return out, band, SQRT_2PI / (pad * num_modes), num_modes // 2
-
-
 def band_coeffs(samples, num_modes, pad, *, out=None):
     """Coefficients of samples on the pad·N grid, truncated to the N-mode
     band with the Nyquist mode zeroed: a new writable (..., N) array for
     pad > 1. The pad·N-point FFT goes to ``out`` (``samples`` itself for an
-    FFT in place) in place of a new array, or to the array of a
-    ``band_layout`` given as ``out``; at pad 1 the result is that array.
-    The band is taken before it is scaled: the same products, on N points
-    of the pad·N."""
-    fft_out, band, scale, nyquist = (
-        out if isinstance(out, tuple) else band_layout(out, num_modes, pad))
-    chat = np.fft.fft(samples, out=fft_out)
-    if band is not None:
-        chat = chat.take(band, axis=-1)
-    chat *= scale
-    chat[..., nyquist] = 0.0
+    FFT in place) in place of a new array; at pad 1 the result is that
+    array. The band is copied out of the FFT's 2·pad runs of N/2 modes, the
+    first and the last, as ``padded_samples`` writes it, and scaled after:
+    the same products, on N points of the pad·N."""
+    chat = np.fft.fft(samples, out=out)
+    if pad > 1:
+        shape = chat.shape[:-1]
+        runs = chat.reshape(*shape, 2 * pad, num_modes // 2)
+        chat = runs[..., :: 2 * pad - 1, :].reshape(*shape, num_modes)
+    chat *= SQRT_2PI / (pad * num_modes)
+    chat[..., num_modes // 2] = 0.0
     return chat
 
 

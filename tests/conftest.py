@@ -20,7 +20,7 @@ import os
 import numpy as np
 import pytest
 
-from torus4nls import functionals, spectral
+from torus4nls import functionals
 from torus4nls.dynamics import CoefficientSet
 from torus4nls.mollifier import kernel_value
 from torus4nls.sampling import rng_states, rngs_from
@@ -181,24 +181,26 @@ def reference_combine(u, du, d2u, lam):
 
 def reference_nonlinearity(c, coeffs):
     """``dynamics._nonlinearity`` of (B, N) coefficients ``c`` as it was
-    before each block shape's evaluation was prepared: the padded spectrum
-    with its derivatives, one inverse FFT in place and its scaling
-    (``padded_samples``), ``reference_combine`` on the flat sample rows,
-    then the forward FFT in place, its scaling over all pad·N modes and
-    the band (``band_coeffs``)."""
+    before each block shape's evaluation was prepared, sharing no code
+    with it: the padded spectrum with its derivatives (multipliers built
+    here), one inverse FFT in place and its scaling (``padded_samples``),
+    ``reference_combine`` on the flat sample rows, then the forward FFT in
+    place, its scaling over all pad·N modes and the band, taken through an
+    index built here (``band_coeffs``)."""
     rows, n = c.shape
     pad = coeffs.dealias_pad
     m, half = pad * n, n // 2
+    band = np.r_[:half, m - half : m]
     stack = np.zeros((3, rows, m), dtype=np.complex128)
-    stack[0, :, :half] = c[:, :half]
-    stack[0, :, m - half :] = c[:, half:]
+    stack[0][:, band] = c
     for k in (2, 1):
-        np.multiply(spectral._padded_multiplier(n, pad, k), stack[0], out=stack[k])
+        multiplier = (1j * np.fft.fftfreq(m, 1.0 / m)) ** k
+        np.multiply(multiplier, stack[0], out=stack[k])
     np.fft.ifft(stack, axis=-1, out=stack)
     stack *= m / SQRT_2PI
     combined = reference_combine(*stack.reshape(3, -1), coeffs.lambdas).reshape(rows, m)
     chat = np.fft.fft(combined, out=combined)
     chat *= SQRT_2PI / m
-    chat = chat.take(spectral._padded_band(n, pad), axis=-1)
+    chat = chat.take(band, axis=-1)
     chat[:, half] = 0.0
     return chat

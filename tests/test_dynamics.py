@@ -818,8 +818,7 @@ class TestPreparedEvaluation:
     bytes of ``reference_nonlinearity``, the evaluation before it was
     prepared, at each block shape the workloads use: 1 to 12 rows, one
     member's fused pair to the family's, at N = 64, 256 and 1024 and an N
-    whose band halves are odd, at pad 2 and pad 3. A fused call, from a
-    block and the block after it, gets the bytes of their concatenation."""
+    whose band halves are odd, at pad 2 and pad 3."""
 
     @pytest.mark.parametrize("rows", [1, 2, 4, 5, 6, 8, 10, 12])
     @pytest.mark.parametrize("num_modes", [64, 102, 256, 1024])
@@ -834,10 +833,6 @@ class TestPreparedEvaluation:
         for _ in range(2):  # a new workspace, then the kept one
             got = dynamics._nonlinearity(block, coeffs)
             assert [row.tobytes() for row in got] == [row.tobytes() for row in expect]
-        if rows % 2 == 0:
-            half = rows // 2
-            fused = dynamics._nonlinearity(block[:half], coeffs, block[half:])
-            assert [row.tobytes() for row in fused] == [row.tobytes() for row in expect]
 
 
 class TestFusedStartOfStep:

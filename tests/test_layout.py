@@ -389,7 +389,7 @@ def _memo_dicts(tree):
 
 
 def test_every_cache_is_measured():
-    """The package's memo caches are the five ``spectral`` ones and
+    """The package's memo caches are the four ``spectral`` ones and
     ``dynamics._workspace``, whose hits and cost of a miss were measured on
     the benchmark's workloads (see ROADMAP aim 2): a new cache comes with
     its measurement. No module-level dict is filled as a memo behind the
@@ -408,10 +408,21 @@ def test_every_cache_is_measured():
                         sites.append((path.stem, node.name))
     assert sorted(sites) == [
         ("dynamics", "_workspace"),
-        ("spectral", "_grid"), ("spectral", "_padded_band"),
+        ("spectral", "_grid"),
         ("spectral", "_padded_multiplier"), ("spectral", "_seminorm_weights"),
         ("spectral", "_sobolev_weights")]
     assert memos == []
+
+
+def test_sample_layouts_have_three_builders():
+    """A ``spectral.sample_layout`` is built by ``padded_samples`` for a
+    call that brings none, and kept by the two callers that reuse a sample
+    stack: the stepper's ``dynamics._workspace`` and
+    ``functionals.EnergyRecorder``. ``padded_samples`` takes no other form
+    of ``out``, and ``band_coeffs`` reads its band through no layout."""
+    assert sorted(_call_sites({"sample_layout", "spectral.sample_layout"})) == [
+        ("dynamics", "_workspace"), ("functionals", "_evaluate"),
+        ("spectral", "padded_samples")]
 
 
 def test_memo_dicts_are_found():

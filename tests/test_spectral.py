@@ -188,6 +188,33 @@ class TestPaddedSamples:
         assert back[grid.nyquist_index] == 0.0
 
 
+class TestBandCoeffs:
+    """``band_coeffs`` copies the band out of the FFT's runs of N/2 modes,
+    the view ``padded_samples`` writes it through: byte for byte a ``take``
+    through the band's index, scaled after, with the Nyquist mode zeroed,
+    on one row and on a block, with the FFT to a new array or in place."""
+
+    @pytest.mark.parametrize("in_place", [False, True], ids=["new", "in-place"])
+    @pytest.mark.parametrize("rows", [(), (5,)], ids=["1d", "block"])
+    @pytest.mark.parametrize("num_modes", [64, 102, 1024])
+    @pytest.mark.parametrize("pad", [1, 2, 3, 4])
+    def test_bytewise_equal_take_through_band(self, pad, num_modes, rows, in_place):
+        m, half = pad * num_modes, num_modes // 2  # N = 102: odd band halves
+        rng = np.random.default_rng(m + len(rows))
+        samples = rng.standard_normal((*rows, m)) + 1j * rng.standard_normal((*rows, m))
+        expect = np.fft.fft(samples).take(np.r_[:half, m - half : m], axis=-1)
+        expect *= SQ2PI / m
+        expect[..., half] = 0.0
+        got = band_coeffs(samples, num_modes, pad, out=samples if in_place else None)
+        assert got.shape == (*rows, num_modes)
+        assert got.tobytes() == expect.tobytes()
+        if pad == 1:  # the FFT's output itself
+            assert (got is samples) == in_place
+        else:  # a new array
+            assert got.flags.writeable and got.flags.c_contiguous
+            assert not np.shares_memory(got, samples)
+
+
 class TestNorms:
     def test_dc_mode_any_m(self, grid64):
         psi = single_mode(grid64, 0)

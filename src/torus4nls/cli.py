@@ -168,6 +168,7 @@ PARAM_FLAGS = {
     "delta_ladder": "--deltas", "l2_ceiling": "--ceiling", "sobolev_index_m": "--m",
     "hm_norm": "--hm-size", "epsilon": "--eps", "separation": "--seps",
     ("riccati", "trials"): "--cm-trials", ("riccati", "family"): "--hm-size",
+    ("eps-converge", "eps"): "--eps-ladder",
 }
 
 

@@ -10,9 +10,10 @@ cross-check. Both run in one loop, ``_stepping``, on one core: the
 nonlinearity ``_nonlinearity``, the factors ``_factors`` and the clock
 ``_steps``, so they differ only in their step function. The nonlinearity's
 ``_workspace`` per block shape (B, N, pad) is its prepared evaluation: the
-arrays it writes and every view and constant it reads, so that a call makes
-one cache lookup and then only the FFT and ufunc calls of its arithmetic,
-and allocates only the array it returns.
+arrays it writes and every view and constant it reads, the pointwise
+combine's one input among them, so that a call makes one cache lookup and
+then only the FFT and ufunc calls of its arithmetic, and allocates only the
+array it returns.
 
 Every stepper takes one optional ``observer(time, rows, members)``, called
 at t=0 and after each step with the read-only (B', N) coefficients of the
@@ -148,14 +149,15 @@ def _workspace(rows, num_modes, pad):
     """The prepared ``_nonlinearity`` of a (rows, N) block at ``pad``: every
     array a call writes but the one it returns, and every view and constant
     it reads, built once. That is the (3, rows, pad·N) sample stack's
-    ``sample_layout``, the combine's ``kernels.combine_work`` on the stack
-    flattened to (3, rows·pad·N), and the combine's result as a (rows,
-    pad·N) block, which the forward FFT overwrites. 104 bytes a padded
-    point; the 16 shapes used last are kept (a benchmark workload uses at
-    most six). Reusing them leaves malloc nothing to hand back to the
-    system between calls and fault in again, and a call nothing to build
-    but its result. Calls of one shape share them, so two threads must not
-    make such calls at once."""
+    ``sample_layout``, the combine's work (``kernels.combine_work`` of the
+    stack flattened to (3, rows·pad·N): its views of the samples and its
+    arrays, all ``kernels.nonlinear_combine`` takes), and the combine's
+    result as a (rows, pad·N) block, which the forward FFT overwrites.
+    104 bytes a padded point; the 16 shapes used last are kept (a benchmark
+    workload uses at most six). Reusing them leaves malloc nothing to hand
+    back to the system between calls and fault in again, and a call
+    nothing to build but its result. Calls of one shape share them, so two
+    threads must not make such calls at once."""
     stack = np.empty((3, rows, pad * num_modes), dtype=np.complex128)
     work = kernels.combine_work(stack.reshape(3, -1))
     return sample_layout(stack, num_modes, pad, ORDERS), work, work[-3].reshape(rows, -1)
@@ -165,7 +167,8 @@ def _nonlinearity(c, coeffs):
     """Raw-array core of ``eval_nonlinearity`` for (B, N) coefficients
     ``c``: a new writable (B, N) array, each row exactly as it would come
     out alone (zeros for linear coefficients). Every other array it writes
-    is the block shape's ``_workspace``."""
+    is the block shape's ``_workspace``: ``padded_samples`` writes the
+    samples into its stack, and the combine reads them through its work."""
     if coeffs.is_linear:
         return np.zeros(c.shape, dtype=np.complex128)
     rows, n = c.shape
@@ -174,7 +177,7 @@ def _nonlinearity(c, coeffs):
     padded_samples(c, pad, ORDERS, out=samples)
     # the pointwise kernel runs on flat (B·M,) views: elementwise, so
     # the same values, without numpy's per-row iteration over (B, M)
-    kernels.nonlinear_combine(*work[:3], coeffs.lambdas, work)
+    kernels.nonlinear_combine(work, coeffs.lambdas)
     return band_coeffs(combined, n, pad, out=combined)
 
 

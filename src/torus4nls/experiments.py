@@ -384,19 +384,20 @@ def eps_convergence_study(data, coeffs, t_end, eps_ladder, cfg):
     cfg.sobolev_index_m) decrease monotonically along the ladder and the
     fitted H^1 order is at least ``min_h1_order``
     (``EPS_CONVERGENCE_THRESHOLDS``). The ladder needs two or more distinct
-    entries, each in (0, 1], and t_end must be > 0.
+    entries, each in (0, 1] (``mollify`` refuses one outside, before any
+    run and before the reference's ε is taken from it), and t_end must be
+    > 0.
     """
     m = cfg.sobolev_index_m
     if m < 4:
         raise InputError("sobolev_index_m", f"must be >= 4 for this study, got {m}")
-    # two entries are the fewest a rate can be fitted to; (0, 1] is mollify's range
-    check_entries("eps_ladder", eps_ladder, lambda e: 0.0 < e <= 1.0, "lie in (0, 1]")
+    check_entries("eps_ladder", eps_ladder)  # the fewest a rate can be fitted to
     check_t_end(t_end)
     ladder = sorted(eps_ladder, reverse=True)
+    mollified = [mollify(data, e) for e in ladder]
     eps_ref = min(ladder) / EPS_REF_DIVISOR
-    epsilons = [eps_ref] + ladder
-    runs = integrate_many([mollify(data, e) for e in epsilons], t_end, cfg, coeffs,
-                          epsilons=epsilons)
+    runs = integrate_many([mollify(data, eps_ref)] + mollified, t_end, cfg, coeffs,
+                          epsilons=[eps_ref] + ladder)
     ref = runs[0].state
     h1_diffs = []
     hm_diffs = []

@@ -246,7 +246,9 @@ def certificate_rows(grid, rngs, l2_ceiling):
 
 
 def corner_probes(grid, l2_ceiling):
-    """Deterministic worst-corner fields: mass concentrated on |n| <= 3.
+    """Deterministic worst-corner fields, mass concentrated on |n| <= 3, as
+    the rows of a (12, N) complex array: for n0 = 1, 2, 3, the single mode
+    n0, the ±n0 pairs at relative phases 0 and π/2, and their uneven split.
 
     Low-mode concentrations maximise the gap between the Sobolev-weighted
     target and the plain derivative energy, and the correction integrals
@@ -254,21 +256,15 @@ def corner_probes(grid, l2_ceiling):
     ±n pairs and an uneven split covers those extremes.
     """
     scale = l2_ceiling / np.sqrt(2.0)
-    probes = []
-    for n0 in (1, 2, 3):
-        c = np.zeros(grid.num_modes, dtype=np.complex128)
-        c[n0] = l2_ceiling
-        probes.append(SpectralField(grid, c))
-        for phase in (0.0, np.pi / 2):
-            c = np.zeros(grid.num_modes, dtype=np.complex128)
+    probes = np.zeros((3, 4, grid.num_modes), dtype=np.complex128)
+    for n0, (single, even, quarter, uneven) in zip((1, 2, 3), probes):
+        single[n0] = l2_ceiling
+        for c, phase in ((even, 0.0), (quarter, np.pi / 2)):
             c[n0] = scale
-            c[-n0 % grid.num_modes] = scale * np.exp(1j * phase)
-            probes.append(SpectralField(grid, c))
-        c = np.zeros(grid.num_modes, dtype=np.complex128)
-        c[n0] = np.sqrt(0.75) * l2_ceiling
-        c[-n0 % grid.num_modes] = 0.5j * l2_ceiling
-        probes.append(SpectralField(grid, c))
-    return probes
+            c[-n0] = scale * np.exp(1j * phase)
+        uneven[n0] = np.sqrt(0.75) * l2_ceiling
+        uneven[-n0] = 0.5j * l2_ceiling
+    return probes.reshape(12, grid.num_modes)
 
 
 def check_l2_ceiling(l2_ceiling, m):
@@ -300,8 +296,11 @@ def certify_cm(m, coeffs, l2_ceiling, trials, rng_seed, target="classic"):
     ``spectral.BLOCK_ROWS`` rows: first every target, whose weights refuse
     an overflowing m, then every sample's ``energy_terms_rows``, once; E_m
     at 0 and at c_m are both sums of those terms. The maximum and minimum
-    run over the per-sample values in sample order, so the result is bit
-    for bit that of drawing and evaluating the samples one at a time.
+    run over the per-sample values in the order they are drawn: the
+    probes, then each grid's rows. Both are exact, so the order does not
+    change their value, and probe 0 comes first in it as in sample order,
+    so the result is bit for bit that of drawing and evaluating the
+    samples one at a time.
     """
     if m < 1:  # before its weights or powers are taken
         raise InputError("m", f"must be >= 1, got {m}")
@@ -316,19 +315,13 @@ def certify_cm(m, coeffs, l2_ceiling, trials, rng_seed, target="classic"):
     states = rng_states(rng_seed, range(trials))
     arrays = [certificate_rows(grid, rngs_from(states[first::count]), l2_ceiling)
               for first, grid in enumerate(grids[:trials])]
-    probes = np.stack([psi.coeffs for psi in corner_probes(grids[0], l2_ceiling)])
-    arrays[0] = np.concatenate((probes, arrays[0]))
-    # the grids' rows side by side; trial i is row i // count of its grid's
-    starts = np.cumsum([0] + [len(rows) for rows in arrays[:-1]])
-    starts[0] = len(probes)
-    trial = np.arange(trials)
-    order = np.concatenate((np.arange(len(probes)), starts[trial % count] + trial // count))
+    arrays[0] = np.concatenate((corner_probes(grids[0], l2_ceiling), arrays[0]))
 
     def per_sample(fn):
         """``fn``'s values (one array, or a tuple of arrays, with one entry
-        per row of a block) for each sample, in sample order on the last axis."""
+        per row of a block) for each sample, in draw order on the last axis."""
         return np.concatenate([fn(rows[block]) for rows in arrays
-                               for block in row_blocks(len(rows))], axis=-1)[..., order]
+                               for block in row_blocks(len(rows))], axis=-1)
 
     targets = per_sample(lambda c: positivity_target_rows(c, m, target))
     terms = EnergyTerms(*per_sample(lambda c: energy_terms_rows(c, m, coeffs)))

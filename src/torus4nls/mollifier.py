@@ -9,7 +9,7 @@ n by φ(εn), which smooths with the sharp approximation rates
 
 import numpy as np
 
-from .spectral import SpectralField
+from .spectral import InputError, SpectralField
 
 
 def kernel_value(xi):
@@ -25,7 +25,8 @@ def kernel_value(xi):
 
 
 def mollify(data, eps):
-    """Multiply coefficient n by φ(εn); requires ε in (0, 1]."""
+    """Multiply coefficient n by φ(εn); an InputError of ``eps`` unless ε
+    lies in (0, 1]."""
     if not 0.0 < eps <= 1.0:
-        raise ValueError(f"mollification scale must lie in (0, 1], got {eps}")
+        raise InputError("eps", f"must lie in (0, 1], got {eps}")
     return SpectralField(data.grid, data.coeffs * kernel_value(eps * data.grid.modes))

@@ -109,26 +109,29 @@ def certificate_sample(grid, rng, l2_ceiling):
     return SpectralField(grid, functionals.certificate_rows(grid, [rng], l2_ceiling)[0])
 
 
-def certify_cm_two_pass(m, coeffs, l2_ceiling, trials, rng_seed, target="classic"):
+def certify_cm_two_pass(m, coeffs, l2_ceiling, trials, rng_seed, target="classic",
+                        reverse=False):
     """``functionals.certify_cm`` evaluating every sample's modified energy
     twice, at c_m = 0 and at the c_m found, each pass in blocks: the
-    reference for the certificate that evaluates each sample's terms once."""
+    reference for the certificate that evaluates each sample's terms once.
+    The maximum and minimum run over the per-sample values in sample order,
+    or in reversed sample order when ``reverse``."""
     count = len(functionals.CM_RESOLUTIONS)
     grids = [GridSpec(n) for n in functionals.CM_RESOLUTIONS]
     states = rng_states(rng_seed, range(trials))
     arrays = [functionals.certificate_rows(grid, rngs_from(states[first::count]),
                                            l2_ceiling)
               for first, grid in enumerate(grids[:trials])]
-    probes = np.stack([psi.coeffs
-                       for psi in functionals.corner_probes(grids[0], l2_ceiling)])
+    probes = functionals.corner_probes(grids[0], l2_ceiling)
     arrays[0] = np.concatenate((probes, arrays[0]))
 
     def per_sample(fn):
         values = [iter([v for block in row_blocks(len(rows))
                         for v in fn(rows[block]).tolist()])
                   for rows in arrays]
-        return ([next(values[0]) for _ in probes]
-                + [next(values[i % count]) for i in range(trials)])
+        values = ([next(values[0]) for _ in probes]
+                  + [next(values[i % count]) for i in range(trials)])
+        return values[::-1] if reverse else values
 
     targets = per_sample(lambda c: functionals.positivity_target_rows(c, m, target))
     e0s = per_sample(lambda c: functionals.modified_energy_rows(c, m, coeffs, 0.0))

@@ -15,6 +15,7 @@ import torus4nls.cli as cli
 import torus4nls.dynamics as dynamics
 import torus4nls.experiments as experiments
 import torus4nls.functionals as functionals
+import torus4nls.mollifier as mollifier
 from torus4nls import __version__
 from torus4nls.cli import (
     build_coeffs,
@@ -1203,18 +1204,21 @@ class TestUsageErrors:
         assert "random spec: seed must be >= 0, got -3" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("entry", ["0", "-2^-3", "1.5", "nan"])
+    @pytest.mark.parametrize("entry,value", [("0", "0.0"), ("-2^-3", "-0.125"),
+                                             ("1.5", "1.5"), ("nan", "nan")])
     def test_eps_ladder_outside_unit_interval_is_2_before_any_run(
-            self, tmp_path, monkeypatch, capsys, entry):
-        # mollification is defined for ε in (0, 1]: mollify's own error names
-        # no flag
+            self, tmp_path, monkeypatch, capsys, entry, value):
+        # mollification is defined for ε in (0, 1]: mollify's error, printed
+        # under the flag of the ladder, names the entry it refuses. mollify
+        # states the check, so it is called; no run starts
         self._forbid_runs(monkeypatch)
+        monkeypatch.setattr(experiments, "mollify", mollifier.mollify)
         out = tmp_path / "out"
         argv = ["eps-converge", "--nu", "1", "--integrable", "--eps-ladder",
                 f"2^-3,{entry}"]
         assert exit_code(out, argv) == 2
-        assert capsys.readouterr().err.startswith(
-            "usage error: --eps-ladder entries must lie in (0, 1]: [0.125, ")
+        assert capsys.readouterr().err == (
+            f"usage error: --eps-ladder must lie in (0, 1], got {value}\n")
         assert not out.exists()
 
 

@@ -46,7 +46,8 @@ def _aliasing_error(coeffs):
     largest coefficient of that evaluation."""
     c = decay_field(GridSpec(64), 1.0).coeffs[None]
     u, du, d2u = padded_samples(c, 4, (0, 1, 2))
-    reference = band_coeffs(kernels.nonlinear_combine(u, du, d2u, coeffs.lambdas), 64, 4)
+    work = kernels.combine_work(np.array((u, du, d2u)))
+    reference = band_coeffs(kernels.nonlinear_combine(work, coeffs.lambdas), 64, 4)
     return float(np.max(np.abs(_nonlinearity(c, coeffs) - reference))
                  / np.max(np.abs(reference)))
 

@@ -650,7 +650,8 @@ def _field_eval_nonlinearity(psi, coeffs, pad):
     u = np.fft.ifft(c) * scale
     du = np.fft.ifft(1j * modes_fine * c) * scale
     d2u = np.fft.ifft(-(modes_fine**2) * c) * scale
-    combined = kernels.nonlinear_combine(u, du, d2u, coeffs.lambdas)
+    combined = kernels.nonlinear_combine(kernels.combine_work(np.array((u, du, d2u))),
+                                         coeffs.lambdas)
     chat = np.fft.fft(combined) * (np.sqrt(2.0 * np.pi) / m)
     out = np.concatenate([chat[:half], chat[m - half :]])
     out[grid.nyquist_index] = 0.0
@@ -850,9 +851,9 @@ class TestFusedStartOfStep:
         points = []
         combine = kernels.nonlinear_combine
 
-        def counting(u, du, d2u, lam, work=None):
-            points.append(u.size)
-            return combine(u, du, d2u, lam, work)
+        def counting(work, lam):
+            points.append(work[0].size)
+            return combine(work, lam)
 
         monkeypatch.setattr(kernels, "nonlinear_combine", counting)
         grid = GridSpec(num_modes)

@@ -39,33 +39,35 @@ def test_nonlinear_combine_formula_and_rows():
         + lam[4] * u**2 * np.conj(d2u)
         + lam[5] * np.abs(u) ** 2 * d2u
     )
-    out = kernels.nonlinear_combine(u, du, d2u, lam)
+    out = kernels.nonlinear_combine(kernels.combine_work(np.array((u, du, d2u))), lam)
     assert np.allclose(out, expect, rtol=1e-13, atol=1e-15)
     # a (B, M) block combines each row exactly as it would alone
     other = random_arrays(128, 4)
     block = kernels.nonlinear_combine(
-        *(np.stack(pair) for pair in zip((u, du, d2u), other)), lam
+        kernels.combine_work(np.array([np.stack(pair)
+                                       for pair in zip((u, du, d2u), other)])), lam
     )
     assert np.array_equal(block[0], out)
-    assert np.array_equal(block[1], kernels.nonlinear_combine(*other, lam))
+    assert np.array_equal(block[1],
+                          kernels.nonlinear_combine(kernels.combine_work(np.array(other)),
+                                                    lam))
 
 
 @pytest.mark.parametrize("shape", [(2,), (3,), (128,), (4, 96), (3, 2, 5)])
 def test_kept_work_gives_the_bytes_of_new_arrays(shape):
     # work kept from an earlier call, on samples rewritten in place, gives
-    # every element the bytes of new arrays; work is bound to its samples
+    # every element the bytes of new arrays
     rng = np.random.default_rng(len(shape))
     samples = rng.standard_normal((3, *shape)) + 1j * rng.standard_normal((3, *shape))
     lam = (0.7, -0.3, 0.2, -0.5, 0.4, 0.1)
     work = kernels.combine_work(samples)
     u, du, d2u = work[:3]  # the views the work reads
-    kernels.nonlinear_combine(u, du, d2u, lam, work)
+    kernels.nonlinear_combine(work, lam)
     samples[...] = samples[::-1] * 0.5
     expect = reference_combine(u, du, d2u, lam).tobytes()
-    assert kernels.nonlinear_combine(u, du, d2u, lam).tobytes() == expect
-    assert kernels.nonlinear_combine(u, du, d2u, lam, work).tobytes() == expect
-    with pytest.raises(ValueError, match="work was prepared for other samples"):
-        kernels.nonlinear_combine(u.copy(), du, d2u, lam, work)
+    new = kernels.combine_work(np.array((u, du, d2u)))
+    assert kernels.nonlinear_combine(new, lam).tobytes() == expect
+    assert kernels.nonlinear_combine(work, lam).tobytes() == expect
     # the work's flat views need the samples as one complex block
     for other in (samples[:, ::2], samples.real.copy()):
         with pytest.raises(ValueError, match="one C-contiguous complex block"):

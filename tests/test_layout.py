@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from torus4nls import dynamics, experiments, functionals
+from torus4nls import dynamics, experiments, functionals, kernels
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "torus4nls"
@@ -423,6 +423,18 @@ def test_sample_layouts_have_three_builders():
     assert sorted(_call_sites({"sample_layout", "spectral.sample_layout"})) == [
         ("dynamics", "_workspace"), ("functionals", "_evaluate"),
         ("spectral", "padded_samples")]
+
+
+def test_the_combine_takes_its_prepared_work_alone():
+    """``kernels.nonlinear_combine`` reads its samples through the work
+    ``kernels.combine_work`` prepares, and takes nothing else but the λs:
+    the stepper's ``dynamics._workspace`` prepares the one work and
+    ``dynamics._nonlinearity`` is the one caller."""
+    assert list(inspect.signature(kernels.nonlinear_combine).parameters) == ["work", "lam"]
+    assert _call_sites({"nonlinear_combine", "kernels.nonlinear_combine"}) == [
+        ("dynamics", "_nonlinearity")]
+    assert _call_sites({"combine_work", "kernels.combine_work"}) == [
+        ("dynamics", "_workspace")]
 
 
 def test_memo_dicts_are_found():

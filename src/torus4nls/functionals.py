@@ -28,7 +28,6 @@ from .sampling import random_rows, rng_states, rngs_from
 from .spectral import (
     RECORD_POINTS,
     InputError,
-    SpectralField,
     _grid,
     padded_samples,
     refusing,

@@ -148,19 +148,20 @@ ORDERS = (0, 1, 2)  # the derivatives the nonlinearity samples
 def _workspace(rows, num_modes, pad):
     """The prepared ``_nonlinearity`` of a (rows, N) block at ``pad``: every
     array a call writes but the one it returns, and every view and constant
-    it reads, built once. That is the (3, rows, pad·N) sample stack's
-    ``sample_layout``, the combine's work (``kernels.combine_work`` of the
-    stack flattened to (3, rows·pad·N): its views of the samples and its
-    arrays, all ``kernels.nonlinear_combine`` takes), and the combine's
+    it reads, built once. That is the ``sample_layout`` of a (rows, N)
+    block, whose first entry is the (3, rows, pad·N) sample stack, the
+    combine's work (``kernels.combine_work`` of that stack flattened to
+    (3, rows·pad·N): its views of the samples and its arrays, all
+    ``kernels.nonlinear_combine`` takes), and the combine's
     result as a (rows, pad·N) block, which the forward FFT overwrites.
     104 bytes a padded point; the 16 shapes used last are kept (a benchmark
     workload uses at most six). Reusing them leaves malloc nothing to hand
     back to the system between calls and fault in again, and a call
     nothing to build but its result. Calls of one shape share them, so two
     threads must not make such calls at once."""
-    stack = np.empty((3, rows, pad * num_modes), dtype=np.complex128)
-    work = kernels.combine_work(stack.reshape(3, -1))
-    return sample_layout(stack, num_modes, pad, ORDERS), work, work[-3].reshape(rows, -1)
+    layout = sample_layout((rows,), num_modes, pad, ORDERS)
+    work = kernels.combine_work(layout[0].reshape(3, -1))
+    return layout, work, work[-3].reshape(rows, -1)
 
 
 def _nonlinearity(c, coeffs):

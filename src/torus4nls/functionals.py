@@ -134,9 +134,9 @@ def conserved_rows(block, *, out=None):
     """(I₀, I₁, raw I₂) by dealiased quadrature, as three arrays with one
     entry per row ψ of (..., N) coefficients. Raw I₂ is complex: its
     odd-looking cubic terms sum to a real quantity, and its imaginary part
-    is round-off for band-limited fields. ``out``, the ``sample_layout`` of
-    a complex (3, ..., 4·N) array at orders (0, 1, 2), receives the samples
-    (``padded_samples``' ``out``)."""
+    is round-off for band-limited fields. ``out``, a ``sample_layout`` of
+    the block's shape at pad 4 and orders (0, 1, 2), receives the samples
+    in its stack (``padded_samples``' ``out``)."""
     u, du, d2u = padded_samples(block, PAD_SEXTIC, (0, 1, 2), out=out)
     au2 = np.abs(u) ** 2
     i0 = 0.5 * quadrature_mean_rows(au2)
@@ -392,8 +392,7 @@ class EnergyRecorder:
         # back in (22,500 minor faults a simulate_n1024 pass, not 6,600)
         rows, n = block.shape
         if self._samples is None or self._samples[0].shape != (3, rows, PAD_SEXTIC * n):
-            stack = np.empty((3, rows, PAD_SEXTIC * n), dtype=np.complex128)
-            self._samples = sample_layout(stack, n, PAD_SEXTIC, (0, 1, 2))
+            self._samples = sample_layout((rows,), n, PAD_SEXTIC, (0, 1, 2))
         i0, i1, i2_raw = conserved_rows(block, out=self._samples)
         values += [i0, i1, i2_raw.real]
         for column, value in zip(self._columns.values(),

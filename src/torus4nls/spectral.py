@@ -12,13 +12,18 @@ The norms and ``gn_ratio`` are the one-field cases of ``*_rows`` functions
 that take (B, N) coefficients and return one value per row, bit for bit
 the value the row gets alone (a 1-D array is one row, and the one-field
 call is that case); ``row_blocks`` cuts the studies' sample arrays into
-blocks of at most ``BLOCK_ROWS`` rows for them.
+blocks of at most ``BLOCK_ROWS`` rows for them. Every weighted norm reads
+its weights, ⟨n⟩^{2m} or |n|^{2m}, and the order it sums in from one
+builder, ``_norm_layout``, which also refuses an m < 0 or an m whose
+weights overflow.
 Physical samples are plain arrays: ``padded_samples`` synthesises them on
 the pad·N grid (pad 1 is the field's own grid) from one (..., N) array and
 ``band_coeffs`` takes them back, and these two hold every FFT of the
 package. Both reach the N-mode band through the pad·N modes' 2·pad runs of
-N/2, the first and the last; a caller that reuses its sample stack keeps
-the stack's ``sample_layout`` and hands it to ``padded_samples`` as ``out``.
+N/2, the first and the last. A ``sample_layout`` allocates the sample stack
+and builds the views ``padded_samples`` writes it through; a caller that
+reuses its samples keeps one and hands it to ``padded_samples`` as
+``out``, and reads the stack as its first entry.
 """
 
 from dataclasses import dataclass
@@ -73,26 +78,6 @@ def refusing(message, compute, *args):
     raise error if isinstance(error, InputError) else ValueError(error)
 
 
-# The norm weights are listed in ``mode_order``, the order the norm kernels
-# sum in, so a norm does not gather them again on every call.
-@lru_cache(maxsize=512)
-def _sobolev_weights(num_modes, m):
-    grid = _grid(num_modes)
-    w = refusing(lambda: f"<n>^(2m) overflows: m={m} is too large for N={num_modes}",
-                 lambda: (1.0 + grid.modes**2) ** m)[grid.mode_order]
-    w.setflags(write=False)
-    return w
-
-
-@lru_cache(maxsize=512)
-def _seminorm_weights(num_modes, m):
-    grid = _grid(num_modes)
-    w = refusing(lambda: f"|n|^(2m) overflows: m={m} is too large for N={num_modes}",
-                 lambda: np.abs(grid.modes) ** (2 * m))[grid.mode_order]
-    w.setflags(write=False)
-    return w
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform grid of N nodes on [0, 2π)."""
@@ -139,6 +124,26 @@ def _grid(num_modes):
     return GridSpec(num_modes)
 
 
+@lru_cache(maxsize=512)
+def _norm_layout(num_modes, m, semi):
+    """The weights of the norms of index ``m``, ⟨n⟩^{2m} (H^m) or with
+    ``semi`` |n|^{2m} (the seminorm), and the grid's ``mode_order``: the
+    weights are listed in that order, the one the norm kernels sum in, so a
+    norm does not gather them again on every call."""
+    if m < 0:
+        raise InputError("m", f"must be >= 0, got {m}")
+    grid = _grid(num_modes)
+    if semi:
+        expr, weights = "|n|^(2m)", lambda: np.abs(grid.modes) ** (2 * m)
+    else:
+        expr, weights = "<n>^(2m)", lambda: (1.0 + grid.modes**2) ** m
+    w = refusing(lambda: InputError("m", f"must be small enough for {expr} to be "
+                                         f"finite at N={num_modes}, got {m}"),
+                 weights)[grid.mode_order]
+    w.setflags(write=False)
+    return w, grid.mode_order
+
+
 @dataclass(frozen=True)
 class SpectralField:
     """Fourier coefficients ψ̂(n) of a periodic field, in FFT order."""
@@ -165,16 +170,18 @@ def _padded_multiplier(num_modes, pad, k):
     return row
 
 
-def sample_layout(stack, num_modes, pad, orders):
-    """What ``padded_samples`` writes a complex (len(orders), ..., pad·N)
-    ``stack`` through, built once for a caller that reuses the stack: the
-    stack, its row 0 (the padded spectrum), the (..., 2, N/2) view of row
-    0's two band halves and the view of its zero middle, each other written
-    row with its multiplier (i·n)^k (None: a copy of row 0), last row
-    first, and the inverse FFT's scaling."""
+def sample_layout(shape, num_modes, pad, orders):
+    """A new complex (len(orders), *shape, pad·N) sample stack and what
+    ``padded_samples`` writes it through, for (*shape, N) coefficients,
+    built once for a caller that reuses the stack: the stack, its row 0
+    (the padded spectrum), the (*shape, 2, N/2) view of row 0's two band
+    halves and the view of its zero middle, each other written row with
+    its multiplier (i·n)^k (None: a copy of row 0), last row first, and the
+    inverse FFT's scaling."""
+    stack = np.empty((len(orders), *shape, pad * num_modes), dtype=np.complex128)
     base = stack[0]
     # the pad·N modes as 2·pad runs of N/2: the band is the first and last
-    runs = base.reshape(*stack.shape[1:-1], 2 * pad, num_modes // 2)
+    runs = base.reshape(*shape, 2 * pad, num_modes // 2)
     rows = tuple((_padded_multiplier(num_modes, pad, orders[row]) if orders[row] else None,
                   stack[row])
                  for row in reversed(range(len(orders))) if row or orders[row])
@@ -185,14 +192,13 @@ def sample_layout(stack, num_modes, pad, orders):
 def padded_samples(coeffs, pad, orders, *, out=None):
     """Samples of ∂^k ψ for each k in ``orders`` on the pad·N grid, from
     (..., N) coefficients: a (len(orders), ..., pad·N) array from one
-    inverse FFT, each row exactly as it would come out alone. ``out``, the
-    ``sample_layout`` of a complex array of that shape, receives them in
-    place of a new array, and its views and constants are not built
+    inverse FFT, each row exactly as it would come out alone. Without
+    ``out`` the array is a new ``sample_layout``'s stack; ``out``, a
+    ``sample_layout`` the caller keeps for the coefficients' shape,
+    receives them in its stack, and its views and constants are not built
     again."""
     if out is None:
-        n = coeffs.shape[-1]
-        stack = np.empty((len(orders), *coeffs.shape[:-1], pad * n), dtype=np.complex128)
-        out = sample_layout(stack, n, pad, orders)
+        out = sample_layout(coeffs.shape[:-1], coeffs.shape[-1], pad, orders)
     stack, base, band, middle, rows, scale = out
     middle.fill(0.0)
     # the coefficients' halves are their (..., 2, N/2) reshape: one copy, not
@@ -266,23 +272,16 @@ def sobolev_norm(psi, m):
     return float(np.sqrt(sobolev_norm_sq(psi, m)))
 
 
-def _sobolev_layout(num_modes, m):
-    """The weights ⟨n⟩^{2m}, listed in ``mode_order``, and that order."""
-    if m < 0:
-        raise InputError("m", f"must be >= 0, got {m}")
-    return _sobolev_weights(num_modes, m), _grid(num_modes).mode_order
-
-
 def sobolev_norm_sq_rows(coeffs, m):
     """Σ_n ⟨n⟩^{2m} |ĉ(n)|² of each row of (..., N) coefficients."""
-    return kernels.weighted_norm_sq(coeffs, *_sobolev_layout(coeffs.shape[-1], m))
+    return kernels.weighted_norm_sq(coeffs, *_norm_layout(coeffs.shape[-1], m, False))
 
 
 def sobolev_norm_sq_of(num_modes, m):
     """``sobolev_norm_sq_rows`` at one N and m as a function of the
     coefficients alone, its weights and order found once: for a caller
     that takes many norms of one size."""
-    weights, order = _sobolev_layout(num_modes, m)
+    weights, order = _norm_layout(num_modes, m, False)
     return lambda coeffs: kernels.weighted_norm_sq(coeffs, weights, order)
 
 
@@ -294,9 +293,8 @@ def sobolev_distance(psi, chi, m):
     """H^m distance between two fields on the same grid."""
     if psi.grid != chi.grid:
         raise ValueError("fields live on different grids")
-    n = psi.grid.num_modes
     return float(np.sqrt(kernels.weighted_diff_norm_sq(
-        psi.coeffs, chi.coeffs, _sobolev_weights(n, m), _grid(n).mode_order)))
+        psi.coeffs, chi.coeffs, *_norm_layout(psi.grid.num_modes, m, False))))
 
 
 def l2_norm(psi):
@@ -306,11 +304,7 @@ def l2_norm(psi):
 def seminorm_sq_rows(coeffs, m):
     """Σ_n n^{2m} |ĉ(n)|², the squared L² norm of ∂_x^m, of each row of
     (..., N) coefficients."""
-    if m < 0:
-        raise InputError("m", f"must be >= 0, got {m}")
-    n = coeffs.shape[-1]
-    order = _grid(n).mode_order
-    return kernels.weighted_norm_sq(coeffs, _seminorm_weights(n, m), order)
+    return kernels.weighted_norm_sq(coeffs, *_norm_layout(coeffs.shape[-1], m, True))
 
 
 def seminorm_sq(psi, m):

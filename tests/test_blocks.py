@@ -92,7 +92,7 @@ def _field(row):
 def _weighted(coeffs):
     """The H² norm kernel on the last axis, with the grid's ordered weights."""
     grid = GridSpec(coeffs.shape[-1])
-    return kernels.weighted_norm_sq(coeffs, spectral._sobolev_weights(grid.num_modes, 2),
+    return kernels.weighted_norm_sq(coeffs, spectral._norm_layout(grid.num_modes, 2, False)[0],
                                     grid.mode_order)
 
 

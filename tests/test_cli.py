@@ -725,11 +725,22 @@ class TestUsageErrors:
          "l2_ceiling^(4m+2) must be"),
         (["sweep-inequalities", "--ceiling", "1e40"], "l2_ceiling^(4m+2) must be"),
         # an m whose weights <n>^(2m) or |n|^(2m) overflow on a grid it uses
-        (["certify-cm", "--m", "140", "--trials", "5"], "m=140 is too large for N="),
-        (["certify-cm", "--m", "100", "--trials", "5"], "m=100 is too large for N="),
+        (["certify-cm", "--m", "140", "--trials", "5"],
+         "usage error: --m must be small enough for |n|^(2m) to be finite at N=32, "
+         "got 140"),
+        (["certify-cm", "--m", "100", "--trials", "5"],
+         "usage error: --m must be small enough for |n|^(2m) to be finite at N=128, "
+         "got 100"),
         (["sweep-inequalities", "--m", "120", "--trials", "3"],
-         "m=120 is too large for N="),
-        (["bona-smith", "--m", "200"], "m=200 is too large for N=1024"),
+         "usage error: --m must be small enough for <n>^(2m) to be finite at N=64, "
+         "got 120"),
+        (["bona-smith", "--m", "200"],
+         "usage error: --m must be small enough for <n>^(2m) to be finite at N=1024, "
+         "got 200"),
+        *((argv, "usage error: --m must be small enough for <n>^(2m) to be finite at "
+                 "N=64, got 400")
+          for argv in (["simulate", "--m", "400"], ["conserve", "--m", "400"],
+                       ["continuity", "--m", "400"])),
         (["riccati", "--nu", "1", "--integrable", "--m", "200"],
          "a weight <n>^(2m) does, got hm_norm=2.0, m=200"),
         # linear factors W_eps(dt) that are not finite
@@ -739,7 +750,8 @@ class TestUsageErrors:
             "kappa-residual", "standing-wave-nu", "sweep-inequalities-nu",
             "kappa-coefficient", "certify-cm", "certify-cm-nan-margin",
             "certify-cm-underflow", "riccati", "sweep-inequalities", "certify-cm-m140",
-            "certify-cm-m100", "sweep-inequalities-m", "bona-smith-m", "riccati-m",
+            "certify-cm-m100", "sweep-inequalities-m", "bona-smith-m", "simulate-m",
+            "conserve-m", "continuity-m", "riccati-m",
             "simulate-nu", "simulate-dt"])
     def test_overflowing_value_is_2(self, tmp_path, monkeypatch, capsys, argv, name):
         monkeypatch.setattr(experiments, "integrate_many",
@@ -765,8 +777,11 @@ class TestUsageErrors:
           "--t-end", "1e-5"], "mass power ||psi||^(4m+2) overflows"),
         (["riccati", "--nu", "1", "--integrable", "--hm-size", "1e200"],
          "hm_norm^2 overflows"),
+        # refused by the runs' first H^m norm, before a step
+        (["eps-converge", "--m", "400"],
+         "--m must be small enough for <n>^(2m) to be finite at N=64, got 400"),
     ], ids=["simulate", "conserve", "conserve-correction", "riccati-energy",
-            "riccati-hm-size"])
+            "riccati-hm-size", "eps-converge-m"])
     def test_overflowing_energy_is_2(self, tmp_path, capsys, argv, message):
         # finite data whose modified energy overflows in Python floats: a
         # RuntimeWarning leaked on the way would fail here as an error

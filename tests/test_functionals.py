@@ -453,8 +453,9 @@ class TestConservedRows:
         got = conserved_rows(block)
         assert [v.shape for v in got] == [(rows,)] * 3
         # samples written over a used stack's layout get the same bits
-        stale = np.full((3, rows, 4 * num_modes), np.nan, dtype=np.complex128)
-        reused = conserved_rows(block, out=sample_layout(stale, num_modes, 4, (0, 1, 2)))
+        stale = sample_layout((rows,), num_modes, 4, (0, 1, 2))
+        stale[0].fill(np.nan)
+        reused = conserved_rows(block, out=stale)
         assert [v.tobytes() for v in reused] == [v.tobytes() for v in got]
         for b, row in enumerate(block):
             alone = conserved_rows(row)

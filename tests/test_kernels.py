@@ -80,8 +80,10 @@ def test_weighted_norms(m):
     a, b, _ = random_arrays(128, m + 10)
     w = (1.0 + grid.modes**2) ** m
     order = grid.mode_order
-    # the kernels take the weights listed in ``order``, as spectral caches them
-    assert np.array_equal(spectral._sobolev_weights(128, m), w[order])
+    # the kernels take the weights listed in ``order``, as spectral's norm
+    # layout holds them
+    weights, layout_order = spectral._norm_layout(128, m, False)
+    assert np.array_equal(weights, w[order]) and np.array_equal(layout_order, order)
     assert kernels.weighted_norm_sq(a, w[order], order) == pytest.approx(
         np.sum(w * np.abs(a) ** 2), rel=1e-13
     )

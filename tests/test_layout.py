@@ -162,9 +162,22 @@ def test_norm_layout_stays_in_spectral():
     ``spectral.sobolev_norm_sq_rows``: it never handles the norm weights or
     the order the kernels sum in."""
     used = _identifiers(ast.parse((SRC / "dynamics.py").read_text()))
-    layout = {"mode_order", "sobolev_weights", "_sobolev_weights",
+    layout = {"mode_order", "sobolev_weights", "_norm_layout",
               "weighted_norm_sq", "weighted_diff_norm_sq"}
     assert not used & layout, sorted(used & layout)
+
+
+def test_one_norm_layout():
+    """``spectral._norm_layout`` is the one builder of the norm weights and
+    their order: each of the four norm functions looks it up once, and the
+    index's m >= 0 check is written once, in it."""
+    assert sorted(_call_sites({"_norm_layout", "spectral._norm_layout"})) == [
+        ("spectral", "seminorm_sq_rows"), ("spectral", "sobolev_distance"),
+        ("spectral", "sobolev_norm_sq_of"), ("spectral", "sobolev_norm_sq_rows")]
+    checks = [(path.stem, line) for path in MODULES
+              for line in path.read_text().splitlines()
+              if re.search(r"InputError\(\s*\"m\", f?\"must be >= 0", line)]
+    assert [stem for stem, _ in checks] == ["spectral"], checks
 
 
 STEP_FUNCTIONS = {"_picard_step", "_rk4_step", "dynamics._picard_step",
@@ -389,7 +402,7 @@ def _memo_dicts(tree):
 
 
 def test_every_cache_is_measured():
-    """The package's memo caches are the four ``spectral`` ones and
+    """The package's memo caches are the three ``spectral`` ones and
     ``dynamics._workspace``, whose hits and cost of a miss were measured on
     the benchmark's workloads (see ROADMAP aim 2): a new cache comes with
     its measurement. No module-level dict is filled as a memo behind the
@@ -408,9 +421,8 @@ def test_every_cache_is_measured():
                         sites.append((path.stem, node.name))
     assert sorted(sites) == [
         ("dynamics", "_workspace"),
-        ("spectral", "_grid"),
-        ("spectral", "_padded_multiplier"), ("spectral", "_seminorm_weights"),
-        ("spectral", "_sobolev_weights")]
+        ("spectral", "_grid"), ("spectral", "_norm_layout"),
+        ("spectral", "_padded_multiplier")]
     assert memos == []
 
 

@@ -21,6 +21,7 @@ from torus4nls.spectral import (
     row_blocks,
     seminorm_sq,
     seminorm_sq_rows,
+    sobolev_distance,
     sobolev_norm,
     sobolev_norm_sq_rows,
 )
@@ -258,6 +259,12 @@ class TestNorms:
             norm_rows(np.ones((2, 32), dtype=complex), -1)
         assert err.value.args == ("m", "must be >= 0, got -1"), name
 
+    def test_negative_index_refused_by_the_distance(self, grid64):
+        psi, chi = single_mode(grid64, 1), single_mode(grid64, 2)
+        with pytest.raises(InputError) as err:
+            sobolev_distance(psi, chi, -1)
+        assert err.value.args == ("m", "must be >= 0, got -1")
+
 
 class TestRowBlocks:
     @pytest.mark.parametrize("count", [0, 1, 31, 32, 33, 200])
@@ -362,10 +369,13 @@ class TestRefusing:
         # 32^(2·103) overflows: every norm taken with it would be inf or NaN
         psi = single_mode(grid64, 1)
         assert seminorm_sq(psi, 102) == 1.0
-        with pytest.raises(ValueError, match=r"^\|n\|\^\(2m\) overflows: m=103 is "
-                                             r"too large for N=64"):
+        with pytest.raises(InputError) as err:
             seminorm_sq(psi, 103)
-        with pytest.raises(ValueError, match=r"^<n>\^\(2m\) overflows: m=103"):
+        assert err.value.args == (
+            "m", "must be small enough for |n|^(2m) to be finite at N=64, got 103")
+        with pytest.raises(InputError) as err:
             sobolev_norm(psi, 103)
+        assert err.value.args == (
+            "m", "must be small enough for <n>^(2m) to be finite at N=64, got 103")
         with pytest.raises(ValueError, match=r"^\(i n\)\^k overflows: k=200"):
             padded_samples(psi.coeffs, 3, (200,))
